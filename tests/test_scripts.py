@@ -1,0 +1,19 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_families_window_three(capsys):
+    run_families = load_script("run_families")
+    assert run_families.main(["--window", "3", "--test-degree", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(run_families.standard_grid())
+    assert all(" ok " in line for line in lines)

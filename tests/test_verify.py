@@ -2,17 +2,21 @@ from fractions import Fraction
 
 import pytest
 from helpers import corrupted_data, sample_specs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwfree.exactpoly import Poly
-from nwfree.liealg import D, K, P, Q, R, S, sym
+from nwfree.liealg import D, K, P, Q, R, S, bracket, sym
 from nwfree.modfam import (
     SpecInvalid,
     Vir00Spec,
     WindowExceeded,
+    act,
     actions_of,
     mg0,
     mhb,
     mtilde,
+    spec_window,
 )
 from nwfree.verify import FAIL, PASS, SKIP, format_report, verify_module, verify_vir
 
@@ -131,3 +135,37 @@ def test_report_format_lines():
         parts = line.split(" ")
         assert parts[0] == "PAIR" and parts[3] == "POLY" and parts[5] == "RESIDUAL"
         assert parts[7] in (PASS, FAIL, SKIP)
+
+
+def axiom_residual(spec, algebra, x, y, v):
+    """The residual composed through `act`, the definition verify_module factors."""
+    return (
+        act(spec, x, act(spec, y, v))
+        - act(spec, y, act(spec, x, v))
+        - act(spec, bracket(algebra, x, y), v)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sample_specs()),
+    st.booleans(),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+)
+def test_factored_residuals_match_act_oracle(named, corrupt, window, test_degree):
+    _, spec = named
+    limit = spec_window(spec)
+    window = min(window, limit) if limit else window
+    if corrupt:
+        spec = corrupted_data(spec, window)
+    report = verify_module(spec, window=window, test_degree=test_degree)
+    assert report.entries
+    for e in report.entries:
+        try:
+            expected = axiom_residual(spec, report.algebra, e.x, e.y, e.test_poly)
+        except WindowExceeded:
+            assert e.status == SKIP and e.residual.is_zero()
+            continue
+        assert e.residual == expected
+        assert e.status == (PASS if expected.is_zero() else FAIL)
