@@ -14,6 +14,12 @@ rounded.  The degree of the zero polynomial is the NEG_INF sentinel, not
 
 where tau is the shift s -> s - 1.  Shifts (`Shift`) substitute v -> v + c
 per variable and compose additively; `negate_var` substitutes v -> -v.
+
+The public `Poly(...)` constructor validates and canonicalizes its input,
+which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
+unary `-` and `apply_shift`) already holds merged Fraction terms over one
+variable set, so it builds canonical results directly through
+`Poly._trusted`, which only drops zero coefficients and sorts.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ def _grlex(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
+def _term_key(term) -> tuple:
+    return _grlex(term[0])
+
+
 @dataclass(frozen=True)
 class Poly:
     """Sparse exact polynomial in a fixed ordered variable set.
@@ -81,9 +91,22 @@ class Poly:
                     merged[exps] = acc
                 else:
                     merged.pop(exps, None)
-        canon = tuple(sorted(merged.items(), key=lambda t: _grlex(t[0]), reverse=True))
+        canon = tuple(sorted(merged.items(), key=_term_key, reverse=True))
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", canon)
+
+    @classmethod
+    def _trusted(cls, variables: Tuple[str, ...], terms) -> "Poly":
+        """A result of internal arithmetic: drop zeros and sort, nothing else.
+
+        `terms` are (exponents, Fraction) pairs with distinct exponent tuples
+        that fit `variables`; the caller guarantees it.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "variables", variables)
+        canon = sorted(((e, c) for e, c in terms if c), key=_term_key, reverse=True)
+        object.__setattr__(out, "terms", tuple(canon))
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -133,9 +156,6 @@ class Poly:
                 return c
         return Fraction(0)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def total_degree(self):
         if not self.terms:
             return NEG_INF
@@ -156,7 +176,7 @@ class Poly:
         acc = dict(self.terms)
         for exps, coeff in other.terms:
             acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Poly(self.variables, acc)
+        return Poly._trusted(self.variables, acc.items())
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -165,15 +185,15 @@ class Poly:
         acc = dict(self.terms)
         for exps, coeff in other.terms:
             acc[exps] = acc.get(exps, Fraction(0)) - coeff
-        return Poly(self.variables, acc)
+        return Poly._trusted(self.variables, acc.items())
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, tuple((e, -c) for e, c in self.terms))
+        return Poly._trusted(self.variables, [(e, -c) for e, c in self.terms])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _fraction(other)
-            return Poly(self.variables, tuple((e, c * v) for e, v in self.terms))
+            return Poly._trusted(self.variables, [(e, c * v) for e, v in self.terms])
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
@@ -182,7 +202,7 @@ class Poly:
             for e2, c2 in other.terms:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.variables, acc)
+        return Poly._trusted(self.variables, acc.items())
 
     __rmul__ = __mul__
 
@@ -242,14 +262,6 @@ class Shift:
 SHIFT_IDENTITY = Shift(())
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 def apply_shift(sh: Shift, x: Poly) -> Poly:
     """Substitute v -> v + offset(v) for every shifted variable, exactly."""
     for var, _ in sh.offsets:
@@ -276,7 +288,7 @@ def apply_shift(sh: Shift, x: Poly) -> Poly:
             expansion = step
         for key, c in expansion.items():
             acc[key] = acc.get(key, Fraction(0)) + c
-    return Poly(x.variables, acc)
+    return Poly._trusted(x.variables, acc.items())
 
 
 def negate_var(x: Poly, var: str) -> Poly:
@@ -375,11 +387,6 @@ def monomials_upto(variables: Iterable[str], degree: int) -> list:
     return [Poly.monomial(variables, e) for e in exps]
 
 
-def format_fraction(c: Fraction) -> str:
-    c = _fraction(c)
-    return str(c)
-
-
 def format_poly(x: Poly) -> str:
     """Canonical space-free text: leading term first, e.g. `s^2-3*s*d+7`."""
     if x.is_zero():
@@ -393,9 +400,9 @@ def format_poly(x: Poly) -> str:
         if body_vars and mag == 1:
             body = body_vars
         elif body_vars:
-            body = f"{format_fraction(mag)}*{body_vars}"
+            body = f"{mag}*{body_vars}"
         else:
-            body = format_fraction(mag)
+            body = str(mag)
         if not parts:
             parts.append(f"-{body}" if coeff < 0 else body)
         else:

@@ -17,7 +17,6 @@ from .exactpoly import (
     Poly,
     change_variables,
     degree_in,
-    format_fraction,
     format_poly,
     monomials_upto,
     reduce_mod_univariate,
@@ -73,7 +72,7 @@ class ChainOp:
         pieces = []
         for coeff, symbol in self.parts:
             name = "id" if symbol is None else format_symbol(symbol, alg)
-            pieces.append(f"{format_fraction(coeff)}*{name}")
+            pieces.append(f"{coeff}*{name}")
         return "+".join(pieces).replace("+-", "-")
 
 
@@ -324,7 +323,7 @@ def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = Non
     lines = [f"SEED {format_poly(cert.seed)}"]
     for op, result in cert.chain:
         lines.append(f"STEP {op.describe(alg)} POLY {format_poly(result)}")
-    lines.append(f"SUMMARY constant={format_fraction(cert.final.constant_value())}")
+    lines.append(f"SUMMARY constant={cert.final.constant_value()}")
     return "\n".join(lines)
 
 

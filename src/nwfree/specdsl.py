@@ -8,6 +8,9 @@ Polynomial grammar (variables s, d, d0, w0):
     atom   := RATIONAL | VARIABLE | '(' expr ')'
     RATIONAL := INTEGER ('/' INTEGER)?
 
+A power whose degree would pass MAX_DEGREE is a syntax error at its
+exponent, so no document makes the parser multiply without bound.
+
 Spec and action documents are line-oriented `key = value` text with `#`
 comments.  Spec documents name an algebra and a family and list its
 parameters; beta and f sequences use explicit integer suffixes
@@ -33,7 +36,7 @@ from .classify import (
     iso_check,
     twist,
 )
-from .exactpoly import Poly, format_fraction, format_poly
+from .exactpoly import Poly, format_poly
 from .irreducible import (
     NotIrreducible,
     NotReducible,
@@ -97,6 +100,9 @@ class UnknownVariable(DslSyntaxError):
 
 
 _ALLOWED_VARIABLES = ("s", "d", "d0", "w0")
+
+# Largest degree a power may reach (a constant base counts as degree 1).
+MAX_DEGREE = 64
 
 
 @dataclass
@@ -202,7 +208,10 @@ class _PolyParser:
             if exponent is None or exponent.kind != "num":
                 self.fail("expected an integer exponent after '^'", exponent)
             self.take()
-            value = value ** int(exponent.text)
+            n = int(exponent.text)
+            if n * max(value.total_degree(), 1) > MAX_DEGREE:
+                self.fail(f"power ^{n} exceeds the degree limit {MAX_DEGREE}", exponent)
+            value = value ** n
         return value
 
     def atom(self) -> Poly:
@@ -551,12 +560,12 @@ def _h4_param_lines(fam: H4Family):
         return [f"g = {format_poly(fam.g)}"]
     if fam.variant in ("Mhb", "Mbh"):
         return [
-            f"a1 = {format_fraction(fam.a1)}",
-            f"a2 = {format_fraction(fam.a2)}",
-            f"b = {format_fraction(fam.b)}",
+            f"a1 = {fam.a1}",
+            f"a2 = {fam.a2}",
+            f"b = {fam.b}",
         ]
     if fam.variant == "Mab":
-        return [f"a = {format_fraction(fam.a)}", f"b = {format_fraction(fam.b)}"]
+        return [f"a = {fam.a}", f"b = {fam.b}"]
     return []
 
 
@@ -571,9 +580,9 @@ def format_spec(spec) -> str:
             lines.append("family = MTildeAlphaBeta")
             lines.append(f"base = {spec.base.variant}")
             lines.extend(_h4_param_lines(spec.base))
-            lines.append(f"alpha = {format_fraction(spec.alpha)}")
+            lines.append(f"alpha = {spec.alpha}")
             for k in range(-spec.window, spec.window + 1):
-                lines.append(f"beta.{k} = {format_fraction(spec.beta_at(k))}")
+                lines.append(f"beta.{k} = {spec.beta_at(k)}")
         else:
             lines.append("family = MTildeF")
             for k in range(-spec.window, spec.window + 1):
@@ -581,15 +590,15 @@ def format_spec(spec) -> str:
         lines.append(f"window = {spec.window}")
     elif isinstance(spec, Vir00Spec):
         lines.append("family = MLambdaF")
-        lines.append(f"lambda = {format_fraction(spec.lam)}")
+        lines.append(f"lambda = {spec.lam}")
         lines.append(f"fpoly = {format_poly(spec.fpoly)}")
     elif isinstance(spec, AffVirSpec):
         inner = spec.base
         lines.append("family = MTildeLambda")
         lines.append(f"base = {inner.base.variant}")
         lines.extend(_h4_param_lines(inner.base))
-        lines.append(f"alpha = {format_fraction(inner.alpha)}")
-        lines.append(f"lambda = {format_fraction(spec.lambda_shift)}")
+        lines.append(f"alpha = {inner.alpha}")
+        lines.append(f"lambda = {spec.lambda_shift}")
         lines.append(f"window = {inner.window}")
     else:
         raise SpecInvalid(f"cannot format a {type(spec).__name__}")

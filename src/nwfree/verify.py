@@ -27,16 +27,13 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from .exactpoly import Poly, Shift, apply_shift, format_poly, monomials_upto
 from .liealg import BasisSymbol, LieElement, bracket, format_symbol
 from .modfam import (
-    ActionData,
-    AffVirSpec,
     AnySpec,
     SpecInvalid,
-    Vir00Spec,
     WindowExceeded,
     algebra_of,
     generators,
@@ -147,18 +144,6 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
                 status = PASS if residual.is_zero() else FAIL
                 entries.append(ReportEntry(x, y, v, residual, status))
     return VerificationReport(algebra, _resolve_window(spec, window), test_degree, tuple(entries))
-
-
-def verify_vir(spec: Union[Vir00Spec, AffVirSpec, ActionData], window: int = 3, test_degree: int = 3) -> VerificationReport:
-    """verify_module restricted to the Virasoro-type specs."""
-    from .liealg import VIR00, AFF_VIR
-
-    ok = isinstance(spec, (Vir00Spec, AffVirSpec)) or (
-        isinstance(spec, ActionData) and spec.algebra in (VIR00, AFF_VIR)
-    )
-    if not ok:
-        raise SpecInvalid("verify_vir expects a Vir(0,0) or affine-Virasoro spec")
-    return verify_module(spec, window, test_degree)
 
 
 def format_report(report: VerificationReport) -> str:

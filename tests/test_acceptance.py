@@ -7,7 +7,6 @@ sensitivity, and the document parser plus CLI contract.
 """
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +28,7 @@ from nwfree.modfam import (
     act,
     actions_of,
     affvir,
+    generators,
     m0,
     m0g,
     mab,
@@ -36,6 +36,7 @@ from nwfree.modfam import (
     mg0,
     mhb,
     mtilde,
+    module_variables,
     mtilde_f,
 )
 from nwfree.specdsl import (
@@ -68,22 +69,51 @@ H4_GRID = {
 
 # --- module axioms -------------------------------------------------------
 
+# verify_module multiplies polynomials twice per generator pair to build the
+# pair's residual parts R_sigma, then once per test monomial and nonzero
+# R_sigma.  The four algebras are graded, so the terms of a pair involve a
+# single shift sigma.  Composing act per test monomial instead multiplies
+# once per act call whose value on 1 is nonzero, up to five times per
+# monomial, which breaks the bound on every family below except M0.
+SHIFTS_PER_PAIR = 1
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A one-element list counting calls of Poly.__mul__ (polynomial products)."""
+    calls = [0]
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    return calls
+
+
+def _verify_within_product_bound(products, spec, window, test_degree):
+    n = len(generators(spec, window))
+    monomials = len(monomials_upto(module_variables(spec), test_degree))
+    bound = n * (n - 1) // 2 * (monomials * SHIFTS_PER_PAIR + 2)
+    products[0] = 0
+    report = verify_module(spec, window=window, test_degree=test_degree)
+    assert products[0] <= bound, (spec, products[0], bound)
+    return report
+
 
 @pytest.mark.parametrize("family", sorted(H4_GRID))
-def test_h4_axioms_zero_residual(family):
-    start = time.monotonic()
+def test_h4_axioms_zero_residual(family, products):
     for spec in H4_GRID[family]:
-        report = verify_module(spec, window=3, test_degree=4)
+        report = _verify_within_product_bound(products, spec, window=3, test_degree=4)
         assert report.passed
         assert report.checked > 0
         for entry in report.entries:
             assert entry.status == PASS
             assert entry.residual.is_zero()
-    assert time.monotonic() - start < 1.0
 
 
-def test_affine_axioms_with_central_pairs():
-    start = time.monotonic()
+def test_affine_axioms_with_central_pairs(products):
     beta = {
         1: Fraction(5),
         -1: Fraction(7),
@@ -107,7 +137,7 @@ def test_affine_axioms_with_central_pairs():
     for base in bases:
         for alpha in (Fraction(2), Fraction(1, 2)):
             spec = mtilde(base, alpha, beta, window=3)
-            report = verify_module(spec, window=3, test_degree=3)
+            report = _verify_within_product_bound(products, spec, window=3, test_degree=3)
             assert report.passed
             entries = {(e.x, e.y): e for e in report.entries}
             for pair in central:
@@ -122,9 +152,8 @@ def test_affine_axioms_with_central_pairs():
         3: _c(Fraction(1, 2)),
         -3: S + ONE,
     }
-    report = verify_module(mtilde_f(fseq, window=3), window=3, test_degree=3)
+    report = _verify_within_product_bound(products, mtilde_f(fseq, window=3), 3, 3)
     assert report.passed
-    assert time.monotonic() - start < 10.0
 
 
 def test_vir00_axioms_and_level_pair():

@@ -15,8 +15,6 @@ from nwfree.exactpoly import (
     format_poly,
     monomials_upto,
     negate_var,
-    poly_add,
-    poly_mul,
     reduce_mod_univariate,
 )
 
@@ -35,41 +33,41 @@ def p_s(text_terms):
 def test_add_cancellation():
     a = Poly(S, {(2,): 1, (0,): 1})  # s^2 + 1
     b = Poly(S, {(2,): -1})  # -s^2
-    assert poly_add(a, b) == Poly.const(S, 1)
+    assert a + b == Poly.const(S, 1)
 
 
 def test_add_collects():
-    assert poly_add(Poly(S, {(1,): 2}), Poly(S, {(1,): 3})) == Poly(S, {(1,): 5})
+    assert Poly(S, {(1,): 2}) + Poly(S, {(1,): 3}) == Poly(S, {(1,): 5})
 
 
 def test_add_mixed_bivariate():
     sd = Poly(SD, {(1, 1): 1})
     s = Poly(SD, {(1, 0): 1})
-    assert poly_add(sd, s) == Poly(SD, {(1, 1): 1, (1, 0): 1})
+    assert sd + s == Poly(SD, {(1, 1): 1, (1, 0): 1})
 
 
 def test_add_variable_mismatch():
     with pytest.raises(VariableMismatch):
-        poly_add(Poly.one(S), Poly.one(SD))
+        Poly.one(S) + Poly.one(SD)
 
 
 def test_mul_difference_of_squares():
     a = Poly(S, {(1,): 1, (0,): -1})
     b = Poly(S, {(1,): 1, (0,): 1})
-    assert poly_mul(a, b) == Poly(S, {(2,): 1, (0,): -1})
+    assert a * b == Poly(S, {(2,): 1, (0,): -1})
 
 
 def test_mul_zero_annihilates():
     z = Poly.zero(SD)
     x = Poly(SD, {(3, 0): 1, (0, 1): 1})
-    assert poly_mul(z, x) == z
+    assert z * x == z
 
 
 def test_mul_rational_coefficients():
     # (1/2 s)(2s + 5) = s^2 + 5/2 s
     a = Poly(S, {(1,): Fraction(1, 2)})
     b = Poly(S, {(1,): 2, (0,): 5})
-    assert poly_mul(a, b) == Poly(S, {(2,): 1, (1,): Fraction(5, 2)})
+    assert a * b == Poly(S, {(2,): 1, (1,): Fraction(5, 2)})
 
 
 def test_shift_tau_on_square():
@@ -210,6 +208,30 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+
+
+def _assert_canonical(r):
+    # what the validating constructor would build, and canonical in itself
+    assert r == Poly(r.variables, r.terms)
+    assert all(type(c) is Fraction and c != 0 for _, c in r.terms)
+    keys = [(sum(e), e) for e, _ in r.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+
+
+def _poly_pair(variables):
+    small = poly_st(variables, max_degree=4, max_terms=5)
+    return st.tuples(small, small)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([S, SD]).flatmap(_poly_pair), fractions_st,
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
+def test_internal_results_are_canonical(pair, c, a, b):
+    u, v = pair
+    shift = Shift.of(s=a) if u.variables == S else Shift.of(s=a, d=b)
+    for r in (u + v, u - v, u - u, u + (-u), u * v, u * c, c * u, u * 0, -u,
+              apply_shift(shift, u)):
+        _assert_canonical(r)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,10 +28,6 @@ from nwfree.modfam import (
     Vir00Spec,
     WindowExceeded,
     act,
-    act_affine,
-    act_affvir,
-    act_h4,
-    act_vir00,
     actions_of,
     affvir,
     generators,
@@ -58,24 +54,24 @@ def sd(text_terms):
 
 def test_mhb_generator_values():
     fam = mhb(1, 0, 1)
-    assert act_h4(fam, P, ONE_S) == S_POLY
-    assert act_h4(fam, Q, ONE_S) == ONE_S
-    assert act_h4(fam, R, ONE_S) == Poly.const(("s",), -1)
-    assert act_h4(fam, S, ONE_S) == S_POLY
+    assert act(fam, P, ONE_S) == S_POLY
+    assert act(fam, Q, ONE_S) == ONE_S
+    assert act(fam, R, ONE_S) == Poly.const(("s",), -1)
+    assert act(fam, S, ONE_S) == S_POLY
 
 
 def test_mg0_kills_q():
     fam = mg0(Poly(("s",), {(2,): 1}))
-    assert act_h4(fam, Q, S_POLY ** 5).is_zero()
-    assert act_h4(fam, R, S_POLY ** 2).is_zero()
+    assert act(fam, Q, S_POLY ** 5).is_zero()
+    assert act(fam, R, S_POLY ** 2).is_zero()
 
 
 def test_mhb_pq_commutator_matches_r():
     fam = mhb(1, 0, 1)
     v = ONE_S
-    got = act_h4(fam, P, act_h4(fam, Q, v)) - act_h4(fam, Q, act_h4(fam, P, v))
+    got = act(fam, P, act(fam, Q, v)) - act(fam, Q, act(fam, P, v))
     assert got == Poly.const(("s",), -1)
-    assert got == act_h4(fam, R, v)
+    assert got == act(fam, R, v)
 
 
 def test_base_values_table():
@@ -94,14 +90,15 @@ def affine_demo():
 
 def test_affine_s_loop_action(affine_demo):
     v = sd({(1, 0): Fraction(1, 2)})
-    got = act_affine(affine_demo, sym("s", 1), v)
+    got = act(affine_demo, sym("s", 1), v)
     assert got == sd({(2, 0): 1, (1, 0): Fraction(5, 2)})
 
 
 def test_affine_k_annihilates(affine_demo):
     v = sd({(3, 2): 1})
-    assert act_affine(affine_demo, K, v).is_zero()
-    assert act_affine(affine_demo, D, v) == sd({(3, 3): 1})
+    assert act(affine_demo, K, v).is_zero()
+    assert act(affine_demo, D, v) == sd({(3, 3): 1})
+    assert act(affine_demo, LieElement.basis(K, 5), v).is_zero()
 
 
 def test_affine_sp_commutator_realizes_bracket(affine_demo):
@@ -114,20 +111,35 @@ def test_affine_sp_commutator_realizes_bracket(affine_demo):
     assert got == act(affine_demo, bracket(AFFINE_H4, x, y), one)
 
 
+def test_act_on_lie_element_is_linear(affine_demo):
+    v = sd({(2, 1): 1, (0, 0): Fraction(1, 3)})
+    parts = ((sym("p", 1), Fraction(2)), (sym("s", -1), Fraction(-1, 2)), (D, Fraction(3)), (K, 7))
+    expected = Poly.zero(("s", "d"))
+    for symbol, c in parts:
+        expected = expected + c * act(affine_demo, symbol, v)
+    assert act(affine_demo, LieElement(parts), v) == expected
+    assert act(affine_demo, LieElement(()), v).is_zero()
+
+
 def test_affine_window_rejected(affine_demo):
     with pytest.raises(WindowExceeded):
-        act_affine(affine_demo, sym("p", 2), Poly.one(("s", "d")))
+        act(affine_demo, sym("p", 2), Poly.one(("s", "d")))
+    # the zero vector needs no value on 1, so no window is consulted
+    assert act(affine_demo, sym("p", 2), Poly.zero(("s", "d"))).is_zero()
+    assert act(affine_demo, sym("p", 2), Poly.zero(("s",))) == Poly.zero(("s", "d"))
 
 
 def test_mtilde_f_values():
     spec = mtilde_f({1: S_POLY ** 2, -1: 7}, window=1)
     one = Poly.one(("s", "d"))
-    assert act_affine(spec, sym("p", 1), one).is_zero()
-    assert act_affine(spec, sym("s", 0), one) == sd({(1, 0): 1})
-    assert act_affine(spec, sym("s", 1), one) == sd({(2, 0): 1})
+    assert act(spec, sym("p", 1), one).is_zero()
+    assert act(spec, sym("p", 1), sd({(2, 1): 3, (0, 0): 1})).is_zero()
+    assert act(spec, K, sd({(1, 1): 1})).is_zero()
+    assert act(spec, sym("s", 0), one) == sd({(1, 0): 1})
+    assert act(spec, sym("s", 1), one) == sd({(2, 0): 1})
     # sigma shows up once the argument involves d
     v = sd({(0, 1): 1})
-    assert act_affine(spec, sym("s", 1), v) == sd({(2, 1): 1, (2, 0): -1})
+    assert act(spec, sym("s", 1), v) == sd({(2, 1): 1, (2, 0): -1})
 
 
 def test_vir00_actions():
@@ -135,10 +147,10 @@ def test_vir00_actions():
     one = Poly.one(("d0", "w0"))
     d0 = Poly.var(("d0", "w0"), "d0")
     w0 = Poly.var(("d0", "w0"), "w0")
-    assert act_vir00(spec, sym("dvir", 1), one) == 2 * (d0 + w0)
+    assert act(spec, sym("dvir", 1), one) == 2 * (d0 + w0)
     v = d0 * w0 + w0
-    assert act_vir00(spec, sym("s", 0), v) == w0 * v
-    assert act_vir00(spec, K, v).is_zero()
+    assert act(spec, sym("s", 0), v) == w0 * v
+    assert act(spec, K, v).is_zero()
 
 
 def test_vir00_dw_commutator():
@@ -146,8 +158,8 @@ def test_vir00_dw_commutator():
     one = Poly.one(("d0", "w0"))
     w0 = Poly.var(("d0", "w0"), "w0")
     d1, wm1 = sym("dvir", 1), sym("s", -1)
-    got = act_vir00(spec, d1, act_vir00(spec, wm1, one)) - act_vir00(
-        spec, wm1, act_vir00(spec, d1, one)
+    got = act(spec, d1, act(spec, wm1, one)) - act(
+        spec, wm1, act(spec, d1, one)
     )
     assert got == -w0
     assert got == act(spec, LieElement.basis(sym("s", 0), -1), one)
@@ -156,17 +168,17 @@ def test_vir00_dw_commutator():
 def test_affvir_actions():
     spec = affvir(mhb(1, 0, 1), alpha=2, lam=3, window=2)
     one = Poly.one(("s", "d"))
-    assert act_affvir(spec, sym("dvir", 1), one) == sd({(0, 1): 2, (0, 0): 6})
+    assert act(spec, sym("dvir", 1), one) == sd({(0, 1): 2, (0, 0): 6})
     v = sd({(1, 1): 1})
-    assert act_affvir(spec, sym("dvir", 0), v) == sd({(1, 2): 1})
+    assert act(spec, sym("dvir", 0), v) == sd({(1, 2): 1})
 
 
 def test_affvir_dd_commutator():
     spec = affvir(mhb(1, 0, 1), alpha=2, lam=3, window=2)
     one = Poly.one(("s", "d"))
     d1, dm1 = sym("dvir", 1), sym("dvir", -1)
-    got = act_affvir(spec, d1, act_affvir(spec, dm1, one)) - act_affvir(
-        spec, dm1, act_affvir(spec, d1, one)
+    got = act(spec, d1, act(spec, dm1, one)) - act(
+        spec, dm1, act(spec, d1, one)
     )
     assert got == sd({(0, 1): -2})
 
@@ -174,8 +186,8 @@ def test_affvir_dd_commutator():
 def test_affvir_loop_generators_scale():
     spec = affvir(mab(2, 3), alpha=2, lam=1, window=2)
     one = Poly.one(("s", "d"))
-    assert act_affvir(spec, sym("p", 1), one) == sd({(0, 0): 4})
-    assert act_affvir(spec, sym("s", 1), one) == sd({(1, 0): 2})
+    assert act(spec, sym("p", 1), one) == sd({(0, 0): 4})
+    assert act(spec, sym("s", 1), one) == sd({(1, 0): 2})
 
 
 def test_spec_validation_errors():
@@ -207,18 +219,11 @@ def test_spec_validation_errors():
 
 def test_membership_errors():
     with pytest.raises(SymbolNotInAlgebra):
-        act_h4(mg0(1), sym("p", 1), ONE_S)
+        act(mg0(1), sym("p", 1), ONE_S)
     with pytest.raises(SymbolNotInAlgebra):
-        act_h4(mg0(1), K, ONE_S)
+        act(mg0(1), K, ONE_S)
     with pytest.raises(SymbolNotInAlgebra):
-        act_vir00(Vir00Spec(Fraction(1), Poly.zero(("w0",))), P, Poly.one(("d0", "w0")))
-
-
-def test_act_type_guards():
-    with pytest.raises(SpecInvalid):
-        act_h4(mtilde(m0(), 1, {1: 0, -1: 0}, 1), P, ONE_S)
-    with pytest.raises(SpecInvalid):
-        act_vir00(mg0(1), P, ONE_S)
+        act(Vir00Spec(Fraction(1), Poly.zero(("w0",))), P, Poly.one(("d0", "w0")))
 
 
 def test_generators_ordering_and_window():
@@ -288,22 +293,22 @@ def test_linearity(u, v, c):
 @settings(max_examples=30, deadline=None)
 @given(poly_st(("s",)))
 def test_freeness_anchor_h4(v):
-    assert act_h4(mab(2, 3), S, v) == S_POLY * v
+    assert act(mab(2, 3), S, v) == S_POLY * v
 
 
 @settings(max_examples=30, deadline=None)
 @given(poly_st(("s", "d")))
 def test_freeness_anchor_affine(v):
     spec = mtilde(mg0(S_POLY), 3, {1: 1, -1: 2}, window=1)
-    assert act_affine(spec, D, v) == Poly.var(("s", "d"), "d") * v
+    assert act(spec, D, v) == Poly.var(("s", "d"), "d") * v
 
 
 @settings(max_examples=30, deadline=None)
 @given(poly_st(("d0", "w0")))
 def test_freeness_anchor_vir00(v):
     spec = Vir00Spec(Fraction(5), Poly.var(("w0",), "w0") ** 2)
-    assert act_vir00(spec, sym("dvir", 0), v) == Poly.var(("d0", "w0"), "d0") * v
-    assert act_vir00(spec, sym("s", 0), v) == Poly.var(("d0", "w0"), "w0") * v
+    assert act(spec, sym("dvir", 0), v) == Poly.var(("d0", "w0"), "d0") * v
+    assert act(spec, sym("s", 0), v) == Poly.var(("d0", "w0"), "w0") * v
 
 
 def test_loop_scaling_property():
@@ -317,7 +322,7 @@ def test_loop_scaling_property():
 
 def test_r_acts_by_constant():
     for fam in (mg0(S_POLY ** 2), m0g(5), mhb(1, 0, 1), mbh(2, -1, 3), mab(2, 3), m0()):
-        got = act_h4(fam, R, S_POLY ** 3 + ONE_S)
+        got = act(fam, R, S_POLY ** 3 + ONE_S)
         _, _, r1 = h4_base_values(fam)
         assert got == r1 * (S_POLY ** 3 + ONE_S)
         if fam.variant in ("Mg0", "M0g", "Mab", "M0"):

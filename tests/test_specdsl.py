@@ -17,6 +17,7 @@ from nwfree.modfam import (
     mtilde_f,
 )
 from nwfree.specdsl import (
+    MAX_DEGREE,
     DslSyntaxError,
     UnknownVariable,
     format_actions,
@@ -287,6 +288,16 @@ def test_cli_verify_affine_defaults_to_spec_window(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "SUMMARY pass=true" in out
+
+
+def test_cli_rejects_power_above_degree_limit(tmp_path, capsys):
+    assert parse_poly(f"s^{MAX_DEGREE}") == S ** MAX_DEGREE
+    with pytest.raises(DslSyntaxError) as err:
+        parse_poly("(s^2)^40")
+    assert err.value.col == 7
+    path = write(tmp_path, "big.spec", "algebra = H4\nfamily = Mg0\ng = s^100000000\n")
+    assert main(["twist", path]) == 2
+    assert "line 3, col 7" in capsys.readouterr().err
 
 
 def test_cli_verify_detects_corruption(tmp_path, capsys):

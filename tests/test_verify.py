@@ -18,7 +18,7 @@ from nwfree.modfam import (
     mtilde,
     spec_window,
 )
-from nwfree.verify import FAIL, PASS, SKIP, format_report, verify_module, verify_vir
+from nwfree.verify import FAIL, PASS, SKIP, format_report, verify_module
 
 S_POLY = Poly.var(("s",), "s")
 
@@ -95,13 +95,6 @@ def test_window_larger_than_spec_errors():
         verify_module(spec, window=2, test_degree=1)
     with pytest.raises(SpecInvalid):
         verify_module(spec, window=0, test_degree=1)
-
-
-def test_verify_vir_guard():
-    with pytest.raises(SpecInvalid):
-        verify_vir(mhb(1, 0, 1), 1, 1)
-    spec = Vir00Spec(Fraction(2), Poly.var(("w0",), "w0"))
-    assert verify_vir(spec, window=2, test_degree=1).passed
 
 
 def test_vir00_inconsistent_mu_fails_on_d1_d2():
