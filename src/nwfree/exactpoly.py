@@ -14,6 +14,9 @@ rounded.  The degree of the zero polynomial is the NEG_INF sentinel, not
 
 where tau is the shift s -> s - 1.  Shifts (`Shift`) substitute v -> v + c
 per variable and compose additively; `negate_var` substitutes v -> -v.
+`apply_shift` is an integer Taylor shift: it clears denominators once with
+one common denominator, shifts dense integer coefficient rows by a
+Horner-type recurrence, and builds one Fraction per output term.
 
 The public `Poly(...)` constructor validates and canonicalizes its input,
 which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import lcm
 from typing import Iterable, Mapping, Tuple, Union
 
 Rational = Fraction
@@ -263,32 +266,43 @@ SHIFT_IDENTITY = Shift(())
 
 
 def apply_shift(sh: Shift, x: Poly) -> Poly:
-    """Substitute v -> v + offset(v) for every shifted variable, exactly."""
+    """Substitute v -> v + offset(v) for every shifted variable, exactly.
+
+    An integer Taylor shift (von zur Gathen & Gerhard, ISSAC 1997): the
+    coefficients are scaled once by the lcm L of their denominators, each
+    shifted variable is expanded with the Horner-type recurrence on dense
+    integer rows (one row per exponent vector of the other variables),
+    and one Fraction(n, L) is built per nonzero output term.
+    """
     for var, _ in sh.offsets:
         if var not in x.variables:
             raise VariableMismatch(f"shift touches {var!r}, absent from {x.variables!r}")
     if sh.is_identity() or x.is_zero():
         return x
-    index = {v: i for i, v in enumerate(x.variables)}
-    acc: dict[Exponents, Fraction] = {}
-    for exps, coeff in x.terms:
-        # Binomial expansion (v + o)^e, one shifted variable at a time.
-        expansion: dict[Exponents, Fraction] = {exps: coeff}
-        for var, off in sh.offsets:
-            i = index[var]
-            step: dict[Exponents, Fraction] = {}
-            for evec, c in expansion.items():
-                e = evec[i]
-                base = list(evec)
-                for j in range(e + 1):
-                    base[i] = j
-                    c2 = c * comb(e, j) * Fraction(off) ** (e - j)
-                    key = tuple(base)
-                    step[key] = step.get(key, Fraction(0)) + c2
-            expansion = step
-        for key, c in expansion.items():
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return Poly._trusted(x.variables, acc.items())
+    scale = lcm(*(c.denominator for _, c in x.terms))
+    ints = {e: c.numerator * (scale // c.denominator) for e, c in x.terms}
+    for var, off in sh.offsets:
+        i = x.variables.index(var)
+        rows: dict[Exponents, list] = {}
+        for exps, n in ints.items():
+            rest = exps[:i] + exps[i + 1:]
+            row = rows.get(rest)
+            if row is None:
+                row = rows[rest] = []
+            if len(row) <= exps[i]:
+                row.extend([0] * (exps[i] + 1 - len(row)))
+            row[exps[i]] = n
+        ints = {}
+        for rest, a in rows.items():
+            deg = len(a) - 1
+            # a(v) -> a(v + off) in place, a[j] the coefficient of v^j
+            for k in range(deg):
+                for j in range(deg - 1, k - 1, -1):
+                    a[j] += off * a[j + 1]
+            for e, n in enumerate(a):
+                if n:
+                    ints[rest[:i] + (e,) + rest[i:]] = n
+    return Poly._trusted(x.variables, [(e, Fraction(n, scale)) for e, n in ints.items()])
 
 
 def negate_var(x: Poly, var: str) -> Poly:
@@ -374,17 +388,17 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
         rem = rem - (lead * (Fraction(1) / lead_w)) * shift_mono * w
 
 
+def exponents_upto(n: int, degree: int) -> list:
+    """Exponent vectors in n variables of total degree <= degree, ascending graded-lex."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    exps.sort(key=_grlex)
+    return exps
+
+
 def monomials_upto(variables: Iterable[str], degree: int) -> list:
     """All monic monomials of total degree <= degree, ascending graded-lex."""
     variables = tuple(variables)
-    n = len(variables)
-    exps = [
-        e
-        for e in itertools.product(range(degree + 1), repeat=n)
-        if sum(e) <= degree
-    ]
-    exps.sort(key=_grlex)
-    return [Poly.monomial(variables, e) for e in exps]
+    return [Poly.monomial(variables, e) for e in exponents_upto(len(variables), degree)]
 
 
 def format_poly(x: Poly) -> str:

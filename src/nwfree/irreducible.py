@@ -17,6 +17,7 @@ from .exactpoly import (
     Poly,
     change_variables,
     degree_in,
+    exponents_upto,
     format_poly,
     monomials_upto,
     reduce_mod_univariate,
@@ -278,6 +279,14 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     The span is closed under every generator action, discarding images of
     total degree above cap_degree, so a True answer is sound evidence for
     irreducibility while a False answer is only an absence of evidence.
+
+    Elimination runs on mutable rows: a row is a list of Fractions, dense
+    over the monomials of total degree <= cap_degree with the leading
+    (descending grlex) monomial first, so every queued vector fits.  A
+    popped vector is top-reduced (its leading entry cleared while it hits
+    a pivot), made monic and kept as the pivot of its leading column, and
+    every generator acts on it.  Top-reduction keeps the vectors, hence
+    the verdict, of elimination on polynomials step for step.
     """
     if cap_degree < max_degree:
         raise SpecInvalid("cap degree must be at least the seed degree bound")
@@ -291,32 +300,40 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         )
 
     gens = generators(spec)
-    basis = {}  # leading exponents -> monic polynomial, echelon by leading monomial
-
-    def reduce(v: Poly) -> Poly:
-        while not v.is_zero():
-            exps, coeff = v.terms[0]
-            pivot = basis.get(exps)
-            if pivot is None:
-                return v
-            v = v - coeff * pivot
-        return v
+    columns = exponents_upto(len(variables), cap_degree)[::-1]
+    column_of = {exps: j for j, exps in enumerate(columns)}
+    width = len(columns)
+    zero = Fraction(0)
+    pivots = {}  # leading column -> monic row as (column, entry) pairs, echelon
 
     queue = [seed]
     while queue:
-        v = reduce(queue.pop())
-        if v.is_zero():
+        row = [zero] * width
+        for exps, coeff in queue.pop().terms:
+            row[column_of[exps]] = coeff
+        lead = 0
+        while lead < width:
+            coeff = row[lead]
+            if coeff:
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    break
+                for j, entry in pivot:
+                    row[j] -= coeff * entry
+            lead += 1
+        if lead == width:
             continue
-        exps, coeff = v.terms[0]
-        v = (Fraction(1) / coeff) * v
-        basis[exps] = v
+        inverse = 1 / row[lead]
+        pivot = [(j, row[j] * inverse) for j in range(lead, width) if row[j]]
+        pivots[lead] = pivot
+        v = Poly._trusted(variables, [(columns[j], entry) for j, entry in pivot])
         for x in gens:
             image = act(spec, x, v)
             if image.is_zero() or image.total_degree() > cap_degree:
                 continue
             queue.append(image)
-    # a pivot at the zero exponent is the monic constant 1 itself
-    return tuple(0 for _ in variables) in basis
+    # a pivot at the zero exponent, the last column, is the monic constant 1 itself
+    return width - 1 in pivots
 
 
 def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = None) -> str:

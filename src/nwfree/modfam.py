@@ -82,6 +82,10 @@ MODULE_VARIABLES = {
 H4_VARIANTS = ("Mg0", "M0g", "Mhb", "Mbh", "Mab", "M0")
 AFFINE_VARIANTS = ("MTildeAlphaBeta", "MTildeF")
 
+# Largest loop window a spec or action data may carry; windows index
+# tables of 2 * window + 1 entries, built at construction.
+MAX_WINDOW = 8
+
 Scalar = Union[int, Fraction, str]
 
 
@@ -213,6 +217,11 @@ def h4_base_values(fam: H4Family) -> Tuple[Poly, Poly, Fraction]:
     return zero, zero, Fraction(0)
 
 
+def _check_window_limit(window) -> None:
+    if isinstance(window, int) and window > MAX_WINDOW:
+        raise SpecInvalid(f"window exceeds the limit {MAX_WINDOW}")
+
+
 @dataclass(frozen=True)
 class AffineSpec:
     """Affinized module: MTildeAlphaBeta over a base family, or MTildeF."""
@@ -229,6 +238,7 @@ class AffineSpec:
             raise SpecInvalid(f"unknown affine family {self.variant!r}")
         if not isinstance(self.window, int) or self.window < 1:
             raise SpecInvalid("window must be a positive integer")
+        _check_window_limit(self.window)
         keys = set(range(-self.window, self.window + 1))
         if self.variant == "MTildeAlphaBeta":
             if not isinstance(self.base, H4Family):
@@ -311,6 +321,7 @@ class AffVirSpec:
 
 
 def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpec:
+    _check_window_limit(window)
     zero_beta = {k: Fraction(0) for k in range(-window, window + 1)}
     inner = mtilde(base, alpha, zero_beta, window)
     return AffVirSpec(base=inner, lambda_shift=Fraction(lam))
@@ -329,6 +340,8 @@ class ActionData:
             raise MalformedData(f"unknown algebra {self.algebra!r}")
         if not isinstance(self.window, int) or self.window < 0:
             raise MalformedData("window must be a non-negative integer")
+        if self.window > MAX_WINDOW:
+            raise MalformedData(f"window exceeds the limit {MAX_WINDOW}")
         variables = MODULE_VARIABLES[self.algebra]
         if isinstance(self.assignments, Mapping):
             items = self.assignments.items()

@@ -10,6 +10,8 @@ Polynomial grammar (variables s, d, d0, w0):
 
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, so no document makes the parser multiply without bound.
+Digits are ASCII only, and a numeral longer than MAX_DIGITS is a syntax
+error at the numeral.
 
 Spec and action documents are line-oriented `key = value` text with `#`
 comments.  Spec documents name an algebra and a family and list its
@@ -59,6 +61,7 @@ from .liealg import (
 )
 from .modfam import (
     H4_VARIANTS,
+    MAX_WINDOW,
     MODULE_VARIABLES,
     ActionData,
     AffineSpec,
@@ -104,6 +107,11 @@ _ALLOWED_VARIABLES = ("s", "d", "d0", "w0")
 # Largest degree a power may reach (a constant base counts as degree 1).
 MAX_DEGREE = 64
 
+# Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
+MAX_DIGITS = 1000
+
+_DIGITS = "0123456789"
+
 
 @dataclass
 class _Token:
@@ -129,10 +137,14 @@ def _tokenize(text: str, line: int, col: int):
             i += 1
             continue
         start = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise DslSyntaxError(
+                    f"numeral of {j - i} digits exceeds the limit {MAX_DIGITS}", line, start
+                )
             tokens.append(_Token("num", text[i:j], line, start))
             col += j - i
             i = j
@@ -344,6 +356,18 @@ def _best_position(message, taken, fallback_line, fallback_col):
     return taken[best].line, taken[best].key_col
 
 
+def _window_value(entry: _Entry) -> int:
+    try:
+        window = int(entry.value)
+    except ValueError:
+        raise DslSyntaxError("window must be an integer", entry.line, entry.value_col) from None
+    if window > MAX_WINDOW:
+        raise ConstraintViolation(
+            f"window exceeds the limit {MAX_WINDOW}", entry.line, entry.value_col
+        )
+    return window
+
+
 class _SpecBuilder:
     """Pulls typed values out of the entry map and tracks their positions."""
 
@@ -368,14 +392,8 @@ class _SpecBuilder:
         entry = self.grab(key)
         return parse_rational(entry.value, entry.line, entry.value_col)
 
-    def integer(self, key) -> int:
-        entry = self.grab(key)
-        try:
-            return int(entry.value)
-        except ValueError:
-            raise DslSyntaxError(
-                f"{key} must be an integer", entry.line, entry.value_col
-            ) from None
+    def window(self) -> int:
+        return _window_value(self.grab("window"))
 
     def poly(self, key, variables) -> Poly:
         entry = self.grab(key)
@@ -456,14 +474,14 @@ def _build_spec(entries):
     elif family == "MTildeAlphaBeta":
         base = builder.h4_base(builder.base_variant())
         alpha = builder.rational("alpha")
-        window = builder.integer("window")
+        window = builder.window()
         beta = {
             k: parse_rational(e.value, e.line, e.value_col)
             for k, e in builder.indexed("beta").items()
         }
         spec = builder.construct(lambda: mtilde(base, alpha, beta, window))
     elif family == "MTildeF":
-        window = builder.integer("window")
+        window = builder.window()
         fseq = {
             k: parse_poly(e.value, ("s",), e.line, e.value_col)
             for k, e in builder.indexed("f").items()
@@ -477,7 +495,7 @@ def _build_spec(entries):
         base = builder.h4_base(builder.base_variant())
         alpha = builder.rational("alpha")
         lam = builder.rational("lambda")
-        window = builder.integer("window")
+        window = builder.window()
         spec = builder.construct(lambda: affvir(base, alpha, lam, window))
     if builder.emap:
         leftover = min(builder.emap.values(), key=lambda e: (e.line, e.key_col))
@@ -514,12 +532,7 @@ def _build_actions(entries) -> ActionData:
             )
         window = 0
     else:
-        try:
-            window = int(window_entry.value)
-        except ValueError:
-            raise DslSyntaxError(
-                "window must be an integer", window_entry.line, window_entry.value_col
-            ) from None
+        window = _window_value(window_entry)
     assignments = {}
     taken = {}
     for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):

@@ -32,6 +32,7 @@ from typing import Tuple
 from .exactpoly import Poly, Shift, apply_shift, format_poly, monomials_upto
 from .liealg import BasisSymbol, LieElement, bracket, format_symbol
 from .modfam import (
+    MAX_WINDOW,
     AnySpec,
     SpecInvalid,
     WindowExceeded,
@@ -42,6 +43,9 @@ from .modfam import (
     value_on_one,
     _resolve_window,
 )
+
+# Largest test degree: verify enumerates every monomial up to it.
+MAX_TEST_DEGREE = 8
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -118,12 +122,17 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     outside the spec's window is skipped on every monomial.
 
     Raises WindowExceeded only when the spec's own window is smaller
-    than the requested one.
+    than the requested one, and SpecInvalid for a window or test degree
+    outside 1..MAX_WINDOW or 1..MAX_TEST_DEGREE.
     """
     if not isinstance(window, int) or window < 1:
         raise SpecInvalid("window must be at least 1")
+    if window > MAX_WINDOW:
+        raise SpecInvalid(f"window exceeds the limit {MAX_WINDOW}")
     if not isinstance(test_degree, int) or test_degree < 1:
         raise SpecInvalid("test degree must be at least 1")
+    if test_degree > MAX_TEST_DEGREE:
+        raise SpecInvalid(f"test degree exceeds the limit {MAX_TEST_DEGREE}")
     algebra = algebra_of(spec)
     gens = generators(spec, window)
     monos = monomials_upto(module_variables(spec), test_degree)

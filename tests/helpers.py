@@ -1,22 +1,29 @@
-"""Shared test fixtures: one canonical spec per family, plus data corruption."""
+"""Shared test fixtures: one canonical spec per family, data corruption, and
+reference implementations the optimized kernels are compared against."""
 
 from fractions import Fraction
+from math import comb
 
-from nwfree.exactpoly import Poly
+from nwfree.exactpoly import Poly, VariableMismatch, change_variables
+from nwfree.irreducible import SeedZero
 from nwfree.liealg import AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, sym
 from nwfree.liealg import S as S_SYM
 from nwfree.modfam import (
     MODULE_VARIABLES,
     ActionData,
+    SpecInvalid,
     Vir00Spec,
+    act,
     actions_of,
     affvir,
+    generators,
     m0,
     m0g,
     mab,
     mbh,
     mg0,
     mhb,
+    module_variables,
     mtilde,
     mtilde_f,
 )
@@ -112,3 +119,70 @@ def corrupted_fixtures():
             ),
         ),
     ]
+
+
+# ------------------------------------------------------ reference kernels
+
+
+def apply_shift_reference(sh, x):
+    """apply_shift by binomial expansion of (v + o)^e, term by term."""
+    for var, _ in sh.offsets:
+        if var not in x.variables:
+            raise VariableMismatch(f"shift touches {var!r}, absent from {x.variables!r}")
+    index = {v: i for i, v in enumerate(x.variables)}
+    acc = {}
+    for exps, coeff in x.terms:
+        expansion = {exps: coeff}
+        for var, off in sh.offsets:
+            i = index[var]
+            step = {}
+            for evec, c in expansion.items():
+                e = evec[i]
+                base = list(evec)
+                for j in range(e + 1):
+                    base[i] = j
+                    c2 = c * comb(e, j) * Fraction(off) ** (e - j)
+                    key = tuple(base)
+                    step[key] = step.get(key, Fraction(0)) + c2
+            expansion = step
+        for key, c in expansion.items():
+            acc[key] = acc.get(key, Fraction(0)) + c
+    return Poly(x.variables, acc)
+
+
+def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
+    """orbit_oracle by elimination on polynomials: a new Poly per step."""
+    if cap_degree < max_degree:
+        raise SpecInvalid("cap degree must be at least the seed degree bound")
+    variables = module_variables(spec)
+    seed = change_variables(seed, variables)
+    if seed.is_zero():
+        raise SeedZero("the zero vector generates nothing")
+    if seed.total_degree() > max_degree:
+        raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
+    gens = generators(spec)
+    basis = {}  # leading exponents -> monic polynomial
+
+    def reduce(v):
+        while not v.is_zero():
+            exps, coeff = v.terms[0]
+            pivot = basis.get(exps)
+            if pivot is None:
+                return v
+            v = v - coeff * pivot
+        return v
+
+    queue = [seed]
+    while queue:
+        v = reduce(queue.pop())
+        if v.is_zero():
+            continue
+        exps, coeff = v.terms[0]
+        v = (Fraction(1) / coeff) * v
+        basis[exps] = v
+        for x in gens:
+            image = act(spec, x, v)
+            if image.is_zero() or image.total_degree() > cap_degree:
+                continue
+            queue.append(image)
+    return tuple(0 for _ in variables) in basis

@@ -18,6 +18,8 @@ from nwfree.exactpoly import (
     reduce_mod_univariate,
 )
 
+from helpers import apply_shift_reference
+
 S = ("s",)
 SD = ("s", "d")
 
@@ -232,6 +234,33 @@ def test_internal_results_are_canonical(pair, c, a, b):
     for r in (u + v, u - v, u - u, u + (-u), u * v, u * c, c * u, u * 0, -u,
               apply_shift(shift, u)):
         _assert_canonical(r)
+
+
+# numerators over mixed denominators, so the common denominator varies
+mixed_fractions_st = st.builds(
+    Fraction,
+    st.integers(min_value=-60, max_value=60),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12]),
+)
+
+
+def _shift_case(variables):
+    n = len(variables)
+    term = st.tuples(st.tuples(*[st.integers(min_value=0, max_value=7)] * n), mixed_fractions_st)
+    poly = st.lists(term, max_size=7).map(lambda ts: Poly(variables, ts))
+    offsets = st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)
+    shift = offsets.map(lambda offs: Shift(tuple(zip(variables, offs))))
+    return st.tuples(poly, shift, shift)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_shift_case))
+def test_apply_shift_matches_binomial_reference(case):
+    x, a, b = case
+    shifted = apply_shift(b, x)
+    assert shifted == apply_shift_reference(b, x)
+    _assert_canonical(shifted)
+    assert apply_shift(a, shifted) == apply_shift(a.compose(b), x)
 
 
 @settings(max_examples=60, deadline=None)

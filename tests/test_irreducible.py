@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+import nwfree.irreducible
+
 from nwfree.exactpoly import (
     NEG_INF,
     Poly,
@@ -43,7 +46,7 @@ from nwfree.modfam import (
     mtilde_f,
 )
 
-from helpers import S, W0, sample_specs
+from helpers import S, W0, orbit_oracle_reference, sample_specs
 
 SD = ("s", "d")
 
@@ -319,6 +322,89 @@ def test_oracle_false_from_witness_ideal_seed():
     spec = mg0(S ** 2 - S)
     seed = witness(spec).ideal_generator
     assert orbit_oracle(spec, seed, 3, 6) is False
+
+
+def recorded_oracle(module, oracle, spec, seed, max_degree, cap):
+    """The oracle's answer plus every (generator, vector) it passed to act."""
+    calls = []
+    real = module.act
+
+    def recording(spec_, x, v):
+        calls.append((x, v))
+        return real(spec_, x, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "act", recording)
+        answer = oracle(spec, seed, max_degree, cap)
+    return answer, calls
+
+
+def assert_oracle_matches_reference(spec, seed, max_degree, cap):
+    answer, calls = recorded_oracle(
+        nwfree.irreducible, orbit_oracle, spec, seed, max_degree, cap
+    )
+    expected, expected_calls = recorded_oracle(
+        helpers, orbit_oracle_reference, spec, seed, max_degree, cap
+    )
+    assert answer is expected
+    # the same vectors, in the same order: elimination step for step
+    assert calls == expected_calls
+    return answer
+
+
+def test_oracle_matches_reference_on_samples():
+    answers = set()
+    for name, spec in sample_specs():
+        variables = module_variables(spec)
+        seeds = [monomials_upto(variables, 2)[-1]]
+        if not decide(spec).irreducible:
+            seeds.append(witness(spec).ideal_generator)
+        for seed in seeds:
+            answers.add(assert_oracle_matches_reference(spec, seed, 2, 4))
+    assert answers == {True, False}
+
+
+_small = st.integers(min_value=-3, max_value=3)
+_nonzero = _small.filter(bool)
+_g = st.lists(_small, min_size=1, max_size=3).filter(any).map(
+    lambda cs: sum((c * S ** k for k, c in enumerate(cs)), Poly.zero(("s",)))
+)
+_h4_specs = st.one_of(
+    _g.map(mg0),
+    _g.map(m0g),
+    st.builds(mhb, _nonzero, _small, _nonzero),
+    st.builds(mbh, _nonzero, _small, _nonzero),
+    st.builds(mab, _nonzero, _nonzero),
+    st.just(m0()),
+)
+_spec_kinds = (
+    _h4_specs,
+    st.builds(lambda base, alpha, b1, b2: mtilde(base, alpha, {1: b1, -1: b2}, 1),
+              _h4_specs, _nonzero, _small, _small),
+    st.sampled_from([spec for _, spec in sample_specs()]),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    # sampled_from over the kinds, not one_of, so each kind is drawn about as often
+    spec = draw(draw(st.sampled_from(_spec_kinds)))
+    variables = module_variables(spec)
+    monos = monomials_upto(variables, 2)
+    coeffs = draw(st.lists(_small, min_size=len(monos), max_size=len(monos)).filter(any))
+    seed = sum((c * m for c, m in zip(coeffs, monos)), Poly.zero(variables))
+    if draw(st.booleans()) and not decide(spec).irreducible:
+        # a seed inside the witness ideal, whose orbit never reaches 1
+        seed = witness(spec).ideal_generator * draw(st.sampled_from(monos[:3]))
+    max_degree = seed.total_degree() + draw(st.integers(min_value=0, max_value=1))
+    cap = max_degree + draw(st.integers(min_value=0, max_value=2))
+    return spec, seed, max_degree, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_oracle_matches_reference_on_random_specs(case):
+    assert_oracle_matches_reference(*case)
 
 
 # ----------------------------------------------------------- serialization

@@ -17,3 +17,13 @@ def test_run_families_window_three(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(run_families.standard_grid())
     assert all(" ok " in line for line in lines)
+
+
+def test_irreducibility_survey_runs_with_and_without_evidence(capsys):
+    survey = load_script("irreducibility_survey")
+    assert survey.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(survey.survey_grid()) == 15
+    assert not any("oracle disagrees" in line for line in lines)
+    assert survey.main(["--evidence"]) == 0
+    assert "oracle disagrees" not in capsys.readouterr().out

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import nwfree.exactpoly
+import nwfree.modfam
 from nwfree.exactpoly import Poly
 from nwfree.liealg import H4
 from nwfree.modfam import (
+    MAX_WINDOW,
+    ActionData,
     ConstraintViolation,
+    MalformedData,
+    SpecInvalid,
     Vir00Spec,
     actions_of,
     affvir,
@@ -18,6 +24,7 @@ from nwfree.modfam import (
 )
 from nwfree.specdsl import (
     MAX_DEGREE,
+    MAX_DIGITS,
     DslSyntaxError,
     UnknownVariable,
     format_actions,
@@ -29,6 +36,7 @@ from nwfree.specdsl import (
     parse_rational,
     parse_spec,
 )
+from nwfree.verify import MAX_TEST_DEGREE, verify_module
 
 from helpers import S, W0, corrupted_data, sample_specs
 
@@ -298,6 +306,79 @@ def test_cli_rejects_power_above_degree_limit(tmp_path, capsys):
     path = write(tmp_path, "big.spec", "algebra = H4\nfamily = Mg0\ng = s^100000000\n")
     assert main(["twist", path]) == 2
     assert "line 3, col 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "poly, where",
+    [
+        ("s^\u00b2", "line 3, col 7: unexpected character"),
+        ("s+" + "7" * 5000, "line 3, col 7: numeral of 5000 digits"),
+    ],
+    ids=["superscript-digit", "long-numeral"],
+)
+def test_cli_rejects_non_ascii_digits_and_long_numerals(tmp_path, capsys, poly, where):
+    path = write(tmp_path, "g.spec", f"algebra = H4\nfamily = Mg0\ng = {poly}\n")
+    assert main(["twist", path]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_numeral_at_the_digit_limit_parses():
+    assert parse_poly("9" * MAX_DIGITS) == Poly.const((), int("9" * MAX_DIGITS))
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    """Make every range built in modfam or exactpoly fail above 10^4 entries."""
+
+    def bounded_range(*args):
+        r = range(*args)
+        assert len(r) <= 10 ** 4, f"range of {len(r)} entries"
+        return r
+
+    for module in (nwfree.modfam, nwfree.exactpoly):
+        monkeypatch.setattr(module, "range", bounded_range, raising=False)
+
+
+HUGE = 10 ** 12
+
+
+@pytest.mark.parametrize(
+    "doc, args, where",
+    [
+        (MTAB_DOC.replace("window = 1", f"window = {HUGE}"), [], "line 10, col 10:"),
+        (f"algebra = AffineH4\nwindow = {HUGE}\n", [], "line 2, col 10:"),
+        (MTAB_DOC, ["--window", str(HUGE)], "error: window exceeds"),
+        ("algebra = Vir00\nfamily = MLambdaF\nlambda = 2\nfpoly = w0\n",
+         ["--window", str(HUGE)], "error: window exceeds"),
+        (MHB_DOC, ["--test-degree", str(HUGE)], "error: test degree exceeds"),
+    ],
+    ids=["spec-window", "action-window", "verify-window", "vir00-window", "test-degree"],
+)
+def test_cli_rejects_window_and_test_degree_above_limits(
+    tmp_path, capsys, small_ranges, doc, args, where
+):
+    # every check runs before a table over the window or the degree is built
+    assert main(["verify", write(tmp_path, "big.doc", doc), *args]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "exceeds the limit" in err
+
+
+def test_window_and_test_degree_limits_are_inclusive(small_ranges):
+    assert mtilde(mhb(1, 0, 1), 2, {k: 0 for k in range(-MAX_WINDOW, MAX_WINDOW + 1)},
+                  MAX_WINDOW).window == MAX_WINDOW
+    with pytest.raises(SpecInvalid):
+        mtilde(mhb(1, 0, 1), 2, {}, MAX_WINDOW + 1)
+    with pytest.raises(SpecInvalid):
+        affvir(mhb(1, 0, 1), 2, 3, HUGE)
+    with pytest.raises(MalformedData):
+        ActionData("AffineH4", HUGE, {})
+    vir = Vir00Spec(Fraction(2), W0)
+    assert verify_module(vir, window=MAX_WINDOW, test_degree=1).passed
+    assert verify_module(mhb(1, 0, 1), window=1, test_degree=MAX_TEST_DEGREE).passed
+    with pytest.raises(SpecInvalid):
+        verify_module(vir, window=MAX_WINDOW + 1, test_degree=1)
+    with pytest.raises(SpecInvalid):
+        verify_module(vir, window=1, test_degree=MAX_TEST_DEGREE + 1)
 
 
 def test_cli_verify_detects_corruption(tmp_path, capsys):
