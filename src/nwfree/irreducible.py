@@ -273,6 +273,13 @@ def witness(spec) -> ReducibilityWitness:
     return ReducibilityWitness(ideal, tuple(checks))
 
 
+# Largest oracle cap degree: the rows are dense over every monomial up to
+# the cap, and the orbit grows up to it.  At the cap, on an
+# AffineVirasoroH4 or MTildeAlphaBeta spec at MAX_WINDOW with seed s*d,
+# the oracle takes about 3 s and 25 MB on a 2-vCPU Xeon VM.
+MAX_CAP_DEGREE = 8
+
+
 def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     """Does 1 lie in the span of the seed's capped generator orbit?
 
@@ -287,7 +294,11 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     a pivot), made monic and kept as the pivot of its leading column, and
     every generator acts on it.  Top-reduction keeps the vectors, hence
     the verdict, of elimination on polynomials step for step.
+    Raises SpecInvalid for a cap above MAX_CAP_DEGREE, before any column
+    is built.
     """
+    if cap_degree > MAX_CAP_DEGREE:
+        raise SpecInvalid(f"cap degree exceeds the limit {MAX_CAP_DEGREE}")
     if cap_degree < max_degree:
         raise SpecInvalid("cap degree must be at least the seed degree bound")
     variables = module_variables(spec)

@@ -443,9 +443,8 @@ def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
     raise SpecInvalid(f"unknown algebra {algebra!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
-    """x.1 as a polynomial in the module variables."""
+def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
+    """x.1 as a polynomial in the module variables, computed afresh."""
     algebra = algebra_of(spec)
     check_in_algebra(algebra, symbol)
     variables = MODULE_VARIABLES[algebra]
@@ -505,9 +504,21 @@ def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
             scale = spec.base.alpha ** n
             mu = n * scale * spec.lambda_shift
             return scale * Poly.var(variables, "d") + Poly.const(variables, mu)
-        return value_on_one(spec.base, symbol)
+        return _value_on_one(spec.base, symbol)
 
     raise SpecInvalid(f"not a module spec: {spec!r}")
+
+
+# Entries kept by value_on_one's cache.  One request looks up at most a few
+# hundred (spec, symbol) pairs (86 generators at MAX_WINDOW), so `act` keeps
+# every hit within a request, while a long-running process keeps flat memory.
+MAX_CACHED_VALUES = 1024
+
+
+@functools.lru_cache(maxsize=MAX_CACHED_VALUES)
+def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
+    """x.1 as a polynomial in the module variables, cached for `act`."""
+    return _value_on_one(spec, symbol)
 
 
 # act keeps nothing per spec, so this stays empty; perfbench/tracing.py

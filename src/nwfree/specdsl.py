@@ -11,7 +11,8 @@ Polynomial grammar (variables s, d, d0, w0):
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, so no document makes the parser multiply without bound.
 Digits are ASCII only, and a numeral longer than MAX_DIGITS is a syntax
-error at the numeral.
+error at the numeral.  Rational parameters and windows take ASCII digits
+without underscores too; anything else is a syntax error at the value.
 
 Spec and action documents are line-oriented `key = value` text with `#`
 comments.  Spec documents name an algebra and a family and list its
@@ -274,11 +275,19 @@ def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     return value
 
 
+def _ascii_numeral(text: str) -> bool:
+    # Fraction() and int() also take other Unicode digits and underscores
+    return text.isascii() and "_" not in text
+
+
 def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        if not _ascii_numeral(text):
+            raise ValueError(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DslSyntaxError(f"expected a rational number, got {text.strip()!r}", line, col) from exc
+        raise DslSyntaxError(f"expected a rational number, got {text!r}", line, col) from exc
 
 
 # --------------------------------------------------------------- documents
@@ -358,6 +367,8 @@ def _best_position(message, taken, fallback_line, fallback_col):
 
 def _window_value(entry: _Entry) -> int:
     try:
+        if not _ascii_numeral(entry.value):
+            raise ValueError(entry.value)
         window = int(entry.value)
     except ValueError:
         raise DslSyntaxError("window must be an integer", entry.line, entry.value_col) from None

@@ -22,26 +22,43 @@ depend on the pair alone, so they are built once per pair; a pair whose
 R_sigma all vanish passes on every monomial with no further arithmetic.
 Terms are grouped by their own shift, so no grading of the bracket is
 assumed.
+
+Only the values on 1 depend on the spec.  Everything else is a plan,
+cached by (algebra, generator tuple, test degree) in a bounded LRU cache
+(MAX_PLANS): the zero polynomial, the test monomials, the generators and
+bracket symbols with their shifts, and per pair the pair's distinct
+shifts and its bracket terms with their shifts, so `bracket` and
+`shift_of` run only when a plan is built.  The key holds the generators
+rather than the window because the generators of action data depend on
+its assignments.  Each request then fills a table of its own values on
+1 as pairs first need them (y, x, then the bracket terms, as evaluating
+through `act` would), computed without `value_on_one`'s cache, so
+verifying a spec leaves nothing behind; a WindowExceeded there marks
+every pair that needs the value as skipped.  The shifted monomials
+sigma(v) are built per request, once per shift, and only for pairs that
+fail.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Tuple
 
-from .exactpoly import Poly, Shift, apply_shift, format_poly, monomials_upto
-from .liealg import BasisSymbol, LieElement, bracket, format_symbol
+from .exactpoly import Poly, apply_shift, format_poly, monomials_upto
+from .liealg import BasisSymbol, bracket, format_symbol
 from .modfam import (
     MAX_WINDOW,
+    MODULE_VARIABLES,
     AnySpec,
     SpecInvalid,
     WindowExceeded,
     algebra_of,
     generators,
-    module_variables,
     shift_of,
-    value_on_one,
     _resolve_window,
+    _value_on_one,
 )
 
 # Largest test degree: verify enumerates every monomial up to it.
@@ -92,23 +109,58 @@ class VerificationReport:
         return tuple(e for e in self.entries if e.status == FAIL)
 
 
-def _residual_parts(
-    spec: AnySpec, algebra: str, x: BasisSymbol, y: BasisSymbol, br: LieElement, zero: Poly
-) -> Tuple[Tuple[Shift, Poly], ...]:
-    """The nonzero R_sigma of the pair (x, y), with their shifts sigma.
+# Plans kept at once.  A plan depends only on the algebra, the generator
+# tuple and the test degree, so the keys are few: perfbench's verify slots
+# use 7.  One plan at MAX_WINDOW and MAX_TEST_DEGREE (AffineVirasoroH4: 86
+# generators, 3,655 pairs, 45 monomials) takes 0.17 MB (tracemalloc), so a
+# full cache stays under 3 MB.
+MAX_PLANS = 16
 
-    Values on 1 are looked up in the order y, x, then the bracket terms,
-    the order evaluating x.(y.v), y.(x.v) and [x, y].v first needs them,
-    so a lookup error surfaces for the same symbol as there.
+# Marks a value on 1 whose lookup raised WindowExceeded.
+_OUTSIDE = object()
+
+
+@functools.lru_cache(maxsize=MAX_PLANS)
+def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tuple:
+    """Everything verify needs that does not depend on the values on 1.
+
+    Returns (zero, monomials, symbols, shifts, brackets).  `symbols` lists
+    the generators first, then the bracket terms outside them, and
+    `shifts` holds their shifts.  `brackets` holds, per generator pair
+    (a, b) in report order, that is in the order of
+    itertools.combinations over the generator positions, the pair's
+    distinct shifts sigma (shift_a∘shift_b first), the positions in
+    `symbols` of its bracket terms z, and per term c*z the position of
+    shift_z among the pair's shifts and c.  Equal shifts, coefficients and
+    entries are stored once, so a pair with a zero bracket costs one
+    reference.
     """
-    y1 = value_on_one(spec, y)
-    x1 = value_on_one(spec, x)
-    terms = [(shift_of(algebra, z), c, value_on_one(spec, z)) for z, c in br.terms]
-    sx, sy = shift_of(algebra, x), shift_of(algebra, y)
-    parts = {sx.compose(sy): apply_shift(sx, y1) * x1 - apply_shift(sy, x1) * y1}
-    for sz, c, z1 in terms:
-        parts[sz] = parts.get(sz, zero) - c * z1
-    return tuple((shift, r) for shift, r in parts.items() if not r.is_zero())
+    variables = MODULE_VARIABLES[algebra]
+    shared: dict = {}
+
+    def share(value):
+        return shared.setdefault(value, value)
+
+    position = {x: i for i, x in enumerate(gens)}
+    symbols = list(gens)
+    shifts = [share(shift_of(algebra, x)) for x in gens]
+    brackets = []
+    for a, b in combinations(range(len(gens)), 2):
+        pair_shifts = [share(shifts[a].compose(shifts[b]))]
+        zs, terms = [], []
+        for z, c in bracket(algebra, gens[a], gens[b]).terms:
+            if z not in position:
+                position[z] = len(symbols)
+                symbols.append(z)
+                shifts.append(share(shift_of(algebra, z)))
+            sz = shifts[position[z]]
+            if sz not in pair_shifts:
+                pair_shifts.append(sz)
+            zs.append(position[z])
+            terms.append((pair_shifts.index(sz), share(c)))
+        brackets.append(share((share(tuple(pair_shifts)), tuple(zs), tuple(terms))))
+    monomials = tuple(monomials_upto(variables, test_degree))
+    return Poly.zero(variables), monomials, tuple(symbols), tuple(shifts), tuple(brackets)
 
 
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
@@ -134,39 +186,82 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     if test_degree > MAX_TEST_DEGREE:
         raise SpecInvalid(f"test degree exceeds the limit {MAX_TEST_DEGREE}")
     algebra = algebra_of(spec)
-    gens = generators(spec, window)
-    monos = monomials_upto(module_variables(spec), test_degree)
-    zero = Poly.zero(module_variables(spec))
+    gens = tuple(generators(spec, window))
+    zero, monos, symbols, shifts, brackets = _plan(algebra, gens, test_degree)
+    values = [None] * len(symbols)  # this request's values on 1, filled on first use
+    shifted: dict = {}  # sigma -> sigma(v) for every test monomial v, for FAIL pairs
     entries = []
-    for i, x in enumerate(gens):
-        for y in gens[i + 1:]:
-            br = bracket(algebra, x, y)
-            try:
-                parts = _residual_parts(spec, algebra, x, y, br, zero)
-            except WindowExceeded:
-                entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
-                continue
-            for v in monos:
-                residual = zero
-                for shift, r in parts:
-                    residual = residual + apply_shift(shift, v) * r
-                status = PASS if residual.is_zero() else FAIL
-                entries.append(ReportEntry(x, y, v, residual, status))
+    pairs = combinations(range(len(gens)), 2)
+    for (a, b), (pair_shifts, zs, terms) in zip(pairs, brackets):
+        x, y = symbols[a], symbols[b]
+        skip = False
+        for i in (b, a, *zs):
+            if values[i] is None:
+                try:
+                    values[i] = _value_on_one(spec, symbols[i])
+                except WindowExceeded:
+                    values[i] = _OUTSIDE
+            if values[i] is _OUTSIDE:
+                skip = True
+                break
+        if skip:
+            entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
+            continue
+        x1, y1 = values[a], values[b]
+        parts = [apply_shift(shifts[a], y1) * x1 - apply_shift(shifts[b], x1) * y1]
+        parts += [zero] * (len(pair_shifts) - 1)
+        for z, (k, c) in zip(zs, terms):
+            parts[k] = parts[k] - c * values[z]
+        parts = [(shift, r) for shift, r in zip(pair_shifts, parts) if not r.is_zero()]
+        if not parts:
+            entries.extend(ReportEntry(x, y, v, zero, PASS) for v in monos)
+            continue
+        for shift, _ in parts:
+            if shift not in shifted:
+                shifted[shift] = [apply_shift(shift, v) for v in monos]
+        for j, v in enumerate(monos):
+            residual = zero
+            for shift, r in parts:
+                residual = residual + shifted[shift][j] * r
+            status = PASS if residual.is_zero() else FAIL
+            entries.append(ReportEntry(x, y, v, residual, status))
     return VerificationReport(algebra, _resolve_window(spec, window), test_degree, tuple(entries))
 
 
 def format_report(report: VerificationReport) -> str:
+    """One `PAIR x y POLY v RESIDUAL r STATUS` line per entry, then a summary.
+
+    Each distinct symbol and polynomial is formatted once per report, so
+    most lines join strings already built: a pair's head once per run of
+    its entries, and a residual with its status (the shared zero of a
+    PASS pair, say) once for every line that carries it.
+    """
+    symbol_text: dict = {}
+    poly_text: dict = {}  # keyed by id: the report keeps every polynomial alive
+    tail_text: dict = {}
+
+    def symbol(x: BasisSymbol) -> str:
+        text = symbol_text.get(x)
+        if text is None:
+            text = symbol_text[x] = format_symbol(x, report.algebra)
+        return text
+
+    def poly(v: Poly) -> str:
+        text = poly_text.get(id(v))
+        if text is None:
+            text = poly_text[id(v)] = format_poly(v)
+        return text
+
     lines = []
+    x = y = head = None
     for e in report.entries:
-        lines.append(
-            "PAIR {} {} POLY {} RESIDUAL {} {}".format(
-                format_symbol(e.x, report.algebra),
-                format_symbol(e.y, report.algebra),
-                format_poly(e.test_poly),
-                format_poly(e.residual),
-                e.status,
-            )
-        )
+        if e.x is not x or e.y is not y:
+            x, y = e.x, e.y
+            head = f"PAIR {symbol(x)} {symbol(y)} POLY "
+        tail = tail_text.get((id(e.residual), e.status))
+        if tail is None:
+            tail = tail_text[id(e.residual), e.status] = f" RESIDUAL {poly(e.residual)} {e.status}"
+        lines.append(head + poly(e.test_poly) + tail)
     lines.append(
         "SUMMARY pass={} checked={} skipped={}".format(
             "true" if report.passed else "false", report.checked, report.skipped

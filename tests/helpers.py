@@ -4,18 +4,40 @@ reference implementations the optimized kernels are compared against."""
 from fractions import Fraction
 from math import comb
 
-from nwfree.exactpoly import Poly, VariableMismatch, change_variables
+from nwfree.exactpoly import (
+    Poly,
+    VariableMismatch,
+    apply_shift,
+    change_variables,
+    format_poly,
+    monomials_upto,
+)
 from nwfree.irreducible import SeedZero
-from nwfree.liealg import AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, sym
+from nwfree.liealg import (
+    AFF_VIR,
+    AFFINE_H4,
+    H4,
+    VIR00,
+    D,
+    K,
+    P,
+    Q,
+    R,
+    bracket,
+    format_symbol,
+    sym,
+)
 from nwfree.liealg import S as S_SYM
 from nwfree.modfam import (
     MODULE_VARIABLES,
     ActionData,
     SpecInvalid,
     Vir00Spec,
+    WindowExceeded,
     act,
     actions_of,
     affvir,
+    algebra_of,
     generators,
     m0,
     m0g,
@@ -26,7 +48,11 @@ from nwfree.modfam import (
     module_variables,
     mtilde,
     mtilde_f,
+    _resolve_window,
+    shift_of,
+    value_on_one,
 )
+from nwfree.verify import FAIL, PASS, SKIP, ReportEntry, VerificationReport
 
 S = Poly.var(("s",), "s")
 W0 = Poly.var(("w0",), "w0")
@@ -186,3 +212,58 @@ def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
                 continue
             queue.append(image)
     return tuple(0 for _ in variables) in basis
+
+
+def verify_module_reference(spec, window=3, test_degree=3):
+    """verify_module pair by pair: brackets, shifts and cached values on 1 per pair.
+
+    The window and test degree are taken as valid.
+    """
+    algebra = algebra_of(spec)
+    variables = module_variables(spec)
+    gens = generators(spec, window)
+    monos = monomials_upto(variables, test_degree)
+    zero = Poly.zero(variables)
+    entries = []
+    for i, x in enumerate(gens):
+        for y in gens[i + 1:]:
+            br = bracket(algebra, x, y)
+            try:
+                y1 = value_on_one(spec, y)
+                x1 = value_on_one(spec, x)
+                terms = [(shift_of(algebra, z), c, value_on_one(spec, z)) for z, c in br.terms]
+            except WindowExceeded:
+                entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
+                continue
+            sx, sy = shift_of(algebra, x), shift_of(algebra, y)
+            parts = {sx.compose(sy): apply_shift(sx, y1) * x1 - apply_shift(sy, x1) * y1}
+            for sz, c, z1 in terms:
+                parts[sz] = parts.get(sz, zero) - c * z1
+            parts = [(shift, r) for shift, r in parts.items() if not r.is_zero()]
+            for v in monos:
+                residual = zero
+                for shift, r in parts:
+                    residual = residual + apply_shift(shift, v) * r
+                status = PASS if residual.is_zero() else FAIL
+                entries.append(ReportEntry(x, y, v, residual, status))
+    return VerificationReport(algebra, _resolve_window(spec, window), test_degree, tuple(entries))
+
+
+def format_report_reference(report):
+    """format_report with every symbol and polynomial formatted on each line."""
+    lines = [
+        "PAIR {} {} POLY {} RESIDUAL {} {}".format(
+            format_symbol(e.x, report.algebra),
+            format_symbol(e.y, report.algebra),
+            format_poly(e.test_poly),
+            format_poly(e.residual),
+            e.status,
+        )
+        for e in report.entries
+    ]
+    lines.append(
+        "SUMMARY pass={} checked={} skipped={}".format(
+            "true" if report.passed else "false", report.checked, report.skipped
+        )
+    )
+    return "\n".join(lines)

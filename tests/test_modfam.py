@@ -19,6 +19,8 @@ from nwfree.liealg import (
     sym,
 )
 from nwfree.modfam import (
+    MAX_CACHED_VALUES,
+    MAX_WINDOW,
     ActionData,
     AffVirSpec,
     AffineSpec,
@@ -265,6 +267,22 @@ def test_with_assignment_replaces():
     bumped = data.with_assignment(R, Poly.zero(("s",)))
     assert value_on_one(bumped, R).is_zero()
     assert value_on_one(bumped, P) == value_on_one(data, P)
+
+
+def test_value_cache_is_bounded_and_keeps_request_hits():
+    # one request's working set: every generator of the widest spec, base included
+    widest = affvir(mhb(1, 0, 1), 2, 3, MAX_WINDOW)
+    assert MAX_CACHED_VALUES >= 4 * 2 * len(generators(widest))
+    value_on_one.cache_clear()
+    for a in range(1, MAX_CACHED_VALUES + 50):
+        act(mab(a, 1), P, S_POLY)
+    info = value_on_one.cache_info()
+    assert info.maxsize == MAX_CACHED_VALUES
+    assert info.currsize == MAX_CACHED_VALUES
+    spec = mhb(1, 0, 1)
+    act(spec, P, S_POLY)
+    act(spec, P, S_POLY * S_POLY)
+    assert value_on_one.cache_info().hits == info.hits + 1
 
 
 def test_vir00_data_window_defaults_to_two():

@@ -36,6 +36,7 @@ from nwfree.specdsl import (
     parse_rational,
     parse_spec,
 )
+from nwfree.irreducible import MAX_CAP_DEGREE, orbit_oracle
 from nwfree.verify import MAX_TEST_DEGREE, verify_module
 
 from helpers import S, W0, corrupted_data, sample_specs
@@ -322,6 +323,34 @@ def test_cli_rejects_non_ascii_digits_and_long_numerals(tmp_path, capsys, poly, 
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (MHB_DOC.replace("a1 = 1", "a1 = \u0663"), "line 3, col 6: expected a rational number"),
+        (MHB_DOC.replace("b = 1", "b = 1_0"), "line 5, col 5: expected a rational number"),
+        (MTAB_DOC.replace("alpha = 2", "alpha = \uff12"), "line 7, col 9: expected a rational"),
+        (MTAB_DOC.replace("beta.1 = 5", "beta.1 = 1/\u0665"), "line 8, col 10: expected a rational"),
+        (MTAB_DOC.replace("window = 1", "window = 0_1"), "line 10, col 10: window must be an"),
+        (MTAB_DOC.replace("window = 1", "window = \u0661"), "line 10, col 10: window must be an"),
+        ("algebra = AffineH4\nwindow = \u0661\n", "line 2, col 10: window must be an integer"),
+    ],
+    ids=["arabic-a1", "underscore-b", "fullwidth-alpha", "arabic-denominator",
+         "underscore-window", "arabic-window", "action-window"],
+)
+def test_cli_rejects_non_ascii_rationals_and_windows(tmp_path, capsys, doc, where):
+    assert main(["verify", write(tmp_path, "doc", doc)]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_ascii_rationals_still_parse():
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("+2") == Fraction(2)
+    with pytest.raises(DslSyntaxError):
+        parse_rational("\u0663")
+    with pytest.raises(DslSyntaxError):
+        parse_rational("1_000")
+
+
 def test_numeral_at_the_digit_limit_parses():
     assert parse_poly("9" * MAX_DIGITS) == Poly.const((), int("9" * MAX_DIGITS))
 
@@ -361,6 +390,24 @@ def test_cli_rejects_window_and_test_degree_above_limits(
     assert main(["verify", write(tmp_path, "big.doc", doc), *args]) == 2
     err = capsys.readouterr().err
     assert where in err and "exceeds the limit" in err
+
+
+def test_cli_rejects_cap_degree_above_limit(tmp_path, capsys, small_ranges):
+    # the limit is checked before the oracle builds a column
+    path = write(tmp_path, "mab.spec", "algebra = H4\nfamily = Mab\na = 2\nb = 3\n")
+    args = ["irreducible", path, "--seed-poly", "s", "--max-degree", "1"]
+    assert main([*args, "--cap-degree", str(HUGE)]) == 2
+    assert "error: cap degree exceeds the limit" in capsys.readouterr().err
+    assert main([*args, "--cap-degree", str(MAX_CAP_DEGREE)]) == 0
+    assert "ORACLE reachable=true" in capsys.readouterr().out
+
+
+def test_cap_degree_limit_is_inclusive(small_ranges):
+    assert MAX_CAP_DEGREE >= 6  # every cap used in tests, scripts and the benchmark
+    assert orbit_oracle(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, 1), Poly.var(SD, "s"), 1,
+                        MAX_CAP_DEGREE) is True
+    with pytest.raises(SpecInvalid):
+        orbit_oracle(mhb(1, 0, 1), S, 1, MAX_CAP_DEGREE + 1)
 
 
 def test_window_and_test_degree_limits_are_inclusive(small_ranges):

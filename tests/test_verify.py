@@ -1,22 +1,36 @@
 from fractions import Fraction
 
 import pytest
-from helpers import corrupted_data, sample_specs
+from helpers import (
+    corrupted_data,
+    corrupted_fixtures,
+    format_report_reference,
+    sample_specs,
+    verify_module_reference,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nwfree.verify
 from nwfree.exactpoly import Poly
 from nwfree.liealg import D, K, P, Q, R, S, bracket, sym
 from nwfree.modfam import (
+    ActionData,
+    MalformedData,
     SpecInvalid,
     Vir00Spec,
     WindowExceeded,
     act,
     actions_of,
+    affvir,
+    mab,
+    mbh,
     mg0,
     mhb,
     mtilde,
+    mtilde_f,
     spec_window,
+    value_on_one,
 )
 from nwfree.verify import FAIL, PASS, SKIP, format_report, verify_module
 
@@ -162,3 +176,96 @@ def test_factored_residuals_match_act_oracle(named, corrupt, window, test_degree
             continue
         assert e.residual == expected
         assert e.status == (PASS if expected.is_zero() else FAIL)
+
+
+# ------------------------------------------------ per-pair reference verify
+
+
+def assert_matches_reference(spec, window, test_degree):
+    want = verify_module_reference(spec, window, test_degree)
+    got = verify_module(spec, window=window, test_degree=test_degree)
+    assert got == want
+    assert [repr(e) for e in got.entries] == [repr(e) for e in want.entries]
+    assert format_report(got) == format_report_reference(want)
+    return got
+
+
+def window_two_specs():
+    """Loop families at window 2, one per algebra with a window."""
+    return [
+        ("MTildeAlphaBeta-w2", mtilde(mg0(S_POLY), 2, {k: k for k in range(-2, 3)}, window=2)),
+        ("MTildeF-w2", mtilde_f({1: S_POLY ** 2, -1: S_POLY, 2: S_POLY, -2: 3 * S_POLY}, window=2)),
+        ("AffVir-w2", affvir(mbh(2, -1, 3), alpha=Fraction(1, 2), lam=3, window=2)),
+        ("Vir00-f2", Vir00Spec(Fraction(1, 3), Poly.var(("w0",), "w0") ** 2)),
+    ]
+
+
+REFERENCE_SPECS = sample_specs() + window_two_specs()
+
+
+@pytest.mark.parametrize("name,spec", REFERENCE_SPECS, ids=[n for n, _ in REFERENCE_SPECS])
+def test_verify_matches_reference(name, spec):
+    skipped = 0
+    for window in (1, 2):
+        limit = spec_window(spec)
+        if limit and window > limit:
+            with pytest.raises(WindowExceeded):
+                verify_module_reference(spec, window, 1)
+            with pytest.raises(WindowExceeded):
+                verify_module(spec, window=window, test_degree=1)
+            continue
+        for test_degree in (1, 2, 3):
+            for target in (spec, corrupted_data(spec, window)):
+                report = assert_matches_reference(target, window, test_degree)
+                skipped += report.skipped
+    if name.startswith(("MTilde", "AffVir")):
+        assert skipped, name  # brackets leaving the loop window are covered
+
+
+def test_verify_matches_reference_on_corrupted_fixtures():
+    failed = 0
+    for _, data in corrupted_fixtures():
+        report = assert_matches_reference(data, max(data.window, 1), 2)
+        failed += not report.passed
+    assert failed == len(corrupted_fixtures())
+
+
+@pytest.mark.parametrize(
+    "spec, dropped, symbol",
+    [
+        (mhb(1, 0, 1), {R}, "r"),
+        # [p@-1, q@1] = r + k is the first pair to need either; r comes first
+        (mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1), {R, K}, "r"),
+    ],
+    ids=["h4", "affine-two-terms"],
+)
+def test_missing_value_raises_as_reference(spec, dropped, symbol):
+    data = actions_of(spec)
+    kept = tuple((x, v) for x, v in data.assignments if x not in dropped)
+    missing = ActionData(data.algebra, data.window, kept)
+    errors = []
+    for run in (verify_module_reference, verify_module):
+        with pytest.raises(MalformedData) as err:
+            run(missing, 1, 2)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == f"no assignment for {symbol}"
+
+
+def test_warm_and_interleaved_plans_match_reference():
+    nwfree.verify._plan.cache_clear()
+    affine = [mtilde(mab(a, a + 1), a + 1, {1: a, -1: -a}, window=1) for a in (2, 3)]
+    h4 = [mhb(1, 0, 1), mab(2, 3), actions_of(mbh(2, -1, 3))]
+    for spec in (affine[0], affine[0], h4[0], affine[1], h4[1], h4[2]):
+        assert_matches_reference(spec, 1, 2)
+    assert_matches_reference(corrupted_data(affine[1], 1), 1, 2)
+    info = nwfree.verify._plan.cache_info()
+    assert info.misses == 2 and info.hits == 5  # one plan per shape, warm after
+
+
+def test_verify_leaves_value_cache_unchanged():
+    value_on_one.cache_clear()
+    for a in range(1, 30):
+        verify_module(mab(a, a + 1), window=1, test_degree=1)
+        verify_module(mtilde(mab(a, 2), a + 1, {1: a, -1: 0}, window=1), window=1, test_degree=1)
+    info = value_on_one.cache_info()
+    assert info.currsize == 0 and info.hits == info.misses == 0
