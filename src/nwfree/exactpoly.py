@@ -14,9 +14,12 @@ rounded.  The degree of the zero polynomial is the NEG_INF sentinel, not
 
 where tau is the shift s -> s - 1.  Shifts (`Shift`) substitute v -> v + c
 per variable and compose additively; `negate_var` substitutes v -> -v.
-`apply_shift` is an integer Taylor shift: it clears denominators once with
-one common denominator, shifts dense integer coefficient rows by a
-Horner-type recurrence, and builds one Fraction per output term.
+Shifting is done on integers, by one kernel: `_taylor_shift` shifts an
+integer polynomial {exponents: int} along dense coefficient rows by a
+Horner-type recurrence.  `apply_shift` clears denominators once
+(`_integer_terms`), runs the kernel and builds one Fraction per output
+term; the orbit oracle in `irreducible` runs the kernel on its integer
+vectors directly.
 
 The public `Poly(...)` constructor validates and canonicalizes its input,
 which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
@@ -265,24 +268,24 @@ class Shift:
 SHIFT_IDENTITY = Shift(())
 
 
-def apply_shift(sh: Shift, x: Poly) -> Poly:
-    """Substitute v -> v + offset(v) for every shifted variable, exactly.
-
-    An integer Taylor shift (von zur Gathen & Gerhard, ISSAC 1997): the
-    coefficients are scaled once by the lcm L of their denominators, each
-    shifted variable is expanded with the Horner-type recurrence on dense
-    integer rows (one row per exponent vector of the other variables),
-    and one Fraction(n, L) is built per nonzero output term.
-    """
-    for var, _ in sh.offsets:
-        if var not in x.variables:
-            raise VariableMismatch(f"shift touches {var!r}, absent from {x.variables!r}")
-    if sh.is_identity() or x.is_zero():
-        return x
+def _integer_terms(x: Poly) -> Tuple[dict, int]:
+    """x times the lcm L of its denominators, as {exponents: int}, and L."""
     scale = lcm(*(c.denominator for _, c in x.terms))
-    ints = {e: c.numerator * (scale // c.denominator) for e, c in x.terms}
-    for var, off in sh.offsets:
-        i = x.variables.index(var)
+    return {e: c.numerator * (scale // c.denominator) for e, c in x.terms}, scale
+
+
+def _taylor_shift(ints: dict, variables: Tuple[str, ...], offsets) -> dict:
+    """Substitute v -> v + offset in an integer polynomial {exponents: int}.
+
+    `offsets` are (variable, integer offset) pairs, as in `Shift.offsets`.
+    For each one, the terms are gathered into dense rows, one per exponent
+    vector of the other variables, and each row a(v) becomes a(v + offset)
+    by the Horner-type recurrence (von zur Gathen & Gerhard, ISSAC 1997).
+    The input map is never modified, and is returned as is when `offsets`
+    is empty; a shifted result has no zero entries.
+    """
+    for var, off in offsets:
+        i = variables.index(var)
         rows: dict[Exponents, list] = {}
         for exps, n in ints.items():
             rest = exps[:i] + exps[i + 1:]
@@ -302,6 +305,26 @@ def apply_shift(sh: Shift, x: Poly) -> Poly:
             for e, n in enumerate(a):
                 if n:
                     ints[rest[:i] + (e,) + rest[i:]] = n
+    return ints
+
+
+def apply_shift(sh: Shift, x: Poly) -> Poly:
+    """Substitute v -> v + offset(v) for every shifted variable, exactly.
+
+    An integer Taylor shift: the coefficients are scaled once by the lcm L
+    of their denominators, `_taylor_shift` expands every shifted variable
+    on the integer numerators, and one Fraction(n, L) is built per nonzero
+    output term.
+    """
+    for var, _ in sh.offsets:
+        if var not in x.variables:
+            raise VariableMismatch(f"shift touches {var!r}, absent from {x.variables!r}")
+    if sh.is_identity() or x.is_zero():
+        return x
+    ints, scale = _integer_terms(x)
+    ints = _taylor_shift(ints, x.variables, sh.offsets)
+    if scale == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
+        return Poly._trusted(x.variables, [(e, Fraction(n)) for e, n in ints.items()])
     return Poly._trusted(x.variables, [(e, Fraction(n, scale)) for e, n in ints.items()])
 
 

@@ -5,16 +5,24 @@ chain of degree-lowering operators that drives any seed down to a nonzero
 constant, so the cyclic submodule it generates contains 1.  Reducible specs
 come with a principal ideal shown invariant under every generator on a test
 basis.  An orbit-closure oracle gives an independent brute-force cross-check.
+
+The witness and the oracle both use that every action is shift-then-multiply,
+x.v = shift_x(v) * x.1: the witness acts once per generator, on the ideal
+generator, and the oracle eliminates fraction-free on integer vectors.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .exactpoly import (
     NEG_INF,
+    Exponents,
     Poly,
+    _integer_terms,
+    _taylor_shift,
+    apply_shift,
     change_variables,
     degree_in,
     exponents_upto,
@@ -34,6 +42,8 @@ from .modfam import (
     generators,
     h4_base_values,
     module_variables,
+    shift_of,
+    value_on_one,
 )
 
 
@@ -212,35 +222,165 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     return IrreducibilityCertificate(seed, tuple(steps))
 
 
-def _evaluate_univariate(g: Poly, var: str, value: Fraction) -> Fraction:
+def _integer_coefficients(g: Poly, var: str) -> list:
+    """g's coefficients in var, lowest power first, over one common denominator."""
     i = g.variables.index(var)
-    total = Fraction(0)
-    for exps, coeff in g.terms:
-        total += coeff * value ** exps[i]
-    return total
+    coeffs = [0] * (degree_in(g, var) + 1)
+    for exps, n in _integer_terms(g)[0].items():
+        coeffs[exps[i]] = n
+    return coeffs
+
+
+def _dyadic_value(coeffs: list, num: int, k: int) -> int:
+    """2^(k*n) * f(num / 2^k): an integer with the sign of f there."""
+    value = 0
+    for i, c in enumerate(reversed(coeffs)):
+        value = value * num + (c << (k * i))
+    return value
+
+
+def _primitive(coeffs: list) -> list:
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs]
+
+
+def _remainder(a: list, b: list) -> list:
+    """A positive integer multiple of (a mod b), primitive; [] when b divides a.
+
+    Each step a <- |lead| * a - sign(lead) * top * x^k * b clears a's top
+    term, lead being b's leading coefficient, so every sign is kept.
+    """
+    a = list(a)
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    while len(a) >= len(b):
+        top, offset = a[-1], len(a) - len(b)
+        a = [scale * c for c in a]
+        for j, c in enumerate(b):
+            a[offset + j] -= sign * top * c
+        while a and not a[-1]:
+            a.pop()
+    return _primitive(a) if a else a
+
+
+def _derivative(coeffs: list) -> list:
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+def _sturm_sequence(f: list) -> list:
+    """f, f', then negated remainders, each up to a positive factor.
+
+    Positive factors keep every sign, so sign changes count as in the
+    classical sequence.  The last entry is gcd(f, f') up to a factor: a
+    constant exactly when f is square-free.
+    """
+    seq = [f, _derivative(f)]
+    while len(seq[-1]) > 1:
+        rest = _remainder(seq[-2], seq[-1])
+        if not rest:
+            break
+        seq.append([-c for c in rest])
+    return seq
+
+
+def _quotient(f: list, d: list) -> list:
+    """f / d for a divisor d of f, primitive over the integers."""
+    # a primitive divisor of an integer polynomial leaves an integer quotient
+    d = _primitive(d)
+    rest = list(f)
+    quotient = [0] * (len(f) - len(d) + 1)
+    for i in range(len(quotient) - 1, -1, -1):
+        quotient[i] = q = rest[i + len(d) - 1] // d[-1]
+        for j, c in enumerate(d):
+            rest[i + j] -= q * c
+    return _primitive(quotient)
+
+
+def _sign_changes(seq: list, num: int, k: int) -> int:
+    """Sign changes of the sequence at num / 2^k, zeros skipped."""
+    changes, last = 0, 0
+    for p in seq:
+        value = _dyadic_value(p, num, k)
+        if value:
+            if last and (value > 0) != (last > 0):
+                changes += 1
+            last = value
+    return changes
+
+
+def _refine(f: list, lo: int, hi: int, k: int, lo_positive: bool) -> Optional[Fraction]:
+    """The rational root of f in (lo/2^k, hi/2^k), the only root there, if it is rational.
+
+    f changes sign once in the interval, so bisection on the sign of f
+    narrows it below 1/L, L = |lead(f)|.  A rational root p/q has q | L,
+    so it is m/L for an integer m, and at most one such point lies in the
+    interval: m = floor(L * hi / 2^k).  An exact evaluation decides it.
+    """
+    lead = abs(f[-1])
+    while (hi - lo) * lead >= 1 << k:
+        mid = lo + hi
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        value = _dyadic_value(f, mid, k)
+        if value == 0:
+            return Fraction(mid, 1 << k)
+        if (value > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    m = (hi * lead) >> k
+    candidate = Fraction(m, lead)
+    if m << k > lo * lead and sum(c * candidate ** i for i, c in enumerate(f)) == 0:
+        return candidate
+    return None
 
 
 def rational_root(g: Poly, var: str) -> Optional[Fraction]:
-    """First rational root by the numerator/denominator divisor test."""
-    denominator_lcm = 1
-    for _, coeff in g.terms:
-        denominator_lcm = denominator_lcm * coeff.denominator // math.gcd(
-            denominator_lcm, coeff.denominator
-        )
-    i = g.variables.index(var)
-    integer_coeffs = {exps[i]: int(coeff * denominator_lcm) for exps, coeff in g.terms}
-    lead = integer_coeffs[max(integer_coeffs)]
-    constant = integer_coeffs.get(0, 0)
-    if constant == 0:
+    """The rational root p/q of g (in lowest terms) least in (|p|, q, p < 0).
+
+    By exact real-root isolation on dyadic intervals.  With f the
+    square-free part of g over the integers, Sturm sign changes count the
+    roots in (lo, hi]; bisection from the Cauchy bound splits the
+    intervals until each holds one root, and `_refine` decides whether
+    that root is rational.  The number of steps grows with the bit size of
+    the coefficients, not their value.
+    """
+    coeffs = _integer_coefficients(g, var)
+    if coeffs[0] == 0:
         return Fraction(0)
-    numerators = [n for n in range(1, abs(constant) + 1) if constant % n == 0]
-    denominators = [n for n in range(1, abs(lead) + 1) if lead % n == 0]
-    for num in numerators:
-        for den in denominators:
-            for candidate in (Fraction(num, den), Fraction(-num, den)):
-                if _evaluate_univariate(g, var, candidate) == 0:
-                    return candidate
-    return None
+    if len(coeffs) == 1:
+        return None
+    f, seq = coeffs, _sturm_sequence(coeffs)
+    if len(seq[-1]) > 1:
+        # the square-free part has the same roots, each simple
+        f = _quotient(coeffs, seq[-1])
+        seq = _sturm_sequence(f)
+    bound = 2 + max(abs(c) for c in f) // abs(f[-1])
+    roots = []
+    # (lo, hi, k, sign changes at lo / 2^k, sign changes at hi / 2^k)
+    intervals = [(-bound, bound, 0, _sign_changes(seq, -bound, 0), _sign_changes(seq, bound, 0))]
+    while intervals:
+        lo, hi, k, at_lo, at_hi = intervals.pop()
+        count = at_lo - at_hi
+        if count == 0:
+            continue
+        if count == 1:
+            if _dyadic_value(f, hi, k) == 0:
+                roots.append(Fraction(hi, 1 << k))
+                continue
+            at_lo_value = _dyadic_value(f, lo, k)
+            if at_lo_value:
+                root = _refine(f, lo, hi, k, at_lo_value > 0)
+                if root is not None:
+                    roots.append(root)
+                continue
+            # lo is the root of a neighbouring interval: split once more
+        mid = lo + hi
+        at_mid = _sign_changes(seq, mid, k + 1)
+        intervals.append((2 * lo, mid, k + 1, at_lo, at_mid))
+        intervals.append((mid, 2 * hi, k + 1, at_mid, at_hi))
+    if not roots:
+        return None
+    return min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def _witness_generator(spec) -> Tuple[Poly, str]:
@@ -258,17 +398,34 @@ def _witness_generator(spec) -> Tuple[Poly, str]:
 
 
 def witness(spec) -> ReducibilityWitness:
-    """Invariant principal ideal plus closure checks on the degree-4 test basis."""
+    """Invariant principal ideal plus closure checks on the degree-4 test basis.
+
+    Every action is shift-then-multiply, so the image of ideal * m under x
+    is shift_x(m) * R_x with R_x = x.ideal: each generator acts once, on
+    the ideal generator, and each image is one product with a shifted
+    monomial.  The shifted monomials are built once per distinct shift.
+    When R_x reduces to zero modulo the ideal, every image of x lies in the
+    ideal; only otherwise is each image reduced on its own.
+    """
     verdict = decide(spec)
     if verdict.irreducible:
         raise NotReducible(f"{verdict.family} is irreducible, no invariant ideal exists")
     ideal, var = _witness_generator(spec)
     variables = module_variables(spec)
+    algebra = algebra_of(spec)
+    monomials = monomials_upto(variables, 4)
+    shifted = {}  # shift -> the test monomials under it
     checks = []
     for x in generators(spec):
-        for m in monomials_upto(variables, 4):
-            image = act(spec, x, ideal * m)
-            contained = reduce_mod_univariate(image, ideal, var).is_zero()
+        sh = shift_of(algebra, x)
+        moved = shifted.get(sh)
+        if moved is None:
+            moved = shifted[sh] = [apply_shift(sh, m) for m in monomials]
+        r_x = act(spec, x, ideal)
+        closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
+        for m, moved_m in zip(monomials, moved):
+            image = moved_m * r_x
+            contained = closed or reduce_mod_univariate(image, ideal, var).is_zero()
             checks.append(ClosureCheck(x, m, image, contained))
     return ReducibilityWitness(ideal, tuple(checks))
 
@@ -276,8 +433,64 @@ def witness(spec) -> ReducibilityWitness:
 # Largest oracle cap degree: the rows are dense over every monomial up to
 # the cap, and the orbit grows up to it.  At the cap, on an
 # AffineVirasoroH4 or MTildeAlphaBeta spec at MAX_WINDOW with seed s*d,
-# the oracle takes about 3 s and 25 MB on a 2-vCPU Xeon VM.
+# the oracle takes about 0.4 s, and the process peaks at about 21 MB
+# resident, on a 2-vCPU Xeon VM.
 MAX_CAP_DEGREE = 8
+
+
+def oracle_seed(spec, seed: Poly, max_degree: int, cap_degree: int) -> Poly:
+    """Check an orbit_oracle request; return its seed in the module variables.
+
+    Raises SpecInvalid for a cap above MAX_CAP_DEGREE or below max_degree
+    and for a seed above max_degree, and SeedZero for the zero seed, all
+    before any column is built.
+    """
+    if cap_degree > MAX_CAP_DEGREE:
+        raise SpecInvalid(f"cap degree exceeds the limit {MAX_CAP_DEGREE}")
+    if cap_degree < max_degree:
+        raise SpecInvalid("cap degree must be at least the seed degree bound")
+    seed = change_variables(seed, module_variables(spec))
+    if seed.is_zero():
+        raise SeedZero("the zero vector generates nothing")
+    if seed.total_degree() > max_degree:
+        raise SpecInvalid(
+            f"seed degree {seed.total_degree()} exceeds the bound {max_degree}"
+        )
+    return seed
+
+
+class _IntegerAction(NamedTuple):
+    """A generator x on integer vectors: v -> shift_x(v) * (x.1 scaled to integers)."""
+
+    generator: BasisSymbol
+    variables: Tuple[str, ...]
+    offsets: Tuple[Tuple[str, int], ...]  # shift_x's (variable, offset) pairs
+    numerators: Tuple[Tuple[Exponents, int], ...]  # x.1 over one common denominator
+    degree: int  # total degree of x.1, when it is nonzero
+
+
+def _integer_action(spec, algebra: str, variables, x: BasisSymbol) -> _IntegerAction:
+    value = value_on_one(spec, x)
+    numerators = tuple(_integer_terms(value)[0].items())
+    offsets = shift_of(algebra, x).offsets
+    return _IntegerAction(x, variables, offsets, numerators, value.total_degree())
+
+
+def _oracle_image(action: _IntegerAction, vector: dict, degree: int, cap_degree: int):
+    """x.v up to a positive scalar, as {exponents: int}; None when zero or above the cap.
+
+    `vector` is v as {exponents: int}, of total degree `degree`.  A shift
+    keeps the total degree, so the image has degree exactly degree +
+    deg(x.1), and one above the cap is dropped before it is computed.
+    """
+    if not action.numerators or degree + action.degree > cap_degree:
+        return None
+    image = {}
+    for e1, c1 in _taylor_shift(vector, action.variables, action.offsets).items():
+        for e2, c2 in action.numerators:
+            key = tuple(a + b for a, b in zip(e1, e2))
+            image[key] = image.get(key, 0) + c1 * c2
+    return image
 
 
 def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
@@ -287,63 +500,65 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     total degree above cap_degree, so a True answer is sound evidence for
     irreducibility while a False answer is only an absence of evidence.
 
-    Elimination runs on mutable rows: a row is a list of Fractions, dense
-    over the monomials of total degree <= cap_degree with the leading
-    (descending grlex) monomial first, so every queued vector fits.  A
-    popped vector is top-reduced (its leading entry cleared while it hits
-    a pivot), made monic and kept as the pivot of its leading column, and
-    every generator acts on it.  Top-reduction keeps the vectors, hence
-    the verdict, of elimination on polynomials step for step.
-    Raises SpecInvalid for a cap above MAX_CAP_DEGREE, before any column
-    is built.
+    Elimination is fraction-free.  A row is a list of integers, dense over
+    the monomials of total degree <= cap_degree with the leading (descending
+    grlex) monomial first, so every queued vector fits.  A popped vector is
+    top-reduced by cross-multiplication (its leading entry a cleared while
+    it hits a pivot with leading entry p, as row <- (p*row - a*pivot) /
+    gcd(p, a)), divided by its content with a positive leading entry, and
+    kept as the pivot of its leading column.  Every generator then acts on
+    it in integers, as shift_x(v) times the numerators of x.1 (see
+    `_oracle_image`), and the images join a LIFO queue in generator order.
+    Each vector is a nonzero multiple of the one elimination on monic
+    polynomials would hold at the same step, so the pivot columns, hence
+    the verdict, are the same.  The request is checked by `oracle_seed`
+    first.
     """
-    if cap_degree > MAX_CAP_DEGREE:
-        raise SpecInvalid(f"cap degree exceeds the limit {MAX_CAP_DEGREE}")
-    if cap_degree < max_degree:
-        raise SpecInvalid("cap degree must be at least the seed degree bound")
-    variables = module_variables(spec)
-    seed = change_variables(seed, variables)
-    if seed.is_zero():
-        raise SeedZero("the zero vector generates nothing")
-    if seed.total_degree() > max_degree:
-        raise SpecInvalid(
-            f"seed degree {seed.total_degree()} exceeds the bound {max_degree}"
-        )
-
-    gens = generators(spec)
+    seed = oracle_seed(spec, seed, max_degree, cap_degree)
+    variables = seed.variables
+    algebra = algebra_of(spec)
+    actions = [_integer_action(spec, algebra, variables, x) for x in generators(spec)]
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)
-    zero = Fraction(0)
-    pivots = {}  # leading column -> monic row as (column, entry) pairs, echelon
+    pivots = {}  # leading column -> primitive row as (column, entry) pairs, lead first
 
-    queue = [seed]
+    queue = [_integer_terms(seed)[0]]
     while queue:
-        row = [zero] * width
-        for exps, coeff in queue.pop().terms:
-            row[column_of[exps]] = coeff
+        row = [0] * width
+        for exps, n in queue.pop().items():
+            row[column_of[exps]] = n
         lead = 0
         while lead < width:
-            coeff = row[lead]
-            if coeff:
+            a = row[lead]
+            if a:
                 pivot = pivots.get(lead)
                 if pivot is None:
                     break
+                # row <- (p * row - a * pivot) / gcd(p, a) clears the leading entry
+                p = pivot[0][1]
+                g = math.gcd(p, a)
+                p, a = p // g, a // g
+                if p != 1:
+                    for j in range(lead, width):
+                        row[j] *= p
                 for j, entry in pivot:
-                    row[j] -= coeff * entry
+                    row[j] -= a * entry
             lead += 1
         if lead == width:
             continue
-        inverse = 1 / row[lead]
-        pivot = [(j, row[j] * inverse) for j in range(lead, width) if row[j]]
+        content = math.gcd(*row[lead:])
+        if row[lead] < 0:
+            content = -content
+        pivot = [(j, row[j] // content) for j in range(lead, width) if row[j]]
         pivots[lead] = pivot
-        v = Poly._trusted(variables, [(columns[j], entry) for j, entry in pivot])
-        for x in gens:
-            image = act(spec, x, v)
-            if image.is_zero() or image.total_degree() > cap_degree:
-                continue
-            queue.append(image)
-    # a pivot at the zero exponent, the last column, is the monic constant 1 itself
+        vector = {columns[j]: n for j, n in pivot}
+        degree = sum(columns[lead])
+        for action in actions:
+            image = _oracle_image(action, vector, degree, cap_degree)
+            if image is not None:
+                queue.append(image)
+    # a pivot at the zero exponent, the last column, is a constant
     return width - 1 in pivots
 
 

@@ -266,6 +266,18 @@ def format_symbol(symbol: BasisSymbol, alg: str | None = None) -> str:
     return f"{name}@{symbol.loop_index}"
 
 
+def parse_loop_index(text: str) -> int:
+    """A loop index as format_symbol writes it: an optional '-', then ASCII digits.
+
+    int() alone would also take other Unicode digits, underscores, a '+'
+    and surrounding spaces.  Raises ValueError for anything else.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a loop index: {text!r}")
+    return int(text)
+
+
 def parse_symbol(text: str, alg: str | None = None) -> BasisSymbol:
     """Inverse of format_symbol: `p@2`, `dvir@-1`, `k`, `d`, `w@1`."""
     text = text.strip()
@@ -277,7 +289,7 @@ def parse_symbol(text: str, alg: str | None = None) -> BasisSymbol:
     loop = 0
     if idx:
         try:
-            loop = int(idx)
+            loop = parse_loop_index(idx)
         except ValueError:
             raise SymbolNotInAlgebra(f"bad loop index in {text!r}") from None
     symbol = BasisSymbol(name, loop)

@@ -13,6 +13,8 @@ exponent, so no document makes the parser multiply without bound.
 Digits are ASCII only, and a numeral longer than MAX_DIGITS is a syntax
 error at the numeral.  Rational parameters and windows take ASCII digits
 without underscores too; anything else is a syntax error at the value.
+A loop index (`beta.-2`, `p@1`) is an optional `-` followed by ASCII
+digits; anything else is a syntax error at the key.
 
 Spec and action documents are line-oriented `key = value` text with `#`
 comments.  Spec documents name an algebra and a family and list its
@@ -47,6 +49,7 @@ from .irreducible import (
     decide,
     format_certificate,
     format_witness,
+    oracle_seed,
     orbit_oracle,
     reduction_chain,
     witness,
@@ -58,6 +61,7 @@ from .liealg import (
     VIR00,
     SymbolNotInAlgebra,
     format_symbol,
+    parse_loop_index,
     parse_symbol,
 )
 from .modfam import (
@@ -418,7 +422,7 @@ class _SpecBuilder:
             entry = self.emap.pop(key)
             self.taken[key] = entry
             try:
-                index = int(key[len(prefix) + 1 :])
+                index = parse_loop_index(key[len(prefix) + 1 :])
             except ValueError:
                 raise DslSyntaxError(
                     f"{key} needs an integer index", entry.line, entry.key_col
@@ -707,23 +711,27 @@ def _cmd_classify(args) -> int:
 
 def _cmd_irreducible(args) -> int:
     spec = _require_spec(_load(args.path), "irreducible")
+    seed = None
+    if args.seed_poly is not None:
+        seed = parse_poly(args.seed_poly, module_variables(spec))
+    oracle = args.max_degree is not None or args.cap_degree is not None
+    if oracle:
+        # every oracle flag is checked before anything is printed
+        if seed is None or args.max_degree is None or args.cap_degree is None:
+            raise ConstraintViolation(
+                "the oracle needs --seed-poly, --max-degree and --cap-degree together"
+            )
+        seed = oracle_seed(spec, seed, args.max_degree, args.cap_degree)
     verdict = decide(spec)
     derived = "true" if verdict.derived else "false"
     print(f"VERDICT {verdict.label} family={verdict.family} derived={derived}")
     alg = algebra_of(spec)
-    seed = None
-    if args.seed_poly is not None:
-        seed = parse_poly(args.seed_poly, module_variables(spec))
     if verdict.irreducible:
         if seed is not None:
             print(format_certificate(reduction_chain(spec, seed), alg))
     else:
         print(format_witness(witness(spec), alg))
-    if args.max_degree is not None or args.cap_degree is not None:
-        if seed is None or args.max_degree is None or args.cap_degree is None:
-            raise ConstraintViolation(
-                "the oracle needs --seed-poly, --max-degree and --cap-degree together"
-            )
+    if oracle:
         reached = orbit_oracle(spec, seed, args.max_degree, args.cap_degree)
         print(f"ORACLE reachable={'true' if reached else 'false'}")
     return 0

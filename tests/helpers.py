@@ -2,17 +2,25 @@
 reference implementations the optimized kernels are compared against."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from nwfree.exactpoly import (
     Poly,
     VariableMismatch,
     apply_shift,
     change_variables,
+    exponents_upto,
     format_poly,
     monomials_upto,
+    reduce_mod_univariate,
 )
-from nwfree.irreducible import SeedZero
+from nwfree.irreducible import (
+    ClosureCheck,
+    NotReducible,
+    ReducibilityWitness,
+    SeedZero,
+    decide,
+)
 from nwfree.liealg import (
     AFF_VIR,
     AFFINE_H4,
@@ -31,6 +39,8 @@ from nwfree.liealg import S as S_SYM
 from nwfree.modfam import (
     MODULE_VARIABLES,
     ActionData,
+    AffVirSpec,
+    H4Family,
     SpecInvalid,
     Vir00Spec,
     WindowExceeded,
@@ -212,6 +222,111 @@ def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
                 continue
             queue.append(image)
     return tuple(0 for _ in variables) in basis
+
+
+def orbit_oracle_dense_reference(spec, seed, max_degree, cap_degree):
+    """orbit_oracle on dense Fraction rows, made monic as pivots, through `act`."""
+    if cap_degree < max_degree:
+        raise SpecInvalid("cap degree must be at least the seed degree bound")
+    variables = module_variables(spec)
+    seed = change_variables(seed, variables)
+    if seed.is_zero():
+        raise SeedZero("the zero vector generates nothing")
+    if seed.total_degree() > max_degree:
+        raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
+    gens = generators(spec)
+    columns = exponents_upto(len(variables), cap_degree)[::-1]
+    column_of = {exps: j for j, exps in enumerate(columns)}
+    width = len(columns)
+    pivots = {}  # leading column -> monic row as (column, entry) pairs
+
+    queue = [seed]
+    while queue:
+        row = [Fraction(0)] * width
+        for exps, coeff in queue.pop().terms:
+            row[column_of[exps]] = coeff
+        lead = 0
+        while lead < width:
+            coeff = row[lead]
+            if coeff:
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    break
+                for j, entry in pivot:
+                    row[j] -= coeff * entry
+            lead += 1
+        if lead == width:
+            continue
+        inverse = 1 / row[lead]
+        pivot = [(j, row[j] * inverse) for j in range(lead, width) if row[j]]
+        pivots[lead] = pivot
+        v = Poly(variables, [(columns[j], entry) for j, entry in pivot])
+        for x in gens:
+            image = act(spec, x, v)
+            if image.is_zero() or image.total_degree() > cap_degree:
+                continue
+            queue.append(image)
+    return width - 1 in pivots
+
+
+def _evaluate_univariate(g, var, value):
+    i = g.variables.index(var)
+    total = Fraction(0)
+    for exps, coeff in g.terms:
+        total += coeff * value ** exps[i]
+    return total
+
+
+def rational_root_reference(g, var):
+    """rational_root by the numerator/denominator divisor test, smallest first."""
+    denominator_lcm = 1
+    for _, coeff in g.terms:
+        denominator_lcm = denominator_lcm * coeff.denominator // gcd(
+            denominator_lcm, coeff.denominator
+        )
+    i = g.variables.index(var)
+    integer_coeffs = {exps[i]: int(coeff * denominator_lcm) for exps, coeff in g.terms}
+    lead = integer_coeffs[max(integer_coeffs)]
+    constant = integer_coeffs.get(0, 0)
+    if constant == 0:
+        return Fraction(0)
+    numerators = [n for n in range(1, abs(constant) + 1) if constant % n == 0]
+    denominators = [n for n in range(1, abs(lead) + 1) if lead % n == 0]
+    for num in numerators:
+        for den in denominators:
+            for candidate in (Fraction(num, den), Fraction(-num, den)):
+                if _evaluate_univariate(g, var, candidate) == 0:
+                    return candidate
+    return None
+
+
+def witness_reference(spec):
+    """witness with one `act` and one reduction per check, and the divisor-test root."""
+    verdict = decide(spec)
+    if verdict.irreducible:
+        raise NotReducible(f"{verdict.family} is irreducible, no invariant ideal exists")
+    variables = module_variables(spec)
+    if isinstance(spec, Vir00Spec):
+        ideal, var = Poly.var(variables, "w0"), "w0"
+    else:
+        base = spec if isinstance(spec, H4Family) else spec.base
+        base = base.base if isinstance(spec, AffVirSpec) else base
+        var = "s"
+        if base is None or base.variant == "M0":
+            ideal = Poly.var(variables, "s")
+        else:
+            root = rational_root_reference(base.g, "s")
+            if root is None:
+                ideal = change_variables(base.g, variables)
+            else:
+                ideal = Poly.var(variables, "s") - Poly.const(variables, root)
+    checks = []
+    for x in generators(spec):
+        for m in monomials_upto(variables, 4):
+            image = act(spec, x, ideal * m)
+            contained = reduce_mod_univariate(image, ideal, var).is_zero()
+            checks.append(ClosureCheck(x, m, image, contained))
+    return ReducibilityWitness(ideal, tuple(checks))
 
 
 def verify_module_reference(spec, window=3, test_degree=3):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import SD_S, affine_data, corrupted_fixtures, h4_data
+from helpers import SD_S, affine_data, corrupted_fixtures, h4_data, sample_specs
 
 from nwfree.classify import (
     Classified,
@@ -156,6 +156,10 @@ def test_twist_images():
     for fam in (m0g(1), mbh(1, 0, 1), mab(2, 3), m0()):
         with pytest.raises(UnsupportedTwist):
             twist(fam)
+    # specs of the other algebras have no recorded image either
+    for _, spec in sample_specs()[6:]:
+        with pytest.raises(UnsupportedTwist):
+            twist(spec)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from nwfree.exactpoly import (
     monomials_upto,
     negate_var,
     reduce_mod_univariate,
+    _taylor_shift,
 )
 
 from helpers import apply_shift_reference
@@ -261,6 +262,27 @@ def test_apply_shift_matches_binomial_reference(case):
     assert shifted == apply_shift_reference(b, x)
     _assert_canonical(shifted)
     assert apply_shift(a, shifted) == apply_shift(a.compose(b), x)
+
+
+def _integer_shift_case(variables):
+    n = len(variables)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=7)] * n)
+    ints = st.dictionaries(exps, st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=7)
+    offsets = st.tuples(*[st.integers(min_value=-5, max_value=5)] * n)
+    return st.tuples(st.just(variables), ints, offsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_integer_shift_case))
+def test_taylor_shift_kernel_matches_binomial_reference(case):
+    # the integer kernel shared by apply_shift and the orbit oracle
+    variables, ints, offs = case
+    before = dict(ints)
+    shift = Shift(tuple(zip(variables, offs)))
+    shifted = _taylor_shift(ints, variables, shift.offsets)
+    assert ints == before
+    assert all(type(n) is int for n in shifted.values())
+    assert Poly(variables, shifted) == apply_shift_reference(shift, Poly(variables, ints))
 
 
 @settings(max_examples=60, deadline=None)

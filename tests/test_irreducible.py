@@ -33,6 +33,8 @@ from nwfree.irreducible import (
 from nwfree.liealg import VIR00, sym
 from nwfree.modfam import (
     SpecInvalid,
+    act,
+    algebra_of,
     Vir00Spec,
     affvir,
     m0,
@@ -46,7 +48,15 @@ from nwfree.modfam import (
     mtilde_f,
 )
 
-from helpers import S, W0, orbit_oracle_reference, sample_specs
+from helpers import (
+    S,
+    W0,
+    orbit_oracle_dense_reference,
+    orbit_oracle_reference,
+    rational_root_reference,
+    sample_specs,
+    witness_reference,
+)
 
 SD = ("s", "d")
 
@@ -282,6 +292,99 @@ def test_rational_root_helper():
     assert rational_root(two_s_minus_one, "s") == Fraction(1, 2)
 
 
+def _product(factors):
+    out = Poly.one(("s",))
+    for f in factors:
+        out = out * f
+    return out
+
+
+_linear = st.builds(lambda a, b: Poly(("s",), {(1,): a, (0,): b}),
+                    st.integers(min_value=1, max_value=12), st.integers(min_value=-12, max_value=12))
+_cofactor = st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=5).filter(
+    lambda cs: cs[-1] != 0
+).map(lambda cs: Poly(("s",), {(k,): c for k, c in enumerate(cs)}))
+
+
+@st.composite
+def integer_polys(draw):
+    """Integer polynomials in s of degree 1 to 4, often with (repeated) rational roots."""
+    factors = draw(st.lists(_linear, max_size=3))
+    if factors and draw(st.booleans()):
+        factors.append(factors[0])  # a repeated root
+    room = 4 - len(factors)
+    if room and (not factors or draw(st.booleans())):
+        cofactor = draw(_cofactor)
+        if cofactor.total_degree() <= room:
+            factors.append(cofactor)
+    g = _product(factors)
+    if g.is_constant():
+        g = g * draw(_linear)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polys(), st.sampled_from([1, -1, Fraction(1, 6), Fraction(-5, 4)]))
+def test_rational_root_matches_reference(g, scale):
+    # the least root by (|p|, q, p < 0), as the divisor enumeration finds it first
+    g = scale * g
+    assert rational_root(g, "s") == rational_root_reference(g, "s")
+
+
+def test_rational_root_time_follows_bit_size(small_ranges):
+    # the divisor enumeration would build ranges of 10^12 entries here
+    huge = Poly.const(("s",), 10 ** 12)
+    assert rational_root(S ** 2 + huge, "s") is None
+    assert rational_root((huge * S - Poly.one(("s",))) * (S ** 2 + Poly.one(("s",))), "s") == (
+        Fraction(1, 10 ** 12)
+    )
+    assert rational_root((S - huge) * (S + huge), "s") == 10 ** 12
+    wit = witness(mg0(S ** 2 + huge))
+    assert wit.ideal_generator == S ** 2 + huge
+    assert wit.all_contained
+
+
+_witness_g = st.builds(
+    lambda factors, c: Poly.const(("s",), c) * _product(factors),
+    st.lists(st.one_of(_linear, _cofactor.filter(lambda f: f.total_degree() <= 2)),
+             min_size=1, max_size=2),
+    st.sampled_from([1, -2, Fraction(1, 3)]),
+).filter(lambda g: not g.is_constant())
+_reducible_bases = st.one_of(_witness_g.map(mg0), _witness_g.map(m0g), st.just(m0()))
+_witness_specs = st.one_of(
+    _reducible_bases,
+    st.builds(lambda base, alpha, b1, b2: mtilde(base, alpha, {1: b1, -1: b2}, 1),
+              _reducible_bases, st.integers(-3, 3).filter(bool), st.integers(-3, 3),
+              st.integers(-3, 3)),
+    st.sampled_from([spec for _, spec in sample_specs() if not decide(spec).irreducible]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_witness_specs)
+def test_witness_matches_reference(spec):
+    wit, expected = witness(spec), witness_reference(spec)
+    assert wit == expected
+    alg = algebra_of(spec)
+    assert format_witness(wit, alg) == format_witness(expected, alg)
+
+
+def test_witness_falls_back_to_per_check_reduction():
+    # an ideal the generators do not keep: R_x is not in it, so each image is reduced
+    spec = mab(2, 3)
+    ideal = S - Poly.one(("s",))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nwfree.irreducible, "decide", lambda spec: decide(mg0(S)))
+        mp.setattr(nwfree.irreducible, "_witness_generator", lambda spec: (ideal, "s"))
+        wit = witness(spec)
+    statuses = {check.contained for check in wit.closure_checks}
+    assert statuses == {True, False}
+    for check in wit.closure_checks:
+        assert check.image == act(spec, check.generator, ideal * check.test_poly)
+        remainder = reduce_mod_univariate(check.image, ideal, "s")
+        assert remainder.is_zero() is check.contained
+
+
 # ----------------------------------------------------------- orbit oracle
 
 
@@ -324,43 +427,65 @@ def test_oracle_false_from_witness_ideal_seed():
     assert orbit_oracle(spec, seed, 3, 6) is False
 
 
-def recorded_oracle(module, oracle, spec, seed, max_degree, cap):
-    """The oracle's answer plus every (generator, vector) it passed to act."""
+def recorded_oracle(spec, seed, max_degree, cap):
+    """orbit_oracle's answer plus every (generator, vector) whose image it takes."""
     calls = []
-    real = module.act
+    real = nwfree.irreducible._oracle_image
+    variables = module_variables(spec)
+
+    def recording(action, vector, degree, cap_degree):
+        calls.append((action.generator, Poly(variables, vector)))
+        return real(action, vector, degree, cap_degree)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nwfree.irreducible, "_oracle_image", recording)
+        answer = orbit_oracle(spec, seed, max_degree, cap)
+    return answer, calls
+
+
+def recorded_reference(oracle, spec, seed, max_degree, cap):
+    """A reference oracle's answer plus every (generator, vector) it passed to act."""
+    calls = []
+    real = helpers.act
 
     def recording(spec_, x, v):
         calls.append((x, v))
         return real(spec_, x, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "act", recording)
+        mp.setattr(helpers, "act", recording)
         answer = oracle(spec, seed, max_degree, cap)
     return answer, calls
 
 
-def assert_oracle_matches_reference(spec, seed, max_degree, cap):
-    answer, calls = recorded_oracle(
-        nwfree.irreducible, orbit_oracle, spec, seed, max_degree, cap
-    )
-    expected, expected_calls = recorded_oracle(
-        helpers, orbit_oracle_reference, spec, seed, max_degree, cap
-    )
-    assert answer is expected
-    # the same vectors, in the same order: elimination step for step
-    assert calls == expected_calls
+def assert_same_up_to_scalars(calls, expected_calls):
+    assert [x for x, _ in calls] == [x for x, _ in expected_calls]
+    for (_, v), (_, w) in zip(calls, expected_calls):
+        assert v == (v.terms[0][1] / w.terms[0][1]) * w
+
+
+def assert_oracle_matches_reference(spec, seed, max_degree, cap,
+                                    references=(orbit_oracle_reference,)):
+    answer, calls = recorded_oracle(spec, seed, max_degree, cap)
+    for reference in references:
+        expected, expected_calls = recorded_reference(reference, spec, seed, max_degree, cap)
+        assert answer is expected
+        # the same generators on the same vectors, each up to a nonzero scalar,
+        # in the same order: elimination step for step
+        assert_same_up_to_scalars(calls, expected_calls)
     return answer
 
 
 def test_oracle_matches_reference_on_samples():
     answers = set()
+    references = (orbit_oracle_reference, orbit_oracle_dense_reference)
     for name, spec in sample_specs():
         variables = module_variables(spec)
         seeds = [monomials_upto(variables, 2)[-1]]
         if not decide(spec).irreducible:
             seeds.append(witness(spec).ideal_generator)
         for seed in seeds:
-            answers.add(assert_oracle_matches_reference(spec, seed, 2, 4))
+            answers.add(assert_oracle_matches_reference(spec, seed, 2, 4, references))
     assert answers == {True, False}
 
 
