@@ -15,7 +15,6 @@ from typing import Union
 
 from .exactpoly import (
     Poly,
-    Shift,
     apply_shift,
     change_variables,
     coefficient_in,
@@ -38,6 +37,7 @@ from .modfam import (
     mhb,
     mtilde,
     mtilde_f,
+    shift_of,
 )
 
 __all__ = [
@@ -80,10 +80,6 @@ class UnsupportedIso(ValueError):
 
 class WindowMismatch(ValueError):
     """The two specs live on different loop windows."""
-
-
-TAU = Shift.of(s=-1)
-TAU_INV = Shift.of(s=1)
 
 
 def _require(data: ActionData, symbol: BasisSymbol) -> Poly:
@@ -130,7 +126,8 @@ def classify_h4(data: ActionData) -> ClassificationResult:
             "degree-dichotomy",
             f"degree pair ({dp}, {dq}) is not (0,0), (1,0) or (0,1)",
         )
-    forced = apply_shift(TAU, q1) * p1 - apply_shift(TAU_INV, p1) * q1
+    # [p, q].1 = p.(q.1) - q.(p.1)
+    forced = apply_shift(shift_of(H4, P), q1) * p1 - apply_shift(shift_of(H4, Q), p1) * q1
     if forced != Poly.const(("s",), r1):
         return Rejected(
             "r1-product-rule",

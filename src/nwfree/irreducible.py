@@ -40,7 +40,6 @@ from .modfam import (
     act,
     algebra_of,
     generators,
-    h4_base_values,
     module_variables,
     shift_of,
     value_on_one,
@@ -170,16 +169,14 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
     return total
 
 
-# Generator whose value at 1 is a nonzero constant once decide() says Irreducible.
-_REDUCING_KIND = {"Mg0": "p", "M0g": "q", "Mhb": "q", "Mbh": "p", "Mab": "q"}
-
-
 def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     """Drive seed to a nonzero constant, recording each operator application.
 
-    Affine specs reduce the d-degree first, using the loop-1 generator against
-    its loop-0 companion; the resulting polynomial in s then falls to the same
-    shift-difference operator that handles the base families.
+    The chain acts with the first of q, p that sends 1 to a nonzero constant
+    c, which an Irreducible verdict guarantees.  Affine specs reduce the
+    d-degree first, using that generator at loop 1 (it sends 1 to alpha*c)
+    against its loop-0 companion; the resulting polynomial in s then falls
+    to the same shift-difference operator that handles the base families.
     """
     verdict = decide(spec)
     if not verdict.irreducible:
@@ -189,19 +186,20 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     if seed.is_zero():
         raise SeedZero("the zero vector generates nothing")
 
-    base = _base_family(spec)
-    kind = _REDUCING_KIND[base.variant]
-    p1, q1, _ = h4_base_values(base)
-    c = (p1 if kind == "p" else q1).constant_value()
+    for kind in ("q", "p"):
+        value = value_on_one(spec, sym(kind, 0))
+        if value.is_constant() and not value.is_zero():
+            break
+    c = value.constant_value()
 
     steps = []
     current = seed
     algebra = algebra_of(spec)
     if algebra in (AFFINE_H4, AFF_VIR):
-        alpha = spec.alpha if isinstance(spec, AffineSpec) else spec.base.alpha
+        c1 = value_on_one(spec, sym(kind, 1)).constant_value()
         d_op = ChainOp(
             (
-                (Fraction(1) / (alpha * c), sym(kind, 1)),
+                (Fraction(1) / c1, sym(kind, 1)),
                 (Fraction(-1) / c, sym(kind, 0)),
             )
         )
@@ -438,27 +436,6 @@ def witness(spec) -> ReducibilityWitness:
 MAX_CAP_DEGREE = 8
 
 
-def oracle_seed(spec, seed: Poly, max_degree: int, cap_degree: int) -> Poly:
-    """Check an orbit_oracle request; return its seed in the module variables.
-
-    Raises SpecInvalid for a cap above MAX_CAP_DEGREE or below max_degree
-    and for a seed above max_degree, and SeedZero for the zero seed, all
-    before any column is built.
-    """
-    if cap_degree > MAX_CAP_DEGREE:
-        raise SpecInvalid(f"cap degree exceeds the limit {MAX_CAP_DEGREE}")
-    if cap_degree < max_degree:
-        raise SpecInvalid("cap degree must be at least the seed degree bound")
-    seed = change_variables(seed, module_variables(spec))
-    if seed.is_zero():
-        raise SeedZero("the zero vector generates nothing")
-    if seed.total_degree() > max_degree:
-        raise SpecInvalid(
-            f"seed degree {seed.total_degree()} exceeds the bound {max_degree}"
-        )
-    return seed
-
-
 class _IntegerAction(NamedTuple):
     """A generator x on integer vectors: v -> shift_x(v) * (x.1 scaled to integers)."""
 
@@ -511,11 +488,22 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     `_oracle_image`), and the images join a LIFO queue in generator order.
     Each vector is a nonzero multiple of the one elimination on monic
     polynomials would hold at the same step, so the pivot columns, hence
-    the verdict, are the same.  The request is checked by `oracle_seed`
-    first.
+    the verdict, are the same.
+
+    Raises SpecInvalid for a cap above MAX_CAP_DEGREE or below max_degree
+    and for a seed above max_degree, and SeedZero for the zero seed, all
+    before any column is built.
     """
-    seed = oracle_seed(spec, seed, max_degree, cap_degree)
-    variables = seed.variables
+    if cap_degree > MAX_CAP_DEGREE:
+        raise SpecInvalid(f"cap degree exceeds the limit {MAX_CAP_DEGREE}")
+    if cap_degree < max_degree:
+        raise SpecInvalid("cap degree must be at least the seed degree bound")
+    variables = module_variables(spec)
+    seed = change_variables(seed, variables)
+    if seed.is_zero():
+        raise SeedZero("the zero vector generates nothing")
+    if seed.total_degree() > max_degree:
+        raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
     algebra = algebra_of(spec)
     actions = [_integer_action(spec, algebra, variables, x) for x in generators(spec)]
     columns = exponents_upto(len(variables), cap_degree)[::-1]

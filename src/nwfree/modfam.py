@@ -79,7 +79,15 @@ MODULE_VARIABLES = {
     AFF_VIR: ("s", "d"),
 }
 
-H4_VARIANTS = ("Mg0", "M0g", "Mhb", "Mbh", "Mab", "M0")
+# Each H4 family's parameters, in the order its documents list them.
+H4_PARAMS = {
+    "Mg0": ("g",),
+    "M0g": ("g",),
+    "Mhb": ("a1", "a2", "b"),
+    "Mbh": ("a1", "a2", "b"),
+    "Mab": ("a", "b"),
+    "M0": (),
+}
 AFFINE_VARIANTS = ("MTildeAlphaBeta", "MTildeF")
 
 # Largest loop window a spec or action data may carry; windows index
@@ -131,21 +139,14 @@ class H4Family:
     b: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.variant not in H4_VARIANTS:
+        if self.variant not in H4_PARAMS:
             raise SpecInvalid(f"unknown H4 family {self.variant!r}")
         given = {
             name
             for name in ("g", "a1", "a2", "a", "b")
             if getattr(self, name) is not None
         }
-        wanted = {
-            "Mg0": {"g"},
-            "M0g": {"g"},
-            "Mhb": {"a1", "a2", "b"},
-            "Mbh": {"a1", "a2", "b"},
-            "Mab": {"a", "b"},
-            "M0": set(),
-        }[self.variant]
+        wanted = set(H4_PARAMS[self.variant])
         if given != wanted:
             raise SpecInvalid(
                 f"{self.variant} takes exactly {sorted(wanted) or 'no parameters'}, got {sorted(given)}"
@@ -379,11 +380,6 @@ class ActionData:
 
     def has(self, symbol: BasisSymbol) -> bool:
         return any(key == symbol for key, _ in self.assignments)
-
-    def with_assignment(self, symbol: BasisSymbol, value) -> "ActionData":
-        kept = [(k, v) for k, v in self.assignments if k != symbol]
-        kept.append((symbol, value))
-        return ActionData(self.algebra, self.window, tuple(kept))
 
 
 AnySpec = Union[H4Family, AffineSpec, Vir00Spec, AffVirSpec, ActionData]

@@ -49,7 +49,6 @@ from .irreducible import (
     decide,
     format_certificate,
     format_witness,
-    oracle_seed,
     orbit_oracle,
     reduction_chain,
     witness,
@@ -65,7 +64,8 @@ from .liealg import (
     parse_symbol,
 )
 from .modfam import (
-    H4_VARIANTS,
+    AFFINE_VARIANTS,
+    H4_PARAMS,
     MAX_WINDOW,
     MODULE_VARIABLES,
     ActionData,
@@ -79,12 +79,6 @@ from .modfam import (
     WindowExceeded,
     affvir,
     algebra_of,
-    m0,
-    m0g,
-    mab,
-    mbh,
-    mg0,
-    mhb,
     module_variables,
     mtilde,
     mtilde_f,
@@ -338,14 +332,8 @@ def _entry_map(entries):
 
 
 _FAMILY_ALGEBRA = {
-    "Mg0": H4,
-    "M0g": H4,
-    "Mhb": H4,
-    "Mbh": H4,
-    "Mab": H4,
-    "M0": H4,
-    "MTildeAlphaBeta": AFFINE_H4,
-    "MTildeF": AFFINE_H4,
+    **dict.fromkeys(H4_PARAMS, H4),
+    **dict.fromkeys(AFFINE_VARIANTS, AFFINE_H4),
     "MLambdaF": VIR00,
     "MTildeLambda": AFF_VIR,
 }
@@ -415,7 +403,7 @@ class _SpecBuilder:
         return parse_poly(entry.value, variables, entry.line, entry.value_col)
 
     def indexed(self, prefix):
-        out = {}
+        found = []
         for key in sorted(self.emap):
             if not key.startswith(prefix + "."):
                 continue
@@ -427,24 +415,25 @@ class _SpecBuilder:
                 raise DslSyntaxError(
                     f"{key} needs an integer index", entry.line, entry.key_col
                 ) from None
+            found.append((entry.line, entry.key_col, index, entry))
+        out = {}
+        # `beta.1` and `beta.01` name one index: the later line repeats it
+        for line, col, index, entry in sorted(found, key=lambda item: item[:2]):
+            if index in out:
+                raise DslSyntaxError(f"duplicate loop index {prefix}.{index}", line, col)
             out[index] = entry
         return out
 
     def h4_base(self, variant) -> H4Family:
-        if variant in ("Mg0", "M0g"):
-            g = self.poly("g", ("s",))
-            return self.construct(lambda: (mg0 if variant == "Mg0" else m0g)(g))
-        if variant in ("Mhb", "Mbh"):
-            args = [self.rational(k) for k in ("a1", "a2", "b")]
-            return self.construct(lambda: (mhb if variant == "Mhb" else mbh)(*args))
-        if variant == "Mab":
-            args = [self.rational(k) for k in ("a", "b")]
-            return self.construct(lambda: mab(*args))
-        return m0()
+        params = {
+            name: self.poly(name, ("s",)) if name == "g" else self.rational(name)
+            for name in H4_PARAMS[variant]
+        }
+        return self.construct(lambda: H4Family(variant, **params))
 
     def base_variant(self) -> str:
         entry = self.grab("base")
-        if entry.value not in H4_VARIANTS:
+        if entry.value not in H4_PARAMS:
             raise ConstraintViolation(
                 f"unknown base family {entry.value}", entry.line, entry.value_col
             )
@@ -555,6 +544,13 @@ def _build_actions(entries) -> ActionData:
             symbol = parse_symbol(entry.key)
         except SymbolNotInAlgebra as exc:
             raise DslSyntaxError(str(exc), entry.line, entry.key_col) from exc
+        if symbol in assignments:
+            # `p` and `p@0` name one generator: the later line repeats it
+            raise DslSyntaxError(
+                f"duplicate assignment for {format_symbol(symbol, algebra)}",
+                entry.line,
+                entry.key_col,
+            )
         value = parse_poly(entry.value, MODULE_VARIABLES[algebra], entry.line, entry.value_col)
         assignments[symbol] = value
         taken[entry.key] = entry
@@ -584,17 +580,8 @@ def parse_input(text: str):
 
 
 def _h4_param_lines(fam: H4Family):
-    if fam.variant in ("Mg0", "M0g"):
-        return [f"g = {format_poly(fam.g)}"]
-    if fam.variant in ("Mhb", "Mbh"):
-        return [
-            f"a1 = {fam.a1}",
-            f"a2 = {fam.a2}",
-            f"b = {fam.b}",
-        ]
-    if fam.variant == "Mab":
-        return [f"a = {fam.a}", f"b = {fam.b}"]
-    return []
+    values = ((name, getattr(fam, name)) for name in H4_PARAMS[fam.variant])
+    return [f"{name} = {format_poly(v) if isinstance(v, Poly) else v}" for name, v in values]
 
 
 def format_spec(spec) -> str:
@@ -686,69 +673,62 @@ def _require_spec(target, command: str):
     return target
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Tuple[int, str]:
     target = _load(args.path)
     window = args.window
     if window is None:
         limit = spec_window(target)
         window = 3 if not limit else min(3, limit)
     report = verify_module(target, window=window, test_degree=args.test_degree)
-    print(format_report(report))
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), format_report(report) + "\n"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Tuple[int, str]:
     target = _load(args.path)
     if not isinstance(target, ActionData):
         raise ConstraintViolation("classify needs an action data document")
     result = classify(target)
     if isinstance(result, Classified):
-        sys.stdout.write(format_spec(result.spec))
-        return 0
-    print(f"REJECTED {result.anchor}: {result.reason}")
-    return 1
+        return 0, format_spec(result.spec)
+    return 1, f"REJECTED {result.anchor}: {result.reason}\n"
 
 
-def _cmd_irreducible(args) -> int:
+def _cmd_irreducible(args) -> Tuple[int, str]:
     spec = _require_spec(_load(args.path), "irreducible")
     seed = None
     if args.seed_poly is not None:
         seed = parse_poly(args.seed_poly, module_variables(spec))
-    oracle = args.max_degree is not None or args.cap_degree is not None
-    if oracle:
-        # every oracle flag is checked before anything is printed
+    reached = None  # the oracle runs first, so its request checks come first
+    if args.max_degree is not None or args.cap_degree is not None:
         if seed is None or args.max_degree is None or args.cap_degree is None:
             raise ConstraintViolation(
                 "the oracle needs --seed-poly, --max-degree and --cap-degree together"
             )
-        seed = oracle_seed(spec, seed, args.max_degree, args.cap_degree)
+        reached = orbit_oracle(spec, seed, args.max_degree, args.cap_degree)
     verdict = decide(spec)
     derived = "true" if verdict.derived else "false"
-    print(f"VERDICT {verdict.label} family={verdict.family} derived={derived}")
+    lines = [f"VERDICT {verdict.label} family={verdict.family} derived={derived}"]
     alg = algebra_of(spec)
     if verdict.irreducible:
         if seed is not None:
-            print(format_certificate(reduction_chain(spec, seed), alg))
+            lines.append(format_certificate(reduction_chain(spec, seed), alg))
     else:
-        print(format_witness(witness(spec), alg))
-    if oracle:
-        reached = orbit_oracle(spec, seed, args.max_degree, args.cap_degree)
-        print(f"ORACLE reachable={'true' if reached else 'false'}")
-    return 0
+        lines.append(format_witness(witness(spec), alg))
+    if reached is not None:
+        lines.append(f"ORACLE reachable={'true' if reached else 'false'}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_twist(args) -> int:
+def _cmd_twist(args) -> Tuple[int, str]:
     spec = _require_spec(_load(args.path), "twist")
-    sys.stdout.write(format_spec(twist(spec)))
-    return 0
+    return 0, format_spec(twist(spec))
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> Tuple[int, str]:
     left = _require_spec(_load(args.left), "iso")
     right = _require_spec(_load(args.right), "iso")
     same = iso_check(left, right)
-    print(f"ISO {'true' if same else 'false'}")
-    return 0 if same else 1
+    return (0 if same else 1), f"ISO {'true' if same else 'false'}\n"
 
 
 _COMMANDS = {
@@ -786,12 +766,15 @@ def _diagnostic(exc) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; stdout is written only once it has succeeded."""
     args = _build_argparser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, text = _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(_diagnostic(exc), file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

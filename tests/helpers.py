@@ -78,12 +78,19 @@ CORRUPTION_SLOT = {
 }
 
 
+def with_assignment(data, symbol, value):
+    """`data` with the value of `symbol` on 1 replaced (or added)."""
+    kept = [(k, v) for k, v in data.assignments if k != symbol]
+    kept.append((symbol, value))
+    return ActionData(data.algebra, data.window, tuple(kept))
+
+
 def corrupted_data(spec, window=None):
     """Action data of `spec` with one scalar slot bumped by +1."""
     data = actions_of(spec, window)
     target = CORRUPTION_SLOT[data.algebra]
     one = Poly.one(MODULE_VARIABLES[data.algebra])
-    return data.with_assignment(target, data.value(target) + one)
+    return with_assignment(data, target, data.value(target) + one)
 
 
 def sample_specs():
@@ -123,12 +130,12 @@ def corrupted_fixtures():
     demo_data = actions_of(demo)
     half = Fraction(1, 2)
     return [
-        ("r1-constant", actions_of(mab(2, 3)).with_assignment(R, S)),
-        ("r1-zero-when-pq-degenerate", actions_of(mg0(S ** 2)).with_assignment(R, 1)),
+        ("r1-constant", with_assignment(actions_of(mab(2, 3)), R, S)),
+        ("r1-zero-when-pq-degenerate", with_assignment(actions_of(mg0(S ** 2)), R, 1)),
         ("degree-dichotomy", h4_data(S ** 2, 1, 0)),
-        ("r1-product-rule", actions_of(mhb(1, 2, 3)).with_assignment(R, 3)),
-        ("deg-d-f", demo_data.with_assignment(sym("s", 1), SD_S * SD_D)),
-        ("deg-s-f", demo_data.with_assignment(sym("s", 1), SD_S ** 2)),
+        ("r1-product-rule", with_assignment(actions_of(mhb(1, 2, 3)), R, 3)),
+        ("deg-d-f", with_assignment(demo_data, sym("s", 1), SD_S * SD_D)),
+        ("deg-s-f", with_assignment(demo_data, sym("s", 1), SD_S ** 2)),
         (
             "alpha-power",
             affine_data(
@@ -140,11 +147,11 @@ def corrupted_fixtures():
         ),
         (
             "loop-scaling",
-            actions_of(mtilde(mab(2, 3), 2, {1: 0, -1: 0}, window=1)).with_assignment(
-                sym("p", 1), 5
+            with_assignment(
+                actions_of(mtilde(mab(2, 3), 2, {1: 0, -1: 0}, window=1)), sym("p", 1), 5
             ),
         ),
-        ("central-k", demo_data.with_assignment(K, 1)),
+        ("central-k", with_assignment(demo_data, K, 1)),
         (
             "deg-d-base",
             affine_data(

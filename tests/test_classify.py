@@ -2,7 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import SD_S, affine_data, corrupted_fixtures, h4_data, sample_specs
+from helpers import (
+    SD_S,
+    affine_data,
+    corrupted_fixtures,
+    h4_data,
+    sample_specs,
+    with_assignment,
+)
 
 from nwfree.classify import (
     Classified,
@@ -110,7 +117,7 @@ def test_zero_base_canonicalizes_to_mtilde_f():
 
 def test_classify_affine_deg_d_rejection():
     spec = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
-    data = actions_of(spec).with_assignment(sym("s", 1), SD_S * Poly.var(("s", "d"), "d"))
+    data = with_assignment(actions_of(spec), sym("s", 1), SD_S * Poly.var(("s", "d"), "d"))
     got = classify_affine(data)
     assert isinstance(got, Rejected) and got.anchor == "deg-d-f"
     assert "f_1" in got.reason
@@ -130,7 +137,7 @@ def test_classify_affine_alpha_inverse_rejection():
 
 def test_classify_affine_f0_side_condition():
     spec = mtilde(mab(1, 2), 3, {1: 0, -1: 1}, window=1)
-    data = actions_of(spec).with_assignment(sym("s", 0), SD_S + Poly.one(("s", "d")))
+    data = with_assignment(actions_of(spec), sym("s", 0), SD_S + Poly.one(("s", "d")))
     got = classify_affine(data)
     assert isinstance(got, Rejected) and got.anchor == "f0-side-condition"
 

@@ -45,6 +45,8 @@ from nwfree.modfam import (
     value_on_one,
 )
 
+from helpers import with_assignment
+
 S_POLY = Poly.var(("s",), "s")
 ONE_S = Poly.one(("s",))
 
@@ -264,7 +266,7 @@ def test_action_data_lookup_errors():
 
 def test_with_assignment_replaces():
     data = actions_of(mhb(1, 0, 1))
-    bumped = data.with_assignment(R, Poly.zero(("s",)))
+    bumped = with_assignment(data, R, Poly.zero(("s",)))
     assert value_on_one(bumped, R).is_zero()
     assert value_on_one(bumped, P) == value_on_one(data, P)
 

@@ -27,3 +27,14 @@ def test_irreducibility_survey_runs_with_and_without_evidence(capsys):
     assert not any("oracle disagrees" in line for line in lines)
     assert survey.main(["--evidence"]) == 0
     assert "oracle disagrees" not in capsys.readouterr().out
+
+
+GOLDEN_SURVEY = Path(__file__).resolve().parent / "golden" / "irreducibility_survey_evidence.txt"
+
+
+def test_irreducibility_survey_evidence_matches_golden(capsys):
+    # verdicts, certificates and witnesses, byte for byte; regenerate with
+    # python3 scripts/irreducibility_survey.py --evidence > tests/golden/...
+    survey = load_script("irreducibility_survey")
+    assert survey.main(["--evidence"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SURVEY.read_text(encoding="utf-8")

@@ -15,6 +15,10 @@ from nwfree.modfam import (
     Vir00Spec,
     actions_of,
     affvir,
+    m0,
+    m0g,
+    mab,
+    mbh,
     mg0,
     mhb,
     mtilde,
@@ -211,6 +215,55 @@ def test_unknown_family_and_duplicate_key():
     assert "duplicate" in err.value.message
 
 
+MTF_DOC = """\
+algebra = AffineH4
+family = MTildeF
+f.1 = s
+f.-1 = s
+window = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, line, col, message",
+    [
+        (MTAB_DOC.replace("beta.1 = 5", "beta.1 = 5\nbeta.01 = 7"), 9, 1,
+         "duplicate loop index beta.1"),
+        # the later line is reported, not the later key in sorted order
+        (MTAB_DOC.replace("beta.1 = 5", "beta.01 = 7\n  beta.1 = 5"), 9, 3,
+         "duplicate loop index beta.1"),
+        (MTF_DOC.replace("f.1 = s", "f.-0 = s\nf.1 = s\nf.0 = s"), 5, 1,
+         "duplicate loop index f.0"),
+        # a malformed index is still reported first
+        (MTAB_DOC.replace("beta.1 = 5", "beta.1 = 5\nbeta.01 = 7\nbeta.x = 1"), 10, 1,
+         "beta.x needs an integer index"),
+    ],
+    ids=["beta-1-01", "beta-01-1", "f-0-minus-0", "bad-index-first"],
+)
+def test_duplicate_loop_index_is_reported_at_the_later_key(doc, line, col, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_spec(doc)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize(
+    "doc, line, col, message",
+    [
+        ("algebra = H4\np = s\nq = 1\nr = -1\ns = s\np@0 = 2*s\n", 6, 1,
+         "duplicate assignment for p"),
+        ("algebra = H4\np@0 = 2*s\nq = 1\nr = -1\ns = s\n p = s\n", 6, 2,
+         "duplicate assignment for p"),
+        ("algebra = AffineH4\nwindow = 1\nq@1 = 2\nq@-0 = 1\nq@01 = 3\n", 5, 1,
+         "duplicate assignment for q@1"),
+    ],
+    ids=["p-then-p0", "p0-then-p", "affine-q-01"],
+)
+def test_duplicate_generator_is_reported_at_the_later_key(doc, line, col, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_actions(doc)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
 def test_f0_side_condition_in_document():
     doc = "algebra = AffineH4\nfamily = MTildeF\nf.0 = s+1\nf.1 = s\nf.-1 = s\nwindow = 1\n"
     with pytest.raises(ConstraintViolation) as err:
@@ -237,6 +290,20 @@ def test_spec_round_trips():
         again = parse_spec(text)
         assert again == spec, name
         assert format_spec(again) == text, name
+
+
+def test_format_spec_writes_h4_parameters_in_document_order():
+    h4 = "algebra = H4\nfamily = "
+    assert format_spec(mhb(1, 0, 1)) == MHB_DOC
+    assert format_spec(mbh(2, -1, 3)) == h4 + "Mbh\na1 = 2\na2 = -1\nb = 3\n"
+    assert format_spec(mab(2, Fraction(-3, 4))) == h4 + "Mab\na = 2\nb = -3/4\n"
+    assert format_spec(mg0(S ** 2 - S)) == h4 + "Mg0\ng = s^2-s\n"
+    assert format_spec(m0g(5)) == h4 + "M0g\ng = 5\n"
+    assert format_spec(m0()) == h4 + "M0\n"
+    assert format_spec(mtilde(mab(2, 3), 2, {1: 5, -1: 0}, window=1)) == (
+        "algebra = AffineH4\nfamily = MTildeAlphaBeta\nbase = Mab\na = 2\nb = 3\n"
+        "alpha = 2\nbeta.-1 = 0\nbeta.0 = 0\nbeta.1 = 5\nwindow = 1\n"
+    )
 
 
 # --------------------------------------------------------- action documents
@@ -494,6 +561,15 @@ def test_cli_irreducible_witness(tmp_path, capsys):
     assert "VERDICT Reducible" in out
     assert out.splitlines()[1] == "IDEAL s"
     assert "SUMMARY pass=true" in out
+
+
+def test_cli_prints_nothing_before_exit_two(tmp_path, capsys):
+    # the verdict is known before the chain fails on the zero seed
+    path = write(tmp_path, "mab.spec", "algebra = H4\nfamily = Mab\na = 2\nb = 3\n")
+    assert main(["irreducible", path, "--seed-poly", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the zero vector generates nothing\n"
 
 
 def test_cli_irreducible_oracle(tmp_path, capsys):

@@ -7,6 +7,7 @@ from helpers import (
     format_report_reference,
     sample_specs,
     verify_module_reference,
+    with_assignment,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,7 +63,7 @@ def test_affine_suite_passes_with_central_pair():
 
 
 def test_corrupted_r_fails_on_pq():
-    data = actions_of(mhb(1, 0, 1)).with_assignment(R, Poly.zero(("s",)))
+    data = with_assignment(actions_of(mhb(1, 0, 1)), R, Poly.zero(("s",)))
     report = verify_module(data, window=1, test_degree=2)
     assert not report.passed
     bad = entries_for(report, P, Q)
@@ -119,7 +120,7 @@ def test_vir00_inconsistent_mu_fails_on_d1_d2():
     w0 = Poly.var(("d0", "w0"), "w0")
     one = Poly.one(("d0", "w0"))
     # d_2 rebuilt as if f were w0+1: breaks the forced mu pattern
-    tampered = data.with_assignment(sym("dvir", 2), lam ** 2 * (d0 + 2 * (w0 + one)))
+    tampered = with_assignment(data, sym("dvir", 2), lam ** 2 * (d0 + 2 * (w0 + one)))
     report = verify_module(tampered, window=2, test_degree=1)
     assert not report.passed
     bad = entries_for(report, sym("dvir", 1), sym("dvir", 2))
