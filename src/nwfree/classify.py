@@ -146,10 +146,6 @@ def classify_h4(data: ActionData) -> ClassificationResult:
     return Classified(builder(a1, a2, b))
 
 
-def _restrict_s(value: Poly) -> Poly:
-    return change_variables(value, ("s",))
-
-
 def classify_affine(data: ActionData) -> ClassificationResult:
     if data.algebra != AFFINE_H4:
         raise MalformedData("classify_affine needs affine data")
@@ -175,7 +171,7 @@ def classify_affine(data: ActionData) -> ClassificationResult:
             return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[0])} must equal s")
         if not k_val.is_zero():
             return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
-        return Classified(mtilde_f({k: _restrict_s(fseq[k]) for k in loops}, w))
+        return Classified(mtilde_f({k: change_variables(fseq[k], ("s",)) for k in loops}, w))
 
     for k in loops:
         fk = fseq[k]
@@ -215,9 +211,9 @@ def classify_affine(data: ActionData) -> ClassificationResult:
         H4,
         0,
         {
-            P: _restrict_s(table["p"][0]),
-            Q: _restrict_s(table["q"][0]),
-            R: _restrict_s(table["r"][0]),
+            P: change_variables(table["p"][0], ("s",)),
+            Q: change_variables(table["q"][0], ("s",)),
+            R: change_variables(table["r"][0], ("s",)),
             S: Poly.var(("s",), "s"),
         },
     )

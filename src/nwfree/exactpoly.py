@@ -12,20 +12,22 @@ rounded.  The degree of the zero polynomial is the NEG_INF sentinel, not
 
     deg(tau(x) - x) = deg(x) - 1      for non-constant x,
 
-where tau is the shift s -> s - 1.  Shifts (`Shift`) substitute v -> v + c
-per variable and compose additively; `negate_var` substitutes v -> -v.
-Shifting is done on integers, by one kernel: `_taylor_shift` shifts an
-integer polynomial {exponents: int} along dense coefficient rows by a
-Horner-type recurrence.  `apply_shift` clears denominators once
-(`_integer_terms`), runs the kernel and builds one Fraction per output
-term; the orbit oracle in `irreducible` runs the kernel on its integer
-vectors directly.
+where tau is the shift s -> s - 1.  A shift substitutes v -> v + c per
+variable, so it is an offset vector of integers, one per variable in the
+polynomial's variable order, and shifts compose by adding their vectors;
+`negate_var` substitutes v -> -v.  Shifting is done on integers, by one
+kernel: `_taylor_shift` shifts an integer polynomial {exponents: int}
+along dense coefficient rows by a Horner-type recurrence.  `apply_shift`
+clears denominators once (`_integer_terms`), runs the kernel and builds
+one Fraction per output term; the orbit oracle in `irreducible` runs the
+kernel on its integer vectors directly.
 
 The public `Poly(...)` constructor validates and canonicalizes its input,
 which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
-unary `-` and `apply_shift`) already holds merged Fraction terms over one
-variable set, so it builds canonical results directly through
-`Poly._trusted`, which only drops zero coefficients and sorts.
+unary `-`, `apply_shift` and `change_variables`) already holds merged
+Fraction terms over one variable set, so it builds canonical results
+directly through `Poly._trusted`, which only drops zero coefficients and
+sorts.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from typing import Iterable, Mapping, Tuple, Union
 
 Rational = Fraction
 Exponents = Tuple[int, ...]
+# v -> v + offset for each variable, offsets in the polynomial's variable order
+Shift = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 # Degree of the zero polynomial.  A dedicated sentinel, never -1.
@@ -224,68 +228,25 @@ class Poly:
         return format_poly(self)
 
 
-@dataclass(frozen=True)
-class Shift:
-    """Substitution v -> v + offset(v), one integer offset per variable.
-
-    Zero offsets are dropped at construction, so the identity shift is
-    Shift(()) and composition is additive on offsets.
-    """
-
-    offsets: Tuple[Tuple[str, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        raw = self.offsets.items() if isinstance(self.offsets, Mapping) else self.offsets
-        merged: dict[str, int] = {}
-        for var, off in raw:
-            if not isinstance(off, int):
-                raise ValueError(f"offset for {var!r} must be an integer")
-            merged[var] = merged.get(var, 0) + off
-        canon = tuple(sorted((v, o) for v, o in merged.items() if o != 0))
-        object.__setattr__(self, "offsets", canon)
-
-    @staticmethod
-    def of(**offsets: int) -> "Shift":
-        return Shift(tuple(offsets.items()))
-
-    def offset(self, var: str) -> int:
-        for v, o in self.offsets:
-            if v == var:
-                return o
-        return 0
-
-    def compose(self, other: "Shift") -> "Shift":
-        """shift(u).compose(shift(v)) == shift(u + v)."""
-        acc = dict(self.offsets)
-        for var, off in other.offsets:
-            acc[var] = acc.get(var, 0) + off
-        return Shift(tuple(acc.items()))
-
-    def is_identity(self) -> bool:
-        return not self.offsets
-
-
-SHIFT_IDENTITY = Shift(())
-
-
 def _integer_terms(x: Poly) -> Tuple[dict, int]:
     """x times the lcm L of its denominators, as {exponents: int}, and L."""
     scale = lcm(*(c.denominator for _, c in x.terms))
     return {e: c.numerator * (scale // c.denominator) for e, c in x.terms}, scale
 
 
-def _taylor_shift(ints: dict, variables: Tuple[str, ...], offsets) -> dict:
+def _taylor_shift(ints: dict, offsets: Shift) -> dict:
     """Substitute v -> v + offset in an integer polynomial {exponents: int}.
 
-    `offsets` are (variable, integer offset) pairs, as in `Shift.offsets`.
-    For each one, the terms are gathered into dense rows, one per exponent
-    vector of the other variables, and each row a(v) becomes a(v + offset)
-    by the Horner-type recurrence (von zur Gathen & Gerhard, ISSAC 1997).
-    The input map is never modified, and is returned as is when `offsets`
-    is empty; a shifted result has no zero entries.
+    `offsets` holds one integer per exponent position.  For each nonzero
+    one, the terms are gathered into dense rows, one per exponent vector of
+    the other variables, and each row a(v) becomes a(v + offset) by the
+    Horner-type recurrence (von zur Gathen & Gerhard, ISSAC 1997).  The
+    input map is never modified, and is returned as is when every offset is
+    0; a shifted result has no zero entries.
     """
-    for var, off in offsets:
-        i = variables.index(var)
+    for i, off in enumerate(offsets):
+        if not off:
+            continue
         rows: dict[Exponents, list] = {}
         for exps, n in ints.items():
             rest = exps[:i] + exps[i + 1:]
@@ -309,20 +270,19 @@ def _taylor_shift(ints: dict, variables: Tuple[str, ...], offsets) -> dict:
 
 
 def apply_shift(sh: Shift, x: Poly) -> Poly:
-    """Substitute v -> v + offset(v) for every shifted variable, exactly.
+    """Substitute v -> v + sh[i] for the i-th variable v of x, exactly.
 
     An integer Taylor shift: the coefficients are scaled once by the lcm L
     of their denominators, `_taylor_shift` expands every shifted variable
     on the integer numerators, and one Fraction(n, L) is built per nonzero
     output term.
     """
-    for var, _ in sh.offsets:
-        if var not in x.variables:
-            raise VariableMismatch(f"shift touches {var!r}, absent from {x.variables!r}")
-    if sh.is_identity() or x.is_zero():
+    if len(sh) != len(x.variables):
+        raise VariableMismatch(f"shift {sh!r} does not fit variables {x.variables!r}")
+    if not any(sh) or x.is_zero():
         return x
     ints, scale = _integer_terms(x)
-    ints = _taylor_shift(ints, x.variables, sh.offsets)
+    ints = _taylor_shift(ints, sh)
     if scale == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
         return Poly._trusted(x.variables, [(e, Fraction(n)) for e, n in ints.items()])
     return Poly._trusted(x.variables, [(e, Fraction(n, scale)) for e, n in ints.items()])
@@ -347,25 +307,28 @@ def degree_in(x: Poly, var: str):
 
 
 def change_variables(x: Poly, variables: Iterable[str]) -> Poly:
-    """Re-express x in another variable set.
+    """Re-express x in another variable set; x itself when the set is the same.
 
     Variables may be added freely; a variable may only be dropped if it
-    does not occur in x.
+    does not occur in x, so distinct exponent vectors stay distinct.
     """
     variables = tuple(variables)
+    if variables == x.variables:
+        return x
     for v in x.variables:
         if v not in variables and degree_in(x, v) not in (0, NEG_INF):
             raise VariableMismatch(f"cannot drop {v!r}, it occurs in {format_poly(x)}")
-    pos = {v: i for i, v in enumerate(variables)}
-    acc: dict[Exponents, Fraction] = {}
+    if len(set(variables)) != len(variables):
+        raise VariableMismatch(f"duplicate variable in {variables!r}")
+    pos = [variables.index(v) if v in variables else None for v in x.variables]
+    terms = []
     for exps, coeff in x.terms:
         key = [0] * len(variables)
-        for v, e in zip(x.variables, exps):
+        for i, e in zip(pos, exps):
             if e:
-                key[pos[v]] = e
-        k = tuple(key)
-        acc[k] = acc.get(k, Fraction(0)) + coeff
-    return Poly(variables, acc)
+                key[i] = e
+        terms.append((tuple(key), coeff))
+    return Poly._trusted(variables, terms)
 
 
 def coefficient_in(x: Poly, var: str, power: int) -> Poly:
@@ -389,8 +352,7 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
     """
     if w.is_zero():
         raise ValueError("division by the zero polynomial")
-    if x.variables != w.variables:
-        w = change_variables(w, x.variables)
+    w = change_variables(w, x.variables)
     i = x.variables.index(var)
     for exps, _ in w.terms:
         if any(e != 0 for j, e in enumerate(exps) if j != i):

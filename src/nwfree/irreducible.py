@@ -20,6 +20,7 @@ from .exactpoly import (
     NEG_INF,
     Exponents,
     Poly,
+    Shift,
     _integer_terms,
     _taylor_shift,
     apply_shift,
@@ -440,17 +441,15 @@ class _IntegerAction(NamedTuple):
     """A generator x on integer vectors: v -> shift_x(v) * (x.1 scaled to integers)."""
 
     generator: BasisSymbol
-    variables: Tuple[str, ...]
-    offsets: Tuple[Tuple[str, int], ...]  # shift_x's (variable, offset) pairs
+    offsets: Shift  # shift_x, one offset per module variable
     numerators: Tuple[Tuple[Exponents, int], ...]  # x.1 over one common denominator
     degree: int  # total degree of x.1, when it is nonzero
 
 
-def _integer_action(spec, algebra: str, variables, x: BasisSymbol) -> _IntegerAction:
+def _integer_action(spec, algebra: str, x: BasisSymbol) -> _IntegerAction:
     value = value_on_one(spec, x)
     numerators = tuple(_integer_terms(value)[0].items())
-    offsets = shift_of(algebra, x).offsets
-    return _IntegerAction(x, variables, offsets, numerators, value.total_degree())
+    return _IntegerAction(x, shift_of(algebra, x), numerators, value.total_degree())
 
 
 def _oracle_image(action: _IntegerAction, vector: dict, degree: int, cap_degree: int):
@@ -463,7 +462,7 @@ def _oracle_image(action: _IntegerAction, vector: dict, degree: int, cap_degree:
     if not action.numerators or degree + action.degree > cap_degree:
         return None
     image = {}
-    for e1, c1 in _taylor_shift(vector, action.variables, action.offsets).items():
+    for e1, c1 in _taylor_shift(vector, action.offsets).items():
         for e2, c2 in action.numerators:
             key = tuple(a + b for a, b in zip(e1, e2))
             image[key] = image.get(key, 0) + c1 * c2
@@ -505,7 +504,7 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     if seed.total_degree() > max_degree:
         raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
     algebra = algebra_of(spec)
-    actions = [_integer_action(spec, algebra, variables, x) for x in generators(spec)]
+    actions = [_integer_action(spec, algebra, x) for x in generators(spec)]
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)

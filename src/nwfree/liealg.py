@@ -32,7 +32,6 @@ H4 = "H4"
 AFFINE_H4 = "AffineH4"
 VIR00 = "Vir00"
 AFF_VIR = "AffineVirasoroH4"
-ALGEBRAS = (H4, AFFINE_H4, VIR00, AFF_VIR)
 
 
 class SymbolNotInAlgebra(ValueError):
@@ -281,13 +280,13 @@ def parse_loop_index(text: str) -> int:
 def parse_symbol(text: str, alg: str | None = None) -> BasisSymbol:
     """Inverse of format_symbol: `p@2`, `dvir@-1`, `k`, `d`, `w@1`."""
     text = text.strip()
-    name, _, idx = text.partition("@")
+    name, sep, idx = text.partition("@")
     if name == "w":
         name = "s"
     if name not in KIND_RANK:
         raise SymbolNotInAlgebra(f"unknown basis symbol {text!r}")
     loop = 0
-    if idx:
+    if sep:  # `p@` names no loop index, so it is not `p`
         try:
             loop = parse_loop_index(idx)
         except ValueError:

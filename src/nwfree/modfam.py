@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-from .exactpoly import (
-    Poly,
-    Shift,
-    SHIFT_IDENTITY,
-    apply_shift,
-    change_variables,
-)
+from .exactpoly import Poly, Shift, apply_shift, change_variables
 from .liealg import (
     AFF_VIR,
     AFFINE_H4,
@@ -176,11 +170,11 @@ class H4Family:
 
 
 def mg0(g) -> H4Family:
-    return H4Family("Mg0", g=_poly_in(g, ("s",), "g"))
+    return H4Family("Mg0", g=g)
 
 
 def m0g(g) -> H4Family:
-    return H4Family("M0g", g=_poly_in(g, ("s",), "g"))
+    return H4Family("M0g", g=g)
 
 
 def mhb(a1: Scalar, a2: Scalar, b: Scalar) -> H4Family:
@@ -417,25 +411,28 @@ def spec_window(spec: AnySpec) -> Optional[int]:
 
 
 def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
-    """The variable shift the algebra forces on x's action, value aside."""
+    """The variable shift the algebra forces on x's action, value aside.
+
+    One offset per variable of MODULE_VARIABLES[algebra], in that order.
+    """
     kind, n = symbol.kind, symbol.loop_index
     s_off = {"p": -1, "q": 1}.get(kind, 0)
     if algebra == H4:
-        return Shift.of(s=s_off)
+        return (s_off,)
     if algebra == AFFINE_H4:
         if kind in ("k", "d"):
-            return SHIFT_IDENTITY
-        return Shift.of(s=s_off, d=-n)
+            return (0, 0)
+        return (s_off, -n)
     if algebra == VIR00:
         if kind == "k":
-            return SHIFT_IDENTITY
-        return Shift.of(d0=-n)
+            return (0, 0)
+        return (-n, 0)
     if algebra == AFF_VIR:
         if kind == "k":
-            return SHIFT_IDENTITY
+            return (0, 0)
         if kind == "dvir":
-            return Shift.of(d=-n)
-        return Shift.of(s=s_off, d=-n)
+            return (0, -n)
+        return (s_off, -n)
     raise SpecInvalid(f"unknown algebra {algebra!r}")
 
 
@@ -533,8 +530,7 @@ def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
         return Poly(variables, acc)
     algebra = algebra_of(spec)
     check_in_algebra(algebra, x)
-    if v.variables != variables:
-        v = change_variables(v, variables)
+    v = change_variables(v, variables)
     if v.is_zero():
         return v
     value = value_on_one(spec, x)

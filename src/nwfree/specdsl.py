@@ -9,10 +9,16 @@ Polynomial grammar (variables s, d, d0, w0):
     RATIONAL := INTEGER ('/' INTEGER)?
 
 A power whose degree would pass MAX_DEGREE is a syntax error at its
-exponent, so no document makes the parser multiply without bound.
-Digits are ASCII only, and a numeral longer than MAX_DIGITS is a syntax
-error at the numeral.  Rational parameters and windows take ASCII digits
-without underscores too; anything else is a syntax error at the value.
+exponent, and a product whose degree would pass it is one at its `*`.  A
+product with a coefficient whose numerator or denominator has more than
+MAX_DIGITS digits is a syntax error at its `*`; a power is checked the
+same way after each of its multiplications, at its `^`.  Parentheses and
+unary minus nested more than MAX_NESTING deep, counted together, are a
+syntax error at the `(` or `-` that passes the limit.  So no document
+makes the parser multiply or recurse without bound.  Digits are ASCII
+only, and a numeral longer than MAX_DIGITS is a syntax error at the
+numeral.  Rational parameters and windows take ASCII digits without
+underscores too; anything else is a syntax error at the value.
 A loop index (`beta.-2`, `p@1`) is an optional `-` followed by ASCII
 digits; anything else is a syntax error at the key.
 
@@ -107,7 +113,14 @@ _ALLOWED_VARIABLES = ("s", "d", "d0", "w0")
 MAX_DEGREE = 64
 
 # Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
+# Products and powers keep every numerator and denominator below 10^MAX_DIGITS.
 MAX_DIGITS = 1000
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
+# Deepest nesting of parentheses and unary minus, counted together.  The
+# parser recurses through four frames per parenthesis, so this stays well
+# inside the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
 
 _DIGITS = "0123456789"
 
@@ -172,6 +185,7 @@ class _PolyParser:
         self.variables = variables
         self.end_line = end_line
         self.end_col = end_col
+        self.depth = 0  # open parentheses and unary minus signs
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -186,6 +200,17 @@ class _PolyParser:
         if tok is None:
             raise DslSyntaxError(message, self.end_line, self.end_col)
         raise DslSyntaxError(message, tok.line, tok.col)
+
+    def nest(self, tok) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting exceeds the limit {MAX_NESTING}", tok)
+
+    def bounded(self, value: Poly, what: str, tok) -> Poly:
+        for _, c in value.terms:
+            if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+                self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
+        return value
 
     def expr(self) -> Poly:
         value = self.term()
@@ -204,13 +229,19 @@ class _PolyParser:
             if tok is None or tok.kind != "op" or tok.text != "*":
                 return value
             self.take()
-            value = value * self.factor()
+            rhs = self.factor()
+            if value.total_degree() + rhs.total_degree() > MAX_DEGREE:
+                self.fail(f"product exceeds the degree limit {MAX_DEGREE}", tok)
+            value = self.bounded(value * rhs, "product", tok)
 
     def factor(self) -> Poly:
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "-":
             self.take()
-            return -self.factor()
+            self.nest(tok)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         value = self.atom()
         tok = self.peek()
         if tok is not None and tok.kind == "op" and tok.text == "^":
@@ -222,7 +253,10 @@ class _PolyParser:
             n = int(exponent.text)
             if n * max(value.total_degree(), 1) > MAX_DEGREE:
                 self.fail(f"power ^{n} exceeds the degree limit {MAX_DEGREE}", exponent)
-            value = value ** n
+            # as Poly.__pow__ does, but checked after every multiplication
+            base, value = value, Poly.one(self.variables)
+            for _ in range(n):
+                value = self.bounded(value * base, "power", tok)
         return value
 
     def atom(self) -> Poly:
@@ -246,10 +280,12 @@ class _PolyParser:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
             return Poly.var(self.variables, tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             value = self.expr()
             closing = self.take()
             if closing is None or closing.text != ")":
                 self.fail("expected ')'", closing)
+            self.depth -= 1
             return value
         self.fail(f"unexpected {tok.text!r}", tok)
 

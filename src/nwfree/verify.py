@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Tuple
 
 from .exactpoly import Poly, apply_shift, format_poly, monomials_upto
@@ -105,9 +106,6 @@ class VerificationReport:
     def skipped(self) -> int:
         return sum(1 for e in self.entries if e.status == SKIP)
 
-    def failures(self) -> Tuple[ReportEntry, ...]:
-        return tuple(e for e in self.entries if e.status == FAIL)
-
 
 # Plans kept at once.  A plan depends only on the algebra, the generator
 # tuple and the test degree, so the keys are few: perfbench's verify slots
@@ -146,7 +144,7 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
     shifts = [share(shift_of(algebra, x)) for x in gens]
     brackets = []
     for a, b in combinations(range(len(gens)), 2):
-        pair_shifts = [share(shifts[a].compose(shifts[b]))]
+        pair_shifts = [share(tuple(map(add, shifts[a], shifts[b])))]
         zs, terms = [], []
         for z, c in bracket(algebra, gens[a], gens[b]).terms:
             if z not in position:

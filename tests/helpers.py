@@ -169,15 +169,12 @@ def corrupted_fixtures():
 
 def apply_shift_reference(sh, x):
     """apply_shift by binomial expansion of (v + o)^e, term by term."""
-    for var, _ in sh.offsets:
-        if var not in x.variables:
-            raise VariableMismatch(f"shift touches {var!r}, absent from {x.variables!r}")
-    index = {v: i for i, v in enumerate(x.variables)}
+    if len(sh) != len(x.variables):
+        raise VariableMismatch(f"shift {sh!r} does not fit variables {x.variables!r}")
     acc = {}
     for exps, coeff in x.terms:
         expansion = {exps: coeff}
-        for var, off in sh.offsets:
-            i = index[var]
+        for i, off in enumerate(sh):
             step = {}
             for evec, c in expansion.items():
                 e = evec[i]
@@ -358,7 +355,8 @@ def verify_module_reference(spec, window=3, test_degree=3):
                 entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
                 continue
             sx, sy = shift_of(algebra, x), shift_of(algebra, y)
-            parts = {sx.compose(sy): apply_shift(sx, y1) * x1 - apply_shift(sy, x1) * y1}
+            sxy = tuple(a + b for a, b in zip(sx, sy))
+            parts = {sxy: apply_shift(sx, y1) * x1 - apply_shift(sy, x1) * y1}
             for sz, c, z1 in terms:
                 parts[sz] = parts.get(sz, zero) - c * z1
             parts = [(shift, r) for shift, r in parts.items() if not r.is_zero()]

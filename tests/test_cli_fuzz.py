@@ -20,6 +20,8 @@ from helpers import sample_specs
 
 SPEC_DOCS = [format_spec(spec) for _, spec in sample_specs()]
 ACTION_DOCS = [format_actions(actions_of(spec)) for _, spec in sample_specs()]
+NESTED_PARENTHESES = "algebra = H4\nfamily = Mg0\ng = " + "(" * 600 + "s" + ")" * 600 + "\n"
+NESTED_MINUS = "algebra = H4\nfamily = Mg0\ng = " + "-" * 1000 + "s\n"
 
 _index = st.sampled_from(["-1", "0", "1", "2", "-2", "١", "1_0", " 1", "+1", "", "x",
                           "9" * 30])
@@ -103,6 +105,9 @@ def invocations(draw):
 @given(invocation=invocations())
 # an irreducible spec whose zero seed fails the chain after the verdict is known
 @example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly=0"]))
+# nesting deep enough to exhaust the interpreter's recursion limit
+@example(invocation=(NESTED_PARENTHESES, ["verify"]))
+@example(invocation=(NESTED_MINUS, ["verify"]))
 def test_cli_ends_in_a_defined_exit_code(tmp_path, small_ranges, invocation):
     doc, args = invocation
     path = tmp_path / "fuzz.doc"

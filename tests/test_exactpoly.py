@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from nwfree.exactpoly import (
     NEG_INF,
     Poly,
-    Shift,
     VariableMismatch,
     apply_shift,
     change_variables,
@@ -24,9 +24,9 @@ from helpers import apply_shift_reference
 S = ("s",)
 SD = ("s", "d")
 
-TAU = Shift.of(s=-1)
-TAU_INV = Shift.of(s=1)
-SIGMA = Shift.of(d=-1)
+# shifts are offset vectors in the polynomial's variable order
+TAU = (-1,)  # s -> s - 1 on Q[s]
+SIGMA = (0, -1)  # d -> d - 1 on Q[s, d]
 
 
 def p_s(text_terms):
@@ -85,14 +85,17 @@ def test_shift_sigma_on_product():
 
 def test_shift_combined_offsets():
     # tau^-1 sigma^3 on s + d gives (s+1) + (d-3) = s + d - 2
-    sh = Shift.of(s=1, d=-3)
+    sh = (1, -3)
     x = Poly(SD, {(1, 0): 1, (0, 1): 1})
     assert apply_shift(sh, x) == Poly(SD, {(1, 0): 1, (0, 1): 1, (0, 0): -2})
 
 
 def test_shift_absent_variable_rejected():
+    # a shift of Q[s, d] touches d, absent from Q[s]; a shift must fit the variables
     with pytest.raises(VariableMismatch):
         apply_shift(SIGMA, Poly.one(S))
+    with pytest.raises(VariableMismatch):
+        apply_shift(TAU, Poly.zero(SD))
 
 
 def test_negate_var_examples():
@@ -128,6 +131,17 @@ def test_change_variables_embed_and_restrict():
     assert change_variables(wide, S) == g
     with pytest.raises(VariableMismatch):
         change_variables(Poly(SD, {(0, 1): 1}), S)
+
+
+def test_change_variables_keeps_or_remaps():
+    x = Poly(SD, {(2, 1): 3, (0, 2): Fraction(1, 2), (1, 0): -1})
+    assert change_variables(x, SD) is x
+    swapped = change_variables(x, ("d", "s"))
+    assert swapped == Poly(("d", "s"), {(1, 2): 3, (2, 0): Fraction(1, 2), (0, 1): -1})
+    _assert_canonical(swapped)
+    assert change_variables(swapped, SD) == x
+    with pytest.raises(VariableMismatch, match="duplicate variable"):
+        change_variables(Poly.var(S, "s"), ("s", "s"))
 
 
 def test_coefficient_in():
@@ -181,18 +195,15 @@ def test_degree_drop_under_tau(x):
     st.integers(min_value=-4, max_value=4),
 )
 def test_shift_composition(x, a, b, c, d):
-    u = Shift.of(s=a, d=b)
-    v = Shift.of(s=c, d=d)
-    assert apply_shift(u, apply_shift(v, x)) == apply_shift(u.compose(v), x)
-    assert u.compose(v) == Shift.of(s=a + c, d=b + d)
+    # shifts compose by adding their offset vectors
+    assert apply_shift((a, b), apply_shift((c, d), x)) == apply_shift((a + c, b + d), x)
 
 
 @settings(max_examples=80, deadline=None)
 @given(poly_st(SD, max_degree=5))
 def test_tau_sigma_commute(x):
-    tau = Shift.of(s=-1)
-    sigma = Shift.of(d=-1)
-    assert apply_shift(tau, apply_shift(sigma, x)) == apply_shift(sigma, apply_shift(tau, x))
+    tau = (-1, 0)
+    assert apply_shift(tau, apply_shift(SIGMA, x)) == apply_shift(SIGMA, apply_shift(tau, x))
 
 
 @settings(max_examples=80, deadline=None)
@@ -231,7 +242,7 @@ def _poly_pair(variables):
        st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
 def test_internal_results_are_canonical(pair, c, a, b):
     u, v = pair
-    shift = Shift.of(s=a) if u.variables == S else Shift.of(s=a, d=b)
+    shift = (a,) if u.variables == S else (a, b)
     for r in (u + v, u - v, u - u, u + (-u), u * v, u * c, c * u, u * 0, -u,
               apply_shift(shift, u)):
         _assert_canonical(r)
@@ -250,8 +261,7 @@ def _shift_case(variables):
     term = st.tuples(st.tuples(*[st.integers(min_value=0, max_value=7)] * n), mixed_fractions_st)
     poly = st.lists(term, max_size=7).map(lambda ts: Poly(variables, ts))
     offsets = st.tuples(*[st.integers(min_value=-3, max_value=3)] * n)
-    shift = offsets.map(lambda offs: Shift(tuple(zip(variables, offs))))
-    return st.tuples(poly, shift, shift)
+    return st.tuples(poly, offsets, offsets)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,7 +271,7 @@ def test_apply_shift_matches_binomial_reference(case):
     shifted = apply_shift(b, x)
     assert shifted == apply_shift_reference(b, x)
     _assert_canonical(shifted)
-    assert apply_shift(a, shifted) == apply_shift(a.compose(b), x)
+    assert apply_shift(a, shifted) == apply_shift(tuple(map(add, a, b)), x)
 
 
 def _integer_shift_case(variables):
@@ -278,11 +288,10 @@ def test_taylor_shift_kernel_matches_binomial_reference(case):
     # the integer kernel shared by apply_shift and the orbit oracle
     variables, ints, offs = case
     before = dict(ints)
-    shift = Shift(tuple(zip(variables, offs)))
-    shifted = _taylor_shift(ints, variables, shift.offsets)
+    shifted = _taylor_shift(ints, offs)
     assert ints == before
     assert all(type(n) is int for n in shifted.values())
-    assert Poly(variables, shifted) == apply_shift_reference(shift, Poly(variables, ints))
+    assert Poly(variables, shifted) == apply_shift_reference(offs, Poly(variables, ints))
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,5 +302,5 @@ def test_format_parse_free_of_spaces(x):
 
 def test_identity_shift_is_identity():
     x = Poly(SD, {(2, 1): 1})
-    assert apply_shift(Shift.of(s=0, d=0), x) == x
-    assert Shift.of(s=0).is_identity()
+    assert apply_shift((0, 0), x) is x
+    assert _taylor_shift({(2, 1): 5}, (0, 0)) == {(2, 1): 5}

@@ -27,6 +27,7 @@ from nwfree.modfam import (
 from nwfree.specdsl import (
     MAX_DEGREE,
     MAX_DIGITS,
+    MAX_NESTING,
     DslSyntaxError,
     UnknownVariable,
     format_actions,
@@ -444,6 +445,78 @@ def test_ascii_rationals_still_parse():
 
 def test_numeral_at_the_digit_limit_parses():
     assert parse_poly("9" * MAX_DIGITS) == Poly.const((), int("9" * MAX_DIGITS))
+
+
+def _g_doc(g):
+    return f"algebra = H4\nfamily = Mg0\ng = {g}\n"
+
+
+def _product(factor, count):
+    return "*".join([factor] * count)
+
+
+NINES = "9" * (MAX_DIGITS // 2)
+
+
+@pytest.mark.parametrize(
+    "g, col, message",
+    [
+        # the value starts at col 5; the (MAX_NESTING + 1)-th `(` or `-` is reported
+        ("(" * 600 + "s" + ")" * 600, 105, "nesting exceeds the limit 100"),
+        ("-" * 1000 + "s", 105, "nesting exceeds the limit 100"),
+        ("-(" * 51 + "s" + ")" * 51, 105, "nesting exceeds the limit 100"),
+        ("(-" * 51 + "s" + ")" * 51, 105, "nesting exceeds the limit 100"),
+        # the 64th `*` of 65 factors (s+1): each factor and its `*` take 6 columns
+        (_product("(s+1)", 1600), 5 + 6 * 64 - 1, "product exceeds the degree limit 64"),
+        ("s^32*s^33", 9, "product exceeds the degree limit 64"),
+        (NINES + "*" + NINES + "9", 5 + len(NINES), "product exceeds the digit limit 1000"),
+        (f"1/{NINES}*1/{NINES}9", 7 + len(NINES), "product exceeds the digit limit 1000"),
+        ("((2^64)^64)^64", 12, "power exceeds the digit limit 1000"),
+        (f"({'9' * 100})^11", 107, "power exceeds the digit limit 1000"),
+        # the degree check on a power keeps its message and its position, the exponent
+        ("(s^2)^40", 11, "power ^40 exceeds the degree limit 64"),
+    ],
+    ids=["parentheses", "unary-minus", "minus-parenthesis", "parenthesis-minus",
+         "long-product", "product-degree", "product-numerator", "product-denominator",
+         "nested-constant-powers", "power-numerator", "power-degree"],
+)
+def test_cli_rejects_deep_nesting_and_unbounded_products(tmp_path, capsys, g, col, message):
+    assert main(["verify", write(tmp_path, "g.spec", _g_doc(g))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 3, col {col}: {message}\n"
+
+
+def test_nesting_products_and_powers_at_their_limits_parse():
+    s = ("s",)
+    assert MAX_NESTING == 100
+    assert parse_poly("(" * MAX_NESTING + "s" + ")" * MAX_NESTING, s) == S
+    assert parse_poly("-" * MAX_NESTING + "s", s) == S
+    assert parse_poly("-(" * 50 + "s" + ")" * 50, s) == S
+    assert parse_poly(_product("(s+1)", MAX_DEGREE), s) == (S + Poly.one(s)) ** MAX_DEGREE
+    # (10^500 - 1)^2 has exactly MAX_DIGITS digits
+    square = parse_poly(NINES + "*" + NINES)
+    assert square == Poly.const((), int(NINES) ** 2)
+    assert len(str(square.constant_value())) == MAX_DIGITS
+    assert parse_poly(f"({'9' * 100})^10") == Poly.const((), int("9" * 100) ** 10)
+    assert parse_poly("(1/3)^64*(1/3)^64") == Poly.const((), Fraction(1, 3 ** 128))
+
+
+@pytest.mark.parametrize(
+    "doc, line, col, message",
+    [
+        ("algebra = H4\nq = 1\np@ = s\nr = -1\ns = s\n", 3, 1, "bad loop index in 'p@'"),
+        ("algebra = AffineH4\nwindow = 1\n  k@ = 0\n", 3, 3, "bad loop index in 'k@'"),
+    ],
+    ids=["p-at", "k-at"],
+)
+def test_empty_loop_index_is_reported_at_the_key(doc, line, col, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_actions(doc)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+    for text in ("p@", "k@", "dvir@"):
+        with pytest.raises(SymbolNotInAlgebra):
+            parse_symbol(text)
 
 
 HUGE = 10 ** 12
