@@ -15,12 +15,12 @@ from typing import Union
 
 from .exactpoly import (
     Poly,
-    apply_shift,
     change_variables,
     coefficient_in,
     degree_in,
     format_poly,
     negate_var,
+    shift_mul,
 )
 from .liealg import AFFINE_H4, H4, BasisSymbol, D, K, P, Q, R, S, format_symbol, sym
 from .modfam import (
@@ -127,7 +127,7 @@ def classify_h4(data: ActionData) -> ClassificationResult:
             f"degree pair ({dp}, {dq}) is not (0,0), (1,0) or (0,1)",
         )
     # [p, q].1 = p.(q.1) - q.(p.1)
-    forced = apply_shift(shift_of(H4, P), q1) * p1 - apply_shift(shift_of(H4, Q), p1) * q1
+    forced = shift_mul(shift_of(H4, P), q1, p1) - shift_mul(shift_of(H4, Q), p1, q1)
     if forced != Poly.const(("s",), r1):
         return Rejected(
             "r1-product-rule",

@@ -15,17 +15,25 @@ rounded.  The degree of the zero polynomial is the NEG_INF sentinel, not
 where tau is the shift s -> s - 1.  A shift substitutes v -> v + c per
 variable, so it is an offset vector of integers, one per variable in the
 polynomial's variable order, and shifts compose by adding their vectors;
-`negate_var` substitutes v -> -v.  Shifting is done on integers, by one
-kernel: `_taylor_shift` shifts an integer polynomial {exponents: int}
-along dense coefficient rows by a Horner-type recurrence.  `apply_shift`
-clears denominators once (`_integer_terms`), runs the kernel and builds
-one Fraction per output term; the orbit oracle in `irreducible` runs the
-kernel on its integer vectors directly.
+`negate_var` substitutes v -> -v.
+
+Shifting and multiplying are done on integers, by one kernel:
+`_shift_mul(ints, offsets, factor)` shifts an integer polynomial
+{exponents: int} with `_taylor_shift` (a Horner-type recurrence along
+dense coefficient rows) and multiplies it by the integer factor.
+`shift_mul(sh, x, w)`, equal to apply_shift(sh, x) * w, clears each
+side's denominators once (`_integer_terms`), runs the kernel and builds
+one Fraction per output term (`_from_integer_terms`); `Poly.__mul__` is
+the same product with zero offsets, and `apply_shift` runs the shift
+alone.  Every action here is shift-then-multiply, so `modfam.act`,
+`verify_module`, `classify`'s product rule and the witness call
+`shift_mul`, while `irreducible.apply_chain_op` and the orbit oracle run
+`_shift_mul` on their integer vectors directly.
 
 The public `Poly(...)` constructor validates and canonicalizes its input,
 which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
-unary `-`, `apply_shift` and `change_variables`) already holds merged
-Fraction terms over one variable set, so it builds canonical results
+unary `-`, `apply_shift`, `shift_mul` and `change_variables`) already
+holds merged terms over one variable set, so it builds canonical results
 directly through `Poly._trusted`, which only drops zero coefficients and
 sorts.
 """
@@ -36,6 +44,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
 Rational = Fraction
@@ -207,12 +216,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Poly._trusted(self.variables, acc.items())
+        return shift_mul((0,) * len(self.variables), self, other)
 
     __rmul__ = __mul__
 
@@ -230,8 +234,17 @@ class Poly:
 
 def _integer_terms(x: Poly) -> Tuple[dict, int]:
     """x times the lcm L of its denominators, as {exponents: int}, and L."""
-    scale = lcm(*(c.denominator for _, c in x.terms))
+    scale = lcm(*[c.denominator for _, c in x.terms])
+    if scale == 1:
+        return {e: c.numerator for e, c in x.terms}, 1
     return {e: c.numerator * (scale // c.denominator) for e, c in x.terms}, scale
+
+
+def _from_integer_terms(variables: Tuple[str, ...], ints: dict, scale: int) -> Poly:
+    """The polynomial {exponents: int} / scale: one Fraction per nonzero term."""
+    if scale == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
+        return Poly._trusted(variables, [(e, Fraction(n)) for e, n in ints.items() if n])
+    return Poly._trusted(variables, [(e, Fraction(n, scale)) for e, n in ints.items() if n])
 
 
 def _taylor_shift(ints: dict, offsets: Shift) -> dict:
@@ -269,6 +282,22 @@ def _taylor_shift(ints: dict, offsets: Shift) -> dict:
     return ints
 
 
+def _shift_mul(ints: dict, offsets: Shift, factor) -> dict:
+    """shift(ints) * factor on integers, as {exponents: int}.
+
+    `ints` is an integer polynomial {exponents: int}, `offsets` a shift
+    for `_taylor_shift`, and `factor` a sequence of (exponents, int)
+    pairs.  Entries that cancel stay in the result as 0.
+    """
+    out: dict = {}
+    get = out.get
+    for e1, c1 in _taylor_shift(ints, offsets).items():
+        for e2, c2 in factor:
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
 def apply_shift(sh: Shift, x: Poly) -> Poly:
     """Substitute v -> v + sh[i] for the i-th variable v of x, exactly.
 
@@ -282,10 +311,24 @@ def apply_shift(sh: Shift, x: Poly) -> Poly:
     if not any(sh) or x.is_zero():
         return x
     ints, scale = _integer_terms(x)
-    ints = _taylor_shift(ints, sh)
-    if scale == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
-        return Poly._trusted(x.variables, [(e, Fraction(n)) for e, n in ints.items()])
-    return Poly._trusted(x.variables, [(e, Fraction(n, scale)) for e, n in ints.items()])
+    return _from_integer_terms(x.variables, _taylor_shift(ints, sh), scale)
+
+
+def shift_mul(sh: Shift, x: Poly, w: Poly) -> Poly:
+    """apply_shift(sh, x) * w, computed on integers.
+
+    Each side is scaled once to integers by the lcm of its denominators,
+    `_shift_mul` shifts and multiplies the numerators, and one
+    Fraction(n, Lx * Lw) is built per nonzero output term.
+    """
+    if len(sh) != len(x.variables):
+        raise VariableMismatch(f"shift {sh!r} does not fit variables {x.variables!r}")
+    x._check_same(w)
+    ints, scale_x = _integer_terms(x)
+    factor, scale_w = _integer_terms(w)
+    return _from_integer_terms(
+        x.variables, _shift_mul(ints, sh, factor.items()), scale_x * scale_w
+    )
 
 
 def negate_var(x: Poly, var: str) -> Poly:

@@ -6,9 +6,11 @@ constant, so the cyclic submodule it generates contains 1.  Reducible specs
 come with a principal ideal shown invariant under every generator on a test
 basis.  An orbit-closure oracle gives an independent brute-force cross-check.
 
-The witness and the oracle both use that every action is shift-then-multiply,
-x.v = shift_x(v) * x.1: the witness acts once per generator, on the ideal
-generator, and the oracle eliminates fraction-free on integer vectors.
+The chain operators, the witness and the oracle all use that every action
+is shift-then-multiply, x.v = shift_x(v) * x.1, through the integer kernel
+of `exactpoly`: a chain operator sums its parts' images over one common
+denominator, the witness acts once per generator, on the ideal generator,
+and the oracle eliminates fraction-free on integer vectors.
 """
 
 import math
@@ -21,17 +23,18 @@ from .exactpoly import (
     Exponents,
     Poly,
     Shift,
+    _from_integer_terms,
     _integer_terms,
-    _taylor_shift,
-    apply_shift,
+    _shift_mul,
     change_variables,
     degree_in,
     exponents_upto,
     format_poly,
     monomials_upto,
     reduce_mod_univariate,
+    shift_mul,
 )
-from .liealg import AFF_VIR, AFFINE_H4, H4, BasisSymbol, format_symbol, sym
+from .liealg import AFF_VIR, AFFINE_H4, H4, BasisSymbol, check_in_algebra, format_symbol, sym
 from .modfam import (
     AffineSpec,
     AffVirSpec,
@@ -161,13 +164,35 @@ def _base_family(spec) -> Optional[H4Family]:
 
 
 def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
+    """sum(c * x.v) over the parts c*x of op, computed on integers.
+
+    v is scaled to integers once; each part's image shift_x(v) * x.1 is
+    taken on v's numerators and x.1's with `_shift_mul`, and the parts are
+    summed over one common denominator, so the result is built once.
+    Every symbol is checked against the algebra, even when v is zero.
+    """
     variables = module_variables(spec)
     v = change_variables(v, variables)
-    total = Poly.zero(variables)
+    algebra = algebra_of(spec)
+    ints, scale = _integer_terms(v)
+    images = []  # (numerator, denominator, integer image) per part
     for coeff, symbol in op.parts:
-        term = v if symbol is None else act(spec, symbol, v)
-        total = total + coeff * term
-    return total
+        if symbol is None:
+            images.append((coeff.numerator, coeff.denominator, ints))
+            continue
+        check_in_algebra(algebra, symbol)
+        if not ints:
+            continue  # x.0 = 0, even for a symbol outside the window
+        value, den = _integer_terms(value_on_one(spec, symbol))
+        image = _shift_mul(ints, shift_of(algebra, symbol), value.items())
+        images.append((coeff.numerator, coeff.denominator * den, image))
+    common = math.lcm(*(den for _, den, _ in images))
+    total: dict = {}
+    for num, den, image in images:
+        num *= common // den
+        for exps, n in image.items():
+            total[exps] = total.get(exps, 0) + num * n
+    return _from_integer_terms(variables, total, scale * common)
 
 
 def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
@@ -401,10 +426,9 @@ def witness(spec) -> ReducibilityWitness:
 
     Every action is shift-then-multiply, so the image of ideal * m under x
     is shift_x(m) * R_x with R_x = x.ideal: each generator acts once, on
-    the ideal generator, and each image is one product with a shifted
-    monomial.  The shifted monomials are built once per distinct shift.
-    When R_x reduces to zero modulo the ideal, every image of x lies in the
-    ideal; only otherwise is each image reduced on its own.
+    the ideal generator, and each image is one `shift_mul`.  When R_x
+    reduces to zero modulo the ideal, every image of x lies in the ideal;
+    only otherwise is each image reduced on its own.
     """
     verdict = decide(spec)
     if verdict.irreducible:
@@ -413,17 +437,13 @@ def witness(spec) -> ReducibilityWitness:
     variables = module_variables(spec)
     algebra = algebra_of(spec)
     monomials = monomials_upto(variables, 4)
-    shifted = {}  # shift -> the test monomials under it
     checks = []
     for x in generators(spec):
         sh = shift_of(algebra, x)
-        moved = shifted.get(sh)
-        if moved is None:
-            moved = shifted[sh] = [apply_shift(sh, m) for m in monomials]
         r_x = act(spec, x, ideal)
         closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
-        for m, moved_m in zip(monomials, moved):
-            image = moved_m * r_x
+        for m in monomials:
+            image = shift_mul(sh, m, r_x)
             contained = closed or reduce_mod_univariate(image, ideal, var).is_zero()
             checks.append(ClosureCheck(x, m, image, contained))
     return ReducibilityWitness(ideal, tuple(checks))
@@ -461,12 +481,7 @@ def _oracle_image(action: _IntegerAction, vector: dict, degree: int, cap_degree:
     """
     if not action.numerators or degree + action.degree > cap_degree:
         return None
-    image = {}
-    for e1, c1 in _taylor_shift(vector, action.offsets).items():
-        for e2, c2 in action.numerators:
-            key = tuple(a + b for a, b in zip(e1, e2))
-            image[key] = image.get(key, 0) + c1 * c2
-    return image
+    return _shift_mul(vector, action.offsets, action.numerators)
 
 
 def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:

@@ -8,8 +8,8 @@ Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
 polynomial 1.  The families differ only in those values, so `act` is
-exactly apply_shift(shift_of(x), v) * value_on_one(x): one shift and one
-multiplication per call, with nothing kept per spec.  Raw `ActionData`
+exactly shift_mul(shift_of(x), v, value_on_one(x)): one integer
+shift-then-multiply per call, with nothing kept per spec.  Raw `ActionData`
 (values on 1 without a family attached) evaluates through the same
 identity, which is what classification and corruption tests rely on.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-from .exactpoly import Poly, Shift, apply_shift, change_variables
+from .exactpoly import Poly, Shift, change_variables, shift_mul
 from .liealg import (
     AFF_VIR,
     AFFINE_H4,
@@ -536,7 +536,7 @@ def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
     value = value_on_one(spec, x)
     if value.is_zero():
         return value
-    return apply_shift(shift_of(algebra, x), v) * value
+    return shift_mul(shift_of(algebra, x), v, value)
 
 
 def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:

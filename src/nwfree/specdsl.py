@@ -10,11 +10,12 @@ Polynomial grammar (variables s, d, d0, w0):
 
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.  A
-product with a coefficient whose numerator or denominator has more than
-MAX_DIGITS digits is a syntax error at its `*`; a power is checked the
-same way after each of its multiplications, at its `^`.  Parentheses and
-unary minus nested more than MAX_NESTING deep, counted together, are a
-syntax error at the `(` or `-` that passes the limit.  So no document
+product or a sum with a coefficient whose numerator or denominator has
+more than MAX_DIGITS digits is a syntax error at its `*`, `+` or `-`; a
+power is checked the same way after each of its multiplications, at its
+`^`.  Parentheses and unary minus nested more than MAX_NESTING deep,
+counted together, are a syntax error at the `(` or `-` that passes the
+limit.  So no document
 makes the parser multiply or recurse without bound.  Digits are ASCII
 only, and a numeral longer than MAX_DIGITS is a syntax error at the
 numeral.  Rational parameters and windows take ASCII digits without
@@ -113,7 +114,7 @@ _ALLOWED_VARIABLES = ("s", "d", "d0", "w0")
 MAX_DEGREE = 64
 
 # Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
-# Products and powers keep every numerator and denominator below 10^MAX_DIGITS.
+# Sums, products and powers keep every numerator and denominator below 10^MAX_DIGITS.
 MAX_DIGITS = 1000
 _DIGIT_BOUND = 10 ** MAX_DIGITS
 
@@ -220,7 +221,7 @@ class _PolyParser:
                 return value
             self.take()
             rhs = self.term()
-            value = value + rhs if tok.text == "+" else value - rhs
+            value = self.bounded(value + rhs if tok.text == "+" else value - rhs, "sum", tok)
 
     def term(self) -> Poly:
         value = self.factor()

@@ -34,9 +34,9 @@ its assignments.  Each request then fills a table of its own values on
 1 as pairs first need them (y, x, then the bracket terms, as evaluating
 through `act` would), computed without `value_on_one`'s cache, so
 verifying a spec leaves nothing behind; a WindowExceeded there marks
-every pair that needs the value as skipped.  The shifted monomials
-sigma(v) are built per request, once per shift, and only for pairs that
-fail.
+every pair that needs the value as skipped.  Every product here, the
+R_sigma and each failing pair's sigma(v) * R_sigma, is one `shift_mul`,
+the integer shift-then-multiply of `exactpoly`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import combinations
 from operator import add
 from typing import Tuple
 
-from .exactpoly import Poly, apply_shift, format_poly, monomials_upto
+from .exactpoly import Poly, format_poly, monomials_upto, shift_mul
 from .liealg import BasisSymbol, bracket, format_symbol
 from .modfam import (
     MAX_WINDOW,
@@ -187,7 +187,6 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     gens = tuple(generators(spec, window))
     zero, monos, symbols, shifts, brackets = _plan(algebra, gens, test_degree)
     values = [None] * len(symbols)  # this request's values on 1, filled on first use
-    shifted: dict = {}  # sigma -> sigma(v) for every test monomial v, for FAIL pairs
     entries = []
     pairs = combinations(range(len(gens)), 2)
     for (a, b), (pair_shifts, zs, terms) in zip(pairs, brackets):
@@ -206,7 +205,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
             entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
             continue
         x1, y1 = values[a], values[b]
-        parts = [apply_shift(shifts[a], y1) * x1 - apply_shift(shifts[b], x1) * y1]
+        parts = [shift_mul(shifts[a], y1, x1) - shift_mul(shifts[b], x1, y1)]
         parts += [zero] * (len(pair_shifts) - 1)
         for z, (k, c) in zip(zs, terms):
             parts[k] = parts[k] - c * values[z]
@@ -214,13 +213,10 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         if not parts:
             entries.extend(ReportEntry(x, y, v, zero, PASS) for v in monos)
             continue
-        for shift, _ in parts:
-            if shift not in shifted:
-                shifted[shift] = [apply_shift(shift, v) for v in monos]
-        for j, v in enumerate(monos):
+        for v in monos:
             residual = zero
             for shift, r in parts:
-                residual = residual + shifted[shift][j] * r
+                residual = residual + shift_mul(shift, v, r)
             status = PASS if residual.is_zero() else FAIL
             entries.append(ReportEntry(x, y, v, residual, status))
     return VerificationReport(algebra, _resolve_window(spec, window), test_degree, tuple(entries))

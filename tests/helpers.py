@@ -190,6 +190,29 @@ def apply_shift_reference(sh, x):
     return Poly(x.variables, acc)
 
 
+def poly_mul_reference(a, b):
+    """Poly.__mul__ as a double loop: one Fraction product and sum per pair of terms."""
+    if a.variables != b.variables:
+        raise VariableMismatch(f"variable sets differ: {a.variables!r} vs {b.variables!r}")
+    acc = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            key = tuple(x + y for x, y in zip(e1, e2))
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return Poly(a.variables, acc)
+
+
+def apply_chain_op_reference(spec, op, v):
+    """apply_chain_op as a sum of `act` images: one Poly product and sum per part."""
+    variables = module_variables(spec)
+    v = change_variables(v, variables)
+    total = Poly.zero(variables)
+    for coeff, symbol in op.parts:
+        term = v if symbol is None else act(spec, symbol, v)
+        total = total + coeff * term
+    return total
+
+
 def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
     """orbit_oracle by elimination on polynomials: a new Poly per step."""
     if cap_degree < max_degree:

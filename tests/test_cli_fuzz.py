@@ -22,6 +22,9 @@ SPEC_DOCS = [format_spec(spec) for _, spec in sample_specs()]
 ACTION_DOCS = [format_actions(actions_of(spec)) for _, spec in sample_specs()]
 NESTED_PARENTHESES = "algebra = H4\nfamily = Mg0\ng = " + "(" * 600 + "s" + ")" * 600 + "\n"
 NESTED_MINUS = "algebra = H4\nfamily = Mg0\ng = " + "-" * 1000 + "s\n"
+# pairwise coprime 1000-digit denominators: a sum no formatter could print
+SIX_FRACTIONS = ("algebra = H4\nfamily = Mg0\ng = "
+                 + "+".join(f"1/{10 ** 999 + k}" for k in (1, 3, 5, 7, 9, 13)) + "\n")
 
 _index = st.sampled_from(["-1", "0", "1", "2", "-2", "١", "1_0", " 1", "+1", "", "x",
                           "9" * 30])
@@ -108,6 +111,8 @@ def invocations(draw):
 # nesting deep enough to exhaust the interpreter's recursion limit
 @example(invocation=(NESTED_PARENTHESES, ["verify"]))
 @example(invocation=(NESTED_MINUS, ["verify"]))
+# a sum of fractions whose denominator passes every product and power limit
+@example(invocation=(SIX_FRACTIONS, ["twist"]))
 def test_cli_ends_in_a_defined_exit_code(tmp_path, small_ranges, invocation):
     doc, args = invocation
     path = tmp_path / "fuzz.doc"

@@ -16,10 +16,11 @@ from nwfree.exactpoly import (
     monomials_upto,
     negate_var,
     reduce_mod_univariate,
+    shift_mul,
     _taylor_shift,
 )
 
-from helpers import apply_shift_reference
+from helpers import apply_shift_reference, poly_mul_reference
 
 S = ("s",)
 SD = ("s", "d")
@@ -304,3 +305,51 @@ def test_identity_shift_is_identity():
     x = Poly(SD, {(2, 1): 1})
     assert apply_shift((0, 0), x) is x
     assert _taylor_shift({(2, 1): 5}, (0, 0)) == {(2, 1): 5}
+
+
+def _operand(variables):
+    # zero, a constant, or a general polynomial with Fraction coefficients
+    n = len(variables)
+    return st.one_of(
+        st.just(Poly.zero(variables)),
+        mixed_fractions_st.map(lambda c: Poly.const(variables, c)),
+        st.lists(st.tuples(st.tuples(*[st.integers(min_value=0, max_value=5)] * n),
+                           mixed_fractions_st), max_size=6).map(lambda ts: Poly(variables, ts)),
+    )
+
+
+def _product_case(variables):
+    offsets = st.tuples(*[st.integers(min_value=-3, max_value=3)] * len(variables))
+    return st.tuples(_operand(variables), _operand(variables), offsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_product_case))
+def test_mul_matches_double_loop_reference(case):
+    x, w, _ = case
+    product = x * w
+    assert product == poly_mul_reference(x, w)
+    _assert_canonical(product)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_product_case))
+def test_shift_mul_matches_shift_then_reference_product(case):
+    x, w, sh = case
+    product = shift_mul(sh, x, w)
+    assert product == poly_mul_reference(apply_shift(sh, x), w)
+    _assert_canonical(product)
+
+
+def test_products_reject_mismatched_variables():
+    for x, w in ((Poly.one(S), Poly.one(SD)), (Poly.zero(SD), Poly.var(S, "s")),
+                 (Poly.one(SD), Poly.one(("d0", "w0")))):
+        with pytest.raises(VariableMismatch):
+            x * w
+        with pytest.raises(VariableMismatch):
+            shift_mul((0,) * len(x.variables), x, w)
+    # a shift that does not fit x, whatever w is
+    with pytest.raises(VariableMismatch):
+        shift_mul((1,), Poly.one(SD), Poly.one(SD))
+    with pytest.raises(VariableMismatch):
+        shift_mul((1, 0), Poly.zero(S), Poly.zero(S))

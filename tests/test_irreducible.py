@@ -18,6 +18,7 @@ from nwfree.exactpoly import (
     reduce_mod_univariate,
 )
 from nwfree.irreducible import (
+    ChainOp,
     NotIrreducible,
     NotReducible,
     SeedZero,
@@ -30,11 +31,13 @@ from nwfree.irreducible import (
     reduction_chain,
     witness,
 )
-from nwfree.liealg import VIR00, sym
+from nwfree.liealg import AFF_VIR, AFFINE_H4, VIR00, SymbolNotInAlgebra, sym
 from nwfree.modfam import (
     SpecInvalid,
+    WindowExceeded,
     act,
     algebra_of,
+    generators,
     Vir00Spec,
     affvir,
     m0,
@@ -51,6 +54,7 @@ from nwfree.modfam import (
 from helpers import (
     S,
     W0,
+    apply_chain_op_reference,
     orbit_oracle_dense_reference,
     orbit_oracle_reference,
     rational_root_reference,
@@ -216,6 +220,93 @@ def test_chain_replay_and_strict_descent(spec):
                 assert degree_in(after, "d") < degree_in(before, "d")
             else:
                 assert after.total_degree() < before.total_degree()
+
+
+# every family, and the irreducible ones with rational parameters
+CHAIN_SPECS = [spec for _, spec in sample_specs()] + [
+    mg0(Fraction(-3, 2)),
+    m0g(3),
+    mhb(Fraction(1, 2), 3, Fraction(-2, 3)),
+    mbh(2, Fraction(-1, 3), 3),
+    mab(Fraction(2, 3), -5),
+    mtilde(mab(2, 3), Fraction(1, 2), {1: 4, -1: 1, 0: 0, 2: 0, -2: 0}, window=2),
+    mtilde(mbh(Fraction(3, 2), -1, 3), -3, {1: Fraction(1, 2), -1: 7, 0: 0}, window=1),
+    affvir(mbh(2, -1, 3), alpha=2, lam=3, window=1),
+    affvir(mab(Fraction(1, 2), 3), alpha=Fraction(-2, 3), lam=Fraction(5, 4), window=2),
+]
+
+
+def _chain_ops(spec):
+    """The operators reduction_chain uses on spec, d-stage ones included."""
+    if not decide(spec).irreducible:
+        return []
+    variables = module_variables(spec)
+    seed = Poly.var(variables, variables[0]) * Poly.var(variables, variables[-1]) ** 2
+    return list(dict.fromkeys(op for op, _ in reduction_chain(spec, seed).chain))
+
+
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def chain_cases(draw):
+    spec = draw(st.sampled_from(CHAIN_SPECS))
+    variables = module_variables(spec)
+    n = len(variables)
+    v = draw(st.one_of(
+        st.just(Poly.zero(variables)),
+        _fractions.map(lambda c: Poly.const(variables, c)),
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), _fractions), max_size=5)
+        .map(lambda ts: Poly(variables, ts)),
+    ))
+    # in-window generators, one outside every window, and one outside every algebra
+    symbols = st.sampled_from(generators(spec) + [None, sym("p", 9), sym("dvir", 0)])
+    ops = [st.lists(st.tuples(_fractions, symbols), min_size=1, max_size=4)
+           .map(lambda parts: ChainOp(tuple(parts)))]
+    chain_ops = _chain_ops(spec)
+    if chain_ops:
+        ops.append(st.sampled_from(chain_ops))
+    return spec, draw(st.one_of(*ops)), v
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (WindowExceeded, SymbolNotInAlgebra) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+def test_apply_chain_op_matches_act_reference(case):
+    spec, op, v = case
+    got = _outcome(apply_chain_op, spec, op, v)
+    assert got == _outcome(apply_chain_op_reference, spec, op, v)
+    if isinstance(got, Poly):
+        assert got == Poly(got.variables, got.terms)
+
+
+def test_chain_ops_cover_the_d_stage():
+    # d-stage operators pair a loop-1 generator with its loop-0 companion, no identity
+    affine = [spec for spec in CHAIN_SPECS
+              if algebra_of(spec) in (AFFINE_H4, AFF_VIR) and decide(spec).irreducible]
+    assert {algebra_of(spec) for spec in affine} == {AFFINE_H4, AFF_VIR}
+    for spec in affine:
+        assert any(len(op.parts) == 2 and None not in [x for _, x in op.parts]
+                   for op in _chain_ops(spec))
+
+
+def test_chain_op_checks_every_symbol_even_on_zero():
+    spec = mtilde(mab(2, 3), 2, {1: 0, -1: 0, 0: 0}, window=1)
+    zero = Poly.zero(SD)
+    # outside the window: nothing to evaluate on 0, an error on anything else
+    outside = ChainOp(((Fraction(1), sym("p", 5)),))
+    assert apply_chain_op(spec, outside, zero) == zero
+    with pytest.raises(WindowExceeded):
+        apply_chain_op(spec, outside, Poly.one(SD))
+    # outside the algebra: an error even on 0
+    with pytest.raises(SymbolNotInAlgebra):
+        apply_chain_op(spec, ChainOp(((Fraction(1), sym("dvir", 0)),)), zero)
 
 
 # ---------------------------------------------------------------- witness

@@ -456,6 +456,8 @@ def _product(factor, count):
 
 
 NINES = "9" * (MAX_DIGITS // 2)
+# pairwise coprime 1000-digit denominators: the sum's passes 4,300 digits
+SIX_FRACTIONS = "+".join(f"1/{10 ** 999 + k}" for k in (1, 3, 5, 7, 9, 13))
 
 
 @pytest.mark.parametrize(
@@ -475,10 +477,14 @@ NINES = "9" * (MAX_DIGITS // 2)
         (f"({'9' * 100})^11", 107, "power exceeds the digit limit 1000"),
         # the degree check on a power keeps its message and its position, the exponent
         ("(s^2)^40", 11, "power ^40 exceeds the degree limit 64"),
+        # each `1/N` takes 1002 columns; the first `+` already passes the limit
+        (SIX_FRACTIONS, 5 + 1002, "sum exceeds the digit limit 1000"),
+        ("-" + "9" * MAX_DIGITS + "-1", 6 + MAX_DIGITS, "sum exceeds the digit limit 1000"),
     ],
     ids=["parentheses", "unary-minus", "minus-parenthesis", "parenthesis-minus",
          "long-product", "product-degree", "product-numerator", "product-denominator",
-         "nested-constant-powers", "power-numerator", "power-degree"],
+         "nested-constant-powers", "power-numerator", "power-degree", "sum-denominator",
+         "difference-numerator"],
 )
 def test_cli_rejects_deep_nesting_and_unbounded_products(tmp_path, capsys, g, col, message):
     assert main(["verify", write(tmp_path, "g.spec", _g_doc(g))]) == 2
@@ -500,6 +506,12 @@ def test_nesting_products_and_powers_at_their_limits_parse():
     assert len(str(square.constant_value())) == MAX_DIGITS
     assert parse_poly(f"({'9' * 100})^10") == Poly.const((), int("9" * 100) ** 10)
     assert parse_poly("(1/3)^64*(1/3)^64") == Poly.const((), Fraction(1, 3 ** 128))
+    # sums: 10^1000 - 1 and (10^500 - 1)(10^500 - 2) have exactly MAX_DIGITS digits
+    top = parse_poly("9" * (MAX_DIGITS - 1) + "8+1").constant_value()
+    assert top == 10 ** MAX_DIGITS - 1
+    low = parse_poly(f"1/{NINES}+1/{NINES[1:]}8").constant_value()
+    assert low == Fraction(1, 10 ** 500 - 1) + Fraction(1, 10 ** 500 - 2)
+    assert len(str(low.denominator)) == MAX_DIGITS
 
 
 @pytest.mark.parametrize(
