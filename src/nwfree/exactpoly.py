@@ -26,9 +26,11 @@ side's denominators once (`_integer_terms`), runs the kernel and builds
 one Fraction per output term (`_from_integer_terms`); `Poly.__mul__` is
 the same product with zero offsets, and `apply_shift` runs the shift
 alone.  Every action here is shift-then-multiply, so `modfam.act`,
-`verify_module`, `classify`'s product rule and the witness call
-`shift_mul`, while `irreducible.apply_chain_op` and the orbit oracle run
-`_shift_mul` on their integer vectors directly.
+`classify`'s product rule and the witness call `shift_mul`, while
+`verify_module`, `irreducible.apply_chain_op` and the orbit oracle run
+`_shift_mul` on their integer maps directly.  `verify_module` and
+`apply_chain_op` sum such integer images, each with a rational factor,
+over one common denominator with `_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes its input,
 which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
@@ -296,6 +298,24 @@ def _shift_mul(ints: dict, offsets: Shift, factor) -> dict:
             key = tuple(map(add, e1, e2))
             out[key] = get(key, 0) + c1 * c2
     return out
+
+
+def _combine(parts) -> Tuple[dict, int]:
+    """sum(num / den * ints) over one common denominator, on integers.
+
+    `parts` is a sequence of (num, den, ints) with den > 0 and `ints` an
+    integer polynomial {exponents: int}.  Returns the integer map and the
+    lcm L of the dens, the sum being map / L; entries that cancel stay in
+    the map as 0, and no parts give ({}, 1).
+    """
+    common = lcm(*[den for _, den, _ in parts])
+    total: dict = {}
+    get = total.get
+    for num, den, ints in parts:
+        num *= common // den
+        for exps, n in ints.items():
+            total[exps] = get(exps, 0) + num * n
+    return total, common
 
 
 def apply_shift(sh: Shift, x: Poly) -> Poly:

@@ -23,6 +23,7 @@ from .exactpoly import (
     Exponents,
     Poly,
     Shift,
+    _combine,
     _from_integer_terms,
     _integer_terms,
     _shift_mul,
@@ -167,8 +168,8 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
     """sum(c * x.v) over the parts c*x of op, computed on integers.
 
     v is scaled to integers once; each part's image shift_x(v) * x.1 is
-    taken on v's numerators and x.1's with `_shift_mul`, and the parts are
-    summed over one common denominator, so the result is built once.
+    taken on v's numerators and x.1's with `_shift_mul`, and `_combine`
+    sums the parts over one common denominator, so the result is built once.
     Every symbol is checked against the algebra, even when v is zero.
     """
     variables = module_variables(spec)
@@ -186,12 +187,7 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
         value, den = _integer_terms(value_on_one(spec, symbol))
         image = _shift_mul(ints, shift_of(algebra, symbol), value.items())
         images.append((coeff.numerator, coeff.denominator * den, image))
-    common = math.lcm(*(den for _, den, _ in images))
-    total: dict = {}
-    for num, den, image in images:
-        num *= common // den
-        for exps, n in image.items():
-            total[exps] = total.get(exps, 0) + num * n
+    total, common = _combine(images)
     return _from_integer_terms(variables, total, scale * common)
 
 

@@ -34,9 +34,14 @@ its assignments.  Each request then fills a table of its own values on
 1 as pairs first need them (y, x, then the bracket terms, as evaluating
 through `act` would), computed without `value_on_one`'s cache, so
 verifying a spec leaves nothing behind; a WindowExceeded there marks
-every pair that needs the value as skipped.  Every product here, the
-R_sigma and each failing pair's sigma(v) * R_sigma, is one `shift_mul`,
-the integer shift-then-multiply of `exactpoly`.
+every pair that needs the value as skipped.  Each value is cleared to
+integers once, when it enters the table.  A pair's R_sigma are then
+formed on integers: shift_x(y.1)*x.1 and shift_y(x.1)*y.1 are one
+`exactpoly._shift_mul` each, and `exactpoly._combine` sums them with
+the terms -c*z.1 over one common denominator.  Each R_sigma is
+zero-tested as an integer map, so a passing pair builds no polynomial;
+a failing pair's residuals sum(sigma(v) * R_sigma) are formed the same
+way, and only a nonzero residual becomes a `Poly`.
 """
 
 from __future__ import annotations
@@ -47,7 +52,15 @@ from itertools import combinations
 from operator import add
 from typing import Tuple
 
-from .exactpoly import Poly, format_poly, monomials_upto, shift_mul
+from .exactpoly import (
+    Poly,
+    _combine,
+    _from_integer_terms,
+    _integer_terms,
+    _shift_mul,
+    format_poly,
+    monomials_upto,
+)
 from .liealg import BasisSymbol, bracket, format_symbol
 from .modfam import (
     MAX_WINDOW,
@@ -70,7 +83,7 @@ FAIL = "FAIL"
 SKIP = "SKIP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEntry:
     x: BasisSymbol
     y: BasisSymbol
@@ -129,9 +142,9 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
     itertools.combinations over the generator positions, the pair's
     distinct shifts sigma (shift_a∘shift_b first), the positions in
     `symbols` of its bracket terms z, and per term c*z the position of
-    shift_z among the pair's shifts and c.  Equal shifts, coefficients and
-    entries are stored once, so a pair with a zero bracket costs one
-    reference.
+    shift_z among the pair's shifts and -c as (numerator, denominator).
+    Equal shifts and entries are stored once, so a pair with a zero
+    bracket costs one reference.
     """
     variables = MODULE_VARIABLES[algebra]
     shared: dict = {}
@@ -155,7 +168,7 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
             if sz not in pair_shifts:
                 pair_shifts.append(sz)
             zs.append(position[z])
-            terms.append((pair_shifts.index(sz), share(c)))
+            terms.append((pair_shifts.index(sz), -c.numerator, c.denominator))
         brackets.append(share((share(tuple(pair_shifts)), tuple(zs), tuple(terms))))
     monomials = tuple(monomials_upto(variables, test_degree))
     return Poly.zero(variables), monomials, tuple(symbols), tuple(shifts), tuple(brackets)
@@ -186,7 +199,8 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     algebra = algebra_of(spec)
     gens = tuple(generators(spec, window))
     zero, monos, symbols, shifts, brackets = _plan(algebra, gens, test_degree)
-    values = [None] * len(symbols)  # this request's values on 1, filled on first use
+    # this request's values on 1 as (integer map, denominator), filled on first use
+    values = [None] * len(symbols)
     entries = []
     pairs = combinations(range(len(gens)), 2)
     for (a, b), (pair_shifts, zs, terms) in zip(pairs, brackets):
@@ -195,7 +209,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         for i in (b, a, *zs):
             if values[i] is None:
                 try:
-                    values[i] = _value_on_one(spec, symbols[i])
+                    values[i] = _integer_terms(_value_on_one(spec, symbols[i]))
                 except WindowExceeded:
                     values[i] = _OUTSIDE
             if values[i] is _OUTSIDE:
@@ -204,21 +218,32 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         if skip:
             entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
             continue
-        x1, y1 = values[a], values[b]
-        parts = [shift_mul(shifts[a], y1, x1) - shift_mul(shifts[b], x1, y1)]
-        parts += [zero] * (len(pair_shifts) - 1)
-        for z, (k, c) in zip(zs, terms):
-            parts[k] = parts[k] - c * values[z]
-        parts = [(shift, r) for shift, r in zip(pair_shifts, parts) if not r.is_zero()]
-        if not parts:
+        (x1, lx), (y1, ly) = values[a], values[b]
+        parts = [[
+            (1, lx * ly, _shift_mul(y1, shifts[a], x1.items())),
+            (-1, lx * ly, _shift_mul(x1, shifts[b], y1.items())),
+        ]]
+        parts += [[] for _ in pair_shifts[1:]]
+        for z, (k, num, den) in zip(zs, terms):
+            z1, lz = values[z]
+            parts[k].append((num, den * lz, z1))
+        nonzero = [  # (sigma, R_sigma as integer map and denominator) where R_sigma != 0
+            (shift, r, scale)
+            for shift, (r, scale) in zip(pair_shifts, map(_combine, parts))
+            if any(r.values())
+        ]
+        if not nonzero:
             entries.extend(ReportEntry(x, y, v, zero, PASS) for v in monos)
             continue
         for v in monos:
-            residual = zero
-            for shift, r in parts:
-                residual = residual + shift_mul(shift, v, r)
-            status = PASS if residual.is_zero() else FAIL
-            entries.append(ReportEntry(x, y, v, residual, status))
+            v1, _ = _integer_terms(v)
+            images = [(1, l, _shift_mul(v1, sh, r.items())) for sh, r, l in nonzero]
+            residual, scale = _combine(images)
+            if any(residual.values()):
+                residual = _from_integer_terms(zero.variables, residual, scale)
+                entries.append(ReportEntry(x, y, v, residual, FAIL))
+            else:
+                entries.append(ReportEntry(x, y, v, zero, PASS))
     return VerificationReport(algebra, _resolve_window(spec, window), test_degree, tuple(entries))
 
 

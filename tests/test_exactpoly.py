@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 import pytest
@@ -17,6 +18,7 @@ from nwfree.exactpoly import (
     negate_var,
     reduce_mod_univariate,
     shift_mul,
+    _combine,
     _taylor_shift,
 )
 
@@ -353,3 +355,39 @@ def test_products_reject_mismatched_variables():
         shift_mul((1,), Poly.one(SD), Poly.one(SD))
     with pytest.raises(VariableMismatch):
         shift_mul((1, 0), Poly.zero(S), Poly.zero(S))
+
+
+def _combination_case(variables):
+    # (num, den, integer image) parts: empty and all-zero images included
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * len(variables))
+    image = st.dictionaries(exps, st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=5)
+    den = st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 35])
+    part = st.tuples(st.integers(min_value=-50, max_value=50), den, image)
+    return st.lists(part, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S, SD]).flatmap(_combination_case), st.booleans())
+def test_combine_matches_fraction_sum(parts, cancel):
+    if cancel:  # each part against its negation: everything cancels
+        parts = parts + [(-num, den, image) for num, den, image in parts]
+    before = [dict(image) for _, _, image in parts]
+    total, common = _combine(parts)
+    assert [image for _, _, image in parts] == before
+    assert common == lcm(*[den for _, den, _ in parts])
+    assert all(type(n) is int for n in total.values())
+    want: dict = {}
+    for num, den, image in parts:
+        for exps, n in image.items():
+            want[exps] = want.get(exps, 0) + Fraction(num, den) * n
+    assert {e: Fraction(n, common) for e, n in total.items() if n} == {
+        e: c for e, c in want.items() if c
+    }
+    if cancel:
+        assert not any(total.values())
+
+
+def test_combine_single_and_empty():
+    assert _combine([(3, 4, {(1,): 2, (0,): -5})]) == ({(1,): 6, (0,): -15}, 4)
+    assert _combine([(1, 6, {})]) == ({}, 6)
+    assert _combine([]) == ({}, 1)

@@ -1,5 +1,8 @@
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
+import helpers
 import pytest
 from helpers import (
     corrupted_data,
@@ -14,8 +17,9 @@ from hypothesis import strategies as st
 
 import nwfree.verify
 from nwfree.exactpoly import Poly
-from nwfree.liealg import D, K, P, Q, R, S, bracket, sym
+from nwfree.liealg import AFF_VIR, H4, VIR00, D, K, P, Q, R, S, bracket, sym
 from nwfree.modfam import (
+    MODULE_VARIABLES,
     ActionData,
     MalformedData,
     SpecInvalid,
@@ -24,12 +28,14 @@ from nwfree.modfam import (
     act,
     actions_of,
     affvir,
+    algebra_of,
     mab,
     mbh,
     mg0,
     mhb,
     mtilde,
     mtilde_f,
+    shift_of,
     spec_window,
     value_on_one,
 )
@@ -229,6 +235,93 @@ def test_verify_matches_reference_on_corrupted_fixtures():
         report = assert_matches_reference(data, max(data.window, 1), 2)
         failed += not report.passed
     assert failed == len(corrupted_fixtures())
+
+
+def rational_polys(variables):
+    """Polynomials of up to three terms whose coefficient denominators all differ."""
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(variables))
+    nums = st.integers(min_value=-9, max_value=9).filter(bool)
+    dens = st.sampled_from([1, 2, 3, 5, 7, 12])
+    term = st.tuples(exps, nums, dens)
+    terms = st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[2])
+    return terms.map(lambda ts: Poly(variables, [(e, Fraction(n, d)) for e, n, d in ts]))
+
+
+@st.composite
+def rational_action_data(draw, specs=REFERENCE_SPECS, central=None, min_window=1):
+    """(window, action data of a reference spec with one value on 1 made rational).
+
+    With `central` unset, k takes the value on half the draws of an algebra
+    that has k; otherwise the symbol is drawn.  At window 2 the central
+    cocycle (a^3-a)/12 of Vir00 and AffineVirasoroH4 is 1/2, so a nonzero
+    k brings its denominator into the common denominator.
+    """
+    _, spec = draw(st.sampled_from(specs))
+    window = draw(st.integers(min_value=min_window, max_value=spec_window(spec) or 2))
+    data = actions_of(spec, window)
+    symbols = [x for x, _ in data.assignments]
+    if central is None:
+        central = K in symbols and draw(st.booleans())
+    symbol = K if central else draw(st.sampled_from(symbols))
+    value = draw(rational_polys(MODULE_VARIABLES[data.algebra]))
+    return window, with_assignment(data, symbol, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_action_data(), st.integers(min_value=1, max_value=2))
+def test_verify_matches_reference_on_rational_values(case, test_degree):
+    window, data = case
+    assert_matches_reference(data, window, test_degree)
+
+
+CENTRAL_SPECS = [
+    (n, s) for n, s in REFERENCE_SPECS
+    if algebra_of(s) in (VIR00, AFF_VIR) and spec_window(s) in (0, 2)
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(rational_action_data(CENTRAL_SPECS, central=True, min_window=2))
+def test_central_value_with_cocycle_denominator_fails_as_reference(case):
+    window, data = case
+    report = assert_matches_reference(data, window, 2)
+    assert not report.passed  # k acts by a nonzero value, which the brackets forbid
+
+
+@contextmanager
+def k_shifted():
+    """Give k a nonzero shift, in verify and in the reference, for a fresh plan.
+
+    Every bracket here is graded, so each pair has one shift sigma.  Moving
+    k off the shift of the pairs whose bracket holds it splits off a
+    second R_sigma that holds k's term alone.
+    """
+
+    def shift(algebra, symbol):
+        offsets = shift_of(algebra, symbol)
+        return (1,) + offsets[1:] if symbol == K else offsets
+
+    nwfree.verify._plan.cache_clear()
+    try:
+        with mock.patch.object(nwfree.verify, "shift_of", shift), \
+                mock.patch.object(helpers, "shift_of", shift):
+            yield
+    finally:
+        nwfree.verify._plan.cache_clear()
+
+
+K_SPECS = [(n, s) for n, s in REFERENCE_SPECS if algebra_of(s) != H4]
+
+
+@settings(max_examples=20, deadline=None)
+@given(rational_action_data(K_SPECS, central=True))
+def test_only_a_second_shift_part_fails_as_reference(case):
+    window, data = case
+    with k_shifted():
+        kept = with_assignment(data, K, Poly.zero(MODULE_VARIABLES[data.algebra]))
+        assert assert_matches_reference(kept, window, 2).passed  # leading R_sigma all zero
+        report = assert_matches_reference(data, window, 2)
+    assert not report.passed
 
 
 @pytest.mark.parametrize(
