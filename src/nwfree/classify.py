@@ -83,9 +83,10 @@ class WindowMismatch(ValueError):
 
 
 def _require(data: ActionData, symbol: BasisSymbol) -> Poly:
-    if not data.has(symbol):
-        raise MalformedData(f"missing generator {format_symbol(symbol)}")
-    return data.value(symbol)
+    try:
+        return data.value(symbol)
+    except KeyError:
+        raise MalformedData(f"missing generator {format_symbol(symbol)}") from None
 
 
 def classify(data: ActionData) -> ClassificationResult:

@@ -32,12 +32,15 @@ alone.  Every action here is shift-then-multiply, so `modfam.act`,
 `apply_chain_op` sum such integer images, each with a rational factor,
 over one common denominator with `_combine`.
 
-The public `Poly(...)` constructor validates and canonicalizes its input,
-which comes from parsers and specs.  Internal arithmetic (`+`, `-`, `*`,
-unary `-`, `apply_shift`, `shift_mul` and `change_variables`) already
-holds merged terms over one variable set, so it builds canonical results
+The public `Poly(...)` constructor validates and canonicalizes any
+mapping or sequence of terms.  Everything else builds canonical results
 directly through `Poly._trusted`, which only drops zero coefficients and
-sorts.
+sorts.  Internal arithmetic (`+`, `-`, `*`, unary `-`, `apply_shift`,
+`shift_mul` and `change_variables`) already holds merged terms over one
+variable set.  The one-term builders `zero`, `one`, `const` and `var`,
+through which the parser builds every numeral and variable, check their
+own arguments instead: distinct variables, an int or Fraction value, a
+known variable name.
 """
 
 from __future__ import annotations
@@ -71,6 +74,13 @@ def _fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _distinct(variables: Iterable[str]) -> Tuple[str, ...]:
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise VariableMismatch(f"duplicate variable in {variables!r}")
+    return variables
+
+
 def _grlex(exps: Exponents) -> tuple:
     # Graded lexicographic sort key: total degree first, then lex on exponents.
     return (sum(exps), exps)
@@ -92,9 +102,7 @@ class Poly:
     terms: Tuple[Tuple[Exponents, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        variables = tuple(self.variables)
-        if len(set(variables)) != len(variables):
-            raise VariableMismatch(f"duplicate variable in {variables!r}")
+        variables = _distinct(self.variables)
         raw = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
         merged: dict[Exponents, Fraction] = {}
         for exps, coeff in raw:
@@ -118,7 +126,7 @@ class Poly:
 
     @classmethod
     def _trusted(cls, variables: Tuple[str, ...], terms) -> "Poly":
-        """A result of internal arithmetic: drop zeros and sort, nothing else.
+        """Terms already checked by the caller: drop zeros and sort, nothing else.
 
         `terms` are (exponents, Fraction) pairs with distinct exponent tuples
         that fit `variables`; the caller guarantees it.
@@ -133,12 +141,12 @@ class Poly:
 
     @staticmethod
     def zero(variables: Iterable[str]) -> "Poly":
-        return Poly(tuple(variables))
+        return Poly._trusted(_distinct(variables), ())
 
     @staticmethod
     def const(variables: Iterable[str], value: Scalar) -> "Poly":
-        variables = tuple(variables)
-        return Poly(variables, {(0,) * len(variables): _fraction(value)})
+        variables = _distinct(variables)
+        return Poly._trusted(variables, (((0,) * len(variables), _fraction(value)),))
 
     @staticmethod
     def one(variables: Iterable[str]) -> "Poly":
@@ -146,11 +154,11 @@ class Poly:
 
     @staticmethod
     def var(variables: Iterable[str], name: str) -> "Poly":
-        variables = tuple(variables)
+        variables = _distinct(variables)
         if name not in variables:
             raise VariableMismatch(f"{name!r} is not among {variables!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return Poly(variables, {exps: Fraction(1)})
+        return Poly._trusted(variables, ((exps, Fraction(1)),))
 
     @staticmethod
     def monomial(variables: Iterable[str], exps: Exponents, coeff: Scalar = 1) -> "Poly":
@@ -381,8 +389,7 @@ def change_variables(x: Poly, variables: Iterable[str]) -> Poly:
     for v in x.variables:
         if v not in variables and degree_in(x, v) not in (0, NEG_INF):
             raise VariableMismatch(f"cannot drop {v!r}, it occurs in {format_poly(x)}")
-    if len(set(variables)) != len(variables):
-        raise VariableMismatch(f"duplicate variable in {variables!r}")
+    variables = _distinct(variables)
     pos = [variables.index(v) if v in variables else None for v in x.variables]
     terms = []
     for exps, coeff in x.terms:

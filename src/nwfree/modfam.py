@@ -324,7 +324,13 @@ def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpe
 
 @dataclass(frozen=True)
 class ActionData:
-    """Raw generator values on 1, detached from any family."""
+    """Raw generator values on 1, detached from any family.
+
+    `assignments` holds (symbol, value) pairs sorted by symbol.  A dict
+    from symbol to value, built beside it once, answers `value` and `has`;
+    it is not a field, so equality, hashing, repr and
+    `dataclasses.replace` see the assignments alone.
+    """
 
     algebra: str
     window: int
@@ -365,15 +371,13 @@ class ActionData:
             seen[symbol] = value
         ordered = tuple(sorted(seen.items(), key=lambda kv: sort_key(kv[0])))
         object.__setattr__(self, "assignments", ordered)
+        object.__setattr__(self, "_index", seen)
 
     def value(self, symbol: BasisSymbol) -> Poly:
-        for key, poly in self.assignments:
-            if key == symbol:
-                return poly
-        raise KeyError(symbol)
+        return self._index[symbol]
 
     def has(self, symbol: BasisSymbol) -> bool:
-        return any(key == symbol for key, _ in self.assignments)
+        return symbol in self._index
 
 
 AnySpec = Union[H4Family, AffineSpec, Vir00Spec, AffVirSpec, ActionData]

@@ -10,13 +10,14 @@ Polynomial grammar (variables s, d, d0, w0):
 
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.  A
-product or a sum with a coefficient whose numerator or denominator has
-more than MAX_DIGITS digits is a syntax error at its `*`, `+` or `-`; a
-power is checked the same way after each of its multiplications, at its
-`^`.  Parentheses and unary minus nested more than MAX_NESTING deep,
-counted together, are a syntax error at the `(` or `-` that passes the
-limit.  So no document
-makes the parser multiply or recurse without bound.  Digits are ASCII
+product whose operands' term counts multiply past MAX_TERM_PAIRS is a
+syntax error at its `*`, before any multiplying.  A product or a sum with
+a coefficient whose numerator or denominator has more than MAX_DIGITS
+digits is a syntax error at its `*`, `+` or `-`.  A power is checked for
+both at each of its multiplications, at its `^`.  Parentheses and unary
+minus nested more than MAX_NESTING deep, counted together, are a syntax
+error at the `(` or `-` that passes the limit.  So no document makes the
+parser multiply or recurse without bound.  Digits are ASCII
 only, and a numeral longer than MAX_DIGITS is a syntax error at the
 numeral.  Rational parameters and windows take ASCII digits without
 underscores too; anything else is a syntax error at the value.
@@ -112,6 +113,12 @@ _ALLOWED_VARIABLES = ("s", "d", "d0", "w0")
 
 # Largest degree a power may reach (a constant base counts as degree 1).
 MAX_DEGREE = 64
+
+# Most term pairs one multiplication may form, the product of its operands'
+# term counts.  It refuses (c*s+c*d+c)^32*(c*s+c*d+c)^32, 561 by 561 terms,
+# and takes 33 by 561.  Outside the tests of this limit, the largest product
+# in the tests and the benchmark documents is 64 by 2 terms.
+MAX_TERM_PAIRS = 20000
 
 # Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
 # Sums, products and powers keep every numerator and denominator below 10^MAX_DIGITS.
@@ -213,6 +220,11 @@ class _PolyParser:
                 self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
         return value
 
+    def multiply(self, a: Poly, b: Poly, what: str, tok) -> Poly:
+        if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+            self.fail(f"{what} exceeds the term-pair limit {MAX_TERM_PAIRS}", tok)
+        return self.bounded(a * b, what, tok)
+
     def expr(self) -> Poly:
         value = self.term()
         while True:
@@ -233,7 +245,7 @@ class _PolyParser:
             rhs = self.factor()
             if value.total_degree() + rhs.total_degree() > MAX_DEGREE:
                 self.fail(f"product exceeds the degree limit {MAX_DEGREE}", tok)
-            value = self.bounded(value * rhs, "product", tok)
+            value = self.multiply(value, rhs, "product", tok)
 
     def factor(self) -> Poly:
         tok = self.peek()
@@ -254,10 +266,10 @@ class _PolyParser:
             n = int(exponent.text)
             if n * max(value.total_degree(), 1) > MAX_DEGREE:
                 self.fail(f"power ^{n} exceeds the degree limit {MAX_DEGREE}", exponent)
-            # as Poly.__pow__ does, but checked after every multiplication
+            # as Poly.__pow__ does, but checked at every multiplication
             base, value = value, Poly.one(self.variables)
             for _ in range(n):
-                value = self.bounded(value * base, "power", tok)
+                value = self.multiply(value, base, "power", tok)
         return value
 
     def atom(self) -> Poly:

@@ -391,3 +391,44 @@ def test_combine_single_and_empty():
     assert _combine([(3, 4, {(1,): 2, (0,): -5})]) == ({(1,): 6, (0,): -15}, 4)
     assert _combine([(1, 6, {})]) == ({}, 6)
     assert _combine([]) == ({}, 1)
+
+
+scalar_st = st.one_of(
+    st.just(0),
+    st.integers(max_value=-1),
+    st.fractions(),
+    st.just(True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(), S, SD, ("d0", "w0")]), scalar_st, st.data())
+def test_one_term_builders_match_validating_construction(variables, value, data):
+    # the builders go through Poly._trusted; Poly(...) validates and merges
+    zeros = (0,) * len(variables)
+    pairs = [
+        (Poly.zero(list(variables)), Poly(variables, {})),
+        (Poly.one(list(variables)), Poly(variables, {zeros: 1})),
+        (Poly.const(list(variables), value), Poly(variables, {zeros: value})),
+    ]
+    if variables:
+        name = data.draw(st.sampled_from(variables))
+        exps = tuple(int(v == name) for v in variables)
+        pairs.append((Poly.var(list(variables), name), Poly(variables, {exps: 1})))
+    for built, checked in pairs:
+        assert built.variables == checked.variables
+        assert built.terms == checked.terms
+        assert all(type(c) is Fraction for _, c in built.terms)
+        assert repr(built) == repr(checked)
+        assert hash(built) == hash(checked)
+
+
+def test_one_term_builders_keep_their_argument_checks():
+    for build in (Poly.zero, Poly.one, lambda v: Poly.const(v, 2), lambda v: Poly.var(v, "s")):
+        with pytest.raises(VariableMismatch, match="duplicate variable"):
+            build(("s", "d", "s"))
+    with pytest.raises(VariableMismatch, match="'d' is not among"):
+        Poly.var(S, "d")
+    for bad in ("1", 1.0):
+        with pytest.raises(TypeError):
+            Poly.const(SD, bad)

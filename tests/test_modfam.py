@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,42 @@ def test_action_data_lookup_errors():
     incomplete = ActionData(AFFINE_H4, 1, {sym("s", 0): S_POLY})
     with pytest.raises(MalformedData):
         act(incomplete, sym("p", 0), Poly.one(("s", "d")))
+
+
+def _scanned(data, symbol):
+    return [value for key, value in data.assignments if key == symbol]
+
+
+@pytest.mark.parametrize(
+    "spec", [mhb(1, 0, 1), mtilde(mab(1, 1), 2, {1: 0, -1: 0}, window=1)], ids=["h4", "affine"]
+)
+def test_action_data_lookups_agree_with_a_scan(spec):
+    data = actions_of(spec)
+    incomplete = ActionData(data.algebra, data.window, data.assignments[1:])
+    for d in (data, incomplete):
+        for symbol in [*generators(spec), sym("p", data.window + 1)]:
+            found = _scanned(d, symbol)
+            assert d.has(symbol) == bool(found)
+            if found:
+                assert d.value(symbol) is found[0]
+            else:
+                with pytest.raises(KeyError):
+                    d.value(symbol)
+
+
+def test_action_data_index_stays_out_of_equality_and_replace():
+    data = actions_of(mtilde(mab(1, 1), 2, {1: 0, -1: 0}, window=1))
+    twin = ActionData(data.algebra, data.window, dict(reversed(data.assignments)))
+    assert twin == data
+    assert hash(twin) == hash(data)
+    assert repr(twin) == repr(data)
+    assert [f.name for f in dataclasses.fields(ActionData)] == ["algebra", "window", "assignments"]
+    one = Poly.one(("s", "d"))
+    bumped = dataclasses.replace(data, assignments=[(k, v + one) for k, v in data.assignments])
+    assert bumped != data
+    for key, value in data.assignments:
+        assert bumped.value(key) == value + one
+        assert bumped.has(key)
 
 
 def test_with_assignment_replaces():

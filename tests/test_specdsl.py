@@ -28,6 +28,7 @@ from nwfree.specdsl import (
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
+    MAX_TERM_PAIRS,
     DslSyntaxError,
     UnknownVariable,
     format_actions,
@@ -512,6 +513,31 @@ def test_nesting_products_and_powers_at_their_limits_parse():
     low = parse_poly(f"1/{NINES}+1/{NINES[1:]}8").constant_value()
     assert low == Fraction(1, 10 ** 500 - 1) + Fraction(1, 10 ** 500 - 2)
     assert len(str(low.denominator)) == MAX_DIGITS
+
+
+# (c*s+c*d+c)^32 has 561 terms, (c*s+c*d)^32 has 33; c has 15 digits
+C15 = "123456789012345"
+WIDE = f"({C15}*s+{C15}*d+{C15})^32"
+NARROW = f"({C15}*s+{C15}*d)^32"
+
+
+def test_products_past_the_term_pair_limit_exit_2_at_their_sign(tmp_path, capsys):
+    assert 33 * 561 <= MAX_TERM_PAIRS < 561 * 561
+    for g, sign, message in [
+        (f"{WIDE}*{WIDE}", f"{WIDE}*", "product exceeds the term-pair limit"),
+        (f"({WIDE})^2", f"({WIDE})^", "power exceeds the term-pair limit"),
+    ]:
+        doc = f"algebra = AffineH4\nwindow = 0\np@0 = {g}\n"
+        assert main(["verify", write(tmp_path, "wide.actions", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the value starts at col 7
+        assert err == f"error: line 3, col {6 + len(sign)}: {message} {MAX_TERM_PAIRS}\n"
+    # one term fewer on either side stays under the limit
+    sd = ("s", "d")
+    narrow_by_wide = parse_poly(NARROW, sd) * parse_poly(WIDE, sd)
+    assert parse_poly(f"{NARROW}*{WIDE}", sd) == narrow_by_wide
+    assert parse_poly(f"{WIDE}*{NARROW}", sd) == narrow_by_wide
 
 
 @pytest.mark.parametrize(
