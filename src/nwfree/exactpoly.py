@@ -25,22 +25,23 @@ dense coefficient rows) and multiplies it by the integer factor.
 side's denominators once (`_integer_terms`), runs the kernel and builds
 one Fraction per output term (`_from_integer_terms`); `Poly.__mul__` is
 the same product with zero offsets, and `apply_shift` runs the shift
-alone.  Every action here is shift-then-multiply, so `modfam.act`,
-`classify`'s product rule and the witness call `shift_mul`, while
-`verify_module`, `irreducible.apply_chain_op` and the orbit oracle run
-`_shift_mul` on their integer maps directly.  `verify_module` and
-`apply_chain_op` sum such integer images, each with a rational factor,
-over one common denominator with `_combine`.
+alone.  Every action here is shift-then-multiply, so `classify`'s product
+rule and the witness call `shift_mul`, while `verify_module` and
+`modfam._act_sum` (the evaluator behind `act`, `apply_chain_op` and the
+orbit oracle) run `_shift_mul` on their integer maps directly.  Both sum
+such integer images, each with a rational factor, over one common
+denominator with `_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else builds canonical results
 directly through `Poly._trusted`, which only drops zero coefficients and
 sorts.  Internal arithmetic (`+`, `-`, `*`, unary `-`, `apply_shift`,
-`shift_mul` and `change_variables`) already holds merged terms over one
-variable set.  The one-term builders `zero`, `one`, `const` and `var`,
-through which the parser builds every numeral and variable, check their
-own arguments instead: distinct variables, an int or Fraction value, a
-known variable name.
+`shift_mul`, `change_variables`, `negate_var`, `coefficient_in` and the
+shifted monomials of `reduce_mod_univariate`) already holds merged terms
+over one variable set.  The one-term builders `zero`, `one`, `const` and
+`var`, through which the parser builds every numeral and variable, check
+their own arguments instead: distinct variables, an int or Fraction
+value, a known variable name.
 """
 
 from __future__ import annotations
@@ -314,8 +315,12 @@ def _combine(parts) -> Tuple[dict, int]:
     `parts` is a sequence of (num, den, ints) with den > 0 and `ints` an
     integer polynomial {exponents: int}.  Returns the integer map and the
     lcm L of the dens, the sum being map / L; entries that cancel stay in
-    the map as 0, and no parts give ({}, 1).
+    the map as 0, and no parts give ({}, 1).  A single part with num 1
+    gives its own map back, unscaled.
     """
+    if len(parts) == 1 and parts[0][0] == 1:
+        _, den, ints = parts[0]
+        return ints, den
     common = lcm(*[den for _, den, _ in parts])
     total: dict = {}
     get = total.get
@@ -364,7 +369,7 @@ def negate_var(x: Poly, var: str) -> Poly:
     if var not in x.variables:
         raise VariableMismatch(f"{var!r} is absent from {x.variables!r}")
     i = x.variables.index(var)
-    return Poly(x.variables, tuple((e, c if e[i] % 2 == 0 else -c) for e, c in x.terms))
+    return Poly._trusted(x.variables, [(e, c if e[i] % 2 == 0 else -c) for e, c in x.terms])
 
 
 def degree_in(x: Poly, var: str):
@@ -412,7 +417,7 @@ def coefficient_in(x: Poly, var: str, power: int) -> Poly:
             key = list(exps)
             key[i] = 0
             acc[tuple(key)] = coeff
-    return Poly(x.variables, acc)
+    return Poly._trusted(x.variables, acc.items())
 
 
 def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
@@ -437,9 +442,8 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
         if d is NEG_INF or d < deg_w:
             return rem
         lead = coefficient_in(rem, var, d)
-        shift_mono = Poly.monomial(
-            x.variables, tuple(d - deg_w if j == i else 0 for j in range(len(x.variables)))
-        )
+        shift_exps = tuple(d - deg_w if j == i else 0 for j in range(len(x.variables)))
+        shift_mono = Poly._trusted(x.variables, ((shift_exps, Fraction(1)),))
         rem = rem - (lead * (Fraction(1) / lead_w)) * shift_mono * w
 
 

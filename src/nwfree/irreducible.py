@@ -7,26 +7,21 @@ come with a principal ideal shown invariant under every generator on a test
 basis.  An orbit-closure oracle gives an independent brute-force cross-check.
 
 The chain operators, the witness and the oracle all use that every action
-is shift-then-multiply, x.v = shift_x(v) * x.1, through the integer kernel
-of `exactpoly`: a chain operator sums its parts' images over one common
-denominator, the witness acts once per generator, on the ideal generator,
-and the oracle eliminates fraction-free on integer vectors.
+is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
+image from `modfam._act_sum`: a chain operator sums its parts' images over
+one common denominator, the witness acts once per generator, on the ideal
+generator, and the oracle eliminates fraction-free on integer vectors.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from .exactpoly import (
     NEG_INF,
-    Exponents,
     Poly,
-    Shift,
-    _combine,
-    _from_integer_terms,
     _integer_terms,
-    _shift_mul,
     change_variables,
     degree_in,
     exponents_upto,
@@ -35,13 +30,16 @@ from .exactpoly import (
     reduce_mod_univariate,
     shift_mul,
 )
-from .liealg import AFF_VIR, AFFINE_H4, H4, BasisSymbol, check_in_algebra, format_symbol, sym
+from .liealg import AFF_VIR, AFFINE_H4, H4, BasisSymbol, format_symbol, sym
 from .modfam import (
     AffineSpec,
     AffVirSpec,
     H4Family,
     SpecInvalid,
     Vir00Spec,
+    _act_parts,
+    _act_sum,
+    _integer_form,
     act,
     algebra_of,
     generators,
@@ -167,28 +165,9 @@ def _base_family(spec) -> Optional[H4Family]:
 def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
     """sum(c * x.v) over the parts c*x of op, computed on integers.
 
-    v is scaled to integers once; each part's image shift_x(v) * x.1 is
-    taken on v's numerators and x.1's with `_shift_mul`, and `_combine`
-    sums the parts over one common denominator, so the result is built once.
-    Every symbol is checked against the algebra, even when v is zero.
+    v is converted first; every symbol is then checked, even when v is zero.
     """
-    variables = module_variables(spec)
-    v = change_variables(v, variables)
-    algebra = algebra_of(spec)
-    ints, scale = _integer_terms(v)
-    images = []  # (numerator, denominator, integer image) per part
-    for coeff, symbol in op.parts:
-        if symbol is None:
-            images.append((coeff.numerator, coeff.denominator, ints))
-            continue
-        check_in_algebra(algebra, symbol)
-        if not ints:
-            continue  # x.0 = 0, even for a symbol outside the window
-        value, den = _integer_terms(value_on_one(spec, symbol))
-        image = _shift_mul(ints, shift_of(algebra, symbol), value.items())
-        images.append((coeff.numerator, coeff.denominator * den, image))
-    total, common = _combine(images)
-    return _from_integer_terms(variables, total, scale * common)
+    return _act_parts(spec, op.parts, change_variables(v, module_variables(spec)))
 
 
 def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
@@ -453,33 +432,6 @@ def witness(spec) -> ReducibilityWitness:
 MAX_CAP_DEGREE = 8
 
 
-class _IntegerAction(NamedTuple):
-    """A generator x on integer vectors: v -> shift_x(v) * (x.1 scaled to integers)."""
-
-    generator: BasisSymbol
-    offsets: Shift  # shift_x, one offset per module variable
-    numerators: Tuple[Tuple[Exponents, int], ...]  # x.1 over one common denominator
-    degree: int  # total degree of x.1, when it is nonzero
-
-
-def _integer_action(spec, algebra: str, x: BasisSymbol) -> _IntegerAction:
-    value = value_on_one(spec, x)
-    numerators = tuple(_integer_terms(value)[0].items())
-    return _IntegerAction(x, shift_of(algebra, x), numerators, value.total_degree())
-
-
-def _oracle_image(action: _IntegerAction, vector: dict, degree: int, cap_degree: int):
-    """x.v up to a positive scalar, as {exponents: int}; None when zero or above the cap.
-
-    `vector` is v as {exponents: int}, of total degree `degree`.  A shift
-    keeps the total degree, so the image has degree exactly degree +
-    deg(x.1), and one above the cap is dropped before it is computed.
-    """
-    if not action.numerators or degree + action.degree > cap_degree:
-        return None
-    return _shift_mul(vector, action.offsets, action.numerators)
-
-
 def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     """Does 1 lie in the span of the seed's capped generator orbit?
 
@@ -494,8 +446,8 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     it hits a pivot with leading entry p, as row <- (p*row - a*pivot) /
     gcd(p, a)), divided by its content with a positive leading entry, and
     kept as the pivot of its leading column.  Every generator then acts on
-    it in integers, as shift_x(v) times the numerators of x.1 (see
-    `_oracle_image`), and the images join a LIFO queue in generator order.
+    it in integers, through `modfam._act_sum`, and the images that are
+    nonzero and within the cap join a LIFO queue in generator order.
     Each vector is a nonzero multiple of the one elimination on monic
     polynomials would hold at the same step, so the pivot columns, hence
     the verdict, are the same.
@@ -515,7 +467,16 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     if seed.total_degree() > max_degree:
         raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
     algebra = algebra_of(spec)
-    actions = [_integer_action(spec, algebra, x) for x in generators(spec)]
+    forms = {x: _integer_form(spec, algebra, x) for x in generators(spec)}
+    # A shift keeps the total degree, so on a vector of degree d, x.v has
+    # degree d + deg x.1.  fitting[d] gives x the zero value on 1 where that
+    # passes the cap, so such an image is never computed.
+    fitting = [
+        {x: form if d + max(map(sum, form[1]), default=0) <= cap_degree else (form[0], {}, 1)
+         for x, form in forms.items()}
+        for d in range(cap_degree + 1)
+    ]
+    actions = [((Fraction(1), x),) for x in forms]  # each generator x as the sum 1*x
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)
@@ -552,9 +513,9 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         pivots[lead] = pivot
         vector = {columns[j]: n for j, n in pivot}
         degree = sum(columns[lead])
-        for action in actions:
-            image = _oracle_image(action, vector, degree, cap_degree)
-            if image is not None:
+        for parts in actions:
+            image, _ = _act_sum(fitting[degree], parts, vector)  # x.v up to a positive scalar
+            if image:
                 queue.append(image)
     # a pivot at the zero exponent, the last column, is a constant
     return width - 1 in pivots

@@ -7,9 +7,9 @@ and the affine-Virasoro family acts on Q[s,d] again.
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
-polynomial 1.  The families differ only in those values, so `act` is
-exactly shift_mul(shift_of(x), v, value_on_one(x)): one integer
-shift-then-multiply per call, with nothing kept per spec.  Raw `ActionData`
+polynomial 1.  The families differ only in those values, so one evaluator,
+`_act_sum`, takes every image for `act`, `irreducible.apply_chain_op` and
+the orbit oracle, on integers, with nothing kept per spec.  Raw `ActionData`
 (values on 1 without a family attached) evaluates through the same
 identity, which is what classification and corruption tests rely on.
 """
@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-from .exactpoly import Poly, Shift, change_variables, shift_mul
+from .exactpoly import (
+    Poly,
+    Shift,
+    _combine,
+    _from_integer_terms,
+    _integer_terms,
+    _shift_mul,
+    change_variables,
+)
 from .liealg import (
     AFF_VIR,
     AFFINE_H4,
@@ -40,9 +48,6 @@ from .liealg import (
     sort_key,
     sym,
 )
-
-_F0 = Fraction(0)
-
 
 class ConstraintViolation(ValueError):
     """A named invariant failed; may carry a source position."""
@@ -523,24 +528,56 @@ def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
 _ACT_CACHE: dict = {}
 
 
+def _integer_form(spec: AnySpec, algebra: str, x: BasisSymbol):
+    """x's integer form: shift_x, the numerators of x.1 over one common
+    denominator as {exponents: int}, and that denominator."""
+    numerators, den = _integer_terms(value_on_one(spec, x))
+    return shift_of(algebra, x), numerators, den
+
+
+def _act_sum(forms: dict, parts, ints: dict) -> Tuple[dict, int]:
+    """sum(c * x.v) on integers, as (integer map, denominator).
+
+    `parts` holds (c, x) pairs, x a basis symbol or None for the identity,
+    `forms` maps each symbol to its integer form, and `ints` is v as
+    {exponents: int}.  Entries that cancel stay in the map as 0.
+    """
+    images = []  # (numerator, denominator, integer image) per part
+    for coeff, x in parts:
+        if x is None:
+            images.append((coeff.numerator, coeff.denominator, ints))
+            continue
+        offsets, numerators, den = forms[x]
+        if numerators:
+            image = _shift_mul(ints, offsets, numerators.items())
+            images.append((coeff.numerator, coeff.denominator * den, image))
+    return _combine(images)
+
+
+def _act_parts(spec: AnySpec, parts, v: Poly) -> Poly:
+    """sum(c * x.v) for v in the module variables.  Each symbol is checked
+    in turn, even on v = 0; x.1 is looked up only when v is nonzero."""
+    algebra = algebra_of(spec)
+    ints, scale = _integer_terms(v)
+    forms = {}
+    for _, x in parts:
+        if x is not None:
+            check_in_algebra(algebra, x)
+            if ints:
+                forms[x] = _integer_form(spec, algebra, x)
+    total, den = _act_sum(forms, parts, ints) if ints else ({}, 1)
+    return _from_integer_terms(v.variables, total, scale * den)
+
+
 def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
     """Evaluate x on v as shift_x(v) * x.1; linear in both x and v."""
-    variables = module_variables(spec)
-    if isinstance(x, LieElement):
-        acc: dict = {}
-        for symbol, coeff in x.terms:
-            for exps, c in act(spec, symbol, v).terms:
-                acc[exps] = acc.get(exps, _F0) + coeff * c
-        return Poly(variables, acc)
     algebra = algebra_of(spec)
-    check_in_algebra(algebra, x)
-    v = change_variables(v, variables)
-    if v.is_zero():
-        return v
-    value = value_on_one(spec, x)
-    if value.is_zero():
-        return value
-    return shift_mul(shift_of(algebra, x), v, value)
+    variables = MODULE_VARIABLES[algebra]
+    parts = [(c, y) for y, c in x.terms] if isinstance(x, LieElement) else [(Fraction(1), x)]
+    if not parts:
+        return Poly.zero(variables)
+    check_in_algebra(algebra, parts[0][1])  # the first symbol before v
+    return _act_parts(spec, parts, change_variables(v, variables))
 
 
 def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:

@@ -11,7 +11,10 @@ Polynomial grammar (variables s, d, d0, w0):
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.  A
 product whose operands' term counts multiply past MAX_TERM_PAIRS is a
-syntax error at its `*`, before any multiplying.  A product or a sum with
+syntax error at its `*`, before any multiplying.  One polynomial value
+may spend at most MAX_TERM_WORK term operations, counted over all its
+steps: the step that passes it is a syntax error at its `*`, `^`, `+` or
+`-`, before it computes.  A product or a sum with
 a coefficient whose numerator or denominator has more than MAX_DIGITS
 digits is a syntax error at its `*`, `+` or `-`.  A power is checked for
 both at each of its multiplications, at its `^`.  Parentheses and unary
@@ -120,6 +123,16 @@ MAX_DEGREE = 64
 # in the tests and the benchmark documents is 64 by 2 terms.
 MAX_TERM_PAIRS = 20000
 
+# Most term operations one polynomial value may spend: each multiplication
+# (of a product or a power) counts its term pairs, and each sum or
+# difference its operands' terms.  Every step copies its whole result, so
+# without this a short line of steps on one large value, such as
+# (s+d+1)^32 followed by many `*1` or `+0`, runs on for seconds.  The
+# largest value in the tests spends 37,532: (c*s+c*d)^32*(c*s+c*d+c)^32,
+# 33 by 561 terms after its two powers.  A benchmark document spends at
+# most 49.
+MAX_TERM_WORK = 50000
+
 # Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
 # Sums, products and powers keep every numerator and denominator below 10^MAX_DIGITS.
 MAX_DIGITS = 1000
@@ -194,6 +207,7 @@ class _PolyParser:
         self.end_line = end_line
         self.end_col = end_col
         self.depth = 0  # open parentheses and unary minus signs
+        self.work = 0  # term operations spent so far, against MAX_TERM_WORK
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -220,9 +234,16 @@ class _PolyParser:
                 self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
         return value
 
+    def spend(self, work: int, tok) -> None:
+        self.work += work
+        if self.work > MAX_TERM_WORK:
+            self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
+
     def multiply(self, a: Poly, b: Poly, what: str, tok) -> Poly:
-        if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+        pairs = len(a.terms) * len(b.terms)
+        if pairs > MAX_TERM_PAIRS:
             self.fail(f"{what} exceeds the term-pair limit {MAX_TERM_PAIRS}", tok)
+        self.spend(pairs, tok)
         return self.bounded(a * b, what, tok)
 
     def expr(self) -> Poly:
@@ -233,6 +254,7 @@ class _PolyParser:
                 return value
             self.take()
             rhs = self.term()
+            self.spend(len(value.terms) + len(rhs.terms), tok)
             value = self.bounded(value + rhs if tok.text == "+" else value - rhs, "sum", tok)
 
     def term(self) -> Poly:

@@ -28,10 +28,12 @@ from nwfree.liealg import (
     VIR00,
     D,
     K,
+    LieElement,
     P,
     Q,
     R,
     bracket,
+    check_in_algebra,
     format_symbol,
     sym,
 )
@@ -200,6 +202,27 @@ def poly_mul_reference(a, b):
             key = tuple(x + y for x, y in zip(e1, e2))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
     return Poly(a.variables, acc)
+
+
+def act_reference(spec, x, v):
+    """act as sum(c * shift_x(v) * x.1) by the reference shift and product.
+
+    The symbols are taken in x's order; the first is checked before v is
+    converted, and a zero element gives 0 without either.
+    """
+    algebra = algebra_of(spec)
+    variables = module_variables(spec)
+    terms = x.terms if isinstance(x, LieElement) else ((x, Fraction(1)),)
+    total = Poly.zero(variables)
+    for i, (symbol, coeff) in enumerate(terms):
+        check_in_algebra(algebra, symbol)
+        if i == 0:
+            v = change_variables(v, variables)
+        if v.is_zero():
+            continue  # x.0 = 0, even for a symbol outside the window
+        shifted = apply_shift_reference(shift_of(algebra, symbol), v)
+        total = total + coeff * poly_mul_reference(shifted, value_on_one(spec, symbol))
+    return total
 
 
 def apply_chain_op_reference(spec, op, v):

@@ -521,15 +521,18 @@ def test_oracle_false_from_witness_ideal_seed():
 def recorded_oracle(spec, seed, max_degree, cap):
     """orbit_oracle's answer plus every (generator, vector) whose image it takes."""
     calls = []
-    real = nwfree.irreducible._oracle_image
+    real = nwfree.irreducible._act_sum
     variables = module_variables(spec)
 
-    def recording(action, vector, degree, cap_degree):
-        calls.append((action.generator, Poly(variables, vector)))
-        return real(action, vector, degree, cap_degree)
+    def recording(forms, parts, ints):
+        # the oracle takes each image as the one-part sum 1*x
+        [(coeff, x)] = parts
+        assert coeff == 1
+        calls.append((x, Poly(variables, ints)))
+        return real(forms, parts, ints)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nwfree.irreducible, "_oracle_image", recording)
+        mp.setattr(nwfree.irreducible, "_act_sum", recording)
         answer = orbit_oracle(spec, seed, max_degree, cap)
     return answer, calls
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwfree.exactpoly import Poly, change_variables
+from nwfree.exactpoly import Poly, VariableMismatch, change_variables
 from nwfree.liealg import (
     AFFINE_H4,
     D,
@@ -42,11 +42,12 @@ from nwfree.modfam import (
     mg0,
     mhb,
     mtilde,
+    module_variables,
     mtilde_f,
     value_on_one,
 )
 
-from helpers import with_assignment
+from helpers import act_reference, sample_specs, with_assignment
 
 S_POLY = Poly.var(("s",), "s")
 ONE_S = Poly.one(("s",))
@@ -384,3 +385,47 @@ def test_r_acts_by_constant():
         assert got == r1 * (S_POLY ** 3 + ONE_S)
         if fam.variant in ("Mg0", "M0g", "Mab", "M0"):
             assert r1 == 0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (WindowExceeded, SymbolNotInAlgebra, VariableMismatch) as err:
+        return type(err)
+
+
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def act_cases(draw):
+    spec = draw(st.sampled_from([spec for _, spec in sample_specs()]))
+    variables = module_variables(spec)
+    n = len(variables)
+    v = draw(st.one_of(
+        st.just(Poly.zero(variables)),
+        _fractions.map(lambda c: Poly.const(variables, c)),
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), _fractions), max_size=5)
+        .map(lambda ts: Poly(variables, ts)),
+        # a vector in variables of no module of this spec
+        st.just(Poly.var(("x",), "x")),
+    ))
+    # in-window generators, one outside every window (Vir00 has none), and
+    # one outside every algebra
+    symbols = st.sampled_from(generators(spec) + [sym("s", 9), sym("p", 9), sym("dvir", 0)])
+    x = draw(st.one_of(
+        symbols,
+        st.lists(st.tuples(symbols, _fractions), max_size=4).map(LieElement),
+    ))
+    return spec, x, v
+
+
+@settings(max_examples=400, deadline=None)
+@given(act_cases())
+def test_act_matches_shift_then_multiply_reference(case):
+    spec, x, v = case
+    got = _outcome(act, spec, x, v)
+    assert got == _outcome(act_reference, spec, x, v)
+    if isinstance(got, Poly):
+        assert got.variables == module_variables(spec)
+        assert got == Poly(got.variables, got.terms)

@@ -29,6 +29,7 @@ from nwfree.specdsl import (
     MAX_DIGITS,
     MAX_NESTING,
     MAX_TERM_PAIRS,
+    MAX_TERM_WORK,
     DslSyntaxError,
     UnknownVariable,
     format_actions,
@@ -481,11 +482,15 @@ SIX_FRACTIONS = "+".join(f"1/{10 ** 999 + k}" for k in (1, 3, 5, 7, 9, 13))
         # each `1/N` takes 1002 columns; the first `+` already passes the limit
         (SIX_FRACTIONS, 5 + 1002, "sum exceeds the digit limit 1000"),
         ("-" + "9" * MAX_DIGITS + "-1", 6 + MAX_DIGITS, "sum exceeds the digit limit 1000"),
+        # (s+1)^64 spends 4,162 term operations and each `*1` or `+0` then 65
+        # (0 has no terms), so the 706th step passes the limit
+        ("(s+1)^64" + "*1" * 1000, 13 + 2 * 705, "polynomial exceeds the term-work limit 50000"),
+        ("(s+1)^64" + "+0" * 1000, 13 + 2 * 705, "polynomial exceeds the term-work limit 50000"),
     ],
     ids=["parentheses", "unary-minus", "minus-parenthesis", "parenthesis-minus",
          "long-product", "product-degree", "product-numerator", "product-denominator",
          "nested-constant-powers", "power-numerator", "power-degree", "sum-denominator",
-         "difference-numerator"],
+         "difference-numerator", "term-work-products", "term-work-sums"],
 )
 def test_cli_rejects_deep_nesting_and_unbounded_products(tmp_path, capsys, g, col, message):
     assert main(["verify", write(tmp_path, "g.spec", _g_doc(g))]) == 2
@@ -538,6 +543,31 @@ def test_products_past_the_term_pair_limit_exit_2_at_their_sign(tmp_path, capsys
     narrow_by_wide = parse_poly(NARROW, sd) * parse_poly(WIDE, sd)
     assert parse_poly(f"{NARROW}*{WIDE}", sd) == narrow_by_wide
     assert parse_poly(f"{WIDE}*{NARROW}", sd) == narrow_by_wide
+
+
+def test_the_term_work_limit_counts_every_step_of_one_value():
+    assert MAX_TERM_WORK == 50000
+    # (s+d+1)^32 has 561 terms and spends 17,957 term operations: 5 in its
+    # sums and 3 * C(34, 3) in its power.  Each `*1` or `+0` then spends 561
+    # (0 has no terms), so 57 steps fit and the 58th does not.
+    base = parse_poly("(s+d+1)^32", SD)
+    assert len(base.terms) == 561
+    for step in ("*1", "+0"):
+        assert parse_poly("(s+d+1)^32" + step * 57, SD) == base
+        with pytest.raises(DslSyntaxError) as err:
+            parse_poly("(s+d+1)^32" + step * 1000, SD)
+        assert (err.value.line, err.value.col) == (1, 11 + 2 * 57)
+        assert err.value.message == "polynomial exceeds the term-work limit 50000"
+        # (s+d+1)^64 passes the limit inside its own power, at the `^`
+        with pytest.raises(DslSyntaxError) as err:
+            parse_poly("(s+d+1)^64" + step * 1000, SD)
+        assert (err.value.line, err.value.col) == (1, 8)
+    # the limit is per value: each line of a document starts afresh
+    doc = "algebra = AffineH4\nwindow = 0\n" + "".join(
+        f"{kind}@0 = (s+d+1)^32{'*1' * 57}\n" for kind in "pqrs"
+    ) + "k = 0\nd = d\n"
+    data = parse_actions(doc)
+    assert all(data.value(sym(kind, 0)) == base for kind in "pqrs")
 
 
 @pytest.mark.parametrize(
