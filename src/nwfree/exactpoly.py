@@ -27,10 +27,10 @@ one Fraction per output term (`_from_integer_terms`); `Poly.__mul__` is
 the same product with zero offsets, and `apply_shift` runs the shift
 alone.  Every action here is shift-then-multiply, so `classify`'s product
 rule and the witness call `shift_mul`, while `verify_module` and
-`modfam._act_sum` (the evaluator behind `act`, `apply_chain_op` and the
-orbit oracle) run `_shift_mul` on their integer maps directly.  Both sum
-such integer images, each with a rational factor, over one common
-denominator with `_combine`.
+`modfam._image` (the generator image behind `act`, `apply_chain_op` and
+the orbit oracle) run `_shift_mul` on their integer maps directly.
+`verify_module` and `modfam._act_sum` sum such integer images, each with
+a rational factor, over one common denominator with `_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else builds canonical results
@@ -315,12 +315,8 @@ def _combine(parts) -> Tuple[dict, int]:
     `parts` is a sequence of (num, den, ints) with den > 0 and `ints` an
     integer polynomial {exponents: int}.  Returns the integer map and the
     lcm L of the dens, the sum being map / L; entries that cancel stay in
-    the map as 0, and no parts give ({}, 1).  A single part with num 1
-    gives its own map back, unscaled.
+    the map as 0, and no parts give ({}, 1).
     """
-    if len(parts) == 1 and parts[0][0] == 1:
-        _, den, ints = parts[0]
-        return ints, den
     common = lcm(*[den for _, den, _ in parts])
     total: dict = {}
     get = total.get

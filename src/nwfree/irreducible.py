@@ -8,9 +8,10 @@ basis.  An orbit-closure oracle gives an independent brute-force cross-check.
 
 The chain operators, the witness and the oracle all use that every action
 is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
-image from `modfam._act_sum`: a chain operator sums its parts' images over
-one common denominator, the witness acts once per generator, on the ideal
-generator, and the oracle eliminates fraction-free on integer vectors.
+image from `modfam._image`: a chain operator sums its parts' images over
+one common denominator (`modfam._act_sum`), the witness acts once per
+generator, on the ideal generator, and the oracle eliminates fraction-free
+on integer vectors.
 """
 
 import math
@@ -37,8 +38,8 @@ from .modfam import (
     H4Family,
     SpecInvalid,
     Vir00Spec,
-    _act_parts,
     _act_sum,
+    _image,
     _integer_form,
     act,
     algebra_of,
@@ -167,7 +168,7 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
 
     v is converted first; every symbol is then checked, even when v is zero.
     """
-    return _act_parts(spec, op.parts, change_variables(v, module_variables(spec)))
+    return _act_sum(spec, op.parts, change_variables(v, module_variables(spec)))
 
 
 def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
@@ -446,8 +447,9 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     it hits a pivot with leading entry p, as row <- (p*row - a*pivot) /
     gcd(p, a)), divided by its content with a positive leading entry, and
     kept as the pivot of its leading column.  Every generator then acts on
-    it in integers, through `modfam._act_sum`, and the images that are
-    nonzero and within the cap join a LIFO queue in generator order.
+    it in integers, through `modfam._image`, and the images within the cap
+    join a LIFO queue in generator order; an image above the cap is never
+    computed.
     Each vector is a nonzero multiple of the one elimination on monic
     polynomials would hold at the same step, so the pivot columns, hence
     the verdict, are the same.
@@ -468,15 +470,9 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
     algebra = algebra_of(spec)
     forms = {x: _integer_form(spec, algebra, x) for x in generators(spec)}
-    # A shift keeps the total degree, so on a vector of degree d, x.v has
-    # degree d + deg x.1.  fitting[d] gives x the zero value on 1 where that
-    # passes the cap, so such an image is never computed.
-    fitting = [
-        {x: form if d + max(map(sum, form[1]), default=0) <= cap_degree else (form[0], {}, 1)
-         for x, form in forms.items()}
-        for d in range(cap_degree + 1)
-    ]
-    actions = [((Fraction(1), x),) for x in forms]  # each generator x as the sum 1*x
+    # total degree of each nonzero x.1; a shift keeps the total degree, so
+    # on a vector of degree d, x.v has degree d + deg x.1
+    degrees = {x: max(map(sum, form[1])) for x, form in forms.items() if form[1]}
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)
@@ -513,10 +509,9 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         pivots[lead] = pivot
         vector = {columns[j]: n for j, n in pivot}
         degree = sum(columns[lead])
-        for parts in actions:
-            image, _ = _act_sum(fitting[degree], parts, vector)  # x.v up to a positive scalar
-            if image:
-                queue.append(image)
+        for x, deg_x in degrees.items():
+            if degree + deg_x <= cap_degree:
+                queue.append(_image(forms, x, vector))  # x.v up to a positive scalar
     # a pivot at the zero exponent, the last column, is a constant
     return width - 1 in pivots
 

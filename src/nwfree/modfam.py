@@ -7,11 +7,13 @@ and the affine-Virasoro family acts on Q[s,d] again.
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
-polynomial 1.  The families differ only in those values, so one evaluator,
-`_act_sum`, takes every image for `act`, `irreducible.apply_chain_op` and
-the orbit oracle, on integers, with nothing kept per spec.  Raw `ActionData`
-(values on 1 without a family attached) evaluates through the same
-identity, which is what classification and corruption tests rely on.
+polynomial 1.  The families differ only in those values, so one function,
+`_image`, takes every generator image for `act`,
+`irreducible.apply_chain_op` and the orbit oracle, on integers, with
+nothing kept per spec; `_act_sum` sums such images over one common
+denominator for the first two.  Raw `ActionData` (values on 1 without a
+family attached) evaluates through the same identity, which is what
+classification and corruption tests rely on.
 """
 
 from __future__ import annotations
@@ -535,38 +537,35 @@ def _integer_form(spec: AnySpec, algebra: str, x: BasisSymbol):
     return shift_of(algebra, x), numerators, den
 
 
-def _act_sum(forms: dict, parts, ints: dict) -> Tuple[dict, int]:
-    """sum(c * x.v) on integers, as (integer map, denominator).
+def _image(forms: dict, x: BasisSymbol, ints: dict) -> dict:
+    """x.v times the denominator of x.1, on integers: shift_x(v) times the
+    numerators of x.1.  `forms` maps x to its integer form and `ints` is v
+    as {exponents: int}; entries that cancel stay in the map as 0."""
+    offsets, numerators, _ = forms[x]
+    return _shift_mul(ints, offsets, numerators.items())
 
-    `parts` holds (c, x) pairs, x a basis symbol or None for the identity,
-    `forms` maps each symbol to its integer form, and `ints` is v as
-    {exponents: int}.  Entries that cancel stay in the map as 0.
-    """
+
+def _act_sum(spec: AnySpec, parts, v: Poly) -> Poly:
+    """sum(c * x.v) over the (c, x) parts, x a basis symbol or None for the
+    identity, with v in the module variables: the images are summed on
+    integers over one common denominator.  Each symbol is checked in turn,
+    even on v = 0; x.1 is looked up only when v is nonzero."""
+    algebra = algebra_of(spec)
+    ints, scale = _integer_terms(v)
+    forms = {}
     images = []  # (numerator, denominator, integer image) per part
     for coeff, x in parts:
         if x is None:
             images.append((coeff.numerator, coeff.denominator, ints))
             continue
-        offsets, numerators, den = forms[x]
-        if numerators:
-            image = _shift_mul(ints, offsets, numerators.items())
-            images.append((coeff.numerator, coeff.denominator * den, image))
-    return _combine(images)
-
-
-def _act_parts(spec: AnySpec, parts, v: Poly) -> Poly:
-    """sum(c * x.v) for v in the module variables.  Each symbol is checked
-    in turn, even on v = 0; x.1 is looked up only when v is nonzero."""
-    algebra = algebra_of(spec)
-    ints, scale = _integer_terms(v)
-    forms = {}
-    for _, x in parts:
-        if x is not None:
-            check_in_algebra(algebra, x)
-            if ints:
-                forms[x] = _integer_form(spec, algebra, x)
-    total, den = _act_sum(forms, parts, ints) if ints else ({}, 1)
-    return _from_integer_terms(v.variables, total, scale * den)
+        check_in_algebra(algebra, x)
+        if ints:
+            forms[x] = _integer_form(spec, algebra, x)
+            _, numerators, den = forms[x]
+            if numerators:
+                images.append((coeff.numerator, coeff.denominator * den, _image(forms, x, ints)))
+    total, common = _combine(images)
+    return _from_integer_terms(v.variables, total, scale * common)
 
 
 def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
@@ -577,7 +576,7 @@ def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
     if not parts:
         return Poly.zero(variables)
     check_in_algebra(algebra, parts[0][1])  # the first symbol before v
-    return _act_parts(spec, parts, change_variables(v, variables))
+    return _act_sum(spec, parts, change_variables(v, variables))
 
 
 def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:

@@ -12,11 +12,12 @@ A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.  A
 product whose operands' term counts multiply past MAX_TERM_PAIRS is a
 syntax error at its `*`, before any multiplying.  One polynomial value
-may spend at most MAX_TERM_WORK term operations, counted over all its
-steps: the step that passes it is a syntax error at its `*`, `^`, `+` or
-`-`, before it computes.  A product or a sum with
-a coefficient whose numerator or denominator has more than MAX_DIGITS
-digits is a syntax error at its `*`, `+` or `-`.  A power is checked for
+may multiply at most MAX_TERM_WORK term pairs, counted over all its
+products and powers: the multiplication that passes it is a syntax error
+at its `*` or `^`, before it computes.  A sum merges its terms into one
+table, so each `+` or `-` costs only its right operand's terms.  A
+product or a sum with a coefficient whose numerator or denominator has
+more than MAX_DIGITS digits is a syntax error at its `*`, `+` or `-`.  A power is checked for
 both at each of its multiplications, at its `^`.  Parentheses and unary
 minus nested more than MAX_NESTING deep, counted together, are a syntax
 error at the `(` or `-` that passes the limit.  So no document makes the
@@ -123,15 +124,15 @@ MAX_DEGREE = 64
 # in the tests and the benchmark documents is 64 by 2 terms.
 MAX_TERM_PAIRS = 20000
 
-# Most term operations one polynomial value may spend: each multiplication
-# (of a product or a power) counts its term pairs, and each sum or
-# difference its operands' terms.  Every step copies its whole result, so
-# without this a short line of steps on one large value, such as
-# (s+d+1)^32 followed by many `*1` or `+0`, runs on for seconds.  The
-# largest value in the tests spends 37,532: (c*s+c*d)^32*(c*s+c*d+c)^32,
-# 33 by 561 terms after its two powers.  A benchmark document spends at
-# most 49.
-MAX_TERM_WORK = 50000
+# Most term pairs one polynomial value may multiply, summed over every
+# multiplication of its products and powers.  Each `*` copies its whole
+# result, so without this a short line of steps on one large value, such
+# as (s+d+1)^64 followed by many `*1`, runs on for seconds.  The costliest
+# power within MAX_DEGREE and MAX_TERM_PAIRS, (s+d+d0+1)^30, multiplies
+# 163,680 pairs, and (s+d+1)^64 137,280.  A value in two variables written
+# out term by term, as format_actions writes it, multiplies at most 95,810:
+# a+b+2 for each of the 2,145 terms c*s^a*d^b with a+b <= 64.
+MAX_TERM_WORK = 200000
 
 # Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
 # Sums, products and powers keep every numerator and denominator below 10^MAX_DIGITS.
@@ -207,7 +208,7 @@ class _PolyParser:
         self.end_line = end_line
         self.end_col = end_col
         self.depth = 0  # open parentheses and unary minus signs
-        self.work = 0  # term operations spent so far, against MAX_TERM_WORK
+        self.work = 0  # term pairs multiplied so far, against MAX_TERM_WORK
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -234,28 +235,32 @@ class _PolyParser:
                 self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
         return value
 
-    def spend(self, work: int, tok) -> None:
-        self.work += work
-        if self.work > MAX_TERM_WORK:
-            self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
-
     def multiply(self, a: Poly, b: Poly, what: str, tok) -> Poly:
         pairs = len(a.terms) * len(b.terms)
         if pairs > MAX_TERM_PAIRS:
             self.fail(f"{what} exceeds the term-pair limit {MAX_TERM_PAIRS}", tok)
-        self.spend(pairs, tok)
+        self.work += pairs
+        if self.work > MAX_TERM_WORK:
+            self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
         return self.bounded(a * b, what, tok)
 
     def expr(self) -> Poly:
         value = self.term()
+        terms = None  # once a sign follows, the sum's terms, merged in place
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return value
+                return value if terms is None else Poly._trusted(value.variables, terms.items())
             self.take()
             rhs = self.term()
-            self.spend(len(value.terms) + len(rhs.terms), tok)
-            value = self.bounded(value + rhs if tok.text == "+" else value - rhs, "sum", tok)
+            if terms is None:
+                terms = dict(value.terms)
+            sign = 1 if tok.text == "+" else -1
+            for exps, c in rhs.terms:
+                c = terms.get(exps, 0) + sign * c
+                if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+                    self.fail(f"sum exceeds the digit limit {MAX_DIGITS}", tok)
+                terms[exps] = c
 
     def term(self) -> Poly:
         value = self.factor()

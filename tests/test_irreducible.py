@@ -519,32 +519,34 @@ def test_oracle_false_from_witness_ideal_seed():
 
 
 def recorded_oracle(spec, seed, max_degree, cap):
-    """orbit_oracle's answer plus every (generator, vector) whose image it takes."""
+    """orbit_oracle's answer plus every (generator, vector) whose image it takes.
+
+    The oracle never computes a zero image or one above the cap."""
     calls = []
-    real = nwfree.irreducible._act_sum
+    real = nwfree.irreducible._image
     variables = module_variables(spec)
 
-    def recording(forms, parts, ints):
-        # the oracle takes each image as the one-part sum 1*x
-        [(coeff, x)] = parts
-        assert coeff == 1
+    def recording(forms, x, ints):
         calls.append((x, Poly(variables, ints)))
-        return real(forms, parts, ints)
+        return real(forms, x, ints)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nwfree.irreducible, "_act_sum", recording)
+        mp.setattr(nwfree.irreducible, "_image", recording)
         answer = orbit_oracle(spec, seed, max_degree, cap)
     return answer, calls
 
 
 def recorded_reference(oracle, spec, seed, max_degree, cap):
-    """A reference oracle's answer plus every (generator, vector) it passed to act."""
+    """A reference oracle's answer plus every (generator, vector) it passed
+    to act whose image is nonzero and within the cap."""
     calls = []
     real = helpers.act
 
     def recording(spec_, x, v):
-        calls.append((x, v))
-        return real(spec_, x, v)
+        image = real(spec_, x, v)
+        if not image.is_zero() and image.total_degree() <= cap:
+            calls.append((x, v))
+        return image
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(helpers, "act", recording)

@@ -317,6 +317,12 @@ def test_actions_round_trips():
         data = actions_of(spec, None)
         text = format_actions(data)
         assert parse_actions(text) == data, name
+    # format_actions writes (s+d+1)^64 as 2,145 single terms, monomials in
+    # s, d of degree at most 64, whose products and powers multiply at most
+    # 95,810 term pairs, within the term-work limit
+    data = parse_actions("algebra = AffineH4\nwindow = 0\np@0 = (s+d+1)^64\nq@0 = (s-d)^24\n")
+    assert len(data.value(sym("p", 0)).terms) == 2145
+    assert parse_actions(format_actions(data)) == data
 
 
 def test_h4_actions_default_window():
@@ -482,15 +488,14 @@ SIX_FRACTIONS = "+".join(f"1/{10 ** 999 + k}" for k in (1, 3, 5, 7, 9, 13))
         # each `1/N` takes 1002 columns; the first `+` already passes the limit
         (SIX_FRACTIONS, 5 + 1002, "sum exceeds the digit limit 1000"),
         ("-" + "9" * MAX_DIGITS + "-1", 6 + MAX_DIGITS, "sum exceeds the digit limit 1000"),
-        # (s+1)^64 spends 4,162 term operations and each `*1` or `+0` then 65
-        # (0 has no terms), so the 706th step passes the limit
-        ("(s+1)^64" + "*1" * 1000, 13 + 2 * 705, "polynomial exceeds the term-work limit 50000"),
-        ("(s+1)^64" + "+0" * 1000, 13 + 2 * 705, "polynomial exceeds the term-work limit 50000"),
+        # (s+1)^64 multiplies 4,160 term pairs and each `*1` then 65, so the
+        # 3,013th `*` passes the limit
+        ("(s+1)^64" + "*1" * 4000, 13 + 2 * 3012, "polynomial exceeds the term-work limit 200000"),
     ],
     ids=["parentheses", "unary-minus", "minus-parenthesis", "parenthesis-minus",
          "long-product", "product-degree", "product-numerator", "product-denominator",
          "nested-constant-powers", "power-numerator", "power-degree", "sum-denominator",
-         "difference-numerator", "term-work-products", "term-work-sums"],
+         "difference-numerator", "term-work"],
 )
 def test_cli_rejects_deep_nesting_and_unbounded_products(tmp_path, capsys, g, col, message):
     assert main(["verify", write(tmp_path, "g.spec", _g_doc(g))]) == 2
@@ -545,29 +550,29 @@ def test_products_past_the_term_pair_limit_exit_2_at_their_sign(tmp_path, capsys
     assert parse_poly(f"{WIDE}*{NARROW}", sd) == narrow_by_wide
 
 
-def test_the_term_work_limit_counts_every_step_of_one_value():
-    assert MAX_TERM_WORK == 50000
-    # (s+d+1)^32 has 561 terms and spends 17,957 term operations: 5 in its
-    # sums and 3 * C(34, 3) in its power.  Each `*1` or `+0` then spends 561
-    # (0 has no terms), so 57 steps fit and the 58th does not.
-    base = parse_poly("(s+d+1)^32", SD)
-    assert len(base.terms) == 561
-    for step in ("*1", "+0"):
-        assert parse_poly("(s+d+1)^32" + step * 57, SD) == base
-        with pytest.raises(DslSyntaxError) as err:
-            parse_poly("(s+d+1)^32" + step * 1000, SD)
-        assert (err.value.line, err.value.col) == (1, 11 + 2 * 57)
-        assert err.value.message == "polynomial exceeds the term-work limit 50000"
-        # (s+d+1)^64 passes the limit inside its own power, at the `^`
-        with pytest.raises(DslSyntaxError) as err:
-            parse_poly("(s+d+1)^64" + step * 1000, SD)
-        assert (err.value.line, err.value.col) == (1, 8)
-    # the limit is per value: each line of a document starts afresh
-    doc = "algebra = AffineH4\nwindow = 0\n" + "".join(
-        f"{kind}@0 = (s+d+1)^32{'*1' * 57}\n" for kind in "pqrs"
-    ) + "k = 0\nd = d\n"
-    data = parse_actions(doc)
-    assert all(data.value(sym(kind, 0)) == base for kind in "pqrs")
+def test_the_term_work_limit_counts_the_multiplications_of_one_value():
+    assert MAX_TERM_WORK == 200000
+    # (s+d+1)^64 multiplies 3 * C(66, 3) = 137,280 term pairs in its power
+    # and each `*1` then 2,145, so 29 steps fit and the 30th does not
+    base = parse_poly("(s+d+1)^64", SD)
+    assert len(base.terms) == 2145
+    assert parse_poly("(s+d+1)^64" + "*1" * 29, SD) == base
+    with pytest.raises(DslSyntaxError) as err:
+        parse_poly("(s+d+1)^64" + "*1" * 1000, SD)
+    assert (err.value.line, err.value.col) == (1, 11 + 2 * 29)
+    assert err.value.message == "polynomial exceeds the term-work limit 200000"
+    # a sum merges its terms into one table and is not counted
+    assert parse_poly("(s+d+1)^64" + "+0" * 1000 + "-s^64+s^64", SD) == base
+    # the costliest power within the degree and term-pair limits, 163,680 pairs
+    assert len(parse_poly("(s+d+d0+1)^30").terms) == 5456
+    # the limit is per value: each line of a document starts afresh;
+    # (s+d+1)^32 multiplies 17,952 pairs and each `*1` then 561
+    line = "(s+d+1)^32" + "*1" * 324
+    doc = f"algebra = AffineH4\nwindow = 0\np@0 = {line}\nq@0 = {line}\n"
+    assert parse_actions(doc).value(sym("p", 0)) == parse_poly("(s+d+1)^32", SD)
+    with pytest.raises(DslSyntaxError) as err:
+        parse_poly(line + "*1", SD)
+    assert err.value.col == len(line) + 1
 
 
 @pytest.mark.parametrize(
