@@ -26,11 +26,12 @@ side's denominators once (`_integer_terms`), runs the kernel and builds
 one Fraction per output term (`_from_integer_terms`); `Poly.__mul__` is
 the same product with zero offsets, and `apply_shift` runs the shift
 alone.  Every action here is shift-then-multiply, so `classify`'s product
-rule and the witness call `shift_mul`, while `verify_module` and
-`modfam._image` (the generator image behind `act`, `apply_chain_op` and
-the orbit oracle) run `_shift_mul` on their integer maps directly.
-`verify_module` and `modfam._act_sum` sum such integer images, each with
-a rational factor, over one common denominator with `_combine`.
+rule and the witness call `shift_mul`, while `modfam._image` (the
+generator image behind `act`, `apply_chain_op`, the orbit oracle and
+`verify_module`'s R_sigma) and `verify_module`'s failing residuals run
+`_shift_mul` on their integer maps directly.  `verify_module` and
+`modfam._act_sum` sum such integer images, each with a rational factor,
+over one common denominator with `_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else builds canonical results

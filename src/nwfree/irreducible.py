@@ -11,7 +11,8 @@ is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
 image from `modfam._image`: a chain operator sums its parts' images over
 one common denominator (`modfam._act_sum`), the witness acts once per
 generator, on the ideal generator, and the oracle eliminates fraction-free
-on integer vectors.
+on integer vectors.  Every x.1, the chain's constants c and c1 included,
+is computed afresh by `modfam._value_on_one`, with no cache keyed by spec.
 """
 
 import math
@@ -41,12 +42,12 @@ from .modfam import (
     _act_sum,
     _image,
     _integer_form,
+    _value_on_one,
     act,
     algebra_of,
     generators,
     module_variables,
     shift_of,
-    value_on_one,
 )
 
 
@@ -189,7 +190,7 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
         raise SeedZero("the zero vector generates nothing")
 
     for kind in ("q", "p"):
-        value = value_on_one(spec, sym(kind, 0))
+        value = _value_on_one(spec, sym(kind, 0))
         if value.is_constant() and not value.is_zero():
             break
     c = value.constant_value()
@@ -198,7 +199,7 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     current = seed
     algebra = algebra_of(spec)
     if algebra in (AFFINE_H4, AFF_VIR):
-        c1 = value_on_one(spec, sym(kind, 1)).constant_value()
+        c1 = _value_on_one(spec, sym(kind, 1)).constant_value()
         d_op = ChainOp(
             (
                 (Fraction(1) / c1, sym(kind, 1)),

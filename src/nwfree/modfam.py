@@ -8,12 +8,15 @@ Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
 polynomial 1.  The families differ only in those values, so one function,
-`_image`, takes every generator image for `act`,
-`irreducible.apply_chain_op` and the orbit oracle, on integers, with
-nothing kept per spec; `_act_sum` sums such images over one common
-denominator for the first two.  Raw `ActionData` (values on 1 without a
-family attached) evaluates through the same identity, which is what
-classification and corruption tests rely on.
+`_value_on_one`, computes x.1 for every request path, afresh, and
+`_integer_form` clears it to integers beside shift_x.  One function,
+`_image`, takes every generator image from that form for `act`,
+`irreducible.apply_chain_op`, the orbit oracle and `verify_module`, on
+integers, with nothing kept per spec; `_act_sum` sums such images over
+one common denominator for the first two.  The only state kept is each
+`H4Family`'s base values, on the family object.  Raw `ActionData`
+(values on 1 without a family attached) evaluates through the same
+identity, which is what classification and corruption tests rely on.
 """
 
 from __future__ import annotations
@@ -130,7 +133,12 @@ def _int_keyed(entries, coerce, what: str):
 
 @dataclass(frozen=True)
 class H4Family:
-    """One of the six families: Mg0, M0g, Mhb, Mbh, Mab, M0."""
+    """One of the six families: Mg0, M0g, Mhb, Mbh, Mab, M0.
+
+    Its values on 1 of p, q and r (`h4_base_values`) are built on first
+    use and kept beside the fields, as a cached property, so equality,
+    hashing, repr and `dataclasses.replace` see the parameters alone.
+    """
 
     variant: str
     g: Optional[Poly] = None
@@ -175,6 +183,24 @@ class H4Family:
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
 
+    @functools.cached_property
+    def _base_values(self) -> Tuple[Poly, Poly, Fraction]:
+        s = Poly.var(("s",), "s")
+        zero = Poly.zero(("s",))
+        if self.variant == "Mg0":
+            return self.g, zero, Fraction(0)
+        if self.variant == "M0g":
+            return zero, self.g, Fraction(0)
+        if self.variant == "Mhb":
+            h = self.a1 * s + Poly.const(("s",), self.a2)
+            return h, Poly.const(("s",), self.b), -self.a1 * self.b
+        if self.variant == "Mbh":
+            h = self.a1 * s + Poly.const(("s",), self.a2)
+            return Poly.const(("s",), self.b), h, -self.a1 * self.b
+        if self.variant == "Mab":
+            return Poly.const(("s",), self.a), Poly.const(("s",), self.b), Fraction(0)
+        return zero, zero, Fraction(0)
+
 
 def mg0(g) -> H4Family:
     return H4Family("Mg0", g=g)
@@ -202,21 +228,7 @@ def m0() -> H4Family:
 
 def h4_base_values(fam: H4Family) -> Tuple[Poly, Poly, Fraction]:
     """(p.1, q.1, r.1) for the family; r.1 is always a constant."""
-    s = Poly.var(("s",), "s")
-    zero = Poly.zero(("s",))
-    if fam.variant == "Mg0":
-        return fam.g, zero, Fraction(0)
-    if fam.variant == "M0g":
-        return zero, fam.g, Fraction(0)
-    if fam.variant == "Mhb":
-        h = fam.a1 * s + Poly.const(("s",), fam.a2)
-        return h, Poly.const(("s",), fam.b), -fam.a1 * fam.b
-    if fam.variant == "Mbh":
-        h = fam.a1 * s + Poly.const(("s",), fam.a2)
-        return Poly.const(("s",), fam.b), h, -fam.a1 * fam.b
-    if fam.variant == "Mab":
-        return Poly.const(("s",), fam.a), Poly.const(("s",), fam.b), Fraction(0)
-    return zero, zero, Fraction(0)
+    return fam._base_values
 
 
 def _check_window_limit(window) -> None:
@@ -485,12 +497,8 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
         scale = spec.alpha ** n
         if kind == "s":
             return scale * Poly.var(variables, "s") + Poly.const(variables, spec.beta_at(n))
-        p1, q1, r1 = h4_base_values(spec.base)
-        if kind == "p":
-            return scale * change_variables(p1, variables)
-        if kind == "q":
-            return scale * change_variables(q1, variables)
-        return Poly.const(variables, scale * r1)
+        # p, q and r at loop n act by alpha^n times their base family value
+        return scale * change_variables(_value_on_one(spec.base, sym(kind)), variables)
 
     if isinstance(spec, Vir00Spec):
         if kind == "k":
@@ -513,15 +521,19 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     raise SpecInvalid(f"not a module spec: {spec!r}")
 
 
-# Entries kept by value_on_one's cache.  One request looks up at most a few
-# hundred (spec, symbol) pairs (86 generators at MAX_WINDOW), so `act` keeps
-# every hit within a request, while a long-running process keeps flat memory.
+# Entries kept by value_on_one's cache, so a long-running process that
+# calls it keeps flat memory.
 MAX_CACHED_VALUES = 1024
 
 
 @functools.lru_cache(maxsize=MAX_CACHED_VALUES)
 def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
-    """x.1 as a polynomial in the module variables, cached for `act`."""
+    """x.1 as a polynomial in the module variables, through a bounded cache.
+
+    No function of the package calls it: every request path computes x.1
+    afresh through `_integer_form`.  It stays public, and
+    perfbench/tracing.py reads its cache_info().
+    """
     return _value_on_one(spec, symbol)
 
 
@@ -533,16 +545,17 @@ _ACT_CACHE: dict = {}
 def _integer_form(spec: AnySpec, algebra: str, x: BasisSymbol):
     """x's integer form: shift_x, the numerators of x.1 over one common
     denominator as {exponents: int}, and that denominator."""
-    numerators, den = _integer_terms(value_on_one(spec, x))
+    numerators, den = _integer_terms(_value_on_one(spec, x))
     return shift_of(algebra, x), numerators, den
 
 
 def _image(forms: dict, x: BasisSymbol, ints: dict) -> dict:
     """x.v times the denominator of x.1, on integers: shift_x(v) times the
-    numerators of x.1.  `forms` maps x to its integer form and `ints` is v
+    numerators of x.1, and {} when x.1 is zero.  `forms` maps x (a symbol,
+    or a position in verify's table) to its integer form and `ints` is v
     as {exponents: int}; entries that cancel stay in the map as 0."""
     offsets, numerators, _ = forms[x]
-    return _shift_mul(ints, offsets, numerators.items())
+    return _shift_mul(ints, offsets, numerators.items()) if numerators else {}
 
 
 def _act_sum(spec: AnySpec, parts, v: Poly) -> Poly:
@@ -561,9 +574,7 @@ def _act_sum(spec: AnySpec, parts, v: Poly) -> Poly:
         check_in_algebra(algebra, x)
         if ints:
             forms[x] = _integer_form(spec, algebra, x)
-            _, numerators, den = forms[x]
-            if numerators:
-                images.append((coeff.numerator, coeff.denominator * den, _image(forms, x, ints)))
+            images.append((coeff.numerator, coeff.denominator * forms[x][2], _image(forms, x, ints)))
     total, common = _combine(images)
     return _from_integer_terms(v.variables, total, scale * common)
 
@@ -617,5 +628,5 @@ def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:
     if isinstance(spec, ActionData):
         return spec
     w = _resolve_window(spec, window)
-    table = {x: value_on_one(spec, x) for x in generators(spec, w)}
+    table = {x: _value_on_one(spec, x) for x in generators(spec, w)}
     return ActionData(algebra_of(spec), w, tuple(table.items()))

@@ -773,7 +773,11 @@ def _cmd_irreducible(args) -> Tuple[int, str]:
     spec = _require_spec(_load(args.path), "irreducible")
     seed = None
     if args.seed_poly is not None:
-        seed = parse_poly(args.seed_poly, module_variables(spec))
+        try:
+            seed = parse_poly(args.seed_poly, module_variables(spec))
+        except DslSyntaxError as exc:  # a position in the option, not in the document
+            line = f", line {exc.line}" if exc.line != 1 else ""
+            raise DslSyntaxError(f"--seed-poly{line}, col {exc.col}: {exc.message}") from exc
     reached = None  # the oracle runs first, so its request checks come first
     if args.max_degree is not None or args.cap_degree is not None:
         if seed is None or args.max_degree is None or args.cap_degree is None:

@@ -26,22 +26,23 @@ assumed.
 Only the values on 1 depend on the spec.  Everything else is a plan,
 cached by (algebra, generator tuple, test degree) in a bounded LRU cache
 (MAX_PLANS): the zero polynomial, the test monomials, the generators and
-bracket symbols with their shifts, and per pair the pair's distinct
-shifts and its bracket terms with their shifts, so `bracket` and
-`shift_of` run only when a plan is built.  The key holds the generators
-rather than the window because the generators of action data depend on
-its assignments.  Each request then fills a table of its own values on
-1 as pairs first need them (y, x, then the bracket terms, as evaluating
-through `act` would), computed without `value_on_one`'s cache, so
-verifying a spec leaves nothing behind; a WindowExceeded there marks
-every pair that needs the value as skipped.  Each value is cleared to
-integers once, when it enters the table.  A pair's R_sigma are then
-formed on integers: shift_x(y.1)*x.1 and shift_y(x.1)*y.1 are one
-`exactpoly._shift_mul` each, and `exactpoly._combine` sums them with
-the terms -c*z.1 over one common denominator.  Each R_sigma is
-zero-tested as an integer map, so a passing pair builds no polynomial;
-a failing pair's residuals sum(sigma(v) * R_sigma) are formed the same
-way, and only a nonzero residual becomes a `Poly`.
+bracket symbols, and per pair the pair's distinct shifts and its bracket
+terms with the position of their shifts, so `bracket` runs only when a
+plan is built; each symbol's own shift comes with its integer form, once
+per request.  The key holds the generators rather than the window
+because the generators of action data depend on its assignments.  Each
+request then fills a table of its own integer forms,
+`modfam._integer_form` (shift_x, and x.1 cleared to integers), as pairs
+first need them (y, x, then the bracket terms, as evaluating through
+`act` would), so each x.1 is computed afresh once and verifying a spec
+leaves nothing behind; a WindowExceeded there marks every pair that
+needs the value as skipped.  A pair's R_sigma are then formed on
+integers: shift_x(y.1)*x.1 and shift_y(x.1)*y.1 are one `modfam._image`
+each, as every generator image is, and `exactpoly._combine` sums them
+with the terms -c*z.1 over one common denominator.  Each R_sigma is
+zero-tested as an integer map, so a passing pair builds no polynomial; a
+failing pair's residuals sum(sigma(v) * R_sigma) are formed with
+`exactpoly._shift_mul`, and only a nonzero residual becomes a `Poly`.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ from .modfam import (
     algebra_of,
     generators,
     shift_of,
+    _image,
+    _integer_form,
     _resolve_window,
-    _value_on_one,
 )
 
 # Largest test degree: verify enumerates every monomial up to it.
@@ -135,13 +137,12 @@ _OUTSIDE = object()
 def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tuple:
     """Everything verify needs that does not depend on the values on 1.
 
-    Returns (zero, monomials, symbols, shifts, brackets).  `symbols` lists
-    the generators first, then the bracket terms outside them, and
-    `shifts` holds their shifts.  `brackets` holds, per generator pair
-    (a, b) in report order, that is in the order of
-    itertools.combinations over the generator positions, the pair's
-    distinct shifts sigma (shift_a∘shift_b first), the positions in
-    `symbols` of its bracket terms z, and per term c*z the position of
+    Returns (zero, monomials, symbols, brackets).  `symbols` lists the
+    generators first, then the bracket terms outside them.  `brackets`
+    holds, per generator pair (a, b) in report order, that is in the
+    order of itertools.combinations over the generator positions, the
+    pair's distinct shifts sigma (shift_a∘shift_b first), the positions
+    in `symbols` of its bracket terms z, and per term c*z the position of
     shift_z among the pair's shifts and -c as (numerator, denominator).
     Equal shifts and entries are stored once, so a pair with a zero
     bracket costs one reference.
@@ -171,7 +172,7 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
             terms.append((pair_shifts.index(sz), -c.numerator, c.denominator))
         brackets.append(share((share(tuple(pair_shifts)), tuple(zs), tuple(terms))))
     monomials = tuple(monomials_upto(variables, test_degree))
-    return Poly.zero(variables), monomials, tuple(symbols), tuple(shifts), tuple(brackets)
+    return Poly.zero(variables), monomials, tuple(symbols), tuple(brackets)
 
 
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
@@ -198,34 +199,32 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         raise SpecInvalid(f"test degree exceeds the limit {MAX_TEST_DEGREE}")
     algebra = algebra_of(spec)
     gens = tuple(generators(spec, window))
-    zero, monos, symbols, shifts, brackets = _plan(algebra, gens, test_degree)
-    # this request's values on 1 as (integer map, denominator), filled on first use
+    zero, monos, symbols, brackets = _plan(algebra, gens, test_degree)
+    # this request's integer forms (modfam._integer_form), filled on first use
     values = [None] * len(symbols)
     entries = []
     pairs = combinations(range(len(gens)), 2)
     for (a, b), (pair_shifts, zs, terms) in zip(pairs, brackets):
         x, y = symbols[a], symbols[b]
-        skip = False
         for i in (b, a, *zs):
             if values[i] is None:
                 try:
-                    values[i] = _integer_terms(_value_on_one(spec, symbols[i]))
+                    values[i] = _integer_form(spec, algebra, symbols[i])
                 except WindowExceeded:
                     values[i] = _OUTSIDE
             if values[i] is _OUTSIDE:
-                skip = True
                 break
-        if skip:
+        if values[i] is _OUTSIDE:  # the loop stopped at a value outside the window
             entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
             continue
-        (x1, lx), (y1, ly) = values[a], values[b]
+        (_, x1, lx), (_, y1, ly) = values[a], values[b]
         parts = [[
-            (1, lx * ly, _shift_mul(y1, shifts[a], x1.items())),
-            (-1, lx * ly, _shift_mul(x1, shifts[b], y1.items())),
+            (1, lx * ly, _image(values, a, y1)),
+            (-1, lx * ly, _image(values, b, x1)),
         ]]
         parts += [[] for _ in pair_shifts[1:]]
         for z, (k, num, den) in zip(zs, terms):
-            z1, lz = values[z]
+            _, z1, lz = values[z]
             parts[k].append((num, den * lz, z1))
         nonzero = [  # (sigma, R_sigma as integer map and denominator) where R_sigma != 0
             (shift, r, scale)

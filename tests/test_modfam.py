@@ -1,11 +1,20 @@
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nwfree.modfam
 from nwfree.exactpoly import Poly, VariableMismatch, change_variables
+from nwfree.irreducible import (
+    apply_chain_op,
+    decide,
+    orbit_oracle,
+    reduction_chain,
+    witness,
+)
 from nwfree.liealg import (
     AFFINE_H4,
     D,
@@ -46,6 +55,7 @@ from nwfree.modfam import (
     mtilde_f,
     value_on_one,
 )
+from nwfree.verify import verify_module
 
 from helpers import act_reference, sample_specs, with_assignment
 
@@ -87,6 +97,32 @@ def test_base_values_table():
     assert q1 == 2 * S_POLY - ONE_S
     assert r1 == -6
     assert h4_base_values(m0()) == (Poly.zero(("s",)), Poly.zero(("s",)), 0)
+
+
+def test_base_values_are_kept_beside_the_fields():
+    zero, g, h = Poly.zero(("s",)), S_POLY ** 2 - S_POLY, 2 * S_POLY - ONE_S
+    expected = [  # (p.1, q.1, r.1) from each family's definition
+        (mg0(g), (g, zero, 0)),
+        (m0g(g), (zero, g, 0)),
+        (mhb(2, -1, 3), (h, 3 * ONE_S, -6)),
+        (mbh(2, -1, 3), (3 * ONE_S, h, -6)),
+        (mab(2, 3), (2 * ONE_S, 3 * ONE_S, 0)),
+        (m0(), (zero, zero, 0)),
+    ]
+    for fam, values in expected:
+        twin = dataclasses.replace(fam)
+        text = repr(fam)
+        assert fam == twin and hash(fam) == hash(twin)  # neither evaluated
+        assert h4_base_values(fam) == values
+        assert h4_base_values(fam) is h4_base_values(fam)  # built once per object
+        assert fam == twin and hash(fam) == hash(twin)  # one evaluated
+        assert repr(fam) == repr(twin) == text
+        assert dataclasses.replace(fam) == fam
+        for copy in (pickle.loads(pickle.dumps(fam)), pickle.loads(pickle.dumps(twin))):
+            assert copy == fam and hash(copy) == hash(fam) and repr(copy) == text
+            assert h4_base_values(copy) == values
+        assert h4_base_values(twin) == values
+    assert [f.name for f in dataclasses.fields(H4Family)] == ["variant", "g", "a1", "a2", "a", "b"]
 
 
 @pytest.fixture
@@ -310,19 +346,63 @@ def test_with_assignment_replaces():
 
 
 def test_value_cache_is_bounded_and_keeps_request_hits():
-    # one request's working set: every generator of the widest spec, base included
+    # every generator value of the widest spec, base included, fits at once
     widest = affvir(mhb(1, 0, 1), 2, 3, MAX_WINDOW)
     assert MAX_CACHED_VALUES >= 4 * 2 * len(generators(widest))
     value_on_one.cache_clear()
     for a in range(1, MAX_CACHED_VALUES + 50):
-        act(mab(a, 1), P, S_POLY)
+        value_on_one(mab(a, 1), P)
     info = value_on_one.cache_info()
     assert info.maxsize == MAX_CACHED_VALUES
     assert info.currsize == MAX_CACHED_VALUES
     spec = mhb(1, 0, 1)
-    act(spec, P, S_POLY)
-    act(spec, P, S_POLY * S_POLY)
+    value_on_one(spec, P)
+    value_on_one(spec, P)
     assert value_on_one.cache_info().hits == info.hits + 1
+
+
+def test_no_entry_point_touches_the_value_cache():
+    value_on_one.cache_clear()
+    for _, spec in sample_specs():
+        variables = module_variables(spec)
+        seed = sum((Poly.var(variables, v) for v in variables), Poly.one(variables)) ** 2
+        for x in generators(spec):
+            act(spec, x, seed)
+        actions_of(spec)
+        verify_module(spec, 1, 2)
+        if decide(spec).irreducible:
+            cert = reduction_chain(spec, seed)
+            value = cert.seed
+            for op, recorded in cert.chain:
+                value = apply_chain_op(spec, op, value)
+                assert value == recorded
+        else:
+            witness(spec)
+        orbit_oracle(spec, seed, 2, 3)
+    info = value_on_one.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
+
+
+def test_a_zero_value_on_one_multiplies_nothing(monkeypatch):
+    factors = []
+    real = nwfree.modfam._shift_mul
+
+    def recording(ints, offsets, factor):
+        factor = list(factor)
+        factors.append(len(factor))
+        return real(ints, offsets, factor)
+
+    monkeypatch.setattr(nwfree.modfam, "_shift_mul", recording)
+    fseq = {1: S_POLY ** 2, -1: S_POLY + 2 * ONE_S}
+    for spec in (mg0(S_POLY ** 2 - S_POLY), m0g(5), m0(), mtilde_f(fseq, window=1)):
+        data = actions_of(spec)
+        assert any(value.is_zero() for _, value in data.assignments)
+        assert verify_module(spec, 1, 2).passed
+        variables = module_variables(spec)
+        v = Poly.var(variables, "s") + Poly.one(variables)
+        for x in generators(spec):
+            assert act(spec, x, v) == act_reference(spec, x, v)
+    assert factors and min(factors) > 0
 
 
 def test_vir00_data_window_defaults_to_two():

@@ -1,5 +1,9 @@
+import hashlib
 import importlib.util
+import sys
 from pathlib import Path
+
+from nwfree.verify import format_report, verify_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -38,3 +42,27 @@ def test_irreducibility_survey_evidence_matches_golden(capsys):
     survey = load_script("irreducibility_survey")
     assert survey.main(["--evidence"]) == 0
     assert capsys.readouterr().out == GOLDEN_SURVEY.read_text(encoding="utf-8")
+
+
+GOLDEN_REPORTS = Path(__file__).resolve().parent / "golden" / "verify_report_digests.txt"
+
+
+def verify_report_digests():
+    """One `sha256  name` line per spec of the standard grid at window 2:
+    the digest of format_report(verify_module(spec, 2, 3))."""
+    run_families = load_script("run_families")
+    lines = []
+    for name, spec in run_families.standard_grid(2):
+        text = format_report(verify_module(spec, 2, 3))
+        lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}\n")
+    return "".join(lines)
+
+
+def test_verify_reports_match_golden_digests():
+    # every report's text, byte for byte; regenerate with
+    # PYTHONPATH=src python3 tests/test_scripts.py > tests/golden/verify_report_digests.txt
+    assert verify_report_digests() == GOLDEN_REPORTS.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.stdout.write(verify_report_digests())

@@ -718,6 +718,24 @@ def test_cli_prints_nothing_before_exit_two(tmp_path, capsys):
     assert err == "error: the zero vector generates nothing\n"
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("d", "--seed-poly, col 1: unknown variable 'd'"),
+        ("s +", "--seed-poly, col 4: unexpected end of polynomial"),
+        ("s\n+ x", "--seed-poly, line 2, col 3: unknown variable 'x'"),
+    ],
+    ids=["unknown-variable", "unfinished", "second-line"],
+)
+def test_cli_seed_poly_errors_name_the_option(tmp_path, capsys, seed, message):
+    # the position lies in the option's text, not in the document
+    path = write(tmp_path, "mab.spec", "algebra = H4\nfamily = Mab\na = 2\nb = 3\n")
+    assert main(["irreducible", path, "--seed-poly", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_cli_irreducible_oracle(tmp_path, capsys):
     doc = "algebra = H4\nfamily = Mg0\ng = 1\n"
     path = write(tmp_path, "one.spec", doc)

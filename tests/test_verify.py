@@ -15,6 +15,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nwfree.modfam
 import nwfree.verify
 from nwfree.exactpoly import Poly
 from nwfree.liealg import AFF_VIR, H4, VIR00, D, K, P, Q, R, S, bracket, sym
@@ -294,7 +295,9 @@ def k_shifted():
 
     Every bracket here is graded, so each pair has one shift sigma.  Moving
     k off the shift of the pairs whose bracket holds it splits off a
-    second R_sigma that holds k's term alone.
+    second R_sigma that holds k's term alone.  verify reads the bracket
+    terms' shifts from its plan and the generators' own shifts from
+    `modfam._integer_form`, so both modules' `shift_of` are patched.
     """
 
     def shift(algebra, symbol):
@@ -304,6 +307,7 @@ def k_shifted():
     nwfree.verify._plan.cache_clear()
     try:
         with mock.patch.object(nwfree.verify, "shift_of", shift), \
+                mock.patch.object(nwfree.modfam, "shift_of", shift), \
                 mock.patch.object(helpers, "shift_of", shift):
             yield
     finally:
