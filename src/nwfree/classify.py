@@ -184,6 +184,8 @@ def classify_affine(data: ActionData) -> ClassificationResult:
             )
     if fseq[0] != s_var:
         return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[0])} must equal s")
+    if w < 1:  # alpha is read from f_1
+        raise MalformedData("window must be a positive integer")
     alpha = coefficient_in(fseq[1], "s", 1).constant_value()
     if alpha == 0:
         return Rejected("alpha-nonzero", "the s-coefficient of f_1 must be invertible")

@@ -28,8 +28,9 @@ the same product with zero offsets, and `apply_shift` runs the shift
 alone.  Every action here is shift-then-multiply, so `classify`'s product
 rule and the witness call `shift_mul`, while `modfam._image` (the
 generator image behind `act`, `apply_chain_op`, the orbit oracle and
-`verify_module`'s R_sigma) and `verify_module`'s failing residuals run
-`_shift_mul` on their integer maps directly.  `verify_module` and
+`verify_module`'s R_sigma, taken from a per-request table of integer
+forms) and `verify_module`'s failing residuals run `_shift_mul` on their
+integer maps directly.  `verify_module` and
 `modfam._act_sum` sum such integer images, each with a rational factor,
 over one common denominator with `_combine`.
 

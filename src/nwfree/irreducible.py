@@ -11,8 +11,9 @@ is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
 image from `modfam._image`: a chain operator sums its parts' images over
 one common denominator (`modfam._act_sum`), the witness acts once per
 generator, on the ideal generator, and the oracle eliminates fraction-free
-on integer vectors.  Every x.1, the chain's constants c and c1 included,
-is computed afresh by `modfam._value_on_one`, with no cache keyed by spec.
+on integer vectors.  Each call reads every x.1, the chain's constants c
+and c1 included, from one `modfam._Forms` table of its own, so each is
+computed once per call and nothing is kept per spec.
 """
 
 import math
@@ -40,9 +41,8 @@ from .modfam import (
     SpecInvalid,
     Vir00Spec,
     _act_sum,
+    _Forms,
     _image,
-    _integer_form,
-    _value_on_one,
     act,
     algebra_of,
     generators,
@@ -169,7 +169,16 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
 
     v is converted first; every symbol is then checked, even when v is zero.
     """
-    return _act_sum(spec, op.parts, change_variables(v, module_variables(spec)))
+    return _act_sum(_Forms(spec), op.parts, change_variables(v, module_variables(spec)))
+
+
+def _constant(form) -> Fraction:
+    """x.1 from x's integer form when it is a constant, else 0."""
+    _, numerators, den = form
+    if len(numerators) != 1:
+        return Fraction(0)
+    (exps, n), = numerators.items()
+    return Fraction(0) if any(exps) else Fraction(n, den)
 
 
 def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
@@ -189,17 +198,16 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     if seed.is_zero():
         raise SeedZero("the zero vector generates nothing")
 
+    forms = _Forms(spec)  # this chain's integer forms, each x.1 computed once
     for kind in ("q", "p"):
-        value = _value_on_one(spec, sym(kind, 0))
-        if value.is_constant() and not value.is_zero():
+        c = _constant(forms[sym(kind, 0)])
+        if c:
             break
-    c = value.constant_value()
 
     steps = []
     current = seed
-    algebra = algebra_of(spec)
-    if algebra in (AFFINE_H4, AFF_VIR):
-        c1 = _value_on_one(spec, sym(kind, 1)).constant_value()
+    if forms.algebra in (AFFINE_H4, AFF_VIR):
+        c1 = _constant(forms[sym(kind, 1)])
         d_op = ChainOp(
             (
                 (Fraction(1) / c1, sym(kind, 1)),
@@ -208,7 +216,7 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
         )
         while degree_in(current, "d") is not NEG_INF and degree_in(current, "d") > 0:
             before = degree_in(current, "d")
-            current = apply_chain_op(spec, d_op, current)
+            current = _act_sum(forms, d_op.parts, current)
             steps.append((d_op, current))
             if degree_in(current, "d") is not NEG_INF and degree_in(current, "d") >= before:
                 raise RuntimeError("d-stage failed to lower the d-degree")
@@ -216,7 +224,7 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     s_op = ChainOp(((Fraction(1) / c, sym(kind, 0)), (Fraction(-1), None)))
     while not current.is_constant():
         before = current.total_degree()
-        current = apply_chain_op(spec, s_op, current)
+        current = _act_sum(forms, s_op.parts, current)
         steps.append((s_op, current))
         if current.is_zero() or current.total_degree() >= before:
             raise RuntimeError("s-stage failed to lower the degree")
@@ -469,11 +477,10 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         raise SeedZero("the zero vector generates nothing")
     if seed.total_degree() > max_degree:
         raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
-    algebra = algebra_of(spec)
-    forms = {x: _integer_form(spec, algebra, x) for x in generators(spec)}
+    forms = _Forms(spec)
     # total degree of each nonzero x.1; a shift keeps the total degree, so
     # on a vector of degree d, x.v has degree d + deg x.1
-    degrees = {x: max(map(sum, form[1])) for x, form in forms.items() if form[1]}
+    degrees = {x: max(map(sum, forms[x][1])) for x in generators(spec) if forms[x][1]}
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)

@@ -8,15 +8,17 @@ Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
 polynomial 1.  The families differ only in those values, so one function,
-`_value_on_one`, computes x.1 for every request path, afresh, and
-`_integer_form` clears it to integers beside shift_x.  One function,
-`_image`, takes every generator image from that form for `act`,
-`irreducible.apply_chain_op`, the orbit oracle and `verify_module`, on
-integers, with nothing kept per spec; `_act_sum` sums such images over
-one common denominator for the first two.  The only state kept is each
-`H4Family`'s base values, on the family object.  Raw `ActionData`
-(values on 1 without a family attached) evaluates through the same
-identity, which is what classification and corruption tests rely on.
+`_value_on_one`, computes x.1 afresh, and every request path reads it
+through one table per request, `_Forms`, which clears each x.1 to
+integers beside shift_x the first time its symbol is looked up.  One
+function, `_image`, takes every generator image from that table for
+`act`, `irreducible.apply_chain_op`, the reduction chain, the orbit oracle
+and `verify_module`, on integers; `_act_sum` sums such images over one
+common denominator for the first three.  The only state kept across
+requests is each `H4Family`'s base values, on the family object.  Raw
+`ActionData` (values on 1 without a family attached) evaluates through
+the same identity, which is what classification and corruption tests
+rely on.
 """
 
 from __future__ import annotations
@@ -531,7 +533,7 @@ def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     """x.1 as a polynomial in the module variables, through a bounded cache.
 
     No function of the package calls it: every request path computes x.1
-    afresh through `_integer_form`.  It stays public, and
+    afresh through a `_Forms` table.  It stays public, and
     perfbench/tracing.py reads its cache_info().
     """
     return _value_on_one(spec, symbol)
@@ -542,38 +544,48 @@ def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
 _ACT_CACHE: dict = {}
 
 
-def _integer_form(spec: AnySpec, algebra: str, x: BasisSymbol):
-    """x's integer form: shift_x, the numerators of x.1 over one common
-    denominator as {exponents: int}, and that denominator."""
-    numerators, den = _integer_terms(_value_on_one(spec, x))
-    return shift_of(algebra, x), numerators, den
+class _Forms(dict):
+    """One request's integer forms, keyed by symbol.
+
+    A symbol's form is its shift_x, the numerators of x.1 over one common
+    denominator as {exponents: int}, and that denominator.  It is built
+    from `_value_on_one` the first time the symbol is looked up, so each
+    x.1 is computed at most once per table; a lookup that raises, such as
+    WindowExceeded outside the window, stores nothing.
+    """
+
+    def __init__(self, spec: AnySpec):
+        super().__init__()
+        self.spec = spec
+        self.algebra = algebra_of(spec)
+
+    def __missing__(self, x: BasisSymbol):
+        numerators, den = _integer_terms(_value_on_one(self.spec, x))
+        form = self[x] = shift_of(self.algebra, x), numerators, den
+        return form
 
 
-def _image(forms: dict, x: BasisSymbol, ints: dict) -> dict:
+def _image(forms: _Forms, x: BasisSymbol, ints: dict) -> dict:
     """x.v times the denominator of x.1, on integers: shift_x(v) times the
-    numerators of x.1, and {} when x.1 is zero.  `forms` maps x (a symbol,
-    or a position in verify's table) to its integer form and `ints` is v
-    as {exponents: int}; entries that cancel stay in the map as 0."""
+    numerators of x.1, and {} when x.1 is zero.  `ints` is v as
+    {exponents: int}; entries that cancel stay in the map as 0."""
     offsets, numerators, _ = forms[x]
     return _shift_mul(ints, offsets, numerators.items()) if numerators else {}
 
 
-def _act_sum(spec: AnySpec, parts, v: Poly) -> Poly:
+def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:
     """sum(c * x.v) over the (c, x) parts, x a basis symbol or None for the
     identity, with v in the module variables: the images are summed on
     integers over one common denominator.  Each symbol is checked in turn,
     even on v = 0; x.1 is looked up only when v is nonzero."""
-    algebra = algebra_of(spec)
     ints, scale = _integer_terms(v)
-    forms = {}
     images = []  # (numerator, denominator, integer image) per part
     for coeff, x in parts:
         if x is None:
             images.append((coeff.numerator, coeff.denominator, ints))
             continue
-        check_in_algebra(algebra, x)
+        check_in_algebra(forms.algebra, x)
         if ints:
-            forms[x] = _integer_form(spec, algebra, x)
             images.append((coeff.numerator, coeff.denominator * forms[x][2], _image(forms, x, ints)))
     total, common = _combine(images)
     return _from_integer_terms(v.variables, total, scale * common)
@@ -581,13 +593,13 @@ def _act_sum(spec: AnySpec, parts, v: Poly) -> Poly:
 
 def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
     """Evaluate x on v as shift_x(v) * x.1; linear in both x and v."""
-    algebra = algebra_of(spec)
-    variables = MODULE_VARIABLES[algebra]
+    forms = _Forms(spec)
+    variables = MODULE_VARIABLES[forms.algebra]
     parts = [(c, y) for y, c in x.terms] if isinstance(x, LieElement) else [(Fraction(1), x)]
     if not parts:
         return Poly.zero(variables)
-    check_in_algebra(algebra, parts[0][1])  # the first symbol before v
-    return _act_sum(spec, parts, change_variables(v, variables))
+    check_in_algebra(forms.algebra, parts[0][1])  # the first symbol before v
+    return _act_sum(forms, parts, change_variables(v, variables))
 
 
 def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:

@@ -433,6 +433,18 @@ def _best_position(message, taken, fallback_line, fallback_col):
     return taken[best].line, taken[best].key_col
 
 
+def _construct(call, taken, fallback: _Entry):
+    """Run a constructor, attaching the best source position on failure: the
+    taken key its message names, else `fallback`'s key."""
+    try:
+        return call()
+    except ConstraintViolation as exc:
+        if exc.line is not None:
+            raise
+        line, col = _best_position(exc.message, taken, fallback.line, fallback.key_col)
+        raise type(exc)(exc.message, line, col) from exc
+
+
 def _window_value(entry: _Entry) -> int:
     try:
         if not _ascii_numeral(entry.value):
@@ -505,7 +517,7 @@ class _SpecBuilder:
             name: self.poly(name, ("s",)) if name == "g" else self.rational(name)
             for name in H4_PARAMS[variant]
         }
-        return self.construct(lambda: H4Family(variant, **params))
+        return _construct(lambda: H4Family(variant, **params), self.taken, self.family_entry)
 
     def base_variant(self) -> str:
         entry = self.grab("base")
@@ -514,18 +526,6 @@ class _SpecBuilder:
                 f"unknown base family {entry.value}", entry.line, entry.value_col
             )
         return entry.value
-
-    def construct(self, call):
-        """Run a constructor, attaching the best source position on failure."""
-        try:
-            return call()
-        except ConstraintViolation as exc:
-            if exc.line is not None:
-                raise
-            line, col = _best_position(
-                exc.message, self.taken, self.family_entry.line, self.family_entry.key_col
-            )
-            raise type(exc)(exc.message, line, col) from exc
 
 
 def _build_spec(entries):
@@ -559,24 +559,24 @@ def _build_spec(entries):
             k: parse_rational(e.value, e.line, e.value_col)
             for k, e in builder.indexed("beta").items()
         }
-        spec = builder.construct(lambda: mtilde(base, alpha, beta, window))
+        spec = _construct(lambda: mtilde(base, alpha, beta, window), builder.taken, family_entry)
     elif family == "MTildeF":
         window = builder.window()
         fseq = {
             k: parse_poly(e.value, ("s",), e.line, e.value_col)
             for k, e in builder.indexed("f").items()
         }
-        spec = builder.construct(lambda: mtilde_f(fseq, window))
+        spec = _construct(lambda: mtilde_f(fseq, window), builder.taken, family_entry)
     elif family == "MLambdaF":
         lam = builder.rational("lambda")
         fpoly = builder.poly("fpoly", ("w0",))
-        spec = builder.construct(lambda: Vir00Spec(lam, fpoly))
+        spec = _construct(lambda: Vir00Spec(lam, fpoly), builder.taken, family_entry)
     else:  # MTildeLambda
         base = builder.h4_base(builder.base_variant())
         alpha = builder.rational("alpha")
         lam = builder.rational("lambda")
         window = builder.window()
-        spec = builder.construct(lambda: affvir(base, alpha, lam, window))
+        spec = _construct(lambda: affvir(base, alpha, lam, window), builder.taken, family_entry)
     if builder.emap:
         leftover = min(builder.emap.values(), key=lambda e: (e.line, e.key_col))
         raise ConstraintViolation(
@@ -630,13 +630,7 @@ def _build_actions(entries) -> ActionData:
         value = parse_poly(entry.value, MODULE_VARIABLES[algebra], entry.line, entry.value_col)
         assignments[symbol] = value
         taken[entry.key] = entry
-    try:
-        return ActionData(algebra, window, assignments)
-    except ConstraintViolation as exc:
-        if exc.line is not None:
-            raise
-        line, col = _best_position(exc.message, taken, algebra_entry.line, algebra_entry.key_col)
-        raise type(exc)(exc.message, line, col) from exc
+    return _construct(lambda: ActionData(algebra, window, assignments), taken, algebra_entry)
 
 
 def parse_actions(text: str) -> ActionData:

@@ -25,21 +25,20 @@ assumed.
 
 Only the values on 1 depend on the spec.  Everything else is a plan,
 cached by (algebra, generator tuple, test degree) in a bounded LRU cache
-(MAX_PLANS): the zero polynomial, the test monomials, the generators and
-bracket symbols, and per pair the pair's distinct shifts and its bracket
-terms with the position of their shifts, so `bracket` runs only when a
-plan is built; each symbol's own shift comes with its integer form, once
-per request.  The key holds the generators rather than the window
-because the generators of action data depend on its assignments.  Each
-request then fills a table of its own integer forms,
-`modfam._integer_form` (shift_x, and x.1 cleared to integers), as pairs
-first need them (y, x, then the bracket terms, as evaluating through
-`act` would), so each x.1 is computed afresh once and verifying a spec
-leaves nothing behind; a WindowExceeded there marks every pair that
-needs the value as skipped.  A pair's R_sigma are then formed on
-integers: shift_x(y.1)*x.1 and shift_y(x.1)*y.1 are one `modfam._image`
-each, as every generator image is, and `exactpoly._combine` sums them
-with the terms -c*z.1 over one common denominator.  Each R_sigma is
+(MAX_PLANS): the zero polynomial, the test monomials, and per pair the
+pair's distinct shifts and its bracket terms with the position of their
+shifts, so `bracket` runs only when a plan is built.  The key holds the
+generators rather than the window because the generators of action data
+depend on its assignments.  Each request then fills one table of integer
+forms, `modfam._Forms` (shift_x, and x.1 cleared to integers, keyed by
+symbol), as pairs first look them up (y, x, then the bracket terms, as
+evaluating through `act` would), so each x.1 is computed afresh once and
+verifying a spec leaves nothing behind; a lookup that raises
+WindowExceeded stores nothing and marks the pair as skipped.  A pair's
+R_sigma are then formed on integers: shift_x(y.1)*x.1 and
+shift_y(x.1)*y.1 are one `modfam._image` each, as every generator image
+is, and `exactpoly._combine` sums them with the terms -c*z.1 over one
+common denominator.  Each R_sigma is
 zero-tested as an integer map, so a passing pair builds no polynomial; a
 failing pair's residuals sum(sigma(v) * R_sigma) are formed with
 `exactpoly._shift_mul`, and only a nonzero residual becomes a `Poly`.
@@ -69,11 +68,10 @@ from .modfam import (
     AnySpec,
     SpecInvalid,
     WindowExceeded,
-    algebra_of,
     generators,
     shift_of,
+    _Forms,
     _image,
-    _integer_form,
     _resolve_window,
 )
 
@@ -129,23 +127,18 @@ class VerificationReport:
 # full cache stays under 3 MB.
 MAX_PLANS = 16
 
-# Marks a value on 1 whose lookup raised WindowExceeded.
-_OUTSIDE = object()
-
 
 @functools.lru_cache(maxsize=MAX_PLANS)
 def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tuple:
     """Everything verify needs that does not depend on the values on 1.
 
-    Returns (zero, monomials, symbols, brackets).  `symbols` lists the
-    generators first, then the bracket terms outside them.  `brackets`
-    holds, per generator pair (a, b) in report order, that is in the
-    order of itertools.combinations over the generator positions, the
-    pair's distinct shifts sigma (shift_a∘shift_b first), the positions
-    in `symbols` of its bracket terms z, and per term c*z the position of
-    shift_z among the pair's shifts and -c as (numerator, denominator).
-    Equal shifts and entries are stored once, so a pair with a zero
-    bracket costs one reference.
+    Returns (zero, monomials, brackets).  `brackets` holds, per generator
+    pair (x, y) in report order, that is in the order of
+    itertools.combinations over the generators, the pair's distinct
+    shifts sigma (shift_x∘shift_y first), its bracket terms z, and per
+    term c*z the position of shift_z among the pair's shifts and -c as
+    (numerator, denominator).  Equal shifts and entries are stored once,
+    so a pair with a zero bracket costs one reference.
     """
     variables = MODULE_VARIABLES[algebra]
     shared: dict = {}
@@ -153,26 +146,19 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
     def share(value):
         return shared.setdefault(value, value)
 
-    position = {x: i for i, x in enumerate(gens)}
-    symbols = list(gens)
-    shifts = [share(shift_of(algebra, x)) for x in gens]
     brackets = []
-    for a, b in combinations(range(len(gens)), 2):
-        pair_shifts = [share(tuple(map(add, shifts[a], shifts[b])))]
+    for x, y in combinations(gens, 2):
+        pair_shifts = [share(tuple(map(add, shift_of(algebra, x), shift_of(algebra, y))))]
         zs, terms = [], []
-        for z, c in bracket(algebra, gens[a], gens[b]).terms:
-            if z not in position:
-                position[z] = len(symbols)
-                symbols.append(z)
-                shifts.append(share(shift_of(algebra, z)))
-            sz = shifts[position[z]]
+        for z, c in bracket(algebra, x, y).terms:
+            sz = share(shift_of(algebra, z))
             if sz not in pair_shifts:
                 pair_shifts.append(sz)
-            zs.append(position[z])
+            zs.append(z)
             terms.append((pair_shifts.index(sz), -c.numerator, c.denominator))
         brackets.append(share((share(tuple(pair_shifts)), tuple(zs), tuple(terms))))
     monomials = tuple(monomials_upto(variables, test_degree))
-    return Poly.zero(variables), monomials, tuple(symbols), tuple(brackets)
+    return Poly.zero(variables), monomials, tuple(brackets)
 
 
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
@@ -197,34 +183,24 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         raise SpecInvalid("test degree must be at least 1")
     if test_degree > MAX_TEST_DEGREE:
         raise SpecInvalid(f"test degree exceeds the limit {MAX_TEST_DEGREE}")
-    algebra = algebra_of(spec)
+    forms = _Forms(spec)  # this request's integer forms, filled on first use
+    algebra = forms.algebra
     gens = tuple(generators(spec, window))
-    zero, monos, symbols, brackets = _plan(algebra, gens, test_degree)
-    # this request's integer forms (modfam._integer_form), filled on first use
-    values = [None] * len(symbols)
+    zero, monos, brackets = _plan(algebra, gens, test_degree)
     entries = []
-    pairs = combinations(range(len(gens)), 2)
-    for (a, b), (pair_shifts, zs, terms) in zip(pairs, brackets):
-        x, y = symbols[a], symbols[b]
-        for i in (b, a, *zs):
-            if values[i] is None:
-                try:
-                    values[i] = _integer_form(spec, algebra, symbols[i])
-                except WindowExceeded:
-                    values[i] = _OUTSIDE
-            if values[i] is _OUTSIDE:
-                break
-        if values[i] is _OUTSIDE:  # the loop stopped at a value outside the window
+    for (x, y), (pair_shifts, zs, terms) in zip(combinations(gens, 2), brackets):
+        try:  # y, x, then the bracket terms: the order act would look them up in
+            (_, y1, ly), (_, x1, lx) = forms[y], forms[x]
+            z_forms = [forms[z] for z in zs]
+        except WindowExceeded:
             entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
             continue
-        (_, x1, lx), (_, y1, ly) = values[a], values[b]
         parts = [[
-            (1, lx * ly, _image(values, a, y1)),
-            (-1, lx * ly, _image(values, b, x1)),
+            (1, lx * ly, _image(forms, x, y1)),
+            (-1, lx * ly, _image(forms, y, x1)),
         ]]
         parts += [[] for _ in pair_shifts[1:]]
-        for z, (k, num, den) in zip(zs, terms):
-            _, z1, lz = values[z]
+        for (_, z1, lz), (k, num, den) in zip(z_forms, terms):
             parts[k].append((num, den * lz, z1))
         nonzero = [  # (sigma, R_sigma as integer map and denominator) where R_sigma != 0
             (shift, r, scale)

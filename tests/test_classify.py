@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    SD_D,
     SD_S,
     affine_data,
     corrupted_fixtures,
@@ -24,7 +25,7 @@ from nwfree.classify import (
     twist,
 )
 from nwfree.exactpoly import Poly, monomials_upto, negate_var
-from nwfree.liealg import AFFINE_H4, H4, P, Q, R, S, VIR00, LieElement, eta, sym
+from nwfree.liealg import AFFINE_H4, H4, D, K, P, Q, R, S, VIR00, LieElement, eta, sym
 from nwfree.modfam import (
     ActionData,
     MalformedData,
@@ -88,6 +89,17 @@ def test_classify_dispatch_and_malformed():
         classify_h4(bad_s)
     with pytest.raises(MalformedData):
         classify_affine(actions_of(mg0(1)))
+
+
+def test_window_zero_affine_data_is_malformed():
+    zero = Poly.zero(("s", "d"))
+    one = Poly.one(("s", "d"))
+    data = ActionData(AFFINE_H4, 0, {P: one, Q: one, R: zero, S: SD_S, K: zero, D: SD_D})
+    with pytest.raises(MalformedData, match="^window must be a positive integer$"):
+        classify(data)  # alpha would be read from f_1
+    all_zero = with_assignment(with_assignment(data, P, zero), Q, zero)
+    with pytest.raises(ValueError, match="^window must be a positive integer$"):
+        classify(all_zero)  # MTildeF rejects the window itself
 
 
 def test_classify_affine_round_trip_example():

@@ -25,6 +25,8 @@ NESTED_MINUS = "algebra = H4\nfamily = Mg0\ng = " + "-" * 1000 + "s\n"
 # pairwise coprime 1000-digit denominators: a sum no formatter could print
 SIX_FRACTIONS = ("algebra = H4\nfamily = Mg0\ng = "
                  + "+".join(f"1/{10 ** 999 + k}" for k in (1, 3, 5, 7, 9, 13)) + "\n")
+# affine action data with no loop index to read alpha from
+WINDOW_ZERO_AFFINE = "algebra = AffineH4\nwindow = 0\np = 1\nq = 1\nr = 0\ns = s\nk = 0\nd = d\n"
 
 _index = st.sampled_from(["-1", "0", "1", "2", "-2", "١", "1_0", " 1", "+1", "", "x",
                           "9" * 30])
@@ -113,6 +115,8 @@ def invocations(draw):
 @example(invocation=(NESTED_MINUS, ["verify"]))
 # a sum of fractions whose denominator passes every product and power limit
 @example(invocation=(SIX_FRACTIONS, ["twist"]))
+# window-0 affine data with a nonzero p, q or r
+@example(invocation=(WINDOW_ZERO_AFFINE, ["classify"]))
 def test_cli_ends_in_a_defined_exit_code(tmp_path, small_ranges, invocation):
     doc, args = invocation
     path = tmp_path / "fuzz.doc"

@@ -383,6 +383,41 @@ def test_no_entry_point_touches_the_value_cache():
     assert info.hits == info.misses == info.currsize == 0
 
 
+def test_each_value_on_one_is_computed_once_per_request(monkeypatch):
+    calls = []  # (spec, symbol) per value computed, lookups that raise left out
+    real = nwfree.modfam._value_on_one
+
+    def counting(spec, x):
+        value = real(spec, x)
+        calls.append((spec, x))
+        return value
+
+    monkeypatch.setattr(nwfree.modfam, "_value_on_one", counting)
+    h4 = mbh(2, -1, 3)  # q.1 is not constant, so the chain acts with p
+    affine = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
+    virasoro = affvir(mab(2, 3), 2, 3, window=1)
+
+    def cubed(spec):
+        variables = module_variables(spec)
+        return sum((Poly.var(variables, v) for v in variables), Poly.one(variables)) ** 3
+
+    requests = [
+        (h4, lambda: reduction_chain(h4, cubed(h4))),
+        (affine, lambda: reduction_chain(affine, cubed(affine))),
+        (virasoro, lambda: reduction_chain(virasoro, cubed(virasoro))),
+        (affine, lambda: orbit_oracle(affine, cubed(affine), 3, 4)),
+        (h4, lambda: verify_module(h4, 1, 3)),
+        # pairs whose bracket leaves the window are skipped
+        (affine, lambda: verify_module(affine, 1, 2)),
+        (virasoro, lambda: verify_module(virasoro, 1, 2)),
+    ]
+    for spec, run in requests:
+        calls.clear()
+        run()
+        own = [x for s, x in calls if s is spec]
+        assert own and len(own) == len(set(own)), spec
+
+
 def test_a_zero_value_on_one_multiplies_nothing(monkeypatch):
     factors = []
     real = nwfree.modfam._shift_mul

@@ -295,9 +295,9 @@ def k_shifted():
 
     Every bracket here is graded, so each pair has one shift sigma.  Moving
     k off the shift of the pairs whose bracket holds it splits off a
-    second R_sigma that holds k's term alone.  verify reads the bracket
-    terms' shifts from its plan and the generators' own shifts from
-    `modfam._integer_form`, so both modules' `shift_of` are patched.
+    second R_sigma that holds k's term alone.  verify reads each pair's
+    shifts from its plan and each generator's own shift from the request's
+    `modfam._Forms` table, so both modules' `shift_of` are patched.
     """
 
     def shift(algebra, symbol):
