@@ -20,7 +20,6 @@ from .exactpoly import (
     degree_in,
     format_poly,
     negate_var,
-    shift_mul,
 )
 from .liealg import AFFINE_H4, H4, BasisSymbol, D, K, P, Q, R, S, format_symbol, sym
 from .modfam import (
@@ -28,6 +27,7 @@ from .modfam import (
     AffineSpec,
     H4Family,
     MalformedData,
+    act,
     actions_of,
     m0,
     m0g,
@@ -37,7 +37,6 @@ from .modfam import (
     mhb,
     mtilde,
     mtilde_f,
-    shift_of,
 )
 
 __all__ = [
@@ -127,8 +126,8 @@ def classify_h4(data: ActionData) -> ClassificationResult:
             "degree-dichotomy",
             f"degree pair ({dp}, {dq}) is not (0,0), (1,0) or (0,1)",
         )
-    # [p, q].1 = p.(q.1) - q.(p.1)
-    forced = shift_mul(shift_of(H4, P), q1, p1) - shift_mul(shift_of(H4, Q), p1, q1)
+    # [p, q].1 = p.(q.1) - q.(p.1), the module axiom on the data itself
+    forced = act(data, P, q1) - act(data, Q, p1)
     if forced != Poly.const(("s",), r1):
         return Rejected(
             "r1-product-rule",

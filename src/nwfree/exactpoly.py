@@ -21,24 +21,23 @@ Shifting and multiplying are done on integers, by one kernel:
 `_shift_mul(ints, offsets, factor)` shifts an integer polynomial
 {exponents: int} with `_taylor_shift` (a Horner-type recurrence along
 dense coefficient rows) and multiplies it by the integer factor.
-`shift_mul(sh, x, w)`, equal to apply_shift(sh, x) * w, clears each
-side's denominators once (`_integer_terms`), runs the kernel and builds
-one Fraction per output term (`_from_integer_terms`); `Poly.__mul__` is
-the same product with zero offsets, and `apply_shift` runs the shift
-alone.  Every action here is shift-then-multiply, so `classify`'s product
-rule and the witness call `shift_mul`, while `modfam._image` (the
-generator image behind `act`, `apply_chain_op`, the orbit oracle and
-`verify_module`'s R_sigma, taken from a per-request table of integer
-forms) and `verify_module`'s failing residuals run `_shift_mul` on their
-integer maps directly.  `verify_module` and
-`modfam._act_sum` sum such integer images, each with a rational factor,
-over one common denominator with `_combine`.
+`Poly.__mul__` clears each side's denominators once (`_integer_terms`),
+runs the kernel with zero offsets and builds one Fraction per output term
+(`_from_integer_terms`); `apply_shift` runs the shift alone.  Every
+action here is shift-then-multiply, and one function, `modfam._image`,
+takes every generator image on integers from a generator's integer form:
+`act` and so `classify`'s product rule, `apply_chain_op`, the witness,
+the orbit oracle and `verify_module`'s R_sigma.  Only `_image`, the
+witness's closure images and `verify_module`'s failing residuals call
+`_shift_mul` with a nonzero shift.  `verify_module` and `modfam._act_sum`
+sum such integer images, each with a rational factor, over one common
+denominator with `_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else builds canonical results
 directly through `Poly._trusted`, which only drops zero coefficients and
 sorts.  Internal arithmetic (`+`, `-`, `*`, unary `-`, `apply_shift`,
-`shift_mul`, `change_variables`, `negate_var`, `coefficient_in` and the
+`change_variables`, `negate_var`, `coefficient_in` and the
 shifted monomials of `reduce_mod_univariate`) already holds merged terms
 over one variable set.  The one-term builders `zero`, `one`, `const` and
 `var`, through which the parser builds every numeral and variable, check
@@ -229,7 +228,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
-        return shift_mul((0,) * len(self.variables), self, other)
+        ints, scale_x = _integer_terms(self)
+        factor, scale_w = _integer_terms(other)
+        product = _shift_mul(ints, (0,) * len(self.variables), factor.items())
+        return _from_integer_terms(self.variables, product, scale_x * scale_w)
 
     __rmul__ = __mul__
 
@@ -343,23 +345,6 @@ def apply_shift(sh: Shift, x: Poly) -> Poly:
         return x
     ints, scale = _integer_terms(x)
     return _from_integer_terms(x.variables, _taylor_shift(ints, sh), scale)
-
-
-def shift_mul(sh: Shift, x: Poly, w: Poly) -> Poly:
-    """apply_shift(sh, x) * w, computed on integers.
-
-    Each side is scaled once to integers by the lcm of its denominators,
-    `_shift_mul` shifts and multiplies the numerators, and one
-    Fraction(n, Lx * Lw) is built per nonzero output term.
-    """
-    if len(sh) != len(x.variables):
-        raise VariableMismatch(f"shift {sh!r} does not fit variables {x.variables!r}")
-    x._check_same(w)
-    ints, scale_x = _integer_terms(x)
-    factor, scale_w = _integer_terms(w)
-    return _from_integer_terms(
-        x.variables, _shift_mul(ints, sh, factor.items()), scale_x * scale_w
-    )
 
 
 def negate_var(x: Poly, var: str) -> Poly:

@@ -24,14 +24,15 @@ from typing import Optional, Tuple
 from .exactpoly import (
     NEG_INF,
     Poly,
+    _from_integer_terms,
     _integer_terms,
+    _shift_mul,
     change_variables,
     degree_in,
     exponents_upto,
     format_poly,
     monomials_upto,
     reduce_mod_univariate,
-    shift_mul,
 )
 from .liealg import AFF_VIR, AFFINE_H4, H4, BasisSymbol, format_symbol, sym
 from .modfam import (
@@ -43,11 +44,8 @@ from .modfam import (
     _act_sum,
     _Forms,
     _image,
-    act,
-    algebra_of,
     generators,
     module_variables,
-    shift_of,
 )
 
 
@@ -410,25 +408,31 @@ def witness(spec) -> ReducibilityWitness:
     """Invariant principal ideal plus closure checks on the degree-4 test basis.
 
     Every action is shift-then-multiply, so the image of ideal * m under x
-    is shift_x(m) * R_x with R_x = x.ideal: each generator acts once, on
-    the ideal generator, and each image is one `shift_mul`.  When R_x
-    reduces to zero modulo the ideal, every image of x lies in the ideal;
-    only otherwise is each image reduced on its own.
+    is shift_x(m) * R_x with R_x = x.ideal: on integers, each generator
+    acts once, on the ideal generator, through `modfam._image`, and each
+    image is one `_shift_mul` of the monomial by R_x.  When R_x reduces to
+    zero modulo the ideal, every image of x lies in the ideal; only
+    otherwise is each image reduced on its own.
     """
     verdict = decide(spec)
     if verdict.irreducible:
         raise NotReducible(f"{verdict.family} is irreducible, no invariant ideal exists")
     ideal, var = _witness_generator(spec)
     variables = module_variables(spec)
-    algebra = algebra_of(spec)
+    forms = _Forms(spec)
+    ideal_ints, ideal_scale = _integer_terms(ideal)
     monomials = monomials_upto(variables, 4)
     checks = []
     for x in generators(spec):
-        sh = shift_of(algebra, x)
-        r_x = act(spec, x, ideal)
+        form = forms[x]
+        r_ints = _image(form, ideal_ints)  # R_x times `scale`, on integers
+        scale = ideal_scale * form[2]
+        r_x = _from_integer_terms(variables, r_ints, scale)
         closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
         for m in monomials:
-            image = shift_mul(sh, m, r_x)
+            (exps, _), = m.terms  # a monic monomial
+            image = _shift_mul({exps: 1}, form[0], r_ints.items())
+            image = _from_integer_terms(variables, image, scale)
             contained = closed or reduce_mod_univariate(image, ideal, var).is_zero()
             checks.append(ClosureCheck(x, m, image, contained))
     return ReducibilityWitness(ideal, tuple(checks))
@@ -478,9 +482,9 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     if seed.total_degree() > max_degree:
         raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
     forms = _Forms(spec)
-    # total degree of each nonzero x.1; a shift keeps the total degree, so
-    # on a vector of degree d, x.v has degree d + deg x.1
-    degrees = {x: max(map(sum, forms[x][1])) for x in generators(spec) if forms[x][1]}
+    # (form, total degree) of each nonzero x.1; a shift keeps the total
+    # degree, so on a vector of degree d, x.v has degree d + deg x.1
+    acting = [(f, max(map(sum, f[1]))) for f in map(forms.__getitem__, generators(spec)) if f[1]]
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)
@@ -517,9 +521,9 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         pivots[lead] = pivot
         vector = {columns[j]: n for j, n in pivot}
         degree = sum(columns[lead])
-        for x, deg_x in degrees.items():
+        for form, deg_x in acting:
             if degree + deg_x <= cap_degree:
-                queue.append(_image(forms, x, vector))  # x.v up to a positive scalar
+                queue.append(_image(form, vector))  # x.v up to a positive scalar
     # a pivot at the zero exponent, the last column, is a constant
     return width - 1 in pivots
 

@@ -11,11 +11,11 @@ polynomial 1.  The families differ only in those values, so one function,
 `_value_on_one`, computes x.1 afresh, and every request path reads it
 through one table per request, `_Forms`, which clears each x.1 to
 integers beside shift_x the first time its symbol is looked up.  One
-function, `_image`, takes every generator image from that table for
-`act`, `irreducible.apply_chain_op`, the reduction chain, the orbit oracle
-and `verify_module`, on integers; `_act_sum` sums such images over one
-common denominator for the first three.  The only state kept across
-requests is each `H4Family`'s base values, on the family object.  Raw
+function, `_image`, takes every generator image on integers from x's
+form in that table, for `act` (so `classify`'s product rule), the chains,
+the witness, the orbit oracle and `verify_module`; `_act_sum` sums such
+images over one common denominator for `act` and the chains.  The only
+state kept across requests is each `H4Family`'s `base_values`.  Raw
 `ActionData` (values on 1 without a family attached) evaluates through
 the same identity, which is what classification and corruption tests
 rely on.
@@ -137,7 +137,7 @@ def _int_keyed(entries, coerce, what: str):
 class H4Family:
     """One of the six families: Mg0, M0g, Mhb, Mbh, Mab, M0.
 
-    Its values on 1 of p, q and r (`h4_base_values`) are built on first
+    Its values on 1 of p, q and r (`base_values`) are built on first
     use and kept beside the fields, as a cached property, so equality,
     hashing, repr and `dataclasses.replace` see the parameters alone.
     """
@@ -186,7 +186,8 @@ class H4Family:
             object.__setattr__(self, "b", b)
 
     @functools.cached_property
-    def _base_values(self) -> Tuple[Poly, Poly, Fraction]:
+    def base_values(self) -> Tuple[Poly, Poly, Fraction]:
+        """(p.1, q.1, r.1) for the family; r.1 is always a constant."""
         s = Poly.var(("s",), "s")
         zero = Poly.zero(("s",))
         if self.variant == "Mg0":
@@ -226,11 +227,6 @@ def mab(a: Scalar, b: Scalar) -> H4Family:
 
 def m0() -> H4Family:
     return H4Family("M0")
-
-
-def h4_base_values(fam: H4Family) -> Tuple[Poly, Poly, Fraction]:
-    """(p.1, q.1, r.1) for the family; r.1 is always a constant."""
-    return fam._base_values
 
 
 def _check_window_limit(window) -> None:
@@ -476,7 +472,7 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
         raise MalformedData(f"no assignment for {format_symbol(symbol)}")
 
     if isinstance(spec, H4Family):
-        p1, q1, r1 = h4_base_values(spec)
+        p1, q1, r1 = spec.base_values
         if kind == "p":
             return p1
         if kind == "q":
@@ -565,11 +561,11 @@ class _Forms(dict):
         return form
 
 
-def _image(forms: _Forms, x: BasisSymbol, ints: dict) -> dict:
-    """x.v times the denominator of x.1, on integers: shift_x(v) times the
-    numerators of x.1, and {} when x.1 is zero.  `ints` is v as
-    {exponents: int}; entries that cancel stay in the map as 0."""
-    offsets, numerators, _ = forms[x]
+def _image(form, ints: dict) -> dict:
+    """x.v times the denominator of x.1, on integers, from x's `_Forms` form:
+    shift_x(v) times the numerators of x.1, and {} when x.1 is zero.  `ints`
+    is v as {exponents: int}; entries that cancel stay in the map as 0."""
+    offsets, numerators, _ = form
     return _shift_mul(ints, offsets, numerators.items()) if numerators else {}
 
 
@@ -586,7 +582,8 @@ def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:
             continue
         check_in_algebra(forms.algebra, x)
         if ints:
-            images.append((coeff.numerator, coeff.denominator * forms[x][2], _image(forms, x, ints)))
+            form = forms[x]
+            images.append((coeff.numerator, coeff.denominator * form[2], _image(form, ints)))
     total, common = _combine(images)
     return _from_integer_terms(v.variables, total, scale * common)
 

@@ -733,8 +733,15 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_input(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # positioned as the parser counts: "?" is the bad byte
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise DslSyntaxError(message, len(lines), len(lines[-1])) from None
+    return parse_input(text)
 
 
 def _require_spec(target, command: str):

@@ -36,8 +36,8 @@ evaluating through `act` would), so each x.1 is computed afresh once and
 verifying a spec leaves nothing behind; a lookup that raises
 WindowExceeded stores nothing and marks the pair as skipped.  A pair's
 R_sigma are then formed on integers: shift_x(y.1)*x.1 and
-shift_y(x.1)*y.1 are one `modfam._image` each, as every generator image
-is, and `exactpoly._combine` sums them with the terms -c*z.1 over one
+shift_y(x.1)*y.1 are one `modfam._image` each, on the forms of x and y,
+and `exactpoly._combine` sums them with the terms -c*z.1 over one
 common denominator.  Each R_sigma is
 zero-tested as an integer map, so a passing pair builds no polynomial; a
 failing pair's residuals sum(sigma(v) * R_sigma) are formed with
@@ -190,15 +190,13 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     entries = []
     for (x, y), (pair_shifts, zs, terms) in zip(combinations(gens, 2), brackets):
         try:  # y, x, then the bracket terms: the order act would look them up in
-            (_, y1, ly), (_, x1, lx) = forms[y], forms[x]
+            y_form, x_form = forms[y], forms[x]
             z_forms = [forms[z] for z in zs]
         except WindowExceeded:
             entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
             continue
-        parts = [[
-            (1, lx * ly, _image(forms, x, y1)),
-            (-1, lx * ly, _image(forms, y, x1)),
-        ]]
+        lxy = x_form[2] * y_form[2]
+        parts = [[(1, lxy, _image(x_form, y_form[1])), (-1, lxy, _image(y_form, x_form[1]))]]
         parts += [[] for _ in pair_shifts[1:]]
         for (_, z1, lz), (k, num, den) in zip(z_forms, terms):
             parts[k].append((num, den * lz, z1))

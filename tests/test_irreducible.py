@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 import nwfree.irreducible
+import nwfree.modfam
 
 from nwfree.exactpoly import (
     NEG_INF,
@@ -525,12 +526,20 @@ def recorded_oracle(spec, seed, max_degree, cap):
     calls = []
     real = nwfree.irreducible._image
     variables = module_variables(spec)
+    symbol_of = {}  # id of each form the oracle looks up -> its symbol
 
-    def recording(forms, x, ints):
-        calls.append((x, Poly(variables, ints)))
-        return real(forms, x, ints)
+    class RecordingForms(nwfree.modfam._Forms):
+        def __missing__(self, x):
+            form = super().__missing__(x)
+            symbol_of[id(form)] = x
+            return form
+
+    def recording(form, ints):
+        calls.append((symbol_of[id(form)], Poly(variables, ints)))
+        return real(form, ints)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nwfree.irreducible, "_Forms", RecordingForms)
         mp.setattr(nwfree.irreducible, "_image", recording)
         answer = orbit_oracle(spec, seed, max_degree, cap)
     return answer, calls

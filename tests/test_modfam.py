@@ -43,7 +43,6 @@ from nwfree.modfam import (
     actions_of,
     affvir,
     generators,
-    h4_base_values,
     m0,
     m0g,
     mab,
@@ -91,12 +90,12 @@ def test_mhb_pq_commutator_matches_r():
 
 
 def test_base_values_table():
-    assert h4_base_values(mg0(2)) == (Poly.const(("s",), 2), Poly.zero(("s",)), 0)
-    p1, q1, r1 = h4_base_values(mbh(2, -1, 3))
+    assert mg0(2).base_values == (Poly.const(("s",), 2), Poly.zero(("s",)), 0)
+    p1, q1, r1 = mbh(2, -1, 3).base_values
     assert p1 == Poly.const(("s",), 3)
     assert q1 == 2 * S_POLY - ONE_S
     assert r1 == -6
-    assert h4_base_values(m0()) == (Poly.zero(("s",)), Poly.zero(("s",)), 0)
+    assert m0().base_values == (Poly.zero(("s",)), Poly.zero(("s",)), 0)
 
 
 def test_base_values_are_kept_beside_the_fields():
@@ -113,15 +112,15 @@ def test_base_values_are_kept_beside_the_fields():
         twin = dataclasses.replace(fam)
         text = repr(fam)
         assert fam == twin and hash(fam) == hash(twin)  # neither evaluated
-        assert h4_base_values(fam) == values
-        assert h4_base_values(fam) is h4_base_values(fam)  # built once per object
+        assert fam.base_values == values
+        assert fam.base_values is fam.base_values  # built once per object
         assert fam == twin and hash(fam) == hash(twin)  # one evaluated
         assert repr(fam) == repr(twin) == text
         assert dataclasses.replace(fam) == fam
         for copy in (pickle.loads(pickle.dumps(fam)), pickle.loads(pickle.dumps(twin))):
             assert copy == fam and hash(copy) == hash(fam) and repr(copy) == text
-            assert h4_base_values(copy) == values
-        assert h4_base_values(twin) == values
+            assert copy.base_values == values
+        assert twin.base_values == values
     assert [f.name for f in dataclasses.fields(H4Family)] == ["variant", "g", "a1", "a2", "a", "b"]
 
 
@@ -396,6 +395,7 @@ def test_each_value_on_one_is_computed_once_per_request(monkeypatch):
     h4 = mbh(2, -1, 3)  # q.1 is not constant, so the chain acts with p
     affine = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
     virasoro = affvir(mab(2, 3), 2, 3, window=1)
+    reducible = mtilde(mg0(S_POLY ** 2 - S_POLY), 2, {1: 5, -1: 0}, window=1)
 
     def cubed(spec):
         variables = module_variables(spec)
@@ -406,6 +406,7 @@ def test_each_value_on_one_is_computed_once_per_request(monkeypatch):
         (affine, lambda: reduction_chain(affine, cubed(affine))),
         (virasoro, lambda: reduction_chain(virasoro, cubed(virasoro))),
         (affine, lambda: orbit_oracle(affine, cubed(affine), 3, 4)),
+        (reducible, lambda: witness(reducible)),
         (h4, lambda: verify_module(h4, 1, 3)),
         # pairs whose bracket leaves the window are skipped
         (affine, lambda: verify_module(affine, 1, 2)),
@@ -496,7 +497,7 @@ def test_loop_scaling_property():
 def test_r_acts_by_constant():
     for fam in (mg0(S_POLY ** 2), m0g(5), mhb(1, 0, 1), mbh(2, -1, 3), mab(2, 3), m0()):
         got = act(fam, R, S_POLY ** 3 + ONE_S)
-        _, _, r1 = h4_base_values(fam)
+        _, _, r1 = fam.base_values
         assert got == r1 * (S_POLY ** 3 + ONE_S)
         if fam.variant in ("Mg0", "M0g", "Mab", "M0"):
             assert r1 == 0

@@ -434,6 +434,29 @@ def test_cli_rejects_non_ascii_loop_indices(tmp_path, capsys, doc, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (b"algebra = H4\nfamily = Mab\na = \xff\nb = 3\n",
+         "line 3, col 5: invalid UTF-8 byte 0xff"),
+        # columns count characters, line breaks are those the parser splits on
+        ("algebra = H4\r\nfamily = Mab\r\na = \u00e9".encode() + b"\xe2\x82\r\nb = 3\r\n",
+         "line 3, col 6: invalid UTF-8 byte 0xe2"),
+        (b"algebra = H4\nfamily = Mab\n\x80", "line 3, col 1: invalid UTF-8 byte 0x80"),
+    ],
+    ids=["latin-1", "truncated-after-crlf", "line-start"],
+)
+def test_cli_rejects_invalid_utf8_at_the_bad_byte(tmp_path, capsys, doc, where):
+    bad = tmp_path / "bad.spec"
+    bad.write_bytes(doc)
+    good = write(tmp_path, "good.spec", MTAB_DOC)
+    for argv in (["verify", str(bad)], ["classify", str(bad)], ["irreducible", str(bad)],
+                 ["twist", str(bad)], ["iso", str(bad), good], ["iso", good, str(bad)]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {where}\n", argv
+
+
 def test_ascii_loop_indices_still_parse():
     assert parse_symbol("p@-12") == sym("p", -12)
     assert parse_symbol("dvir@3") == sym("dvir", 3)
