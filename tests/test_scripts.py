@@ -3,6 +3,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from helpers import corrupted_data, corrupted_fixtures, sample_specs
+
 from nwfree.verify import format_report, verify_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -64,5 +66,51 @@ def test_verify_reports_match_golden_digests():
     assert verify_report_digests() == GOLDEN_REPORTS.read_text(encoding="utf-8")
 
 
+GOLDEN_FAIL_REPORTS = Path(__file__).resolve().parent / "golden" / "verify_fail_report_digests.txt"
+
+
+def fail_and_skip_reports():
+    """(name, report) for reports with FAIL or SKIP lines.
+
+    The corrupted fixtures, each sample spec with its algebra's scalar slot
+    bumped (r on H4, k on AffineH4, dvir@1 on Vir00 and AffineVirasoroH4,
+    as perfbench's corrupted verify requests do) at window 1 and test
+    degree 3, and the loop families at window 1, whose brackets leave the
+    window and are skipped.
+    """
+    for anchor, data in corrupted_fixtures():
+        yield f"fixture {anchor}", verify_module(data, max(data.window, 1), 2)
+    for name, spec in sample_specs():
+        yield f"corrupted {name}", verify_module(corrupted_data(spec), 1, 3)
+    for name, spec in sample_specs()[6:]:
+        yield f"{name} w1", verify_module(spec, 1, 2)
+
+
+def verify_fail_report_digests():
+    """One `text-sha256  reprs-sha256  name` line per report of
+    fail_and_skip_reports(): the digests of format_report(report) and of
+    its entry reprs, one per line."""
+    lines = []
+    for name, report in fail_and_skip_reports():
+        text = format_report(report)
+        reprs = "\n".join(map(repr, report.entries))
+        digests = [hashlib.sha256(t.encode()).hexdigest() for t in (text, reprs)]
+        lines.append(f"{digests[0]}  {digests[1]}  {name}\n")
+    return "".join(lines)
+
+
+def test_fail_and_skip_reports_match_golden_digests():
+    # FAIL and SKIP lines and entry reprs, byte for byte; regenerate with
+    # PYTHONPATH=src python3 tests/test_scripts.py --fail > tests/golden/verify_fail_report_digests.txt
+    reports = [report for _, report in fail_and_skip_reports()]
+    assert sum(not r.passed for r in reports) >= len(corrupted_fixtures()) + len(sample_specs())
+    assert any(r.skipped and not r.passed for r in reports)
+    assert any(r.skipped and r.passed for r in reports)
+    assert verify_fail_report_digests() == GOLDEN_FAIL_REPORTS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
-    sys.stdout.write(verify_report_digests())
+    if sys.argv[1:] == ["--fail"]:
+        sys.stdout.write(verify_fail_report_digests())
+    else:
+        sys.stdout.write(verify_report_digests())
