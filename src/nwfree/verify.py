@@ -47,6 +47,8 @@ failing pair's residuals sum(sigma(v) * R_sigma) are formed with
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from operator import add
@@ -100,24 +102,100 @@ class ReportEntry:
         return self.status == SKIP
 
 
+class _Entries(Sequence):
+    """The report entries of one verify run, built only when read.
+
+    Holds one outcome per generator pair in report order: (x, y, status),
+    and for a FAIL pair its residual per test monomial (None where the
+    residual is zero, an entry that passes).  Entry i is pair i // n on
+    monomial i % n, n the number of monomials.  Reads, compares, hashes
+    and pickles as the tuple of its entries; slices are tuples.
+    """
+
+    __slots__ = ("_outcomes", "_residuals", "_monos", "_zero")
+
+    def __init__(self, outcomes, residuals, monos, zero):
+        self._outcomes = outcomes  # [(x, y, status)] per pair
+        self._residuals = residuals  # {pair index: residuals per monomial} for FAIL pairs
+        self._monos = monos
+        self._zero = zero
+
+    def _entry(self, pair: int, j: int) -> ReportEntry:
+        x, y, status = self._outcomes[pair]
+        residual = self._zero
+        if status == FAIL:
+            residual = self._residuals[pair][j]
+            if residual is None:
+                residual, status = self._zero, PASS
+        return ReportEntry(x, y, self._monos[j], residual, status)
+
+    def __len__(self) -> int:
+        return len(self._outcomes) * len(self._monos)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        size = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("report entry index out of range")
+        return self._entry(*divmod(i, len(self._monos)))
+
+    def __iter__(self):
+        n = len(self._monos)
+        return (self._entry(pair, j) for pair in range(len(self._outcomes)) for j in range(n))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Entries)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _Entries, (self._outcomes, self._residuals, self._monos, self._zero)
+
+    def _tally(self) -> Tuple[int, int, int]:
+        n = len(self._monos)
+        skipped = n * sum(status == SKIP for _, _, status in self._outcomes)
+        failed = sum(r is not None for rs in self._residuals.values() for r in rs)
+        return failed, len(self) - skipped, skipped
+
+
+def _tally(entries) -> Tuple[int, int, int]:
+    """(failed, checked, skipped) entry counts: from pair counts for a verify
+    run's own entries, by reading every entry of any other sequence."""
+    if type(entries) is _Entries:
+        return entries._tally()
+    statuses = [e.status for e in entries]
+    skipped = statuses.count(SKIP)
+    return statuses.count(FAIL), len(statuses) - skipped, skipped
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     algebra: str
     window: int
     test_degree: int
-    entries: Tuple[ReportEntry, ...]
+    entries: Sequence[ReportEntry]
 
     @property
     def passed(self) -> bool:
-        return all(e.status != FAIL for e in self.entries)
+        return _tally(self.entries)[0] == 0
 
     @property
     def checked(self) -> int:
-        return sum(1 for e in self.entries if e.status != SKIP)
+        return _tally(self.entries)[1]
 
     @property
     def skipped(self) -> int:
-        return sum(1 for e in self.entries if e.status == SKIP)
+        return _tally(self.entries)[2]
 
 
 # Plans kept at once.  A plan depends only on the algebra, the generator
@@ -187,13 +265,13 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     algebra = forms.algebra
     gens = tuple(generators(spec, window))
     zero, monos, brackets = _plan(algebra, gens, test_degree)
-    entries = []
+    outcomes, residuals = [], {}
     for (x, y), (pair_shifts, zs, terms) in zip(combinations(gens, 2), brackets):
         try:  # y, x, then the bracket terms: the order act would look them up in
             y_form, x_form = forms[y], forms[x]
             z_forms = [forms[z] for z in zs]
         except WindowExceeded:
-            entries.extend(ReportEntry(x, y, v, zero, SKIP) for v in monos)
+            outcomes.append((x, y, SKIP))
             continue
         lxy = x_form[2] * y_form[2]
         parts = [[(1, lxy, _image(x_form, y_form[1])), (-1, lxy, _image(y_form, x_form[1]))]]
@@ -206,31 +284,32 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
             if any(r.values())
         ]
         if not nonzero:
-            entries.extend(ReportEntry(x, y, v, zero, PASS) for v in monos)
+            outcomes.append((x, y, PASS))
             continue
+        pair_residuals = []
         for v in monos:
             v1, _ = _integer_terms(v)
             images = [(1, l, _shift_mul(v1, sh, r.items())) for sh, r, l in nonzero]
             residual, scale = _combine(images)
-            if any(residual.values()):
-                residual = _from_integer_terms(zero.variables, residual, scale)
-                entries.append(ReportEntry(x, y, v, residual, FAIL))
-            else:
-                entries.append(ReportEntry(x, y, v, zero, PASS))
-    return VerificationReport(algebra, _resolve_window(spec, window), test_degree, tuple(entries))
+            pair_residuals.append(
+                _from_integer_terms(zero.variables, residual, scale)
+                if any(residual.values()) else None
+            )
+        residuals[len(outcomes)] = tuple(pair_residuals)
+        outcomes.append((x, y, FAIL))
+    entries = _Entries(outcomes, residuals, monos, zero)
+    return VerificationReport(algebra, _resolve_window(spec, window), test_degree, entries)
 
 
 def format_report(report: VerificationReport) -> str:
     """One `PAIR x y POLY v RESIDUAL r STATUS` line per entry, then a summary.
 
-    Each distinct symbol and polynomial is formatted once per report, so
-    most lines join strings already built: a pair's head once per run of
-    its entries, and a residual with its status (the shared zero of a
-    PASS pair, say) once for every line that carries it.
+    For a verify run's own entries, each symbol and test monomial is
+    formatted once per report: a PASS or SKIP pair is one join per line of
+    strings already built, and only a FAIL pair's residuals are formatted
+    line by line.  Any other sequence of entries is formatted entry by entry.
     """
     symbol_text: dict = {}
-    poly_text: dict = {}  # keyed by id: the report keeps every polynomial alive
-    tail_text: dict = {}
 
     def symbol(x: BasisSymbol) -> str:
         text = symbol_text.get(x)
@@ -238,25 +317,30 @@ def format_report(report: VerificationReport) -> str:
             text = symbol_text[x] = format_symbol(x, report.algebra)
         return text
 
-    def poly(v: Poly) -> str:
-        text = poly_text.get(id(v))
-        if text is None:
-            text = poly_text[id(v)] = format_poly(v)
-        return text
-
-    lines = []
-    x = y = head = None
-    for e in report.entries:
-        if e.x is not x or e.y is not y:
-            x, y = e.x, e.y
+    entries = report.entries
+    if type(entries) is _Entries:
+        mono_text = [format_poly(v) for v in entries._monos]
+        zero_tail = {status: f" RESIDUAL 0 {status}" for status in (PASS, SKIP)}
+        lines = []
+        for pair, (x, y, status) in enumerate(entries._outcomes):
             head = f"PAIR {symbol(x)} {symbol(y)} POLY "
-        tail = tail_text.get((id(e.residual), e.status))
-        if tail is None:
-            tail = tail_text[id(e.residual), e.status] = f" RESIDUAL {poly(e.residual)} {e.status}"
-        lines.append(head + poly(e.test_poly) + tail)
+            if status != FAIL:
+                tail = zero_tail[status]
+                lines += [head + m + tail for m in mono_text]
+                continue
+            for m, r in zip(mono_text, entries._residuals[pair]):
+                tail = zero_tail[PASS] if r is None else f" RESIDUAL {format_poly(r)} {FAIL}"
+                lines.append(head + m + tail)
+    else:
+        lines = [
+            f"PAIR {symbol(e.x)} {symbol(e.y)} POLY {format_poly(e.test_poly)} "
+            f"RESIDUAL {format_poly(e.residual)} {e.status}"
+            for e in entries
+        ]
+    failed, checked, skipped = _tally(entries)
     lines.append(
         "SUMMARY pass={} checked={} skipped={}".format(
-            "true" if report.passed else "false", report.checked, report.skipped
+            "false" if failed else "true", checked, skipped
         )
     )
     return "\n".join(lines)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -367,3 +369,63 @@ def test_verify_leaves_value_cache_unchanged():
         verify_module(mtilde(mab(a, 2), a + 1, {1: a, -1: 0}, window=1), window=1, test_degree=1)
     info = value_on_one.cache_info()
     assert info.currsize == 0 and info.hits == info.misses == 0
+
+
+# ------------------------------------------------------ the entries view
+
+
+def mixed_report():
+    """(data, window, test_degree) whose report has FAIL and SKIP pairs."""
+    spec = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
+    return with_assignment(actions_of(spec), sym("s", 1), S_POLY), 1, 2
+
+
+def test_entries_view_reads_as_the_reference_tuple():
+    # with k on its own shift, raising r.1 by 1 and setting k.1 = 1 leaves
+    # [p@-1, q@1] = r - k two parts R_sigma that cancel on v = 1 alone
+    data, window, test_degree = mixed_report()
+    one = Poly.one(MODULE_VARIABLES[data.algebra])
+    data = with_assignment(with_assignment(data, R, data.value(R) + one), K, one)
+    with k_shifted():
+        got = verify_module(data, window=window, test_degree=test_degree)
+        want = verify_module_reference(data, window, test_degree)
+    view, entries = got.entries, want.entries
+    fail_pairs = {(e.x, e.y) for e in entries if e.status == FAIL}
+    assert {e.status for e in entries} == {PASS, FAIL, SKIP}
+    assert any(e.status == PASS and (e.x, e.y) in fail_pairs for e in entries)
+    n = len(entries)
+    assert len(view) == n
+    assert [view[i] for i in range(-n, n)] == list(entries) * 2
+    for i in (n, -n - 1, 10 * n):
+        with pytest.raises(IndexError):
+            view[i]
+    for cut in (slice(None), slice(None, None, 3), slice(-5, None, -2), slice(1, 40, 7),
+                slice(n + 5, None, -4), slice(3, 3), slice(-1, 0, 1)):
+        assert type(view[cut]) is tuple and view[cut] == entries[cut]
+    assert list(view) == list(entries) and list(reversed(view)) == list(reversed(entries))
+    assert [repr(e) for e in view] == [repr(e) for e in entries]
+    assert entries[n // 2] in view and view.index(entries[n // 2]) == entries.index(entries[n // 2])
+    assert view == entries and entries == view and not view != entries and not entries != view
+    assert view != entries[:-1] and entries[:-1] != view and view != list(entries)
+    assert got == want and want == got
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+    again = pickle.loads(pickle.dumps(got))
+    assert again == want and hash(again) == hash(want)
+    assert format_report(again) == format_report(got) == format_report_reference(want)
+    assert (got.passed, got.checked, got.skipped) == (want.passed, want.checked, want.skipped)
+
+
+def test_replaced_entries_are_counted_by_reading_them():
+    # the two answers perfbench's selfcheck.py plants in a verify reply
+    data, window, test_degree = mixed_report()
+    for target in (data, mhb(1, 0, 1)):
+        report = verify_module(target, window=window, test_degree=test_degree)
+        assert report.entries[-1].status != SKIP
+        dropped = dataclasses.replace(report, entries=report.entries[:-1])
+        assert dropped.checked == report.checked - 1 and dropped.skipped == report.skipped
+        flipped = FAIL if report.passed else PASS
+        entries = tuple(dataclasses.replace(e, status=flipped) for e in report.entries)
+        planted = dataclasses.replace(report, entries=entries)
+        assert planted.passed != report.passed
+        assert planted.checked == len(entries) and planted.skipped == 0
+        assert format_report(planted) == format_report_reference(planted)
