@@ -439,8 +439,9 @@ def exponents_upto(n: int, degree: int) -> list:
 
 def monomials_upto(variables: Iterable[str], degree: int) -> list:
     """All monic monomials of total degree <= degree, ascending graded-lex."""
-    variables = tuple(variables)
-    return [Poly.monomial(variables, e) for e in exponents_upto(len(variables), degree)]
+    variables = _distinct(variables)
+    one = Fraction(1)
+    return [Poly._trusted(variables, ((e, one),)) for e in exponents_upto(len(variables), degree)]
 
 
 def format_poly(x: Poly) -> str:
