@@ -40,9 +40,9 @@ sorts.  Internal arithmetic (`+`, `-`, `*`, unary `-`, `apply_shift`,
 `change_variables`, `negate_var`, `coefficient_in` and the
 shifted monomials of `reduce_mod_univariate`) already holds merged terms
 over one variable set.  The one-term builders `zero`, `one`, `const` and
-`var`, through which the parser builds every numeral and variable, check
-their own arguments instead: distinct variables, an int or Fraction
-value, a known variable name.
+`var`, through which the parser builds every numeral and variable, and
+the test monomials of `monomials_upto` check their own arguments instead:
+distinct variables, an int or Fraction value, a known variable name.
 """
 
 from __future__ import annotations

@@ -42,16 +42,22 @@ common denominator.  Each R_sigma is
 zero-tested as an integer map, so a passing pair builds no polynomial; a
 failing pair's residuals sum(sigma(v) * R_sigma) are formed with
 `exactpoly._shift_mul`, and only a nonzero residual becomes a `Poly`.
+
+The report records one outcome per pair, (x, y, status), and a failing
+pair's residual per test monomial.  Its `entries` is a read-only view
+that builds each `ReportEntry` only when it is read, and reads, compares,
+hashes and pickles as the tuple of entries; the counts come from the
+pairs, and `format_report` writes a passing or skipped pair's lines from
+monomial text formatted once per report.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
+from operator import add, index
 from typing import Tuple
 
 from .exactpoly import (
@@ -132,11 +138,11 @@ class _Entries(Sequence):
     def __len__(self) -> int:
         return len(self._outcomes) * len(self._monos)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
         size = len(self)
-        i = operator.index(index)
+        i = index(i)
         if i < 0:
             i += size
         if not 0 <= i < size:
@@ -161,7 +167,7 @@ class _Entries(Sequence):
     def __reduce__(self):
         return _Entries, (self._outcomes, self._residuals, self._monos, self._zero)
 
-    def _tally(self) -> Tuple[int, int, int]:
+    def _counts(self) -> Tuple[int, int, int]:
         n = len(self._monos)
         skipped = n * sum(status == SKIP for _, _, status in self._outcomes)
         failed = sum(r is not None for rs in self._residuals.values() for r in rs)
@@ -172,7 +178,7 @@ def _tally(entries) -> Tuple[int, int, int]:
     """(failed, checked, skipped) entry counts: from pair counts for a verify
     run's own entries, by reading every entry of any other sequence."""
     if type(entries) is _Entries:
-        return entries._tally()
+        return entries._counts()
     statuses = [e.status for e in entries]
     skipped = statuses.count(SKIP)
     return statuses.count(FAIL), len(statuses) - skipped, skipped
