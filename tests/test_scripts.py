@@ -75,8 +75,9 @@ def fail_and_skip_reports():
     The corrupted fixtures, each sample spec with its algebra's scalar slot
     bumped (r on H4, k on AffineH4, dvir@1 on Vir00 and AffineVirasoroH4,
     as perfbench's corrupted verify requests do) at window 1 and test
-    degree 3, and the loop families at window 1, whose brackets leave the
-    window and are skipped.
+    degree 3, and the last four sample specs (MTildeAlphaBeta, MTildeF,
+    Vir00, AffVir) at window 1, where brackets that leave the window are
+    skipped.
     """
     for anchor, data in corrupted_fixtures():
         yield f"fixture {anchor}", verify_module(data, max(data.window, 1), 2)
