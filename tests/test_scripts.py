@@ -3,9 +3,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from helpers import corrupted_data, corrupted_fixtures, sample_specs
+from helpers import corrupted_data, corrupted_fixtures, sample_specs, with_assignment
 
-from nwfree.verify import format_report, verify_module
+from nwfree.exactpoly import Poly
+from nwfree.liealg import R, sym
+from nwfree.modfam import MAX_WINDOW, MODULE_VARIABLES, actions_of, affvir, mhb
+from nwfree.verify import MAX_TEST_DEGREE, format_report, verify_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -75,9 +78,10 @@ def fail_and_skip_reports():
     The corrupted fixtures, each sample spec with its algebra's scalar slot
     bumped (r on H4, k on AffineH4, dvir@1 on Vir00 and AffineVirasoroH4,
     as perfbench's corrupted verify requests do) at window 1 and test
-    degree 3, and the last four sample specs (MTildeAlphaBeta, MTildeF,
-    Vir00, AffVir) at window 1, where brackets that leave the window are
-    skipped.
+    degree 3, the last four sample specs (MTildeAlphaBeta, MTildeF, Vir00,
+    AffVir) at window 1, where brackets that leave the window are skipped,
+    and the largest report: AffVir at MAX_WINDOW and MAX_TEST_DEGREE with
+    dvir@1 and r each raised by 1 (140,355 checked entries, 54 FAIL pairs).
     """
     for anchor, data in corrupted_fixtures():
         yield f"fixture {anchor}", verify_module(data, max(data.window, 1), 2)
@@ -85,6 +89,15 @@ def fail_and_skip_reports():
         yield f"corrupted {name}", verify_module(corrupted_data(spec), 1, 3)
     for name, spec in sample_specs()[6:]:
         yield f"{name} w1", verify_module(spec, 1, 2)
+    yield "corrupted AffVir w8 d8", verify_module(largest_fail_data(), MAX_WINDOW, MAX_TEST_DEGREE)
+
+
+def largest_fail_data():
+    data = actions_of(affvir(mhb(1, 0, 1), alpha=2, lam=3, window=MAX_WINDOW))
+    one = Poly.one(MODULE_VARIABLES[data.algebra])
+    for slot in (sym("dvir", 1), R):
+        data = with_assignment(data, slot, data.value(slot) + one)
+    return data
 
 
 def verify_fail_report_digests():
