@@ -27,11 +27,11 @@ runs the kernel with zero offsets and builds one Fraction per output term
 action here is shift-then-multiply, and one function, `modfam._image`,
 takes every generator image on integers from a generator's integer form:
 `act` and so `classify`'s product rule, `apply_chain_op`, the witness,
-the orbit oracle and `verify_module`'s R_sigma.  Only `_image`, the
-witness's closure images and `verify_module`'s failing residuals call
-`_shift_mul` with a nonzero shift.  `verify_module` and `modfam._act_sum`
-sum such integer images, each with a rational factor, over one common
-denominator with `_combine`.
+the orbit oracle and `verify_module`'s R.  Only `_image`, the witness's
+closure images and a verify report's failing residuals sigma(v) * R,
+built when the report is read, call `_shift_mul` with a nonzero shift.
+`verify_module` and `modfam._act_sum` sum such integer images, each with
+a rational factor, over one common denominator with `_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else builds canonical results

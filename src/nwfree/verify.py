@@ -10,45 +10,43 @@ own window cannot be evaluated and are recorded as skipped rather than
 silently dropped.
 
 Every module here acts by shift-then-multiply, x.v = shift_x(v) * x.1,
-and the shifts are additive substitutions, hence ring homomorphisms that
-commute with each other.  So x.(y.v) = (shift_x shift_y)(v) * shift_x(y.1)
-* x.1, and the residual factors exactly as
+and the shifts are additive substitutions, hence ring automorphisms that
+commute with each other.  Every bracket of the four algebras is graded by
+the shifts: each term c*z of [x, y] has shift_z = shift_x shift_y =
+sigma.  So x.(y.v) = sigma(v) * shift_x(y.1) * x.1, and the residual
+factors exactly as sigma(v) * R with
 
-    sum over shifts sigma of sigma(v) * R_sigma,
+    R = shift_x(y.1)*x.1 - shift_y(x.1)*y.1 - sum over terms c*z of c*z.1.
 
-where R_(shift_x shift_y) collects shift_x(y.1)*x.1 - shift_y(x.1)*y.1
-and each term c*z of [x, y] adds -c*z.1 into R_(shift_z).  The R_sigma
-depend on the pair alone, so they are built once per pair; a pair whose
-R_sigma all vanish passes on every monomial with no further arithmetic.
-Terms are grouped by their own shift, so no grading of the bracket is
-assumed.
+R depends on the pair alone, so it is built once per pair.  Since sigma
+is an automorphism and the polynomial ring is a domain, a pair passes on
+every monomial when R = 0 and fails on every monomial otherwise.
 
 Only the values on 1 depend on the spec.  Everything else is a plan,
 cached by (algebra, generator tuple, test degree) in a bounded LRU cache
-(MAX_PLANS): the zero polynomial, the test monomials, and per pair the
-pair's distinct shifts and its bracket terms with the position of their
-shifts, so `bracket` runs only when a plan is built.  The key holds the
-generators rather than the window because the generators of action data
-depend on its assignments.  Each request then fills one table of integer
-forms, `modfam._Forms` (shift_x, and x.1 cleared to integers, keyed by
-symbol), as pairs first look them up (y, x, then the bracket terms, as
-evaluating through `act` would), so each x.1 is computed afresh once and
-verifying a spec leaves nothing behind; a lookup that raises
-WindowExceeded stores nothing and marks the pair as skipped.  A pair's
-R_sigma are then formed on integers: shift_x(y.1)*x.1 and
-shift_y(x.1)*y.1 are one `modfam._image` each, on the forms of x and y,
-and `exactpoly._combine` sums them with the terms -c*z.1 over one
-common denominator.  Each R_sigma is
-zero-tested as an integer map, so a passing pair builds no polynomial; a
-failing pair's residuals sum(sigma(v) * R_sigma) are formed with
-`exactpoly._shift_mul`, and only a nonzero residual becomes a `Poly`.
+(MAX_PLANS): the zero polynomial, the test monomials, and per pair its
+shift sigma and its bracket terms, so `bracket` runs only when a plan is
+built.  Building a plan checks the grading: a bracket term whose shift is
+not its pair's raises ValueError.  The key holds the generators rather
+than the window because the generators of action data depend on its
+assignments.  Each request then fills one table of integer forms,
+`modfam._Forms` (shift_x, and x.1 cleared to integers, keyed by symbol),
+as pairs first look them up (y, x, then the bracket terms, as evaluating
+through `act` would), so each x.1 is computed afresh once and verifying a
+spec leaves nothing behind; a lookup that raises WindowExceeded stores
+nothing and marks the pair as skipped.  A pair's R is formed on integers:
+shift_x(y.1)*x.1 and shift_y(x.1)*y.1 are one `modfam._image` each, on
+the forms of x and y, and `exactpoly._combine` sums them with the terms
+-c*z.1 over one common denominator.  R is zero-tested as an integer map,
+so a passing pair builds no polynomial.
 
 The report records one outcome per pair, (x, y, status), and a failing
-pair's residual per test monomial.  Its `entries` is a read-only view
-that builds each `ReportEntry` only when it is read, and reads, compares,
-hashes and pickles as the tuple of entries; the counts come from the
-pairs, and `format_report` writes a passing or skipped pair's lines from
-monomial text formatted once per report.
+pair's (sigma, R's nonzero integer terms, denominator).  Its `entries` is
+a read-only view that builds each `ReportEntry` only when it is read, and
+reads, compares, hashes and pickles as the tuple of entries; a failing
+pair's residual on v, sigma(v) * R, is one `exactpoly._shift_mul` then.
+The counts come from the pairs, and `format_report` writes each pair's
+lines from monomial text formatted once per report.
 """
 
 from __future__ import annotations
@@ -112,27 +110,29 @@ class _Entries(Sequence):
     """The report entries of one verify run, built only when read.
 
     Holds one outcome per generator pair in report order: (x, y, status),
-    and for a FAIL pair its residual per test monomial (None where the
-    residual is zero, an entry that passes).  Entry i is pair i // n on
-    monomial i % n, n the number of monomials.  Reads, compares, hashes
-    and pickles as the tuple of its entries; slices are tuples.
+    and for a FAIL pair its (sigma, R's nonzero terms as (exponents, int),
+    denominator of R).  Entry i is pair i // n on monomial i % n, n the
+    number of monomials.  Reads, compares, hashes and pickles as the tuple
+    of its entries; slices are tuples.
     """
 
-    __slots__ = ("_outcomes", "_residuals", "_monos", "_zero")
+    __slots__ = ("_outcomes", "_failures", "_monos", "_zero")
 
-    def __init__(self, outcomes, residuals, monos, zero):
+    def __init__(self, outcomes, failures, monos, zero):
         self._outcomes = outcomes  # [(x, y, status)] per pair
-        self._residuals = residuals  # {pair index: residuals per monomial} for FAIL pairs
+        self._failures = failures  # {pair index: (sigma, R terms, denominator)} for FAIL pairs
         self._monos = monos
         self._zero = zero
 
+    def _residual(self, pair: int, j: int) -> Poly:
+        """sigma(v) * R for FAIL pair `pair` on monomial j, never zero."""
+        sigma, r, scale = self._failures[pair]
+        v, _ = _integer_terms(self._monos[j])
+        return _from_integer_terms(self._zero.variables, _shift_mul(v, sigma, r), scale)
+
     def _entry(self, pair: int, j: int) -> ReportEntry:
         x, y, status = self._outcomes[pair]
-        residual = self._zero
-        if status == FAIL:
-            residual = self._residuals[pair][j]
-            if residual is None:
-                residual, status = self._zero, PASS
+        residual = self._residual(pair, j) if status == FAIL else self._zero
         return ReportEntry(x, y, self._monos[j], residual, status)
 
     def __len__(self) -> int:
@@ -165,13 +165,12 @@ class _Entries(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return _Entries, (self._outcomes, self._residuals, self._monos, self._zero)
+        return _Entries, (self._outcomes, self._failures, self._monos, self._zero)
 
     def _counts(self) -> Tuple[int, int, int]:
         n = len(self._monos)
         skipped = n * sum(status == SKIP for _, _, status in self._outcomes)
-        failed = sum(r is not None for rs in self._residuals.values() for r in rs)
-        return failed, len(self) - skipped, skipped
+        return n * len(self._failures), len(self) - skipped, skipped
 
 
 def _tally(entries) -> Tuple[int, int, int]:
@@ -218,11 +217,12 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
 
     Returns (zero, monomials, brackets).  `brackets` holds, per generator
     pair (x, y) in report order, that is in the order of
-    itertools.combinations over the generators, the pair's distinct
-    shifts sigma (shift_x∘shift_y first), its bracket terms z, and per
-    term c*z the position of shift_z among the pair's shifts and -c as
-    (numerator, denominator).  Equal shifts and entries are stored once,
-    so a pair with a zero bracket costs one reference.
+    itertools.combinations over the generators, the pair's shift sigma =
+    shift_x∘shift_y and per bracket term c*z the triple (z, numerator of
+    -c, denominator of c).  Raises ValueError when a term's shift is not
+    sigma, since verify relies on every bracket being graded.  Equal
+    shifts and entries are stored once, so a pair with a zero bracket
+    costs one reference.
     """
     variables = MODULE_VARIABLES[algebra]
     shared: dict = {}
@@ -232,15 +232,15 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
 
     brackets = []
     for x, y in combinations(gens, 2):
-        pair_shifts = [share(tuple(map(add, shift_of(algebra, x), shift_of(algebra, y))))]
-        zs, terms = [], []
+        sigma = share(tuple(map(add, shift_of(algebra, x), shift_of(algebra, y))))
+        terms = []
         for z, c in bracket(algebra, x, y).terms:
-            sz = share(shift_of(algebra, z))
-            if sz not in pair_shifts:
-                pair_shifts.append(sz)
-            zs.append(z)
-            terms.append((pair_shifts.index(sz), -c.numerator, c.denominator))
-        brackets.append(share((share(tuple(pair_shifts)), tuple(zs), tuple(terms))))
+            if shift_of(algebra, z) != sigma:
+                names = (format_symbol(u, algebra) for u in (x, y, z))
+                raise ValueError("bracket [{}, {}] is not graded: its term {} "
+                                 "is not on the pair's shift".format(*names))
+            terms.append((z, -c.numerator, c.denominator))
+        brackets.append(share((sigma, tuple(terms))))
     monomials = tuple(monomials_upto(variables, test_degree))
     return Poly.zero(variables), monomials, tuple(brackets)
 
@@ -248,12 +248,11 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
     """Check the axiom over pairs within `window` and monomials up to `test_degree`.
 
-    Each pair's residuals come from one per-pair factorization: the
-    residual on v is the sum of sigma(v) * R_sigma over the pair's shifts
-    sigma (see the module docstring).  This is exact because every action
-    is shift-then-multiply, shifts are additive substitutions, and bracket
-    terms are grouped by their own shift.  A pair whose values on 1 reach
-    outside the spec's window is skipped on every monomial.
+    Each pair's residual on v is sigma(v) * R, one R per pair (see the
+    module docstring).  This is exact because every action is
+    shift-then-multiply, shifts are additive substitutions, and every
+    bracket is graded.  A pair whose values on 1 reach outside the spec's
+    window is skipped on every monomial.
 
     Raises WindowExceeded only when the spec's own window is smaller
     than the requested one, and SpecInvalid for a window or test degree
@@ -271,39 +270,24 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     algebra = forms.algebra
     gens = tuple(generators(spec, window))
     zero, monos, brackets = _plan(algebra, gens, test_degree)
-    outcomes, residuals = [], {}
-    for (x, y), (pair_shifts, zs, terms) in zip(combinations(gens, 2), brackets):
+    outcomes, failures = [], {}
+    for (x, y), (sigma, terms) in zip(combinations(gens, 2), brackets):
         try:  # y, x, then the bracket terms: the order act would look them up in
             y_form, x_form = forms[y], forms[x]
-            z_forms = [forms[z] for z in zs]
+            z_forms = [forms[z] for z, _, _ in terms]
         except WindowExceeded:
             outcomes.append((x, y, SKIP))
             continue
         lxy = x_form[2] * y_form[2]
-        parts = [[(1, lxy, _image(x_form, y_form[1])), (-1, lxy, _image(y_form, x_form[1]))]]
-        parts += [[] for _ in pair_shifts[1:]]
-        for (_, z1, lz), (k, num, den) in zip(z_forms, terms):
-            parts[k].append((num, den * lz, z1))
-        nonzero = [  # (sigma, R_sigma as integer map and denominator) where R_sigma != 0
-            (shift, r, scale)
-            for shift, (r, scale) in zip(pair_shifts, map(_combine, parts))
-            if any(r.values())
-        ]
-        if not nonzero:
+        parts = [(1, lxy, _image(x_form, y_form[1])), (-1, lxy, _image(y_form, x_form[1]))]
+        parts += [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
+        r, scale = _combine(parts)
+        if any(r.values()):
+            failures[len(outcomes)] = (sigma, tuple((e, n) for e, n in r.items() if n), scale)
+            outcomes.append((x, y, FAIL))
+        else:
             outcomes.append((x, y, PASS))
-            continue
-        pair_residuals = []
-        for v in monos:
-            v1, _ = _integer_terms(v)
-            images = [(1, l, _shift_mul(v1, sh, r.items())) for sh, r, l in nonzero]
-            residual, scale = _combine(images)
-            pair_residuals.append(
-                _from_integer_terms(zero.variables, residual, scale)
-                if any(residual.values()) else None
-            )
-        residuals[len(outcomes)] = tuple(pair_residuals)
-        outcomes.append((x, y, FAIL))
-    entries = _Entries(outcomes, residuals, monos, zero)
+    entries = _Entries(outcomes, failures, monos, zero)
     return VerificationReport(algebra, _resolve_window(spec, window), test_degree, entries)
 
 
@@ -312,8 +296,9 @@ def format_report(report: VerificationReport) -> str:
 
     For a verify run's own entries, each symbol and test monomial is
     formatted once per report: a PASS or SKIP pair is one join per line of
-    strings already built, and only a FAIL pair's residuals are formatted
-    line by line.  Any other sequence of entries is formatted entry by entry.
+    strings already built, and only a FAIL pair's residuals sigma(v) * R
+    are built and formatted line by line.  Any other sequence of entries
+    is formatted entry by entry.
     """
     symbol_text: dict = {}
 
@@ -326,17 +311,15 @@ def format_report(report: VerificationReport) -> str:
     entries = report.entries
     if type(entries) is _Entries:
         mono_text = [format_poly(v) for v in entries._monos]
-        zero_tail = {status: f" RESIDUAL 0 {status}" for status in (PASS, SKIP)}
         lines = []
         for pair, (x, y, status) in enumerate(entries._outcomes):
             head = f"PAIR {symbol(x)} {symbol(y)} POLY "
-            if status != FAIL:
-                tail = zero_tail[status]
+            if status == FAIL:
+                lines += [f"{head}{m} RESIDUAL {format_poly(entries._residual(pair, j))} {FAIL}"
+                          for j, m in enumerate(mono_text)]
+            else:
+                tail = f" RESIDUAL 0 {status}"
                 lines += [head + m + tail for m in mono_text]
-                continue
-            for m, r in zip(mono_text, entries._residuals[pair]):
-                tail = zero_tail[PASS] if r is None else f" RESIDUAL {format_poly(r)} {FAIL}"
-                lines.append(head + m + tail)
     else:
         lines = [
             f"PAIR {symbol(e.x)} {symbol(e.y)} POLY {format_poly(e.test_poly)} "

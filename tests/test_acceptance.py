@@ -70,9 +70,8 @@ H4_GRID = {
 # --- module axioms -------------------------------------------------------
 
 # verify_module multiplies polynomials twice per generator pair to build the
-# pair's residual parts R_sigma, then once per test monomial and nonzero
-# R_sigma.  The four algebras are graded, so the terms of a pair involve a
-# single shift sigma.  Composing act per test monomial instead multiplies
+# pair's residual R, then once per test monomial of a failing pair.  The four
+# algebras are graded, so the terms of a pair involve a single shift sigma.  Composing act per test monomial instead multiplies
 # once per act call whose value on 1 is nonzero, up to five times per
 # monomial, which breaks the bound on every family below except M0.
 SHIFTS_PER_PAIR = 1

@@ -1,10 +1,10 @@
 import dataclasses
 import pickle
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
-import helpers
 import pytest
 from helpers import (
     corrupted_data,
@@ -17,11 +17,11 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nwfree.modfam
 import nwfree.verify
 from nwfree.exactpoly import Poly
-from nwfree.liealg import AFF_VIR, H4, VIR00, D, K, P, Q, R, S, bracket, sym
+from nwfree.liealg import AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, S, bracket, sym
 from nwfree.modfam import (
+    MAX_WINDOW,
     MODULE_VARIABLES,
     ActionData,
     MalformedData,
@@ -32,6 +32,7 @@ from nwfree.modfam import (
     actions_of,
     affvir,
     algebra_of,
+    generators,
     mab,
     mbh,
     mg0,
@@ -293,13 +294,10 @@ def test_central_value_with_cocycle_denominator_fails_as_reference(case):
 
 @contextmanager
 def k_shifted():
-    """Give k a nonzero shift, in verify and in the reference, for a fresh plan.
+    """Give k a nonzero shift in the plans verify builds, on a cleared plan cache.
 
-    Every bracket here is graded, so each pair has one shift sigma.  Moving
-    k off the shift of the pairs whose bracket holds it splits off a
-    second R_sigma that holds k's term alone.  verify reads each pair's
-    shifts from its plan and each generator's own shift from the request's
-    `modfam._Forms` table, so both modules' `shift_of` are patched.
+    Every bracket here is graded by the shifts; with k moved off its shift,
+    the brackets that hold k are not, which verify refuses.
     """
 
     def shift(algebra, symbol):
@@ -308,26 +306,37 @@ def k_shifted():
 
     nwfree.verify._plan.cache_clear()
     try:
-        with mock.patch.object(nwfree.verify, "shift_of", shift), \
-                mock.patch.object(nwfree.modfam, "shift_of", shift), \
-                mock.patch.object(helpers, "shift_of", shift):
+        with mock.patch.object(nwfree.verify, "shift_of", shift):
             yield
     finally:
         nwfree.verify._plan.cache_clear()
 
 
-K_SPECS = [(n, s) for n, s in REFERENCE_SPECS if algebra_of(s) != H4]
+def test_ungraded_bracket_is_refused_naming_its_pair():
+    # [p@-1, q@1] = r - k is the first pair whose bracket holds k
+    data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
+    with k_shifted(), pytest.raises(ValueError, match=re.escape("[p@-1, q@1]")) as err:
+        verify_module(data, window=1, test_degree=1)
+    assert "term k" in str(err.value)
 
 
-@settings(max_examples=20, deadline=None)
-@given(rational_action_data(K_SPECS, central=True))
-def test_only_a_second_shift_part_fails_as_reference(case):
-    window, data = case
-    with k_shifted():
-        kept = with_assignment(data, K, Poly.zero(MODULE_VARIABLES[data.algebra]))
-        assert assert_matches_reference(kept, window, 2).passed  # leading R_sigma all zero
-        report = assert_matches_reference(data, window, 2)
-    assert not report.passed
+LOOPS = range(-MAX_WINDOW, MAX_WINDOW + 1)
+
+
+@pytest.mark.parametrize(
+    "spec, pairs",
+    [
+        (mhb(1, 0, 1), 6),
+        (mtilde(mhb(1, 0, 1), 2, dict.fromkeys(LOOPS, 0), window=MAX_WINDOW), 2415),
+        (Vir00Spec(Fraction(2), Poly.var(("w0",), "w0")), 595),
+        (affvir(mhb(1, 0, 1), alpha=2, lam=3, window=MAX_WINDOW), 3655),
+    ],
+    ids=[H4, AFFINE_H4, VIR00, AFF_VIR],
+)
+def test_every_bracket_is_graded_at_max_window(spec, pairs):
+    gens = tuple(generators(spec, MAX_WINDOW))
+    _, _, brackets = nwfree.verify._plan.__wrapped__(algebra_of(spec), gens, 1)
+    assert len(brackets) == pairs
 
 
 @pytest.mark.parametrize(
@@ -381,18 +390,13 @@ def mixed_report():
 
 
 def test_entries_view_reads_as_the_reference_tuple():
-    # with k on its own shift, raising r.1 by 1 and setting k.1 = 1 leaves
-    # [p@-1, q@1] = r - k two parts R_sigma that cancel on v = 1 alone
     data, window, test_degree = mixed_report()
-    one = Poly.one(MODULE_VARIABLES[data.algebra])
-    data = with_assignment(with_assignment(data, R, data.value(R) + one), K, one)
-    with k_shifted():
-        got = verify_module(data, window=window, test_degree=test_degree)
-        want = verify_module_reference(data, window, test_degree)
+    got = verify_module(data, window=window, test_degree=test_degree)
+    want = verify_module_reference(data, window, test_degree)
     view, entries = got.entries, want.entries
     fail_pairs = {(e.x, e.y) for e in entries if e.status == FAIL}
     assert {e.status for e in entries} == {PASS, FAIL, SKIP}
-    assert any(e.status == PASS and (e.x, e.y) in fail_pairs for e in entries)
+    assert all(e.status == FAIL for e in entries if (e.x, e.y) in fail_pairs)
     n = len(entries)
     assert len(view) == n
     assert [view[i] for i in range(-n, n)] == list(entries) * 2
