@@ -278,10 +278,12 @@ def parse_loop_index(text: str) -> int:
 
 
 def parse_symbol(text: str, alg: str | None = None) -> BasisSymbol:
-    """Inverse of format_symbol: `p@2`, `dvir@-1`, `k`, `d`, `w@1`."""
+    """Inverse of format_symbol: `p@2`, `dvir@-1`, `k`, `d`, `w@1`.
+
+    `w` names s only in Vir00, or when no algebra is given."""
     text = text.strip()
     name, sep, idx = text.partition("@")
-    if name == "w":
+    if name == "w" and alg in (VIR00, None):
         name = "s"
     if name not in KIND_RANK:
         raise SymbolNotInAlgebra(f"unknown basis symbol {text!r}")

@@ -617,7 +617,7 @@ def _build_actions(entries) -> ActionData:
     taken = {}
     for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):
         try:
-            symbol = parse_symbol(entry.key)
+            symbol = parse_symbol(entry.key, algebra)
         except SymbolNotInAlgebra as exc:
             raise DslSyntaxError(str(exc), entry.line, entry.key_col) from exc
         if symbol in assignments:

@@ -615,6 +615,23 @@ def test_empty_loop_index_is_reported_at_the_key(doc, line, col, message):
             parse_symbol(text)
 
 
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        ("algebra = H4\np = 1\nq = 1\nr = 0\nw = s\n", 5, "unknown basis symbol 'w'"),
+        ("algebra = AffineH4\nwindow = 0\np = 1\nw@0 = s\n", 4, "unknown basis symbol 'w@0'"),
+        ("algebra = H4\np = 1\nq = 1\nr = 0\ns = s\nk = 1\n", 6, "k is not a basis symbol of H4"),
+    ],
+    ids=["w-in-h4", "w-in-affine", "k-in-h4"],
+)
+def test_key_outside_its_algebra_is_reported_at_the_key(tmp_path, capsys, doc, line, message):
+    # `w` is Vir00's name for s, not a second name for s in every algebra
+    for command in ("classify", "verify"):
+        assert main([command, write(tmp_path, "doc.actions", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: line {line}, col 1: {message}\n")
+
+
 HUGE = 10 ** 12
 
 
