@@ -27,26 +27,34 @@ runs the kernel with zero offsets and builds one Fraction per output term
 action here is shift-then-multiply, and one function, `modfam._image`,
 takes every generator image on integers from a generator's integer form:
 `act` and so `classify`'s product rule, `apply_chain_op`, the witness,
-the orbit oracle and `verify_module`'s R.  Only `_image`, the witness's
-closure images and a verify report's failing residuals sigma(v) * R,
-built when the report is read, call `_shift_mul` with a nonzero shift.
-`verify_module` and `modfam._act_sum` sum such integer images, each with
-a rational factor, over one common denominator with `_combine`.
+the orbit oracle and `verify_module`'s R.  Only `_image` and a verify
+report's failing residuals sigma(v) * R, built when the report is read,
+call `_shift_mul` with a nonzero shift; the witness shifts only its ideal
+generator, through `_image`, and takes each closure image from the one
+before it.  `verify_module` and `modfam._act_sum` sum such integer
+images, each with a rational factor, over one common denominator with
+`_combine`.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else builds canonical results
 directly through `Poly._trusted`, which only drops zero coefficients and
-sorts.  Internal arithmetic (`+`, `-`, `*`, unary `-`, `apply_shift`,
-`change_variables`, `negate_var`, `coefficient_in` and the
+sorts two or more terms.  Internal arithmetic (`+`, `-`, `*`, unary `-`,
+`apply_shift`, `change_variables`, `negate_var`, `coefficient_in` and the
 shifted monomials of `reduce_mod_univariate`) already holds merged terms
 over one variable set.  The one-term builders `zero`, `one`, `const` and
 `var`, through which the parser builds every numeral and variable, and
 the test monomials of `monomials_upto` check their own arguments instead:
 distinct variables, an int or Fraction value, a known variable name.
+
+Every formatter of the package writes polynomials through `format_poly`.
+It reads each coefficient's sign and magnitude off its numerator and
+denominator, and takes monomial text from `_monomial_text`, a table keyed
+by (variables, exponents) that keeps at most MAX_MONOMIAL_TEXTS entries.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,13 +138,19 @@ class Poly:
     def _trusted(cls, variables: Tuple[str, ...], terms) -> "Poly":
         """Terms already checked by the caller: drop zeros and sort, nothing else.
 
-        `terms` are (exponents, Fraction) pairs with distinct exponent tuples
-        that fit `variables`; the caller guarantees it.
+        `terms` is a sized collection (tuple, list or dict items) of
+        (exponents, Fraction) pairs with distinct exponent tuples that fit
+        `variables`; the caller guarantees it.  Zero or one term needs no sort.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "variables", variables)
-        canon = sorted(((e, c) for e, c in terms if c), key=_term_key, reverse=True)
-        object.__setattr__(out, "terms", tuple(canon))
+        if len(terms) > 1:
+            canon = tuple(sorted(((e, c) for e, c in terms if c), key=_term_key, reverse=True))
+        else:
+            canon = tuple(terms)
+            if canon and not canon[0][1]:
+                canon = ()
+        object.__setattr__(out, "terms", canon)
         return out
 
     # -- constructors -------------------------------------------------
@@ -444,26 +458,41 @@ def monomials_upto(variables: Iterable[str], degree: int) -> list:
     return [Poly._trusted(variables, ((e, one),)) for e in exponents_upto(len(variables), degree)]
 
 
+# Distinct monomials whose text `format_poly` keeps; a bound, not a tuning knob.
+MAX_MONOMIAL_TEXTS = 1024
+
+
+@functools.lru_cache(maxsize=MAX_MONOMIAL_TEXTS)
+def _monomial_text(variables: Tuple[str, ...], exps: Exponents) -> str:
+    """`s^2*d`-style text of one monic monomial, "" for the constant one."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e)
+
+
 def format_poly(x: Poly) -> str:
-    """Canonical space-free text: leading term first, e.g. `s^2-3*s*d+7`."""
-    if x.is_zero():
+    """Canonical space-free text: leading term first, e.g. `s^2-3*s*d+7`.
+
+    Sign and magnitude come from each coefficient's numerator and
+    denominator, and the monomial text from the bounded `_monomial_text`
+    table, so no term does Fraction arithmetic.
+    """
+    if not x.terms:
         return "0"
+    variables = x.variables
     parts = []
     for exps, coeff in x.terms:
-        body_vars = "*".join(
-            v if e == 1 else f"{v}^{e}" for v, e in zip(x.variables, exps) if e
-        )
-        mag = abs(coeff)
-        if body_vars and mag == 1:
-            body = body_vars
-        elif body_vars:
-            body = f"{mag}*{body_vars}"
+        num, den = coeff.numerator, coeff.denominator
+        if num < 0:
+            parts.append("-")
+            num = -num
+        elif parts:
+            parts.append("+")
+        body = _monomial_text(variables, exps)
+        if den != 1:
+            parts.append(f"{num}/{den}*{body}" if body else f"{num}/{den}")
+        elif num != 1:
+            parts.append(f"{num}*{body}" if body else str(num))
         else:
-            body = str(mag)
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(("-" if coeff < 0 else "+") + body)
+            parts.append(body or "1")
     return "".join(parts)
 
 

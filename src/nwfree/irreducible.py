@@ -10,10 +10,11 @@ The chain operators, the witness and the oracle all use that every action
 is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
 image from `modfam._image`: a chain operator sums its parts' images over
 one common denominator (`modfam._act_sum`), the witness acts once per
-generator, on the ideal generator, and the oracle eliminates fraction-free
-on integer vectors.  Each call reads every x.1, the chain's constants c
-and c1 included, from one `modfam._Forms` table of its own, so each is
-computed once per call and nothing is kept per spec.
+generator, on the ideal generator, and takes each closure image from a
+lower one times a two-term factor, and the oracle eliminates
+fraction-free on integer vectors.  Each call reads every x.1, the chain's
+constants c and c1 included, from one `modfam._Forms` table of its own,
+so each is computed once per call and nothing is kept per spec.
 """
 
 import math
@@ -26,7 +27,6 @@ from .exactpoly import (
     Poly,
     _from_integer_terms,
     _integer_terms,
-    _shift_mul,
     change_variables,
     degree_in,
     exponents_upto,
@@ -404,15 +404,30 @@ def _witness_generator(spec) -> Tuple[Poly, str]:
     return Poly.var(variables, "s") - Poly.const(variables, root), "s"
 
 
+def _times_shifted_variable(ints: dict, i: int, offset: int) -> dict:
+    """ints * (v + offset) on integers, v the i-th variable: two updates per term."""
+    out: dict = {}
+    get = out.get
+    for exps, n in ints.items():
+        raised = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+        out[raised] = get(raised, 0) + n
+        if offset:
+            out[exps] = get(exps, 0) + offset * n
+    return out
+
+
 def witness(spec) -> ReducibilityWitness:
     """Invariant principal ideal plus closure checks on the degree-4 test basis.
 
     Every action is shift-then-multiply, so the image of ideal * m under x
     is shift_x(m) * R_x with R_x = x.ideal: on integers, each generator
-    acts once, on the ideal generator, through `modfam._image`, and each
-    image is one `_shift_mul` of the monomial by R_x.  When R_x reduces to
-    zero modulo the ideal, every image of x lies in the ideal; only
-    otherwise is each image reduced on its own.
+    acts once, on the ideal generator, through `modfam._image`.  The test
+    monomials come in ascending graded-lex order, so for m != 1 with first
+    used variable v, m / v comes earlier, and as shift_x(m) = shift_x(m / v)
+    * (v + offset_v), the image of m is the image of m / v times that
+    two-term factor: one pass over an integer map per check, no shift.
+    When R_x reduces to zero modulo the ideal, every image of x lies in the
+    ideal; only otherwise is each image reduced on its own.
     """
     verdict = decide(spec)
     if verdict.irreducible:
@@ -421,18 +436,29 @@ def witness(spec) -> ReducibilityWitness:
     variables = module_variables(spec)
     forms = _Forms(spec)
     ideal_ints, ideal_scale = _integer_terms(ideal)
-    monomials = monomials_upto(variables, 4)
+    # (m, its exponents, its first used variable i, m / v_i) per test monomial
+    steps = []
+    for m in monomials_upto(variables, 4):
+        (exps, _), = m.terms  # a monic monomial
+        i = next((j for j, e in enumerate(exps) if e), None)
+        lower = None if i is None else exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        steps.append((m, exps, i, lower))
     checks = []
     for x in generators(spec):
         form = forms[x]
+        offsets = form[0]
         r_ints = _image(form, ideal_ints)  # R_x times `scale`, on integers
         scale = ideal_scale * form[2]
         r_x = _from_integer_terms(variables, r_ints, scale)
         closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
-        for m in monomials:
-            (exps, _), = m.terms  # a monic monomial
-            image = _shift_mul({exps: 1}, form[0], r_ints.items())
-            image = _from_integer_terms(variables, image, scale)
+        images = {}  # exponents of m -> shift_x(m) * R_x times `scale`
+        for m, exps, i, lower in steps:
+            if i is None:
+                image_ints = r_ints
+            else:
+                image_ints = _times_shifted_variable(images[lower], i, offsets[i])
+            images[exps] = image_ints
+            image = _from_integer_terms(variables, image_ints, scale)
             contained = closed or reduce_mod_univariate(image, ideal, var).is_zero()
             checks.append(ClosureCheck(x, m, image, contained))
     return ReducibilityWitness(ideal, tuple(checks))

@@ -192,6 +192,30 @@ def apply_shift_reference(sh, x):
     return Poly(x.variables, acc)
 
 
+def format_poly_reference(x):
+    """format_poly as it first stood: abs, < and str on each Fraction, and the
+    monomial text joined anew for every term."""
+    if x.is_zero():
+        return "0"
+    parts = []
+    for exps, coeff in x.terms:
+        body_vars = "*".join(
+            v if e == 1 else f"{v}^{e}" for v, e in zip(x.variables, exps) if e
+        )
+        mag = abs(coeff)
+        if body_vars and mag == 1:
+            body = body_vars
+        elif body_vars:
+            body = f"{mag}*{body_vars}"
+        else:
+            body = str(mag)
+        if not parts:
+            parts.append(f"-{body}" if coeff < 0 else body)
+        else:
+            parts.append(("-" if coeff < 0 else "+") + body)
+    return "".join(parts)
+
+
 def poly_mul_reference(a, b):
     """Poly.__mul__ as a double loop: one Fraction product and sum per pair of terms."""
     if a.variables != b.variables:

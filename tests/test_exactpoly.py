@@ -17,14 +17,16 @@ from nwfree.exactpoly import (
     monomials_upto,
     negate_var,
     reduce_mod_univariate,
+    MAX_MONOMIAL_TEXTS,
     _combine,
     _from_integer_terms,
     _integer_terms,
+    _monomial_text,
     _shift_mul,
     _taylor_shift,
 )
 
-from helpers import apply_shift_reference, poly_mul_reference
+from helpers import apply_shift_reference, format_poly_reference, poly_mul_reference
 
 S = ("s",)
 SD = ("s", "d")
@@ -303,6 +305,61 @@ def test_taylor_shift_kernel_matches_binomial_reference(case):
 @given(poly_st(S, max_degree=6))
 def test_format_parse_free_of_spaces(x):
     assert " " not in format_poly(x)
+
+
+# +-1, signed 30-digit numerators and non-unit denominators, exactly as drawn
+text_coefficients_st = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-1, 2)]),
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+              st.integers(min_value=2, max_value=10 ** 6)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+def _text_case(variables):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=9)] * len(variables))
+    terms = st.lists(st.tuples(exps, text_coefficients_st), max_size=8)
+    return terms.map(lambda ts: Poly(variables, ts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_text_case))
+def test_format_poly_matches_reference(x):
+    assert format_poly(x) == format_poly_reference(x)
+
+
+def test_format_poly_reference_cases():
+    for variables in (S, SD, ("d0", "w0")):
+        zero = (0,) * len(variables)
+        top = (3,) + (1,) * (len(variables) - 1)
+        for x in (
+            Poly.zero(variables),
+            Poly.one(variables),
+            Poly.const(variables, -1),
+            Poly.const(variables, Fraction(-7, 3)),
+            Poly(variables, {top: -1, zero: 1}),
+            Poly(variables, {top: Fraction(10 ** 30 + 1, 7), zero: -(10 ** 30)}),
+        ):
+            assert format_poly(x) == format_poly_reference(x)
+    assert format_poly(Poly(SD, {(1, 2): -1, (0, 0): Fraction(1, 2)})) == "-s*d^2+1/2"
+
+
+def test_monomial_text_table_stays_bounded():
+    # more distinct monomials than the table holds, over all three variable sets
+    seen = set()
+    degree = 0
+    while len(seen) <= 2 * MAX_MONOMIAL_TEXTS:
+        cases = [(S, (degree,))]
+        for variables in (SD, ("d0", "w0")):
+            cases += [(variables, (degree - k, k)) for k in range(degree + 1)]
+        for variables, exps in cases:
+            x = Poly(variables, {exps: -3})
+            assert format_poly(x) == format_poly_reference(x)
+            seen.add((variables, exps))
+        degree += 1
+    info = _monomial_text.cache_info()
+    assert 0 < info.currsize <= info.maxsize == MAX_MONOMIAL_TEXTS
 
 
 def test_identity_shift_is_identity():

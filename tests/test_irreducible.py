@@ -1,12 +1,14 @@
 """Verdicts, reduction chains, witness ideals, and the orbit oracle."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import nwfree.exactpoly
 import nwfree.irreducible
 import nwfree.modfam
 
@@ -452,13 +454,52 @@ _witness_specs = st.one_of(
 )
 
 
+def _loop_beta(window):
+    return {k: k for k in range(-window, window + 1)}
+
+
+_QUARTER = S ** 2 - Poly.const(("s",), Fraction(1, 4))
+# large shifts: the closure images multiply by (d + 8) and (d - 8)
+_WIDE_WITNESS_SPECS = (
+    mtilde(mg0(_QUARTER), 3, _loop_beta(2), window=2),
+    mtilde(mg0(_QUARTER), 3, _loop_beta(8), window=8),
+    affvir(m0g(_QUARTER), alpha=3, lam=2, window=2),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_witness_specs)
+@example(_WIDE_WITNESS_SPECS[0])
+@example(_WIDE_WITNESS_SPECS[1])
+@example(_WIDE_WITNESS_SPECS[2])
 def test_witness_matches_reference(spec):
     wit, expected = witness(spec), witness_reference(spec)
     assert wit == expected
     alg = algebra_of(spec)
     assert format_witness(wit, alg) == format_witness(expected, alg)
+
+
+def test_witness_shifts_no_test_monomial(monkeypatch):
+    # each closure image is the previous one times (v + offset): the only
+    # polynomial shifted is the ideal generator, at most once per generator
+    # (products, as in reduce_mod_univariate, call the kernel with no shift)
+    shifted = []
+    real = nwfree.exactpoly._taylor_shift
+
+    def recording(ints, offsets):
+        if any(offsets):
+            shifted.append(dict(ints))
+        return real(ints, offsets)
+
+    monkeypatch.setattr(nwfree.exactpoly, "_taylor_shift", recording)
+    for spec in _WIDE_WITNESS_SPECS + (mg0(S ** 2 - S), Vir00Spec(Fraction(2), W0)):
+        shifted.clear()
+        wit = witness(spec)
+        ideal = dict(wit.ideal_generator.terms)
+        common = lcm(*[c.denominator for c in ideal.values()])
+        ideal_ints = {e: int(c * common) for e, c in ideal.items()}
+        assert len(wit.closure_checks) > len(generators(spec)) >= len(shifted) > 0
+        assert all(ints == ideal_ints for ints in shifted), spec
 
 
 def test_witness_falls_back_to_per_check_reduction():
