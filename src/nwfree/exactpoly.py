@@ -468,12 +468,34 @@ def _monomial_text(variables: Tuple[str, ...], exps: Exponents) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e)
 
 
+# Ints of 10^640 and up are written in 640-digit pieces, below every digit
+# limit the interpreter puts on str() (4,300 by default), which stays as set.
+_TEXT_PIECE_DIGITS = 640
+_TEXT_PIECE = 10 ** _TEXT_PIECE_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int n >= 0 of any length."""
+    pieces = []
+    while n >= _TEXT_PIECE:
+        n, low = divmod(n, _TEXT_PIECE)
+        pieces.append(f"{low:0{_TEXT_PIECE_DIGITS}d}")
+    pieces.append(str(n))
+    return "".join(reversed(pieces))
+
+
+def format_rational(c: Fraction) -> str:
+    """str(c) for numerators and denominators of any length."""
+    text = ("-" if c < 0 else "") + _int_text(abs(c.numerator))
+    return text if c.denominator == 1 else f"{text}/{_int_text(c.denominator)}"
+
+
 def format_poly(x: Poly) -> str:
     """Canonical space-free text: leading term first, e.g. `s^2-3*s*d+7`.
 
     Sign and magnitude come from each coefficient's numerator and
     denominator, and the monomial text from the bounded `_monomial_text`
-    table, so no term does Fraction arithmetic.
+    table, so no term does Fraction arithmetic; long ints go to `_int_text`.
     """
     if not x.terms:
         return "0"
@@ -486,6 +508,10 @@ def format_poly(x: Poly) -> str:
             num = -num
         elif parts:
             parts.append("+")
+        if num >= _TEXT_PIECE:
+            num = _int_text(num)
+        if den >= _TEXT_PIECE:
+            den = _int_text(den)
         body = _monomial_text(variables, exps)
         if den != 1:
             parts.append(f"{num}/{den}*{body}" if body else f"{num}/{den}")

@@ -31,6 +31,7 @@ from .exactpoly import (
     degree_in,
     exponents_upto,
     format_poly,
+    format_rational,
     monomials_upto,
     reduce_mod_univariate,
 )
@@ -85,7 +86,7 @@ class ChainOp:
         pieces = []
         for coeff, symbol in self.parts:
             name = "id" if symbol is None else format_symbol(symbol, alg)
-            pieces.append(f"{coeff}*{name}")
+            pieces.append(f"{format_rational(coeff)}*{name}")
         return "+".join(pieces).replace("+-", "-")
 
 
@@ -558,7 +559,7 @@ def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = Non
     lines = [f"SEED {format_poly(cert.seed)}"]
     for op, result in cert.chain:
         lines.append(f"STEP {op.describe(alg)} POLY {format_poly(result)}")
-    lines.append(f"SUMMARY constant={cert.final.constant_value()}")
+    lines.append(f"SUMMARY constant={format_rational(cert.final.constant_value())}")
     return "\n".join(lines)
 
 

@@ -11,6 +11,9 @@ Basis symbols carry a kind and a loop index:
 Algebras: H4 (loop index 0 only), AffineH4 (loops + k + d), Vir00 (d_m,
 commuting W_m, k; the W_m are represented by kind s at loop index m and
 print as `w@m` in that context), AffineVirasoroH4 (loops + d_m + k).
+`ALGEBRA_KINDS` is the one statement of which kinds each algebra has and
+which of them carry every loop index: membership (`check_in_algebra`),
+a module's generators and its shifts all read it.
 
 The symmetric invariant form has (p,q) = (r,s) = 1 and vanishes otherwise;
 it feeds the central cocycle m*(h1,h2)*delta_{m+n,0}*k of the affine
@@ -32,6 +35,14 @@ H4 = "H4"
 AFFINE_H4 = "AffineH4"
 VIR00 = "Vir00"
 AFF_VIR = "AffineVirasoroH4"
+
+# Per algebra, (kinds at every loop index, kinds at loop index 0 only).
+ALGEBRA_KINDS = {
+    H4: ((), H4_KINDS),
+    AFFINE_H4: (H4_KINDS, ("k", "d")),
+    VIR00: (("dvir", "s"), ("k",)),
+    AFF_VIR: (H4_KINDS + ("dvir",), ("k",)),
+}
 
 
 class SymbolNotInAlgebra(ValueError):
@@ -115,40 +126,20 @@ class LieElement:
 LIE_ZERO = LieElement(())
 
 
-def symbol_in_algebra(alg: str, symbol: BasisSymbol) -> bool:
-    if alg == H4:
-        return symbol.kind in H4_KINDS and symbol.loop_index == 0
-    if alg == AFFINE_H4:
-        return symbol.kind in H4_KINDS or symbol.kind in ("k", "d")
-    if alg == VIR00:
-        return symbol.kind in ("dvir", "s", "k")
-    if alg == AFF_VIR:
-        return symbol.kind in H4_KINDS or symbol.kind in ("k", "dvir")
-    raise ValueError(f"unknown algebra {alg!r}")
-
-
 def check_in_algebra(alg: str, symbol: BasisSymbol) -> None:
-    if not symbol_in_algebra(alg, symbol):
+    looped, fixed = ALGEBRA_KINDS[alg]
+    if symbol.kind not in looped and (symbol.kind not in fixed or symbol.loop_index):
         raise SymbolNotInAlgebra(f"{format_symbol(symbol)} is not a basis symbol of {alg}")
 
 
-# Minimal H4 table; everything else follows by antisymmetry.
+# [a, b] on H4 kinds, as ((kind, coeff), ...): the minimal table, then
+# the rest by antisymmetry; absent pairs commute.
 _H4_TABLE = {
     ("p", "q"): (("r", 1),),
     ("s", "p"): (("p", 1),),
     ("s", "q"): (("q", -1),),
 }
-
-
-def _h4_kind_bracket(a: str, b: str):
-    """[a, b] on H4 kinds, as ((kind, coeff), ...)."""
-    hit = _H4_TABLE.get((a, b))
-    if hit is not None:
-        return hit
-    hit = _H4_TABLE.get((b, a))
-    if hit is not None:
-        return tuple((k, -c) for k, c in hit)
-    return ()
+_H4_TABLE.update({(b, a): tuple((k, -c) for k, c in v) for (a, b), v in _H4_TABLE.items()})
 
 
 def bilinear_form(x: BasisSymbol, y: BasisSymbol) -> Fraction:
@@ -164,60 +155,51 @@ def bilinear_form(x: BasisSymbol, y: BasisSymbol) -> Fraction:
     return Fraction(0)
 
 
-def _bracket_basis(alg: str, a: BasisSymbol, b: BasisSymbol) -> LieElement:
+def _bracket_basis(a: BasisSymbol, b: BasisSymbol) -> LieElement:
+    """[a, b] for two basis symbols of one algebra.
+
+    Once both are members, the bracket does not depend on which algebra
+    holds them: H4 is the loop-0 part of the loop brackets, and Vir00's
+    W_m, kind s, commute because [s, s] and (s, s) vanish.
+    """
     if a.kind == "k" or b.kind == "k":
         return LIE_ZERO
 
-    if alg == H4:
-        return LieElement({BasisSymbol(k): Fraction(c) for k, c in _h4_kind_bracket(a.kind, b.kind)})
+    if a.kind in H4_KINDS and b.kind in H4_KINDS:
+        m, n = a.loop_index, b.loop_index
+        acc: dict[BasisSymbol, Fraction] = {}
+        for kind, coeff in _H4_TABLE.get((a.kind, b.kind), ()):
+            acc[BasisSymbol(kind, m + n)] = Fraction(coeff)
+        if m + n == 0:
+            central = m * bilinear_form(a, b)
+            if central:
+                acc[K] = acc.get(K, Fraction(0)) + central
+        return LieElement(acc)
 
-    if alg in (AFFINE_H4, AFF_VIR):
-        if a.kind in H4_KINDS and b.kind in H4_KINDS:
-            m, n = a.loop_index, b.loop_index
-            acc: dict[BasisSymbol, Fraction] = {}
-            for kind, coeff in _h4_kind_bracket(a.kind, b.kind):
-                acc[BasisSymbol(kind, m + n)] = Fraction(coeff)
-            if m + n == 0:
-                central = m * bilinear_form(a, b)
-                if central:
-                    acc[K] = acc.get(K, Fraction(0)) + central
-            return LieElement(acc)
-
-    if alg == AFFINE_H4:
-        # remaining cases involve the single derivation d
-        if a.kind == "d" and b.kind == "d":
-            return LIE_ZERO
-        if a.kind == "d":
-            return LieElement.basis(b, b.loop_index)
-        if b.kind == "d":
-            return LieElement.basis(a, -a.loop_index)
-
-    if alg in (VIR00, AFF_VIR):
-        if a.kind == "dvir" and b.kind == "dvir":
-            m, n = a.loop_index, b.loop_index
-            acc = {}
-            if n != m:
-                acc[BasisSymbol("dvir", m + n)] = Fraction(n - m)
-            if m + n == 0:
-                cocycle = Fraction(m**3 - m, 12)
-                if cocycle:
-                    acc[K] = cocycle
-            return LieElement(acc)
-        if a.kind == "dvir":
-            # [d_m, h (x) t^n] = n * h (x) t^(m+n); covers Vir00's W_n as well
-            n = b.loop_index
-            return LieElement.basis(BasisSymbol(b.kind, a.loop_index + n), n)
-        if b.kind == "dvir":
-            n = a.loop_index
-            return LieElement.basis(BasisSymbol(a.kind, b.loop_index + n), -n)
-
-    if alg == VIR00:
-        # the W_m commute among themselves, with no central term
+    # the single derivation d of AffineH4
+    if a.kind == "d" and b.kind == "d":
         return LIE_ZERO
+    if a.kind == "d":
+        return LieElement.basis(b, b.loop_index)
+    if b.kind == "d":
+        return LieElement.basis(a, -a.loop_index)
 
-    raise SymbolNotInAlgebra(
-        f"no bracket for {format_symbol(a)}, {format_symbol(b)} in {alg}"
-    )
+    if a.kind == "dvir" and b.kind == "dvir":
+        m, n = a.loop_index, b.loop_index
+        acc = {}
+        if n != m:
+            acc[BasisSymbol("dvir", m + n)] = Fraction(n - m)
+        if m + n == 0:
+            cocycle = Fraction(m**3 - m, 12)
+            if cocycle:
+                acc[K] = cocycle
+        return LieElement(acc)
+    # [d_m, h (x) t^n] = n * h (x) t^(m+n); covers Vir00's W_n as well
+    if a.kind == "dvir":
+        n = b.loop_index
+        return LieElement.basis(BasisSymbol(b.kind, a.loop_index + n), n)
+    n = a.loop_index
+    return LieElement.basis(BasisSymbol(a.kind, b.loop_index + n), -n)
 
 
 def bracket(alg: str, x: LieElement, y: LieElement) -> LieElement:
@@ -231,7 +213,7 @@ def bracket(alg: str, x: LieElement, y: LieElement) -> LieElement:
         check_in_algebra(alg, sa)
         for sb, cb in y.terms:
             check_in_algebra(alg, sb)
-            out = out + _bracket_basis(alg, sa, sb).scale(ca * cb)
+            out = out + _bracket_basis(sa, sb).scale(ca * cb)
     return out
 
 

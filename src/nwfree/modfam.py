@@ -7,10 +7,14 @@ and the affine-Virasoro family acts on Q[s,d] again.
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
-polynomial 1.  The families differ only in those values, so one function,
-`_value_on_one`, computes x.1 afresh, and every request path reads it
-through one table per request, `_Forms`, which clears each x.1 to
-integers beside shift_x the first time its symbol is looked up.  One
+polynomial 1.  The generators and their shifts are facts of the algebra:
+`generators` lists the kinds of `liealg.ALGEBRA_KINDS` within a window,
+for families and action data alike, and `shift_of` is one grading rule,
+x's weight under the Cartan part.  The families differ only in the
+values on 1, so one function, `_value_on_one`, computes x.1 afresh, and
+every request path reads it through one table per request, `_Forms`,
+which clears each x.1 to integers beside shift_x the first time its
+symbol is looked up.  One
 function, `_image`, takes every generator image on integers from x's
 form in that table, for `act` (so `classify`'s product rule), the chains,
 the witness, the orbit oracle and `verify_module`; `_act_sum` sums such
@@ -40,16 +44,11 @@ from .exactpoly import (
 from .liealg import (
     AFF_VIR,
     AFFINE_H4,
+    ALGEBRA_KINDS,
     H4,
     VIR00,
     BasisSymbol,
-    D,
-    K,
     LieElement,
-    P,
-    Q,
-    R,
-    S,
     check_in_algebra,
     format_symbol,
     sort_key,
@@ -431,30 +430,23 @@ def spec_window(spec: AnySpec) -> Optional[int]:
     return None
 
 
+# shift_of's offsets on MODULE_VARIABLES from those of s and the loop variable.
+_SHIFT_LAYOUT = {
+    H4: lambda s, loop: (s,),
+    AFFINE_H4: lambda s, loop: (s, loop),
+    VIR00: lambda s, loop: (loop, 0),
+    AFF_VIR: lambda s, loop: (s, loop),
+}
+
+
 def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
     """The variable shift the algebra forces on x's action, value aside.
 
-    One offset per variable of MODULE_VARIABLES[algebra], in that order.
+    It is x's weight under the Cartan part: p lowers s by 1 and q raises
+    it, and loop index n lowers the loop variable, d or d0, by n.  One
+    offset per variable of MODULE_VARIABLES[algebra], in that order.
     """
-    kind, n = symbol.kind, symbol.loop_index
-    s_off = {"p": -1, "q": 1}.get(kind, 0)
-    if algebra == H4:
-        return (s_off,)
-    if algebra == AFFINE_H4:
-        if kind in ("k", "d"):
-            return (0, 0)
-        return (s_off, -n)
-    if algebra == VIR00:
-        if kind == "k":
-            return (0, 0)
-        return (-n, 0)
-    if algebra == AFF_VIR:
-        if kind == "k":
-            return (0, 0)
-        if kind == "dvir":
-            return (0, -n)
-        return (s_off, -n)
-    raise SpecInvalid(f"unknown algebra {algebra!r}")
+    return _SHIFT_LAYOUT[algebra]({"p": -1, "q": 1}.get(symbol.kind, 0), -symbol.loop_index)
 
 
 def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
@@ -471,6 +463,9 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
             raise WindowExceeded(f"{format_symbol(symbol)} outside window {spec.window}")
         raise MalformedData(f"no assignment for {format_symbol(symbol)}")
 
+    if kind == "k":
+        return Poly.zero(variables)
+
     if isinstance(spec, H4Family):
         p1, q1, r1 = spec.base_values
         if kind == "p":
@@ -482,8 +477,6 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
         return Poly.var(variables, "s")
 
     if isinstance(spec, AffineSpec):
-        if kind == "k":
-            return Poly.zero(variables)
         if kind == "d":
             return Poly.var(variables, "d")
         if abs(n) > spec.window:
@@ -499,8 +492,6 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
         return scale * change_variables(_value_on_one(spec.base, sym(kind)), variables)
 
     if isinstance(spec, Vir00Spec):
-        if kind == "k":
-            return Poly.zero(variables)
         scale = spec.lam ** n
         if kind == "s":
             return scale * Poly.var(variables, "w0")
@@ -508,8 +499,6 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
         return scale * (Poly.var(variables, "d0") + n * f)
 
     if isinstance(spec, AffVirSpec):
-        if kind == "k":
-            return Poly.zero(variables)
         if kind == "dvir":
             scale = spec.base.alpha ** n
             mu = n * scale * spec.lambda_shift
@@ -613,22 +602,15 @@ def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:
 
 
 def generators(spec: AnySpec, window: Optional[int] = None):
-    """Basis symbols the spec can evaluate, in canonical order."""
-    algebra = algebra_of(spec)
+    """The algebra's basis symbols within the window, in canonical order.
+
+    They come from `ALGEBRA_KINDS`, for action data too, so data that
+    leaves one of them unassigned raises MalformedData when it is looked up.
+    """
+    looped, fixed = ALGEBRA_KINDS[algebra_of(spec)]
     w = _resolve_window(spec, window)
     loops = range(-w, w + 1)
-    if isinstance(spec, ActionData):
-        out = [key for key, _ in spec.assignments if abs(key.loop_index) <= w]
-    elif algebra == H4:
-        out = [P, Q, R, S]
-    elif algebra == AFFINE_H4:
-        out = [sym(kind, i) for kind in ("p", "q", "r", "s") for i in loops]
-        out += [K, D]
-    elif algebra == VIR00:
-        out = [sym("dvir", i) for i in loops] + [sym("s", i) for i in loops] + [K]
-    else:
-        out = [sym(kind, i) for kind in ("p", "q", "r", "s") for i in loops]
-        out += [sym("dvir", i) for i in loops] + [K]
+    out = [sym(kind, i) for kind in looped for i in loops] + [sym(kind) for kind in fixed]
     return sorted(out, key=sort_key)
 
 

@@ -23,8 +23,10 @@ minus nested more than MAX_NESTING deep, counted together, are a syntax
 error at the `(` or `-` that passes the limit.  So no document makes the
 parser multiply or recurse without bound.  Digits are ASCII
 only, and a numeral longer than MAX_DIGITS is a syntax error at the
-numeral.  Rational parameters and windows take ASCII digits without
-underscores too; anything else is a syntax error at the value.
+numeral.  A rational parameter is a RATIONAL with an optional sign, each
+numeral at most MAX_DIGITS ASCII digits (no decimal point, exponent or
+underscore), and a window takes ASCII digits without underscores too;
+anything else is a syntax error at the value.
 A loop index (`beta.-2`, `p@1`) is an optional `-` followed by ASCII
 digits; anything else is a syntax error at the key.
 
@@ -349,19 +351,17 @@ def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     return value
 
 
-def _ascii_numeral(text: str) -> bool:
-    # Fraction() and int() also take other Unicode digits and underscores
-    return text.isascii() and "_" not in text
+# RATIONAL with an optional sign, in ASCII digits, with a nonzero denominator.
+_RATIONAL = re.compile(r"[+-]?([0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
+    """A RATIONAL whose numerals have at most MAX_DIGITS digits each."""
     text = text.strip()
-    try:
-        if not _ascii_numeral(text):
-            raise ValueError(text)
+    match = _RATIONAL.fullmatch(text)
+    if match and max(map(len, match.groups(""))) <= MAX_DIGITS:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DslSyntaxError(f"expected a rational number, got {text!r}", line, col) from exc
+    raise DslSyntaxError(f"expected a rational number, got {text!r}", line, col)
 
 
 # --------------------------------------------------------------- documents
@@ -447,7 +447,7 @@ def _construct(call, taken, fallback: _Entry):
 
 def _window_value(entry: _Entry) -> int:
     try:
-        if not _ascii_numeral(entry.value):
+        if not entry.value.isascii() or "_" in entry.value:  # int() takes both
             raise ValueError(entry.value)
         window = int(entry.value)
     except ValueError:

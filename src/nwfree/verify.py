@@ -27,9 +27,7 @@ cached by (algebra, generator tuple, test degree) in a bounded LRU cache
 (MAX_PLANS): the zero polynomial, the test monomials, and per pair its
 shift sigma and its bracket terms, so `bracket` runs only when a plan is
 built.  Building a plan checks the grading: a bracket term whose shift is
-not its pair's raises ValueError.  The key holds the generators rather
-than the window because the generators of action data depend on its
-assignments.  Each request then fills one table of integer forms,
+not its pair's raises ValueError.  Each request then fills one table of integer forms,
 `modfam._Forms` (shift_x, and x.1 cleared to integers, keyed by symbol),
 as pairs first look them up (y, x, then the bracket terms, as evaluating
 through `act` would), so each x.1 is computed afresh once and verifying a

@@ -1,6 +1,8 @@
 """Shared test fixtures: one canonical spec per family, data corruption, and
 reference implementations the optimized kernels are compared against."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, gcd
 
@@ -190,6 +192,45 @@ def apply_shift_reference(sh, x):
         for key, c in expansion.items():
             acc[key] = acc.get(key, Fraction(0)) + c
     return Poly(x.variables, acc)
+
+
+def shift_of_reference(algebra, symbol):
+    """shift_of as a ladder over algebras and kinds, as it first stood."""
+    kind, n = symbol.kind, symbol.loop_index
+    s_off = {"p": -1, "q": 1}.get(kind, 0)
+    if algebra == H4:
+        return (s_off,)
+    if algebra == AFFINE_H4:
+        if kind in ("k", "d"):
+            return (0, 0)
+        return (s_off, -n)
+    if algebra == VIR00:
+        if kind == "k":
+            return (0, 0)
+        return (-n, 0)
+    if algebra == AFF_VIR:
+        if kind == "k":
+            return (0, 0)
+        if kind == "dvir":
+            return (0, -n)
+        return (s_off, -n)
+    raise SpecInvalid(f"unknown algebra {algebra!r}")
+
+
+@contextmanager
+def int_digit_limit_lifted():
+    """Lift the interpreter's int-to-str digit limit, where it has one, and
+    restore it afterwards, so reference formatters can print long ints."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def format_poly_reference(x):

@@ -14,6 +14,7 @@ from nwfree.exactpoly import (
     coefficient_in,
     degree_in,
     format_poly,
+    format_rational,
     monomials_upto,
     negate_var,
     reduce_mod_univariate,
@@ -26,7 +27,12 @@ from nwfree.exactpoly import (
     _taylor_shift,
 )
 
-from helpers import apply_shift_reference, format_poly_reference, poly_mul_reference
+from helpers import (
+    apply_shift_reference,
+    format_poly_reference,
+    int_digit_limit_lifted,
+    poly_mul_reference,
+)
 
 S = ("s",)
 SD = ("s", "d")
@@ -343,6 +349,33 @@ def test_format_poly_reference_cases():
         ):
             assert format_poly(x) == format_poly_reference(x)
     assert format_poly(Poly(SD, {(1, 2): -1, (0, 0): Fraction(1, 2)})) == "-s*d^2+1/2"
+
+
+# ints around the 640-digit pieces, and past the interpreter's 4,300-digit str() limit
+LONG_INTS = [10 ** 640 - 1, 10 ** 640, 10 ** 640 + 1, 7 * 10 ** 1280 + 3, 10 ** 4300,
+             int("7" * 540) ** 8, int("9" * 1000) ** 9 + 1]
+
+
+def test_long_coefficients_format_as_with_the_limit_lifted():
+    polys, rationals = [], []
+    for n in LONG_INTS:
+        for c in (Fraction(n), Fraction(-n), Fraction(n, 10 ** 700 + 3), Fraction(1, -n)):
+            rationals.append(c)
+            for variables in (S, SD):
+                zero = (0,) * len(variables)
+                top = (2,) + (1,) * (len(variables) - 1)
+                polys += [Poly(variables, {top: c, zero: -c}), Poly(variables, {top: 1, zero: c})]
+    texts = [format_poly(x) for x in polys]
+    rational_texts = [format_rational(c) for c in rationals]
+    with int_digit_limit_lifted():
+        assert texts == [format_poly_reference(x) for x in polys]
+        assert rational_texts == [str(c) for c in rationals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_coefficients_st)
+def test_format_rational_is_str(c):
+    assert format_rational(c) == str(c)
 
 
 def test_monomial_text_table_stays_bounded():

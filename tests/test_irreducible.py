@@ -22,6 +22,7 @@ from nwfree.exactpoly import (
 )
 from nwfree.irreducible import (
     ChainOp,
+    IrreducibilityCertificate,
     NotIrreducible,
     NotReducible,
     SeedZero,
@@ -58,6 +59,7 @@ from helpers import (
     S,
     W0,
     apply_chain_op_reference,
+    int_digit_limit_lifted,
     orbit_oracle_dense_reference,
     orbit_oracle_reference,
     rational_root_reference,
@@ -310,6 +312,15 @@ def test_chain_op_checks_every_symbol_even_on_zero():
     # outside the algebra: an error even on 0
     with pytest.raises(SymbolNotInAlgebra):
         apply_chain_op(spec, ChainOp(((Fraction(1), sym("dvir", 0)),)), zero)
+
+
+def test_certificate_text_takes_coefficients_past_the_digit_limit():
+    big = Fraction(int("7" * 540) ** 9, 3)  # 4,861 digits over 3
+    op = ChainOp(((-big, sym("p", 1)), (1 / big, sym("p", 0)), (big, None)))
+    cert = IrreducibilityCertificate(Poly.const(("s",), big), ())
+    text = op.describe(AFFINE_H4), format_certificate(cert)
+    with int_digit_limit_lifted():
+        assert text == (f"{-big}*p@1+{1 / big}*p+{big}*id", f"SEED {big}\nSUMMARY constant={big}")
 
 
 # ---------------------------------------------------------------- witness

@@ -7,6 +7,7 @@ from nwfree.liealg import (
     AFF_VIR,
     AFFINE_H4,
     H4,
+    KIND_RANK,
     VIR00,
     BasisSymbol,
     D,
@@ -123,6 +124,19 @@ def _generators(alg, window):
         + [sym("dvir", i) for i in loops]
         + [K]
     )
+
+
+@pytest.mark.parametrize("alg", [H4, AFFINE_H4, VIR00, AFF_VIR])
+def test_membership_is_the_generator_listing(alg):
+    members = set(_generators(alg, 4))
+    for kind in KIND_RANK:
+        for n in range(-4, 5) if kind not in ("k", "d") else (0,):
+            x = sym(kind, n)
+            if x in members:
+                check_in_algebra(alg, x)
+            else:
+                with pytest.raises(SymbolNotInAlgebra):
+                    check_in_algebra(alg, x)
 
 
 @pytest.mark.parametrize("alg", [H4, AFFINE_H4, VIR00, AFF_VIR])

@@ -16,7 +16,12 @@ from nwfree.irreducible import (
     witness,
 )
 from nwfree.liealg import (
+    AFF_VIR,
     AFFINE_H4,
+    ALGEBRA_KINDS,
+    H4,
+    KIND_RANK,
+    VIR00,
     D,
     K,
     LieElement,
@@ -26,6 +31,7 @@ from nwfree.liealg import (
     S,
     SymbolNotInAlgebra,
     bracket,
+    check_in_algebra,
     sym,
 )
 from nwfree.modfam import (
@@ -52,11 +58,13 @@ from nwfree.modfam import (
     mtilde,
     module_variables,
     mtilde_f,
+    shift_of,
+    spec_window,
     value_on_one,
 )
 from nwfree.verify import verify_module
 
-from helpers import act_reference, sample_specs, with_assignment
+from helpers import act_reference, sample_specs, shift_of_reference, with_assignment
 
 S_POLY = Poly.var(("s",), "s")
 ONE_S = Poly.one(("s",))
@@ -277,6 +285,36 @@ def test_generators_ordering_and_window():
     with pytest.raises(WindowExceeded):
         generators(spec, window=2)
     assert generators(mg0(1), window=3) == [P, Q, R, S]
+
+
+# bracket terms reach loop index 2 * MAX_WINDOW
+TERM_LOOPS = range(-2 * MAX_WINDOW, 2 * MAX_WINDOW + 1)
+
+
+@pytest.mark.parametrize("algebra", [H4, AFFINE_H4, VIR00, AFF_VIR])
+def test_shift_of_matches_the_ladder_it_replaced(algebra):
+    members = 0
+    for kind in KIND_RANK:
+        for n in TERM_LOOPS if kind not in ("k", "d") else (0,):
+            x = sym(kind, n)
+            try:
+                check_in_algebra(algebra, x)
+            except SymbolNotInAlgebra:
+                continue
+            members += 1
+            assert shift_of(algebra, x) == shift_of_reference(algebra, x), x
+    looped, fixed = ALGEBRA_KINDS[algebra]
+    assert members == len(looped) * len(TERM_LOOPS) + len(fixed)
+
+
+@pytest.mark.parametrize("name, spec", sample_specs(), ids=[n for n, _ in sample_specs()])
+def test_action_data_has_the_generators_of_its_spec(name, spec):
+    limit = spec_window(spec)
+    windows = range(1, MAX_WINDOW + 1) if not limit else range(1, limit + 1)
+    for w in windows:
+        data = actions_of(spec, w)
+        assert generators(data) == generators(spec, w), w
+        assert generators(data, w) == generators(spec, w), w
 
 
 def test_actions_of_round_trip_evaluation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nwfree.exactpoly import Poly
-from nwfree.liealg import H4, SymbolNotInAlgebra, parse_symbol, sym
+from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
 from nwfree.modfam import (
     MAX_WINDOW,
     ActionData,
@@ -41,10 +41,17 @@ from nwfree.specdsl import (
     parse_rational,
     parse_spec,
 )
-from nwfree.irreducible import MAX_CAP_DEGREE, orbit_oracle
+from nwfree.irreducible import MAX_CAP_DEGREE, orbit_oracle, witness
 from nwfree.verify import MAX_TEST_DEGREE, verify_module
 
-from helpers import S, W0, corrupted_data, sample_specs
+from helpers import (
+    S,
+    W0,
+    corrupted_data,
+    format_poly_reference,
+    int_digit_limit_lifted,
+    sample_specs,
+)
 
 SD = ("s", "d")
 
@@ -472,6 +479,75 @@ def test_ascii_rationals_still_parse():
         parse_rational("\u0663")
     with pytest.raises(DslSyntaxError):
         parse_rational("1_000")
+
+
+LONG = "9" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize(
+    "doc, where, value",
+    [
+        (MHB_DOC.replace("a1 = 1", "a1 = 1e9999999"), "line 3, col 6", "1e9999999"),
+        (MHB_DOC.replace("a1 = 1", "a1 = 1.5"), "line 3, col 6", "1.5"),
+        (MHB_DOC.replace("b = 1", "b = 1e3"), "line 5, col 5", "1e3"),
+        (MHB_DOC.replace("b = 1", "b = .5"), "line 5, col 5", ".5"),
+        (MHB_DOC.replace("b = 1", "b = 1/0"), "line 5, col 5", "1/0"),
+        (MHB_DOC.replace("b = 1", "b = 1 / 2"), "line 5, col 5", "1 / 2"),
+        (MHB_DOC.replace("b = 1", f"b = {LONG}"), "line 5, col 5", LONG),
+        (MHB_DOC.replace("b = 1", f"b = 1/{LONG}"), "line 5, col 5", f"1/{LONG}"),
+        (MTAB_DOC.replace("beta.1 = 5", "beta.1 = 2.5e1"), "line 8, col 10", "2.5e1"),
+    ],
+    ids=["huge-exponent", "decimal", "exponent", "leading-point", "zero-denominator",
+         "spaced-slash", "long-numerator", "long-denominator", "beta-exponent"],
+)
+def test_cli_rational_parameters_follow_the_grammar(tmp_path, capsys, doc, where, value):
+    path = write(tmp_path, "doc.spec", doc)
+    for command in ("verify", "twist"):
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {where}: expected a rational number, got {value!r}\n")
+
+
+def test_rationals_at_the_digit_limit_parse():
+    top = "9" * MAX_DIGITS
+    assert parse_rational(f"-{top}/{top}") == -1
+    assert parse_rational(f"+{top}/7") == Fraction(int(top), 7)
+    assert parse_rational("007/0010") == Fraction(7, 10)
+
+
+@pytest.mark.parametrize(
+    "doc, missing",
+    [
+        ("algebra = H4\np = s\n", "q"),
+        ("algebra = H4\np = s\nq = 1\nr = -1\n", "s"),
+        ("algebra = AffineH4\nwindow = 1\np@-1 = 0\np = 0\np@1 = 0\n", "q@-1"),
+    ],
+    ids=["h4-only-p", "h4-without-s", "affine-only-p"],
+)
+def test_cli_action_data_must_assign_every_generator(tmp_path, capsys, doc, missing):
+    assert main(["verify", write(tmp_path, "doc.actions", doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: no assignment for {missing}\n")
+
+
+def test_cli_witness_prints_coefficients_past_the_digit_limit(tmp_path, capsys):
+    # alpha^8 has 4,320 digits, more than str() takes by default; the witness
+    # closure images carry alpha^-8 at p@8 and alpha^8 at p@-8
+    loops = range(-8, 9)
+    doc = ("algebra = AffineH4\nfamily = MTildeAlphaBeta\nbase = Mg0\ng = s\n"
+           f"alpha = {'7' * 540}\n" + "".join(f"beta.{k} = 0\n" for k in loops) + "window = 8\n")
+    assert main(["irreducible", write(tmp_path, "alpha.spec", doc)]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and lines[-1] == "SUMMARY pass=true checked=1050"
+    wit = witness(parse_spec(doc))
+    with int_digit_limit_lifted():
+        want = [f"IDEAL {format_poly_reference(wit.ideal_generator)}"] + [
+            f"CLOSURE {format_symbol(c.generator)} POLY {format_poly_reference(c.test_poly)} "
+            f"IMAGE {format_poly_reference(c.image)} PASS"
+            for c in wit.closure_checks
+        ]
+        assert max(len(str(n)) for c in wit.closure_checks for _, n in c.image.terms) > 4300
+    assert lines[1:-1] == want
 
 
 def test_numeral_at_the_digit_limit_parses():

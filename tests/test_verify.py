@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 import nwfree.verify
 from nwfree.exactpoly import Poly
-from nwfree.liealg import AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, S, bracket, sym
+from nwfree.liealg import (
+    AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, S, bracket, format_symbol, sym,
+)
 from nwfree.modfam import (
     MAX_WINDOW,
     MODULE_VARIABLES,
@@ -358,6 +360,30 @@ def test_missing_value_raises_as_reference(spec, dropped, symbol):
             run(missing, 1, 2)
         errors.append(str(err.value))
     assert errors[0] == errors[1] == f"no assignment for {symbol}"
+
+
+@pytest.mark.parametrize("name, spec", sample_specs(), ids=[n for n, _ in sample_specs()])
+def test_data_missing_any_generator_of_the_window_raises(name, spec):
+    data = actions_of(spec, 1)
+    for x in generators(spec, 1):
+        kept = tuple((y, v) for y, v in data.assignments if y != x)
+        with pytest.raises(MalformedData) as err:
+            verify_module(ActionData(data.algebra, data.window, kept), window=1, test_degree=1)
+        assert str(err.value) == f"no assignment for {format_symbol(x)}"
+
+
+def test_data_missing_generators_names_the_first_in_canonical_order():
+    # the first pair, (p, q), looks up q, then (p, r) r and (p, s) s
+    prefixes = (({P: S_POLY}, "q"), ({P: S_POLY, Q: 1}, "r"), ({P: S_POLY, Q: 1, R: -1}, "s"))
+    for kept, first in prefixes:
+        with pytest.raises(MalformedData) as err:
+            verify_module(ActionData(H4, 0, kept), window=1, test_degree=1)
+        assert str(err.value) == f"no assignment for {first}"
+    # p@-1, p@0, p@1 and q@-1 only: (p@-1, q@0) is the first pair to need q@0
+    data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
+    with pytest.raises(MalformedData) as err:
+        verify_module(ActionData(AFFINE_H4, 1, data.assignments[:4]), window=1, test_degree=1)
+    assert str(err.value) == "no assignment for q"  # q@0 prints as q
 
 
 def test_warm_and_interleaved_plans_match_reference():
