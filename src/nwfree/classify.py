@@ -21,7 +21,7 @@ from .exactpoly import (
     format_poly,
     negate_var,
 )
-from .liealg import AFFINE_H4, H4, BasisSymbol, D, K, P, Q, R, S, format_symbol, sym
+from .liealg import AFFINE_H4, H4, D, K, P, Q, R, S, sym
 from .modfam import (
     ActionData,
     AffineSpec,
@@ -81,13 +81,6 @@ class WindowMismatch(ValueError):
     """The two specs live on different loop windows."""
 
 
-def _require(data: ActionData, symbol: BasisSymbol) -> Poly:
-    try:
-        return data.value(symbol)
-    except KeyError:
-        raise MalformedData(f"missing generator {format_symbol(symbol)}") from None
-
-
 def classify(data: ActionData) -> ClassificationResult:
     if data.algebra == H4:
         return classify_h4(data)
@@ -99,10 +92,10 @@ def classify(data: ActionData) -> ClassificationResult:
 def classify_h4(data: ActionData) -> ClassificationResult:
     if data.algebra != H4:
         raise MalformedData("classify_h4 needs H4 data")
-    p1 = _require(data, P)
-    q1 = _require(data, Q)
-    r1_poly = _require(data, R)
-    s1 = _require(data, S)
+    p1 = data.require(P)
+    q1 = data.require(Q)
+    r1_poly = data.require(R)
+    s1 = data.require(S)
     if s1 != Poly.var(("s",), "s"):
         raise MalformedData("s must act as multiplication by s")
 
@@ -152,11 +145,11 @@ def classify_affine(data: ActionData) -> ClassificationResult:
     w = data.window
     loops = range(-w, w + 1)
     table = {
-        kind: {k: _require(data, sym(kind, k)) for k in loops}
+        kind: {k: data.require(sym(kind, k)) for k in loops}
         for kind in ("p", "q", "r", "s")
     }
-    k_val = _require(data, K)
-    d_val = _require(data, D)
+    k_val = data.require(K)
+    d_val = data.require(D)
     if d_val != Poly.var(("s", "d"), "d"):
         raise MalformedData("d must act as multiplication by d")
     fseq = table["s"]

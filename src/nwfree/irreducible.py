@@ -12,9 +12,10 @@ image from `modfam._image`: a chain operator sums its parts' images over
 one common denominator (`modfam._act_sum`), the witness acts once per
 generator, on the ideal generator, and takes each closure image from a
 lower one times a two-term factor, and the oracle eliminates
-fraction-free on integer vectors.  Each call reads every x.1, the chain's
-constants c and c1 included, from one `modfam._Forms` table of its own,
-so each is computed once per call and nothing is kept per spec.
+fraction-free on integer vectors, taking each image only when it pops it
+and stopping at the first constant pivot.  Each call reads every x.1, the
+chain's constants c and c1 included, from one `modfam._Forms` table of its
+own, so each is computed once per call and nothing is kept per spec.
 """
 
 import math
@@ -466,10 +467,12 @@ def witness(spec) -> ReducibilityWitness:
 
 
 # Largest oracle cap degree: the rows are dense over every monomial up to
-# the cap, and the orbit grows up to it.  At the cap, on an
-# AffineVirasoroH4 or MTildeAlphaBeta spec at MAX_WINDOW with seed s*d,
-# the oracle takes about 0.4 s, and the process peaks at about 21 MB
-# resident, on a 2-vCPU Xeon VM.
+# the cap, and a False answer runs the orbit up to it.  At the cap, on an
+# AffineVirasoroH4 or MTildeAlphaBeta spec at MAX_WINDOW, a True answer
+# from seed s*d takes about 3 ms; a False answer from a seed in the
+# witness ideal, such as s-1/2 over Mg0 with g = s^2-1/4, takes about
+# 0.1 s.  The process peaks at about 18 MB resident in either case, on a
+# 2-vCPU Xeon VM.
 MAX_CAP_DEGREE = 8
 
 
@@ -486,10 +489,13 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     top-reduced by cross-multiplication (its leading entry a cleared while
     it hits a pivot with leading entry p, as row <- (p*row - a*pivot) /
     gcd(p, a)), divided by its content with a positive leading entry, and
-    kept as the pivot of its leading column.  Every generator then acts on
-    it in integers, through `modfam._image`, and the images within the cap
-    join a LIFO queue in generator order; an image above the cap is never
-    computed.
+    kept as the pivot of its leading column.  The generators whose image of
+    it stays within the cap then join a LIFO queue in generator order, as
+    (form, pivot) pairs; the image x.v is taken in integers, through
+    `modfam._image`, only when its pair is popped, and an image above the
+    cap is never computed.  Pivots only accumulate, so the first pivot in
+    the constant column, the last one, answers True at once; False comes
+    only after the whole capped closure.
     Each vector is a nonzero multiple of the one elimination on monic
     polynomials would hold at the same step, so the pivot columns, hence
     the verdict, are the same.
@@ -517,10 +523,13 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     width = len(columns)
     pivots = {}  # leading column -> primitive row as (column, entry) pairs, lead first
 
-    queue = [_integer_terms(seed)[0]]
+    # (form, vector) pairs whose image x.v is taken when popped; the seed
+    # itself comes first, with no form
+    queue = [(None, _integer_terms(seed)[0])]
     while queue:
+        form, vector = queue.pop()
         row = [0] * width
-        for exps, n in queue.pop().items():
+        for exps, n in (vector if form is None else _image(form, vector)).items():
             row[column_of[exps]] = n
         lead = 0
         while lead < width:
@@ -541,6 +550,8 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
             lead += 1
         if lead == width:
             continue
+        if lead == width - 1:
+            return True  # a pivot at the zero exponent, the last column, is a constant
         content = math.gcd(*row[lead:])
         if row[lead] < 0:
             content = -content
@@ -550,9 +561,8 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         degree = sum(columns[lead])
         for form, deg_x in acting:
             if degree + deg_x <= cap_degree:
-                queue.append(_image(form, vector))  # x.v up to a positive scalar
-    # a pivot at the zero exponent, the last column, is a constant
-    return width - 1 in pivots
+                queue.append((form, vector))  # x.v up to a positive scalar, when popped
+    return False
 
 
 def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = None) -> str:

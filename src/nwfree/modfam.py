@@ -371,17 +371,18 @@ class ActionData:
             check_in_algebra(self.algebra, symbol)
             if abs(symbol.loop_index) > self.window:
                 raise MalformedData(
-                    f"{format_symbol(symbol)} lies outside window {self.window}"
+                    f"{format_symbol(symbol, self.algebra)} lies outside window {self.window}"
                 )
             if symbol in seen:
-                raise MalformedData(f"duplicate assignment for {format_symbol(symbol)}")
+                raise MalformedData(
+                    f"duplicate assignment for {format_symbol(symbol, self.algebra)}"
+                )
             if isinstance(value, Poly):
                 try:
                     value = change_variables(value, variables)
                 except Exception as exc:
-                    raise MalformedData(
-                        f"{format_symbol(symbol)} value must live in Q{list(variables)}"
-                    ) from exc
+                    name = format_symbol(symbol, self.algebra)
+                    raise MalformedData(f"{name} value must live in Q{list(variables)}") from exc
             else:
                 value = Poly.const(variables, Fraction(value))
             seen[symbol] = value
@@ -394,6 +395,13 @@ class ActionData:
 
     def has(self, symbol: BasisSymbol) -> bool:
         return symbol in self._index
+
+    def require(self, symbol: BasisSymbol) -> Poly:
+        """The symbol's value; MalformedData naming it, as the algebra
+        writes it, when the data leaves it unassigned."""
+        if symbol not in self._index:
+            raise MalformedData(f"no assignment for {format_symbol(symbol, self.algebra)}")
+        return self._index[symbol]
 
 
 AnySpec = Union[H4Family, AffineSpec, Vir00Spec, AffVirSpec, ActionData]
@@ -457,11 +465,10 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     kind, n = symbol.kind, symbol.loop_index
 
     if isinstance(spec, ActionData):
-        if spec.has(symbol):
-            return spec.value(symbol)
+        # every assigned symbol lies within the data's window
         if abs(n) > spec.window:
-            raise WindowExceeded(f"{format_symbol(symbol)} outside window {spec.window}")
-        raise MalformedData(f"no assignment for {format_symbol(symbol)}")
+            raise WindowExceeded(f"{format_symbol(symbol, algebra)} outside window {spec.window}")
+        return spec.require(symbol)
 
     if kind == "k":
         return Poly.zero(variables)

@@ -301,8 +301,12 @@ def apply_chain_op_reference(spec, op, v):
     return total
 
 
-def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
-    """orbit_oracle by elimination on polynomials: a new Poly per step."""
+def orbit_oracle_reference(spec, seed, max_degree, cap_degree, record=None):
+    """orbit_oracle by elimination on polynomials: a new Poly per step.
+
+    It runs the full closure.  Given a list `record`, it appends each vector
+    it reduces, in order, with the leading exponents of the pivot it forms,
+    or None when it reduces to zero."""
     if cap_degree < max_degree:
         raise SpecInvalid("cap degree must be at least the seed degree bound")
     variables = module_variables(spec)
@@ -325,7 +329,10 @@ def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
 
     queue = [seed]
     while queue:
-        v = reduce(queue.pop())
+        popped = queue.pop()
+        v = reduce(popped)
+        if record is not None:
+            record.append((popped, None if v.is_zero() else v.terms[0][0]))
         if v.is_zero():
             continue
         exps, coeff = v.terms[0]
@@ -339,8 +346,10 @@ def orbit_oracle_reference(spec, seed, max_degree, cap_degree):
     return tuple(0 for _ in variables) in basis
 
 
-def orbit_oracle_dense_reference(spec, seed, max_degree, cap_degree):
-    """orbit_oracle on dense Fraction rows, made monic as pivots, through `act`."""
+def orbit_oracle_dense_reference(spec, seed, max_degree, cap_degree, record=None):
+    """orbit_oracle on dense Fraction rows, made monic as pivots, through `act`.
+
+    It runs the full closure and records as `orbit_oracle_reference` does."""
     if cap_degree < max_degree:
         raise SpecInvalid("cap degree must be at least the seed degree bound")
     variables = module_variables(spec)
@@ -357,8 +366,9 @@ def orbit_oracle_dense_reference(spec, seed, max_degree, cap_degree):
 
     queue = [seed]
     while queue:
+        popped = queue.pop()
         row = [Fraction(0)] * width
-        for exps, coeff in queue.pop().terms:
+        for exps, coeff in popped.terms:
             row[column_of[exps]] = coeff
         lead = 0
         while lead < width:
@@ -370,6 +380,8 @@ def orbit_oracle_dense_reference(spec, seed, max_degree, cap_degree):
                 for j, entry in pivot:
                     row[j] -= coeff * entry
             lead += 1
+        if record is not None:
+            record.append((popped, None if lead == width else columns[lead]))
         if lead == width:
             continue
         inverse = 1 / row[lead]

@@ -572,65 +572,71 @@ def test_oracle_false_from_witness_ideal_seed():
 
 
 def recorded_oracle(spec, seed, max_degree, cap):
-    """orbit_oracle's answer plus every (generator, vector) whose image it takes.
-
-    The oracle never computes a zero image or one above the cap."""
-    calls = []
-    real = nwfree.irreducible._image
+    """orbit_oracle's answer plus the vectors it reduces, in order: the seed,
+    then each image it takes from `_image`, which it does as it pops it."""
     variables = module_variables(spec)
-    symbol_of = {}  # id of each form the oracle looks up -> its symbol
-
-    class RecordingForms(nwfree.modfam._Forms):
-        def __missing__(self, x):
-            form = super().__missing__(x)
-            symbol_of[id(form)] = x
-            return form
+    reduced = [change_variables(seed, variables)]
+    real = nwfree.irreducible._image
 
     def recording(form, ints):
-        calls.append((symbol_of[id(form)], Poly(variables, ints)))
-        return real(form, ints)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nwfree.irreducible, "_Forms", RecordingForms)
-        mp.setattr(nwfree.irreducible, "_image", recording)
-        answer = orbit_oracle(spec, seed, max_degree, cap)
-    return answer, calls
-
-
-def recorded_reference(oracle, spec, seed, max_degree, cap):
-    """A reference oracle's answer plus every (generator, vector) it passed
-    to act whose image is nonzero and within the cap."""
-    calls = []
-    real = helpers.act
-
-    def recording(spec_, x, v):
-        image = real(spec_, x, v)
-        if not image.is_zero() and image.total_degree() <= cap:
-            calls.append((x, v))
+        image = real(form, ints)
+        reduced.append(Poly(variables, image))
         return image
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(helpers, "act", recording)
-        answer = oracle(spec, seed, max_degree, cap)
-    return answer, calls
+        mp.setattr(nwfree.irreducible, "_image", recording)
+        answer = orbit_oracle(spec, seed, max_degree, cap)
+    return answer, reduced
 
 
-def assert_same_up_to_scalars(calls, expected_calls):
-    assert [x for x, _ in calls] == [x for x, _ in expected_calls]
-    for (_, v), (_, w) in zip(calls, expected_calls):
+def assert_same_up_to_scalars(vectors, expected):
+    assert len(vectors) == len(expected)
+    for v, w in zip(vectors, expected):
         assert v == (v.terms[0][1] / w.terms[0][1]) * w
 
 
 def assert_oracle_matches_reference(spec, seed, max_degree, cap,
                                     references=(orbit_oracle_reference,)):
-    answer, calls = recorded_oracle(spec, seed, max_degree, cap)
+    answer, reduced = recorded_oracle(spec, seed, max_degree, cap)
+    constant = (0,) * len(module_variables(spec))
     for reference in references:
-        expected, expected_calls = recorded_reference(reference, spec, seed, max_degree, cap)
-        assert answer is expected
-        # the same generators on the same vectors, each up to a nonzero scalar,
-        # in the same order: elimination step for step
-        assert_same_up_to_scalars(calls, expected_calls)
+        steps = []  # (vector reduced, leading exponents of its pivot or None)
+        assert answer is reference(spec, seed, max_degree, cap, record=steps)
+        leads = [lead for _, lead in steps]
+        if answer:
+            # the full closure goes on; the oracle stops where 1 is reached
+            steps = steps[:leads.index(constant) + 1]
+        # the same vectors, each up to a nonzero scalar, in the same order:
+        # elimination step for step
+        assert_same_up_to_scalars(reduced, [v for v, _ in steps])
     return answer
+
+
+def test_oracle_stops_at_the_constant_pivot():
+    # an AffineVirasoroH4 oracle request as the evidence workload draws it
+    spec = affvir(mab(2, 3), alpha=2, lam=3, window=1)
+    s, d = Poly.var(SD, "s"), Poly.var(SD, "d")
+    seed = s * s * d + 2 * s - d
+    answer, reduced = recorded_oracle(spec, seed, 3, 5)
+    steps = []
+    acts = []  # every image the reference computes
+    real = helpers.act
+
+    def counting(spec_, x, v):
+        acts.append(x)
+        return real(spec_, x, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "act", counting)
+        assert answer is orbit_oracle_reference(spec, seed, 3, 5, record=steps) is True
+    leads = [lead for _, lead in steps]
+    at_constant = leads.index((0, 0))
+    # the oracle's last reduced vector forms the constant pivot, so no pivot
+    # forms after it, while the full closure forms more
+    assert len(reduced) == at_constant + 1
+    assert any(lead is not None for lead in leads[at_constant + 1:])
+    # the seed plus one vector per image it takes
+    assert len(reduced) - 1 < len(acts)
 
 
 def test_oracle_matches_reference_on_samples():

@@ -485,6 +485,23 @@ def test_vir00_data_window_defaults_to_two():
     assert data.has(sym("dvir", -2)) and data.has(sym("s", 2)) and data.has(K)
 
 
+def test_vir00_data_names_its_commuting_generators_w():
+    data = actions_of(Vir00Spec(Fraction(3), Poly.one(("w0",))), 1)
+    one = Poly.one(("d0", "w0"))
+    with pytest.raises(WindowExceeded, match=r"^w@2 outside window 1$"):
+        act(data, sym("s", 2), one)
+    with pytest.raises(MalformedData, match=r"^w@2 lies outside window 1$"):
+        ActionData(VIR00, 1, {sym("s", 2): 0})
+    with pytest.raises(MalformedData, match=r"^duplicate assignment for w@1$"):
+        ActionData(VIR00, 1, [(sym("s", 1), 0), (sym("s", 1), 1)])
+    partial = ActionData(VIR00, 1, [a for a in data.assignments if a[0] != sym("s")])
+    with pytest.raises(MalformedData, match=r"^no assignment for w$"):
+        act(partial, sym("s"), one)
+    # the same symbols in AffineVirasoroH4 data are s
+    with pytest.raises(MalformedData, match=r"^s@2 lies outside window 1$"):
+        ActionData(AFF_VIR, 1, {sym("s", 2): 0})
+
+
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 

@@ -521,12 +521,36 @@ def test_rationals_at_the_digit_limit_parse():
         ("algebra = H4\np = s\n", "q"),
         ("algebra = H4\np = s\nq = 1\nr = -1\n", "s"),
         ("algebra = AffineH4\nwindow = 1\np@-1 = 0\np = 0\np@1 = 0\n", "q@-1"),
+        ("algebra = Vir00\nwindow = 1\ndvir@-1 = d0\ndvir = d0\ndvir@1 = d0\n"
+         "w@-1 = w0\nw@1 = w0\nk = 0\n", "w"),
     ],
-    ids=["h4-only-p", "h4-without-s", "affine-only-p"],
+    ids=["h4-only-p", "h4-without-s", "affine-only-p", "vir00-without-w"],
 )
 def test_cli_action_data_must_assign_every_generator(tmp_path, capsys, doc, missing):
     assert main(["verify", write(tmp_path, "doc.actions", doc)]) == 2
     assert capsys.readouterr() == ("", f"error: no assignment for {missing}\n")
+
+
+def test_cli_vir00_data_outside_its_window_names_w(tmp_path, capsys):
+    doc = "algebra = Vir00\nwindow = 1\nw@2 = w0\n"
+    assert main(["verify", write(tmp_path, "doc.actions", doc)]) == 2
+    assert capsys.readouterr() == ("", "error: w@2 lies outside window 1\n")
+
+
+@pytest.mark.parametrize(
+    "doc, missing",
+    [
+        ("algebra = H4\np = s\n", "q"),
+        ("algebra = H4\np = s\nq = 1\nr = -1\n", "s"),
+        ("algebra = AffineH4\nwindow = 1\np@-1 = 0\np = 0\np@1 = 0\n", "q@-1"),
+    ],
+    ids=["h4-only-p", "h4-without-s", "affine-only-p"],
+)
+def test_cli_classify_and_verify_name_a_missing_generator_alike(tmp_path, capsys, doc, missing):
+    path = write(tmp_path, "doc.actions", doc)
+    for command in ("verify", "classify"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: no assignment for {missing}\n"), command
 
 
 def test_cli_witness_prints_coefficients_past_the_digit_limit(tmp_path, capsys):

@@ -369,7 +369,8 @@ def test_data_missing_any_generator_of_the_window_raises(name, spec):
         kept = tuple((y, v) for y, v in data.assignments if y != x)
         with pytest.raises(MalformedData) as err:
             verify_module(ActionData(data.algebra, data.window, kept), window=1, test_degree=1)
-        assert str(err.value) == f"no assignment for {format_symbol(x)}"
+        # named as the algebra writes it: w, not s, in Vir00
+        assert str(err.value) == f"no assignment for {format_symbol(x, data.algebra)}"
 
 
 def test_data_missing_generators_names_the_first_in_canonical_order():
