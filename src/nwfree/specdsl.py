@@ -8,6 +8,15 @@ Polynomial grammar (variables s, d, d0, w0):
     atom   := RATIONAL | VARIABLE | '(' expr ')'
     RATIONAL := INTEGER ('/' INTEGER)?
 
+Tokens are read by one pattern, `_TOKEN`, trying in order: a newline; a
+run of other whitespace (str.isspace()), which only separates tokens; an
+INTEGER of ASCII digits, at most MAX_DIGITS of them; a word, characters
+that are str.isalnum() or `_`, which is a VARIABLE when it starts with a
+letter or `_` and otherwise (`²`, `٣`, `２`) an unexpected character; an
+operator `+ - * ^ ( ) /`; and any other character, unexpected too.  An
+end token placed just after the text ends the tokens, and the errors for
+a missing token (`unexpected end of polynomial`, `expected ')'`) point there.
+
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.  A
 product whose operands' term counts multiply past MAX_TERM_PAIRS is a
@@ -21,12 +30,11 @@ more than MAX_DIGITS digits is a syntax error at its `*`, `+` or `-`.  A power i
 both at each of its multiplications, at its `^`.  Parentheses and unary
 minus nested more than MAX_NESTING deep, counted together, are a syntax
 error at the `(` or `-` that passes the limit.  So no document makes the
-parser multiply or recurse without bound.  Digits are ASCII
-only, and a numeral longer than MAX_DIGITS is a syntax error at the
-numeral.  A rational parameter is a RATIONAL with an optional sign, each
-numeral at most MAX_DIGITS ASCII digits (no decimal point, exponent or
-underscore), and a window takes ASCII digits without underscores too;
-anything else is a syntax error at the value.
+parser multiply or recurse without bound.  A rational parameter is a
+RATIONAL with an optional sign, each numeral at most MAX_DIGITS ASCII
+digits (no decimal point, exponent or underscore), and a window takes
+ASCII digits without underscores too; anything else is a syntax error at
+the value.
 A loop index (`beta.-2`, `p@1`) is an optional `-` followed by ASCII
 digits; anything else is a syntax error at the key.
 
@@ -146,84 +154,63 @@ _DIGIT_BOUND = 10 ** MAX_DIGITS
 # inside the interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
 
-_DIGITS = "0123456789"
+# The tokens of the module docstring, in the order tried.
+_TOKEN = re.compile(r"\n|[^\S\n]+|[0-9]+|\w+|[-+*^()/]|.")
 
 
 @dataclass
 class _Token:
-    kind: str  # num | ident | op
+    kind: str  # num | ident | op | end
     text: str
     line: int
     col: int
 
 
 def _tokenize(text: str, line: int, col: int):
+    """The tokens of `text`, positioned from (line, col), then the end token.
+
+    `_TOKEN` cuts the text into pieces, and the first character of a piece
+    names its kind.
+    """
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for piece in _TOKEN.findall(text):
+        first = piece[0]
+        if first == "\n":
+            line, col = line + 1, 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start = col
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_DIGITS:
+        if first in "0123456789":
+            if len(piece) > MAX_DIGITS:
                 raise DslSyntaxError(
-                    f"numeral of {j - i} digits exceeds the limit {MAX_DIGITS}", line, start
+                    f"numeral of {len(piece)} digits exceeds the limit {MAX_DIGITS}", line, col
                 )
-            tokens.append(_Token("num", text[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token("op", ch, line, start))
-            col += 1
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    return tokens, line, col
+            tokens.append(_Token("num", piece, line, col))
+        elif first.isalpha() or first == "_":
+            tokens.append(_Token("ident", piece, line, col))
+        elif first in "+-*^()/":
+            tokens.append(_Token("op", piece, line, col))
+        elif not first.isspace():  # a word that starts otherwise, or any other character
+            raise DslSyntaxError(f"unexpected character {first!r}", line, col)
+        col += len(piece)
+    tokens.append(_Token("end", "", line, col))
+    return tokens
 
 
 class _PolyParser:
-    def __init__(self, tokens, variables, end_line, end_col):
-        self.tokens = tokens
+    def __init__(self, tokens, variables):
+        self.tokens = tokens  # ending in the end token, which is taken only to fail at it
         self.i = 0
         self.variables = variables
-        self.end_line = end_line
-        self.end_col = end_col
         self.depth = 0  # open parentheses and unary minus signs
         self.work = 0  # term pairs multiplied so far, against MAX_TERM_WORK
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
-    def take(self) -> Optional[_Token]:
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
+    def take(self) -> _Token:
+        self.i += 1
+        return self.tokens[self.i - 1]
 
-    def fail(self, message, tok=None):
-        if tok is None:
-            raise DslSyntaxError(message, self.end_line, self.end_col)
+    def fail(self, message, tok):
         raise DslSyntaxError(message, tok.line, tok.col)
 
     def nest(self, tok) -> None:
@@ -231,11 +218,10 @@ class _PolyParser:
         if self.depth > MAX_NESTING:
             self.fail(f"nesting exceeds the limit {MAX_NESTING}", tok)
 
-    def bounded(self, value: Poly, what: str, tok) -> Poly:
-        for _, c in value.terms:
+    def bounded(self, coefficients, what: str, tok) -> None:
+        for c in coefficients:
             if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
                 self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
-        return value
 
     def multiply(self, a: Poly, b: Poly, what: str, tok) -> Poly:
         pairs = len(a.terms) * len(b.terms)
@@ -244,14 +230,16 @@ class _PolyParser:
         self.work += pairs
         if self.work > MAX_TERM_WORK:
             self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
-        return self.bounded(a * b, what, tok)
+        value = a * b
+        self.bounded((c for _, c in value.terms), what, tok)
+        return value
 
     def expr(self) -> Poly:
         value = self.term()
         terms = None  # once a sign follows, the sum's terms, merged in place
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text not in "+-":
+            if tok.text not in ("+", "-"):
                 return value if terms is None else Poly._trusted(value.variables, terms.items())
             self.take()
             rhs = self.term()
@@ -259,16 +247,14 @@ class _PolyParser:
                 terms = dict(value.terms)
             sign = 1 if tok.text == "+" else -1
             for exps, c in rhs.terms:
-                c = terms.get(exps, 0) + sign * c
-                if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
-                    self.fail(f"sum exceeds the digit limit {MAX_DIGITS}", tok)
-                terms[exps] = c
+                terms[exps] = terms.get(exps, 0) + sign * c
+            self.bounded((terms[exps] for exps, _ in rhs.terms), "sum", tok)
 
     def term(self) -> Poly:
         value = self.factor()
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != "op" or tok.text != "*":
+            if tok.text != "*":
                 return value
             self.take()
             rhs = self.factor()
@@ -278,7 +264,7 @@ class _PolyParser:
 
     def factor(self) -> Poly:
         tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "-":
+        if tok.text == "-":
             self.take()
             self.nest(tok)
             value = -self.factor()
@@ -286,12 +272,11 @@ class _PolyParser:
             return value
         value = self.atom()
         tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
+        if tok.text == "^":
             self.take()
-            exponent = self.peek()
-            if exponent is None or exponent.kind != "num":
+            exponent = self.take()
+            if exponent.kind != "num":
                 self.fail("expected an integer exponent after '^'", exponent)
-            self.take()
             n = int(exponent.text)
             if n * max(value.total_degree(), 1) > MAX_DEGREE:
                 self.fail(f"power ^{n} exceeds the degree limit {MAX_DEGREE}", exponent)
@@ -303,15 +288,12 @@ class _PolyParser:
 
     def atom(self) -> Poly:
         tok = self.take()
-        if tok is None:
-            self.fail("unexpected end of polynomial")
         if tok.kind == "num":
             numerator = int(tok.text)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "/":
+            if self.peek().text == "/":
                 self.take()
                 denominator = self.take()
-                if denominator is None or denominator.kind != "num":
+                if denominator.kind != "num":
                     self.fail("expected an integer denominator after '/'", denominator)
                 if int(denominator.text) == 0:
                     self.fail("zero denominator", denominator)
@@ -321,21 +303,23 @@ class _PolyParser:
             if tok.text not in self.variables:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
             return Poly.var(self.variables, tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             self.nest(tok)
             value = self.expr()
             closing = self.take()
-            if closing is None or closing.text != ")":
+            if closing.text != ")":
                 self.fail("expected ')'", closing)
             self.depth -= 1
             return value
+        if tok.kind == "end":
+            self.fail("unexpected end of polynomial", tok)
         self.fail(f"unexpected {tok.text!r}", tok)
 
 
 def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     """Parse the polynomial grammar; positions offset by (line, col)."""
-    tokens, end_line, end_col = _tokenize(text, line, col)
-    if not tokens:
+    tokens = _tokenize(text, line, col)
+    if len(tokens) == 1:
         raise DslSyntaxError("empty polynomial", line, col)
     if variables is None:
         for tok in tokens:
@@ -343,10 +327,10 @@ def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
         mentioned = {tok.text for tok in tokens if tok.kind == "ident"}
         variables = tuple(v for v in _ALLOWED_VARIABLES if v in mentioned)
-    parser = _PolyParser(tokens, tuple(variables), end_line, end_col)
+    parser = _PolyParser(tokens, tuple(variables))
     value = parser.expr()
     trailing = parser.peek()
-    if trailing is not None:
+    if trailing.kind != "end":
         parser.fail(f"unexpected {trailing.text!r}", trailing)
     return value
 
@@ -613,8 +597,11 @@ def _build_actions(entries) -> ActionData:
         window = 0
     else:
         window = _window_value(window_entry)
+        if window < 0:
+            raise ConstraintViolation(
+                "window must be a non-negative integer", window_entry.line, window_entry.value_col
+            )
     assignments = {}
-    taken = {}
     for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):
         try:
             symbol = parse_symbol(entry.key, algebra)
@@ -627,10 +614,15 @@ def _build_actions(entries) -> ActionData:
                 entry.line,
                 entry.key_col,
             )
+        if abs(symbol.loop_index) > window:
+            raise ConstraintViolation(
+                f"{format_symbol(symbol, algebra)} lies outside window {window}",
+                entry.line,
+                entry.key_col,
+            )
         value = parse_poly(entry.value, MODULE_VARIABLES[algebra], entry.line, entry.value_col)
         assignments[symbol] = value
-        taken[entry.key] = entry
-    return _construct(lambda: ActionData(algebra, window, assignments), taken, algebra_entry)
+    return ActionData(algebra, window, assignments)
 
 
 def parse_actions(text: str) -> ActionData:
@@ -848,7 +840,13 @@ def _diagnostic(exc) -> str:
 
 def main(argv=None) -> int:
     """Run one command; stdout is written only once it has succeeded."""
-    args = _build_argparser().parse_args(argv)
+    # argparse takes a seed such as `-s+1` for an option: join it to its flag
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--seed-poly":
+            arg = f"{joined.pop()}={arg}"
+        joined.append(arg)
+    args = _build_argparser().parse_args(joined)
     try:
         code, text = _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:

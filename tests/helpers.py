@@ -66,6 +66,7 @@ from nwfree.modfam import (
     shift_of,
     value_on_one,
 )
+from nwfree.specdsl import MAX_DIGITS, DslSyntaxError, _Token
 from nwfree.verify import FAIL, PASS, SKIP, ReportEntry, VerificationReport
 
 S = Poly.var(("s",), "s")
@@ -510,3 +511,55 @@ def format_report_reference(report):
         )
     )
     return "\n".join(lines)
+
+
+_DIGITS = "0123456789"
+
+
+# The polynomial scanner as it was before one pattern read the tokens: one
+# character at a time, returning the tokens and the (line, col) just after
+# the text.  `_tokenize` must give the same tokens, its end token at that
+# (line, col), and the same errors.
+def tokenize_reference(text: str, line: int, col: int):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start = col
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            if j - i > MAX_DIGITS:
+                raise DslSyntaxError(
+                    f"numeral of {j - i} digits exceeds the limit {MAX_DIGITS}", line, start
+                )
+            tokens.append(_Token("num", text[i:j], line, start))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], line, start))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()/":
+            tokens.append(_Token("op", ch, line, start))
+            col += 1
+            i += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+    return tokens, line, col

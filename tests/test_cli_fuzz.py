@@ -87,13 +87,18 @@ _small_flag = st.sampled_from(["1", "2", "3", "1", "2", "0", "-1", str(10 ** 12)
 
 @st.composite
 def invocations(draw):
-    """(document, [command, flags...])"""
+    """(document, [command, flags...]); a flag and its value are one argument
+    (`--window=2`) or two (`--window 2`)."""
     command = draw(st.sampled_from(["verify", "classify", "irreducible", "twist"]))
     args = [command]
+
+    def flag_args(flag, value):
+        return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
     if command == "verify":
         for flag in ("--window", "--test-degree"):
             if draw(st.booleans()):
-                args.append(f"{flag}={draw(_small_flag)}")
+                args += flag_args(flag, draw(_small_flag))
     elif command == "irreducible":
         seed = draw(st.one_of(_plausible, _expressions, _atoms))
         flags = {"--seed-poly": seed, "--max-degree": draw(_small_flag),
@@ -101,7 +106,7 @@ def invocations(draw):
         # no oracle, the whole oracle, or any part of it
         for flag in draw(st.sampled_from([["--seed-poly"], [], list(flags), list(flags),
                                           list(flags)[1:], list(flags)[:2]])):
-            args.append(f"{flag}={flags[flag]}")
+            args += flag_args(flag, flags[flag])
     return draw(documents(command)), args
 
 
@@ -110,6 +115,8 @@ def invocations(draw):
 @given(invocation=invocations())
 # an irreducible spec whose zero seed fails the chain after the verdict is known
 @example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly=0"]))
+# a seed that starts with '-', as the argument after its flag
+@example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly", "-s+1"]))
 # nesting deep enough to exhaust the interpreter's recursion limit
 @example(invocation=(NESTED_PARENTHESES, ["verify"]))
 @example(invocation=(NESTED_MINUS, ["verify"]))

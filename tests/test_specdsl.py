@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nwfree.exactpoly import Poly
 from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
@@ -32,6 +34,8 @@ from nwfree.specdsl import (
     MAX_TERM_WORK,
     DslSyntaxError,
     UnknownVariable,
+    _Token,
+    _tokenize,
     format_actions,
     format_spec,
     main,
@@ -51,6 +55,7 @@ from helpers import (
     format_poly_reference,
     int_digit_limit_lifted,
     sample_specs,
+    tokenize_reference,
 )
 
 SD = ("s", "d")
@@ -464,6 +469,50 @@ def test_cli_rejects_invalid_utf8_at_the_bad_byte(tmp_path, capsys, doc, where):
         assert out == "" and err == f"error: {where}\n", argv
 
 
+# pieces of scanner input: ASCII and other digits, letters, every operator,
+# line breaks the scanner counts as plain whitespace, and numerals at and
+# past the digit limit
+_SCANNER_PIECES = st.sampled_from(
+    ["0", "7", "42", "\u0663", "\u00b2", "\uff12", "s", "d0", "w0", "x", "\u00e9", "_",
+     "+", "-", "*", "^", "(", ")", "/", " ", "\t", "\r", "\n", "\x85", "\u2028", "@", "#",
+     "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1)]
+)
+
+
+def _scan(tokenize, text, line, col):
+    """What `tokenize` returns, then the (type, message, line, col) of its error."""
+    try:
+        return tokenize(text, line, col), None
+    except DslSyntaxError as exc:
+        return None, (type(exc), exc.message, exc.line, exc.col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(_SCANNER_PIECES, max_size=12).map("".join),
+    line=st.integers(min_value=1, max_value=50),
+    col=st.integers(min_value=1, max_value=50),
+)
+@example(text="s^\u00b2", line=1, col=1)
+@example(text="2\u0663", line=1, col=1)
+@example(text="s\u0663+\uff12", line=1, col=1)
+@example(text="\u00e9_1 + _", line=1, col=1)
+@example(text="s\x85\u2028\r\n\t+ 1", line=3, col=5)
+@example(text="1 @ 2", line=1, col=1)
+@example(text="s # d", line=1, col=1)
+@example(text="1+" + "9" * (MAX_DIGITS + 1), line=2, col=7)
+@example(text="", line=4, col=9)
+def test_scanner_matches_the_reference(text, line, col):
+    tokens, error = _scan(_tokenize, text, line, col)
+    reference, reference_error = _scan(tokenize_reference, text, line, col)
+    assert error == reference_error
+    if reference is not None:
+        reference_tokens, end_line, end_col = reference
+        *scanned, end = tokens
+        assert scanned == reference_tokens
+        assert end == _Token("end", "", end_line, end_col)
+
+
 def test_ascii_loop_indices_still_parse():
     assert parse_symbol("p@-12") == sym("p", -12)
     assert parse_symbol("dvir@3") == sym("dvir", 3)
@@ -534,7 +583,27 @@ def test_cli_action_data_must_assign_every_generator(tmp_path, capsys, doc, miss
 def test_cli_vir00_data_outside_its_window_names_w(tmp_path, capsys):
     doc = "algebra = Vir00\nwindow = 1\nw@2 = w0\n"
     assert main(["verify", write(tmp_path, "doc.actions", doc)]) == 2
-    assert capsys.readouterr() == ("", "error: w@2 lies outside window 1\n")
+    assert capsys.readouterr() == ("", "error: line 3, col 1: w@2 lies outside window 1\n")
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ("algebra = AffineH4\nwindow = 1\np@2 = s\n", "line 3, col 1: p@2 lies outside window 1"),
+        ("algebra = AffineH4\nwindow = 1\nq = 0\n  p@-2 = (\n",
+         "line 4, col 3: p@-2 lies outside window 1"),
+        ("algebra = AffineH4\nwindow = -1\n",
+         "line 2, col 10: window must be a non-negative integer"),
+        ("algebra = Vir00\nwindow =  -3 # none\nk = 0\n",
+         "line 2, col 11: window must be a non-negative integer"),
+    ],
+    ids=["outside", "outside-before-its-value", "negative-window", "negative-vir00-window"],
+)
+def test_cli_action_data_window_faults_are_positioned(tmp_path, capsys, doc, where):
+    # a loop index outside the window at its key, a negative window at its value
+    for command in ("verify", "classify"):
+        assert main([command, write(tmp_path, "doc.actions", doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: {where}\n"), command
 
 
 @pytest.mark.parametrize(
@@ -874,6 +943,15 @@ def test_cli_seed_poly_errors_name_the_option(tmp_path, capsys, seed, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", ["-s+1", "-1/2*s", "-(s-1)^2"])
+def test_cli_seed_poly_takes_a_leading_minus_as_its_value(tmp_path, capsys, seed):
+    path = write(tmp_path, "mab.spec", "algebra = H4\nfamily = Mab\na = 2\nb = 3\n")
+    joined = main(["irreducible", path, f"--seed-poly={seed}"]), capsys.readouterr()
+    assert joined[0] == 0 and "STEP" in joined[1].out
+    assert (main(["irreducible", path, "--seed-poly", seed]), capsys.readouterr()) == joined
+    assert (main(["irreducible", "--seed-poly", seed, path]), capsys.readouterr()) == joined
 
 
 def test_cli_irreducible_oracle(tmp_path, capsys):
