@@ -155,27 +155,20 @@ def classify_affine(data: ActionData) -> ClassificationResult:
     fseq = table["s"]
     s_var = Poly.var(("s", "d"), "s")
 
-    if all(table[kind][k].is_zero() for kind in ("p", "q", "r") for k in loops):
-        for k in loops:
-            fk = fseq[k]
-            if not fk.is_zero() and degree_in(fk, "d") > 0:
-                return Rejected("deg-d-f", f"f_{k} = {format_poly(fk)} depends on d")
-        if fseq[0] != s_var:
-            return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[0])} must equal s")
-        if not k_val.is_zero():
-            return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
-        return Classified(mtilde_f({k: change_variables(fseq[k], ("s",)) for k in loops}, w))
-
+    # p, q and r all zero is M~_F, whose f_k may take any s-degree
+    pqr_zero = all(table[kind][k].is_zero() for kind in ("p", "q", "r") for k in loops)
     for k in loops:
         fk = fseq[k]
         if degree_in(fk, "d") > 0:
             return Rejected("deg-d-f", f"f_{k} = {format_poly(fk)} depends on d")
-        if degree_in(fk, "s") > 1:
-            return Rejected(
-                "deg-s-f", f"f_{k} = {format_poly(fk)} has s-degree above 1"
-            )
+        if not pqr_zero and degree_in(fk, "s") > 1:
+            return Rejected("deg-s-f", f"f_{k} = {format_poly(fk)} has s-degree above 1")
     if fseq[0] != s_var:
         return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[0])} must equal s")
+    if pqr_zero:
+        if not k_val.is_zero():
+            return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
+        return Classified(mtilde_f({k: change_variables(fseq[k], ("s",)) for k in loops}, w))
     if w < 1:  # alpha is read from f_1
         raise MalformedData("window must be a positive integer")
     alpha = coefficient_in(fseq[1], "s", 1).constant_value()

@@ -62,7 +62,6 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
-Rational = Fraction
 Exponents = Tuple[int, ...]
 # v -> v + offset for each variable, offsets in the polynomial's variable order
 Shift = Tuple[int, ...]
@@ -224,13 +223,7 @@ class Poly:
         return Poly._trusted(self.variables, acc.items())
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_same(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) - coeff
-        return Poly._trusted(self.variables, acc.items())
+        return self + (-other)
 
     def __neg__(self) -> "Poly":
         return Poly._trusted(self.variables, [(e, -c) for e, c in self.terms])

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exactpoly import (
-    NEG_INF,
     Poly,
     _from_integer_terms,
     _integer_terms,
@@ -214,11 +213,11 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
                 (Fraction(-1) / c, sym(kind, 0)),
             )
         )
-        while degree_in(current, "d") is not NEG_INF and degree_in(current, "d") > 0:
+        while degree_in(current, "d") > 0:
             before = degree_in(current, "d")
             current = _act_sum(forms, d_op.parts, current)
             steps.append((d_op, current))
-            if degree_in(current, "d") is not NEG_INF and degree_in(current, "d") >= before:
+            if degree_in(current, "d") >= before:
                 raise RuntimeError("d-stage failed to lower the d-degree")
 
     s_op = ChainOp(((Fraction(1) / c, sym(kind, 0)), (Fraction(-1), None)))

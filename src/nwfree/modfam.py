@@ -505,14 +505,12 @@ def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
         f = change_variables(spec.fpoly, variables)
         return scale * (Poly.var(variables, "d0") + n * f)
 
-    if isinstance(spec, AffVirSpec):
-        if kind == "dvir":
-            scale = spec.base.alpha ** n
-            mu = n * scale * spec.lambda_shift
-            return scale * Poly.var(variables, "d") + Poly.const(variables, mu)
-        return _value_on_one(spec.base, symbol)
-
-    raise SpecInvalid(f"not a module spec: {spec!r}")
+    # an AffVirSpec, since algebra_of has refused anything that is no spec
+    if kind == "dvir":
+        scale = spec.base.alpha ** n
+        mu = n * scale * spec.lambda_shift
+        return scale * Poly.var(variables, "d") + Poly.const(variables, mu)
+    return _value_on_one(spec.base, symbol)
 
 
 # Entries kept by value_on_one's cache, so a long-running process that

@@ -399,34 +399,19 @@ _FAMILY_ALGEBRA = {
 }
 
 
-def _best_position(message, taken, fallback_line, fallback_col):
-    """Point a position-less constraint message at the key it names."""
-    best = None
-    best_rank = None
-    for key in taken:
-        # whole-token match so `b` does not fire inside `beta.-2`
-        pattern = r"(?<![A-Za-z0-9_.])" + re.escape(key) + r"(?![A-Za-z0-9_.])"
-        hit = re.search(pattern, message)
-        if hit is None:
-            continue
-        rank = (hit.start(), -len(key))
-        if best_rank is None or rank < best_rank:
-            best, best_rank = key, rank
-    if best is None:
-        return fallback_line, fallback_col
-    return taken[best].line, taken[best].key_col
+_WORD = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _construct(call, taken, fallback: _Entry):
-    """Run a constructor, attaching the best source position on failure: the
-    taken key its message names, else `fallback`'s key."""
+    """Run a constructor; its error points at the first word of its message
+    that is a taken key, else at `fallback`'s key.  A word is a match of
+    `_WORD`, so `beta.-2` is one word and `b` is no word inside it."""
     try:
         return call()
     except ConstraintViolation as exc:
-        if exc.line is not None:
-            raise
-        line, col = _best_position(exc.message, taken, fallback.line, fallback.key_col)
-        raise type(exc)(exc.message, line, col) from exc
+        named = [taken[word] for word in _WORD.findall(exc.message) if word in taken]
+        entry = named[0] if named else fallback
+        raise type(exc)(exc.message, entry.line, entry.key_col) from exc
 
 
 def _window_value(entry: _Entry) -> int:
@@ -840,10 +825,11 @@ def _diagnostic(exc) -> str:
 
 def main(argv=None) -> int:
     """Run one command; stdout is written only once it has succeeded."""
-    # argparse takes a seed such as `-s+1` for an option: join it to its flag
+    # argparse takes a seed such as `-s+1` for an option: join it to its flag,
+    # which may be any abbreviation of --seed-poly from `--s` on
     joined = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] == "--seed-poly":
+        if joined and len(joined[-1]) >= 3 and "--seed-poly".startswith(joined[-1]):
             arg = f"{joined.pop()}={arg}"
         joined.append(arg)
     args = _build_argparser().parse_args(joined)

@@ -45,6 +45,7 @@ from nwfree.verify import verify_module
 
 S_POLY = Poly.var(("s",), "s")
 ONE = Poly.one(("s",))
+MTF = mtilde_f({1: S_POLY ** 2, -1: S_POLY + 2 * ONE}, window=1)
 
 
 def test_classify_h4_mhb_example():
@@ -89,6 +90,11 @@ def test_classify_dispatch_and_malformed():
         classify_h4(bad_s)
     with pytest.raises(MalformedData):
         classify_affine(actions_of(mg0(1)))
+    demo = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
+    with pytest.raises(MalformedData, match="^classify_h4 needs H4 data$"):
+        classify_h4(demo)
+    with pytest.raises(MalformedData, match="^d must act as multiplication by d$"):
+        classify_affine(with_assignment(demo, D, SD_S))
 
 
 def test_window_zero_affine_data_is_malformed():
@@ -113,7 +119,9 @@ def test_classify_affine_window_two_round_trip():
 
 
 def test_classify_mtilde_f_round_trip():
-    spec = mtilde_f({1: S_POLY ** 2, -1: S_POLY + 2 * ONE}, window=1)
+    # p = q = r = 0 skips the s-degree check: f_k of any s-degree is M~_F
+    assert classify(actions_of(MTF)) == Classified(MTF)
+    spec = mtilde_f({2: S_POLY ** 3 - S_POLY, 1: 0, -1: ONE, -2: 2 * S_POLY ** 2}, window=2)
     assert classify(actions_of(spec)) == Classified(spec)
 
 
@@ -148,20 +156,46 @@ def test_classify_affine_alpha_inverse_rejection():
 
 
 def test_classify_affine_f0_side_condition():
+    # f_0 = s+1 breaks no axiom, only the normalization, so no soundness fixture
     spec = mtilde(mab(1, 2), 3, {1: 0, -1: 1}, window=1)
     data = with_assignment(actions_of(spec), sym("s", 0), SD_S + Poly.one(("s", "d")))
     got = classify_affine(data)
     assert isinstance(got, Rejected) and got.anchor == "f0-side-condition"
+    data = with_assignment(actions_of(MTF), sym("s", 0), SD_S + Poly.one(("s", "d")))
+    assert classify_affine(data) == Rejected("f0-side-condition", "f_0 = s+1 must equal s")
 
 
-@pytest.mark.parametrize("anchor,data", corrupted_fixtures())
+def more_rejections():
+    """(anchor, data) pairs past corrupted_fixtures(), which the verify goldens
+    digest: the p = q = r = 0 path's checks, a zero alpha and a base
+    rejection passed on as it is.  Each also fails verify."""
+    mtf_data = actions_of(MTF)
+    demo_data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
+    half = Fraction(1, 2)
+    return [
+        ("deg-d-f", with_assignment(mtf_data, sym("s", 1), SD_S * SD_D)),
+        ("central-k", with_assignment(mtf_data, K, 1)),
+        ("alpha-nonzero", with_assignment(demo_data, sym("s", 1), 5 * Poly.one(("s", "d")))),
+        (
+            "degree-dichotomy",
+            affine_data(
+                p={-1: half * SD_S ** 2, 0: SD_S ** 2, 1: 2 * SD_S ** 2},
+                q={-1: half, 0: 1, 1: 2},
+                r={},
+                f={-1: half * SD_S, 0: SD_S, 1: 2 * SD_S},
+            ),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("anchor,data", corrupted_fixtures() + more_rejections())
 def test_rejection_anchors(anchor, data):
     got = classify(data)
     assert isinstance(got, Rejected)
     assert got.anchor == anchor
 
 
-@pytest.mark.parametrize("anchor,data", corrupted_fixtures())
+@pytest.mark.parametrize("anchor,data", corrupted_fixtures() + more_rejections())
 def test_rejection_soundness(anchor, data):
     # every rejected datum really does break the module axiom somewhere
     report = verify_module(data, window=1, test_degree=2)

@@ -90,6 +90,13 @@ def test_membership_errors():
         bracket(AFF_VIR, lie(D), lie(sym("dvir", 1)))
     with pytest.raises(SymbolNotInAlgebra):
         check_in_algebra(AFFINE_H4, sym("dvir", 1))
+    with pytest.raises(SymbolNotInAlgebra, match="^unknown basis kind 'x'$"):
+        sym("x")
+    with pytest.raises(ValueError, match="^loop index must be an integer$"):
+        sym("p", 1.0)
+    for kind in ("k", "d"):
+        with pytest.raises(SymbolNotInAlgebra, match=f"^{kind} carries loop index 0$"):
+            sym(kind, 1)
 
 
 def test_bilinear_form_table():

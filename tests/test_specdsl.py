@@ -204,6 +204,32 @@ def test_missing_beta_inside_window_points_at_window():
     assert err.value.line == 10
 
 
+@pytest.mark.parametrize(
+    "doc,message,line,col",
+    [
+        # a constructor error points at the first word of its message that is
+        # a taken key: `a` here, though b is the zero one and comes first
+        ("algebra = H4\nfamily = Mab\nb = 0\na = 2\n", "a != 0 and b != 0 are required", 4, 1),
+        # `beta.0` is no taken key when the document says beta.00: the family line
+        (MTAB_DOC + "beta.00 = 1\n", "beta.0 must be 0", 2, 1),
+        # `beta.2` is no taken key either, and `window` is the next word
+        (MTAB_DOC + "beta.02 = 1\n", "beta.2 lies outside the window", 10, 1),
+        ("algebra = H4\n  family\n", "expected `key = value`", 2, 3),
+        ("algebra = H4\n = Mab\n", "missing key before '='", 2, 1),
+        (MTAB_DOC.replace("base = Mhb", "base = Mxy"), "unknown base family Mxy", 3, 8),
+        ("algebra = H4\na = 1\n", "family key is required", 1, 1),
+        ("algebra = H4\nfamily = Mg0\ng = 1/s\n", "expected an integer denominator after '/'", 3, 7),
+        ("algebra = H4\nfamily = Mg0\ng = s+*2\n", "unexpected '*'", 3, 7),
+        ("algebra = H4\nfamily =\n", "missing value for family", 2, 9),
+        (MTAB_DOC + "color = red\n", "key color is not used by family MTildeAlphaBeta", 11, 1),
+    ],
+)
+def test_document_faults_are_positioned(doc, message, line, col):
+    with pytest.raises((DslSyntaxError, ConstraintViolation)) as err:
+        parse_spec(doc)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 def test_unknown_and_missing_keys():
     with pytest.raises(ConstraintViolation) as err:
         parse_spec(MHB_DOC + "color = red\n")
@@ -952,6 +978,8 @@ def test_cli_seed_poly_takes_a_leading_minus_as_its_value(tmp_path, capsys, seed
     assert joined[0] == 0 and "STEP" in joined[1].out
     assert (main(["irreducible", path, "--seed-poly", seed]), capsys.readouterr()) == joined
     assert (main(["irreducible", "--seed-poly", seed, path]), capsys.readouterr()) == joined
+    for flag in ("--seed", "--see"):  # argparse takes any unique abbreviation
+        assert (main(["irreducible", path, flag, seed]), capsys.readouterr()) == joined
 
 
 def test_cli_irreducible_oracle(tmp_path, capsys):
