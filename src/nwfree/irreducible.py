@@ -18,6 +18,7 @@ chain's constants c and c1 included, from one `modfam._Forms` table of its
 own, so each is computed once per call and nothing is kept per spec.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -239,14 +240,6 @@ def _integer_coefficients(g: Poly, var: str) -> list:
     return coeffs
 
 
-def _dyadic_value(coeffs: list, num: int, k: int) -> int:
-    """2^(k*n) * f(num / 2^k): an integer with the sign of f there."""
-    value = 0
-    for i, c in enumerate(reversed(coeffs)):
-        value = value * num + (c << (k * i))
-    return value
-
-
 def _primitive(coeffs: list) -> list:
     content = math.gcd(*coeffs)
     return [c // content for c in coeffs]
@@ -271,30 +264,18 @@ def _remainder(a: list, b: list) -> list:
     return _primitive(a) if a else a
 
 
-def _derivative(coeffs: list) -> list:
-    return [k * c for k, c in enumerate(coeffs)][1:]
+def _square_free(f: list) -> list:
+    """f / gcd(f, f'): the same roots, each simple.
 
-
-def _sturm_sequence(f: list) -> list:
-    """f, f', then negated remainders, each up to a positive factor.
-
-    Positive factors keep every sign, so sign changes count as in the
-    classical sequence.  The last entry is gcd(f, f') up to a factor: a
-    constant exactly when f is square-free.
+    The gcd is the last entry of the remainder sequence of f and f'; taken
+    primitive, it leaves an integer quotient.
     """
-    seq = [f, _derivative(f)]
-    while len(seq[-1]) > 1:
-        rest = _remainder(seq[-2], seq[-1])
-        if not rest:
-            break
-        seq.append([-c for c in rest])
-    return seq
-
-
-def _quotient(f: list, d: list) -> list:
-    """f / d for a divisor d of f, primitive over the integers."""
-    # a primitive divisor of an integer polynomial leaves an integer quotient
-    d = _primitive(d)
+    a, b = f, [k * c for k, c in enumerate(f)][1:]
+    while len(b) > 1:
+        a, b = b, _remainder(a, b)
+    if b:
+        return f  # the sequence ends in a constant: f is square-free
+    d = _primitive(a)
     rest = list(f)
     quotient = [0] * (len(f) - len(d) + 1)
     for i in range(len(quotient) - 1, -1, -1):
@@ -304,91 +285,68 @@ def _quotient(f: list, d: list) -> list:
     return _primitive(quotient)
 
 
-def _sign_changes(seq: list, num: int, k: int) -> int:
-    """Sign changes of the sequence at num / 2^k, zeros skipped."""
-    changes, last = 0, 0
-    for p in seq:
-        value = _dyadic_value(p, num, k)
-        if value:
-            if last and (value > 0) != (last > 0):
-                changes += 1
-            last = value
-    return changes
+def _value_and_slope(f: list, x: int, m: int) -> Tuple[int, int]:
+    """(f(x), f'(x)) modulo m, by Horner."""
+    value = slope = 0
+    for c in reversed(f):
+        slope = (slope * x + value) % m
+        value = (value * x + c) % m
+    return value, slope
 
 
-def _refine(f: list, lo: int, hi: int, k: int, lo_positive: bool) -> Optional[Fraction]:
-    """The rational root of f in (lo/2^k, hi/2^k), the only root there, if it is rational.
-
-    f changes sign once in the interval, so bisection on the sign of f
-    narrows it below 1/L, L = |lead(f)|.  A rational root p/q has q | L,
-    so it is m/L for an integer m, and at most one such point lies in the
-    interval: m = floor(L * hi / 2^k).  An exact evaluation decides it.
-    """
-    lead = abs(f[-1])
-    while (hi - lo) * lead >= 1 << k:
-        mid = lo + hi
-        lo, hi, k = 2 * lo, 2 * hi, k + 1
-        value = _dyadic_value(f, mid, k)
-        if value == 0:
-            return Fraction(mid, 1 << k)
-        if (value > 0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    m = (hi * lead) >> k
-    candidate = Fraction(m, lead)
-    if m << k > lo * lead and sum(c * candidate ** i for i, c in enumerate(f)) == 0:
-        return candidate
-    return None
+# Usable primes that may each show a repeated root before f is taken to its
+# square-free part, which then has one only at the primes dividing its
+# discriminant.  Random square-free f of degree 2-64 never needed more than
+# 6 primes.  The answer never depends on this number, only the speed does.
+SQUARE_FREE_AFTER = 8
 
 
 def rational_root(g: Poly, var: str) -> Optional[Fraction]:
     """The rational root p/q of g (in lowest terms) least in (|p|, q, p < 0).
 
-    By exact real-root isolation on dyadic intervals.  With f the
-    square-free part of g over the integers, Sturm sign changes count the
-    roots in (lo, hi]; bisection from the Cauchy bound splits the
-    intervals until each holds one root, and `_refine` decides whether
-    that root is rational.  The number of steps grows with the bit size of
-    the coefficients, not their value.
+    By p-adic lifting (R. Loos, SIAM J. Comput. 12, 1983) on g's integer
+    coefficients f, with leading coefficient L.  A rational root p/q has
+    q | L and p | f(0), so y = L * p/q is an integer with |y| <= |L f(0)|.
+    At the first prime P not dividing L at which every root of f mod P is
+    simple, Newton steps lift each root to the one root modulo P^(2^k)
+    above it, until the modulus passes 2|L f(0)|; L times it, as a
+    symmetric residue, is y's only candidate, kept when L^n f(y/L) = 0.
+    The work grows with the bit size of the coefficients, not their value.
     """
-    coeffs = _integer_coefficients(g, var)
-    if coeffs[0] == 0:
+    f = _integer_coefficients(g, var)
+    if f[0] == 0:
         return Fraction(0)
-    if len(coeffs) == 1:
+    if len(f) == 1:
         return None
-    f, seq = coeffs, _sturm_sequence(coeffs)
-    if len(seq[-1]) > 1:
-        # the square-free part has the same roots, each simple
-        f = _quotient(coeffs, seq[-1])
-        seq = _sturm_sequence(f)
-    bound = 2 + max(abs(c) for c in f) // abs(f[-1])
-    roots = []
-    # (lo, hi, k, sign changes at lo / 2^k, sign changes at hi / 2^k)
-    intervals = [(-bound, bound, 0, _sign_changes(seq, -bound, 0), _sign_changes(seq, bound, 0))]
-    while intervals:
-        lo, hi, k, at_lo, at_hi = intervals.pop()
-        count = at_lo - at_hi
-        if count == 0:
+    repeated = 0
+    for prime in itertools.count(2):
+        if f[-1] % prime == 0 or not all(prime % d for d in range(2, math.isqrt(prime) + 1)):
             continue
-        if count == 1:
-            if _dyadic_value(f, hi, k) == 0:
-                roots.append(Fraction(hi, 1 << k))
-                continue
-            at_lo_value = _dyadic_value(f, lo, k)
-            if at_lo_value:
-                root = _refine(f, lo, hi, k, at_lo_value > 0)
-                if root is not None:
-                    roots.append(root)
-                continue
-            # lo is the root of a neighbouring interval: split once more
-        mid = lo + hi
-        at_mid = _sign_changes(seq, mid, k + 1)
-        intervals.append((2 * lo, mid, k + 1, at_lo, at_mid))
-        intervals.append((mid, 2 * hi, k + 1, at_mid, at_hi))
-    if not roots:
-        return None
-    return min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        residues = [c % prime for c in f]
+        at = [(x, *_value_and_slope(residues, x, prime)) for x in range(prime)]
+        roots = [(x, slope) for x, value, slope in at if value == 0]
+        if all(slope for _, slope in roots):
+            break
+        repeated += 1
+        if repeated == SQUARE_FREE_AFTER:
+            f = _square_free(f)
+    lead = f[-1]
+    found = []
+    for x, _ in roots:
+        modulus = prime
+        while modulus <= 2 * abs(lead * f[0]):
+            modulus *= modulus
+            value, slope = _value_and_slope(f, x, modulus)
+            x = (x - value * pow(slope, -1, modulus)) % modulus
+        y = lead * x % modulus
+        if 2 * y > modulus:
+            y -= modulus
+        exact, power = 0, 1  # L^n f(y/L), by Horner on integers
+        for c in reversed(f):
+            exact, power = exact * y + c * power, power * lead
+        if exact == 0:
+            found.append(Fraction(y, lead))
+    return min(found, key=lambda r: (abs(r.numerator), r.denominator, r < 0), default=None)
 
 
 def _witness_generator(spec) -> Tuple[Poly, str]:

@@ -176,15 +176,9 @@ def _bracket_basis(a: BasisSymbol, b: BasisSymbol) -> LieElement:
                 acc[K] = acc.get(K, Fraction(0)) + central
         return LieElement(acc)
 
-    # the single derivation d of AffineH4
-    if a.kind == "d" and b.kind == "d":
-        return LIE_ZERO
-    if a.kind == "d":
-        return LieElement.basis(b, b.loop_index)
-    if b.kind == "d":
-        return LieElement.basis(a, -a.loop_index)
-
-    if a.kind == "dvir" and b.kind == "dvir":
+    # AffineH4's derivation d brackets as dvir at loop 0: [d, x_n] = n * x_n
+    # and [d, d] = 0; no algebra holds both d and dvir
+    if a.kind in ("d", "dvir") and b.kind in ("d", "dvir"):
         m, n = a.loop_index, b.loop_index
         acc = {}
         if n != m:
@@ -195,7 +189,7 @@ def _bracket_basis(a: BasisSymbol, b: BasisSymbol) -> LieElement:
                 acc[K] = cocycle
         return LieElement(acc)
     # [d_m, h (x) t^n] = n * h (x) t^(m+n); covers Vir00's W_n as well
-    if a.kind == "dvir":
+    if a.kind in ("d", "dvir"):
         n = b.loop_index
         return LieElement.basis(BasisSymbol(b.kind, a.loop_index + n), n)
     n = a.loop_index

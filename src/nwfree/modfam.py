@@ -179,8 +179,10 @@ class H4Family:
         elif self.variant == "Mab":
             a = _fraction(self.a, "a")
             b = _fraction(self.b, "b")
-            if a == 0 or b == 0:
+            if a == 0:
                 raise SpecInvalid("a != 0 and b != 0 are required")
+            if b == 0:
+                raise SpecInvalid("b != 0 is required")
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
 

@@ -479,6 +479,8 @@ class _SpecBuilder:
             if index in out:
                 raise DslSyntaxError(f"duplicate loop index {prefix}.{index}", line, col)
             out[index] = entry
+            # constructor messages name the index as `beta.2`, whatever the key wrote
+            self.taken[f"{prefix}.{index}"] = entry
         return out
 
     def h4_base(self, variant) -> H4Family:

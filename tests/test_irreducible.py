@@ -1,5 +1,7 @@
 """Verdicts, reduction chains, witness ideals, and the orbit oracle."""
 
+import math
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -447,6 +449,73 @@ def test_rational_root_time_follows_bit_size(small_ranges):
     wit = witness(mg0(S ** 2 + huge))
     assert wit.ideal_generator == S ** 2 + huge
     assert wit.all_contained
+
+
+def _least(roots):
+    return min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+
+
+def _square_free_calls(monkeypatch):
+    calls = []
+    square_free = nwfree.irreducible._square_free
+    monkeypatch.setattr(
+        nwfree.irreducible, "_square_free", lambda f: calls.append(f) or square_free(f)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_root_of_dense_degree_64_with_100_digit_coefficients(small_ranges, seed):
+    # planted linear factors times h^2 + 1, which has no real root; h has
+    # 50-digit coefficients, so g is dense with coefficients of about 100 digits
+    rng = random.Random(seed)
+    signs = (-1, 1)
+    h = Poly(("s",), {
+        (k,): rng.choice(signs) * rng.randint(10 ** 49, 10 ** 50) for k in range(32)
+    })
+    planted = [
+        Fraction(rng.choice(signs) * rng.randint(1, 999), rng.randint(1, 999)) for _ in range(2)
+    ]
+    g = h * h + Poly.one(("s",))
+    for root in planted:
+        g = g * (Poly(("s",), {(1,): root.denominator, (0,): -root.numerator}))
+    assert g.total_degree() == 64 and len(g.terms) == 65
+    assert max(len(str(abs(c.numerator))) for _, c in g.terms) >= 100
+    assert rational_root(g, "s") == _least(planted)
+    assert rational_root(h * h + Poly.one(("s",)), "s") is None
+
+
+def test_rational_root_takes_a_repeated_root_through_the_square_free_part(monkeypatch):
+    calls = _square_free_calls(monkeypatch)
+    one = Poly.one(("s",))
+    seven_s_minus_three = Poly(("s",), {(1,): 7, (0,): -3})
+    g = seven_s_minus_three ** 2 * (S ** 2 + one) ** 2
+    assert rational_root(g, "s") == Fraction(3, 7)
+    assert len(calls) == 1
+    assert rational_root(seven_s_minus_three ** 3 * (S + one) ** 2, "s") == -1
+
+
+def test_rational_root_skips_primes_dividing_the_leading_coefficient(small_ranges):
+    primorial = math.prod(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+    lead_s = Poly(("s",), {(1,): primorial})
+    three = Poly.const(("s",), 3)
+    # 101 is the first prime not dividing the leading coefficient
+    assert rational_root((lead_s - Poly.const(("s",), 101)) * (S ** 2 + three), "s") == (
+        Fraction(101, primorial)
+    )
+    lead = Poly.const(("s",), primorial)
+    assert rational_root(lead * (S - Poly.const(("s",), 2)) * (S + three), "s") == 2
+    assert rational_root(lead_s * S + Poly.one(("s",)), "s") is None
+
+
+def test_rational_root_of_square_free_g_with_a_repeated_root_mod_2(monkeypatch):
+    # s^2 - 5 = (s + 1)^2 mod 2, yet it is square-free: the next prime decides
+    calls = _square_free_calls(monkeypatch)
+    five = Poly.const(("s",), 5)
+    assert rational_root(S ** 2 - five, "s") is None
+    three_s_plus_one = Poly(("s",), {(1,): 3, (0,): 1})
+    assert rational_root((S ** 2 - five) * three_s_plus_one, "s") == Fraction(-1, 3)
+    assert calls == []
 
 
 _witness_g = st.builds(

@@ -81,6 +81,14 @@ beta.-1 = 0
 window = 1
 """
 
+MTF_DOC = """\
+algebra = AffineH4
+family = MTildeF
+f.1 = s
+f.-1 = s
+window = 1
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -208,12 +216,14 @@ def test_missing_beta_inside_window_points_at_window():
     "doc,message,line,col",
     [
         # a constructor error points at the first word of its message that is
-        # a taken key: `a` here, though b is the zero one and comes first
-        ("algebra = H4\nfamily = Mab\nb = 0\na = 2\n", "a != 0 and b != 0 are required", 4, 1),
-        # `beta.0` is no taken key when the document says beta.00: the family line
-        (MTAB_DOC + "beta.00 = 1\n", "beta.0 must be 0", 2, 1),
-        # `beta.2` is no taken key either, and `window` is the next word
-        (MTAB_DOC + "beta.02 = 1\n", "beta.2 lies outside the window", 10, 1),
+        # a taken key: `b` here, the zero one
+        ("algebra = H4\nfamily = Mab\nb = 0\na = 2\n", "b != 0 is required", 3, 1),
+        ("algebra = H4\nfamily = Mab\nb = 0\na = 0\n", "a != 0 and b != 0 are required", 4, 1),
+        # a loop key is also taken under its canonical name: `beta.0` is beta.00's line
+        (MTAB_DOC + "beta.00 = 1\n", "beta.0 must be 0", 11, 1),
+        (MTAB_DOC + "beta.02 = 1\n", "beta.2 lies outside the window", 11, 1),
+        (MTF_DOC + "f.00 = 2*s\n", "f.0 must be s", 6, 1),
+        (MTF_DOC + "f.003 = s\n", "f.3 lies outside the window", 6, 1),
         ("algebra = H4\n  family\n", "expected `key = value`", 2, 3),
         ("algebra = H4\n = Mab\n", "missing key before '='", 2, 1),
         (MTAB_DOC.replace("base = Mhb", "base = Mxy"), "unknown base family Mxy", 3, 8),
@@ -254,15 +264,6 @@ def test_unknown_family_and_duplicate_key():
     with pytest.raises(DslSyntaxError) as err:
         parse_spec(MHB_DOC + "a1 = 2\n")
     assert "duplicate" in err.value.message
-
-
-MTF_DOC = """\
-algebra = AffineH4
-family = MTildeF
-f.1 = s
-f.-1 = s
-window = 1
-"""
 
 
 @pytest.mark.parametrize(
