@@ -19,6 +19,7 @@ from .exactpoly import (
     coefficient_in,
     degree_in,
     format_poly,
+    format_rational,
     negate_var,
 )
 from .liealg import AFFINE_H4, H4, D, K, P, Q, R, S, sym
@@ -179,7 +180,8 @@ def classify_affine(data: ActionData) -> ClassificationResult:
         if scale != alpha ** k:
             return Rejected(
                 "alpha-power",
-                f"s-coefficient of f_{k} is {scale}, expected alpha^{k} = {alpha ** k}",
+                f"s-coefficient of f_{k} is {format_rational(scale)}, "
+                f"expected alpha^{k} = {format_rational(alpha ** k)}",
             )
     for kind in ("p", "q", "r"):
         if degree_in(table[kind][0], "d") > 0:
@@ -230,4 +232,4 @@ def iso_check(a: AffineSpec, b: AffineSpec) -> bool:
             raise UnsupportedIso("iso_check compares MTildeAlphaBeta specs only")
     if a.window != b.window:
         raise WindowMismatch(f"windows {a.window} and {b.window} differ")
-    return a.base == b.base and a.alpha == b.alpha and a.beta == b.beta
+    return a == b  # with variant and window equal, base, alpha and beta decide

@@ -154,16 +154,6 @@ def decide(spec) -> IrreducibilityVerdict:
     raise SpecInvalid(f"decide needs a module family spec, got {type(spec).__name__}")
 
 
-def _base_family(spec) -> Optional[H4Family]:
-    if isinstance(spec, H4Family):
-        return spec
-    if isinstance(spec, AffineSpec):
-        return spec.base
-    if isinstance(spec, AffVirSpec):
-        return spec.base.base
-    return None
-
-
 def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
     """sum(c * x.v) over the parts c*x of op, computed on integers.
 
@@ -353,8 +343,10 @@ def _witness_generator(spec) -> Tuple[Poly, str]:
     variables = module_variables(spec)
     if isinstance(spec, Vir00Spec):
         return Poly.var(variables, "w0"), "w0"
-    base = _base_family(spec)
-    if base is None or base.variant == "M0":
+    if isinstance(spec, AffVirSpec):  # its MTildeAlphaBeta has the same variables and ideal
+        return _witness_generator(spec.base)
+    base = spec.base if isinstance(spec, AffineSpec) else spec
+    if base is None or base.variant == "M0":  # MTildeF has no base
         # with p, q, r acting as zero any proper ideal works; (s) is the simplest
         return Poly.var(variables, "s"), "s"
     root = rational_root(base.g, "s")

@@ -2,7 +2,10 @@
 
 Six families over the Nappi-Witten algebra act on Q[s], two families over
 its affinization act on Q[s,d], one family for Vir(0,0) acts on Q[d0,w0],
-and the affine-Virasoro family acts on Q[s,d] again.
+and the affine-Virasoro family acts on Q[s,d] again.  Each spec class
+states its own algebra and loop window, as `algebra` and `window`, which
+`algebra_of` and `spec_window` read, and coerces its own parameters; the
+constructor functions (`mhb`, `mtilde`, `affvir`, ...) pass theirs through.
 
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from typing import ClassVar, Mapping, Optional, Tuple, Union, get_args
 
 from .exactpoly import (
     Poly,
@@ -141,6 +144,9 @@ class H4Family:
     hashing, repr and `dataclasses.replace` see the parameters alone.
     """
 
+    algebra: ClassVar[str] = H4
+    window: ClassVar[int] = 0
+
     variant: str
     g: Optional[Poly] = None
     a1: Optional[Fraction] = None
@@ -215,15 +221,15 @@ def m0g(g) -> H4Family:
 
 
 def mhb(a1: Scalar, a2: Scalar, b: Scalar) -> H4Family:
-    return H4Family("Mhb", a1=Fraction(a1), a2=Fraction(a2), b=Fraction(b))
+    return H4Family("Mhb", a1=a1, a2=a2, b=b)
 
 
 def mbh(a1: Scalar, a2: Scalar, b: Scalar) -> H4Family:
-    return H4Family("Mbh", a1=Fraction(a1), a2=Fraction(a2), b=Fraction(b))
+    return H4Family("Mbh", a1=a1, a2=a2, b=b)
 
 
 def mab(a: Scalar, b: Scalar) -> H4Family:
-    return H4Family("Mab", a=Fraction(a), b=Fraction(b))
+    return H4Family("Mab", a=a, b=b)
 
 
 def m0() -> H4Family:
@@ -238,6 +244,8 @@ def _check_window_limit(window) -> None:
 @dataclass(frozen=True)
 class AffineSpec:
     """Affinized module: MTildeAlphaBeta over a base family, or MTildeF."""
+
+    algebra: ClassVar[str] = AFFINE_H4
 
     variant: str
     window: int
@@ -296,7 +304,7 @@ class AffineSpec:
 
 
 def mtilde(base: H4Family, alpha: Scalar, beta, window: int) -> AffineSpec:
-    return AffineSpec("MTildeAlphaBeta", window, alpha=Fraction(alpha), base=base, beta=beta)
+    return AffineSpec("MTildeAlphaBeta", window, alpha=alpha, base=base, beta=beta)
 
 
 def mtilde_f(fseq, window: int) -> AffineSpec:
@@ -306,6 +314,9 @@ def mtilde_f(fseq, window: int) -> AffineSpec:
 @dataclass(frozen=True)
 class Vir00Spec:
     """Vir(0,0) module M(lambda, f) on Q[d0, w0]."""
+
+    algebra: ClassVar[str] = VIR00
+    window: ClassVar[Optional[int]] = None  # no loop window of its own
 
     lam: Fraction
     fpoly: Poly
@@ -322,6 +333,8 @@ class Vir00Spec:
 class AffVirSpec:
     """Affine-Virasoro module: a beta-free MTildeAlphaBeta plus d_n actions."""
 
+    algebra: ClassVar[str] = AFF_VIR
+
     base: AffineSpec
     lambda_shift: Fraction
 
@@ -332,12 +345,16 @@ class AffVirSpec:
             raise SpecInvalid("beta must vanish for the affine-Virasoro family")
         object.__setattr__(self, "lambda_shift", _fraction(self.lambda_shift, "lambda"))
 
+    @property
+    def window(self) -> int:
+        return self.base.window
+
 
 def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpec:
     _check_window_limit(window)
     zero_beta = {k: Fraction(0) for k in range(-window, window + 1)}
     inner = mtilde(base, alpha, zero_beta, window)
-    return AffVirSpec(base=inner, lambda_shift=Fraction(lam))
+    return AffVirSpec(base=inner, lambda_shift=lam)
 
 
 @dataclass(frozen=True)
@@ -407,20 +424,13 @@ class ActionData:
 
 
 AnySpec = Union[H4Family, AffineSpec, Vir00Spec, AffVirSpec, ActionData]
+_SPEC_TYPES = get_args(AnySpec)
 
 
 def algebra_of(spec: AnySpec) -> str:
-    if isinstance(spec, H4Family):
-        return H4
-    if isinstance(spec, AffineSpec):
-        return AFFINE_H4
-    if isinstance(spec, Vir00Spec):
-        return VIR00
-    if isinstance(spec, AffVirSpec):
-        return AFF_VIR
-    if isinstance(spec, ActionData):
-        return spec.algebra
-    raise SpecInvalid(f"not a module spec: {spec!r}")
+    if not isinstance(spec, _SPEC_TYPES):
+        raise SpecInvalid(f"not a module spec: {spec!r}")
+    return spec.algebra
 
 
 def module_variables(spec: AnySpec) -> Tuple[str, ...]:
@@ -429,15 +439,7 @@ def module_variables(spec: AnySpec) -> Tuple[str, ...]:
 
 def spec_window(spec: AnySpec) -> Optional[int]:
     """Largest usable loop index; None when unbounded, 0 for plain H4."""
-    if isinstance(spec, H4Family):
-        return 0
-    if isinstance(spec, AffineSpec):
-        return spec.window
-    if isinstance(spec, AffVirSpec):
-        return spec.base.window
-    if isinstance(spec, ActionData):
-        return spec.window
-    return None
+    return spec.window
 
 
 # shift_of's offsets on MODULE_VARIABLES from those of s and the loop variable.
@@ -596,10 +598,10 @@ def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
 
 
 def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:
-    limit = spec_window(spec)
     if algebra_of(spec) == H4:
         # plain H4 has no loop directions; any requested window collapses
         return 0
+    limit = spec.window
     if window is None:
         # Vir00 carries no window of its own; 2 reaches the first nonzero cocycle.
         return limit if limit is not None else 2

@@ -63,7 +63,7 @@ from .classify import (
     iso_check,
     twist,
 )
-from .exactpoly import Poly, format_poly
+from .exactpoly import Poly, format_poly, format_rational
 from .irreducible import (
     NotIrreducible,
     NotReducible,
@@ -630,7 +630,10 @@ def parse_input(text: str):
 
 def _h4_param_lines(fam: H4Family):
     values = ((name, getattr(fam, name)) for name in H4_PARAMS[fam.variant])
-    return [f"{name} = {format_poly(v) if isinstance(v, Poly) else v}" for name, v in values]
+    return [
+        f"{name} = {format_poly(v) if isinstance(v, Poly) else format_rational(v)}"
+        for name, v in values
+    ]
 
 
 def format_spec(spec) -> str:
@@ -644,9 +647,9 @@ def format_spec(spec) -> str:
             lines.append("family = MTildeAlphaBeta")
             lines.append(f"base = {spec.base.variant}")
             lines.extend(_h4_param_lines(spec.base))
-            lines.append(f"alpha = {spec.alpha}")
-            for k in range(-spec.window, spec.window + 1):
-                lines.append(f"beta.{k} = {spec.beta_at(k)}")
+            lines.append(f"alpha = {format_rational(spec.alpha)}")
+            for k, beta in spec.beta:
+                lines.append(f"beta.{k} = {format_rational(beta)}")
         else:
             lines.append("family = MTildeF")
             for k in range(-spec.window, spec.window + 1):
@@ -654,15 +657,15 @@ def format_spec(spec) -> str:
         lines.append(f"window = {spec.window}")
     elif isinstance(spec, Vir00Spec):
         lines.append("family = MLambdaF")
-        lines.append(f"lambda = {spec.lam}")
+        lines.append(f"lambda = {format_rational(spec.lam)}")
         lines.append(f"fpoly = {format_poly(spec.fpoly)}")
     elif isinstance(spec, AffVirSpec):
         inner = spec.base
         lines.append("family = MTildeLambda")
         lines.append(f"base = {inner.base.variant}")
         lines.extend(_h4_param_lines(inner.base))
-        lines.append(f"alpha = {inner.alpha}")
-        lines.append(f"lambda = {spec.lambda_shift}")
+        lines.append(f"alpha = {format_rational(inner.alpha)}")
+        lines.append(f"lambda = {format_rational(spec.lambda_shift)}")
         lines.append(f"window = {inner.window}")
     else:
         raise SpecInvalid(f"cannot format a {type(spec).__name__}")

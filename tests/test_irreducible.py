@@ -518,6 +518,27 @@ def test_rational_root_of_square_free_g_with_a_repeated_root_mod_2(monkeypatch):
     assert calls == []
 
 
+def test_rational_root_keeps_a_square_free_g_after_eight_repeated_primes(monkeypatch):
+    # 9699690 is the product of the first eight primes, so s^2 - 9699690 and
+    # s^2 - 9699690^2 have the repeated root 0 modulo each of them; both are
+    # square-free, so _square_free hands f back unchanged
+    kept = []
+    square_free = nwfree.irreducible._square_free
+    monkeypatch.setattr(
+        nwfree.irreducible, "_square_free", lambda f: kept.append(square_free(f) is f) or f
+    )
+    primorial = 9699690
+    assert math.prod(p for p in range(2, 20) if all(p % d for d in range(2, p))) == primorial
+    assert rational_root(S ** 2 - Poly.const(("s",), primorial), "s") is None
+    assert rational_root(S ** 2 - Poly.const(("s",), primorial ** 2), "s") == primorial
+    assert kept == [True, True]
+
+
+def test_rational_root_of_a_constant_is_none():
+    assert rational_root(Poly.const(("s",), 7), "s") is None
+    assert rational_root(Poly.const(("s",), Fraction(-2, 3)), "s") is None
+
+
 _witness_g = st.builds(
     lambda factors, c: Poly.const(("s",), c) * _product(factors),
     st.lists(st.one_of(_linear, _cofactor.filter(lambda f: f.total_degree() <= 2)),

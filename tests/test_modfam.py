@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from nwfree.modfam import (
     act,
     actions_of,
     affvir,
+    algebra_of,
     generators,
     m0,
     m0g,
@@ -264,6 +266,102 @@ def test_spec_validation_errors():
         AffVirSpec(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1), Fraction(1))
     with pytest.raises(SpecInvalid):
         H4Family("Mg0", g=S_POLY, a1=Fraction(1))
+
+
+NOT_A_SPEC = object()
+
+CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
+    ("unknown-h4-family", lambda: H4Family("Mxx"), SpecInvalid, "unknown H4 family 'Mxx'"),
+    ("unknown-affine-family", lambda: AffineSpec("Bad", 1), SpecInvalid,
+     "unknown affine family 'Bad'"),
+    ("alpha-beta-without-base",
+     lambda: AffineSpec("MTildeAlphaBeta", 1, alpha=1, beta={1: 0, -1: 0}),
+     SpecInvalid, "MTildeAlphaBeta needs a base H4 family"),
+    ("alpha-beta-with-fseq",
+     lambda: AffineSpec("MTildeAlphaBeta", 1, alpha=1, base=mab(1, 1), beta={1: 0, -1: 0},
+                        fseq={1: S_POLY}),
+     SpecInvalid, "f.<k> entries belong to MTildeF only"),
+    ("mtilde-f-with-alpha",
+     lambda: AffineSpec("MTildeF", 1, alpha=1, fseq={1: S_POLY, -1: S_POLY}),
+     SpecInvalid, "MTildeF takes only window and f.<k> entries"),
+    ("affvir-over-mtilde-f", lambda: AffVirSpec(mtilde_f({1: S_POLY, -1: S_POLY}, 1), 1),
+     SpecInvalid, "affine-Virasoro base must be an MTildeAlphaBeta spec"),
+    ("data-unknown-algebra", lambda: ActionData("Nope", 0, ()), MalformedData,
+     "unknown algebra 'Nope'"),
+    ("data-negative-window", lambda: ActionData(H4, -1, ()), MalformedData,
+     "window must be a non-negative integer"),
+    ("data-key-not-a-symbol", lambda: ActionData(H4, 0, {"p": 1}), MalformedData,
+     "assignment key 'p' is not a generator"),
+    ("data-value-in-wrong-ring", lambda: ActionData(H4, 0, {P: Poly.var(("d",), "d")}),
+     MalformedData, "p value must live in Q['s']"),
+    ("algebra-of-non-spec", lambda: algebra_of(NOT_A_SPEC), SpecInvalid,
+     f"not a module spec: {NOT_A_SPEC!r}"),
+    ("mhb-a1", lambda: mhb("x", 0, 1), SpecInvalid, "a1 must be rational, got 'x'"),
+    ("mbh-a2", lambda: mbh(1, "x", 1), SpecInvalid, "a2 must be rational, got 'x'"),
+    ("mab-a-missing", lambda: mab(None, 1), SpecInvalid, "Mab takes exactly ['a', 'b'], got ['b']"),
+    ("mtilde-alpha", lambda: mtilde(mab(1, 1), "q", {}, 1), SpecInvalid,
+     "alpha must be rational, got 'q'"),
+    ("affvir-lambda", lambda: affvir(mab(1, 1), 2, "z", 1), SpecInvalid,
+     "lambda must be rational, got 'z'"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [case[1:] for case in CONSTRUCTOR_FAULTS],
+    ids=[case[0] for case in CONSTRUCTOR_FAULTS],
+)
+def test_constructor_faults_raise_their_class_and_message(build, error, message):
+    with pytest.raises(Exception) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_constructor_functions_build_what_the_classes_build():
+    """The constructor functions pass their arguments to the class, which
+    coerces them once: the specs compare, hash, repr and pickle alike."""
+    half = Fraction(1, 2)
+    base = H4Family("Mab", a=half, b=Fraction(2))
+    beta = ((-1, Fraction(0)), (0, Fraction(0)), (1, Fraction(0)))
+    inner = AffineSpec("MTildeAlphaBeta", 1, alpha=Fraction(3), base=base, beta=beta)
+    pairs = [
+        (mhb("1/2", 0, 2), H4Family("Mhb", a1=half, a2=Fraction(0), b=Fraction(2))),
+        (mbh(0.5, "-1", 2), H4Family("Mbh", a1=half, a2=Fraction(-1), b=Fraction(2))),
+        (mab(half, 2), H4Family("Mab", a=half, b=Fraction(2))),
+        (mtilde(mab("1/2", 2), "3", {1: 0, -1: 0}, 1), inner),
+        (affvir(mab("1/2", 2), 3, "1/3", 1), AffVirSpec(inner, Fraction(1, 3))),
+    ]
+    for built, expected in pairs:
+        assert built == expected and hash(built) == hash(expected)
+        assert repr(built) == repr(expected)
+        copy = pickle.loads(pickle.dumps(built))
+        assert copy == expected and repr(copy) == repr(expected)
+    assert mhb("1/2", 0, 2).a1 == half and type(mhb(1, 0, 2).a2) is Fraction
+
+
+def test_every_spec_states_its_algebra_and_window():
+    inner = mtilde(mab(1, 1), 2, {k: 0 for k in (-2, -1, 1, 2)}, 2)
+    cases = [
+        (mab(1, 1), H4, 0),
+        (inner, AFFINE_H4, 2),
+        (Vir00Spec(Fraction(2), Poly.zero(("w0",))), VIR00, None),
+        (AffVirSpec(inner, Fraction(1)), AFF_VIR, 2),
+        (actions_of(inner, 1), AFFINE_H4, 1),
+    ]
+    for spec, algebra, window in cases:
+        assert algebra_of(spec) == spec.algebra == algebra
+        assert spec_window(spec) == spec.window == window
+    spec_types = get_args(nwfree.modfam.AnySpec)
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in spec_types}
+    assert [type(spec) for spec, _, _ in cases] == list(spec_types)
+    assert fields == {
+        "H4Family": ["variant", "g", "a1", "a2", "a", "b"],
+        "AffineSpec": ["variant", "window", "alpha", "base", "beta", "fseq"],
+        "Vir00Spec": ["lam", "fpoly"],
+        "AffVirSpec": ["base", "lambda_shift"],
+        "ActionData": ["algebra", "window", "assignments"],
+    }
 
 
 def test_membership_errors():

@@ -348,6 +348,27 @@ def test_format_spec_writes_h4_parameters_in_document_order():
     )
 
 
+def test_format_spec_writes_rationals_past_the_digit_limit():
+    # a 5,001-digit numerator is more than str() takes by default
+    big = Fraction(10 ** 5000 + 7, 3)
+    with int_digit_limit_lifted():
+        b, nb = str(big), str(-big)
+    h4 = "algebra = H4\nfamily = "
+    assert format_spec(mhb(big, -big, 1)) == h4 + f"Mhb\na1 = {b}\na2 = {nb}\nb = 1\n"
+    assert format_spec(mab(1, big)) == h4 + f"Mab\na = 1\nb = {b}\n"
+    assert format_spec(mtilde(mab(big, 1), big, {1: big, -1: -big}, window=1)) == (
+        f"algebra = AffineH4\nfamily = MTildeAlphaBeta\nbase = Mab\na = {b}\nb = 1\n"
+        f"alpha = {b}\nbeta.-1 = {nb}\nbeta.0 = 0\nbeta.1 = {b}\nwindow = 1\n"
+    )
+    assert format_spec(Vir00Spec(big, W0)) == (
+        f"algebra = Vir00\nfamily = MLambdaF\nlambda = {b}\nfpoly = w0\n"
+    )
+    assert format_spec(affvir(mab(1, 1), big, -big, 1)) == (
+        "algebra = AffineVirasoroH4\nfamily = MTildeLambda\nbase = Mab\na = 1\nb = 1\n"
+        f"alpha = {b}\nlambda = {nb}\nwindow = 1\n"
+    )
+
+
 # --------------------------------------------------------- action documents
 
 
@@ -668,6 +689,43 @@ def test_cli_witness_prints_coefficients_past_the_digit_limit(tmp_path, capsys):
         ]
         assert max(len(str(n)) for c in wit.closure_checks for _, n in c.image.terms) > 4300
     assert lines[1:-1] == want
+
+
+def _alpha_power_doc():
+    # alpha is the 600-digit s-coefficient of f_1; f_-8 = s, so alpha^-8, whose
+    # denominator has 4,800 digits, is the first expected power that fails
+    lines = ["algebra = AffineH4", "window = 8", "p = 1"]
+    lines += [f"{kind}@{k} = 0" for kind in "pqr" for k in range(-8, 9) if (kind, k) != ("p", 0)]
+    lines += [f"s@{k} = {'7' * 600 + '*s' if k == 1 else 's'}" for k in range(-8, 9)]
+    return "\n".join(lines + ["k = 0", "d = d"]) + "\n"
+
+
+def test_cli_classify_rejects_an_alpha_power_past_the_digit_limit(tmp_path, capsys):
+    assert main(["classify", write(tmp_path, "alpha.actions", _alpha_power_doc())]) == 1
+    out, err = capsys.readouterr()
+    with int_digit_limit_lifted():
+        denominator = str(int("7" * 600) ** 8)
+    assert err == ""
+    assert out == (
+        "REJECTED alpha-power: s-coefficient of f_-8 is 1, "
+        f"expected alpha^-8 = 1/{denominator}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["irreducible", "twist", "iso"])
+def test_cli_refuses_action_data_where_a_family_spec_is_needed(tmp_path, capsys, command):
+    data = write(tmp_path, "doc.actions", format_actions(actions_of(mhb(1, 0, 1))))
+    spec = write(tmp_path, "doc.spec", MTAB_DOC)
+    argv = [command, data] + ([spec] if command == "iso" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {command} needs a family spec document, not action data\n"
+    )
+    if command == "iso":  # the right-hand document is checked too
+        assert main([command, spec, data]) == 2
+        assert capsys.readouterr().err == (
+            "error: iso needs a family spec document, not action data\n"
+        )
 
 
 def test_numeral_at_the_digit_limit_parses():
