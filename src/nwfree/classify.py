@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from . import InputError
 from .exactpoly import (
     Poly,
     change_variables,
@@ -70,15 +71,15 @@ class Rejected:
 ClassificationResult = Union[Classified, Rejected]
 
 
-class UnsupportedTwist(ValueError):
+class UnsupportedTwist(InputError, ValueError):
     """Twist images are only recorded for the Mg0 and Mhb variants."""
 
 
-class UnsupportedIso(ValueError):
+class UnsupportedIso(InputError, ValueError):
     """Isomorphism is only decided within the MTildeAlphaBeta variant."""
 
 
-class WindowMismatch(ValueError):
+class WindowMismatch(InputError, ValueError):
     """The two specs live on different loop windows."""
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from . import InputError
 from .exactpoly import (
     Poly,
     _from_integer_terms,
@@ -51,15 +52,15 @@ from .modfam import (
 )
 
 
-class NotIrreducible(ValueError):
+class NotIrreducible(InputError, ValueError):
     """Raised when a reduction chain is requested for a reducible module."""
 
 
-class NotReducible(ValueError):
+class NotReducible(InputError, ValueError):
     """Raised when a witness ideal is requested for an irreducible module."""
 
 
-class SeedZero(ValueError):
+class SeedZero(InputError, ValueError):
     """Raised when the zero vector is offered as a seed."""
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
+from . import InputError
+
 KIND_RANK = {"p": 0, "q": 1, "r": 2, "s": 3, "k": 4, "d": 5, "dvir": 6}
 H4_KINDS = ("p", "q", "r", "s")
 
@@ -45,7 +47,7 @@ ALGEBRA_KINDS = {
 }
 
 
-class SymbolNotInAlgebra(ValueError):
+class SymbolNotInAlgebra(InputError, ValueError):
     pass
 
 
@@ -256,12 +258,12 @@ def parse_loop_index(text: str) -> int:
 def parse_symbol(text: str, alg: str | None = None) -> BasisSymbol:
     """Inverse of format_symbol: `p@2`, `dvir@-1`, `k`, `d`, `w@1`.
 
-    `w` names s only in Vir00, or when no algebra is given."""
+    `w` names s only in Vir00, or when no algebra is given, and Vir00
+    takes no `s`."""
     text = text.strip()
     name, sep, idx = text.partition("@")
-    if name == "w" and alg in (VIR00, None):
-        name = "s"
-    if name not in KIND_RANK:
+    kind = "s" if name == "w" and alg in (VIR00, None) else name
+    if kind not in KIND_RANK or (name == "s" and alg == VIR00):
         raise SymbolNotInAlgebra(f"unknown basis symbol {text!r}")
     loop = 0
     if sep:  # `p@` names no loop index, so it is not `p`
@@ -269,7 +271,7 @@ def parse_symbol(text: str, alg: str | None = None) -> BasisSymbol:
             loop = parse_loop_index(idx)
         except ValueError:
             raise SymbolNotInAlgebra(f"bad loop index in {text!r}") from None
-    symbol = BasisSymbol(name, loop)
+    symbol = BasisSymbol(kind, loop)
     if alg is not None:
         check_in_algebra(alg, symbol)
     return symbol

@@ -31,10 +31,12 @@ rely on.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Mapping, Optional, Tuple, Union, get_args
 
+from . import InputError
 from .exactpoly import (
     Poly,
     Shift,
@@ -58,25 +60,19 @@ from .liealg import (
     sym,
 )
 
-class ConstraintViolation(ValueError):
+class ConstraintViolation(InputError, ValueError):
     """A named invariant failed; may carry a source position."""
-
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-        self.col = col
 
 
 class SpecInvalid(ConstraintViolation):
     """A module spec failed construction-time validation."""
 
 
-class WindowExceeded(Exception):
+class WindowExceeded(InputError):
     """A loop index fell outside the spec's finite window."""
 
 
-class MalformedData(ValueError):
+class MalformedData(InputError, ValueError):
     """Action data is structurally unusable (missing generators, wrong ring)."""
 
 
@@ -108,7 +104,7 @@ Scalar = Union[int, Fraction, str]
 def _fraction(value: Scalar, what: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecInvalid(f"{what} must be rational, got {value!r}") from exc
 
 
@@ -128,7 +124,10 @@ def _int_keyed(entries, coerce, what: str):
         items = entries
     out = {}
     for key, value in items:
-        k = int(key)
+        try:
+            k = operator.index(key)
+        except TypeError as exc:
+            raise SpecInvalid(f"{what} index {key!r} is not an integer") from exc
         if k in out:
             raise SpecInvalid(f"duplicate {what}.{k}")
         out[k] = coerce(value, f"{what}.{k}")
@@ -267,7 +266,7 @@ class AffineSpec:
             alpha = _fraction(self.alpha, "alpha")
             if alpha == 0:
                 raise SpecInvalid("alpha must be non-zero")
-            beta = _int_keyed(self.beta, lambda v, w: _fraction(v, w), "beta")
+            beta = _int_keyed(self.beta, _fraction, "beta")
             beta.setdefault(0, Fraction(0))
             if beta[0] != 0:
                 raise SpecInvalid("beta.0 must be 0")
@@ -396,14 +395,14 @@ class ActionData:
                 raise MalformedData(
                     f"duplicate assignment for {format_symbol(symbol, self.algebra)}"
                 )
-            if isinstance(value, Poly):
-                try:
+            try:
+                if isinstance(value, Poly):
                     value = change_variables(value, variables)
-                except Exception as exc:
-                    name = format_symbol(symbol, self.algebra)
-                    raise MalformedData(f"{name} value must live in Q{list(variables)}") from exc
-            else:
-                value = Poly.const(variables, Fraction(value))
+                else:
+                    value = Poly.const(variables, Fraction(value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                name = format_symbol(symbol, self.algebra)
+                raise MalformedData(f"{name} value must live in Q{list(variables)}") from exc
             seen[symbol] = value
         ordered = tuple(sorted(seen.items(), key=lambda kv: sort_key(kv[0])))
         object.__setattr__(self, "assignments", ordered)

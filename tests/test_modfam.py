@@ -294,6 +294,10 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
      "assignment key 'p' is not a generator"),
     ("data-value-in-wrong-ring", lambda: ActionData(H4, 0, {P: Poly.var(("d",), "d")}),
      MalformedData, "p value must live in Q['s']"),
+    ("data-value-not-rational", lambda: ActionData(H4, 0, {P: "x"}), MalformedData,
+     "p value must live in Q['s']"),
+    ("data-value-none", lambda: ActionData(H4, 0, {P: None}), MalformedData,
+     "p value must live in Q['s']"),
     ("algebra-of-non-spec", lambda: algebra_of(NOT_A_SPEC), SpecInvalid,
      f"not a module spec: {NOT_A_SPEC!r}"),
     ("mhb-a1", lambda: mhb("x", 0, 1), SpecInvalid, "a1 must be rational, got 'x'"),
@@ -303,6 +307,13 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
      "alpha must be rational, got 'q'"),
     ("affvir-lambda", lambda: affvir(mab(1, 1), 2, "z", 1), SpecInvalid,
      "lambda must be rational, got 'z'"),
+    ("mtilde-beta-key", lambda: mtilde(mab(1, 1), 2, {"a": 1, -1: 0}, 1), SpecInvalid,
+     "beta index 'a' is not an integer"),
+    ("mtilde-f-str-key", lambda: mtilde_f({"a": 1, -1: 0}, 1), SpecInvalid,
+     "f index 'a' is not an integer"),
+    ("mtilde-f-float-key", lambda: mtilde_f({1.7: S_POLY, -1: S_POLY}, 1), SpecInvalid,
+     "f index 1.7 is not an integer"),
+    ("mab-infinite", lambda: mab(float("inf"), 1), SpecInvalid, "a must be rational, got inf"),
 ]
 
 

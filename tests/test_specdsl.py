@@ -1,12 +1,17 @@
 """Grammar, document parsing, formatting round trips, and the CLI."""
 
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nwfree.exactpoly import Poly
+import nwfree
+from nwfree import InputError
+from nwfree.exactpoly import Poly, VariableMismatch
 from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
 from nwfree.modfam import (
     MAX_WINDOW,
@@ -30,7 +35,6 @@ from nwfree.specdsl import (
     MAX_DEGREE,
     MAX_DIGITS,
     MAX_NESTING,
-    MAX_TERM_PAIRS,
     MAX_TERM_WORK,
     DslSyntaxError,
     UnknownVariable,
@@ -809,17 +813,17 @@ NARROW = f"({C15}*s+{C15}*d)^32"
 
 
 def test_products_past_the_term_pair_limit_exit_2_at_their_sign(tmp_path, capsys):
-    assert 33 * 561 <= MAX_TERM_PAIRS < 561 * 561
-    for g, sign, message in [
-        (f"{WIDE}*{WIDE}", f"{WIDE}*", "product exceeds the term-pair limit"),
-        (f"({WIDE})^2", f"({WIDE})^", "power exceeds the term-pair limit"),
-    ]:
+    assert 33 * 561 <= MAX_TERM_WORK < 561 * 561
+    for g, sign in [(f"{WIDE}*{WIDE}", f"{WIDE}*"), (f"({WIDE})^2", f"({WIDE})^")]:
         doc = f"algebra = AffineH4\nwindow = 0\np@0 = {g}\n"
         assert main(["verify", write(tmp_path, "wide.actions", doc)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         # the value starts at col 7
-        assert err == f"error: line 3, col {6 + len(sign)}: {message} {MAX_TERM_PAIRS}\n"
+        assert err == (
+            f"error: line 3, col {6 + len(sign)}: "
+            f"polynomial exceeds the term-work limit {MAX_TERM_WORK}\n"
+        )
     # one term fewer on either side stays under the limit
     sd = ("s", "d")
     narrow_by_wide = parse_poly(NARROW, sd) * parse_poly(WIDE, sd)
@@ -840,8 +844,8 @@ def test_the_term_work_limit_counts_the_multiplications_of_one_value():
     assert err.value.message == "polynomial exceeds the term-work limit 200000"
     # a sum merges its terms into one table and is not counted
     assert parse_poly("(s+d+1)^64" + "+0" * 1000 + "-s^64+s^64", SD) == base
-    # the costliest power within the degree and term-pair limits, 163,680 pairs
-    assert len(parse_poly("(s+d+d0+1)^30").terms) == 5456
+    # the costliest power of s+d+d0+1 within the limits, 4 * C(34, 4) = 185,504 pairs
+    assert len(parse_poly("(s+d+d0+1)^31").terms) == 5984
     # the limit is per value: each line of a document starts afresh;
     # (s+d+1)^32 multiplies 17,952 pairs and each `*1` then 561
     line = "(s+d+1)^32" + "*1" * 324
@@ -869,21 +873,70 @@ def test_empty_loop_index_is_reported_at_the_key(doc, line, col, message):
             parse_symbol(text)
 
 
+# Vir00 data whose W_-1 is written `s@-1`
+VIR00_S_DOC = (
+    "algebra = Vir00\nwindow = 1\ns@-1 = w0\nw = w0\nw@1 = w0\n"
+    "dvir@-1 = d0\ndvir = d0\ndvir@1 = d0\nk = 0\n"
+)
+
+
 @pytest.mark.parametrize(
     "doc, line, message",
     [
         ("algebra = H4\np = 1\nq = 1\nr = 0\nw = s\n", 5, "unknown basis symbol 'w'"),
         ("algebra = AffineH4\nwindow = 0\np = 1\nw@0 = s\n", 4, "unknown basis symbol 'w@0'"),
         ("algebra = H4\np = 1\nq = 1\nr = 0\ns = s\nk = 1\n", 6, "k is not a basis symbol of H4"),
+        (VIR00_S_DOC, 3, "unknown basis symbol 's@-1'"),
     ],
-    ids=["w-in-h4", "w-in-affine", "k-in-h4"],
+    ids=["w-in-h4", "w-in-affine", "k-in-h4", "s-in-vir00"],
 )
 def test_key_outside_its_algebra_is_reported_at_the_key(tmp_path, capsys, doc, line, message):
-    # `w` is Vir00's name for s, not a second name for s in every algebra
+    # `w` is Vir00's name for s, not a second name for s in every algebra,
+    # and Vir00 data writes its W_m only as `w`
     for command in ("classify", "verify"):
         assert main([command, write(tmp_path, "doc.actions", doc)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: line {line}, col 1: {message}\n")
+
+
+def _nwfree_exception_classes():
+    """Every exception class defined in the nwfree package or one of its modules."""
+    modules = [nwfree] + [
+        importlib.import_module(f"nwfree.{info.name}") for info in pkgutil.iter_modules(nwfree.__path__)
+    ]
+    return [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    ]
+
+
+def test_every_input_error_class_exits_2_with_its_position(monkeypatch, capsys):
+    classes = _nwfree_exception_classes()
+    assert VariableMismatch in classes and InputError in classes
+    for cls in classes:
+        if cls is VariableMismatch:  # a fault of the program, never of the input
+            assert not issubclass(cls, InputError)
+            continue
+        assert issubclass(cls, InputError), cls
+
+        def fail(args, cls=cls):
+            raise cls("boom", 3, 4)
+
+        monkeypatch.setitem(nwfree.specdsl._COMMANDS, "verify", fail)
+        assert main(["verify", "any.spec"]) == 2, cls
+        assert capsys.readouterr() == ("", "error: line 3, col 4: boom\n"), cls
+
+
+@pytest.mark.parametrize("error", [RuntimeError("bug"), VariableMismatch("bug")])
+def test_errors_outside_input_error_propagate(monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(nwfree.specdsl._COMMANDS, "verify", fail)
+    with pytest.raises(type(error)):
+        main(["verify", "any.spec"])
 
 
 HUGE = 10 ** 12
