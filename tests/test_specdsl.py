@@ -1,9 +1,13 @@
 """Grammar, document parsing, formatting round trips, and the CLI."""
 
+import hashlib
 import importlib
 import inspect
 import pkgutil
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -236,6 +240,13 @@ def test_missing_beta_inside_window_points_at_window():
         ("algebra = H4\nfamily = Mg0\ng = s+*2\n", "unexpected '*'", 3, 7),
         ("algebra = H4\nfamily =\n", "missing value for family", 2, 9),
         (MTAB_DOC + "color = red\n", "key color is not used by family MTildeAlphaBeta", 11, 1),
+        # the window is read before the loop keys, so its absence comes first
+        (MTAB_DOC.replace("window = 1", "beta.x = 1"),
+         "family MTildeAlphaBeta requires window", 2, 1),
+        (MTF_DOC.replace("window = 1", "f.y = s"), "family MTildeF requires window", 2, 1),
+        # a base is built as soon as its parameters are read, before alpha
+        (MTAB_DOC.replace("base = Mhb\na1 = 1\na2 = 0\nb = 1", "base = Mab\na = 1\nb = 0")
+         .replace("alpha = 2", "alpha = x"), "b != 0 is required", 5, 1),
     ],
 )
 def test_document_faults_are_positioned(doc, message, line, col):
@@ -371,6 +382,71 @@ def test_format_spec_writes_rationals_past_the_digit_limit():
         "algebra = AffineVirasoroH4\nfamily = MTildeLambda\nbase = Mab\na = 1\nb = 1\n"
         f"alpha = {b}\nlambda = {nb}\nwindow = 1\n"
     )
+
+
+GOLDEN_OUTCOMES = Path(__file__).resolve().parent / "golden" / "spec_document_outcomes.txt"
+
+# What the sweep below writes into documents: every key and value a spec
+# document may hold, and a few that none may.
+_SWEEP_KEYS = (
+    "algebra", "family", "base", "g", "a1", "a2", "a", "b", "alpha", "lambda", "fpoly",
+    "window", "beta.0", "beta.1", "beta.-1", "beta.2", "beta.01", "beta.x", "f.0", "f.1",
+    "f.-1", "f.-2", "f.", "color",
+)
+_SWEEP_VALUES = (
+    "0", "1", "-1", "2", "-1/2", "3/4", "1/0", "9", "-2", "x", "s", "2*s", "s+1", "s^2-1",
+    "w0", "w0^2", "d", "1e3", "H4", "AffineH4", "Vir00", "AffineVirasoroH4", "Mg0", "M0g",
+    "Mhb", "Mbh", "Mab", "M0", "MTildeAlphaBeta", "MTildeF", "MLambdaF", "MTildeLambda",
+)
+
+
+def _mutated_document(rng: random.Random, text: str) -> str:
+    """`text` after one to three dropped, retyped, inserted, repeated or
+    shuffled lines."""
+    lines = text.splitlines()
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        how = rng.choice(("drop", "drop", "key", "value", "value", "value", "insert", "repeat", "shuffle"))
+        at = rng.randrange(len(lines)) if lines else 0
+        if how == "drop" and lines:
+            del lines[at]
+        elif how in ("key", "value") and lines and "=" in lines[at]:
+            key, value = (part.strip() for part in lines[at].split("=", 1))
+            if how == "key":
+                key = rng.choice(_SWEEP_KEYS)
+            else:
+                value = rng.choice(_SWEEP_VALUES)
+            lines[at] = f"{key} = {value}"
+        elif how == "insert":
+            lines.insert(at, f"{rng.choice(_SWEEP_KEYS)} = {rng.choice(_SWEEP_VALUES)}")
+        elif how == "repeat" and lines:
+            lines.insert(rng.randrange(len(lines) + 1), lines[at])
+        elif how == "shuffle":
+            rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def spec_document_outcomes():
+    """One `sha256  family index` line per mutated document: the digest of
+    its outcome, the error's class, message, line and col, or the text
+    format_spec writes for the spec it parses to."""
+    rng = random.Random(2406)
+    lines = []
+    for name, spec in sample_specs():
+        text = format_spec(spec)
+        for index in range(200):
+            doc = _mutated_document(rng, text)
+            try:
+                outcome = format_spec(parse_spec(doc))
+            except InputError as exc:
+                outcome = f"{type(exc).__name__}|{exc.message}|{exc.line}|{exc.col}"
+            lines.append(f"{hashlib.sha256(outcome.encode()).hexdigest()}  {name} {index}\n")
+    return "".join(lines)
+
+
+def test_mutated_spec_documents_match_golden_outcomes():
+    # every error and every re-formatted text, byte for byte; regenerate with
+    # PYTHONPATH=src python3 tests/test_specdsl.py > tests/golden/spec_document_outcomes.txt
+    assert spec_document_outcomes() == GOLDEN_OUTCOMES.read_text(encoding="utf-8")
 
 
 # --------------------------------------------------------- action documents
@@ -1163,3 +1239,7 @@ def test_cli_reports_are_deterministic(tmp_path, capsys):
     main(["verify", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+if __name__ == "__main__":
+    sys.stdout.write(spec_document_outcomes())
