@@ -48,6 +48,7 @@ from .modfam import (
     _Forms,
     _image,
     generators,
+    integer_argument,
     module_variables,
 )
 
@@ -452,10 +453,10 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
 
     Raises SpecInvalid for a cap above MAX_CAP_DEGREE or below max_degree
     and for a seed above max_degree, and SeedZero for the zero seed, all
-    before any column is built.
+    before any column is built; each degree bound must be an integer.
     """
-    if cap_degree > MAX_CAP_DEGREE:
-        raise SpecInvalid(f"cap degree exceeds the limit {MAX_CAP_DEGREE}")
+    max_degree = integer_argument(max_degree, "max degree")
+    cap_degree = integer_argument(cap_degree, "cap degree", high=MAX_CAP_DEGREE)
     if cap_degree < max_degree:
         raise SpecInvalid("cap degree must be at least the seed degree bound")
     variables = module_variables(spec)

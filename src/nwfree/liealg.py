@@ -60,7 +60,7 @@ class BasisSymbol:
         if self.kind not in KIND_RANK:
             raise SymbolNotInAlgebra(f"unknown basis kind {self.kind!r}")
         if not isinstance(self.loop_index, int):
-            raise ValueError("loop index must be an integer")
+            raise SymbolNotInAlgebra("loop index must be an integer")
         if self.kind in ("k", "d") and self.loop_index != 0:
             raise SymbolNotInAlgebra(f"{self.kind} carries loop index 0")
 

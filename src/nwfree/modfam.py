@@ -3,9 +3,9 @@
 Six families over the Nappi-Witten algebra act on Q[s], two families over
 its affinization act on Q[s,d], one family for Vir(0,0) acts on Q[d0,w0],
 and the affine-Virasoro family acts on Q[s,d] again.  Each spec class
-states its own algebra and loop window, as `algebra` and `window`, which
-`algebra_of` and `spec_window` read, and coerces its own parameters; the
-constructor functions (`mhb`, `mtilde`, `affvir`, ...) pass theirs through.
+states its own family, algebra and loop window (`variant`, `algebra`,
+`window`) and coerces its own parameters; the constructor functions
+(`mhb`, `mtilde`, `affvir`, ...) pass theirs through.
 
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
@@ -106,6 +106,19 @@ def _fraction(value: Scalar, what: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecInvalid(f"{what} must be rational, got {value!r}") from exc
+
+
+def integer_argument(value, name: str, low=None, high=None) -> int:
+    """`value` by operator.index, within [low, high] if given; else SpecInvalid naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise SpecInvalid(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise SpecInvalid(f"{name} must be at least {low}")
+    if high is not None and value > high:
+        raise SpecInvalid(f"{name} exceeds the limit {high}")
+    return value
 
 
 def _poly_in(value, variables: Tuple[str, ...], what: str) -> Poly:
@@ -314,6 +327,7 @@ def mtilde_f(fseq, window: int) -> AffineSpec:
 class Vir00Spec:
     """Vir(0,0) module M(lambda, f) on Q[d0, w0]."""
 
+    variant: ClassVar[str] = "MLambdaF"
     algebra: ClassVar[str] = VIR00
     window: ClassVar[Optional[int]] = None  # no loop window of its own
 
@@ -332,6 +346,7 @@ class Vir00Spec:
 class AffVirSpec:
     """Affine-Virasoro module: a beta-free MTildeAlphaBeta plus d_n actions."""
 
+    variant: ClassVar[str] = "MTildeLambda"
     algebra: ClassVar[str] = AFF_VIR
 
     base: AffineSpec

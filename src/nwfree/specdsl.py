@@ -41,17 +41,20 @@ Spec and action documents are line-oriented `key = value` text with `#`
 comments.  Spec documents name an algebra and a family and list its
 parameters; beta and f sequences use explicit integer suffixes
 (`beta.-2 = 1/3`) and every in-window index must be listed, except the
-forced entries beta.0 and f.0 which may be omitted.  Action documents
-list generator values directly (`p@1 = 2*s`) under `algebra` and
-`window` headers.
+forced entries beta.0 and f.0 which may be omitted.  Each family's keys,
+in written order, are one entry of `_SCHEMAS`, which both `parse_spec`
+and `format_spec` walk.  Action documents list generator values
+directly (`p@1 = 2*s`) under `algebra` and `window` headers.
 """
 
 import argparse
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from operator import attrgetter
+from typing import Callable, NamedTuple, Tuple
 
 from . import InputError
 from .classify import Classified, classify, iso_check, twist
@@ -75,13 +78,10 @@ from .liealg import (
     parse_symbol,
 )
 from .modfam import (
-    AFFINE_VARIANTS,
     H4_PARAMS,
     MAX_WINDOW,
     MODULE_VARIABLES,
     ActionData,
-    AffineSpec,
-    AffVirSpec,
     ConstraintViolation,
     H4Family,
     SpecInvalid,
@@ -364,14 +364,6 @@ def _entry_map(entries):
     return out
 
 
-_FAMILY_ALGEBRA = {
-    **dict.fromkeys(H4_PARAMS, H4),
-    **dict.fromkeys(AFFINE_VARIANTS, AFFINE_H4),
-    "MLambdaF": VIR00,
-    "MTildeLambda": AFF_VIR,
-}
-
-
 _WORD = re.compile(r"[A-Za-z0-9_.-]+")
 
 
@@ -401,36 +393,80 @@ def _window_value(entry: _Entry) -> int:
     return window
 
 
+_Kind = namedtuple("_Kind", "read write")  # the value of an entry, the text of a value
+_RATIONAL_VALUE = _Kind(lambda e: parse_rational(e.value, e.line, e.value_col), format_rational)
+_BASE = None  # the kind of an H4 base: `base = <variant>`, then that variant's keys
+
+
+def _poly_value(*variables) -> _Kind:
+    return _Kind(lambda e: parse_poly(e.value, variables, e.line, e.value_col), format_poly)
+
+
+class _Key(NamedTuple):
+    name: str
+    kind: _Kind  # or _BASE
+    attr: str  # the attribute path where the spec keeps the value
+    sequence: bool = False  # written as `name.k`, one line per loop index k
+
+
+class _Schema(NamedTuple):
+    algebra: str
+    build: Callable  # the spec from the keys' values, in order
+    keys: Tuple[_Key, ...]  # in written order
+
+
+def _h4_schema(variant) -> _Schema:
+    names = H4_PARAMS[variant]
+    keys = tuple(_Key(n, _poly_value("s") if n == "g" else _RATIONAL_VALUE, n) for n in names)
+    return _Schema(H4, lambda *values: H4Family(variant, **dict(zip(names, values))), keys)
+
+
+_WINDOW_KEY = _Key("window", _Kind(_window_value, str), "window")
+
+# Every family's document, keyed by the family name, which specs keep as `variant`.
+_SCHEMAS = {
+    **{variant: _h4_schema(variant) for variant in H4_PARAMS},
+    "MTildeAlphaBeta": _Schema(AFFINE_H4, mtilde, (
+        _Key("base", _BASE, "base"),
+        _Key("alpha", _RATIONAL_VALUE, "alpha"),
+        _Key("beta", _RATIONAL_VALUE, "beta", sequence=True),
+        _WINDOW_KEY,
+    )),
+    "MTildeF": _Schema(AFFINE_H4, mtilde_f, (
+        _Key("f", _poly_value("s"), "fseq", sequence=True),
+        _WINDOW_KEY,
+    )),
+    "MLambdaF": _Schema(VIR00, Vir00Spec, (
+        _Key("lambda", _RATIONAL_VALUE, "lam"),
+        _Key("fpoly", _poly_value("w0"), "fpoly"),
+    )),
+    "MTildeLambda": _Schema(AFF_VIR, affvir, (
+        _Key("base", _BASE, "base.base"),
+        _Key("alpha", _RATIONAL_VALUE, "base.alpha"),
+        _Key("lambda", _RATIONAL_VALUE, "lambda_shift"),
+        _WINDOW_KEY,
+    )),
+}
+
+
 class _SpecBuilder:
     """Pulls typed values out of the entry map and tracks their positions."""
 
-    def __init__(self, emap, family_entry, family):
+    def __init__(self, emap, family_entry):
         self.emap = emap
         self.family_entry = family_entry
-        self.family = family
         self.taken = {}
 
     def grab(self, key) -> _Entry:
         entry = self.emap.pop(key, None)
         if entry is None:
             raise ConstraintViolation(
-                f"family {self.family} requires {key}",
+                f"family {self.family_entry.value} requires {key}",
                 self.family_entry.line,
                 self.family_entry.key_col,
             )
         self.taken[key] = entry
         return entry
-
-    def rational(self, key) -> Fraction:
-        entry = self.grab(key)
-        return parse_rational(entry.value, entry.line, entry.value_col)
-
-    def window(self) -> int:
-        return _window_value(self.grab("window"))
-
-    def poly(self, key, variables) -> Poly:
-        entry = self.grab(key)
-        return parse_poly(entry.value, variables, entry.line, entry.value_col)
 
     def indexed(self, prefix):
         found = []
@@ -456,20 +492,23 @@ class _SpecBuilder:
             self.taken[f"{prefix}.{index}"] = entry
         return out
 
-    def h4_base(self, variant) -> H4Family:
-        params = {
-            name: self.poly(name, ("s",)) if name == "g" else self.rational(name)
-            for name in H4_PARAMS[variant]
-        }
-        return _construct(lambda: H4Family(variant, **params), self.taken, self.family_entry)
-
-    def base_variant(self) -> str:
-        entry = self.grab("base")
-        if entry.value not in H4_PARAMS:
-            raise ConstraintViolation(
-                f"unknown base family {entry.value}", entry.line, entry.value_col
-            )
-        return entry.value
+    def build(self, schema: _Schema):
+        """The schema's spec.  Sequences are read after every other key, so a
+        missing window comes first; a base is built once its keys are read."""
+        values = dict.fromkeys(key.name for key in schema.keys)  # in written order
+        for key in sorted(schema.keys, key=lambda key: key.sequence):
+            if key.sequence:
+                values[key.name] = {k: key.kind.read(e) for k, e in self.indexed(key.name).items()}
+            elif key.kind is _BASE:
+                entry = self.grab(key.name)
+                if entry.value not in H4_PARAMS:
+                    raise ConstraintViolation(
+                        f"unknown base family {entry.value}", entry.line, entry.value_col
+                    )
+                values[key.name] = self.build(_SCHEMAS[entry.value])
+            else:
+                values[key.name] = key.kind.read(self.grab(key.name))
+        return _construct(lambda: schema.build(*values.values()), self.taken, self.family_entry)
 
 
 def _build_spec(entries):
@@ -481,46 +520,19 @@ def _build_spec(entries):
     if family_entry is None:
         raise ConstraintViolation("family key is required", 1, 1)
     family = family_entry.value
-    expected = _FAMILY_ALGEBRA.get(family)
-    if expected is None:
+    schema = _SCHEMAS.get(family)
+    if schema is None:
         raise ConstraintViolation(
             f"unknown family {family}", family_entry.line, family_entry.value_col
         )
-    if algebra_entry.value != expected:
+    if algebra_entry.value != schema.algebra:
         raise ConstraintViolation(
-            f"family {family} belongs to algebra {expected}",
+            f"family {family} belongs to algebra {schema.algebra}",
             algebra_entry.line,
             algebra_entry.value_col,
         )
-    builder = _SpecBuilder(emap, family_entry, family)
-    if expected == H4:
-        spec = builder.h4_base(family)
-    elif family == "MTildeAlphaBeta":
-        base = builder.h4_base(builder.base_variant())
-        alpha = builder.rational("alpha")
-        window = builder.window()
-        beta = {
-            k: parse_rational(e.value, e.line, e.value_col)
-            for k, e in builder.indexed("beta").items()
-        }
-        spec = _construct(lambda: mtilde(base, alpha, beta, window), builder.taken, family_entry)
-    elif family == "MTildeF":
-        window = builder.window()
-        fseq = {
-            k: parse_poly(e.value, ("s",), e.line, e.value_col)
-            for k, e in builder.indexed("f").items()
-        }
-        spec = _construct(lambda: mtilde_f(fseq, window), builder.taken, family_entry)
-    elif family == "MLambdaF":
-        lam = builder.rational("lambda")
-        fpoly = builder.poly("fpoly", ("w0",))
-        spec = _construct(lambda: Vir00Spec(lam, fpoly), builder.taken, family_entry)
-    else:  # MTildeLambda
-        base = builder.h4_base(builder.base_variant())
-        alpha = builder.rational("alpha")
-        lam = builder.rational("lambda")
-        window = builder.window()
-        spec = _construct(lambda: affvir(base, alpha, lam, window), builder.taken, family_entry)
+    builder = _SpecBuilder(emap, family_entry)
+    spec = builder.build(schema)
     if builder.emap:
         leftover = min(builder.emap.values(), key=lambda e: (e.line, e.key_col))
         raise ConstraintViolation(
@@ -601,12 +613,16 @@ def parse_input(text: str):
 # -------------------------------------------------------------- formatting
 
 
-def _h4_param_lines(fam: H4Family):
-    values = ((name, getattr(fam, name)) for name in H4_PARAMS[fam.variant])
-    return [
-        f"{name} = {format_poly(v) if isinstance(v, Poly) else format_rational(v)}"
-        for name, v in values
-    ]
+def _key_lines(spec, schema: _Schema):
+    for key in schema.keys:
+        value = attrgetter(key.attr)(spec)
+        if key.kind is _BASE:
+            yield f"base = {value.variant}"
+            yield from _key_lines(value, _SCHEMAS[value.variant])
+        elif key.sequence:
+            yield from (f"{key.name}.{k} = {key.kind.write(v)}" for k, v in value)
+        else:
+            yield f"{key.name} = {key.kind.write(value)}"
 
 
 def format_spec(spec) -> str:
@@ -615,37 +631,10 @@ def format_spec(spec) -> str:
     It parses back to an equal spec while every numeral in it has at most
     MAX_DIGITS digits: `mab(10 ** 5000 + 7, 1)` formats, but parse_spec
     refuses its text."""
-    lines = [f"algebra = {algebra_of(spec)}"]
-    if isinstance(spec, H4Family):
-        lines.append(f"family = {spec.variant}")
-        lines.extend(_h4_param_lines(spec))
-    elif isinstance(spec, AffineSpec):
-        if spec.variant == "MTildeAlphaBeta":
-            lines.append("family = MTildeAlphaBeta")
-            lines.append(f"base = {spec.base.variant}")
-            lines.extend(_h4_param_lines(spec.base))
-            lines.append(f"alpha = {format_rational(spec.alpha)}")
-            for k, beta in spec.beta:
-                lines.append(f"beta.{k} = {format_rational(beta)}")
-        else:
-            lines.append("family = MTildeF")
-            for k in range(-spec.window, spec.window + 1):
-                lines.append(f"f.{k} = {format_poly(spec.f_at(k))}")
-        lines.append(f"window = {spec.window}")
-    elif isinstance(spec, Vir00Spec):
-        lines.append("family = MLambdaF")
-        lines.append(f"lambda = {format_rational(spec.lam)}")
-        lines.append(f"fpoly = {format_poly(spec.fpoly)}")
-    elif isinstance(spec, AffVirSpec):
-        inner = spec.base
-        lines.append("family = MTildeLambda")
-        lines.append(f"base = {inner.base.variant}")
-        lines.extend(_h4_param_lines(inner.base))
-        lines.append(f"alpha = {format_rational(inner.alpha)}")
-        lines.append(f"lambda = {format_rational(spec.lambda_shift)}")
-        lines.append(f"window = {inner.window}")
-    else:
+    schema = _SCHEMAS.get(getattr(spec, "variant", None))
+    if schema is None:
         raise SpecInvalid(f"cannot format a {type(spec).__name__}")
+    lines = [f"algebra = {schema.algebra}", f"family = {spec.variant}", *_key_lines(spec, schema)]
     return "\n".join(lines) + "\n"
 
 

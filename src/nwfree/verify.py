@@ -70,9 +70,9 @@ from .modfam import (
     MAX_WINDOW,
     MODULE_VARIABLES,
     AnySpec,
-    SpecInvalid,
     WindowExceeded,
     generators,
+    integer_argument,
     shift_of,
     _Forms,
     _image,
@@ -254,16 +254,10 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
 
     Raises WindowExceeded only when the spec's own window is smaller
     than the requested one, and SpecInvalid for a window or test degree
-    outside 1..MAX_WINDOW or 1..MAX_TEST_DEGREE.
+    that is no integer or lies outside 1..MAX_WINDOW or 1..MAX_TEST_DEGREE.
     """
-    if not isinstance(window, int) or window < 1:
-        raise SpecInvalid("window must be at least 1")
-    if window > MAX_WINDOW:
-        raise SpecInvalid(f"window exceeds the limit {MAX_WINDOW}")
-    if not isinstance(test_degree, int) or test_degree < 1:
-        raise SpecInvalid("test degree must be at least 1")
-    if test_degree > MAX_TEST_DEGREE:
-        raise SpecInvalid(f"test degree exceeds the limit {MAX_TEST_DEGREE}")
+    window = integer_argument(window, "window", 1, MAX_WINDOW)
+    test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
     forms = _Forms(spec)  # this request's integer forms, filled on first use
     algebra = forms.algebra
     gens = tuple(generators(spec, window))

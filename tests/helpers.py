@@ -6,6 +6,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, gcd
 
+from hypothesis import strategies as st
+
 from nwfree.exactpoly import (
     Poly,
     VariableMismatch,
@@ -112,6 +114,53 @@ def sample_specs():
         ("Vir00", Vir00Spec(Fraction(2), W0)),
         ("AffVir", affvir(mhb(1, 0, 1), alpha=2, lam=3, window=1)),
     ]
+
+
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_NONZERO = _RATIONALS.filter(bool)
+
+
+def _polys(variable):
+    """Polynomials of degree at most 3 in one variable, zero included."""
+    return st.lists(_RATIONALS, min_size=1, max_size=4).map(
+        lambda cs: Poly((variable,), [((i,), c) for i, c in enumerate(cs)])
+    )
+
+
+_H4_VARIANTS = ("Mg0", "M0g", "Mhb", "Mbh", "Mab", "M0")
+
+
+def h4_specs(variants=_H4_VARIANTS):
+    g = _polys("s").filter(lambda p: not p.is_zero())
+    drawn = {
+        "Mg0": g.map(mg0),
+        "M0g": g.map(m0g),
+        "Mhb": st.builds(mhb, _NONZERO, _RATIONALS, _NONZERO),
+        "Mbh": st.builds(mbh, _NONZERO, _RATIONALS, _NONZERO),
+        "Mab": st.builds(mab, _NONZERO, _NONZERO),
+        "M0": st.just(m0()),
+    }
+    return st.sampled_from(variants).flatmap(drawn.__getitem__)
+
+
+@st.composite
+def random_specs(draw):
+    """A spec of any family at window 1 or 2: the six H4 families,
+    MTildeAlphaBeta over the five bases other than M0 (which classifies as
+    MTildeF), MTildeF, Vir00 and AffVir, each family drawn alike."""
+    family = draw(st.sampled_from(_H4_VARIANTS + ("MTildeAlphaBeta", "MTildeF", "Vir00", "AffVir")))
+    window = draw(st.integers(1, 2))
+    loops = [k for k in range(-window, window + 1) if k]
+    if family in _H4_VARIANTS:
+        return draw(h4_specs((family,)))
+    if family == "MTildeAlphaBeta":
+        base = draw(h4_specs(("Mg0", "M0g", "Mhb", "Mbh", "Mab")))
+        return mtilde(base, draw(_NONZERO), {k: draw(_RATIONALS) for k in loops}, window)
+    if family == "MTildeF":
+        return mtilde_f({k: draw(_polys("s")) for k in loops}, window)
+    if family == "Vir00":
+        return Vir00Spec(draw(_NONZERO), draw(_polys("w0")))
+    return affvir(draw(h4_specs()), draw(_NONZERO), draw(_RATIONALS), window)
 
 
 def h4_data(p, q, r):

@@ -641,6 +641,12 @@ def test_oracle_guards():
         orbit_oracle(mg0(1), S, 4, 3)
     with pytest.raises(SpecInvalid):
         orbit_oracle(mg0(1), S ** 3, 2, 5)
+    # a degree bound that is no integer is refused, before any comparison
+    for value, shown in ((1.5, "1.5"), ("a", "'a'")):
+        with pytest.raises(SpecInvalid, match=f"^max degree must be an integer, got {shown}$"):
+            orbit_oracle(mg0(1), S, value, 3)
+        with pytest.raises(SpecInvalid, match=f"^cap degree must be an integer, got {shown}$"):
+            orbit_oracle(mg0(1), S, 1, value)
 
 
 def test_oracle_agrees_with_decide_on_samples():

@@ -94,6 +94,9 @@ def test_membership_errors():
         sym("x")
     with pytest.raises(ValueError, match="^loop index must be an integer$"):
         sym("p", 1.0)
+    for index in (1.5, "1"):
+        with pytest.raises(SymbolNotInAlgebra, match="^loop index must be an integer$"):
+            sym("p", index)
     for kind in ("k", "d"):
         with pytest.raises(SymbolNotInAlgebra, match=f"^{kind} carries loop index 0$"):
             sym(kind, 1)

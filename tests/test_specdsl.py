@@ -20,6 +20,7 @@ from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, s
 from nwfree.modfam import (
     MAX_WINDOW,
     ActionData,
+    AffineSpec,
     ConstraintViolation,
     MalformedData,
     SpecInvalid,
@@ -62,6 +63,7 @@ from helpers import (
     corrupted_data,
     format_poly_reference,
     int_digit_limit_lifted,
+    random_specs,
     sample_specs,
     tokenize_reference,
 )
@@ -349,6 +351,24 @@ def test_spec_round_trips():
         assert format_spec(again) == text, name
 
 
+@settings(max_examples=500, deadline=None)
+@given(random_specs())
+def test_random_specs_round_trip_through_their_documents(spec):
+    text = format_spec(spec)
+    assert parse_spec(text) == spec
+    assert format_spec(parse_spec(text)) == text
+    # beta.0 and f.0 are forced: every affine document writes one, and parses without it
+    forced = [line for line in text.splitlines() if line.startswith(("beta.0 =", "f.0 ="))]
+    assert len(forced) == isinstance(spec, AffineSpec)
+    for line in forced:
+        assert parse_spec(text.replace(line + "\n", "")) == spec
+
+
+def test_format_spec_refuses_action_data():
+    with pytest.raises(SpecInvalid, match="^cannot format a ActionData$"):
+        format_spec(actions_of(mhb(1, 0, 1)))
+
+
 def test_format_spec_writes_h4_parameters_in_document_order():
     h4 = "algebra = H4\nfamily = "
     assert format_spec(mhb(1, 0, 1)) == MHB_DOC
@@ -405,7 +425,9 @@ def _mutated_document(rng: random.Random, text: str) -> str:
     shuffled lines."""
     lines = text.splitlines()
     for _ in range(rng.choice((1, 1, 2, 3))):
-        how = rng.choice(("drop", "drop", "key", "value", "value", "value", "insert", "repeat", "shuffle"))
+        how = rng.choice(
+            ("drop", "drop", "key", "value", "value", "value", "insert", "repeat", "shuffle")
+        )
         at = rng.randrange(len(lines)) if lines else 0
         if how == "drop" and lines:
             del lines[at]

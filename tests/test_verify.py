@@ -122,6 +122,11 @@ def test_window_larger_than_spec_errors():
         verify_module(spec, window=2, test_degree=1)
     with pytest.raises(SpecInvalid):
         verify_module(spec, window=0, test_degree=1)
+    for value, shown in ((1.5, "1.5"), ("x", "'x'")):
+        with pytest.raises(SpecInvalid, match=f"^window must be an integer, got {shown}$"):
+            verify_module(spec, window=value, test_degree=1)
+        with pytest.raises(SpecInvalid, match=f"^test degree must be an integer, got {shown}$"):
+            verify_module(spec, window=1, test_degree=value)
 
 
 def test_vir00_inconsistent_mu_fails_on_d1_d2():
