@@ -84,6 +84,8 @@ class WindowMismatch(InputError, ValueError):
 
 
 def classify(data: ActionData) -> ClassificationResult:
+    if not isinstance(data, ActionData):
+        raise TypeError(f"data must be ActionData, got {type(data).__name__}")
     if data.algebra == H4:
         return classify_h4(data)
     if data.algebra == AFFINE_H4:

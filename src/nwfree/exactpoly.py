@@ -1,14 +1,14 @@
 """Exact sparse polynomials over the rationals, plus shift substitutions.
 
 Every polynomial lives in a fixed ordered variable set, one of ("s",),
-("s", "d"), or ("d0", "w0") in this package.  Terms are stored as a tuple
-of (exponent vector, coefficient) pairs in descending graded lexicographic
-order with no zero coefficients, so equal polynomials are structurally
-equal, and every value is immutable and hashable.
-
-Scalars are `fractions.Fraction`; arithmetic is exact, nothing is ever
-rounded.  The degree of the zero polynomial is the NEG_INF sentinel, not
--1, so the degree bookkeeping below stays clean:
+("s", "d"), or ("d0", "w0") in this package, and is integer numerators
+over one denominator: `numerators` holds (exponent vector, int) pairs in
+descending graded lexicographic order with no zero entries, and `den` > 0
+shares no factor with all of them.  So equal polynomials are structurally
+equal, every value is immutable and hashable, and `terms`, `coefficient`
+and `constant_value` build `fractions.Fraction`s only when read.
+Arithmetic is exact.  The degree of the zero polynomial is the NEG_INF
+sentinel, not -1, so the degree bookkeeping below stays clean:
 
     deg(tau(x) - x) = deg(x) - 1      for non-constant x,
 
@@ -17,39 +17,26 @@ variable, so it is an offset vector of integers, one per variable in the
 polynomial's variable order, and shifts compose by adding their vectors;
 `negate_var` substitutes v -> -v.
 
-Shifting and multiplying are done on integers, by one kernel:
-`_shift_mul(ints, offsets, factor)` shifts an integer polynomial
-{exponents: int} with `_taylor_shift` (a Horner-type recurrence along
-dense coefficient rows) and multiplies it by the integer factor.
-`Poly.__mul__` clears each side's denominators once (`_integer_terms`),
-runs the kernel with zero offsets and builds one Fraction per output term
-(`_from_integer_terms`); `apply_shift` runs the shift alone.  Every
-action here is shift-then-multiply, and one function, `modfam._image`,
-takes every generator image on integers from a generator's integer form:
-`act` and so `classify`'s product rule, `apply_chain_op`, the witness,
-the orbit oracle and `verify_module`'s R.  Only `_image` and a verify
-report's failing residuals sigma(v) * R, built when the report is read,
-call `_shift_mul` with a nonzero shift; the witness shifts only its ideal
-generator, through `_image`, and takes each closure image from the one
-before it.  `verify_module` and `modfam._act_sum` sum such integer
-images, each with a rational factor, over one common denominator with
-`_combine`.
+One kernel shifts and multiplies on integers: `_shift_mul(ints, offsets,
+factor)` shifts an integer polynomial {exponents: int} with
+`_taylor_shift` (a Horner-type recurrence along dense coefficient rows)
+and multiplies it by the integer factor.  `Poly.__mul__` runs it on the
+numerators with zero offsets, `apply_shift` runs the shift alone, and `+`
+sums numerators over one common denominator with `_combine`, as
+`verify_module` and `modfam._act_sum` sum generator images.  Every action
+is shift-then-multiply, and `modfam._image` takes every generator image
+from a generator's integer form; only it and a verify report's failing
+residuals call `_shift_mul` with a nonzero shift.
 
 The public `Poly(...)` constructor validates and canonicalizes any
-mapping or sequence of terms.  Everything else builds canonical results
-directly through `Poly._trusted`, which only drops zero coefficients and
-sorts two or more terms.  Internal arithmetic (`+`, `-`, `*`, unary `-`,
-`apply_shift`, `change_variables`, `negate_var`, `coefficient_in` and the
-shifted monomials of `reduce_mod_univariate`) already holds merged terms
-over one variable set.  The one-term builders `zero`, `one`, `const` and
-`var`, through which the parser builds every numeral and variable, and
-the test monomials of `monomials_upto` check their own arguments instead:
-distinct variables, an int or Fraction value, a known variable name.
-
-Every formatter of the package writes polynomials through `format_poly`.
-It reads each coefficient's sign and magnitude off its numerator and
-denominator, and takes monomial text from `_monomial_text`, a table keyed
-by (variables, exponents) that keeps at most MAX_MONOMIAL_TEXTS entries.
+mapping or sequence of terms.  Everything else goes through the one
+canonicalizer, `Poly._trusted(variables, pairs, den)`, which drops zero
+numerators, divides by their gcd with den and sorts; the one-term
+builders `zero`, `one`, `const` and `var` and the test monomials of
+`monomials_upto` check their own arguments first.  Every formatter writes
+polynomials through `format_poly`, which reduces each numerator over the
+denominator with one gcd and takes monomial text from `_monomial_text`,
+a table of at most MAX_MONOMIAL_TEXTS entries.
 """
 
 from __future__ import annotations
@@ -58,7 +45,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -75,11 +62,9 @@ class VariableMismatch(ValueError):
     """An operation mixed polynomials or shifts over incompatible variables."""
 
 
-def _fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _scalar(value: Scalar) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -99,21 +84,23 @@ def _term_key(term) -> tuple:
     return _grlex(term[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Poly:
-    """Sparse exact polynomial in a fixed ordered variable set.
-
-    `terms` may be given as a mapping or an iterable of (exponents, coeff)
-    pairs; it is normalized to the canonical descending graded-lex tuple.
-    """
+    """Sparse exact polynomial: `Poly(variables, terms, den=1)` takes a mapping
+    or an iterable of (exponents, int or Fraction) pairs over a positive int
+    den and canonicalizes them into `numerators` over `den`, as the module
+    docstring describes, so `Poly(x.variables, x.numerators, x.den) == x`."""
 
     variables: Tuple[str, ...]
-    terms: Tuple[Tuple[Exponents, Fraction], ...] = ()
+    numerators: Tuple[Tuple[Exponents, int], ...] = ()
+    den: int = 1
 
     def __post_init__(self) -> None:
         variables = _distinct(self.variables)
-        raw = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
-        merged: dict[Exponents, Fraction] = {}
+        if not isinstance(self.den, int) or self.den < 1:
+            raise ValueError(f"den must be a positive integer, got {self.den!r}")
+        raw = self.numerators.items() if isinstance(self.numerators, Mapping) else self.numerators
+        merged: dict = {}
         for exps, coeff in raw:
             exps = tuple(exps)
             if len(exps) != len(variables):
@@ -122,34 +109,30 @@ class Poly:
                 )
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps!r}")
-            coeff = _fraction(coeff)
-            if coeff:
-                acc = merged.get(exps, Fraction(0)) + coeff
-                if acc:
-                    merged[exps] = acc
-                else:
-                    merged.pop(exps, None)
-        canon = tuple(sorted(merged.items(), key=_term_key, reverse=True))
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", canon)
+            merged[exps] = merged.get(exps, 0) + _scalar(coeff)
+        den = lcm(*[c.denominator for c in merged.values()])
+        pairs = [(e, c.numerator * (den // c.denominator)) for e, c in merged.items()]
+        canon = Poly._trusted(variables, pairs, self.den * den)
+        for name in ("variables", "numerators", "den"):
+            object.__setattr__(self, name, getattr(canon, name))
 
     @classmethod
-    def _trusted(cls, variables: Tuple[str, ...], terms) -> "Poly":
-        """Terms already checked by the caller: drop zeros and sort, nothing else.
-
-        `terms` is a sized collection (tuple, list or dict items) of
-        (exponents, Fraction) pairs with distinct exponent tuples that fit
-        `variables`; the caller guarantees it.  Zero or one term needs no sort.
-        """
+    def _trusted(cls, variables: Tuple[str, ...], pairs, den: int = 1) -> "Poly":
+        """sum(n * x^e) / den over (e, n) pairs whose distinct exponents fit
+        `variables`, den > 0, as the caller guarantees: drops zeros, divides
+        by one gcd with den (none when den is 1), sorts two or more."""
+        pairs = [(e, n) for e, n in pairs if n]
+        if den != 1:  # with no pairs left, g is den and den becomes 1
+            g = gcd(den, *[n for _, n in pairs])
+            if g != 1:
+                den //= g
+                pairs = [(e, n // g) for e, n in pairs]
+        if len(pairs) > 1:
+            pairs.sort(key=_term_key, reverse=True)
         out = object.__new__(cls)
         object.__setattr__(out, "variables", variables)
-        if len(terms) > 1:
-            canon = tuple(sorted(((e, c) for e, c in terms if c), key=_term_key, reverse=True))
-        else:
-            canon = tuple(terms)
-            if canon and not canon[0][1]:
-                canon = ()
-        object.__setattr__(out, "terms", canon)
+        object.__setattr__(out, "numerators", tuple(pairs))
+        object.__setattr__(out, "den", den)
         return out
 
     # -- constructors -------------------------------------------------
@@ -160,8 +143,9 @@ class Poly:
 
     @staticmethod
     def const(variables: Iterable[str], value: Scalar) -> "Poly":
-        variables = _distinct(variables)
-        return Poly._trusted(variables, (((0,) * len(variables), _fraction(value)),))
+        variables, value = _distinct(variables), _scalar(value)
+        constant = (((0,) * len(variables), value.numerator),)
+        return Poly._trusted(variables, constant, value.denominator)
 
     @staticmethod
     def one(variables: Iterable[str]) -> "Poly":
@@ -173,37 +157,45 @@ class Poly:
         if name not in variables:
             raise VariableMismatch(f"{name!r} is not among {variables!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return Poly._trusted(variables, ((exps, Fraction(1)),))
+        return Poly._trusted(variables, ((exps, 1),))
 
     @staticmethod
     def monomial(variables: Iterable[str], exps: Exponents, coeff: Scalar = 1) -> "Poly":
-        return Poly(tuple(variables), {tuple(exps): _fraction(coeff)})
+        return Poly(tuple(variables), {tuple(exps): coeff})
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def terms(self) -> Tuple[Tuple[Exponents, Fraction], ...]:
+        """(exponents, Fraction) pairs in descending graded-lex order, built when read."""
+        den = self.den
+        return tuple((e, Fraction(n, den)) for e, n in self.numerators)
+
+    def __repr__(self) -> str:
+        return f"Poly(variables={self.variables!r}, terms={self.terms!r})"
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps, _ in self.terms)
+        # the leading term has the highest total degree
+        return not self.numerators or not any(self.numerators[0][0])
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (0 for the zero polynomial)."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms[0][1] if self.terms else Fraction(0)
+        return self.coefficient((0,) * len(self.variables))
 
     def coefficient(self, exps: Exponents) -> Fraction:
         exps = tuple(exps)
-        for e, c in self.terms:
+        for e, n in self.numerators:
             if e == exps:
-                return c
+                return Fraction(n, self.den)
         return Fraction(0)
 
     def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(exps) for exps, _ in self.terms)
+        return sum(self.numerators[0][0]) if self.numerators else NEG_INF
 
     # -- arithmetic ----------------------------------------------------
 
@@ -217,28 +209,25 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms:
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Poly._trusted(self.variables, acc.items())
+        total, common = _combine([(1, x.den, dict(x.numerators)) for x in (self, other)])
+        return Poly._trusted(self.variables, total.items(), common)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted(self.variables, [(e, -c) for e, c in self.terms])
+        return Poly._trusted(self.variables, [(e, -n) for e, n in self.numerators], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _fraction(other)
-            return Poly._trusted(self.variables, [(e, c * v) for e, v in self.terms])
+            pairs = [(e, other.numerator * n) for e, n in self.numerators]
+            return Poly._trusted(self.variables, pairs, self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
-        ints, scale_x = _integer_terms(self)
-        factor, scale_w = _integer_terms(other)
-        product = _shift_mul(ints, (0,) * len(self.variables), factor.items())
-        return _from_integer_terms(self.variables, product, scale_x * scale_w)
+        zeros = (0,) * len(self.variables)
+        product = _shift_mul(dict(self.numerators), zeros, other.numerators)
+        return Poly._trusted(self.variables, product.items(), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -252,21 +241,6 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def _integer_terms(x: Poly) -> Tuple[dict, int]:
-    """x times the lcm L of its denominators, as {exponents: int}, and L."""
-    scale = lcm(*[c.denominator for _, c in x.terms])
-    if scale == 1:
-        return {e: c.numerator for e, c in x.terms}, 1
-    return {e: c.numerator * (scale // c.denominator) for e, c in x.terms}, scale
-
-
-def _from_integer_terms(variables: Tuple[str, ...], ints: dict, scale: int) -> Poly:
-    """The polynomial {exponents: int} / scale: one Fraction per nonzero term."""
-    if scale == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
-        return Poly._trusted(variables, [(e, Fraction(n)) for e, n in ints.items() if n])
-    return Poly._trusted(variables, [(e, Fraction(n, scale)) for e, n in ints.items() if n])
 
 
 def _taylor_shift(ints: dict, offsets: Shift) -> dict:
@@ -339,19 +313,13 @@ def _combine(parts) -> Tuple[dict, int]:
 
 
 def apply_shift(sh: Shift, x: Poly) -> Poly:
-    """Substitute v -> v + sh[i] for the i-th variable v of x, exactly.
-
-    An integer Taylor shift: the coefficients are scaled once by the lcm L
-    of their denominators, `_taylor_shift` expands every shifted variable
-    on the integer numerators, and one Fraction(n, L) is built per nonzero
-    output term.
-    """
+    """Substitute v -> v + sh[i] for the i-th variable v of x, exactly:
+    `_taylor_shift` on x's numerators, over x's denominator."""
     if len(sh) != len(x.variables):
         raise VariableMismatch(f"shift {sh!r} does not fit variables {x.variables!r}")
     if not any(sh) or x.is_zero():
         return x
-    ints, scale = _integer_terms(x)
-    return _from_integer_terms(x.variables, _taylor_shift(ints, sh), scale)
+    return Poly._trusted(x.variables, _taylor_shift(dict(x.numerators), sh).items(), x.den)
 
 
 def negate_var(x: Poly, var: str) -> Poly:
@@ -359,7 +327,7 @@ def negate_var(x: Poly, var: str) -> Poly:
     if var not in x.variables:
         raise VariableMismatch(f"{var!r} is absent from {x.variables!r}")
     i = x.variables.index(var)
-    return Poly._trusted(x.variables, [(e, c if e[i] % 2 == 0 else -c) for e, c in x.terms])
+    return Poly._trusted(x.variables, [(e, -n if e[i] % 2 else n) for e, n in x.numerators], x.den)
 
 
 def degree_in(x: Poly, var: str):
@@ -369,7 +337,7 @@ def degree_in(x: Poly, var: str):
     if var not in x.variables:
         return 0
     i = x.variables.index(var)
-    return max(exps[i] for exps, _ in x.terms)
+    return max(exps[i] for exps, _ in x.numerators)
 
 
 def change_variables(x: Poly, variables: Iterable[str]) -> Poly:
@@ -386,14 +354,14 @@ def change_variables(x: Poly, variables: Iterable[str]) -> Poly:
             raise VariableMismatch(f"cannot drop {v!r}, it occurs in {format_poly(x)}")
     variables = _distinct(variables)
     pos = [variables.index(v) if v in variables else None for v in x.variables]
-    terms = []
-    for exps, coeff in x.terms:
+    pairs = []
+    for exps, n in x.numerators:
         key = [0] * len(variables)
         for i, e in zip(pos, exps):
             if e:
                 key[i] = e
-        terms.append((tuple(key), coeff))
-    return Poly._trusted(variables, terms)
+        pairs.append((tuple(key), n))
+    return Poly._trusted(variables, pairs, x.den)
 
 
 def coefficient_in(x: Poly, var: str, power: int) -> Poly:
@@ -401,13 +369,11 @@ def coefficient_in(x: Poly, var: str, power: int) -> Poly:
     if var not in x.variables:
         return x if power == 0 else Poly.zero(x.variables)
     i = x.variables.index(var)
-    acc = {}
-    for exps, coeff in x.terms:
+    pairs = []
+    for exps, n in x.numerators:
         if exps[i] == power:
-            key = list(exps)
-            key[i] = 0
-            acc[tuple(key)] = coeff
-    return Poly._trusted(x.variables, acc.items())
+            pairs.append((exps[:i] + (0,) + exps[i + 1:], n))
+    return Poly._trusted(x.variables, pairs, x.den)
 
 
 def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
@@ -419,7 +385,7 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
         raise ValueError("division by the zero polynomial")
     w = change_variables(w, x.variables)
     i = x.variables.index(var)
-    for exps, _ in w.terms:
+    for exps, _ in w.numerators:
         if any(e != 0 for j, e in enumerate(exps) if j != i):
             raise ValueError(f"{format_poly(w)} is not univariate in {var!r}")
     deg_w = degree_in(w, var)
@@ -433,7 +399,7 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
             return rem
         lead = coefficient_in(rem, var, d)
         shift_exps = tuple(d - deg_w if j == i else 0 for j in range(len(x.variables)))
-        shift_mono = Poly._trusted(x.variables, ((shift_exps, Fraction(1)),))
+        shift_mono = Poly._trusted(x.variables, ((shift_exps, 1),))
         rem = rem - (lead * (Fraction(1) / lead_w)) * shift_mono * w
 
 
@@ -447,8 +413,7 @@ def exponents_upto(n: int, degree: int) -> list:
 def monomials_upto(variables: Iterable[str], degree: int) -> list:
     """All monic monomials of total degree <= degree, ascending graded-lex."""
     variables = _distinct(variables)
-    one = Fraction(1)
-    return [Poly._trusted(variables, ((e, one),)) for e in exponents_upto(len(variables), degree)]
+    return [Poly._trusted(variables, ((e, 1),)) for e in exponents_upto(len(variables), degree)]
 
 
 # Distinct monomials whose text `format_poly` keeps; a bound, not a tuning knob.
@@ -486,21 +451,22 @@ def format_rational(c: Fraction) -> str:
 def format_poly(x: Poly) -> str:
     """Canonical space-free text: leading term first, e.g. `s^2-3*s*d+7`.
 
-    Sign and magnitude come from each coefficient's numerator and
-    denominator, and the monomial text from the bounded `_monomial_text`
-    table, so no term does Fraction arithmetic; long ints go to `_int_text`.
+    Each coefficient is its numerator over x's denominator, reduced by one
+    gcd, and the monomial text comes from the bounded `_monomial_text`
+    table, so no term builds a Fraction; long ints go to `_int_text`.
     """
-    if not x.terms:
+    if not x.numerators:
         return "0"
     variables = x.variables
     parts = []
-    for exps, coeff in x.terms:
-        num, den = coeff.numerator, coeff.denominator
+    for exps, num in x.numerators:
         if num < 0:
             parts.append("-")
             num = -num
         elif parts:
             parts.append("+")
+        g = gcd(num, x.den)
+        num, den = num // g, x.den // g
         if num >= _TEXT_PIECE:
             num = _int_text(num)
         if den >= _TEXT_PIECE:

@@ -27,8 +27,6 @@ from typing import Optional, Tuple
 from . import InputError
 from .exactpoly import (
     Poly,
-    _from_integer_terms,
-    _integer_terms,
     change_variables,
     degree_in,
     exponents_upto,
@@ -227,7 +225,7 @@ def _integer_coefficients(g: Poly, var: str) -> list:
     """g's coefficients in var, lowest power first, over one common denominator."""
     i = g.variables.index(var)
     coeffs = [0] * (degree_in(g, var) + 1)
-    for exps, n in _integer_terms(g)[0].items():
+    for exps, n in g.numerators:
         coeffs[exps[i]] = n
     return coeffs
 
@@ -388,11 +386,11 @@ def witness(spec) -> ReducibilityWitness:
     ideal, var = _witness_generator(spec)
     variables = module_variables(spec)
     forms = _Forms(spec)
-    ideal_ints, ideal_scale = _integer_terms(ideal)
+    ideal_ints = dict(ideal.numerators)
     # (m, its exponents, its first used variable i, m / v_i) per test monomial
     steps = []
     for m in monomials_upto(variables, 4):
-        (exps, _), = m.terms  # a monic monomial
+        (exps, _), = m.numerators  # a monic monomial
         i = next((j for j, e in enumerate(exps) if e), None)
         lower = None if i is None else exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         steps.append((m, exps, i, lower))
@@ -401,8 +399,8 @@ def witness(spec) -> ReducibilityWitness:
         form = forms[x]
         offsets = form[0]
         r_ints = _image(form, ideal_ints)  # R_x times `scale`, on integers
-        scale = ideal_scale * form[2]
-        r_x = _from_integer_terms(variables, r_ints, scale)
+        scale = ideal.den * form[2]
+        r_x = Poly._trusted(variables, r_ints.items(), scale)
         closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
         images = {}  # exponents of m -> shift_x(m) * R_x times `scale`
         for m, exps, i, lower in steps:
@@ -411,7 +409,7 @@ def witness(spec) -> ReducibilityWitness:
             else:
                 image_ints = _times_shifted_variable(images[lower], i, offsets[i])
             images[exps] = image_ints
-            image = _from_integer_terms(variables, image_ints, scale)
+            image = Poly._trusted(variables, image_ints.items(), scale)
             contained = closed or reduce_mod_univariate(image, ideal, var).is_zero()
             checks.append(ClosureCheck(x, m, image, contained))
     return ReducibilityWitness(ideal, tuple(checks))
@@ -476,7 +474,7 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
 
     # (form, vector) pairs whose image x.v is taken when popped; the seed
     # itself comes first, with no form
-    queue = [(None, _integer_terms(seed)[0])]
+    queue = [(None, dict(seed.numerators))]
     while queue:
         form, vector = queue.pop()
         row = [0] * width

@@ -16,8 +16,8 @@ for families and action data alike, and `shift_of` is one grading rule,
 x's weight under the Cartan part.  The families differ only in the
 values on 1, so one function, `_value_on_one`, computes x.1 afresh, and
 every request path reads it through one table per request, `_Forms`,
-which clears each x.1 to integers beside shift_x the first time its
-symbol is looked up.  One
+which keeps each x.1's numerators and denominator beside shift_x the
+first time its symbol is looked up.  One
 function, `_image`, takes every generator image on integers from x's
 form in that table, for `act` (so `classify`'s product rule), the chains,
 the witness, the orbit oracle and `verify_module`; `_act_sum` sums such
@@ -41,8 +41,6 @@ from .exactpoly import (
     Poly,
     Shift,
     _combine,
-    _from_integer_terms,
-    _integer_terms,
     _shift_mul,
     change_variables,
 )
@@ -555,8 +553,8 @@ _ACT_CACHE: dict = {}
 class _Forms(dict):
     """One request's integer forms, keyed by symbol.
 
-    A symbol's form is its shift_x, the numerators of x.1 over one common
-    denominator as {exponents: int}, and that denominator.  It is built
+    A symbol's form is its shift_x, the numerators of x.1 as
+    {exponents: int}, and x.1's denominator.  It is built
     from `_value_on_one` the first time the symbol is looked up, so each
     x.1 is computed at most once per table; a lookup that raises, such as
     WindowExceeded outside the window, stores nothing.
@@ -568,8 +566,8 @@ class _Forms(dict):
         self.algebra = algebra_of(spec)
 
     def __missing__(self, x: BasisSymbol):
-        numerators, den = _integer_terms(_value_on_one(self.spec, x))
-        form = self[x] = shift_of(self.algebra, x), numerators, den
+        value = _value_on_one(self.spec, x)
+        form = self[x] = shift_of(self.algebra, x), dict(value.numerators), value.den
         return form
 
 
@@ -586,7 +584,7 @@ def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:
     identity, with v in the module variables: the images are summed on
     integers over one common denominator.  Each symbol is checked in turn,
     even on v = 0; x.1 is looked up only when v is nonzero."""
-    ints, scale = _integer_terms(v)
+    ints = dict(v.numerators)
     images = []  # (numerator, denominator, integer image) per part
     for coeff, x in parts:
         if x is None:
@@ -597,11 +595,15 @@ def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:
             form = forms[x]
             images.append((coeff.numerator, coeff.denominator * form[2], _image(form, ints)))
     total, common = _combine(images)
-    return _from_integer_terms(v.variables, total, scale * common)
+    return Poly._trusted(v.variables, total.items(), v.den * common)
 
 
 def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
     """Evaluate x on v as shift_x(v) * x.1; linear in both x and v."""
+    if not isinstance(x, (BasisSymbol, LieElement)):
+        raise TypeError(f"x must be a BasisSymbol or LieElement, got {type(x).__name__}")
+    if not isinstance(v, Poly):
+        raise TypeError(f"v must be a Poly, got {type(v).__name__}")
     forms = _Forms(spec)
     variables = MODULE_VARIABLES[forms.algebra]
     parts = [(c, y) for y, c in x.terms] if isinstance(x, LieElement) else [(Fraction(1), x)]

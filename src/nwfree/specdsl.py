@@ -22,18 +22,19 @@ exponent, and a product whose degree would pass it is one at its `*`.
 One polynomial value may multiply at most MAX_TERM_WORK term pairs,
 counted over all its products and powers: the multiplication that passes
 it is a syntax error at its `*` or `^`, before it computes.  A sum
-merges its terms into one table, so each `+` or `-` costs only its right
-operand's terms.  A product or a sum with a coefficient whose numerator
-or denominator has more than MAX_DIGITS digits is a syntax error at its
-`*`, `+` or `-`.  A power is checked for both at each of its
-multiplications, at its `^`.  Parentheses and unary
-minus nested more than MAX_NESTING deep, counted together, are a syntax
-error at the `(` or `-` that passes the limit.  So no document makes the
-parser multiply or recurse without bound.  A rational parameter is a
-RATIONAL with an optional sign, each numeral at most MAX_DIGITS ASCII
-digits (no decimal point, exponent or underscore), and a window takes
-ASCII digits without underscores too; anything else is a syntax error at
-the value.
+merges its terms into one table of reduced fractions, so each `+` or
+`-` costs only its right operand's terms.  A product or a sum with a
+coefficient whose numerator or denominator, in lowest terms, has more
+than MAX_DIGITS digits, or whose common denominator (for a sum, the lcm
+of its summands') has more than MAX_DENOMINATOR_DIGITS, is a syntax error
+at its `*`, `+` or `-`, and a power at each of its multiplications, at
+its `^`.  Parentheses and unary minus nested more than MAX_NESTING deep,
+counted together, are a syntax error at the `(` or `-` that passes the
+limit.  So no document makes the parser multiply or recurse without
+bound.  A rational parameter is a RATIONAL with an optional sign, each
+numeral at most MAX_DIGITS ASCII digits (no decimal point, exponent or
+underscore), and a window ASCII digits after an optional `-`, with no `+`
+or underscore; anything else is a syntax error at the value.
 A loop index (`beta.-2`, `p@1`) is an optional `-` followed by ASCII
 digits; anything else is a syntax error at the key.
 
@@ -53,6 +54,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, NamedTuple, Tuple
 
@@ -121,9 +123,17 @@ MAX_DEGREE = 64
 MAX_TERM_WORK = 200000
 
 # Longest numeral a polynomial may hold; int() refuses more than 4,300 digits.
-# Sums, products and powers keep every numerator and denominator below 10^MAX_DIGITS.
+# Sums, products and powers keep each coefficient's numerator and denominator,
+# in lowest terms, below 10^MAX_DIGITS.
 MAX_DIGITS = 1000
 _DIGIT_BOUND = 10 ** MAX_DIGITS
+
+# Longest common denominator of one value's coefficients.  A value keeps
+# integer numerators over it, so each coprime denominator lengthens them
+# all: without this limit, 200 coprime 1000-digit ones on 200 monomials
+# take 34 s to parse and print on a 2-vCPU Xeon VM.  Ten on ten fit.
+MAX_DENOMINATOR_DIGITS = 10 * MAX_DIGITS
+_DENOMINATOR_BOUND = 10 ** MAX_DENOMINATOR_DIGITS
 
 # Deepest nesting of parentheses and unary minus, counted together.  The
 # parser recurses through four frames per parenthesis, so this stays well
@@ -194,34 +204,46 @@ class _PolyParser:
         if self.depth > MAX_NESTING:
             self.fail(f"nesting exceeds the limit {MAX_NESTING}", tok)
 
-    def bounded(self, coefficients, what: str, tok) -> None:
-        for c in coefficients:
-            if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
-                self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
+    def bounded(self, coefficients, den: int, what: str, tok) -> None:
+        """Fail past MAX_DENOMINATOR_DIGITS in den or MAX_DIGITS in a reduced coefficient."""
+        if den >= _DENOMINATOR_BOUND:
+            self.fail(f"{what} exceeds the denominator limit {MAX_DENOMINATOR_DIGITS}", tok)
+        for n, d in coefficients:
+            if abs(n) >= _DIGIT_BOUND or d >= _DIGIT_BOUND:
+                g = gcd(n, d)
+                if abs(n) // g >= _DIGIT_BOUND or d // g >= _DIGIT_BOUND:
+                    self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
 
     def multiply(self, a: Poly, b: Poly, what: str, tok) -> Poly:
-        self.work += len(a.terms) * len(b.terms)
+        self.work += len(a.numerators) * len(b.numerators)
         if self.work > MAX_TERM_WORK:
             self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
         value = a * b
-        self.bounded((c for _, c in value.terms), what, tok)
+        self.bounded(((n, value.den) for _, n in value.numerators), value.den, what, tok)
         return value
 
     def expr(self) -> Poly:
         value = self.term()
-        terms = None  # once a sign follows, the sum's terms, merged in place
+        table = None  # once a sign follows, each term's (numerator, denominator), merged in place
         while True:
             tok = self.peek()
             if tok.text not in ("+", "-"):
-                return value if terms is None else Poly._trusted(value.variables, terms.items())
+                if table is None:
+                    return value
+                pairs = [(exps, n * (den // d)) for exps, (n, d) in table.items()]
+                return Poly._trusted(value.variables, pairs, den)
             self.take()
             rhs = self.term()
-            if terms is None:
-                terms = dict(value.terms)
-            sign = 1 if tok.text == "+" else -1
-            for exps, c in rhs.terms:
-                terms[exps] = terms.get(exps, 0) + sign * c
-            self.bounded((terms[exps] for exps, _ in rhs.terms), "sum", tok)
+            if table is None:
+                table, den = {exps: (n, value.den) for exps, n in value.numerators}, value.den
+            den = lcm(den, rhs.den)  # a multiple of every term's denominator
+            sign, b = (1 if tok.text == "+" else -1), rhs.den
+            for exps, n in rhs.numerators:
+                p, q = table.get(exps, (0, 1))
+                p, q = p * b + sign * n * q, q * b  # p/q +- n/b
+                g = gcd(p, q)
+                table[exps] = p // g, q // g
+            self.bounded((table[exps] for exps, _ in rhs.numerators), den, "sum", tok)
 
     def term(self) -> Poly:
         value = self.factor()
@@ -262,16 +284,16 @@ class _PolyParser:
     def atom(self) -> Poly:
         tok = self.take()
         if tok.kind == "num":
-            numerator = int(tok.text)
+            den = 1
             if self.peek().text == "/":
                 self.take()
                 denominator = self.take()
                 if denominator.kind != "num":
                     self.fail("expected an integer denominator after '/'", denominator)
-                if int(denominator.text) == 0:
+                den = int(denominator.text)
+                if den == 0:
                     self.fail("zero denominator", denominator)
-                return Poly.const(self.variables, Fraction(numerator, int(denominator.text)))
-            return Poly.const(self.variables, numerator)
+            return Poly._trusted(self.variables, (((0,) * len(self.variables), int(tok.text)),), den)
         if tok.kind == "ident":
             if tok.text not in self.variables:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
@@ -334,6 +356,8 @@ class _Entry:
 
 
 def _read_document(text: str):
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         meat = raw.split("#", 1)[0]
@@ -381,8 +405,8 @@ def _construct(call, taken, fallback: _Entry):
 
 def _window_value(entry: _Entry) -> int:
     try:
-        if not entry.value.isascii() or "_" in entry.value:  # int() takes both
-            raise ValueError(entry.value)
+        if not entry.value.isascii() or entry.value[0] == "+" or "_" in entry.value:
+            raise ValueError(entry.value)  # int() takes all three
         window = int(entry.value)
     except ValueError:
         raise DslSyntaxError("window must be an integer", entry.line, entry.value_col) from None
@@ -722,8 +746,9 @@ def _cmd_irreducible(args) -> Tuple[int, str]:
     spec = _require_spec(_load(args.path), "irreducible")
     seed = None
     if args.seed_poly is not None:
+        text = "--" if args.seed_poly == [] else args.seed_poly  # as argparse < 3.12 reads it
         try:
-            seed = parse_poly(args.seed_poly, module_variables(spec))
+            seed = parse_poly(text, module_variables(spec))
         except DslSyntaxError as exc:  # a position in the option, not in the document
             line = f", line {exc.line}" if exc.line != 1 else ""
             raise DslSyntaxError(f"--seed-poly{line}, col {exc.col}: {exc.message}") from exc

@@ -28,7 +28,7 @@ cached by (algebra, generator tuple, test degree) in a bounded LRU cache
 shift sigma and its bracket terms, so `bracket` runs only when a plan is
 built.  Building a plan checks the grading: a bracket term whose shift is
 not its pair's raises ValueError.  Each request then fills one table of integer forms,
-`modfam._Forms` (shift_x, and x.1 cleared to integers, keyed by symbol),
+`modfam._Forms` (shift_x, and x.1's numerators and denominator, keyed by symbol),
 as pairs first look them up (y, x, then the bracket terms, as evaluating
 through `act` would), so each x.1 is computed afresh once and verifying a
 spec leaves nothing behind; a lookup that raises WindowExceeded stores
@@ -59,8 +59,6 @@ from typing import Tuple
 from .exactpoly import (
     Poly,
     _combine,
-    _from_integer_terms,
-    _integer_terms,
     _shift_mul,
     format_poly,
     monomials_upto,
@@ -125,8 +123,8 @@ class _Entries(Sequence):
     def _residual(self, pair: int, j: int) -> Poly:
         """sigma(v) * R for FAIL pair `pair` on monomial j, never zero."""
         sigma, r, scale = self._failures[pair]
-        v, _ = _integer_terms(self._monos[j])
-        return _from_integer_terms(self._zero.variables, _shift_mul(v, sigma, r), scale)
+        v = dict(self._monos[j].numerators)  # a monic monomial
+        return Poly._trusted(self._zero.variables, _shift_mul(v, sigma, r).items(), scale)
 
     def _entry(self, pair: int, j: int) -> ReportEntry:
         x, y, status = self._outcomes[pair]

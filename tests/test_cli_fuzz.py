@@ -117,6 +117,9 @@ def invocations(draw):
 @example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly=0"]))
 # a seed that starts with '-', as the argument after its flag
 @example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly", "-s+1"]))
+# the seed `--`, which argparse reads as an empty list
+@example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly", "--"]))
+@example(invocation=(format_spec(mab(2, 3)), ["irreducible", "--seed-poly=--"]))
 # nesting deep enough to exhaust the interpreter's recursion limit
 @example(invocation=(NESTED_PARENTHESES, ["verify"]))
 @example(invocation=(NESTED_MINUS, ["verify"]))

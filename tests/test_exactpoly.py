@@ -1,5 +1,6 @@
+import pickle
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 import pytest
@@ -20,8 +21,6 @@ from nwfree.exactpoly import (
     reduce_mod_univariate,
     MAX_MONOMIAL_TEXTS,
     _combine,
-    _from_integer_terms,
-    _integer_terms,
     _monomial_text,
     _shift_mul,
     _taylor_shift,
@@ -238,11 +237,16 @@ def test_ring_axioms(a, b, c):
 
 
 def _assert_canonical(r):
-    # what the validating constructor would build, and canonical in itself
-    assert r == Poly(r.variables, r.terms)
-    assert all(type(c) is Fraction and c != 0 for _, c in r.terms)
-    keys = [(sum(e), e) for e, _ in r.terms]
+    # what the validating constructor would build, and canonical in itself:
+    # nonzero int numerators in descending grlex over den > 0 sharing no factor
+    assert r == Poly(r.variables, r.terms) == Poly(r.variables, r.numerators, r.den)
+    numerators = [n for _, n in r.numerators]
+    assert all(type(n) is int and n != 0 for n in numerators)
+    keys = [(sum(e), e) for e, _ in r.numerators]
     assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert type(r.den) is int and r.den > 0 and gcd(r.den, *numerators) == 1
+    assert r.den == 1 or numerators  # the zero polynomial has den 1
+    assert all(type(c) is Fraction and c != 0 for _, c in r.terms)
 
 
 def _poly_pair(variables):
@@ -256,9 +260,36 @@ def _poly_pair(variables):
 def test_internal_results_are_canonical(pair, c, a, b):
     u, v = pair
     shift = (a,) if u.variables == S else (a, b)
+    var = u.variables[-1]
     for r in (u + v, u - v, u - u, u + (-u), u * v, u * c, c * u, u * 0, -u,
-              apply_shift(shift, u)):
+              apply_shift(shift, u), negate_var(u, var), coefficient_in(u, var, 1),
+              change_variables(u, ("d0",) + u.variables)):
         _assert_canonical(r)
+
+
+def test_equal_values_built_differently_are_identical():
+    s = Poly.var(S, "s")
+    half = Fraction(1, 2)
+    values = [Poly(S, {(1,): half}), s * half, (s * 6) * Fraction(1, 12)]
+    for value in values:
+        _assert_canonical(value)
+        assert (value.numerators, value.den) == ((((1,), 1),), 2)
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert len(set(values)) == 1
+    assert len({hash(v) for v in values}) == 1
+    assert len({repr(v) for v in values}) == 1
+    assert len({pickle.dumps(v) for v in values}) == 1
+    assert repr(values[0]) == "Poly(variables=('s',), terms=(((1,), Fraction(1, 2)),))"
+
+
+def test_the_constructor_divides_its_terms_by_a_positive_integer_den():
+    half_s = Poly(S, {(1,): Fraction(1, 2)})
+    assert Poly(S, {(1,): 3}, 6) == Poly(S, half_s.numerators, half_s.den) == half_s
+    assert Poly(S, {(1,): Fraction(3, 2), (0,): 1}, 3) == Poly(S, {(1,): Fraction(1, 2),
+                                                                  (0,): Fraction(1, 3)})
+    for bad in (0, -1, 1.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="^den must be a positive integer"):
+            Poly(S, {(1,): 1}, bad)
 
 
 # numerators over mixed denominators, so the common denominator varies
@@ -430,10 +461,9 @@ def test_mul_matches_double_loop_reference(case):
 @given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_product_case))
 def test_shift_mul_matches_shift_then_reference_product(case):
     x, w, sh = case
-    (ints, scale_x), (factor, scale_w) = _integer_terms(x), _integer_terms(w)
-    product = _shift_mul(ints, sh, factor.items())
+    product = _shift_mul(dict(x.numerators), sh, w.numerators)
     assert all(type(n) is int for n in product.values())
-    product = _from_integer_terms(x.variables, product, scale_x * scale_w)
+    product = Poly._trusted(x.variables, product.items(), x.den * w.den)
     assert product == poly_mul_reference(apply_shift(sh, x), w)
     _assert_canonical(product)
 

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import inspect
+import math
 import pkgutil
 import random
 import sys
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import nwfree
 from nwfree import InputError
-from nwfree.exactpoly import Poly, VariableMismatch
+from nwfree.classify import classify
+from nwfree.exactpoly import Poly, VariableMismatch, format_poly
 from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
 from nwfree.modfam import (
     MAX_WINDOW,
@@ -25,6 +27,7 @@ from nwfree.modfam import (
     MalformedData,
     SpecInvalid,
     Vir00Spec,
+    act,
     actions_of,
     affvir,
     m0,
@@ -38,6 +41,7 @@ from nwfree.modfam import (
 )
 from nwfree.specdsl import (
     MAX_DEGREE,
+    MAX_DENOMINATOR_DIGITS,
     MAX_DIGITS,
     MAX_NESTING,
     MAX_TERM_WORK,
@@ -242,6 +246,8 @@ def test_missing_beta_inside_window_points_at_window():
         ("algebra = H4\nfamily = Mg0\ng = s+*2\n", "unexpected '*'", 3, 7),
         ("algebra = H4\nfamily =\n", "missing value for family", 2, 9),
         (MTAB_DOC + "color = red\n", "key color is not used by family MTildeAlphaBeta", 11, 1),
+        # int() takes a leading `+`; a window does not
+        (MTAB_DOC.replace("window = 1", "window = +1"), "window must be an integer", 10, 10),
         # the window is read before the loop keys, so its absence comes first
         (MTAB_DOC.replace("window = 1", "beta.x = 1"),
          "family MTildeAlphaBeta requires window", 2, 1),
@@ -904,6 +910,71 @@ def test_nesting_products_and_powers_at_their_limits_parse():
     assert len(str(low.denominator)) == MAX_DIGITS
 
 
+# the denominators of SIX_FRACTIONS, one per monomial: 1/N1+1/N2*s+...+1/N6*s^5
+SIX_DENOMINATORS = [10 ** 999 + k for k in (1, 3, 5, 7, 9, 13)]
+SIX_MONOMIALS = [f"1/{n}" + ("" if i == 0 else "*s" if i == 1 else f"*s^{i}")
+                 for i, n in enumerate(SIX_DENOMINATORS)]
+
+
+def test_coprime_denominators_on_distinct_monomials_parse_and_print_back():
+    # the digit limit holds each coefficient in lowest terms, not the
+    # common denominator, which here has about 6,000 digits
+    value = parse_poly("+".join(SIX_MONOMIALS), ("s",))
+    assert value.den == math.prod(SIX_DENOMINATORS)
+    assert value.terms == tuple(((i,), Fraction(1, n)) for i, n in enumerate(SIX_DENOMINATORS))[::-1]
+    assert format_poly(value) == "+".join(reversed(SIX_MONOMIALS))
+
+
+def _coprime(count, digits):
+    """The first `count` pairwise coprime ints 10^(digits-1) + k, k = 1, 2, ..."""
+    found = []
+    k = 1
+    while len(found) < count:
+        n = 10 ** (digits - 1) + k
+        if all(math.gcd(n, m) == 1 for m in found):
+            found.append(n)
+        k += 1
+    return found
+
+
+def test_a_common_denominator_past_its_limit_exits_2_at_its_sign():
+    assert MAX_DENOMINATOR_DIGITS == 10 * MAX_DIGITS
+    # ten coprime 1000-digit denominators on ten monomials fit; an eleventh does not
+    terms = [f"1/{n}*s^{i}" for i, n in enumerate(_coprime(11, MAX_DIGITS))]
+    assert parse_poly("+".join(terms[:10])).den >= 10 ** (10 * (MAX_DIGITS - 1))
+    with pytest.raises(DslSyntaxError) as err:
+        parse_poly("+".join(terms))
+    assert err.value.message == "sum exceeds the denominator limit 10000"
+    assert err.value.col == len("+".join(terms[:10])) + 1
+    # 11 by 11 products 1/(a_i b_j) on distinct monomials: each coefficient
+    # has 999 digits, their common denominator about 11,000
+    halves = _coprime(22, MAX_DIGITS // 2)
+    a, b = halves[::2], halves[1::2]
+    left = "+".join(f"1/{n}*s^{i}" for i, n in enumerate(a))
+    right = "+".join(f"1/{n}*d^{j}" for j, n in enumerate(b))
+    with pytest.raises(DslSyntaxError) as err:
+        parse_poly(f"({left})*({right})")
+    assert err.value.message == "product exceeds the denominator limit 10000"
+    assert err.value.col == len(left) + 3
+
+
+def test_a_long_sum_merges_its_terms_in_place(monkeypatch):
+    base = parse_poly("(s+d+1)^64", SD)
+    trusted = Poly._trusted
+    large = []
+
+    def counted(variables, pairs, den=1):
+        value = trusted(variables, pairs, den)
+        if len(value.numerators) > 1000:
+            large.append(value)
+        return value
+
+    monkeypatch.setattr(Poly, "_trusted", staticmethod(counted))
+    assert parse_poly("(s+d+1)^64" + "+0" * 1000, SD) == base
+    # the power's own results and one sum; a new value per sign would be 1,000 more
+    assert 0 < len(large) <= 65
+
+
 # (c*s+c*d+c)^32 has 561 terms, (c*s+c*d)^32 has 33; c has 15 digits
 C15 = "123456789012345"
 WIDE = f"({C15}*s+{C15}*d+{C15})^32"
@@ -1261,6 +1332,25 @@ def test_cli_reports_are_deterministic(tmp_path, capsys):
     main(["verify", path])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: parse_spec(None), "text"),
+        (lambda: parse_actions(None), "text"),
+        (lambda: parse_input(None), "text"),
+        (lambda: classify(None), "data"),
+        (lambda: act(mhb(1, 0, 1), "p", Poly.one(("s",))), "x"),
+        (lambda: act(mhb(1, 0, 1), sym("p"), None), "v"),
+    ],
+    ids=["parse_spec", "parse_actions", "parse_input", "classify", "act-symbol", "act-vector"],
+)
+def test_wrong_typed_arguments_raise_type_error_naming_them(call, argument):
+    # no InputError: the CLI never passes such values, so this is a caller's fault
+    with pytest.raises(TypeError, match=f"^{argument} must be ") as err:
+        call()
+    assert not isinstance(err.value, InputError)
 
 
 if __name__ == "__main__":
