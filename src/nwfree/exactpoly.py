@@ -33,10 +33,16 @@ mapping or sequence of terms.  Everything else goes through the one
 canonicalizer, `Poly._trusted(variables, pairs, den)`, which drops zero
 numerators, divides by their gcd with den and sorts; the one-term
 builders `zero`, `one`, `const` and `var` and the test monomials of
-`monomials_upto` check their own arguments first.  Every formatter writes
-polynomials through `format_poly`, which reduces each numerator over the
-denominator with one gcd and takes monomial text from `_monomial_text`,
-a table of at most MAX_MONOMIAL_TEXTS entries.
+`monomials_upto` check their own arguments first.  `reduce_mod_univariate`
+eliminates fraction-free on numerators and builds one `Poly`, its result.
+
+Every formatter writes polynomial text through one writer, `format_terms`,
+over (variables, nonzero (exponents, int) pairs in descending graded-lex
+order, denominator): `format_poly` hands it a polynomial's numerators,
+and `irreducible.format_witness` a closure image's integer map, sorted.
+It reduces each numerator over the denominator with one gcd and takes
+monomial text from `_monomial_text`, a table of at most
+MAX_MONOMIAL_TEXTS entries.
 """
 
 from __future__ import annotations
@@ -380,6 +386,11 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
     """Remainder of x upon division by w, where w is univariate in var.
 
     The remainder is zero exactly when x lies in the principal ideal (w).
+    Elimination is fraction-free on x's numerators, grouped in rows by
+    their power of var: with L the leading numerator of w, each step
+    rem <- |L| * rem - sign(L) * c * var^(d - deg w) * w clears the top
+    row c * var^d and multiplies the denominator by |L|, so the one `Poly`
+    built at the end is the exact remainder.
     """
     if w.is_zero():
         raise ValueError("division by the zero polynomial")
@@ -391,16 +402,34 @@ def reduce_mod_univariate(x: Poly, w: Poly, var: str) -> Poly:
     deg_w = degree_in(w, var)
     if deg_w in (0, NEG_INF):
         return Poly.zero(x.variables)  # a nonzero constant generates everything
-    lead_w = w.coefficient(tuple(deg_w if j == i else 0 for j in range(len(x.variables))))
-    rem = x
-    while True:
-        d = degree_in(rem, var)
-        if d is NEG_INF or d < deg_w:
-            return rem
-        lead = coefficient_in(rem, var, d)
-        shift_exps = tuple(d - deg_w if j == i else 0 for j in range(len(x.variables)))
-        shift_mono = Poly._trusted(x.variables, ((shift_exps, 1),))
-        rem = rem - (lead * (Fraction(1) / lead_w)) * shift_mono * w
+    if degree_in(x, var) < deg_w:
+        return x
+    (_, lead), *rest = w.numerators  # var^deg_w leads, the one term of its degree
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    tail = [(exps[i] - deg_w, sign * n) for exps, n in rest]  # (power below deg w, sign * n)
+    rows: dict = {}  # power of var -> {exponents: int}
+    for exps, n in x.numerators:
+        rows.setdefault(exps[i], {})[exps] = n
+    den = x.den
+    for d in range(max(rows), deg_w - 1, -1):
+        top = rows.pop(d, None)
+        if top is None or not any(top.values()):
+            continue
+        if scale != 1:
+            den *= scale
+            for row in rows.values():
+                for exps in row:
+                    row[exps] *= scale
+        for exps, n in top.items():
+            if n:
+                for k, c in tail:
+                    p = d + k
+                    key = exps[:i] + (p,) + exps[i + 1:]
+                    row = rows.get(p)
+                    if row is None:
+                        row = rows[p] = {}
+                    row[key] = row.get(key, 0) - n * c
+    return Poly._trusted(x.variables, [pair for row in rows.values() for pair in row.items()], den)
 
 
 def exponents_upto(n: int, degree: int) -> list:
@@ -416,7 +445,7 @@ def monomials_upto(variables: Iterable[str], degree: int) -> list:
     return [Poly._trusted(variables, ((e, 1),)) for e in exponents_upto(len(variables), degree)]
 
 
-# Distinct monomials whose text `format_poly` keeps; a bound, not a tuning knob.
+# Distinct monomials whose text `format_terms` keeps; a bound, not a tuning knob.
 MAX_MONOMIAL_TEXTS = 1024
 
 
@@ -448,37 +477,43 @@ def format_rational(c: Fraction) -> str:
     return text if c.denominator == 1 else f"{text}/{_int_text(c.denominator)}"
 
 
-def format_poly(x: Poly) -> str:
-    """Canonical space-free text: leading term first, e.g. `s^2-3*s*d+7`.
+def format_terms(variables: Tuple[str, ...], pairs, den: int = 1) -> str:
+    """Canonical space-free text of sum(n * x^e) / den, e.g. `s^2-3*s*d+7`.
 
-    Each coefficient is its numerator over x's denominator, reduced by one
+    `pairs` holds nonzero (exponents, int) pairs in descending graded-lex
+    order, leading term first, over den > 0; they need not share a gcd
+    with den.  Each coefficient is its numerator over den, reduced by one
     gcd, and the monomial text comes from the bounded `_monomial_text`
     table, so no term builds a Fraction; long ints go to `_int_text`.
     """
-    if not x.numerators:
+    if not pairs:
         return "0"
-    variables = x.variables
     parts = []
-    for exps, num in x.numerators:
+    for exps, num in pairs:
         if num < 0:
             parts.append("-")
             num = -num
         elif parts:
             parts.append("+")
-        g = gcd(num, x.den)
-        num, den = num // g, x.den // g
+        g = gcd(num, den)
+        num, d = num // g, den // g
         if num >= _TEXT_PIECE:
             num = _int_text(num)
-        if den >= _TEXT_PIECE:
-            den = _int_text(den)
+        if d >= _TEXT_PIECE:
+            d = _int_text(d)
         body = _monomial_text(variables, exps)
-        if den != 1:
-            parts.append(f"{num}/{den}*{body}" if body else f"{num}/{den}")
+        if d != 1:
+            parts.append(f"{num}/{d}*{body}" if body else f"{num}/{d}")
         elif num != 1:
             parts.append(f"{num}*{body}" if body else str(num))
         else:
             parts.append(body or "1")
     return "".join(parts)
+
+
+def format_poly(x: Poly) -> str:
+    """Canonical space-free text of x, through `format_terms`."""
+    return format_terms(x.variables, x.numerators, x.den)
 
 
 # Fraction arithmetic on Poly.__truediv__ is deliberately absent: scale by

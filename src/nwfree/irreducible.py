@@ -16,22 +16,30 @@ fraction-free on integer vectors, taking each image only when it pops it
 and stopping at the first constant pivot.  Each call reads every x.1, the
 chain's constants c and c1 included, from one `modfam._Forms` table of its
 own, so each is computed once per call and nothing is kept per spec.
+The witness's closure images stay integer maps up to the text: its
+`closure_checks` builds a `ClosureCheck`, and its `Poly` image, only when
+read, and `format_witness` writes each map through `exactpoly.format_terms`.
 """
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional, Tuple
 
 from . import InputError
 from .exactpoly import (
     Poly,
+    _grlex,
+    _monomial_text,
     change_variables,
     degree_in,
     exponents_upto,
     format_poly,
     format_rational,
+    format_terms,
     monomials_upto,
     reduce_mod_univariate,
 )
@@ -109,14 +117,90 @@ class ClosureCheck:
     contained: bool
 
 
+class _ClosureChecks(Sequence):
+    """The closure checks of one witness, each built only when read.
+
+    Check k is generator k // n on test monomial k % n, n the number of
+    test monomials.  Its image is kept as the integer map {exponents: int}
+    the recurrence built, over its generator's scale, and becomes a `Poly`
+    only when the check is read; its flag is kept as is.  Reads, compares,
+    hashes and pickles as the tuple of its checks; slices are tuples.
+    """
+
+    __slots__ = ("_variables", "_monos", "_generators", "_scales", "_images", "_contained")
+
+    def __init__(self, variables, monos, generators, scales, images, contained):
+        self._variables = variables
+        self._monos = monos  # test monomials, ascending graded-lex
+        self._generators = generators
+        self._scales = scales  # per generator: the denominator of its images
+        self._images = images  # per check: the integer map of its image
+        self._contained = contained  # per check
+
+    def _check(self, k: int) -> ClosureCheck:
+        x, j = divmod(k, len(self._monos))
+        image = Poly._trusted(self._variables, self._images[k].items(), self._scales[x])
+        return ClosureCheck(self._generators[x], self._monos[j], image, self._contained[k])
+
+    def _rows(self):
+        """(generator, test monomial text, variables, image pairs, image den,
+        contained) per check, the pairs nonzero in descending graded-lex order."""
+        variables = self._variables
+        texts = [_monomial_text(variables, m.numerators[0][0]) or "1" for m in self._monos]
+        # every exponent vector of every image, ranked once in descending graded-lex order
+        order = sorted(set().union(*self._images), key=_grlex, reverse=True)
+        rank = {e: r for r, e in enumerate(order)}.__getitem__
+        images, contained = iter(self._images), iter(self._contained)
+        for x, scale in zip(self._generators, self._scales):
+            for text in texts:
+                ints = next(images)
+                pairs = [(e, ints[e]) for e in sorted(ints, key=rank) if ints[e]]
+                yield x, text, variables, pairs, scale, next(contained)
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        size = len(self)
+        k = index(k)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("closure check index out of range")
+        return self._check(k)
+
+    def __iter__(self):
+        return map(self._check, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _ClosureChecks)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _ClosureChecks, (self._variables, self._monos, self._generators,
+                                self._scales, self._images, self._contained)
+
+
 @dataclass(frozen=True)
 class ReducibilityWitness:
     ideal_generator: Poly
-    closure_checks: Tuple[ClosureCheck, ...]
+    closure_checks: Sequence[ClosureCheck]
 
     @property
     def all_contained(self) -> bool:
-        return all(check.contained for check in self.closure_checks)
+        checks = self.closure_checks
+        if type(checks) is _ClosureChecks:
+            return all(checks._contained)
+        return all(check.contained for check in checks)
 
 
 _ZERO_IDEAL_NOTE = "p, q and r act as zero, so every proper ideal is invariant"
@@ -378,7 +462,10 @@ def witness(spec) -> ReducibilityWitness:
     * (v + offset_v), the image of m is the image of m / v times that
     two-term factor: one pass over an integer map per check, no shift.
     When R_x reduces to zero modulo the ideal, every image of x lies in the
-    ideal; only otherwise is each image reduced on its own.
+    ideal; only otherwise is each image reduced on its own.  The images
+    stay integer maps over one scale per generator; `closure_checks` is a
+    read-only sequence that builds each check, and its `Poly` image, when
+    read, and `format_witness` writes the maps without building either.
     """
     verdict = decide(spec)
     if verdict.irreducible:
@@ -387,32 +474,34 @@ def witness(spec) -> ReducibilityWitness:
     variables = module_variables(spec)
     forms = _Forms(spec)
     ideal_ints = dict(ideal.numerators)
-    # (m, its exponents, its first used variable i, m / v_i) per test monomial
-    steps = []
-    for m in monomials_upto(variables, 4):
+    monos = tuple(monomials_upto(variables, 4))
+    # (first used variable i, position of m / v_i) per test monomial m, None for 1
+    position, steps = {}, []
+    for m in monos:
         (exps, _), = m.numerators  # a monic monomial
         i = next((j for j, e in enumerate(exps) if e), None)
-        lower = None if i is None else exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-        steps.append((m, exps, i, lower))
-    checks = []
-    for x in generators(spec):
+        lower = None if i is None else position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
+        position[exps] = len(steps)
+        steps.append((i, lower))
+    gens = tuple(generators(spec))
+    scales, images, contained = [], [], []
+    for x in gens:
         form = forms[x]
         offsets = form[0]
         r_ints = _image(form, ideal_ints)  # R_x times `scale`, on integers
         scale = ideal.den * form[2]
         r_x = Poly._trusted(variables, r_ints.items(), scale)
         closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
-        images = {}  # exponents of m -> shift_x(m) * R_x times `scale`
-        for m, exps, i, lower in steps:
-            if i is None:
-                image_ints = r_ints
-            else:
-                image_ints = _times_shifted_variable(images[lower], i, offsets[i])
-            images[exps] = image_ints
-            image = Poly._trusted(variables, image_ints.items(), scale)
-            contained = closed or reduce_mod_univariate(image, ideal, var).is_zero()
-            checks.append(ClosureCheck(x, m, image, contained))
-    return ReducibilityWitness(ideal, tuple(checks))
+        own = []  # shift_x(m) * R_x times `scale`, per test monomial m
+        for i, lower in steps:
+            image_ints = r_ints if i is None else _times_shifted_variable(own[lower], i, offsets[i])
+            own.append(image_ints)
+            contained.append(closed or reduce_mod_univariate(
+                Poly._trusted(variables, image_ints.items(), scale), ideal, var).is_zero())
+        scales.append(scale)
+        images.extend(own)
+    checks = _ClosureChecks(variables, monos, gens, tuple(scales), images, tuple(contained))
+    return ReducibilityWitness(ideal, checks)
 
 
 # Largest oracle cap degree: the rows are dense over every monomial up to
@@ -523,14 +612,21 @@ def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = Non
 
 
 def format_witness(wit: ReducibilityWitness, alg: Optional[str] = None) -> str:
+    """IDEAL, one CLOSURE line per check, SUMMARY.  A witness's own checks
+    are written from their integer maps; any other sequence of checks is
+    written from each check's fields."""
     lines = [f"IDEAL {format_poly(wit.ideal_generator)}"]
-    for check in wit.closure_checks:
-        status = "PASS" if check.contained else "FAIL"
+    checks = wit.closure_checks
+    if type(checks) is _ClosureChecks:
+        rows = checks._rows()
+    else:
+        rows = ((c.generator, format_poly(c.test_poly), c.image.variables, c.image.numerators,
+                 c.image.den, c.contained) for c in checks)
+    for x, test, variables, pairs, den, contained in rows:
         lines.append(
-            f"CLOSURE {format_symbol(check.generator, alg)} "
-            f"POLY {format_poly(check.test_poly)} "
-            f"IMAGE {format_poly(check.image)} {status}"
+            f"CLOSURE {format_symbol(x, alg)} POLY {test} "
+            f"IMAGE {format_terms(variables, pairs, den)} {'PASS' if contained else 'FAIL'}"
         )
     verdict = "true" if wit.all_contained else "false"
-    lines.append(f"SUMMARY pass={verdict} checked={len(wit.closure_checks)}")
+    lines.append(f"SUMMARY pass={verdict} checked={len(checks)}")
     return "\n".join(lines)

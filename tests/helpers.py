@@ -9,14 +9,16 @@ from math import comb, gcd
 from hypothesis import strategies as st
 
 from nwfree.exactpoly import (
+    NEG_INF,
     Poly,
     VariableMismatch,
     apply_shift,
     change_variables,
+    coefficient_in,
+    degree_in,
     exponents_upto,
     format_poly,
     monomials_upto,
-    reduce_mod_univariate,
 )
 from nwfree.irreducible import (
     ClosureCheck,
@@ -477,8 +479,34 @@ def rational_root_reference(g, var):
     return None
 
 
+def reduce_mod_univariate_reference(x, w, var):
+    """reduce_mod_univariate as long division on polynomials: each step
+    subtracts (lead / lead_w) * var^(d - deg w) * w, five `Poly` operations."""
+    if w.is_zero():
+        raise ValueError("division by the zero polynomial")
+    w = change_variables(w, x.variables)
+    i = x.variables.index(var)
+    for exps, _ in w.terms:
+        if any(e != 0 for j, e in enumerate(exps) if j != i):
+            raise ValueError(f"{format_poly(w)} is not univariate in {var!r}")
+    deg_w = degree_in(w, var)
+    if deg_w in (0, NEG_INF):
+        return Poly.zero(x.variables)
+    lead_w = w.coefficient(tuple(deg_w if j == i else 0 for j in range(len(x.variables))))
+    rem = x
+    while True:
+        d = degree_in(rem, var)
+        if d is NEG_INF or d < deg_w:
+            return rem
+        lead = coefficient_in(rem, var, d)
+        shift_exps = tuple(d - deg_w if j == i else 0 for j in range(len(x.variables)))
+        shift_mono = Poly(x.variables, {shift_exps: 1})
+        rem = rem - (lead * (Fraction(1) / lead_w)) * shift_mono * w
+
+
 def witness_reference(spec):
-    """witness with one `act` and one reduction per check, and the divisor-test root."""
+    """witness with one `act` and one reduction per check, by the long-division
+    reference, and the divisor-test root."""
     verdict = decide(spec)
     if verdict.irreducible:
         raise NotReducible(f"{verdict.family} is irreducible, no invariant ideal exists")
@@ -501,7 +529,7 @@ def witness_reference(spec):
     for x in generators(spec):
         for m in monomials_upto(variables, 4):
             image = act(spec, x, ideal * m)
-            contained = reduce_mod_univariate(image, ideal, var).is_zero()
+            contained = reduce_mod_univariate_reference(image, ideal, var).is_zero()
             checks.append(ClosureCheck(x, m, image, contained))
     return ReducibilityWitness(ideal, tuple(checks))
 

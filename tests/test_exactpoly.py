@@ -4,7 +4,7 @@ from math import gcd, lcm
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nwfree.exactpoly import (
     NEG_INF,
@@ -31,6 +31,7 @@ from helpers import (
     format_poly_reference,
     int_digit_limit_lifted,
     poly_mul_reference,
+    reduce_mod_univariate_reference,
 )
 
 S = ("s",)
@@ -503,6 +504,52 @@ def test_combine_matches_fraction_sum(parts, cancel):
     }
     if cancel:
         assert not any(total.values())
+
+
+def _division_case(variables):
+    # x with rational coefficients; w univariate in var, by its coefficients
+    # lowest power first, over var alone or over x's variables
+    exps = st.tuples(*[st.integers(min_value=0, max_value=5)] * len(variables))
+    terms = st.lists(st.tuples(exps, mixed_fractions_st), max_size=8)
+    x = terms.map(lambda ts: Poly(variables, ts))
+    lower = st.lists(mixed_fractions_st, max_size=3)
+    lead = mixed_fractions_st.filter(bool)
+    return st.tuples(x, st.sampled_from(variables), lower, lead, st.booleans())
+
+
+def _univariate(variables, var, coeffs):
+    i = variables.index(var)
+    return Poly(variables, {tuple(k if j == i else 0 for j in range(len(variables))): c
+                            for k, c in enumerate(coeffs)})
+
+
+_CUBIC = Poly(SD, {(3, 1): Fraction(5, 6), (2, 2): -7, (0, 1): 3, (0, 0): 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([S, SD]).flatmap(_division_case))
+@example((_CUBIC, "s", [Fraction(2), Fraction(0), Fraction(1, 2)], Fraction(-3, 4), False))
+@example((_CUBIC, "s", [], Fraction(-7, 2), True))  # a constant w
+@example((_CUBIC, "d", [Fraction(1), Fraction(-2), Fraction(4)], Fraction(-9), True))
+@example((Poly(S, {(1,): -3, (0,): 1}), "s", [Fraction(1), Fraction(0)], Fraction(-2), False))
+def test_reduce_mod_univariate_matches_long_division(case):
+    x, var, lower, lead, own = case
+    w = _univariate((var,) if own else x.variables, var, lower + [lead])
+    got = reduce_mod_univariate(x, w, var)
+    assert got == reduce_mod_univariate_reference(x, w, var)
+    _assert_canonical(got)
+    if degree_in(x, var) < degree_in(w, var) > 0:
+        assert got is x  # nothing to eliminate
+    assert degree_in(got, var) < max(degree_in(w, var), 1)
+
+
+def test_reduce_mod_univariate_rejects_what_it_cannot_divide_by():
+    x = Poly(SD, {(2, 1): 1})
+    for w, message in ((Poly.zero(SD), "division by the zero polynomial"),
+                       (Poly(SD, {(1, 1): 1}), "s\\*d is not univariate in 's'")):
+        for divide in (reduce_mod_univariate, reduce_mod_univariate_reference):
+            with pytest.raises(ValueError, match=message):
+                divide(x, w, "s")
 
 
 def test_combine_single_and_empty():

@@ -1,6 +1,8 @@
 """Verdicts, reduction chains, witness ideals, and the orbit oracle."""
 
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -583,7 +585,7 @@ def test_witness_matches_reference(spec):
 def test_witness_shifts_no_test_monomial(monkeypatch):
     # each closure image is the previous one times (v + offset): the only
     # polynomial shifted is the ideal generator, at most once per generator
-    # (products, as in reduce_mod_univariate, call the kernel with no shift)
+    # (products, as in modfam._value_on_one, call the kernel with no shift)
     shifted = []
     real = nwfree.exactpoly._taylor_shift
 
@@ -603,20 +605,96 @@ def test_witness_shifts_no_test_monomial(monkeypatch):
         assert all(ints == ideal_ints for ints in shifted), spec
 
 
-def test_witness_falls_back_to_per_check_reduction():
+def _unkept_ideal_witness():
     # an ideal the generators do not keep: R_x is not in it, so each image is reduced
     spec = mab(2, 3)
     ideal = S - Poly.one(("s",))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nwfree.irreducible, "decide", lambda spec: decide(mg0(S)))
         mp.setattr(nwfree.irreducible, "_witness_generator", lambda spec: (ideal, "s"))
-        wit = witness(spec)
+        return spec, ideal, witness(spec)
+
+
+def test_witness_falls_back_to_per_check_reduction():
+    spec, ideal, wit = _unkept_ideal_witness()
     statuses = {check.contained for check in wit.closure_checks}
     assert statuses == {True, False}
     for check in wit.closure_checks:
         assert check.image == act(spec, check.generator, ideal * check.test_poly)
         remainder = reduce_mod_univariate(check.image, ideal, "s")
         assert remainder.is_zero() is check.contained
+
+
+@pytest.mark.parametrize("kept", [True, False])
+def test_closure_checks_view_reads_as_its_tuple(kept):
+    if kept:
+        spec = _WIDE_WITNESS_SPECS[0]
+        wit = witness(spec)
+    else:
+        spec, _, wit = _unkept_ideal_witness()
+    alg = algebra_of(spec)
+    view = wit.closure_checks
+    checks = tuple(view)
+    assert type(view) is not tuple and wit.all_contained is kept
+    n = len(checks)
+    assert len(view) == n == len(generators(spec)) * len(monomials_upto(module_variables(spec), 4))
+    assert all(type(c.image) is Poly for c in checks)
+    assert {c.contained for c in checks} == ({True} if kept else {True, False})
+    assert view == checks and checks == view and not view != checks and not checks != view
+    assert view != checks[:-1] and checks[:-1] != view and view != list(checks)
+    assert hash(view) == hash(checks) and repr(view) == repr(checks)
+    again = pickle.loads(pickle.dumps(view))
+    assert type(again) is type(view) and again == checks and hash(again) == hash(checks)
+    assert [view[i] for i in range(-n, n)] == list(checks) * 2
+    for i in (n, -n - 1, 10 * n):
+        with pytest.raises(IndexError):
+            view[i]
+    for cut in (slice(None), slice(None, None, 3), slice(-5, None, -2), slice(1, 40, 7),
+                slice(n + 5, None, -4), slice(3, 3), slice(-1, 0, 1)):
+        assert type(view[cut]) is tuple and view[cut] == checks[cut]
+    assert list(reversed(view)) == list(reversed(checks))
+    assert checks[n // 2] in view and view.index(checks[n // 2]) == checks.index(checks[n // 2])
+    plain = dataclasses.replace(wit, closure_checks=checks)
+    assert wit == plain and plain == wit and hash(wit) == hash(plain) and repr(wit) == repr(plain)
+    assert pickle.loads(pickle.dumps(wit)) == plain
+    assert plain.all_contained is kept
+    text = format_witness(wit, alg)
+    assert format_witness(plain, alg) == text
+    assert format_witness(pickle.loads(pickle.dumps(wit)), alg) == text
+    # perfbench selfcheck.py's planted answer: the first check flipped, the rest a slice
+    first = (dataclasses.replace(view[0], contained=False),)
+    planted = dataclasses.replace(wit, closure_checks=first + view[1:])
+    assert type(planted.closure_checks) is tuple and not planted.all_contained
+    lines, planted_lines = text.splitlines(), format_witness(planted, alg).splitlines()
+    assert planted_lines[1] == lines[1].rsplit(" ", 1)[0] + " FAIL"
+    assert planted_lines[2:-1] == lines[2:-1]
+    assert planted_lines[-1] == f"SUMMARY pass=false checked={n}"
+
+
+def test_witness_builds_no_poly_per_closure_image(monkeypatch):
+    # 70 generators on 15 test monomials: at most 6 Poly results per generator,
+    # not one per image, from the witness and its text together
+    spec = _WIDE_WITNESS_SPECS[1]
+    gens = len(generators(spec))
+    trusted = Poly._trusted
+    built = []
+
+    def counted(variables, pairs, den=1):
+        value = trusted(variables, pairs, den)
+        built.append(value)
+        return value
+
+    monkeypatch.setattr(Poly, "_trusted", staticmethod(counted))
+    wit = witness(spec)
+    text = format_witness(wit, AFFINE_H4)
+    assert gens == 70 and len(wit.closure_checks) == 1050
+    assert text.endswith("\nSUMMARY pass=true checked=1050")
+    assert len(built) <= 6 * gens
+    before = len(built)
+    assert wit.all_contained
+    assert len(built) == before  # the flags are read as stored
+    wit.closure_checks[-1]
+    assert len(built) == before + 1  # one image, built on read
 
 
 # ----------------------------------------------------------- orbit oracle
