@@ -35,6 +35,8 @@ numerators, divides by their gcd with den and sorts; the one-term
 builders `zero`, `one`, `const` and `var` and the test monomials of
 `monomials_upto` check their own arguments first.  `reduce_mod_univariate`
 eliminates fraction-free on numerators and builds one `Poly`, its result.
+A verify report's entries and a witness's closure checks are one lazy
+`_Grid` each, one item per (row, test monomial), built when read.
 
 Every formatter writes polynomial text through one writer, `format_terms`,
 over (variables, nonzero (exponents, int) pairs in descending graded-lex
@@ -49,10 +51,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping, Tuple, Union
 
 Exponents = Tuple[int, ...]
@@ -443,6 +446,54 @@ def monomials_upto(variables: Iterable[str], degree: int) -> list:
     """All monic monomials of total degree <= degree, ascending graded-lex."""
     variables = _distinct(variables)
     return [Poly._trusted(variables, ((e, 1),)) for e in exponents_upto(len(variables), degree)]
+
+
+class _Grid(Sequence):
+    """A read-only sequence of one item per (row, test monomial), each built when read.
+
+    Item k is row k // n on test monomial k % n, n = len(self._monos), and
+    the subclass's `_item(row, j)` builds it; `len` is `_row_count() * n`
+    and builds none.  A grid reads, compares (with tuples and grids of its
+    own type), hashes, reprs and pickles as the tuple of its items; slices
+    are tuples, and an index outside -len..len-1 raises
+    IndexError("index out of range").  A subclass lists its constructor's
+    arguments, in order, as its `__slots__`, which `__reduce__` rebuilds it
+    from, and keeps its test monomials in `_monos`.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._row_count() * len(self._monos)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(len(self))))
+        size = len(self)
+        k = index(k)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("index out of range")
+        return self._item(*divmod(k, len(self._monos)))
+
+    def __iter__(self):
+        return itertools.starmap(self._item, itertools.product(
+            range(self._row_count()), range(len(self._monos))))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, type(self))):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 # Distinct monomials whose text `format_terms` keeps; a bound, not a tuning knob.

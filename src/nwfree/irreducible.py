@@ -17,8 +17,9 @@ and stopping at the first constant pivot.  Each call reads every x.1, the
 chain's constants c and c1 included, from one `modfam._Forms` table of its
 own, so each is computed once per call and nothing is kept per spec.
 The witness's closure images stay integer maps up to the text: its
-`closure_checks` builds a `ClosureCheck`, and its `Poly` image, only when
-read, and `format_witness` writes each map through `exactpoly.format_terms`.
+`closure_checks` is an `exactpoly._Grid`, which builds a `ClosureCheck`,
+and its `Poly` image, only when read, and `format_witness` writes each map
+through `exactpoly.format_terms`.
 """
 
 import itertools
@@ -26,12 +27,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from typing import Optional, Tuple
 
 from . import InputError
 from .exactpoly import (
     Poly,
+    _Grid,
     _grlex,
     _monomial_text,
     change_variables,
@@ -117,14 +118,13 @@ class ClosureCheck:
     contained: bool
 
 
-class _ClosureChecks(Sequence):
-    """The closure checks of one witness, each built only when read.
+class _ClosureChecks(_Grid):
+    """The closure checks of one witness, an `exactpoly._Grid` with one row
+    per generator.
 
-    Check k is generator k // n on test monomial k % n, n the number of
-    test monomials.  Its image is kept as the integer map {exponents: int}
-    the recurrence built, over its generator's scale, and becomes a `Poly`
-    only when the check is read; its flag is kept as is.  Reads, compares,
-    hashes and pickles as the tuple of its checks; slices are tuples.
+    Each image is kept as the integer map {exponents: int} the recurrence
+    built, over its generator's scale, and becomes a `Poly` only when its
+    check is read; each flag is kept as is.
     """
 
     __slots__ = ("_variables", "_monos", "_generators", "_scales", "_images", "_contained")
@@ -137,8 +137,11 @@ class _ClosureChecks(Sequence):
         self._images = images  # per check: the integer map of its image
         self._contained = contained  # per check
 
-    def _check(self, k: int) -> ClosureCheck:
-        x, j = divmod(k, len(self._monos))
+    def _row_count(self) -> int:
+        return len(self._generators)
+
+    def _item(self, x: int, j: int) -> ClosureCheck:
+        k = x * len(self._monos) + j
         image = Poly._trusted(self._variables, self._images[k].items(), self._scales[x])
         return ClosureCheck(self._generators[x], self._monos[j], image, self._contained[k])
 
@@ -156,38 +159,6 @@ class _ClosureChecks(Sequence):
                 ints = next(images)
                 pairs = [(e, ints[e]) for e in sorted(ints, key=rank) if ints[e]]
                 yield x, text, variables, pairs, scale, next(contained)
-
-    def __len__(self) -> int:
-        return len(self._images)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[j] for j in range(*k.indices(len(self))))
-        size = len(self)
-        k = index(k)
-        if k < 0:
-            k += size
-        if not 0 <= k < size:
-            raise IndexError("closure check index out of range")
-        return self._check(k)
-
-    def __iter__(self):
-        return map(self._check, range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _ClosureChecks)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __reduce__(self):
-        return _ClosureChecks, (self._variables, self._monos, self._generators,
-                                self._scales, self._images, self._contained)
 
 
 @dataclass(frozen=True)

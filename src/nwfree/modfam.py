@@ -21,8 +21,10 @@ first time its symbol is looked up.  One
 function, `_image`, takes every generator image on integers from x's
 form in that table, for `act` (so `classify`'s product rule), the chains,
 the witness, the orbit oracle and `verify_module`; `_act_sum` sums such
-images over one common denominator for `act` and the chains.  The only
-state kept across requests is each `H4Family`'s `base_values`.  Raw
+images over one common denominator for `act` and the chains.  State
+kept across requests is each `H4Family`'s `base_values` and the bounded
+cache (MAX_CACHED_VALUES entries) of the public `value_on_one`, which no
+request path calls.  Raw
 `ActionData` (values on 1 without a family attached) evaluates through
 the same identity, which is what classification and corruption tests
 rely on.

@@ -40,9 +40,9 @@ so a passing pair builds no polynomial.
 
 The report records one outcome per pair, (x, y, status), and a failing
 pair's (sigma, R's nonzero integer terms, denominator).  Its `entries` is
-a read-only view that builds each `ReportEntry` only when it is read, and
-reads, compares, hashes and pickles as the tuple of entries; a failing
-pair's residual on v, sigma(v) * R, is one `exactpoly._shift_mul` then.
+an `exactpoly._Grid`, which builds each `ReportEntry` only when it is
+read; a failing pair's residual on v, sigma(v) * R, is one
+`exactpoly._shift_mul` then.
 The counts come from the pairs, and `format_report` writes each pair's
 lines from monomial text formatted once per report.
 """
@@ -53,11 +53,12 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, index
+from operator import add
 from typing import Tuple
 
 from .exactpoly import (
     Poly,
+    _Grid,
     _combine,
     _shift_mul,
     format_poly,
@@ -102,14 +103,12 @@ class ReportEntry:
         return self.status == SKIP
 
 
-class _Entries(Sequence):
-    """The report entries of one verify run, built only when read.
+class _Entries(_Grid):
+    """The report entries of one verify run, an `exactpoly._Grid` with one
+    row per generator pair in report order.
 
-    Holds one outcome per generator pair in report order: (x, y, status),
-    and for a FAIL pair its (sigma, R's nonzero terms as (exponents, int),
-    denominator of R).  Entry i is pair i // n on monomial i % n, n the
-    number of monomials.  Reads, compares, hashes and pickles as the tuple
-    of its entries; slices are tuples.
+    Holds one outcome per pair, (x, y, status), and for a FAIL pair its
+    (sigma, R's nonzero terms as (exponents, int), denominator of R).
     """
 
     __slots__ = ("_outcomes", "_failures", "_monos", "_zero")
@@ -120,48 +119,19 @@ class _Entries(Sequence):
         self._monos = monos
         self._zero = zero
 
+    def _row_count(self) -> int:
+        return len(self._outcomes)
+
     def _residual(self, pair: int, j: int) -> Poly:
         """sigma(v) * R for FAIL pair `pair` on monomial j, never zero."""
         sigma, r, scale = self._failures[pair]
         v = dict(self._monos[j].numerators)  # a monic monomial
         return Poly._trusted(self._zero.variables, _shift_mul(v, sigma, r).items(), scale)
 
-    def _entry(self, pair: int, j: int) -> ReportEntry:
+    def _item(self, pair: int, j: int) -> ReportEntry:
         x, y, status = self._outcomes[pair]
         residual = self._residual(pair, j) if status == FAIL else self._zero
         return ReportEntry(x, y, self._monos[j], residual, status)
-
-    def __len__(self) -> int:
-        return len(self._outcomes) * len(self._monos)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        size = len(self)
-        i = index(i)
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
-            raise IndexError("report entry index out of range")
-        return self._entry(*divmod(i, len(self._monos)))
-
-    def __iter__(self):
-        n = len(self._monos)
-        return (self._entry(pair, j) for pair in range(len(self._outcomes)) for j in range(n))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Entries)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __reduce__(self):
-        return _Entries, (self._outcomes, self._failures, self._monos, self._zero)
 
     def _counts(self) -> Tuple[int, int, int]:
         n = len(self._monos)

@@ -1,11 +1,13 @@
 """Shared test fixtures: one canonical spec per family, data corruption, and
 reference implementations the optimized kernels are compared against."""
 
+import pickle
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
 from hypothesis import strategies as st
 
 from nwfree.exactpoly import (
@@ -588,6 +590,28 @@ def format_report_reference(report):
         )
     )
     return "\n".join(lines)
+
+
+def assert_reads_as_tuple(view, items):
+    """A lazy view (a report's entries, a witness's closure checks) reads,
+    indexes, slices, compares, hashes, reprs and pickles as the tuple `items`."""
+    n = len(items)
+    assert type(view) is not tuple and len(view) == n
+    assert [view[i] for i in range(-n, n)] == list(items) * 2
+    for i in (n, -n - 1, 10 * n):
+        with pytest.raises(IndexError, match="^index out of range$"):
+            view[i]
+    for cut in (slice(None), slice(None, None, 3), slice(-5, None, -2), slice(1, 40, 7),
+                slice(n + 5, None, -4), slice(3, 3), slice(-1, 0, 1)):
+        assert type(view[cut]) is tuple and view[cut] == items[cut]
+    assert list(view) == list(items) and list(reversed(view)) == list(reversed(items))
+    assert [repr(e) for e in view] == [repr(e) for e in items]
+    assert items[n // 2] in view and view.index(items[n // 2]) == items.index(items[n // 2])
+    assert view == items and items == view and not view != items and not items != view
+    assert view != items[:-1] and items[:-1] != view and view != list(items)
+    assert hash(view) == hash(items) and repr(view) == repr(items)
+    again = pickle.loads(pickle.dumps(view))
+    assert type(again) is type(view) and again == items and hash(again) == hash(items)
 
 
 _DIGITS = "0123456789"

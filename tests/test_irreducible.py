@@ -635,25 +635,12 @@ def test_closure_checks_view_reads_as_its_tuple(kept):
     alg = algebra_of(spec)
     view = wit.closure_checks
     checks = tuple(view)
-    assert type(view) is not tuple and wit.all_contained is kept
+    assert wit.all_contained is kept
     n = len(checks)
     assert len(view) == n == len(generators(spec)) * len(monomials_upto(module_variables(spec), 4))
     assert all(type(c.image) is Poly for c in checks)
     assert {c.contained for c in checks} == ({True} if kept else {True, False})
-    assert view == checks and checks == view and not view != checks and not checks != view
-    assert view != checks[:-1] and checks[:-1] != view and view != list(checks)
-    assert hash(view) == hash(checks) and repr(view) == repr(checks)
-    again = pickle.loads(pickle.dumps(view))
-    assert type(again) is type(view) and again == checks and hash(again) == hash(checks)
-    assert [view[i] for i in range(-n, n)] == list(checks) * 2
-    for i in (n, -n - 1, 10 * n):
-        with pytest.raises(IndexError):
-            view[i]
-    for cut in (slice(None), slice(None, None, 3), slice(-5, None, -2), slice(1, 40, 7),
-                slice(n + 5, None, -4), slice(3, 3), slice(-1, 0, 1)):
-        assert type(view[cut]) is tuple and view[cut] == checks[cut]
-    assert list(reversed(view)) == list(reversed(checks))
-    assert checks[n // 2] in view and view.index(checks[n // 2]) == checks.index(checks[n // 2])
+    helpers.assert_reads_as_tuple(view, checks)
     plain = dataclasses.replace(wit, closure_checks=checks)
     assert wit == plain and plain == wit and hash(wit) == hash(plain) and repr(wit) == repr(plain)
     assert pickle.loads(pickle.dumps(wit)) == plain
@@ -669,6 +656,22 @@ def test_closure_checks_view_reads_as_its_tuple(kept):
     assert planted_lines[1] == lines[1].rsplit(" ", 1)[0] + " FAIL"
     assert planted_lines[2:-1] == lines[2:-1]
     assert planted_lines[-1] == f"SUMMARY pass=false checked={n}"
+
+
+def test_witness_count_flags_and_text_build_no_check(monkeypatch):
+    # perfbench/check.py reads all_contained and len(closure_checks) on every witness
+    witnesses = [(witness(_WIDE_WITNESS_SPECS[0]), True), (_unkept_ideal_witness()[2], False)]
+    plain = [dataclasses.replace(wit, closure_checks=tuple(wit.closure_checks))
+             for wit, _ in witnesses]
+
+    def unread(self, x, j):
+        raise AssertionError("a closure check was built")
+
+    monkeypatch.setattr(type(witnesses[0][0].closure_checks), "_item", unread)
+    for (wit, kept), want in zip(witnesses, plain):
+        assert len(wit.closure_checks) == len(want.closure_checks)
+        assert wit.all_contained is kept
+        assert format_witness(wit) == format_witness(want)
 
 
 def test_witness_builds_no_poly_per_closure_image(monkeypatch):
