@@ -18,15 +18,21 @@ polynomial's variable order, and shifts compose by adding their vectors;
 `negate_var` substitutes v -> -v.
 
 One kernel shifts and multiplies on integers: `_shift_mul(ints, offsets,
-factor)` shifts an integer polynomial {exponents: int} with
-`_taylor_shift` (a Horner-type recurrence along dense coefficient rows)
-and multiplies it by the integer factor.  `Poly.__mul__` runs it on the
-numerators with zero offsets, `apply_shift` runs the shift alone, and `+`
-sums numerators over one common denominator with `_combine`, as
-`verify_module` and `modfam._act_sum` sum generator images.  Every action
-is shift-then-multiply, and `modfam._image` takes every generator image
-from a generator's integer form; only it and a verify report's failing
-residuals call `_shift_mul` with a nonzero shift.
+factor, out, scale)` shifts an integer polynomial {exponents: int} with
+`_taylor_shift` (a Horner-type recurrence along dense coefficient rows,
+which skips an offset on a variable that no term uses) and adds scale
+times its product with the integer factor into the map `out`.
+`Poly.__mul__` runs it on the numerators with zero offsets, `apply_shift`
+runs the shift alone, and `+` sums numerators over one common
+denominator with `_combine`, which can also add into a running map over
+its own denominator: `modfam._act_sum` sums generator images with it, and
+`verify_module` adds a pair's bracket terms.  Every action is
+shift-then-multiply, and three callers run `_shift_mul` with a nonzero
+shift: `modfam._image`, which takes every generator image of `act`, the
+chains, the witness and the orbit oracle from a generator's integer form;
+`verify_module`, which adds a pair's two products shift_x(y.1)*x.1 and
+-shift_y(x.1)*y.1 into one map from the forms of x and y; and a verify
+report's failing residuals.
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else goes through the one
@@ -41,7 +47,8 @@ A verify report's entries and a witness's closure checks are one lazy
 Every formatter writes polynomial text through one writer, `format_terms`,
 over (variables, nonzero (exponents, int) pairs in descending graded-lex
 order, denominator): `format_poly` hands it a polynomial's numerators,
-and `irreducible.format_witness` a closure image's integer map, sorted.
+`irreducible.format_witness` a closure image's integer map and
+`verify.format_report` a failing residual's, each sorted.
 It reduces each numerator over the denominator with one gcd and takes
 monomial text from `_monomial_text`, a table of at most
 MAX_MONOMIAL_TEXTS entries.
@@ -55,8 +62,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, index
-from typing import Iterable, Mapping, Tuple, Union
+from operator import add, index, itemgetter
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Exponents = Tuple[int, ...]
 # v -> v + offset for each variable, offsets in the polynomial's variable order
@@ -256,14 +263,17 @@ def _taylor_shift(ints: dict, offsets: Shift) -> dict:
     """Substitute v -> v + offset in an integer polynomial {exponents: int}.
 
     `offsets` holds one integer per exponent position.  For each nonzero
-    one, the terms are gathered into dense rows, one per exponent vector of
-    the other variables, and each row a(v) becomes a(v + offset) by the
-    Horner-type recurrence (von zur Gathen & Gerhard, ISSAC 1997).  The
-    input map is never modified, and is returned as is when every offset is
-    0; a shifted result has no zero entries.
+    one on a variable that some term uses, the terms are gathered into
+    dense rows, one per exponent vector of the other variables, and each
+    row a(v) becomes a(v + offset) by the Horner-type recurrence (von zur
+    Gathen & Gerhard, ISSAC 1997).  The input map is never modified: an
+    empty one gives a new empty map at once, and any other is returned as
+    is when no offset applies; a shifted result has no zero entries.
     """
+    if not ints:
+        return {}
     for i, off in enumerate(offsets):
-        if not off:
+        if not off or not any(map(itemgetter(i), ints)):
             continue
         rows: dict[Exponents, list] = {}
         for exps, n in ints.items():
@@ -287,35 +297,46 @@ def _taylor_shift(ints: dict, offsets: Shift) -> dict:
     return ints
 
 
-def _shift_mul(ints: dict, offsets: Shift, factor) -> dict:
-    """shift(ints) * factor on integers, as {exponents: int}.
+def _shift_mul(ints: dict, offsets: Shift, factor,
+               out: Optional[dict] = None, scale: int = 1) -> dict:
+    """out + scale * shift(ints) * factor on integers, as {exponents: int}.
 
     `ints` is an integer polynomial {exponents: int}, `offsets` a shift
     for `_taylor_shift`, and `factor` a sequence of (exponents, int)
-    pairs.  Entries that cancel stay in the result as 0.
+    pairs.  The products are added into `out`, a new map when it is None,
+    which is returned.  Entries that cancel stay in the result as 0.
     """
-    out: dict = {}
+    if out is None:
+        out = {}
     get = out.get
     for e1, c1 in _taylor_shift(ints, offsets).items():
+        c1 *= scale
         for e2, c2 in factor:
             key = tuple(map(add, e1, e2))
             out[key] = get(key, 0) + c1 * c2
     return out
 
 
-def _combine(parts) -> Tuple[dict, int]:
-    """sum(num / den * ints) over one common denominator, on integers.
+def _combine(parts, total: Optional[dict] = None, den: int = 1) -> Tuple[dict, int]:
+    """total / den + sum(num / d * ints) over one common denominator, on integers.
 
-    `parts` is a sequence of (num, den, ints) with den > 0 and `ints` an
-    integer polynomial {exponents: int}.  Returns the integer map and the
-    lcm L of the dens, the sum being map / L; entries that cancel stay in
-    the map as 0, and no parts give ({}, 1).
+    `parts` is a sequence of (num, d, ints) with d > 0 and `ints` an
+    integer polynomial {exponents: int}; `total` is an integer map over
+    den > 0, a new empty map when it is None.  The common denominator is
+    L = lcm(den, every d), and `total` is scaled up in place only when L
+    exceeds den.  Returns (total, L), the sum being total / L; entries
+    that cancel stay in the map as 0, and no parts give (total, den).
     """
-    common = lcm(*[den for _, den, _ in parts])
-    total: dict = {}
+    common = lcm(den, *[d for _, d, _ in parts])
+    if total is None:
+        total = {}
+    elif common != den:
+        raise_by = common // den
+        for exps in total:
+            total[exps] *= raise_by
     get = total.get
-    for num, den, ints in parts:
-        num *= common // den
+    for num, d, ints in parts:
+        num *= common // d
         for exps, n in ints.items():
             total[exps] = get(exps, 0) + num * n
     return total, common

@@ -20,8 +20,10 @@ which keeps each x.1's numerators and denominator beside shift_x the
 first time its symbol is looked up.  One
 function, `_image`, takes every generator image on integers from x's
 form in that table, for `act` (so `classify`'s product rule), the chains,
-the witness, the orbit oracle and `verify_module`; `_act_sum` sums such
-images over one common denominator for `act` and the chains.  State
+the witness and the orbit oracle; `_act_sum` sums such images over one
+common denominator for `act` and the chains.  `verify_module` reads its
+generators' forms by position and adds a pair's two products into one
+map with the kernel `_image` runs, `exactpoly._shift_mul`.  State
 kept across requests is each `H4Family`'s `base_values` and the bounded
 cache (MAX_CACHED_VALUES entries) of the public `value_on_one`, which no
 request path calls.  Raw
@@ -559,7 +561,9 @@ class _Forms(dict):
     {exponents: int}, and x.1's denominator.  It is built
     from `_value_on_one` the first time the symbol is looked up, so each
     x.1 is computed at most once per table; a lookup that raises, such as
-    WindowExceeded outside the window, stores nothing.
+    WindowExceeded outside the window, stores nothing.  `verify_module`
+    keeps its generators' forms in a list by position, filled from this
+    table, and looks up only bracket terms outside its window by symbol.
     """
 
     def __init__(self, spec: AnySpec):

@@ -26,25 +26,34 @@ Only the values on 1 depend on the spec.  Everything else is a plan,
 cached by (algebra, generator tuple, test degree) in a bounded LRU cache
 (MAX_PLANS): the zero polynomial, the test monomials, and per pair its
 shift sigma and its bracket terms, so `bracket` runs only when a plan is
-built.  Building a plan checks the grading: a bracket term whose shift is
-not its pair's raises ValueError.  Each request then fills one table of integer forms,
-`modfam._Forms` (shift_x, and x.1's numerators and denominator, keyed by symbol),
-as pairs first look them up (y, x, then the bracket terms, as evaluating
-through `act` would), so each x.1 is computed afresh once and verifying a
-spec leaves nothing behind; a lookup that raises WindowExceeded stores
-nothing and marks the pair as skipped.  A pair's R is formed on integers:
-shift_x(y.1)*x.1 and shift_y(x.1)*y.1 are one `modfam._image` each, on
-the forms of x and y, and `exactpoly._combine` sums them with the terms
--c*z.1 over one common denominator.  R is zero-tested as an integer map,
-so a passing pair builds no polynomial.
+built.  A term c*z keeps z's position among the generators, or z itself
+when z lies outside the window.  Building a plan checks the grading: a
+bracket term whose shift is not its pair's raises ValueError.
 
-The report records one outcome per pair, (x, y, status), and a failing
-pair's (sigma, R's nonzero integer terms, denominator).  Its `entries` is
-an `exactpoly._Grid`, which builds each `ReportEntry` only when it is
-read; a failing pair's residual on v, sigma(v) * R, is one
-`exactpoly._shift_mul` then.
-The counts come from the pairs, and `format_report` writes each pair's
-lines from monomial text formatted once per report.
+Each request reads its integer forms (shift_x, and x.1's numerators and
+denominator) from one table, `modfam._Forms`: the generators' forms by
+position, from a list filled as pairs first look them up (y, x, then the
+bracket terms, as evaluating through `act` would), and a term outside the
+window by symbol.  So each x.1 is computed afresh once and verifying a
+spec leaves nothing behind; a lookup that raises WindowExceeded stores
+nothing and marks the pair as skipped, and a missing value raises
+MalformedData for the first symbol looked up.  A pair's R is one integer
+map: `exactpoly._shift_mul` adds shift_x(y.1)*x.1 and -shift_y(x.1)*y.1
+into it over the denominator of x.1 times that of y.1, and
+`exactpoly._combine` adds the terms -c*z.1, raising the map's
+denominator only when a term's does not divide it.  A pair with x.1 = 0
+or y.1 = 0 and no bracket terms passes at once.  R is zero-tested as an
+integer map, so a passing pair builds no polynomial.
+
+The report records the generators, one outcome per pair (positions of x
+and y, status), and a failing pair's (sigma, R's nonzero integer terms,
+denominator).  Its `entries` is an `exactpoly._Grid`, which builds each
+`ReportEntry` only when it is read; a failing pair's residual on v,
+sigma(v) * R, is one `exactpoly._shift_mul` then.
+The counts come from the pairs.  `format_report` formats each generator,
+test monomial and PASS or SKIP line tail once per report, writes a PASS
+or SKIP pair as one joined block, and writes a FAIL line from the
+integer map of sigma(v) * R through `exactpoly.format_terms`.
 """
 
 from __future__ import annotations
@@ -61,7 +70,9 @@ from .exactpoly import (
     _Grid,
     _combine,
     _shift_mul,
+    _term_key,
     format_poly,
+    format_terms,
     monomials_upto,
 )
 from .liealg import BasisSymbol, bracket, format_symbol
@@ -74,7 +85,6 @@ from .modfam import (
     integer_argument,
     shift_of,
     _Forms,
-    _image,
     _resolve_window,
 )
 
@@ -107,14 +117,16 @@ class _Entries(_Grid):
     """The report entries of one verify run, an `exactpoly._Grid` with one
     row per generator pair in report order.
 
-    Holds one outcome per pair, (x, y, status), and for a FAIL pair its
-    (sigma, R's nonzero terms as (exponents, int), denominator of R).
+    Holds the generators and one outcome per pair, (position of x,
+    position of y, status), and for a FAIL pair its (sigma, R's nonzero
+    terms as (exponents, int), denominator of R).
     """
 
-    __slots__ = ("_outcomes", "_failures", "_monos", "_zero")
+    __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero")
 
-    def __init__(self, outcomes, failures, monos, zero):
-        self._outcomes = outcomes  # [(x, y, status)] per pair
+    def __init__(self, gens, outcomes, failures, monos, zero):
+        self._gens = gens
+        self._outcomes = outcomes  # [(i, j, status)] per pair (gens[i], gens[j])
         self._failures = failures  # {pair index: (sigma, R terms, denominator)} for FAIL pairs
         self._monos = monos
         self._zero = zero
@@ -122,16 +134,20 @@ class _Entries(_Grid):
     def _row_count(self) -> int:
         return len(self._outcomes)
 
-    def _residual(self, pair: int, j: int) -> Poly:
-        """sigma(v) * R for FAIL pair `pair` on monomial j, never zero."""
+    def _residual_map(self, pair: int, j: int) -> Tuple[dict, int]:
+        """sigma(v) * R for FAIL pair `pair` on monomial j, never zero, as its
+        integer map (zeros included) and denominator."""
         sigma, r, scale = self._failures[pair]
         v = dict(self._monos[j].numerators)  # a monic monomial
-        return Poly._trusted(self._zero.variables, _shift_mul(v, sigma, r).items(), scale)
+        return _shift_mul(v, sigma, r), scale
 
     def _item(self, pair: int, j: int) -> ReportEntry:
-        x, y, status = self._outcomes[pair]
-        residual = self._residual(pair, j) if status == FAIL else self._zero
-        return ReportEntry(x, y, self._monos[j], residual, status)
+        xi, yi, status = self._outcomes[pair]
+        residual = self._zero
+        if status == FAIL:
+            ints, scale = self._residual_map(pair, j)
+            residual = Poly._trusted(self._zero.variables, ints.items(), scale)
+        return ReportEntry(self._gens[xi], self._gens[yi], self._monos[j], residual, status)
 
     def _counts(self) -> Tuple[int, int, int]:
         n = len(self._monos)
@@ -172,8 +188,8 @@ class VerificationReport:
 # Plans kept at once.  A plan depends only on the algebra, the generator
 # tuple and the test degree, so the keys are few: perfbench's verify slots
 # use 7.  One plan at MAX_WINDOW and MAX_TEST_DEGREE (AffineVirasoroH4: 86
-# generators, 3,655 pairs, 45 monomials) takes 0.17 MB (tracemalloc), so a
-# full cache stays under 3 MB.
+# generators, 3,655 pairs, 45 monomials) takes 0.24 MB (tracemalloc, with
+# the brackets already computed), so a full cache stays under 4 MB.
 MAX_PLANS = 16
 
 
@@ -184,13 +200,16 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
     Returns (zero, monomials, brackets).  `brackets` holds, per generator
     pair (x, y) in report order, that is in the order of
     itertools.combinations over the generators, the pair's shift sigma =
-    shift_x∘shift_y and per bracket term c*z the triple (z, numerator of
-    -c, denominator of c).  Raises ValueError when a term's shift is not
-    sigma, since verify relies on every bracket being graded.  Equal
-    shifts and entries are stored once, so a pair with a zero bracket
-    costs one reference.
+    shift_x∘shift_y and per bracket term c*z the triple (where z is
+    looked up, numerator of -c, denominator of c): z's position in
+    `gens` when z is one of them, z itself when it lies outside the
+    window.  Raises ValueError when a term's shift is not sigma, since
+    verify relies on every bracket being graded.  Equal shifts and
+    entries are stored once, so a pair with a zero bracket costs one
+    reference.
     """
     variables = MODULE_VARIABLES[algebra]
+    position = {x: k for k, x in enumerate(gens)}
     shared: dict = {}
 
     def share(value):
@@ -205,7 +224,7 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
                 names = (format_symbol(u, algebra) for u in (x, y, z))
                 raise ValueError("bracket [{}, {}] is not graded: its term {} "
                                  "is not on the pair's shift".format(*names))
-            terms.append((z, -c.numerator, c.denominator))
+            terms.append((position.get(z, z), -c.numerator, c.denominator))
         brackets.append(share((sigma, tuple(terms))))
     monomials = tuple(monomials_upto(variables, test_degree))
     return Poly.zero(variables), monomials, tuple(brackets)
@@ -230,24 +249,40 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     algebra = forms.algebra
     gens = tuple(generators(spec, window))
     zero, monos, brackets = _plan(algebra, gens, test_degree)
+    gen_forms = [None] * len(gens)  # the generators' forms by position, filled on first use
+
+    def look(k: int):
+        form = gen_forms[k] = forms[gens[k]]
+        return form
+
     outcomes, failures = [], {}
-    for (x, y), (sigma, terms) in zip(combinations(gens, 2), brackets):
+    for (i, j), (sigma, terms) in zip(combinations(range(len(gens)), 2), brackets):
         try:  # y, x, then the bracket terms: the order act would look them up in
-            y_form, x_form = forms[y], forms[x]
-            z_forms = [forms[z] for z, _, _ in terms]
+            y_off, y1, ly = gen_forms[j] or look(j)
+            x_off, x1, lx = gen_forms[i] or look(i)
+            if terms:
+                z_forms = [(gen_forms[z] or look(z)) if type(z) is int else forms[z]
+                           for z, _, _ in terms]
         except WindowExceeded:
-            outcomes.append((x, y, SKIP))
+            outcomes.append((i, j, SKIP))
             continue
-        lxy = x_form[2] * y_form[2]
-        parts = [(1, lxy, _image(x_form, y_form[1])), (-1, lxy, _image(y_form, x_form[1]))]
-        parts += [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
-        r, scale = _combine(parts)
+        r = {}  # R times `scale`, on integers
+        if x1 and y1:
+            _shift_mul(y1, x_off, x1.items(), r)
+            _shift_mul(x1, y_off, y1.items(), r, -1)
+        elif not terms:  # both products vanish and there is nothing to subtract
+            outcomes.append((i, j, PASS))
+            continue
+        scale = lx * ly
+        if terms:
+            parts = [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
+            r, scale = _combine(parts, r, scale)
         if any(r.values()):
             failures[len(outcomes)] = (sigma, tuple((e, n) for e, n in r.items() if n), scale)
-            outcomes.append((x, y, FAIL))
+            outcomes.append((i, j, FAIL))
         else:
-            outcomes.append((x, y, PASS))
-    entries = _Entries(outcomes, failures, monos, zero)
+            outcomes.append((i, j, PASS))
+    entries = _Entries(gens, outcomes, failures, monos, zero)
     return VerificationReport(algebra, _resolve_window(spec, window), test_degree, entries)
 
 
@@ -255,10 +290,12 @@ def format_report(report: VerificationReport) -> str:
     """One `PAIR x y POLY v RESIDUAL r STATUS` line per entry, then a summary.
 
     For a verify run's own entries, each symbol and test monomial is
-    formatted once per report: a PASS or SKIP pair is one join per line of
-    strings already built, and only a FAIL pair's residuals sigma(v) * R
-    are built and formatted line by line.  Any other sequence of entries
-    is formatted entry by entry.
+    formatted once per report, and so is the text after the head,
+    `v RESIDUAL 0 STATUS` per monomial, for each of PASS and SKIP: such a
+    pair is one joined block.  A FAIL pair's lines are written from the
+    integer maps of its residuals sigma(v) * R through
+    `exactpoly.format_terms`, with no polynomial built.  Any other
+    sequence of entries is formatted entry by entry.
     """
     symbol_text: dict = {}
 
@@ -270,16 +307,20 @@ def format_report(report: VerificationReport) -> str:
 
     entries = report.entries
     if type(entries) is _Entries:
+        variables = entries._zero.variables
+        names = [format_symbol(x, report.algebra) for x in entries._gens]
         mono_text = [format_poly(v) for v in entries._monos]
+        after = {status: [f"{m} RESIDUAL 0 {status}" for m in mono_text] for status in (PASS, SKIP)}
         lines = []
-        for pair, (x, y, status) in enumerate(entries._outcomes):
-            head = f"PAIR {symbol(x)} {symbol(y)} POLY "
-            if status == FAIL:
-                lines += [f"{head}{m} RESIDUAL {format_poly(entries._residual(pair, j))} {FAIL}"
-                          for j, m in enumerate(mono_text)]
-            else:
-                tail = f" RESIDUAL 0 {status}"
-                lines += [head + m + tail for m in mono_text]
+        for pair, (i, j, status) in enumerate(entries._outcomes):
+            head = f"PAIR {names[i]} {names[j]} POLY "
+            if status != FAIL:
+                lines.append(head + ("\n" + head).join(after[status]))
+                continue
+            for k, m in enumerate(mono_text):
+                ints, scale = entries._residual_map(pair, k)
+                terms = sorted(((e, n) for e, n in ints.items() if n), key=_term_key, reverse=True)
+                lines.append(f"{head}{m} RESIDUAL {format_terms(variables, terms, scale)} {FAIL}")
     else:
         lines = [
             f"PAIR {symbol(e.x)} {symbol(e.y)} POLY {format_poly(e.test_poly)} "

@@ -339,6 +339,36 @@ def test_taylor_shift_kernel_matches_binomial_reference(case):
     assert Poly(variables, shifted) == apply_shift_reference(offs, Poly(variables, ints))
 
 
+def _unused_variable_shift_case(variables):
+    # terms that leave a drawn set of variables out, shifted on those too
+    n = len(variables)
+    unused = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)
+
+    def case(absent):
+        used = st.integers(min_value=0, max_value=6)
+        exps = st.tuples(*[st.just(0) if i in absent else used for i in range(n)])
+        nonzero = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool)
+        ints = st.dictionaries(exps, nonzero, max_size=5)
+        offsets = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n)
+        return st.tuples(st.just(variables), ints, offsets)
+
+    return unused.flatmap(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_unused_variable_shift_case))
+def test_taylor_shift_skips_unused_variables_as_reference(case):
+    # offsets on variables that no term uses change nothing; an empty map stays empty
+    variables, ints, offs = case
+    before = dict(ints)
+    shifted = _taylor_shift(ints, offs)
+    assert ints == before
+    assert all(type(n) is int and n for n in shifted.values())
+    assert Poly(variables, shifted) == apply_shift_reference(offs, Poly(variables, ints))
+    if not ints:
+        assert shifted == {} and shifted is not ints
+
+
 @settings(max_examples=60, deadline=None)
 @given(poly_st(S, max_degree=6))
 def test_format_parse_free_of_spaces(x):
@@ -504,6 +534,46 @@ def test_combine_matches_fraction_sum(parts, cancel):
     }
     if cancel:
         assert not any(total.values())
+
+
+def _running_combination_case(variables):
+    # parts as above, and a running integer map over its own denominator
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * len(variables))
+    running = st.dictionaries(exps, st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=5)
+    return st.tuples(_combination_case(variables), running, st.sampled_from([1, 2, 6, 35]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([S, SD]).flatmap(_running_combination_case))
+def test_combine_adds_into_a_running_map(case):
+    # total / den plus the parts; total is scaled in place only when den must grow
+    parts, running, den = case
+    fresh, common = _combine(parts)
+    total = dict(running)
+    out, scale = _combine(parts, total, den)
+    assert out is total and scale == lcm(den, common)
+    assert all(type(n) is int for n in out.values())
+    want = {e: Fraction(n, den) for e, n in running.items()}
+    for e, n in fresh.items():
+        want[e] = want.get(e, 0) + Fraction(n, common)
+    got = {e: Fraction(n, scale) for e, n in out.items() if n}
+    assert got == {e: c for e, c in want.items() if c}
+    assert _combine([], dict(running), den) == (running, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_product_case),
+       st.integers(min_value=-3, max_value=3))
+def test_shift_mul_adds_scaled_product_into_a_map(case, scale):
+    # out + scale * shift(ints) * factor, on integer polynomials
+    x, w, sh = case
+    variables, ints, factor = x.variables, dict(x.numerators), w.numerators
+    out = {e: 7 * n for e, n in factor}
+    before = Poly(variables, out)
+    assert _shift_mul(ints, sh, factor, out, scale) is out
+    assert ints == dict(x.numerators)
+    product = poly_mul_reference(apply_shift(sh, Poly(variables, ints)), Poly(variables, factor))
+    assert Poly(variables, out) == before + scale * product
 
 
 def _division_case(variables):

@@ -11,6 +11,7 @@ from helpers import (
     corrupted_data,
     corrupted_fixtures,
     format_report_reference,
+    random_specs,
     sample_specs,
     verify_module_reference,
     with_assignment,
@@ -247,6 +248,24 @@ def test_verify_matches_reference_on_corrupted_fixtures():
         report = assert_matches_reference(data, max(data.window, 1), 2)
         failed += not report.passed
     assert failed == len(corrupted_fixtures())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    random_specs(),
+    st.booleans(),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+)
+def test_verify_matches_reference_on_random_specs(spec, corrupt, window, test_degree):
+    # every family at windows 1-2, and its action data with one slot bumped
+    limit = spec_window(spec)
+    window = min(window, limit) if limit else window
+    target = corrupted_data(spec, window) if corrupt else spec
+    want = verify_module_reference(target, window, test_degree)
+    got = verify_module(target, window=window, test_degree=test_degree)
+    assert got.entries == want.entries
+    assert format_report(got) == format_report(want) == format_report_reference(want)
 
 
 def rational_polys(variables):
