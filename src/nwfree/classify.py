@@ -96,10 +96,10 @@ def classify(data: ActionData) -> ClassificationResult:
 def classify_h4(data: ActionData) -> ClassificationResult:
     if data.algebra != H4:
         raise MalformedData("classify_h4 needs H4 data")
-    p1 = data.require(P)
-    q1 = data.require(Q)
-    r1_poly = data.require(R)
-    s1 = data.require(S)
+    p1 = data.on_one(P)
+    q1 = data.on_one(Q)
+    r1_poly = data.on_one(R)
+    s1 = data.on_one(S)
     if s1 != Poly.var(("s",), "s"):
         raise MalformedData("s must act as multiplication by s")
 
@@ -149,11 +149,11 @@ def classify_affine(data: ActionData) -> ClassificationResult:
     w = data.window
     loops = range(-w, w + 1)
     table = {
-        kind: {k: data.require(sym(kind, k)) for k in loops}
+        kind: {k: data.on_one(sym(kind, k)) for k in loops}
         for kind in ("p", "q", "r", "s")
     }
-    k_val = data.require(K)
-    d_val = data.require(D)
+    k_val = data.on_one(K)
+    d_val = data.on_one(D)
     if d_val != Poly.var(("s", "d"), "d"):
         raise MalformedData("d must act as multiplication by d")
     fseq = table["s"]

@@ -1,10 +1,11 @@
 """Irreducibility decisions with constructive certificates and ideal witnesses.
 
-A verdict is backed one of two ways.  Irreducible specs come with a replayable
-chain of degree-lowering operators that drives any seed down to a nonzero
-constant, so the cyclic submodule it generates contains 1.  Reducible specs
-come with a principal ideal shown invariant under every generator on a test
-basis.  An orbit-closure oracle gives an independent brute-force cross-check.
+Each spec states its own verdict, which `decide` wraps, and the g of its
+witness ideal.  Irreducible specs come with a replayable chain of operators
+that drives any seed down to a nonzero constant, so the cyclic submodule it
+generates contains 1.  Reducible specs come with the principal ideal of g's
+factor at its least rational root, else of g, shown invariant under every
+generator on a test basis.  An orbit oracle gives a brute-force cross-check.
 
 The chain operators, the witness and the oracle all use that every action
 is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
@@ -44,13 +45,9 @@ from .exactpoly import (
     monomials_upto,
     reduce_mod_univariate,
 )
-from .liealg import AFF_VIR, AFFINE_H4, H4, BasisSymbol, format_symbol, sym
+from .liealg import AFF_VIR, AFFINE_H4, BasisSymbol, format_symbol, sym
 from .modfam import (
-    AffineSpec,
-    AffVirSpec,
-    H4Family,
     SpecInvalid,
-    Vir00Spec,
     _act_sum,
     _Forms,
     _image,
@@ -174,39 +171,12 @@ class ReducibilityWitness:
         return all(check.contained for check in checks)
 
 
-_ZERO_IDEAL_NOTE = "p, q and r act as zero, so every proper ideal is invariant"
-
-
-def _decide_base(base: H4Family, path: str, derived: bool) -> IrreducibilityVerdict:
-    variant = base.variant
-    if variant in ("Mhb", "Mbh", "Mab"):
-        note = "a generator acts by an invertible constant"
-        return IrreducibilityVerdict(True, path, note, derived)
-    if variant in ("Mg0", "M0g"):
-        if base.g.is_constant():
-            return IrreducibilityVerdict(True, path, "g is a non-zero constant", derived)
-        note = "the ideal generated by g is a proper submodule"
-        return IrreducibilityVerdict(False, path, note, derived)
-    return IrreducibilityVerdict(False, path, _ZERO_IDEAL_NOTE, derived)
-
-
 def decide(spec) -> IrreducibilityVerdict:
-    """Irreducibility verdict for any module family spec."""
-    if isinstance(spec, H4Family):
-        return _decide_base(spec, spec.variant, derived=False)
-    if isinstance(spec, AffineSpec):
-        if spec.variant == "MTildeF":
-            return IrreducibilityVerdict(False, "MTildeF", _ZERO_IDEAL_NOTE, derived=True)
-        path = "MTildeAlphaBeta/" + spec.base.variant
-        return _decide_base(spec.base, path, derived=spec.base.variant == "M0")
-    if isinstance(spec, Vir00Spec):
-        note = "the principal ideal (w0) is invariant: generators scale w0 and shift only d0"
-        return IrreducibilityVerdict(False, "Vir00", note, derived=True)
-    if isinstance(spec, AffVirSpec):
-        inner = decide(spec.base)
-        path = "AffineVirasoroH4/" + inner.family
-        return IrreducibilityVerdict(inner.irreducible, path, inner.note, derived=True)
-    raise SpecInvalid(f"decide needs a module family spec, got {type(spec).__name__}")
+    """Irreducibility verdict for any module family spec, as the spec states it."""
+    verdict = getattr(spec, "verdict", None)
+    if verdict is None:
+        raise SpecInvalid(f"decide needs a module family spec, got {type(spec).__name__}")
+    return IrreducibilityVerdict(*verdict())
 
 
 def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
@@ -395,19 +365,13 @@ def rational_root(g: Poly, var: str) -> Optional[Fraction]:
 
 
 def _witness_generator(spec) -> Tuple[Poly, str]:
+    """(ideal generator, var) from the spec's (g, var): var - root, else g."""
+    g, var = spec.witness_ideal()
     variables = module_variables(spec)
-    if isinstance(spec, Vir00Spec):
-        return Poly.var(variables, "w0"), "w0"
-    if isinstance(spec, AffVirSpec):  # its MTildeAlphaBeta has the same variables and ideal
-        return _witness_generator(spec.base)
-    base = spec.base if isinstance(spec, AffineSpec) else spec
-    if base is None or base.variant == "M0":  # MTildeF has no base
-        # with p, q, r acting as zero any proper ideal works; (s) is the simplest
-        return Poly.var(variables, "s"), "s"
-    root = rational_root(base.g, "s")
+    root = rational_root(g, var)
     if root is None:
-        return change_variables(base.g, variables), "s"
-    return Poly.var(variables, "s") - Poly.const(variables, root), "s"
+        return change_variables(g, variables), var
+    return Poly.var(variables, var) - Poly.const(variables, root), var
 
 
 def _times_shifted_variable(ints: dict, i: int, offset: int) -> dict:

@@ -4,32 +4,30 @@ Six families over the Nappi-Witten algebra act on Q[s], two families over
 its affinization act on Q[s,d], one family for Vir(0,0) acts on Q[d0,w0],
 and the affine-Virasoro family acts on Q[s,d] again.  Each spec class
 states its own family, algebra and loop window (`variant`, `algebra`,
-`window`) and coerces its own parameters; the constructor functions
-(`mhb`, `mtilde`, `affvir`, ...) pass theirs through.
+`window`), coerces its own parameters (the constructor functions `mhb`,
+`mtilde`, `affvir`, ... pass theirs through), and gives its own values on
+1 (`on_one`, as raw `ActionData` does), irreducibility verdict (`verdict`)
+and witness ideal (`witness_ideal`), which affine and affine-Virasoro
+specs take from their base.
 
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
 brackets with the Cartan part and x.1 is the value of x on the constant
 polynomial 1.  The generators and their shifts are facts of the algebra:
 `generators` lists the kinds of `liealg.ALGEBRA_KINDS` within a window,
-for families and action data alike, and `shift_of` is one grading rule,
-x's weight under the Cartan part.  The families differ only in the
-values on 1, so one function, `_value_on_one`, computes x.1 afresh, and
-every request path reads it through one table per request, `_Forms`,
-which keeps each x.1's numerators and denominator beside shift_x the
-first time its symbol is looked up.  One
-function, `_image`, takes every generator image on integers from x's
-form in that table, for `act` (so `classify`'s product rule), the chains,
-the witness and the orbit oracle; `_act_sum` sums such images over one
-common denominator for `act` and the chains.  `verify_module` reads its
-generators' forms by position and adds a pair's two products into one
-map with the kernel `_image` runs, `exactpoly._shift_mul`.  State
-kept across requests is each `H4Family`'s `base_values` and the bounded
-cache (MAX_CACHED_VALUES entries) of the public `value_on_one`, which no
-request path calls.  Raw
-`ActionData` (values on 1 without a family attached) evaluates through
-the same identity, which is what classification and corruption tests
-rely on.
+and `shift_of` is one grading rule, x's weight under the Cartan part.
+`_value_on_one` checks x against the algebra and asks the spec for x.1
+afresh; every request path reads it through one table per request,
+`_Forms`, which keeps each x.1's numerators and denominator beside
+shift_x the first time its symbol is looked up.  One function, `_image`,
+takes every generator image on integers from x's form in that table, for
+`act` (so `classify`'s product rule), the chains, the witness and the
+orbit oracle; `_act_sum` sums such images over one common denominator for
+`act` and the chains.  `verify_module` reads its generators' forms by
+position and adds a pair's two products into one map with the kernel
+`_image` runs, `exactpoly._shift_mul`.  State kept across requests is each
+`H4Family`'s `base_values` and the bounded cache (MAX_CACHED_VALUES
+entries) of the public `value_on_one`, which no request path calls.
 """
 
 from __future__ import annotations
@@ -99,6 +97,8 @@ AFFINE_VARIANTS = ("MTildeAlphaBeta", "MTildeF")
 # Largest loop window a spec or action data may carry; windows index
 # tables of 2 * window + 1 entries, built at construction.
 MAX_WINDOW = 8
+
+_ZERO_IDEAL_NOTE = "p, q and r act as zero, so every proper ideal is invariant"
 
 Scalar = Union[int, Fraction, str]
 
@@ -225,6 +225,32 @@ class H4Family:
             return Poly.const(("s",), self.a), Poly.const(("s",), self.b), Fraction(0)
         return zero, zero, Fraction(0)
 
+    def on_one(self, symbol: BasisSymbol) -> Poly:
+        """x.1 for a generator x of H4."""
+        kind = symbol.kind
+        p1, q1, r1 = self.base_values
+        if kind == "p":
+            return p1
+        if kind == "q":
+            return q1
+        if kind == "r":
+            return Poly.const(("s",), r1)
+        return Poly.var(("s",), "s") if kind == "s" else Poly.zero(("s",))
+
+    def verdict(self) -> Tuple[bool, str, str, bool]:
+        """(irreducible, family, note, derived), which `irreducible.decide` wraps."""
+        if self.variant == "M0":
+            return False, "M0", _ZERO_IDEAL_NOTE, False
+        if self.g is None:
+            return True, self.variant, "a generator acts by an invertible constant", False
+        if self.g.is_constant():
+            return True, self.variant, "g is a non-zero constant", False
+        return False, self.variant, "the ideal generated by g is a proper submodule", False
+
+    def witness_ideal(self) -> Tuple[Poly, str]:
+        """(g, var) for a reducible spec's witness ideal: g, or s for M0."""
+        return (Poly.var(("s",), "s") if self.g is None else self.g), "s"
+
 
 def mg0(g) -> H4Family:
     return H4Family("Mg0", g=g)
@@ -250,8 +276,10 @@ def m0() -> H4Family:
     return H4Family("M0")
 
 
-def _check_window_limit(window) -> None:
-    if isinstance(window, int) and window > MAX_WINDOW:
+def _check_window(window) -> None:
+    if not isinstance(window, int) or window < 1:
+        raise SpecInvalid("window must be a positive integer")
+    if window > MAX_WINDOW:
         raise SpecInvalid(f"window exceeds the limit {MAX_WINDOW}")
 
 
@@ -271,9 +299,7 @@ class AffineSpec:
     def __post_init__(self):
         if self.variant not in AFFINE_VARIANTS:
             raise SpecInvalid(f"unknown affine family {self.variant!r}")
-        if not isinstance(self.window, int) or self.window < 1:
-            raise SpecInvalid("window must be a positive integer")
-        _check_window_limit(self.window)
+        _check_window(self.window)
         keys = set(range(-self.window, self.window + 1))
         if self.variant == "MTildeAlphaBeta":
             if not isinstance(self.base, H4Family):
@@ -310,11 +336,33 @@ class AffineSpec:
         if extra:
             raise SpecInvalid(f"{name}.{extra[0]} lies outside the window")
 
-    def beta_at(self, k: int) -> Fraction:
-        return dict(self.beta)[k]
+    def on_one(self, symbol: BasisSymbol) -> Poly:
+        """x.1 for a generator x of AffineH4: at loop n, s acts by f_n in MTildeF
+        else by alpha^n s + beta_n, and p, q and r by alpha^n times their base
+        value; beta and fseq hold every index of the window, in order."""
+        kind, n = symbol.kind, symbol.loop_index
+        variables = ("s", "d")
+        if kind == "d":
+            return Poly.var(variables, "d")
+        if abs(n) > self.window:
+            raise WindowExceeded(f"{format_symbol(symbol)} outside window {self.window}")
+        if self.variant == "MTildeF":
+            f = self.fseq[n + self.window][1] if kind == "s" else Poly.zero(("s",))
+            return change_variables(f, variables)
+        scale = self.alpha ** n
+        if kind == "s":
+            beta = Poly.const(variables, self.beta[n + self.window][1])
+            return scale * Poly.var(variables, "s") + beta
+        return scale * change_variables(self.base.on_one(sym(kind)), variables)
 
-    def f_at(self, k: int) -> Poly:
-        return dict(self.fseq)[k]
+    def verdict(self) -> Tuple[bool, str, str, bool]:
+        if self.variant == "MTildeF":
+            return False, "MTildeF", _ZERO_IDEAL_NOTE, True
+        irreducible, family, note, _ = self.base.verdict()
+        return irreducible, "MTildeAlphaBeta/" + family, note, family == "M0"
+
+    def witness_ideal(self) -> Tuple[Poly, str]:
+        return self.base.witness_ideal() if self.base is not None else (Poly.var(("s",), "s"), "s")
 
 
 def mtilde(base: H4Family, alpha: Scalar, beta, window: int) -> AffineSpec:
@@ -343,6 +391,24 @@ class Vir00Spec:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "fpoly", _poly_in(self.fpoly, ("w0",), "fpoly"))
 
+    def on_one(self, symbol: BasisSymbol) -> Poly:
+        """x.1 for a generator x of Vir00: w_n acts by lambda^n w0 and
+        dvir_n by lambda^n (d0 + n f)."""
+        variables, n = ("d0", "w0"), symbol.loop_index
+        if symbol.kind == "k":
+            return Poly.zero(variables)
+        if symbol.kind == "s":
+            return self.lam ** n * Poly.var(variables, "w0")
+        f = change_variables(self.fpoly, variables)
+        return self.lam ** n * (Poly.var(variables, "d0") + n * f)
+
+    def verdict(self) -> Tuple[bool, str, str, bool]:
+        note = "the principal ideal (w0) is invariant: generators scale w0 and shift only d0"
+        return False, "Vir00", note, True
+
+    def witness_ideal(self) -> Tuple[Poly, str]:
+        return Poly.var(("w0",), "w0"), "w0"
+
 
 @dataclass(frozen=True)
 class AffVirSpec:
@@ -365,11 +431,26 @@ class AffVirSpec:
     def window(self) -> int:
         return self.base.window
 
+    def on_one(self, symbol: BasisSymbol) -> Poly:
+        """x.1 for a generator x of AffineVirasoroH4: the base's value, and
+        alpha^n (d + n lambda) for dvir at loop n, inside the window or not."""
+        if symbol.kind != "dvir":
+            return self.base.on_one(symbol)
+        n = symbol.loop_index
+        mu = Poly.const(("s", "d"), n * self.lambda_shift)
+        return self.base.alpha ** n * (Poly.var(("s", "d"), "d") + mu)
+
+    def verdict(self) -> Tuple[bool, str, str, bool]:
+        irreducible, family, note, _ = self.base.verdict()
+        return irreducible, "AffineVirasoroH4/" + family, note, True
+
+    def witness_ideal(self) -> Tuple[Poly, str]:
+        return self.base.witness_ideal()
+
 
 def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpec:
-    _check_window_limit(window)
-    zero_beta = {k: Fraction(0) for k in range(-window, window + 1)}
-    inner = mtilde(base, alpha, zero_beta, window)
+    _check_window(window)
+    inner = mtilde(base, alpha, dict.fromkeys(range(-window, window + 1), 0), window)
     return AffVirSpec(base=inner, lambda_shift=lam)
 
 
@@ -431,12 +512,15 @@ class ActionData:
     def has(self, symbol: BasisSymbol) -> bool:
         return symbol in self._index
 
-    def require(self, symbol: BasisSymbol) -> Poly:
-        """The symbol's value; MalformedData naming it, as the algebra
-        writes it, when the data leaves it unassigned."""
-        if symbol not in self._index:
-            raise MalformedData(f"no assignment for {format_symbol(symbol, self.algebra)}")
-        return self._index[symbol]
+    def on_one(self, symbol: BasisSymbol) -> Poly:
+        """x.1; for an unassigned x, WindowExceeded outside the window, else
+        MalformedData naming x as the algebra writes it."""
+        if symbol in self._index:
+            return self._index[symbol]
+        name = format_symbol(symbol, self.algebra)
+        if abs(symbol.loop_index) > self.window:
+            raise WindowExceeded(f"{name} outside window {self.window}")
+        raise MalformedData(f"no assignment for {name}")
 
 
 AnySpec = Union[H4Family, AffineSpec, Vir00Spec, AffVirSpec, ActionData]
@@ -454,7 +538,7 @@ def module_variables(spec: AnySpec) -> Tuple[str, ...]:
 
 
 def spec_window(spec: AnySpec) -> Optional[int]:
-    """Largest usable loop index; None when unbounded, 0 for plain H4."""
+    """The spec's own largest loop index; None when unbounded (Vir00)."""
     return spec.window
 
 
@@ -479,58 +563,8 @@ def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
 
 def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     """x.1 as a polynomial in the module variables, computed afresh."""
-    algebra = algebra_of(spec)
-    check_in_algebra(algebra, symbol)
-    variables = MODULE_VARIABLES[algebra]
-    kind, n = symbol.kind, symbol.loop_index
-
-    if isinstance(spec, ActionData):
-        # every assigned symbol lies within the data's window
-        if abs(n) > spec.window:
-            raise WindowExceeded(f"{format_symbol(symbol, algebra)} outside window {spec.window}")
-        return spec.require(symbol)
-
-    if kind == "k":
-        return Poly.zero(variables)
-
-    if isinstance(spec, H4Family):
-        p1, q1, r1 = spec.base_values
-        if kind == "p":
-            return p1
-        if kind == "q":
-            return q1
-        if kind == "r":
-            return Poly.const(variables, r1)
-        return Poly.var(variables, "s")
-
-    if isinstance(spec, AffineSpec):
-        if kind == "d":
-            return Poly.var(variables, "d")
-        if abs(n) > spec.window:
-            raise WindowExceeded(f"{format_symbol(symbol)} outside window {spec.window}")
-        if spec.variant == "MTildeF":
-            if kind == "s":
-                return change_variables(spec.f_at(n), variables)
-            return Poly.zero(variables)
-        scale = spec.alpha ** n
-        if kind == "s":
-            return scale * Poly.var(variables, "s") + Poly.const(variables, spec.beta_at(n))
-        # p, q and r at loop n act by alpha^n times their base family value
-        return scale * change_variables(_value_on_one(spec.base, sym(kind)), variables)
-
-    if isinstance(spec, Vir00Spec):
-        scale = spec.lam ** n
-        if kind == "s":
-            return scale * Poly.var(variables, "w0")
-        f = change_variables(spec.fpoly, variables)
-        return scale * (Poly.var(variables, "d0") + n * f)
-
-    # an AffVirSpec, since algebra_of has refused anything that is no spec
-    if kind == "dvir":
-        scale = spec.base.alpha ** n
-        mu = n * scale * spec.lambda_shift
-        return scale * Poly.var(variables, "d") + Poly.const(variables, mu)
-    return _value_on_one(spec.base, symbol)
+    check_in_algebra(algebra_of(spec), symbol)
+    return spec.on_one(symbol)
 
 
 # Entries kept by value_on_one's cache, so a long-running process that

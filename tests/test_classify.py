@@ -8,9 +8,11 @@ from helpers import (
     affine_data,
     corrupted_fixtures,
     h4_data,
+    random_specs,
     sample_specs,
     with_assignment,
 )
+from hypothesis import given, settings
 
 from nwfree.classify import (
     Classified,
@@ -32,6 +34,7 @@ from nwfree.modfam import (
     Vir00Spec,
     act,
     actions_of,
+    algebra_of,
     m0,
     m0g,
     mab,
@@ -272,3 +275,9 @@ def test_classified_spec_regenerates_data():
         got = classify(data)
         assert isinstance(got, Classified)
         assert actions_of(got.spec, data.window) == data
+
+
+@settings(deadline=None)
+@given(random_specs().filter(lambda spec: algebra_of(spec) in (H4, AFFINE_H4)))
+def test_classify_recovers_every_drawn_h4_and_affine_spec(spec):
+    assert classify(actions_of(spec)) == Classified(spec)

@@ -21,6 +21,7 @@ from nwfree.exactpoly import (
     Poly,
     change_variables,
     degree_in,
+    format_poly,
     monomials_upto,
     reduce_mod_univariate,
 )
@@ -66,6 +67,7 @@ from helpers import (
     int_digit_limit_lifted,
     orbit_oracle_dense_reference,
     orbit_oracle_reference,
+    random_specs,
     rational_root_reference,
     sample_specs,
     witness_reference,
@@ -141,6 +143,51 @@ def test_affvir_verdict_tracks_its_base():
 def test_decide_rejects_non_specs():
     with pytest.raises(SpecInvalid):
         decide(42)
+
+
+_QUARTER_G = S ** 2 - Poly.const(("s",), Fraction(1, 4))
+_INVERTIBLE = "a generator acts by an invertible constant"
+_G_IDEAL = "the ideal generated by g is a proper submodule"
+_ZERO_PQR = "p, q and r act as zero, so every proper ideal is invariant"
+_VIR00_IDEAL = "the principal ideal (w0) is invariant: generators scale w0 and shift only d0"
+_PATH_BASES = [  # (name, base, irreducible, note, witness ideal)
+    ("Mg0", mg0(_QUARTER_G), False, _G_IDEAL, "s-1/2"),
+    ("M0g", m0g(2 * S - Poly.const(("s",), 3)), False, _G_IDEAL, "s-3/2"),
+    ("Mhb", mhb(1, 0, 1), True, _INVERTIBLE, None),
+    ("Mbh", mbh(2, -1, 3), True, _INVERTIBLE, None),
+    ("Mab", mab(2, 3), True, _INVERTIBLE, None),
+    ("M0", m0(), False, _ZERO_PQR, "s"),
+]
+VERDICT_PATHS = (  # (case, spec, family, irreducible, note, derived, witness ideal)
+    [("Mg0-constant", mg0(3), "Mg0", True, "g is a non-zero constant", False, None),
+     ("Mg0-no-root", mg0(S ** 2 + Poly.one(("s",))), "Mg0", False, _G_IDEAL, False, "s^2+1")]
+    + [(name, base, name, irr, note, False, ideal) for name, base, irr, note, ideal in _PATH_BASES]
+    + [("MTildeAlphaBeta/" + name, mtilde(base, 3, {-1: 1, 1: 2}, 1), "MTildeAlphaBeta/" + name,
+        irr, note, name == "M0", ideal) for name, base, irr, note, ideal in _PATH_BASES]
+    + [("MTildeF", mtilde_f({-1: S + Poly.const(("s",), 2), 1: S ** 2}, 1), "MTildeF", False,
+        _ZERO_PQR, True, "s"),
+       ("Vir00", Vir00Spec(2, W0), "Vir00", False, _VIR00_IDEAL, True, "w0"),
+       ("AffVir/Mhb", affvir(mhb(1, 0, 1), 3, 2, 1), "AffineVirasoroH4/MTildeAlphaBeta/Mhb",
+        True, _INVERTIBLE, True, None),
+       ("AffVir/Mg0", affvir(mg0(_QUARTER_G), 3, 2, 1), "AffineVirasoroH4/MTildeAlphaBeta/Mg0",
+        False, _G_IDEAL, True, "s-1/2")]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, family, irreducible, note, derived, ideal",
+    [case[1:] for case in VERDICT_PATHS],
+    ids=[case[0] for case in VERDICT_PATHS],
+)
+def test_every_verdict_path_states_its_family_note_and_witness_ideal(
+    spec, family, irreducible, note, derived, ideal
+):
+    assert repr(decide(spec)) == (
+        f"IrreducibilityVerdict(irreducible={irreducible}, family={family!r}, "
+        f"note={note!r}, derived={derived})"
+    )
+    if not irreducible:
+        assert format_poly(witness(spec).ideal_generator) == ideal
 
 
 # ------------------------------------------------------- reduction chains
@@ -934,3 +981,31 @@ def test_witness_ideal_always_closes(root, extra):
     wit = witness(mg0(g))
     assert wit.all_contained
     assert degree_in(wit.ideal_generator, "s") >= 1
+
+
+
+@st.composite
+def _decided_specs(draw):
+    """A spec of random_specs, its verdict, and a nonzero seed of total
+    degree at most 3 in its module variables."""
+    spec = draw(random_specs())
+    monos = monomials_upto(module_variables(spec), 3)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+                  .filter(any))
+    seed = sum((c * m for c, m in zip(coeffs, monos)), Poly.zero(module_variables(spec)))
+    return spec, decide(spec), seed
+
+
+@settings(deadline=None)
+@given(_decided_specs())
+def test_every_drawn_verdict_is_backed_by_its_evidence(case):
+    """A Reducible verdict's witness closes on a non-constant ideal; an
+    Irreducible verdict's chain drives the seed to a nonzero constant."""
+    spec, verdict, seed = case
+    if verdict.irreducible:
+        final = reduction_chain(spec, seed).final
+        assert final.is_constant() and not final.is_zero()
+    else:
+        wit = witness(spec)
+        assert wit.all_contained
+        assert not wit.ideal_generator.is_constant()

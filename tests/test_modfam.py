@@ -307,6 +307,10 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
      "alpha must be rational, got 'q'"),
     ("affvir-lambda", lambda: affvir(mab(1, 1), 2, "z", 1), SpecInvalid,
      "lambda must be rational, got 'z'"),
+    ("affvir-str-window", lambda: affvir(mab(1, 1), 2, 3, "2"), SpecInvalid,
+     "window must be a positive integer"),
+    ("affvir-float-window", lambda: affvir(mab(1, 1), 2, 3, 1.5), SpecInvalid,
+     "window must be a positive integer"),
     ("mtilde-beta-key", lambda: mtilde(mab(1, 1), 2, {"a": 1, -1: 0}, 1), SpecInvalid,
      "beta index 'a' is not an integer"),
     ("mtilde-f-str-key", lambda: mtilde_f({"a": 1, -1: 0}, 1), SpecInvalid,
