@@ -17,6 +17,13 @@ operator `+ - * ^ ( ) /`; and any other character, unexpected too.  An
 end token placed just after the text ends the tokens, and the errors for
 a missing token (`unexpected end of polynomial`, `expected ')'`) point there.
 
+The reader works on integer maps: every atom, sum, product and power is
+an (integer map, den) pair, nonzero numerators keyed by exponents over a
+positive den reduced as `Poly._trusted` reduces it, and a product is
+`exactpoly._shift_mul` with no shift.  `parse_poly` builds one `Poly` per
+value, from the whole value's pair.  Each check below reads the pairs as
+it would read their `Poly`s.
+
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.
 One polynomial value may multiply at most MAX_TERM_WORK term pairs,
@@ -60,7 +67,7 @@ from typing import Callable, NamedTuple, Tuple
 
 from . import InputError
 from .classify import Classified, classify, iso_check, twist
-from .exactpoly import Poly, format_poly, format_rational
+from .exactpoly import NEG_INF, Poly, _distinct, _shift_mul, format_poly, format_rational
 from .irreducible import (
     decide,
     format_certificate,
@@ -181,11 +188,33 @@ def _tokenize(text: str, line: int, col: int):
     return tokens
 
 
+def _reduced(ints: dict, den: int):
+    """(ints, den) reduced as `Poly._trusted` reduces them, unsorted: zero
+    numerators dropped and den divided by its gcd with the rest (1 if none)."""
+    if 0 in ints.values():
+        ints = {exps: n for exps, n in ints.items() if n}
+    if den != 1:
+        g = gcd(den, *ints.values())
+        if g != 1:
+            den //= g
+            ints = {exps: n // g for exps, n in ints.items()}
+    return ints, den
+
+
+def _degree(ints: dict):
+    """The total degree of a zero-free integer map, NEG_INF when it is empty."""
+    return max(map(sum, ints), default=NEG_INF)
+
+
 class _PolyParser:
+    """Each rule returns its value as a `_reduced` (integer map, den) pair,
+    so its degree, term count and denominator read as on its `Poly`."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens  # ending in the end token, which is taken only to fail at it
         self.i = 0
         self.variables = variables
+        self.zeros = (0,) * len(variables)
         self.depth = 0  # open parentheses and unary minus signs
         self.work = 0  # term pairs multiplied so far, against MAX_TERM_WORK
 
@@ -214,15 +243,16 @@ class _PolyParser:
                 if abs(n) // g >= _DIGIT_BOUND or d // g >= _DIGIT_BOUND:
                     self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
 
-    def multiply(self, a: Poly, b: Poly, what: str, tok) -> Poly:
-        self.work += len(a.numerators) * len(b.numerators)
+    def multiply(self, a, b, what: str, tok):
+        (x, xden), (y, yden) = a, b
+        self.work += len(x) * len(y)
         if self.work > MAX_TERM_WORK:
             self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
-        value = a * b
-        self.bounded(((n, value.den) for _, n in value.numerators), value.den, what, tok)
-        return value
+        ints, den = _reduced(_shift_mul(x, self.zeros, y.items()), xden * yden)
+        self.bounded(((n, den) for n in ints.values()), den, what, tok)
+        return ints, den
 
-    def expr(self) -> Poly:
+    def expr(self):
         value = self.term()
         table = None  # once a sign follows, each term's (numerator, denominator), merged in place
         while True:
@@ -230,22 +260,22 @@ class _PolyParser:
             if tok.text not in ("+", "-"):
                 if table is None:
                     return value
-                pairs = [(exps, n * (den // d)) for exps, (n, d) in table.items()]
-                return Poly._trusted(value.variables, pairs, den)
+                return _reduced({exps: n * (den // d) for exps, (n, d) in table.items()}, den)
             self.take()
-            rhs = self.term()
+            rhs, b = self.term()
             if table is None:
-                table, den = {exps: (n, value.den) for exps, n in value.numerators}, value.den
-            den = lcm(den, rhs.den)  # a multiple of every term's denominator
-            sign, b = (1 if tok.text == "+" else -1), rhs.den
-            for exps, n in rhs.numerators:
+                ints, den = value
+                table = {exps: (n, den) for exps, n in ints.items()}
+            den = lcm(den, b)  # a multiple of every term's denominator
+            sign = 1 if tok.text == "+" else -1
+            for exps, n in rhs.items():
                 p, q = table.get(exps, (0, 1))
                 p, q = p * b + sign * n * q, q * b  # p/q +- n/b
                 g = gcd(p, q)
                 table[exps] = p // g, q // g
-            self.bounded((table[exps] for exps, _ in rhs.numerators), den, "sum", tok)
+            self.bounded((table[exps] for exps in rhs), den, "sum", tok)
 
-    def term(self) -> Poly:
+    def term(self):
         value = self.factor()
         while True:
             tok = self.peek()
@@ -253,18 +283,18 @@ class _PolyParser:
                 return value
             self.take()
             rhs = self.factor()
-            if value.total_degree() + rhs.total_degree() > MAX_DEGREE:
+            if _degree(value[0]) + _degree(rhs[0]) > MAX_DEGREE:
                 self.fail(f"product exceeds the degree limit {MAX_DEGREE}", tok)
             value = self.multiply(value, rhs, "product", tok)
 
-    def factor(self) -> Poly:
+    def factor(self):
         tok = self.peek()
         if tok.text == "-":
             self.take()
             self.nest(tok)
-            value = -self.factor()
+            ints, den = self.factor()
             self.depth -= 1
-            return value
+            return {exps: -n for exps, n in ints.items()}, den
         value = self.atom()
         tok = self.peek()
         if tok.text == "^":
@@ -273,18 +303,18 @@ class _PolyParser:
             if exponent.kind != "num":
                 self.fail("expected an integer exponent after '^'", exponent)
             n = int(exponent.text)
-            if n * max(value.total_degree(), 1) > MAX_DEGREE:
+            if n * max(_degree(value[0]), 1) > MAX_DEGREE:
                 self.fail(f"power ^{n} exceeds the degree limit {MAX_DEGREE}", exponent)
             # as Poly.__pow__ does, but checked at every multiplication
-            base, value = value, Poly.one(self.variables)
+            base, value = value, ({self.zeros: 1}, 1)
             for _ in range(n):
                 value = self.multiply(value, base, "power", tok)
         return value
 
-    def atom(self) -> Poly:
+    def atom(self):
         tok = self.take()
         if tok.kind == "num":
-            den = 1
+            n, den = int(tok.text), 1
             if self.peek().text == "/":
                 self.take()
                 denominator = self.take()
@@ -293,11 +323,14 @@ class _PolyParser:
                 den = int(denominator.text)
                 if den == 0:
                     self.fail("zero denominator", denominator)
-            return Poly._trusted(self.variables, (((0,) * len(self.variables), int(tok.text)),), den)
+                g = gcd(n, den)
+                n, den = n // g, den // g
+            return ({self.zeros: n} if n else {}), den
         if tok.kind == "ident":
             if tok.text not in self.variables:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
-            return Poly.var(self.variables, tok.text)
+            i = self.variables.index(tok.text)
+            return {self.zeros[:i] + (1,) + self.zeros[i + 1:]: 1}, 1
         if tok.text == "(":
             self.nest(tok)
             value = self.expr()
@@ -313,6 +346,8 @@ class _PolyParser:
 
 def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     """Parse the polynomial grammar; positions offset by (line, col)."""
+    if variables is not None:
+        variables = _distinct(variables)
     tokens = _tokenize(text, line, col)
     if len(tokens) == 1:
         raise DslSyntaxError("empty polynomial", line, col)
@@ -322,12 +357,12 @@ def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
         mentioned = {tok.text for tok in tokens if tok.kind == "ident"}
         variables = tuple(v for v in _ALLOWED_VARIABLES if v in mentioned)
-    parser = _PolyParser(tokens, tuple(variables))
-    value = parser.expr()
+    parser = _PolyParser(tokens, variables)
+    ints, den = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         parser.fail(f"unexpected {trailing.text!r}", trailing)
-    return value
+    return Poly._trusted(variables, ints.items(), den)
 
 
 # RATIONAL with an optional sign, in ASCII digits, with a nonzero denominator.

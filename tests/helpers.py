@@ -5,7 +5,7 @@ import pickle
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import strategies as st
@@ -72,7 +72,20 @@ from nwfree.modfam import (
     shift_of,
     value_on_one,
 )
-from nwfree.specdsl import MAX_DIGITS, DslSyntaxError, _Token
+from nwfree.specdsl import (
+    _ALLOWED_VARIABLES,
+    _DENOMINATOR_BOUND,
+    _DIGIT_BOUND,
+    MAX_DEGREE,
+    MAX_DENOMINATOR_DIGITS,
+    MAX_DIGITS,
+    MAX_NESTING,
+    MAX_TERM_WORK,
+    DslSyntaxError,
+    UnknownVariable,
+    _Token,
+    _tokenize,
+)
 from nwfree.verify import FAIL, PASS, SKIP, ReportEntry, VerificationReport
 
 S = Poly.var(("s",), "s")
@@ -664,3 +677,154 @@ def tokenize_reference(text: str, line: int, col: int):
             continue
         raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
     return tokens, line, col
+
+
+class _PolyParserReference:
+    """The polynomial reader as it was before it carried integer maps: one
+    `Poly` per atom and per operation, with the same checks at the same
+    tokens.  `parse_poly` must give the same value or the same error."""
+
+    def __init__(self, tokens, variables):
+        self.tokens = tokens
+        self.i = 0
+        self.variables = variables
+        self.depth = 0
+        self.work = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def fail(self, message, tok):
+        raise DslSyntaxError(message, tok.line, tok.col)
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting exceeds the limit {MAX_NESTING}", tok)
+
+    def bounded(self, coefficients, den, what, tok):
+        if den >= _DENOMINATOR_BOUND:
+            self.fail(f"{what} exceeds the denominator limit {MAX_DENOMINATOR_DIGITS}", tok)
+        for n, d in coefficients:
+            if abs(n) >= _DIGIT_BOUND or d >= _DIGIT_BOUND:
+                g = gcd(n, d)
+                if abs(n) // g >= _DIGIT_BOUND or d // g >= _DIGIT_BOUND:
+                    self.fail(f"{what} exceeds the digit limit {MAX_DIGITS}", tok)
+
+    def multiply(self, a, b, what, tok):
+        self.work += len(a.numerators) * len(b.numerators)
+        if self.work > MAX_TERM_WORK:
+            self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
+        value = a * b
+        self.bounded(((n, value.den) for _, n in value.numerators), value.den, what, tok)
+        return value
+
+    def expr(self):
+        value = self.term()
+        table = None
+        while True:
+            tok = self.peek()
+            if tok.text not in ("+", "-"):
+                if table is None:
+                    return value
+                pairs = [(exps, n * (den // d)) for exps, (n, d) in table.items()]
+                return Poly._trusted(value.variables, pairs, den)
+            self.take()
+            rhs = self.term()
+            if table is None:
+                table, den = {exps: (n, value.den) for exps, n in value.numerators}, value.den
+            den = lcm(den, rhs.den)
+            sign, b = (1 if tok.text == "+" else -1), rhs.den
+            for exps, n in rhs.numerators:
+                p, q = table.get(exps, (0, 1))
+                p, q = p * b + sign * n * q, q * b
+                g = gcd(p, q)
+                table[exps] = p // g, q // g
+            self.bounded((table[exps] for exps, _ in rhs.numerators), den, "sum", tok)
+
+    def term(self):
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.text != "*":
+                return value
+            self.take()
+            rhs = self.factor()
+            if value.total_degree() + rhs.total_degree() > MAX_DEGREE:
+                self.fail(f"product exceeds the degree limit {MAX_DEGREE}", tok)
+            value = self.multiply(value, rhs, "product", tok)
+
+    def factor(self):
+        tok = self.peek()
+        if tok.text == "-":
+            self.take()
+            self.nest(tok)
+            value = -self.factor()
+            self.depth -= 1
+            return value
+        value = self.atom()
+        tok = self.peek()
+        if tok.text == "^":
+            self.take()
+            exponent = self.take()
+            if exponent.kind != "num":
+                self.fail("expected an integer exponent after '^'", exponent)
+            n = int(exponent.text)
+            if n * max(value.total_degree(), 1) > MAX_DEGREE:
+                self.fail(f"power ^{n} exceeds the degree limit {MAX_DEGREE}", exponent)
+            base, value = value, Poly.one(self.variables)
+            for _ in range(n):
+                value = self.multiply(value, base, "power", tok)
+        return value
+
+    def atom(self):
+        tok = self.take()
+        if tok.kind == "num":
+            den = 1
+            if self.peek().text == "/":
+                self.take()
+                denominator = self.take()
+                if denominator.kind != "num":
+                    self.fail("expected an integer denominator after '/'", denominator)
+                den = int(denominator.text)
+                if den == 0:
+                    self.fail("zero denominator", denominator)
+            return Poly._trusted(self.variables, (((0,) * len(self.variables), int(tok.text)),), den)
+        if tok.kind == "ident":
+            if tok.text not in self.variables:
+                raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
+            return Poly.var(self.variables, tok.text)
+        if tok.text == "(":
+            self.nest(tok)
+            value = self.expr()
+            closing = self.take()
+            if closing.text != ")":
+                self.fail("expected ')'", closing)
+            self.depth -= 1
+            return value
+        if tok.kind == "end":
+            self.fail("unexpected end of polynomial", tok)
+        self.fail(f"unexpected {tok.text!r}", tok)
+
+
+def parse_poly_reference(text, variables=None, line=1, col=1):
+    """parse_poly by `_PolyParserReference`, on the tokens of `_tokenize`."""
+    tokens = _tokenize(text, line, col)
+    if len(tokens) == 1:
+        raise DslSyntaxError("empty polynomial", line, col)
+    if variables is None:
+        for tok in tokens:
+            if tok.kind == "ident" and tok.text not in _ALLOWED_VARIABLES:
+                raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
+        mentioned = {tok.text for tok in tokens if tok.kind == "ident"}
+        variables = tuple(v for v in _ALLOWED_VARIABLES if v in mentioned)
+    parser = _PolyParserReference(tokens, tuple(variables))
+    value = parser.expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        parser.fail(f"unexpected {trailing.text!r}", trailing)
+    return value

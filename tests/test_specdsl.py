@@ -67,6 +67,7 @@ from helpers import (
     corrupted_data,
     format_poly_reference,
     int_digit_limit_lifted,
+    parse_poly_reference,
     random_specs,
     sample_specs,
     tokenize_reference,
@@ -958,21 +959,25 @@ def test_a_common_denominator_past_its_limit_exits_2_at_its_sign():
     assert err.value.col == len(left) + 3
 
 
-def test_a_long_sum_merges_its_terms_in_place(monkeypatch):
-    base = parse_poly("(s+d+1)^64", SD)
+def _count_trusted(monkeypatch):
+    """The list of every `Poly` that `Poly._trusted` builds from now on."""
     trusted = Poly._trusted
-    large = []
+    built = []
 
     def counted(variables, pairs, den=1):
-        value = trusted(variables, pairs, den)
-        if len(value.numerators) > 1000:
-            large.append(value)
-        return value
+        built.append(trusted(variables, pairs, den))
+        return built[-1]
 
     monkeypatch.setattr(Poly, "_trusted", staticmethod(counted))
+    return built
+
+
+def test_a_long_sum_merges_its_terms_in_place(monkeypatch):
+    base = parse_poly("(s+d+1)^64", SD)
+    built = _count_trusted(monkeypatch)
     assert parse_poly("(s+d+1)^64" + "+0" * 1000, SD) == base
-    # the power's own results and one sum; a new value per sign would be 1,000 more
-    assert 0 < len(large) <= 65
+    # the one Poly of the whole value; a new value per sign would be 1,000 more
+    assert built == [base]
 
 
 # (c*s+c*d+c)^32 has 561 terms, (c*s+c*d)^32 has 33; c has 15 digits
@@ -1023,6 +1028,134 @@ def test_the_term_work_limit_counts_the_multiplications_of_one_value():
     with pytest.raises(DslSyntaxError) as err:
         parse_poly(line + "*1", SD)
     assert err.value.col == len(line) + 1
+
+
+def _written_out(count):
+    """A sum of `count` distinct monomials c*s^a*d^b, lowest degrees first."""
+    exps = [(a, n - a) for n in range(MAX_DEGREE + 1) for a in range(n + 1)][:count]
+    return "+".join(f"{a + 2 * b + 1}*s^{a}*d^{b}" for a, b in exps)
+
+
+COPRIME = _coprime(11, MAX_DIGITS)
+N0 = COPRIME[0]
+# each 1 in lowest terms, but a denominator of N0^10 or N0^11, past the
+# limit, if atoms or products went unreduced
+UNIT_POWERS = [f"({N0}/{N0})^11", f"({N0}*1/{N0})^10", f"({N0}*1/{N0})^11"]
+# 11, but a common denominator N1*...*N11, past the limit, if atoms went unreduced
+UNIT_SUM = "+".join(f"{n}/{n}" for n in COPRIME)
+# ten and eleven coprime 1000-digit denominators on distinct monomials
+COPRIME_SUMS = ["(" + "+".join(f"1/{n}*s^{i}" for i, n in enumerate(COPRIME[:k])) + ")"
+                for k in (10, 11)]
+# 450 by 445 terms pass the term-work limit at the `*`, before multiplying;
+# a sum that cancels to 1 before a `*` multiplies 1 by 561 terms
+WIDE_PRODUCT = f"({_written_out(450)})*({_written_out(445)})"
+CANCELLED_PRODUCT = f"({_written_out(400)}+1-({_written_out(400)}))*({_written_out(561)})"
+
+# pieces of the grammar next to its limits, each a whole factor
+_EDGE_PIECES = [
+    # numerals at the digit limit, and products and sums that reach or pass it
+    "9" * MAX_DIGITS, "9" * (MAX_DIGITS - 1) + "8", NINES, "1" + "0" * (MAX_DIGITS - 1),
+    "9" * (MAX_DIGITS + 1), f"1/{NINES}", f"{NINES}/{NINES}9",
+    # coprime 1000-digit denominators, and fractions that reduce to 1 only by the gcd
+    f"1/{N0}", f"-1/{COPRIME[1]}", f"{N0}/{N0}", f"({N0}*1/{N0})",
+    *UNIT_POWERS, UNIT_SUM, "(" + "+".join(SIX_MONOMIALS) + ")", *COPRIME_SUMS,
+    # powers and products at the degree limit
+    "s^64", "s^65", "(s+1)^64", "(d-1)^63", "(2)^64", "s^32*s^32", "s^32*s^33",
+    WIDE_PRODUCT, CANCELLED_PRODUCT,
+    # nesting at the limit, counted over parentheses and unary minus
+    "(" * MAX_NESTING + "s" + ")" * MAX_NESTING, "(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+    "-" * (MAX_NESTING - 1) + "d", "-(" * 50 + "1" + ")" * 50,
+]
+_SMALL_ATOMS = ["0", "1", "2", "7", "12", "1/2", "4/6", "0/3", "3/1", "-1", "1/0", "1/",
+                "s", "d", "d0", "w0", "x", "", "(", ")", "^2"]
+_EXPONENTS = ["0", "1", "2", "3", "10", "11", "32", "33", "63", "64", "65", "s", ""]
+
+
+def _grammar_texts():
+    """Texts of the polynomial grammar, and near misses, built from small atoms
+    and `_EDGE_PIECES` by sums, products, powers, parentheses and signs."""
+    leaves = st.one_of(st.sampled_from(_SMALL_ATOMS), st.sampled_from(_EDGE_PIECES))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "*-", "+-", "--"]), inner).map("".join),
+            inner.map(lambda t: f"({t})"),
+            inner.map(lambda t: f"-{t}"),
+            st.tuples(inner, st.sampled_from(_EXPONENTS)).map(lambda p: f"({p[0]})^{p[1]}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def _parse_outcome(parse, text, variables, line, col):
+    """The value `parse` returns, or the (type, message, line, col) of its error."""
+    try:
+        value = parse(text, variables, line, col)
+    except DslSyntaxError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+    assert type(value) is Poly
+    return value
+
+
+@settings(deadline=None)
+@given(
+    text=_grammar_texts(),
+    variables=st.sampled_from([None, ("s",), SD, ("d", "s"), ("d0", "w0"), ("s", "d", "d0", "w0"), ()]),
+    line=st.integers(min_value=1, max_value=9),
+    col=st.integers(min_value=1, max_value=9),
+)
+@example(text="-s+2*-d", variables=SD, line=1, col=1)
+@example(text=UNIT_POWERS[2], variables=None, line=1, col=1)
+@example(text=UNIT_SUM, variables=("s",), line=2, col=5)
+@example(text=f"{COPRIME_SUMS[1]}-{COPRIME_SUMS[0]}", variables=None, line=1, col=1)
+@example(text=WIDE_PRODUCT, variables=SD, line=1, col=7)
+@example(text=CANCELLED_PRODUCT, variables=SD, line=1, col=7)
+def test_parse_poly_matches_the_reference(text, variables, line, col):
+    got = _parse_outcome(parse_poly, text, variables, line, col)
+    assert got == _parse_outcome(parse_poly_reference, text, variables, line, col)
+
+
+def test_edge_pieces_reach_the_limits_they_name():
+    one = Poly.one(())
+    assert [parse_poly(text) for text in UNIT_POWERS] == [one, one, one]
+    assert parse_poly(UNIT_SUM) == Poly.const((), len(COPRIME))
+    assert N0 ** 10 < 10 ** MAX_DENOMINATOR_DIGITS < N0 ** 11
+    assert parse_poly(COPRIME_SUMS[0]).den == math.prod(COPRIME[:10])
+    with pytest.raises(DslSyntaxError, match="^sum exceeds the denominator limit"):
+        parse_poly(COPRIME_SUMS[1])
+    with pytest.raises(DslSyntaxError, match="^polynomial exceeds the term-work limit"):
+        parse_poly(WIDE_PRODUCT, SD)
+    assert 401 * 561 > MAX_TERM_WORK
+    assert len(parse_poly(CANCELLED_PRODUCT, SD).numerators) == 561
+
+
+@pytest.mark.parametrize("text", ["1", "0", "-7/2", "s", "d*s", "s-s", "1-1", "0+0", ""])
+def test_duplicate_variables_raise_for_every_text(text):
+    with pytest.raises(VariableMismatch, match="^duplicate variable in \\('s', 's'\\)$"):
+        parse_poly(text, ("s", "s"))
+    with pytest.raises(VariableMismatch):
+        parse_poly(text, ["d", "s", "d"])
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "7/3", "s", "-d", "4*s^2-s+1", "(s+d+1)^5*(s-1)-(1/2*s-3)^3+d", "s-s", "2/4*(6)"]
+)
+def test_parse_poly_builds_one_poly_per_value(monkeypatch, text):
+    want = parse_poly_reference(text, SD)
+    built = _count_trusted(monkeypatch)
+    assert parse_poly(text, SD) == want
+    assert built == [want]
+
+
+def test_parse_actions_builds_one_poly_per_value_line(monkeypatch):
+    lines = [f"{c}@{k} = {value}" for k in range(-2, 3)
+             for c, value in (("p", f"({k}*s+1)^2-1/3*d"), ("q", "0"), ("r", f"-{k}/2*s*d"), ("s", "s"))]
+    doc = "\n".join(["algebra = AffineH4", "window = 2", *lines, "k = 0", "d = d"]) + "\n"
+    built = _count_trusted(monkeypatch)
+    data = parse_actions(doc)
+    assert len(built) == len(lines) + 2  # with k and d
+    for key, text in (entry.split(" = ") for entry in lines):
+        assert data.value(parse_symbol(key, data.algebra)) == parse_poly_reference(text, SD)
 
 
 @pytest.mark.parametrize(
