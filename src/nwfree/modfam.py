@@ -8,7 +8,11 @@ states its own family, algebra and loop window (`variant`, `algebra`,
 `mtilde`, `affvir`, ... pass theirs through), and gives its own values on
 1 (`on_one`, as raw `ActionData` does), irreducibility verdict (`verdict`)
 and witness ideal (`witness_ideal`), which affine and affine-Virasoro
-specs take from their base.
+specs take from their base.  Every parameter takes one coercion step,
+`_store`, which coerces a field, refuses a zero where the family does and
+stores it; the loop sequences beta and f are read by `_sequence`, and a
+window, action data's too, goes through `operator.index` as every integer
+argument does.
 
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
@@ -123,7 +127,7 @@ def integer_argument(value, name: str, low=None, high=None) -> int:
     return value
 
 
-def _poly_in(value, variables: Tuple[str, ...], what: str) -> Poly:
+def _poly_in(value, what: str, variables: Tuple[str, ...] = ("s",)) -> Poly:
     if isinstance(value, Poly):
         try:
             return change_variables(value, variables)
@@ -132,13 +136,36 @@ def _poly_in(value, variables: Tuple[str, ...], what: str) -> Poly:
     return Poly.const(variables, _fraction(value, what))
 
 
-def _int_keyed(entries, coerce, what: str):
-    if isinstance(entries, Mapping):
-        items = entries.items()
-    else:
-        items = entries
+def _window(value, what: str, low: int = 1, error=SpecInvalid) -> int:
+    """A loop window by operator.index, as every integer argument is read,
+    from `low` up to MAX_WINDOW; else `error`."""
+    try:
+        window = operator.index(value)
+    except TypeError:
+        window = None
+    if window is None or window < low:
+        raise error(f"{what} must be a {'positive' if low else 'non-negative'} integer")
+    if window > MAX_WINDOW:
+        raise error(f"{what} exceeds the limit {MAX_WINDOW}")
+    return window
+
+
+def _store(spec, attr: str, coerce, what: str, nonzero: Optional[str] = None):
+    """Coerce the field `attr` of `spec` by coerce(value, what), refuse a
+    zero value with SpecInvalid(nonzero) when given, and store it."""
+    value = coerce(getattr(spec, attr), what)
+    if nonzero is not None and (value.is_zero() if isinstance(value, Poly) else value == 0):
+        raise SpecInvalid(nonzero)
+    object.__setattr__(spec, attr, value)
+    return value
+
+
+def _sequence(entries, coerce, what: str, forced, forced_text: str, window: int):
+    """A loop sequence (beta or f) as its sorted (index, value) tuple: indices
+    by operator.index, one per index of the window, and index 0 `forced`
+    (written `forced_text`) or left out."""
     out = {}
-    for key, value in items:
+    for key, value in entries.items() if isinstance(entries, Mapping) else entries:
         try:
             k = operator.index(key)
         except TypeError as exc:
@@ -146,7 +173,25 @@ def _int_keyed(entries, coerce, what: str):
         if k in out:
             raise SpecInvalid(f"duplicate {what}.{k}")
         out[k] = coerce(value, f"{what}.{k}")
-    return out
+    if out.setdefault(0, forced) != forced:
+        raise SpecInvalid(f"{what}.0 must be {forced_text}")
+    missing = [k for k in range(-window, window + 1) if k not in out]
+    if missing:
+        raise SpecInvalid(f"{what}.{missing[0]} missing inside window")
+    extra = sorted(k for k in out if abs(k) > window)
+    if extra:
+        raise SpecInvalid(f"{what}.{extra[0]} lies outside the window")
+    return tuple(sorted(out.items()))
+
+
+# Each H4 parameter's coercion and the message that refuses a zero value.
+_H4_RULES = {
+    "g": (_poly_in, "g must be a non-zero polynomial in s"),
+    "a1": (_fraction, "a1 != 0: h must be a non-zero one-degree polynomial"),
+    "a2": (_fraction, None),
+    "a": (_fraction, "a != 0 and b != 0 are required"),
+    "b": (_fraction, "b != 0 is required"),
+}
 
 
 @dataclass(frozen=True)
@@ -181,30 +226,9 @@ class H4Family:
             raise SpecInvalid(
                 f"{self.variant} takes exactly {sorted(wanted) or 'no parameters'}, got {sorted(given)}"
             )
-        if self.variant in ("Mg0", "M0g"):
-            g = _poly_in(self.g, ("s",), "g")
-            if g.is_zero():
-                raise SpecInvalid("g must be a non-zero polynomial in s")
-            object.__setattr__(self, "g", g)
-        elif self.variant in ("Mhb", "Mbh"):
-            a1 = _fraction(self.a1, "a1")
-            if a1 == 0:
-                raise SpecInvalid("a1 != 0: h must be a non-zero one-degree polynomial")
-            b = _fraction(self.b, "b")
-            if b == 0:
-                raise SpecInvalid("b != 0 is required")
-            object.__setattr__(self, "a1", a1)
-            object.__setattr__(self, "a2", _fraction(self.a2, "a2"))
-            object.__setattr__(self, "b", b)
-        elif self.variant == "Mab":
-            a = _fraction(self.a, "a")
-            b = _fraction(self.b, "b")
-            if a == 0:
-                raise SpecInvalid("a != 0 and b != 0 are required")
-            if b == 0:
-                raise SpecInvalid("b != 0 is required")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+        for name in H4_PARAMS[self.variant]:
+            coerce, nonzero = _H4_RULES[name]
+            _store(self, name, coerce, name, nonzero)
 
     @functools.cached_property
     def base_values(self) -> Tuple[Poly, Poly, Fraction]:
@@ -276,13 +300,6 @@ def m0() -> H4Family:
     return H4Family("M0")
 
 
-def _check_window(window) -> None:
-    if not isinstance(window, int) or window < 1:
-        raise SpecInvalid("window must be a positive integer")
-    if window > MAX_WINDOW:
-        raise SpecInvalid(f"window exceeds the limit {MAX_WINDOW}")
-
-
 @dataclass(frozen=True)
 class AffineSpec:
     """Affinized module: MTildeAlphaBeta over a base family, or MTildeF."""
@@ -299,42 +316,21 @@ class AffineSpec:
     def __post_init__(self):
         if self.variant not in AFFINE_VARIANTS:
             raise SpecInvalid(f"unknown affine family {self.variant!r}")
-        _check_window(self.window)
-        keys = set(range(-self.window, self.window + 1))
+        window = _store(self, "window", _window, "window")
         if self.variant == "MTildeAlphaBeta":
             if not isinstance(self.base, H4Family):
                 raise SpecInvalid("MTildeAlphaBeta needs a base H4 family")
-            alpha = _fraction(self.alpha, "alpha")
-            if alpha == 0:
-                raise SpecInvalid("alpha must be non-zero")
-            beta = _int_keyed(self.beta, _fraction, "beta")
-            beta.setdefault(0, Fraction(0))
-            if beta[0] != 0:
-                raise SpecInvalid("beta.0 must be 0")
-            self._check_coverage(set(beta), keys, "beta")
+            _store(self, "alpha", _fraction, "alpha", "alpha must be non-zero")
+            beta = _sequence(self.beta, _fraction, "beta", Fraction(0), "0", window)
             if self.fseq:
                 raise SpecInvalid("f.<k> entries belong to MTildeF only")
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "beta", tuple(sorted(beta.items())))
+            object.__setattr__(self, "beta", beta)
             object.__setattr__(self, "fseq", ())
         else:
             if self.base is not None or self.alpha is not None or self.beta:
                 raise SpecInvalid("MTildeF takes only window and f.<k> entries")
-            fseq = _int_keyed(self.fseq, lambda v, w: _poly_in(v, ("s",), w), "f")
-            fseq.setdefault(0, Poly.var(("s",), "s"))
-            if fseq[0] != Poly.var(("s",), "s"):
-                raise SpecInvalid("f.0 must be s")
-            self._check_coverage(set(fseq), keys, "f")
-            object.__setattr__(self, "fseq", tuple(sorted(fseq.items())))
-
-    @staticmethod
-    def _check_coverage(have, want, name):
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        if missing:
-            raise SpecInvalid(f"{name}.{missing[0]} missing inside window")
-        if extra:
-            raise SpecInvalid(f"{name}.{extra[0]} lies outside the window")
+            fseq = _sequence(self.fseq, _poly_in, "f", Poly.var(("s",), "s"), "s", window)
+            object.__setattr__(self, "fseq", fseq)
 
     def on_one(self, symbol: BasisSymbol) -> Poly:
         """x.1 for a generator x of AffineH4: at loop n, s acts by f_n in MTildeF
@@ -385,11 +381,8 @@ class Vir00Spec:
     fpoly: Poly
 
     def __post_init__(self):
-        lam = _fraction(self.lam, "lambda")
-        if lam == 0:
-            raise SpecInvalid("lambda must be non-zero")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "fpoly", _poly_in(self.fpoly, ("w0",), "fpoly"))
+        _store(self, "lam", _fraction, "lambda", "lambda must be non-zero")
+        _store(self, "fpoly", functools.partial(_poly_in, variables=("w0",)), "fpoly")
 
     def on_one(self, symbol: BasisSymbol) -> Poly:
         """x.1 for a generator x of Vir00: w_n acts by lambda^n w0 and
@@ -425,7 +418,7 @@ class AffVirSpec:
             raise SpecInvalid("affine-Virasoro base must be an MTildeAlphaBeta spec")
         if any(v != 0 for _, v in self.base.beta):
             raise SpecInvalid("beta must vanish for the affine-Virasoro family")
-        object.__setattr__(self, "lambda_shift", _fraction(self.lambda_shift, "lambda"))
+        _store(self, "lambda_shift", _fraction, "lambda")
 
     @property
     def window(self) -> int:
@@ -449,7 +442,7 @@ class AffVirSpec:
 
 
 def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpec:
-    _check_window(window)
+    window = _window(window, "window")
     inner = mtilde(base, alpha, dict.fromkeys(range(-window, window + 1), 0), window)
     return AffVirSpec(base=inner, lambda_shift=lam)
 
@@ -471,17 +464,11 @@ class ActionData:
     def __post_init__(self):
         if self.algebra not in MODULE_VARIABLES:
             raise MalformedData(f"unknown algebra {self.algebra!r}")
-        if not isinstance(self.window, int) or self.window < 0:
-            raise MalformedData("window must be a non-negative integer")
-        if self.window > MAX_WINDOW:
-            raise MalformedData(f"window exceeds the limit {MAX_WINDOW}")
+        _store(self, "window", functools.partial(_window, low=0, error=MalformedData), "window")
         variables = MODULE_VARIABLES[self.algebra]
-        if isinstance(self.assignments, Mapping):
-            items = self.assignments.items()
-        else:
-            items = self.assignments
+        items = self.assignments
         seen = {}
-        for symbol, value in items:
+        for symbol, value in items.items() if isinstance(items, Mapping) else items:
             if not isinstance(symbol, BasisSymbol):
                 raise MalformedData(f"assignment key {symbol!r} is not a generator")
             check_in_algebra(self.algebra, symbol)

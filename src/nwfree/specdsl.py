@@ -40,10 +40,10 @@ counted together, are a syntax error at the `(` or `-` that passes the
 limit.  So no document makes the parser multiply or recurse without
 bound.  A rational parameter is a RATIONAL with an optional sign, each
 numeral at most MAX_DIGITS ASCII digits (no decimal point, exponent or
-underscore), and a window ASCII digits after an optional `-`, with no `+`
-or underscore; anything else is a syntax error at the value.
-A loop index (`beta.-2`, `p@1`) is an optional `-` followed by ASCII
-digits; anything else is a syntax error at the key.
+underscore); anything else is a syntax error at the value.  A window and
+a loop index (`beta.-2`, `p@1`) follow one rule, `liealg.parse_loop_index`:
+an optional `-`, then ASCII digits, with no `+`, `_` or other digits;
+anything else is a syntax error at the window's value or the index's key.
 
 Spec and action documents are line-oriented `key = value` text with `#`
 comments.  Spec documents name an algebra and a family and list its
@@ -440,9 +440,7 @@ def _construct(call, taken, fallback: _Entry):
 
 def _window_value(entry: _Entry) -> int:
     try:
-        if not entry.value.isascii() or entry.value[0] == "+" or "_" in entry.value:
-            raise ValueError(entry.value)  # int() takes all three
-        window = int(entry.value)
+        window = parse_loop_index(entry.value)
     except ValueError:
         raise DslSyntaxError("window must be an integer", entry.line, entry.value_col) from None
     if window > MAX_WINDOW:

@@ -8,6 +8,7 @@ from helpers import (
     affine_data,
     corrupted_fixtures,
     h4_data,
+    h4_specs,
     random_specs,
     sample_specs,
     with_assignment,
@@ -218,17 +219,29 @@ def test_twist_images():
             twist(spec)
 
 
+def assert_twist_intertwines(fam):
+    """y acts on twist(x) as eta(y) acts on x, through s -> -s."""
+    target = twist(fam)
+    for y in (P, Q, R, S):
+        twisted = eta(LieElement.basis(y))
+        for v in monomials_upto(("s",), 4):
+            lhs = act(target, y, v)
+            rhs = negate_var(act(fam, twisted, negate_var(v, "s")), "s")
+            assert lhs == rhs, (fam, y)
+
+
 @pytest.mark.parametrize(
     "fam", [mg0(S_POLY ** 2 + S_POLY), mg0(5 * ONE), mhb(1, 0, 2), mhb(2, -1, 3)]
 )
 def test_twist_intertwines_actions(fam):
-    target = twist(fam)
-    for x in (P, Q, R, S):
-        twisted = eta(LieElement.basis(x))
-        for v in monomials_upto(("s",), 4):
-            lhs = negate_var(act(fam, twisted, v), "s")
-            rhs = act(target, x, negate_var(v, "s"))
-            assert lhs == rhs, (fam.variant, x)
+    assert_twist_intertwines(fam)
+
+
+@settings(deadline=None)
+@given(h4_specs(("Mg0", "Mhb")))
+def test_twist_intertwines_actions_on_drawn_specs(fam):
+    assert_twist_intertwines(fam)
+    assert verify_module(twist(fam), test_degree=3).passed
 
 
 def test_iso_check_criteria():

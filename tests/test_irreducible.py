@@ -1009,3 +1009,30 @@ def test_every_drawn_verdict_is_backed_by_its_evidence(case):
         wit = witness(spec)
         assert wit.all_contained
         assert not wit.ideal_generator.is_constant()
+
+
+@settings(deadline=None)
+@given(_decided_specs(), st.data())
+def test_an_oracle_true_answer_is_sound_for_the_verdict(case, data):
+    """True means the seed generates the module, as 1 does: so it lies in
+    no proper submodule, and under a Reducible verdict it lies outside the
+    witness ideal.  (1 itself answers True for every spec, so True alone
+    does not imply an Irreducible verdict.)"""
+    spec, verdict, seed = case
+    degree = seed.total_degree()
+    if orbit_oracle(spec, seed, degree, data.draw(st.integers(degree, 4))):
+        if not verdict.irreducible:
+            _, var = spec.witness_ideal()
+            assert not reduce_mod_univariate(seed, witness(spec).ideal_generator, var).is_zero()
+
+
+@settings(deadline=None)
+@given(random_specs().filter(lambda spec: not decide(spec).irreducible), st.data())
+def test_a_seed_inside_the_witness_ideal_never_reaches_one(spec, data):
+    """The witness ideal generator times a module variable spans a vector of
+    an invariant proper ideal, so its capped orbit never holds 1."""
+    variables = module_variables(spec)
+    variable = Poly.var(variables, data.draw(st.sampled_from(variables)))
+    seed = witness(spec).ideal_generator * variable
+    degree = seed.total_degree()
+    assert not orbit_oracle(spec, seed, degree, data.draw(st.integers(degree, 4)))

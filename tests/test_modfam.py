@@ -318,6 +318,9 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
     ("mtilde-f-float-key", lambda: mtilde_f({1.7: S_POLY, -1: S_POLY}, 1), SpecInvalid,
      "f index 1.7 is not an integer"),
     ("mab-infinite", lambda: mab(float("inf"), 1), SpecInvalid, "a must be rational, got inf"),
+    # two faults: each H4 parameter is coerced and checked in turn, in H4_PARAMS order
+    ("mab-zero-a-then-bad-b", lambda: mab(0, "x"), SpecInvalid, "a != 0 and b != 0 are required"),
+    ("mhb-bad-a2-then-zero-b", lambda: mhb(1, "x", 0), SpecInvalid, "a2 must be rational, got 'x'"),
 ]
 
 

@@ -371,6 +371,22 @@ def test_random_specs_round_trip_through_their_documents(spec):
         assert parse_spec(text.replace(line + "\n", "")) == spec
 
 
+def test_bool_windows_become_ints_and_round_trip():
+    """A window goes through operator.index, so a bool window is stored as
+    its int and its document parses back to an equal value."""
+    cases = [
+        (mtilde(mab(1, 1), 2, {1: 0, -1: 0}, True), "1", format_spec, parse_spec),
+        (mtilde_f({1: S, -1: S}, True), "1", format_spec, parse_spec),
+        (affvir(mab(1, 1), 2, 3, True), "1", format_spec, parse_spec),
+        (ActionData(H4, False, ()), "0", format_actions, parse_actions),
+    ]
+    for spec, window, write, read in cases:
+        assert repr(spec.window) == window
+        text = write(spec)
+        assert f"window = {window}" in text.splitlines()
+        assert read(text) == spec
+
+
 def test_format_spec_refuses_action_data():
     with pytest.raises(SpecInvalid, match="^cannot format a ActionData$"):
         format_spec(actions_of(mhb(1, 0, 1)))
