@@ -21,7 +21,9 @@ One kernel shifts and multiplies on integers: `_shift_mul(ints, offsets,
 factor, out, scale)` shifts an integer polynomial {exponents: int} with
 `_taylor_shift` (a Horner-type recurrence along dense coefficient rows,
 which skips an offset on a variable that no term uses) and adds scale
-times its product with the integer factor into the map `out`.
+times its product with the integer factor into the map `out`; a
+constant factor, as a chain step's q.1 = c, scales the shifted map and
+builds no exponent vector.
 `Poly.__mul__` runs it on the numerators with zero offsets, `apply_shift`
 runs the shift alone, and `+` sums numerators over one common
 denominator with `_combine`, which can also add into a running map over
@@ -302,14 +304,27 @@ def _shift_mul(ints: dict, offsets: Shift, factor,
     """out + scale * shift(ints) * factor on integers, as {exponents: int}.
 
     `ints` is an integer polynomial {exponents: int}, `offsets` a shift
-    for `_taylor_shift`, and `factor` a sequence of (exponents, int)
-    pairs.  The products are added into `out`, a new map when it is None,
-    which is returned.  Entries that cancel stay in the result as 0.
+    for `_taylor_shift`, and `factor` a sized collection of (exponents,
+    int) pairs.  The products are added into `out`, a new map when it is
+    None, which is returned.  Entries that cancel stay in the result as 0.
+    A constant factor, one term with a zero exponent vector, scales the
+    shifted map and builds no exponent vector.
     """
+    shifted = _taylor_shift(ints, offsets)
+    if len(factor) == 1:
+        (e2, c2), = factor
+        if not any(e2):
+            c2 *= scale
+            if out is None:
+                return {e1: c1 * c2 for e1, c1 in shifted.items()}
+            get = out.get
+            for e1, c1 in shifted.items():
+                out[e1] = get(e1, 0) + c1 * c2
+            return out
     if out is None:
         out = {}
     get = out.get
-    for e1, c1 in _taylor_shift(ints, offsets).items():
+    for e1, c1 in shifted.items():
         c1 *= scale
         for e2, c2 in factor:
             key = tuple(map(add, e1, e2))

@@ -14,13 +14,17 @@ one common denominator (`modfam._act_sum`), the witness acts once per
 generator, on the ideal generator, and takes each closure image from a
 lower one times a two-term factor, and the oracle eliminates
 fraction-free on integer vectors, taking each image only when it pops it
-and stopping at the first constant pivot.  Each call reads every x.1, the
-chain's constants c and c1 included, from one `modfam._Forms` table of its
-own, so each is computed once per call and nothing is kept per spec.
-The witness's closure images stay integer maps up to the text: its
+and stopping at the first constant pivot.  Every call reads each x.1, the
+chain's constants c and c1 included, from the spec's own table,
+`modfam.spec_forms(spec)`, so a chain and its replay compute each x.1
+once between them, and the table goes with the spec.
+The witness's closure images stay integer maps up to the text, and a
+generator with x.1 = 0 shares one empty image across its checks: its
 `closure_checks` is an `exactpoly._Grid`, which builds a `ClosureCheck`,
-and its `Poly` image, only when read, and `format_witness` writes each map
-through `exactpoly.format_terms`.
+and its `Poly` image, only when read, and `format_witness` writes each
+nonempty map through `exactpoly.format_terms`, an empty one as `0`, and
+each generator's symbol once; `format_certificate` describes each chain
+operator once.
 """
 
 import itertools
@@ -49,11 +53,11 @@ from .liealg import AFF_VIR, AFFINE_H4, BasisSymbol, format_symbol, sym
 from .modfam import (
     SpecInvalid,
     _act_sum,
-    _Forms,
     _image,
     generators,
     integer_argument,
     module_variables,
+    spec_forms,
 )
 
 
@@ -143,8 +147,9 @@ class _ClosureChecks(_Grid):
         return ClosureCheck(self._generators[x], self._monos[j], image, self._contained[k])
 
     def _rows(self):
-        """(generator, test monomial text, variables, image pairs, image den,
-        contained) per check, the pairs nonzero in descending graded-lex order."""
+        """(generator, test monomial text, image text, contained) per check;
+        an empty image is written `0` at once, any other from its nonzero
+        pairs in descending graded-lex order."""
         variables = self._variables
         texts = [_monomial_text(variables, m.numerators[0][0]) or "1" for m in self._monos]
         # every exponent vector of every image, ranked once in descending graded-lex order
@@ -154,8 +159,11 @@ class _ClosureChecks(_Grid):
         for x, scale in zip(self._generators, self._scales):
             for text in texts:
                 ints = next(images)
-                pairs = [(e, ints[e]) for e in sorted(ints, key=rank) if ints[e]]
-                yield x, text, variables, pairs, scale, next(contained)
+                image = "0"
+                if ints:
+                    pairs = [(e, ints[e]) for e in sorted(ints, key=rank) if ints[e]]
+                    image = format_terms(variables, pairs, scale)
+                yield x, text, image, next(contained)
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,7 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
 
     v is converted first; every symbol is then checked, even when v is zero.
     """
-    return _act_sum(_Forms(spec), op.parts, change_variables(v, module_variables(spec)))
+    return _act_sum(spec_forms(spec), op.parts, change_variables(v, module_variables(spec)))
 
 
 def _constant(form) -> Fraction:
@@ -213,7 +221,7 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     if seed.is_zero():
         raise SeedZero("the zero vector generates nothing")
 
-    forms = _Forms(spec)  # this chain's integer forms, each x.1 computed once
+    forms = spec_forms(spec)  # the spec's integer forms, each x.1 computed once
     for kind in ("q", "p"):
         c = _constant(forms[sym(kind, 0)])
         if c:
@@ -407,7 +415,7 @@ def witness(spec) -> ReducibilityWitness:
         raise NotReducible(f"{verdict.family} is irreducible, no invariant ideal exists")
     ideal, var = _witness_generator(spec)
     variables = module_variables(spec)
-    forms = _Forms(spec)
+    forms = spec_forms(spec)
     ideal_ints = dict(ideal.numerators)
     monos = tuple(monomials_upto(variables, 4))
     # (first used variable i, position of m / v_i) per test monomial m, None for 1
@@ -425,6 +433,11 @@ def witness(spec) -> ReducibilityWitness:
         offsets = form[0]
         r_ints = _image(form, ideal_ints)  # R_x times `scale`, on integers
         scale = ideal.den * form[2]
+        scales.append(scale)
+        if not r_ints:  # x.1 = 0: one empty image serves every test monomial
+            images.extend([r_ints] * len(steps))
+            contained.extend([True] * len(steps))
+            continue
         r_x = Poly._trusted(variables, r_ints.items(), scale)
         closed = reduce_mod_univariate(r_x, ideal, var).is_zero()
         own = []  # shift_x(m) * R_x times `scale`, per test monomial m
@@ -433,7 +446,6 @@ def witness(spec) -> ReducibilityWitness:
             own.append(image_ints)
             contained.append(closed or reduce_mod_univariate(
                 Poly._trusted(variables, image_ints.items(), scale), ideal, var).is_zero())
-        scales.append(scale)
         images.extend(own)
     checks = _ClosureChecks(variables, monos, gens, tuple(scales), images, tuple(contained))
     return ReducibilityWitness(ideal, checks)
@@ -487,7 +499,7 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
         raise SeedZero("the zero vector generates nothing")
     if seed.total_degree() > max_degree:
         raise SpecInvalid(f"seed degree {seed.total_degree()} exceeds the bound {max_degree}")
-    forms = _Forms(spec)
+    forms = spec_forms(spec)
     # (form, total degree) of each nonzero x.1; a shift keeps the total
     # degree, so on a vector of degree d, x.v has degree d + deg x.1
     acting = [(f, max(map(sum, f[1]))) for f in map(forms.__getitem__, generators(spec)) if f[1]]
@@ -539,9 +551,14 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
 
 
 def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = None) -> str:
+    """SEED, one STEP line per chain step, SUMMARY; a step that reuses the
+    previous step's operator object reuses its description."""
     lines = [f"SEED {format_poly(cert.seed)}"]
+    last = text = None
     for op, result in cert.chain:
-        lines.append(f"STEP {op.describe(alg)} POLY {format_poly(result)}")
+        if op is not last:
+            last, text = op, op.describe(alg)
+        lines.append(f"STEP {text} POLY {format_poly(result)}")
     lines.append(f"SUMMARY constant={format_rational(cert.final.constant_value())}")
     return "\n".join(lines)
 
@@ -549,19 +566,20 @@ def format_certificate(cert: IrreducibilityCertificate, alg: Optional[str] = Non
 def format_witness(wit: ReducibilityWitness, alg: Optional[str] = None) -> str:
     """IDEAL, one CLOSURE line per check, SUMMARY.  A witness's own checks
     are written from their integer maps; any other sequence of checks is
-    written from each check's fields."""
+    written from each check's fields.  A check of the same generator object
+    as the check before it reuses its symbol text."""
     lines = [f"IDEAL {format_poly(wit.ideal_generator)}"]
     checks = wit.closure_checks
     if type(checks) is _ClosureChecks:
         rows = checks._rows()
     else:
-        rows = ((c.generator, format_poly(c.test_poly), c.image.variables, c.image.numerators,
-                 c.image.den, c.contained) for c in checks)
-    for x, test, variables, pairs, den, contained in rows:
-        lines.append(
-            f"CLOSURE {format_symbol(x, alg)} POLY {test} "
-            f"IMAGE {format_terms(variables, pairs, den)} {'PASS' if contained else 'FAIL'}"
-        )
+        rows = ((c.generator, format_poly(c.test_poly), format_poly(c.image), c.contained)
+                for c in checks)
+    last = name = None
+    for x, test, image, contained in rows:
+        if x is not last:
+            last, name = x, format_symbol(x, alg)
+        lines.append(f"CLOSURE {name} POLY {test} IMAGE {image} {'PASS' if contained else 'FAIL'}")
     verdict = "true" if wit.all_contained else "false"
     lines.append(f"SUMMARY pass={verdict} checked={len(checks)}")
     return "\n".join(lines)

@@ -21,23 +21,28 @@ polynomial 1.  The generators and their shifts are facts of the algebra:
 `generators` lists the kinds of `liealg.ALGEBRA_KINDS` within a window,
 and `shift_of` is one grading rule, x's weight under the Cartan part.
 `_value_on_one` checks x against the algebra and asks the spec for x.1
-afresh; every request path reads it through one table per request,
-`_Forms`, which keeps each x.1's numerators and denominator beside
-shift_x the first time its symbol is looked up.  One function, `_image`,
-takes every generator image on integers from x's form in that table, for
-`act` (so `classify`'s product rule), the chains, the witness and the
-orbit oracle; `_act_sum` sums such images over one common denominator for
-`act` and the chains.  `verify_module` reads its generators' forms by
-position and adds a pair's two products into one map with the kernel
-`_image` runs, `exactpoly._shift_mul`.  State kept across requests is each
-`H4Family`'s `base_values` and the bounded cache (MAX_CACHED_VALUES
-entries) of the public `value_on_one`, which no request path calls.
+afresh; every request path reads it through the spec's own table,
+`spec_forms(spec)`, a `_Forms` that keeps each x.1's numerators and
+denominator beside shift_x the first time its symbol is looked up, so
+each x.1 is computed once per spec.  One function, `_image`, takes every
+generator image on integers from x's form in that table, for `act` (so
+`classify`'s product rule), the chains, the witness and the orbit oracle;
+`_act_sum` sums such images over one common denominator for `act` and
+the chains.  `verify_module` reads its generators' forms by position and
+adds a pair's two products into one map with the kernel `_image` runs,
+`exactpoly._shift_mul`.  State kept across requests lives on the spec
+object and goes with it: its form table (`_OwnsForms`), each
+`H4Family`'s `base_values` and each MTildeAlphaBeta spec's `loop_zero`;
+besides, the bounded cache (MAX_CACHED_VALUES entries) of the public
+`value_on_one`, which no request path calls.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Mapping, Optional, Tuple, Union, get_args
@@ -80,11 +85,13 @@ class MalformedData(InputError, ValueError):
     """Action data is structurally unusable (missing generators, wrong ring)."""
 
 
+_SD = ("s", "d")
+
 MODULE_VARIABLES = {
     H4: ("s",),
-    AFFINE_H4: ("s", "d"),
+    AFFINE_H4: _SD,
     VIR00: ("d0", "w0"),
-    AFF_VIR: ("s", "d"),
+    AFF_VIR: _SD,
 }
 
 # Each H4 family's parameters, in the order its documents list them.
@@ -194,8 +201,25 @@ _H4_RULES = {
 }
 
 
+class _OwnsForms:
+    """A spec's own form table, `_forms`: a `_Forms` built on first use and
+    kept beside the fields, as a cached property, so equality, hashing,
+    repr and `dataclasses.replace` see the fields alone.  The table holds
+    only a weak reference to its spec, so it goes with the spec, and
+    pickles and copies leave it out, so a copy builds its own."""
+
+    @functools.cached_property
+    def _forms(self) -> "_Forms":
+        return _Forms(self)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_forms", None)
+        return state
+
+
 @dataclass(frozen=True)
-class H4Family:
+class H4Family(_OwnsForms):
     """One of the six families: Mg0, M0g, Mhb, Mbh, Mab, M0.
 
     Its values on 1 of p, q and r (`base_values`) are built on first
@@ -301,7 +325,7 @@ def m0() -> H4Family:
 
 
 @dataclass(frozen=True)
-class AffineSpec:
+class AffineSpec(_OwnsForms):
     """Affinized module: MTildeAlphaBeta over a base family, or MTildeF."""
 
     algebra: ClassVar[str] = AFFINE_H4
@@ -332,24 +356,40 @@ class AffineSpec:
             fseq = _sequence(self.fseq, _poly_in, "f", Poly.var(("s",), "s"), "s", window)
             object.__setattr__(self, "fseq", fseq)
 
+    @functools.cached_property
+    def loop_zero(self) -> dict:
+        """MTildeAlphaBeta's loop-0 values on 1 of p, q and r in (s, d), the
+        base's, built on first use and kept beside the fields as
+        `H4Family.base_values` is."""
+        return {kind: change_variables(self.base.on_one(sym(kind)), _SD) for kind in "pqr"}
+
     def on_one(self, symbol: BasisSymbol) -> Poly:
         """x.1 for a generator x of AffineH4: at loop n, s acts by f_n in MTildeF
         else by alpha^n s + beta_n, and p, q and r by alpha^n times their base
-        value; beta and fseq hold every index of the window, in order."""
+        value; beta and fseq hold every index of the window, in order.
+        MTildeAlphaBeta's values are built on integers, alpha^n = num / den."""
         kind, n = symbol.kind, symbol.loop_index
-        variables = ("s", "d")
         if kind == "d":
-            return Poly.var(variables, "d")
+            return Poly.var(_SD, "d")
         if abs(n) > self.window:
             raise WindowExceeded(f"{format_symbol(symbol)} outside window {self.window}")
         if self.variant == "MTildeF":
             f = self.fseq[n + self.window][1] if kind == "s" else Poly.zero(("s",))
-            return change_variables(f, variables)
-        scale = self.alpha ** n
+            return change_variables(f, _SD)
+        a, b = self.alpha.numerator, self.alpha.denominator
+        num, den = (a ** n, b ** n) if n >= 0 else (b ** -n, a ** -n)
+        if den < 0:
+            num, den = -num, -den
         if kind == "s":
-            beta = Poly.const(variables, self.beta[n + self.window][1])
-            return scale * Poly.var(variables, "s") + beta
-        return scale * change_variables(self.base.on_one(sym(kind)), variables)
+            beta = self.beta[n + self.window][1]
+            common = math.lcm(den, beta.denominator)
+            pairs = (((1, 0), num * (common // den)),
+                     ((0, 0), beta.numerator * (common // beta.denominator)))
+            return Poly._trusted(_SD, pairs, common)
+        value = self.loop_zero.get(kind)
+        if value is None:  # k, and any kind outside H4, acts as zero
+            return Poly.zero(_SD)
+        return Poly._trusted(_SD, [(e, num * c) for e, c in value.numerators], den * value.den)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         if self.variant == "MTildeF":
@@ -370,7 +410,7 @@ def mtilde_f(fseq, window: int) -> AffineSpec:
 
 
 @dataclass(frozen=True)
-class Vir00Spec:
+class Vir00Spec(_OwnsForms):
     """Vir(0,0) module M(lambda, f) on Q[d0, w0]."""
 
     variant: ClassVar[str] = "MLambdaF"
@@ -404,7 +444,7 @@ class Vir00Spec:
 
 
 @dataclass(frozen=True)
-class AffVirSpec:
+class AffVirSpec(_OwnsForms):
     """Affine-Virasoro module: a beta-free MTildeAlphaBeta plus d_n actions."""
 
     variant: ClassVar[str] = "MTildeLambda"
@@ -430,8 +470,8 @@ class AffVirSpec:
         if symbol.kind != "dvir":
             return self.base.on_one(symbol)
         n = symbol.loop_index
-        mu = Poly.const(("s", "d"), n * self.lambda_shift)
-        return self.base.alpha ** n * (Poly.var(("s", "d"), "d") + mu)
+        mu = Poly.const(_SD, n * self.lambda_shift)
+        return self.base.alpha ** n * (Poly.var(_SD, "d") + mu)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         irreducible, family, note, _ = self.base.verdict()
@@ -448,7 +488,7 @@ def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpe
 
 
 @dataclass(frozen=True)
-class ActionData:
+class ActionData(_OwnsForms):
     """Raw generator values on 1, detached from any family.
 
     `assignments` holds (symbol, value) pairs sorted by symbol.  A dict
@@ -563,39 +603,48 @@ MAX_CACHED_VALUES = 1024
 def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     """x.1 as a polynomial in the module variables, through a bounded cache.
 
-    No function of the package calls it: every request path computes x.1
-    afresh through a `_Forms` table.  It stays public, and
+    No function of the package calls it: every request path reads x.1
+    through the spec's own `_Forms` table.  It stays public, and
     perfbench/tracing.py reads its cache_info().
     """
     return _value_on_one(spec, symbol)
 
 
-# act keeps nothing per spec, so this stays empty; perfbench/tracing.py
-# reads its size.
+# act keeps no cache of its own, each spec keeps its own form table, so this
+# stays empty; perfbench/tracing.py reads its size.
 _ACT_CACHE: dict = {}
 
 
 class _Forms(dict):
-    """One request's integer forms, keyed by symbol.
+    """One spec's integer forms, keyed by symbol.
 
     A symbol's form is its shift_x, the numerators of x.1 as
-    {exponents: int}, and x.1's denominator.  It is built
-    from `_value_on_one` the first time the symbol is looked up, so each
-    x.1 is computed at most once per table; a lookup that raises, such as
-    WindowExceeded outside the window, stores nothing.  `verify_module`
-    keeps its generators' forms in a list by position, filled from this
-    table, and looks up only bracket terms outside its window by symbol.
+    {exponents: int}, and x.1's denominator.  It is built from
+    `_value_on_one` the first time the symbol is looked up, so each x.1 is
+    computed at most once per spec; a lookup that raises, such as
+    WindowExceeded outside the window, stores nothing.  The table is the
+    spec's own (`spec_forms`) and holds only a weak reference to it, so it
+    is dropped with the spec.  Its maps are shared by every request on the
+    spec: readers never modify them.  `verify_module` keeps its
+    generators' forms in a list by position, filled from this table, and
+    looks up only bracket terms outside its window by symbol.
     """
 
     def __init__(self, spec: AnySpec):
         super().__init__()
-        self.spec = spec
+        self.spec = weakref.ref(spec)
         self.algebra = algebra_of(spec)
 
     def __missing__(self, x: BasisSymbol):
-        value = _value_on_one(self.spec, x)
+        value = _value_on_one(self.spec(), x)
         form = self[x] = shift_of(self.algebra, x), dict(value.numerators), value.den
         return form
+
+
+def spec_forms(spec: AnySpec) -> _Forms:
+    """The spec's own `_Forms` table, built on first use; SpecInvalid for a non-spec."""
+    algebra_of(spec)
+    return spec._forms
 
 
 def _image(form, ints: dict) -> dict:
@@ -631,7 +680,7 @@ def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
         raise TypeError(f"x must be a BasisSymbol or LieElement, got {type(x).__name__}")
     if not isinstance(v, Poly):
         raise TypeError(f"v must be a Poly, got {type(v).__name__}")
-    forms = _Forms(spec)
+    forms = spec_forms(spec)
     variables = MODULE_VARIABLES[forms.algebra]
     parts = [(c, y) for y, c in x.terms] if isinstance(x, LieElement) else [(Fraction(1), x)]
     if not parts:

@@ -31,15 +31,16 @@ when z lies outside the window.  Building a plan checks the grading: a
 bracket term whose shift is not its pair's raises ValueError.
 
 Each request reads its integer forms (shift_x, and x.1's numerators and
-denominator) from one table, `modfam._Forms`: the generators' forms by
-position, from a list filled as pairs first look them up (y, x, then the
-bracket terms, as evaluating through `act` would), and a term outside the
-window by symbol.  So each x.1 is computed afresh once and verifying a
-spec leaves nothing behind; a lookup that raises WindowExceeded stores
-nothing and marks the pair as skipped, and a missing value raises
-MalformedData for the first symbol looked up.  A pair's R is one integer
-map: `exactpoly._shift_mul` adds shift_x(y.1)*x.1 and -shift_y(x.1)*y.1
-into it over the denominator of x.1 times that of y.1, and
+denominator) from the spec's own table, `modfam.spec_forms(spec)`: the
+generators' forms by position, from a list filled as pairs first look
+them up (y, x, then the bracket terms, as evaluating through `act`
+would), and a term outside the window by symbol.  So each x.1 is computed
+once per spec, and the table goes with the spec; a lookup that raises
+WindowExceeded stores nothing and marks the pair as skipped, and a
+missing value raises MalformedData for the first symbol looked up.  A
+pair's R is one integer map: `exactpoly._shift_mul` adds
+shift_x(y.1)*x.1 and -shift_y(x.1)*y.1 into it over the denominator of
+x.1 times that of y.1, and
 `exactpoly._combine` adds the terms -c*z.1, raising the map's
 denominator only when a term's does not divide it.  A pair with x.1 = 0
 or y.1 = 0 and no bracket terms passes at once.  R is zero-tested as an
@@ -84,7 +85,7 @@ from .modfam import (
     generators,
     integer_argument,
     shift_of,
-    _Forms,
+    spec_forms,
     _resolve_window,
 )
 
@@ -245,7 +246,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     """
     window = integer_argument(window, "window", 1, MAX_WINDOW)
     test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
-    forms = _Forms(spec)  # this request's integer forms, filled on first use
+    forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
     gens = tuple(generators(spec, window))
     zero, monos, brackets = _plan(algebra, gens, test_degree)

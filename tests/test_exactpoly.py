@@ -576,6 +576,45 @@ def test_shift_mul_adds_scaled_product_into_a_map(case, scale):
     assert Poly(variables, out) == before + scale * product
 
 
+def _one_term_factor_case(variables):
+    # an integer map, a shift with a nonzero offset, a nonzero coefficient and
+    # a non-constant exponent vector for the second factor
+    n = len(variables)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    ints = st.dictionaries(exps, st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool),
+                           min_size=1, max_size=6)
+    offsets = st.tuples(*[st.integers(min_value=-3, max_value=3)] * n).filter(any)
+    coeff = st.integers(min_value=-10 ** 4, max_value=10 ** 4).filter(bool)
+    return st.tuples(st.just(variables), ints, offsets, coeff, exps.filter(any))
+
+
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_one_term_factor_case))
+@settings(deadline=None)
+def test_shift_mul_one_term_factors_match_the_general_product(case):
+    # A constant factor scales the shifted map; a non-constant one takes the
+    # general loop.  Both add -shift(ints) * factor into `out` as the
+    # reference product does, leave `ints` as it was, and keep entries that
+    # cancel as 0.
+    variables, ints, sh, coeff, exps = case
+    zeros = (0,) * len(variables)
+    for factor in (((zeros, coeff),), ((exps, coeff),)):
+        product = poly_mul_reference(apply_shift_reference(sh, Poly(variables, ints)),
+                                     Poly(variables, factor))
+        before = dict(ints)
+        # a running map, and the product itself, which -1 times it cancels
+        running = {e: 3 * c for e, c in ints.items()}
+        cancelling = dict(product.numerators)
+        for out in (running, cancelling):
+            start = Poly(variables, out)
+            assert _shift_mul(ints, sh, factor, out, -1) is out
+            assert ints == before
+            assert all(type(n) is int for n in out.values())
+            assert Poly(variables, out) == start - product
+        assert set(cancelling) == set(dict(product.numerators)) and not any(cancelling.values())
+        assert _shift_mul(ints, sh, factor) == {e: -n for e, n in
+                                                _shift_mul(ints, sh, factor, {}, -1).items()}
+
+
 def _division_case(variables):
     # x with rational coefficients; w univariate in var, by its coefficients
     # lowest power first, over var alone or over x's variables

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import gc
 import pickle
+import weakref
 from fractions import Fraction
 from typing import get_args
 
@@ -9,9 +12,12 @@ from hypothesis import strategies as st
 
 import nwfree.modfam
 from nwfree.exactpoly import Poly, VariableMismatch, change_variables
+from nwfree.classify import classify
 from nwfree.irreducible import (
     apply_chain_op,
     decide,
+    format_certificate,
+    format_witness,
     orbit_oracle,
     reduction_chain,
     witness,
@@ -64,9 +70,10 @@ from nwfree.modfam import (
     spec_window,
     value_on_one,
 )
-from nwfree.verify import verify_module
+from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_spec
+from nwfree.verify import format_report, verify_module
 
-from helpers import act_reference, sample_specs, shift_of_reference, with_assignment
+from helpers import act_reference, h4_specs, sample_specs, shift_of_reference, with_assignment
 
 S_POLY = Poly.var(("s",), "s")
 ONE_S = Poly.one(("s",))
@@ -178,6 +185,39 @@ def test_affine_window_rejected(affine_demo):
     # the zero vector needs no value on 1, so no window is consulted
     assert act(affine_demo, sym("p", 2), Poly.zero(("s", "d"))).is_zero()
     assert act(affine_demo, sym("p", 2), Poly.zero(("s",))) == Poly.zero(("s", "d"))
+
+
+def _alpha_beta_on_one_reference(spec, symbol):
+    """x.1 of an MTildeAlphaBeta spec by Poly arithmetic: alpha^n s + beta_n
+    for s at loop n, d for d, and alpha^n times the base's value otherwise."""
+    variables, kind, n = ("s", "d"), symbol.kind, symbol.loop_index
+    if kind == "d":
+        return Poly.var(variables, "d")
+    scale = spec.alpha ** n
+    if kind == "s":
+        return scale * Poly.var(variables, "s") + Poly.const(variables, dict(spec.beta)[n])
+    return scale * change_variables(spec.base.on_one(sym(kind)), variables)
+
+
+@settings(deadline=None)
+@given(
+    h4_specs(("Mg0", "M0g", "Mhb", "Mbh", "Mab", "M0")),
+    st.fractions(min_value=-40, max_value=40, max_denominator=30).filter(bool),
+    st.integers(min_value=1, max_value=MAX_WINDOW),
+    st.data(),
+)
+def test_alpha_beta_values_on_one_match_the_poly_formula(base, alpha, window, data):
+    # on_one scales the base's loop-0 values by alpha^n on integers
+    beta = {k: data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=12))
+            for k in range(-window, window + 1) if k}
+    spec = mtilde(base, alpha, beta, window)
+    for x in generators(spec):
+        got = spec.on_one(x)
+        assert got == _alpha_beta_on_one_reference(spec, x)
+        assert Poly(got.variables, got.numerators, got.den) == got  # canonical
+    assert set(spec.loop_zero) == {"p", "q", "r"}
+    with pytest.raises(WindowExceeded, match=f"^p@{window + 1} outside window {window}$"):
+        spec.on_one(sym("p", window + 1))
 
 
 def test_mtilde_f_values():
@@ -536,7 +576,10 @@ def test_no_entry_point_touches_the_value_cache():
     assert info.hits == info.misses == info.currsize == 0
 
 
-def test_each_value_on_one_is_computed_once_per_request(monkeypatch):
+def test_each_value_on_one_is_computed_once_per_spec(monkeypatch):
+    # Every spec owns one form table, so over the whole request list no
+    # (spec, symbol) pair is computed twice, and each request returns what
+    # it returns on a freshly built equal spec, whose table starts empty.
     calls = []  # (spec, symbol) per value computed, lookups that raise left out
     real = nwfree.modfam._value_on_one
 
@@ -555,22 +598,106 @@ def test_each_value_on_one_is_computed_once_per_request(monkeypatch):
         variables = module_variables(spec)
         return sum((Poly.var(variables, v) for v in variables), Poly.one(variables)) ** 3
 
+    def replayed(spec):
+        cert = reduction_chain(spec, cubed(spec))
+        current = cert.seed
+        for op, _ in cert.chain:
+            current = apply_chain_op(spec, op, current)
+        return cert, current
+
     requests = [
-        (h4, lambda: reduction_chain(h4, cubed(h4))),
-        (affine, lambda: reduction_chain(affine, cubed(affine))),
-        (virasoro, lambda: reduction_chain(virasoro, cubed(virasoro))),
-        (affine, lambda: orbit_oracle(affine, cubed(affine), 3, 4)),
-        (reducible, lambda: witness(reducible)),
-        (h4, lambda: verify_module(h4, 1, 3)),
+        (h4, replayed),
+        (affine, replayed),
+        (virasoro, replayed),
+        (affine, lambda spec: orbit_oracle(spec, cubed(spec), 3, 4)),
+        (reducible, witness),
+        (h4, lambda spec: verify_module(spec, 1, 3)),
         # pairs whose bracket leaves the window are skipped
-        (affine, lambda: verify_module(affine, 1, 2)),
-        (virasoro, lambda: verify_module(virasoro, 1, 2)),
+        (affine, lambda spec: verify_module(spec, 1, 2)),
+        (virasoro, lambda spec: verify_module(spec, 1, 2)),
+        (h4, lambda spec: [act(spec, x, cubed(spec)) for x in generators(spec)]),
     ]
+    fresh_specs = []  # kept alive, so no two specs here share an id
     for spec, run in requests:
-        calls.clear()
-        run()
-        own = [x for s, x in calls if s is spec]
-        assert own and len(own) == len(set(own)), spec
+        got = run(spec)
+        fresh = parse_spec(format_spec(spec))
+        assert fresh == spec and fresh is not spec
+        fresh_specs.append(fresh)
+        assert run(fresh) == got, spec
+    computed = [(id(spec), x) for spec, x in calls]
+    assert len(computed) == len(set(computed))
+    assert {id(spec) for spec, _ in requests} | {id(f) for f in fresh_specs} == {
+        id(spec) for spec, _ in calls
+    }
+
+
+def _entry_point_texts(target):
+    """The text of every entry point on a spec or its action data, in order."""
+    variables = module_variables(target)
+    seed = sum((Poly.var(variables, v) for v in variables), Poly.one(variables)) ** 2
+    texts = [format_report(verify_module(target, 1, 2)), repr(orbit_oracle(target, seed, 2, 3))]
+    texts += [repr(act(target, x, seed)) for x in generators(target)]
+    if isinstance(target, ActionData):
+        try:
+            texts.append(repr(classify(target)))
+        except MalformedData as exc:  # Vir00 and affine-Virasoro data
+            texts.append(str(exc))
+        return texts
+    alg = algebra_of(target)
+    if decide(target).irreducible:
+        cert = reduction_chain(target, seed)
+        texts.append(format_certificate(cert, alg))
+        current = cert.seed
+        for op, _ in cert.chain:
+            current = apply_chain_op(target, op, current)
+            texts.append(repr(current))
+    else:
+        wit = witness(target)
+        texts += [format_witness(wit, alg), repr(wit)]
+    texts.append(repr(actions_of(target)))
+    return texts
+
+
+@pytest.mark.parametrize("name", [n for n, _ in sample_specs()])
+def test_a_spec_shares_its_form_table_safely(name):
+    # Run twice on one spec object, and on its action data, every entry point
+    # reads the forms the first run stored; a reader that changed a shared
+    # map would make the second run differ from a fresh parse.
+    spec = dict(sample_specs())[name]
+    fresh = parse_spec(format_spec(spec))
+    want = _entry_point_texts(fresh)
+    data = actions_of(spec)
+    want_data = _entry_point_texts(parse_actions(format_actions(data)))
+    for _ in range(2):
+        assert _entry_point_texts(spec) == want
+        assert _entry_point_texts(data) == want_data
+    # a used spec still pickles, copies and compares as its fields do
+    for target in (spec, data):
+        for copied in (pickle.loads(pickle.dumps(target)), copy.deepcopy(target),
+                       copy.copy(target)):
+            assert copied == target and hash(copied) == hash(target)
+            assert repr(copied) == repr(target)
+            assert "_forms" not in vars(copied)
+    assert _entry_point_texts(copy.deepcopy(spec)) == want
+    assert _entry_point_texts(pickle.loads(pickle.dumps(data))) == want_data
+
+
+def test_a_used_spec_is_freed_with_its_last_reference():
+    # The table holds only a weak reference to its spec, so no cycle keeps a
+    # used spec, or its action data, alive until a collection.
+    gc.disable()
+    try:
+        for name, _ in sample_specs():
+            spec = dict(sample_specs())[name]
+            data = actions_of(spec)
+            _entry_point_texts(spec)
+            _entry_point_texts(data)
+            assert vars(spec)["_forms"] and vars(data)["_forms"]
+            refs = [weakref.ref(spec), weakref.ref(data)]
+            del spec, data
+            assert [ref() for ref in refs] == [None, None], name
+    finally:
+        gc.enable()
 
 
 def test_a_zero_value_on_one_multiplies_nothing(monkeypatch):
