@@ -24,6 +24,7 @@ r -> r, s -> -s of H4.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
@@ -59,8 +60,11 @@ class BasisSymbol:
     def __post_init__(self) -> None:
         if self.kind not in KIND_RANK:
             raise SymbolNotInAlgebra(f"unknown basis kind {self.kind!r}")
-        if not isinstance(self.loop_index, int):
-            raise SymbolNotInAlgebra("loop index must be an integer")
+        if type(self.loop_index) is not int:  # stored by operator.index: a bool as its int
+            try:
+                object.__setattr__(self, "loop_index", operator.index(self.loop_index))
+            except TypeError:
+                raise SymbolNotInAlgebra("loop index must be an integer") from None
         if self.kind in ("k", "d") and self.loop_index != 0:
             raise SymbolNotInAlgebra(f"{self.kind} carries loop index 0")
 

@@ -10,9 +10,11 @@ states its own family, algebra and loop window (`variant`, `algebra`,
 and witness ideal (`witness_ideal`), which affine and affine-Virasoro
 specs take from their base.  Every parameter takes one coercion step,
 `_store`, which coerces a field, refuses a zero where the family does and
-stores it; the loop sequences beta and f are read by `_sequence`, and a
-window, action data's too, goes through `operator.index` as every integer
-argument does.
+stores it; the loop sequences beta and f are read by `_sequence`, and
+every loop window (a spec's, action data's, a document's, or one asked of
+`generators`, `actions_of` or `verify_module`) by one rule,
+`integer_argument`: operator.index, one message per fault, and the
+caller's error class.
 
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
@@ -121,16 +123,17 @@ def _fraction(value: Scalar, what: str) -> Fraction:
         raise SpecInvalid(f"{what} must be rational, got {value!r}") from exc
 
 
-def integer_argument(value, name: str, low=None, high=None) -> int:
-    """`value` by operator.index, within [low, high] if given; else SpecInvalid naming it."""
+def integer_argument(value, name: str, low=None, high=None, error=SpecInvalid) -> int:
+    """`value` by operator.index, within [low, high] if given; else `error`
+    naming it, one message per fault.  Every loop window is read here."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise SpecInvalid(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if low is not None and value < low:
-        raise SpecInvalid(f"{name} must be at least {low}")
+        raise error(f"{name} must be at least {low}")
     if high is not None and value > high:
-        raise SpecInvalid(f"{name} exceeds the limit {high}")
+        raise error(f"{name} exceeds the limit {high}")
     return value
 
 
@@ -141,20 +144,6 @@ def _poly_in(value, what: str, variables: Tuple[str, ...] = ("s",)) -> Poly:
         except Exception as exc:
             raise SpecInvalid(f"{what} must be a polynomial in {variables}") from exc
     return Poly.const(variables, _fraction(value, what))
-
-
-def _window(value, what: str, low: int = 1, error=SpecInvalid) -> int:
-    """A loop window by operator.index, as every integer argument is read,
-    from `low` up to MAX_WINDOW; else `error`."""
-    try:
-        window = operator.index(value)
-    except TypeError:
-        window = None
-    if window is None or window < low:
-        raise error(f"{what} must be a {'positive' if low else 'non-negative'} integer")
-    if window > MAX_WINDOW:
-        raise error(f"{what} exceeds the limit {MAX_WINDOW}")
-    return window
 
 
 def _store(spec, attr: str, coerce, what: str, nonzero: Optional[str] = None):
@@ -340,7 +329,8 @@ class AffineSpec(_OwnsForms):
     def __post_init__(self):
         if self.variant not in AFFINE_VARIANTS:
             raise SpecInvalid(f"unknown affine family {self.variant!r}")
-        window = _store(self, "window", _window, "window")
+        window = integer_argument(self.window, "window", 1, MAX_WINDOW)
+        object.__setattr__(self, "window", window)
         if self.variant == "MTildeAlphaBeta":
             if not isinstance(self.base, H4Family):
                 raise SpecInvalid("MTildeAlphaBeta needs a base H4 family")
@@ -482,7 +472,7 @@ class AffVirSpec(_OwnsForms):
 
 
 def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpec:
-    window = _window(window, "window")
+    window = integer_argument(window, "window", 1, MAX_WINDOW)
     inner = mtilde(base, alpha, dict.fromkeys(range(-window, window + 1), 0), window)
     return AffVirSpec(base=inner, lambda_shift=lam)
 
@@ -504,7 +494,8 @@ class ActionData(_OwnsForms):
     def __post_init__(self):
         if self.algebra not in MODULE_VARIABLES:
             raise MalformedData(f"unknown algebra {self.algebra!r}")
-        _store(self, "window", functools.partial(_window, low=0, error=MalformedData), "window")
+        window = integer_argument(self.window, "window", 0, MAX_WINDOW, MalformedData)
+        object.__setattr__(self, "window", window)
         variables = MODULE_VARIABLES[self.algebra]
         items = self.assignments
         seen = {}
@@ -689,17 +680,31 @@ def act(spec: AnySpec, x: Union[BasisSymbol, LieElement], v: Poly) -> Poly:
     return _act_sum(forms, parts, change_variables(v, variables))
 
 
-def _resolve_window(spec: AnySpec, window: Optional[int]) -> int:
-    if algebra_of(spec) == H4:
-        # plain H4 has no loop directions; any requested window collapses
-        return 0
+def _resolve_window(spec: AnySpec, window: Optional[int], low: int = 0) -> int:
+    """The loop window to enumerate on the spec: `window` read by
+    `integer_argument` from `low` up, WindowExceeded past the spec's own, and
+    0 on H4, which has no loop directions.  Where `low` is 0 (`generators`,
+    `actions_of`), None asks for the spec's own window."""
+    algebra = algebra_of(spec)
     limit = spec.window
-    if window is None:
+    if window is None and low == 0:
         # Vir00 carries no window of its own; 2 reaches the first nonzero cocycle.
-        return limit if limit is not None else 2
+        window = 2 if limit is None else limit
+    else:
+        window = integer_argument(window, "window", low, MAX_WINDOW)
+    if algebra == H4:
+        return 0
     if limit is not None and window > limit:
         raise WindowExceeded(f"window {window} exceeds the spec's window {limit}")
     return window
+
+
+def _symbols(algebra: str, window: int) -> list:
+    """The algebra's basis symbols up to loop index `window`, in canonical order."""
+    looped, fixed = ALGEBRA_KINDS[algebra]
+    loops = range(-window, window + 1)
+    out = [sym(kind, i) for kind in looped for i in loops] + [sym(kind) for kind in fixed]
+    return sorted(out, key=sort_key)
 
 
 def generators(spec: AnySpec, window: Optional[int] = None):
@@ -708,11 +713,8 @@ def generators(spec: AnySpec, window: Optional[int] = None):
     They come from `ALGEBRA_KINDS`, for action data too, so data that
     leaves one of them unassigned raises MalformedData when it is looked up.
     """
-    looped, fixed = ALGEBRA_KINDS[algebra_of(spec)]
-    w = _resolve_window(spec, window)
-    loops = range(-w, w + 1)
-    out = [sym(kind, i) for kind in looped for i in loops] + [sym(kind) for kind in fixed]
-    return sorted(out, key=sort_key)
+    window = _resolve_window(spec, window)
+    return _symbols(spec.algebra, window)
 
 
 def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:
@@ -720,5 +722,5 @@ def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:
     if isinstance(spec, ActionData):
         return spec
     w = _resolve_window(spec, window)
-    table = {x: _value_on_one(spec, x) for x in generators(spec, w)}
-    return ActionData(algebra_of(spec), w, tuple(table.items()))
+    table = {x: _value_on_one(spec, x) for x in _symbols(spec.algebra, w)}
+    return ActionData(spec.algebra, w, tuple(table.items()))

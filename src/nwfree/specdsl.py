@@ -61,6 +61,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, NamedTuple, Tuple
@@ -97,6 +98,7 @@ from .modfam import (
     Vir00Spec,
     affvir,
     algebra_of,
+    integer_argument,
     module_variables,
     mtilde,
     mtilde_f,
@@ -438,16 +440,14 @@ def _construct(call, taken, fallback: _Entry):
         raise type(exc)(exc.message, entry.line, entry.key_col) from exc
 
 
-def _window_value(entry: _Entry) -> int:
+def _window_value(entry: _Entry, low: int = 1) -> int:
+    """The window's text by `parse_loop_index`, then the one window rule; errors at the value."""
     try:
         window = parse_loop_index(entry.value)
     except ValueError:
         raise DslSyntaxError("window must be an integer", entry.line, entry.value_col) from None
-    if window > MAX_WINDOW:
-        raise ConstraintViolation(
-            f"window exceeds the limit {MAX_WINDOW}", entry.line, entry.value_col
-        )
-    return window
+    at_value = partial(ConstraintViolation, line=entry.line, col=entry.value_col)
+    return integer_argument(window, "window", low, MAX_WINDOW, at_value)
 
 
 _Kind = namedtuple("_Kind", "read write")  # the value of an entry, the text of a value
@@ -625,11 +625,7 @@ def _build_actions(entries) -> ActionData:
             )
         window = 0
     else:
-        window = _window_value(window_entry)
-        if window < 0:
-            raise ConstraintViolation(
-                "window must be a non-negative integer", window_entry.line, window_entry.value_col
-            )
+        window = _window_value(window_entry, 0)
     assignments = {}
     for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):
         try:

@@ -78,15 +78,14 @@ from .exactpoly import (
 )
 from .liealg import BasisSymbol, bracket, format_symbol
 from .modfam import (
-    MAX_WINDOW,
     MODULE_VARIABLES,
     AnySpec,
     WindowExceeded,
-    generators,
     integer_argument,
     shift_of,
     spec_forms,
     _resolve_window,
+    _symbols,
 )
 
 # Largest test degree: verify enumerates every monomial up to it.
@@ -244,11 +243,11 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     than the requested one, and SpecInvalid for a window or test degree
     that is no integer or lies outside 1..MAX_WINDOW or 1..MAX_TEST_DEGREE.
     """
-    window = integer_argument(window, "window", 1, MAX_WINDOW)
+    window = _resolve_window(spec, window, 1)
     test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
-    gens = tuple(generators(spec, window))
+    gens = tuple(_symbols(algebra, window))
     zero, monos, brackets = _plan(algebra, gens, test_degree)
     gen_forms = [None] * len(gens)  # the generators' forms by position, filled on first use
 
@@ -284,7 +283,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         else:
             outcomes.append((i, j, PASS))
     entries = _Entries(gens, outcomes, failures, monos, zero)
-    return VerificationReport(algebra, _resolve_window(spec, window), test_degree, entries)
+    return VerificationReport(algebra, window, test_degree, entries)
 
 
 def format_report(report: VerificationReport) -> str:
@@ -298,14 +297,6 @@ def format_report(report: VerificationReport) -> str:
     `exactpoly.format_terms`, with no polynomial built.  Any other
     sequence of entries is formatted entry by entry.
     """
-    symbol_text: dict = {}
-
-    def symbol(x: BasisSymbol) -> str:
-        text = symbol_text.get(x)
-        if text is None:
-            text = symbol_text[x] = format_symbol(x, report.algebra)
-        return text
-
     entries = report.entries
     if type(entries) is _Entries:
         variables = entries._zero.variables
@@ -324,8 +315,8 @@ def format_report(report: VerificationReport) -> str:
                 lines.append(f"{head}{m} RESIDUAL {format_terms(variables, terms, scale)} {FAIL}")
     else:
         lines = [
-            f"PAIR {symbol(e.x)} {symbol(e.y)} POLY {format_poly(e.test_poly)} "
-            f"RESIDUAL {format_poly(e.residual)} {e.status}"
+            f"PAIR {format_symbol(e.x, report.algebra)} {format_symbol(e.y, report.algebra)} "
+            f"POLY {format_poly(e.test_poly)} RESIDUAL {format_poly(e.residual)} {e.status}"
             for e in entries
         ]
     failed, checked, skipped = _tally(entries)

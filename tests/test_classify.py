@@ -108,7 +108,7 @@ def test_window_zero_affine_data_is_malformed():
     with pytest.raises(MalformedData, match="^window must be a positive integer$"):
         classify(data)  # alpha would be read from f_1
     all_zero = with_assignment(with_assignment(data, P, zero), Q, zero)
-    with pytest.raises(ValueError, match="^window must be a positive integer$"):
+    with pytest.raises(ValueError, match="^window must be at least 1$"):
         classify(all_zero)  # MTildeF rejects the window itself
 
 

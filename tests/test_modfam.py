@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nwfree.modfam
+from nwfree import InputError
 from nwfree.exactpoly import Poly, VariableMismatch, change_variables
 from nwfree.classify import classify
 from nwfree.irreducible import (
@@ -47,6 +48,7 @@ from nwfree.modfam import (
     ActionData,
     AffVirSpec,
     AffineSpec,
+    ConstraintViolation,
     H4Family,
     MalformedData,
     SpecInvalid,
@@ -70,7 +72,7 @@ from nwfree.modfam import (
     spec_window,
     value_on_one,
 )
-from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_spec
+from nwfree.specdsl import DslSyntaxError, format_actions, format_spec, parse_actions, parse_spec
 from nwfree.verify import format_report, verify_module
 
 from helpers import act_reference, h4_specs, sample_specs, shift_of_reference, with_assignment
@@ -329,7 +331,7 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
     ("data-unknown-algebra", lambda: ActionData("Nope", 0, ()), MalformedData,
      "unknown algebra 'Nope'"),
     ("data-negative-window", lambda: ActionData(H4, -1, ()), MalformedData,
-     "window must be a non-negative integer"),
+     "window must be at least 0"),
     ("data-key-not-a-symbol", lambda: ActionData(H4, 0, {"p": 1}), MalformedData,
      "assignment key 'p' is not a generator"),
     ("data-value-in-wrong-ring", lambda: ActionData(H4, 0, {P: Poly.var(("d",), "d")}),
@@ -348,9 +350,9 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
     ("affvir-lambda", lambda: affvir(mab(1, 1), 2, "z", 1), SpecInvalid,
      "lambda must be rational, got 'z'"),
     ("affvir-str-window", lambda: affvir(mab(1, 1), 2, 3, "2"), SpecInvalid,
-     "window must be a positive integer"),
+     "window must be an integer, got '2'"),
     ("affvir-float-window", lambda: affvir(mab(1, 1), 2, 3, 1.5), SpecInvalid,
-     "window must be a positive integer"),
+     "window must be an integer, got 1.5"),
     ("mtilde-beta-key", lambda: mtilde(mab(1, 1), 2, {"a": 1, -1: 0}, 1), SpecInvalid,
      "beta index 'a' is not an integer"),
     ("mtilde-f-str-key", lambda: mtilde_f({"a": 1, -1: 0}, 1), SpecInvalid,
@@ -374,6 +376,70 @@ def test_constructor_faults_raise_their_class_and_message(build, error, message)
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+VIR = Vir00Spec(Fraction(2), Poly.var(("w0",), "w0"))
+
+# Every entry point that reads a loop window: (read a window, its error
+# class, the lowest window it takes).  Documents write the window on line 2.
+WINDOW_READERS = [
+    ("mtilde", lambda w: mtilde(mab(1, 1), 2, {}, w), SpecInvalid, 1),
+    ("mtilde_f", lambda w: mtilde_f({}, w), SpecInvalid, 1),
+    ("affvir", lambda w: affvir(mab(1, 1), 2, 3, w), SpecInvalid, 1),
+    ("AffineSpec", lambda w: AffineSpec("MTildeF", w), SpecInvalid, 1),
+    ("ActionData", lambda w: ActionData(AFFINE_H4, w, ()), MalformedData, 0),
+    ("verify_module", lambda w: verify_module(mtilde_f({1: 0, -1: 0}, 1), w, 1), SpecInvalid, 1),
+    ("generators", lambda w: generators(VIR, w), SpecInvalid, 0),
+    ("generators-h4", lambda w: generators(mab(1, 1), w), SpecInvalid, 0),
+    ("actions_of", lambda w: actions_of(VIR, w), SpecInvalid, 0),
+    ("actions_of-h4", lambda w: actions_of(mab(1, 1), w), SpecInvalid, 0),
+    ("spec-document", lambda w: parse_spec(f"algebra = AffineH4\nwindow = {w!r}\nfamily = MTildeF\n"),
+     ConstraintViolation, 1),
+    ("action-document", lambda w: parse_actions(f"algebra = AffineH4\nwindow = {w!r}\n"),
+     ConstraintViolation, 0),
+]
+
+
+@pytest.mark.parametrize("window", [1.5, "2", -1, 0, MAX_WINDOW + 1],
+                         ids=["float", "str", "negative", "zero", "above-limit"])
+@pytest.mark.parametrize("read, error, low", [case[1:] for case in WINDOW_READERS],
+                         ids=[case[0] for case in WINDOW_READERS])
+def test_every_window_reader_applies_one_rule(read, error, low, window):
+    """One message per fault and each caller's class; a document reports
+    the rule's error at the window's value, and text that is no integer as
+    a syntax error there."""
+    if window == low == 0:
+        read(window)
+        return
+    document = error is ConstraintViolation
+    if not isinstance(window, int):
+        if document:
+            error, message = DslSyntaxError, "window must be an integer"
+        else:
+            message = f"window must be an integer, got {window!r}"
+    elif window < low:
+        message = f"window must be at least {low}"
+    else:
+        message = f"window exceeds the limit {MAX_WINDOW}"
+    with pytest.raises(InputError) as info:
+        read(window)
+    assert type(info.value) is error
+    assert info.value.message == message
+    if document:
+        assert (info.value.line, info.value.col) == (2, 10)
+
+
+def test_a_window_above_the_limit_builds_no_value(monkeypatch):
+    """generators and actions_of read a Vir00 window before any x.1."""
+    calls = []
+    value_on_one = nwfree.modfam._value_on_one
+    monkeypatch.setattr(nwfree.modfam, "_value_on_one",
+                        lambda spec, x: calls.append(x) or value_on_one(spec, x))
+    for read in (generators, actions_of):
+        with pytest.raises(SpecInvalid, match=f"^window exceeds the limit {MAX_WINDOW}$"):
+            read(VIR, 4000)
+    assert calls == []
+    assert actions_of(VIR, 1).window == 1 and len(calls) == 7  # w, dvir at -1..1, and k
 
 
 def test_constructor_functions_build_what_the_classes_build():

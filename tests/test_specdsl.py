@@ -387,6 +387,22 @@ def test_bool_windows_become_ints_and_round_trip():
         assert read(text) == spec
 
 
+def test_bool_loop_indices_become_ints_and_round_trip():
+    """A loop index goes through operator.index too, so action data keyed
+    by `p@True` formats as the data keyed by `p@1` does and parses back."""
+    assert repr(sym("p", True)) == repr(sym("p", 1))
+    assert type(sym("q", False).loop_index) is int
+    data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
+    as_bools = ActionData(data.algebra, data.window, {
+        sym(x.kind, bool(x.loop_index)) if x.loop_index in (0, 1) else x: value
+        for x, value in data.assignments
+    })
+    assert repr(as_bools) == repr(data)
+    text = format_actions(as_bools)
+    assert text == format_actions(data)
+    assert parse_actions(text) == data
+
+
 def test_format_spec_refuses_action_data():
     with pytest.raises(SpecInvalid, match="^cannot format a ActionData$"):
         format_spec(actions_of(mhb(1, 0, 1)))
@@ -766,9 +782,9 @@ def test_cli_vir00_data_outside_its_window_names_w(tmp_path, capsys):
         ("algebra = AffineH4\nwindow = 1\nq = 0\n  p@-2 = (\n",
          "line 4, col 3: p@-2 lies outside window 1"),
         ("algebra = AffineH4\nwindow = -1\n",
-         "line 2, col 10: window must be a non-negative integer"),
+         "line 2, col 10: window must be at least 0"),
         ("algebra = Vir00\nwindow =  -3 # none\nk = 0\n",
-         "line 2, col 11: window must be a non-negative integer"),
+         "line 2, col 11: window must be at least 0"),
     ],
     ids=["outside", "outside-before-its-value", "negative-window", "negative-vir00-window"],
 )
