@@ -227,30 +227,22 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
         if c:
             break
 
-    steps = []
-    current = seed
+    stages = []  # (operator, the degree it lowers to 0, failure message), in order
     if forms.algebra in (AFFINE_H4, AFF_VIR):
         c1 = _constant(forms[sym(kind, 1)])
-        d_op = ChainOp(
-            (
-                (Fraction(1) / c1, sym(kind, 1)),
-                (Fraction(-1) / c, sym(kind, 0)),
-            )
-        )
-        while degree_in(current, "d") > 0:
-            before = degree_in(current, "d")
-            current = _act_sum(forms, d_op.parts, current)
-            steps.append((d_op, current))
-            if degree_in(current, "d") >= before:
-                raise RuntimeError("d-stage failed to lower the d-degree")
-
+        d_op = ChainOp(((Fraction(1) / c1, sym(kind, 1)), (Fraction(-1) / c, sym(kind, 0))))
+        stages.append((d_op, lambda v: degree_in(v, "d"), "d-stage failed to lower the d-degree"))
     s_op = ChainOp(((Fraction(1) / c, sym(kind, 0)), (Fraction(-1), None)))
-    while not current.is_constant():
-        before = current.total_degree()
-        current = _act_sum(forms, s_op.parts, current)
-        steps.append((s_op, current))
-        if current.is_zero() or current.total_degree() >= before:
-            raise RuntimeError("s-stage failed to lower the degree")
+    stages.append((s_op, Poly.total_degree, "s-stage failed to lower the degree"))
+    steps = []
+    current = seed
+    for op, degree, failure in stages:
+        while degree(current) > 0:
+            before = degree(current)
+            current = _act_sum(forms, op.parts, current)
+            steps.append((op, current))
+            if current.is_zero() or degree(current) >= before:
+                raise RuntimeError(failure)
     return IrreducibilityCertificate(seed, tuple(steps))
 
 

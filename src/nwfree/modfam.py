@@ -32,11 +32,11 @@ generator image on integers from x's form in that table, for `act` (so
 `_act_sum` sums such images over one common denominator for `act` and
 the chains.  `verify_module` reads its generators' forms by position and
 adds a pair's two products into one map with the kernel `_image` runs,
-`exactpoly._shift_mul`.  State kept across requests lives on the spec
-object and goes with it: its form table (`_OwnsForms`), each
-`H4Family`'s `base_values` and each MTildeAlphaBeta spec's `loop_zero`;
-besides, the bounded cache (MAX_CACHED_VALUES entries) of the public
-`value_on_one`, which no request path calls.
+`exactpoly._shift_mul`.  The only state kept across requests is each
+spec's form table (`_OwnsForms`), which lives on the spec object and goes
+with it; an MTildeAlphaBeta spec scales the integer forms in its base's
+table by alpha^n.  Besides, the public `value_on_one` keeps a bounded
+cache (MAX_CACHED_VALUES entries), which no request path calls.
 """
 
 from __future__ import annotations
@@ -189,6 +189,11 @@ _H4_RULES = {
     "b": (_fraction, "b != 0 is required"),
 }
 
+# Each H4 family's p.1 and q.1 by the parameter that gives them: g itself,
+# h = a1 s + a2, or the constant a or b; a kind left out acts as zero.
+_H4_PQ = {"Mg0": {"p": "g"}, "M0g": {"q": "g"}, "Mhb": {"p": "h", "q": "b"},
+          "Mbh": {"p": "b", "q": "h"}, "Mab": {"p": "a", "q": "b"}, "M0": {}}
+
 
 class _OwnsForms:
     """A spec's own form table, `_forms`: a `_Forms` built on first use and
@@ -211,9 +216,9 @@ class _OwnsForms:
 class H4Family(_OwnsForms):
     """One of the six families: Mg0, M0g, Mhb, Mbh, Mab, M0.
 
-    Its values on 1 of p, q and r (`base_values`) are built on first
-    use and kept beside the fields, as a cached property, so equality,
-    hashing, repr and `dataclasses.replace` see the parameters alone.
+    It keeps no values on 1 of its own: `on_one` computes the one asked
+    for, and its form table (`spec_forms`) keeps each, for this spec and
+    for every affine spec built over it.
     """
 
     algebra: ClassVar[str] = H4
@@ -243,36 +248,19 @@ class H4Family(_OwnsForms):
             coerce, nonzero = _H4_RULES[name]
             _store(self, name, coerce, name, nonzero)
 
-    @functools.cached_property
-    def base_values(self) -> Tuple[Poly, Poly, Fraction]:
-        """(p.1, q.1, r.1) for the family; r.1 is always a constant."""
-        s = Poly.var(("s",), "s")
-        zero = Poly.zero(("s",))
-        if self.variant == "Mg0":
-            return self.g, zero, Fraction(0)
-        if self.variant == "M0g":
-            return zero, self.g, Fraction(0)
-        if self.variant == "Mhb":
-            h = self.a1 * s + Poly.const(("s",), self.a2)
-            return h, Poly.const(("s",), self.b), -self.a1 * self.b
-        if self.variant == "Mbh":
-            h = self.a1 * s + Poly.const(("s",), self.a2)
-            return Poly.const(("s",), self.b), h, -self.a1 * self.b
-        if self.variant == "Mab":
-            return Poly.const(("s",), self.a), Poly.const(("s",), self.b), Fraction(0)
-        return zero, zero, Fraction(0)
-
     def on_one(self, symbol: BasisSymbol) -> Poly:
-        """x.1 for a generator x of H4."""
-        kind = symbol.kind
-        p1, q1, r1 = self.base_values
-        if kind == "p":
-            return p1
-        if kind == "q":
-            return q1
+        """x.1 for a generator x of H4, computed from the parameters alone: p
+        and q as `_H4_PQ` names them, r by -a1 b (Mhb, Mbh) or 0, s by s,
+        and k by zero."""
+        kind, s = symbol.kind, Poly.var(("s",), "s")
+        if kind == "s":
+            return s
         if kind == "r":
-            return Poly.const(("s",), r1)
-        return Poly.var(("s",), "s") if kind == "s" else Poly.zero(("s",))
+            return Poly.const(("s",), 0 if self.a1 is None else -self.a1 * self.b)
+        name = _H4_PQ[self.variant].get(kind)
+        if name in ("g", "h"):
+            return self.g if name == "g" else self.a1 * s + Poly.const(("s",), self.a2)
+        return Poly.zero(("s",)) if name is None else Poly.const(("s",), getattr(self, name))
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         """(irreducible, family, note, derived), which `irreducible.decide` wraps."""
@@ -346,18 +334,12 @@ class AffineSpec(_OwnsForms):
             fseq = _sequence(self.fseq, _poly_in, "f", Poly.var(("s",), "s"), "s", window)
             object.__setattr__(self, "fseq", fseq)
 
-    @functools.cached_property
-    def loop_zero(self) -> dict:
-        """MTildeAlphaBeta's loop-0 values on 1 of p, q and r in (s, d), the
-        base's, built on first use and kept beside the fields as
-        `H4Family.base_values` is."""
-        return {kind: change_variables(self.base.on_one(sym(kind)), _SD) for kind in "pqr"}
-
     def on_one(self, symbol: BasisSymbol) -> Poly:
         """x.1 for a generator x of AffineH4: at loop n, s acts by f_n in MTildeF
         else by alpha^n s + beta_n, and p, q and r by alpha^n times their base
         value; beta and fseq hold every index of the window, in order.
-        MTildeAlphaBeta's values are built on integers, alpha^n = num / den."""
+        MTildeAlphaBeta's values are built on integers, alpha^n = num / den,
+        from the base's integer forms in its own table (`spec_forms`)."""
         kind, n = symbol.kind, symbol.loop_index
         if kind == "d":
             return Poly.var(_SD, "d")
@@ -376,10 +358,10 @@ class AffineSpec(_OwnsForms):
             pairs = (((1, 0), num * (common // den)),
                      ((0, 0), beta.numerator * (common // beta.denominator)))
             return Poly._trusted(_SD, pairs, common)
-        value = self.loop_zero.get(kind)
-        if value is None:  # k, and any kind outside H4, acts as zero
+        if kind not in ("p", "q", "r"):  # k, and any kind outside H4, acts as zero
             return Poly.zero(_SD)
-        return Poly._trusted(_SD, [(e, num * c) for e, c in value.numerators], den * value.den)
+        _, ints, base_den = spec_forms(self.base)[sym(kind)]
+        return Poly._trusted(_SD, [((e, 0), num * c) for (e,), c in ints.items()], den * base_den)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         if self.variant == "MTildeF":
@@ -718,9 +700,8 @@ def generators(spec: AnySpec, window: Optional[int] = None):
 
 
 def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:
-    """Freeze the spec's generator values on 1 into raw data."""
-    if isinstance(spec, ActionData):
-        return spec
+    """Freeze the spec's generator values on 1 within the window into raw
+    data; action data gives an equal copy, restricted to a smaller window."""
     w = _resolve_window(spec, window)
     table = {x: _value_on_one(spec, x) for x in _symbols(spec.algebra, w)}
     return ActionData(spec.algebra, w, tuple(table.items()))

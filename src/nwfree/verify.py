@@ -23,12 +23,13 @@ is an automorphism and the polynomial ring is a domain, a pair passes on
 every monomial when R = 0 and fails on every monomial otherwise.
 
 Only the values on 1 depend on the spec.  Everything else is a plan,
-cached by (algebra, generator tuple, test degree) in a bounded LRU cache
-(MAX_PLANS): the zero polynomial, the test monomials, and per pair its
-shift sigma and its bracket terms, so `bracket` runs only when a plan is
-built.  A term c*z keeps z's position among the generators, or z itself
-when z lies outside the window.  Building a plan checks the grading: a
-bracket term whose shift is not its pair's raises ValueError.
+cached by (algebra, window, test degree) in a bounded LRU cache
+(MAX_PLANS): the generators, the zero polynomial, the test monomials,
+and per pair its shift sigma and its bracket terms, so neither `bracket`
+nor a generator symbol is built per request.  A term c*z keeps z's
+position among the generators, or z itself when z lies outside the
+window.  Building a plan checks the grading: a bracket term whose shift
+is not its pair's raises ValueError.
 
 Each request reads its integer forms (shift_x, and x.1's numerators and
 denominator) from the spec's own table, `modfam.spec_forms(spec)`: the
@@ -185,23 +186,24 @@ class VerificationReport:
         return _tally(self.entries)[2]
 
 
-# Plans kept at once.  A plan depends only on the algebra, the generator
-# tuple and the test degree, so the keys are few: perfbench's verify slots
-# use 7.  One plan at MAX_WINDOW and MAX_TEST_DEGREE (AffineVirasoroH4: 86
+# Plans kept at once.  A plan depends only on the algebra, the window and
+# the test degree, so the keys are few: perfbench's verify slots use 7.
+# One plan at MAX_WINDOW and MAX_TEST_DEGREE (AffineVirasoroH4: 86
 # generators, 3,655 pairs, 45 monomials) takes 0.24 MB (tracemalloc, with
 # the brackets already computed), so a full cache stays under 4 MB.
 MAX_PLANS = 16
 
 
 @functools.lru_cache(maxsize=MAX_PLANS)
-def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tuple:
+def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     """Everything verify needs that does not depend on the values on 1.
 
-    Returns (zero, monomials, brackets).  `brackets` holds, per generator
-    pair (x, y) in report order, that is in the order of
-    itertools.combinations over the generators, the pair's shift sigma =
-    shift_x∘shift_y and per bracket term c*z the triple (where z is
-    looked up, numerator of -c, denominator of c): z's position in
+    Returns (gens, zero, monomials, brackets).  `gens` is the tuple of the
+    algebra's generators up to loop index `window`, in canonical order.
+    `brackets` holds, per generator pair (x, y) in report order, that is
+    in the order of itertools.combinations over `gens`, the pair's shift
+    sigma = shift_x∘shift_y and per bracket term c*z the triple (where z
+    is looked up, numerator of -c, denominator of c): z's position in
     `gens` when z is one of them, z itself when it lies outside the
     window.  Raises ValueError when a term's shift is not sigma, since
     verify relies on every bracket being graded.  Equal shifts and
@@ -209,6 +211,7 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
     reference.
     """
     variables = MODULE_VARIABLES[algebra]
+    gens = tuple(_symbols(algebra, window))
     position = {x: k for k, x in enumerate(gens)}
     shared: dict = {}
 
@@ -227,7 +230,7 @@ def _plan(algebra: str, gens: Tuple[BasisSymbol, ...], test_degree: int) -> tupl
             terms.append((position.get(z, z), -c.numerator, c.denominator))
         brackets.append(share((sigma, tuple(terms))))
     monomials = tuple(monomials_upto(variables, test_degree))
-    return Poly.zero(variables), monomials, tuple(brackets)
+    return gens, Poly.zero(variables), monomials, tuple(brackets)
 
 
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
@@ -247,8 +250,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
-    gens = tuple(_symbols(algebra, window))
-    zero, monos, brackets = _plan(algebra, gens, test_degree)
+    gens, zero, monos, brackets = _plan(algebra, window, test_degree)
     gen_forms = [None] * len(gens)  # the generators' forms by position, filled on first use
 
     def look(k: int):

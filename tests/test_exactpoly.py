@@ -111,6 +111,26 @@ def test_shift_absent_variable_rejected():
         apply_shift(TAU, Poly.zero(SD))
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Poly(S, {(1, 2): 1}), VariableMismatch,
+         "exponent vector (1, 2) does not fit variables ('s',)"),
+        (lambda: Poly(S, {(-1,): 1}), ValueError, "exponents must be non-negative integers: (-1,)"),
+        (lambda: Poly.var(S, "s").constant_value(), ValueError, "s is not constant"),
+        (lambda: Poly.var(S, "s") ** -1, ValueError, "only non-negative integer powers"),
+        (lambda: negate_var(Poly.var(S, "s"), "d"), VariableMismatch, "'d' is absent from ('s',)"),
+    ],
+    ids=["wide-exponent", "negative-exponent", "constant-value-of-s", "negative-power",
+         "negate-absent-variable"],
+)
+def test_public_error_paths_raise_their_class_and_message(build, error, message):
+    with pytest.raises(Exception) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_negate_var_examples():
     assert negate_var(Poly(S, {(2,): 1, (1,): 1}), "s") == Poly(S, {(2,): 1, (1,): -1})
     assert negate_var(Poly.const(S, 7), "s") == Poly.const(S, 7)
@@ -161,6 +181,7 @@ def test_coefficient_in():
     x = Poly(SD, {(1, 2): 3, (1, 0): -1, (0, 0): 5})
     assert coefficient_in(x, "s", 1) == Poly(SD, {(0, 2): 3, (0, 0): -1})
     assert coefficient_in(x, "s", 0) == Poly(SD, {(0, 0): 5})
+    assert coefficient_in(Poly.var(S, "s"), "d", 1) == Poly.zero(S)  # d absent from Q[s]
 
 
 def test_reduce_mod_univariate():

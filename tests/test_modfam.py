@@ -69,6 +69,7 @@ from nwfree.modfam import (
     module_variables,
     mtilde_f,
     shift_of,
+    spec_forms,
     spec_window,
     value_on_one,
 )
@@ -108,13 +109,19 @@ def test_mhb_pq_commutator_matches_r():
     assert got == act(fam, R, v)
 
 
+def _pqr(fam):
+    """(p.1, q.1, r.1) of an H4 family, read through `on_one`."""
+    return tuple(fam.on_one(x) for x in (P, Q, R))
+
+
 def test_base_values_table():
-    assert mg0(2).base_values == (Poly.const(("s",), 2), Poly.zero(("s",)), 0)
-    p1, q1, r1 = mbh(2, -1, 3).base_values
+    zero = Poly.zero(("s",))
+    assert _pqr(mg0(2)) == (Poly.const(("s",), 2), zero, zero)
+    p1, q1, r1 = _pqr(mbh(2, -1, 3))
     assert p1 == Poly.const(("s",), 3)
     assert q1 == 2 * S_POLY - ONE_S
-    assert r1 == -6
-    assert m0().base_values == (Poly.zero(("s",)), Poly.zero(("s",)), 0)
+    assert r1 == Poly.const(("s",), -6)
+    assert _pqr(m0()) == (zero, zero, zero)
 
 
 def test_base_values_are_kept_beside_the_fields():
@@ -127,19 +134,24 @@ def test_base_values_are_kept_beside_the_fields():
         (mab(2, 3), (2 * ONE_S, 3 * ONE_S, 0)),
         (m0(), (zero, zero, 0)),
     ]
-    for fam, values in expected:
+    for fam, (p1, q1, r1) in expected:
+        values = (p1, q1, Poly.const(("s",), r1))
         twin = dataclasses.replace(fam)
         text = repr(fam)
         assert fam == twin and hash(fam) == hash(twin)  # neither evaluated
-        assert fam.base_values == values
-        assert fam.base_values is fam.base_values  # built once per object
-        assert fam == twin and hash(fam) == hash(twin)  # one evaluated
+        assert _pqr(fam) == values
+        # k, and d from outside H4, read zero: no variant falls through to a parameter
+        assert fam.on_one(K).is_zero() and fam.on_one(D).is_zero()
+        forms = spec_forms(fam)
+        assert [forms[x][1:] for x in (P, Q, R)] == [(dict(v.numerators), v.den) for v in values]
+        assert forms[P] is spec_forms(fam)[P]  # built once per object
+        assert fam == twin and hash(fam) == hash(twin)  # one table filled
         assert repr(fam) == repr(twin) == text
         assert dataclasses.replace(fam) == fam
         for copy in (pickle.loads(pickle.dumps(fam)), pickle.loads(pickle.dumps(twin))):
             assert copy == fam and hash(copy) == hash(fam) and repr(copy) == text
-            assert copy.base_values == values
-        assert twin.base_values == values
+            assert _pqr(copy) == values
+        assert _pqr(twin) == values
     assert [f.name for f in dataclasses.fields(H4Family)] == ["variant", "g", "a1", "a2", "a", "b"]
 
 
@@ -217,7 +229,7 @@ def test_alpha_beta_values_on_one_match_the_poly_formula(base, alpha, window, da
         got = spec.on_one(x)
         assert got == _alpha_beta_on_one_reference(spec, x)
         assert Poly(got.variables, got.numerators, got.den) == got  # canonical
-    assert set(spec.loop_zero) == {"p", "q", "r"}
+    assert set(spec_forms(base)) == {P, Q, R}  # p, q and r read the base's table
     with pytest.raises(WindowExceeded, match=f"^p@{window + 1} outside window {window}$"):
         spec.on_one(sym("p", window + 1))
 
@@ -347,6 +359,10 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
     ("mab-a-missing", lambda: mab(None, 1), SpecInvalid, "Mab takes exactly ['a', 'b'], got ['b']"),
     ("mtilde-alpha", lambda: mtilde(mab(1, 1), "q", {}, 1), SpecInvalid,
      "alpha must be rational, got 'q'"),
+    ("mg0-in-d", lambda: mg0(Poly.var(("d",), "d")), SpecInvalid,
+     "g must be a polynomial in ('s',)"),
+    ("duplicate-beta-pair", lambda: mtilde(mhb(1, 0, 1), 2, [(1, 0), (1, 2), (-1, 0)], 1),
+     SpecInvalid, "duplicate beta.1"),
     ("affvir-lambda", lambda: affvir(mab(1, 1), 2, "z", 1), SpecInvalid,
      "lambda must be rational, got 'z'"),
     ("affvir-str-window", lambda: affvir(mab(1, 1), 2, 3, "2"), SpecInvalid,
@@ -393,6 +409,7 @@ WINDOW_READERS = [
     ("generators-h4", lambda w: generators(mab(1, 1), w), SpecInvalid, 0),
     ("actions_of", lambda w: actions_of(VIR, w), SpecInvalid, 0),
     ("actions_of-h4", lambda w: actions_of(mab(1, 1), w), SpecInvalid, 0),
+    ("actions_of-data", lambda w: actions_of(actions_of(VIR, 1), w), SpecInvalid, 0),
     ("spec-document", lambda w: parse_spec(f"algebra = AffineH4\nwindow = {w!r}\nfamily = MTildeF\n"),
      ConstraintViolation, 1),
     ("action-document", lambda w: parse_actions(f"algebra = AffineH4\nwindow = {w!r}\n"),
@@ -552,6 +569,35 @@ def test_actions_of_round_trip_evaluation():
         assert act(data, x, v) == act(spec, x, v)
 
 
+@pytest.mark.parametrize("name, spec", sample_specs(), ids=[n for n, _ in sample_specs()])
+def test_actions_of_reads_the_window_of_action_data(name, spec):
+    # action data goes through the one window rule like every other spec
+    data = actions_of(spec, 1)
+    copy = actions_of(data)
+    assert copy == data and copy is not data
+    with pytest.raises(SpecInvalid, match=r"^window must be an integer, got 1\.5$"):
+        actions_of(data, 1.5)
+    with pytest.raises(SpecInvalid, match=f"^window exceeds the limit {MAX_WINDOW}$"):
+        actions_of(data, 99)
+    if data.algebra == H4:  # no loop directions: every window collapses to 0
+        assert actions_of(data, 2) == data
+        return
+    with pytest.raises(WindowExceeded, match="^window 2 exceeds the spec's window 1$"):
+        actions_of(data, 2)
+    smaller = actions_of(data, 0)  # restricted to loop index 0
+    assert smaller == actions_of(spec, 0)
+    assert smaller.window == 0 and {x.loop_index for x, _ in smaller.assignments} == {0}
+
+
+def test_actions_of_incomplete_data_names_the_first_missing_generator():
+    with pytest.raises(MalformedData, match="^no assignment for q$"):
+        actions_of(ActionData(H4, 0, [(P, 1)]))
+    data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
+    kept = tuple((x, v) for x, v in data.assignments if x not in (sym("q", 1), R))
+    with pytest.raises(MalformedData, match="^no assignment for q@1$"):  # canonical order
+        actions_of(ActionData(AFFINE_H4, 1, kept))
+
+
 def test_action_data_lookup_errors():
     data = actions_of(mtilde(mab(1, 1), 2, {1: 0, -1: 0}, window=1))
     with pytest.raises(WindowExceeded):
@@ -692,7 +738,12 @@ def test_each_value_on_one_is_computed_once_per_spec(monkeypatch):
         assert run(fresh) == got, spec
     computed = [(id(spec), x) for spec, x in calls]
     assert len(computed) == len(set(computed))
-    assert {id(spec) for spec, _ in requests} | {id(f) for f in fresh_specs} == {
+
+    def h4_base(spec):  # the H4 family whose table an affine spec's p, q and r read
+        return spec if isinstance(spec, H4Family) else h4_base(spec.base)
+
+    specs = [spec for spec, _ in requests] + fresh_specs
+    assert {id(s) for s in specs} | {id(h4_base(s)) for s in specs} == {
         id(spec) for spec, _ in calls
     }
 
@@ -861,10 +912,11 @@ def test_loop_scaling_property():
 def test_r_acts_by_constant():
     for fam in (mg0(S_POLY ** 2), m0g(5), mhb(1, 0, 1), mbh(2, -1, 3), mab(2, 3), m0()):
         got = act(fam, R, S_POLY ** 3 + ONE_S)
-        _, _, r1 = fam.base_values
+        r1 = fam.on_one(R)
+        assert r1.is_constant()
         assert got == r1 * (S_POLY ** 3 + ONE_S)
         if fam.variant in ("Mg0", "M0g", "Mab", "M0"):
-            assert r1 == 0
+            assert r1.is_zero()
 
 
 def _outcome(fn, *args):

@@ -363,8 +363,8 @@ LOOPS = range(-MAX_WINDOW, MAX_WINDOW + 1)
     ids=[H4, AFFINE_H4, VIR00, AFF_VIR],
 )
 def test_every_bracket_is_graded_at_max_window(spec, pairs):
-    gens = tuple(generators(spec, MAX_WINDOW))
-    _, _, brackets = nwfree.verify._plan.__wrapped__(algebra_of(spec), gens, 1)
+    gens, _, _, brackets = nwfree.verify._plan.__wrapped__(algebra_of(spec), MAX_WINDOW, 1)
+    assert gens == tuple(generators(spec, MAX_WINDOW))
     assert len(brackets) == pairs
 
 
