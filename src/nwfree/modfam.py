@@ -459,6 +459,12 @@ def affvir(base: H4Family, alpha: Scalar, lam: Scalar, window: int) -> AffVirSpe
     return AffVirSpec(base=inner, lambda_shift=lam)
 
 
+def data_window_limit(algebra: str) -> int:
+    """The largest window action data of `algebra` may carry: 0 on H4,
+    which has no loop directions, else MAX_WINDOW."""
+    return 0 if algebra == H4 else MAX_WINDOW
+
+
 @dataclass(frozen=True)
 class ActionData(_OwnsForms):
     """Raw generator values on 1, detached from any family.
@@ -466,7 +472,9 @@ class ActionData(_OwnsForms):
     `assignments` holds (symbol, value) pairs sorted by symbol.  A dict
     from symbol to value, built beside it once, answers `value` and `has`;
     it is not a field, so equality, hashing, repr and
-    `dataclasses.replace` see the assignments alone.
+    `dataclasses.replace` see the assignments alone.  The window runs up
+    to `data_window_limit(algebra)`, so H4 data, with no loop directions,
+    has window 0.
     """
 
     algebra: str
@@ -476,7 +484,8 @@ class ActionData(_OwnsForms):
     def __post_init__(self):
         if self.algebra not in MODULE_VARIABLES:
             raise MalformedData(f"unknown algebra {self.algebra!r}")
-        window = integer_argument(self.window, "window", 0, MAX_WINDOW, MalformedData)
+        limit = data_window_limit(self.algebra)
+        window = integer_argument(self.window, "window", 0, limit, MalformedData)
         object.__setattr__(self, "window", window)
         variables = MODULE_VARIABLES[self.algebra]
         items = self.assignments
@@ -502,9 +511,25 @@ class ActionData(_OwnsForms):
                 name = format_symbol(symbol, self.algebra)
                 raise MalformedData(f"{name} value must live in Q{list(variables)}") from exc
             seen[symbol] = value
-        ordered = tuple(sorted(seen.items(), key=lambda kv: sort_key(kv[0])))
+        self._settle(seen)
+
+    @classmethod
+    def _checked(cls, algebra: str, window: int, values: dict) -> "ActionData":
+        """Data from pairs the caller has checked as `__post_init__` checks
+        them: a known algebra, a window it takes, and a dict from distinct
+        symbols of the algebra inside the window to Polys over its module
+        variables, which the data keeps as its index."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "algebra", algebra)
+        object.__setattr__(data, "window", window)
+        data._settle(values)
+        return data
+
+    def _settle(self, values: dict) -> None:
+        """Store the pairs of `values` sorted by symbol, and `values` as the index."""
+        ordered = tuple(sorted(values.items(), key=lambda kv: sort_key(kv[0])))
         object.__setattr__(self, "assignments", ordered)
-        object.__setattr__(self, "_index", seen)
+        object.__setattr__(self, "_index", values)
 
     def value(self, symbol: BasisSymbol) -> Poly:
         return self._index[symbol]

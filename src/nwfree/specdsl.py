@@ -24,6 +24,23 @@ positive den reduced as `Poly._trusted` reduces it, and a product is
 value, from the whole value's pair.  Each check below reads the pairs as
 it would read their `Poly`s.
 
+A value in the shape `format_terms` writes, a sum of monomials such as
+`-1/3*s^2*d+9*s-3`, is read first by `_read_sum`, in one pass over the
+text with no tokens, into one (integer map, den) pair and one `Poly`.  It
+runs when `parse_poly` is given its variables, and takes a text only when
+it can show that the full reader would accept it with the same value:
+terms `c*v^e*...` joined by `+` or `-`, with no leading `+`, no empty
+term and no space; a coefficient only as the first factor, its numerals
+of at most MAX_DIGITS ASCII digits and its denominator nonzero; each
+variable one of the given ASCII names, at most once per monomial, with an
+exponent of 1 to MAX_DEGREE written without a leading zero; each monomial
+of degree at most MAX_DEGREE; at most MAX_TERM_WORK work, counted as
+`multiply` charges a monomial (its `^` exponents and its `*`s); and each
+merged coefficient and the common denominator within the limits `expr`
+checks.  It declines everything else, parentheses, powers of sums and
+every error among them, to `_tokenize` and `_PolyParser`, so each error
+comes from one reader.
+
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.
 One polynomial value may multiply at most MAX_TERM_WORK term pairs,
@@ -98,6 +115,7 @@ from .modfam import (
     Vir00Spec,
     affvir,
     algebra_of,
+    data_window_limit,
     integer_argument,
     module_variables,
     mtilde,
@@ -346,10 +364,87 @@ class _PolyParser:
         self.fail(f"unexpected {tok.text!r}", tok)
 
 
+# The exponents `_read_sum` takes, by their text as `format_terms` writes them.
+_EXPONENT_TEXTS = {str(e): e for e in range(1, MAX_DEGREE + 1)}
+
+
+def _read_sum(text: str, variables):
+    """The `Poly` of a sum of monomials, read in one pass, or None.
+
+    It takes the shape `format_terms` writes, such as `-1/3*s^2*d+9*s-3`,
+    and returns None, for the full reader to take, unless that reader
+    would accept `text` with the same value: see the module docstring.
+    """
+    zeros = (0,) * len(variables)
+    table = {}  # exponents -> the merged coefficient (numerator, denominator), in lowest terms
+    den = 1  # the lcm of the terms' denominators, as `_PolyParser.expr` takes it
+    work = 0  # as `_PolyParser.multiply` charges a monomial: its `^` exponents and its `*`s
+    pieces = text.replace("-", "+-").split("+")
+    if not pieces[0]:  # a leading sign, or no text
+        if not text.startswith("-"):
+            return None
+        del pieces[0]
+    for piece in pieces:
+        negative = piece.startswith("-")
+        factors = (piece[1:] if negative else piece).split("*")
+        work += len(factors) - 1
+        num, slash, low = factors[0].partition("/")
+        n = b = 1
+        if num.isdigit() and num.isascii():
+            if len(num) > MAX_DIGITS:
+                return None
+            n = int(num)
+            if slash:
+                if not (low.isdigit() and low.isascii()) or len(low) > MAX_DIGITS:
+                    return None
+                b = int(low)
+                if not b:
+                    return None
+                g = gcd(n, b)
+                n, b = n // g, b // g
+            del factors[0]
+        exps = zeros
+        if factors:
+            exps = list(zeros)
+            for factor in factors:
+                name, caret, e = factor.partition("^")
+                if not (name in variables and name.isascii() and name.isidentifier()):
+                    return None
+                e = _EXPONENT_TEXTS.get(e) if caret else 1
+                i = variables.index(name)
+                if e is None or exps[i]:
+                    return None
+                exps[i] = e
+                if caret:
+                    work += e
+            if sum(exps) > MAX_DEGREE:
+                return None
+            exps = tuple(exps)
+        if negative:
+            n = -n
+        if b != 1:
+            den = lcm(den, b)
+        if exps in table:  # the full reader's sum check on the merged coefficient
+            p, q = table[exps]
+            p, q = p * b + n * q, q * b
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
+                return None
+            n, b = p, q
+        table[exps] = n, b
+    if work > MAX_TERM_WORK or den >= _DENOMINATOR_BOUND:
+        return None
+    return Poly._trusted(variables, [(exps, n * (den // b)) for exps, (n, b) in table.items()], den)
+
+
 def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     """Parse the polynomial grammar; positions offset by (line, col)."""
     if variables is not None:
         variables = _distinct(variables)
+        value = _read_sum(text, variables)
+        if value is not None:
+            return value
     tokens = _tokenize(text, line, col)
     if len(tokens) == 1:
         raise DslSyntaxError("empty polynomial", line, col)
@@ -440,14 +535,14 @@ def _construct(call, taken, fallback: _Entry):
         raise type(exc)(exc.message, entry.line, entry.key_col) from exc
 
 
-def _window_value(entry: _Entry, low: int = 1) -> int:
+def _window_value(entry: _Entry, low: int = 1, high: int = MAX_WINDOW) -> int:
     """The window's text by `parse_loop_index`, then the one window rule; errors at the value."""
     try:
         window = parse_loop_index(entry.value)
     except ValueError:
         raise DslSyntaxError("window must be an integer", entry.line, entry.value_col) from None
     at_value = partial(ConstraintViolation, line=entry.line, col=entry.value_col)
-    return integer_argument(window, "window", low, MAX_WINDOW, at_value)
+    return integer_argument(window, "window", low, high, at_value)
 
 
 _Kind = namedtuple("_Kind", "read write")  # the value of an entry, the text of a value
@@ -625,7 +720,8 @@ def _build_actions(entries) -> ActionData:
             )
         window = 0
     else:
-        window = _window_value(window_entry, 0)
+        window = _window_value(window_entry, 0, data_window_limit(algebra))
+    variables = MODULE_VARIABLES[algebra]
     assignments = {}
     for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):
         try:
@@ -645,9 +741,8 @@ def _build_actions(entries) -> ActionData:
                 entry.line,
                 entry.key_col,
             )
-        value = parse_poly(entry.value, MODULE_VARIABLES[algebra], entry.line, entry.value_col)
-        assignments[symbol] = value
-    return ActionData(algebra, window, assignments)
+        assignments[symbol] = parse_poly(entry.value, variables, entry.line, entry.value_col)
+    return ActionData._checked(algebra, window, assignments)
 
 
 def parse_actions(text: str) -> ActionData:

@@ -344,6 +344,8 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
      "unknown algebra 'Nope'"),
     ("data-negative-window", lambda: ActionData(H4, -1, ()), MalformedData,
      "window must be at least 0"),
+    ("data-h4-window", lambda: ActionData(H4, 1, ()), MalformedData,  # no loop directions
+     "window exceeds the limit 0"),
     ("data-key-not-a-symbol", lambda: ActionData(H4, 0, {"p": 1}), MalformedData,
      "assignment key 'p' is not a generator"),
     ("data-value-in-wrong-ring", lambda: ActionData(H4, 0, {P: Poly.var(("d",), "d")}),

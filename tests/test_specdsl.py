@@ -48,6 +48,7 @@ from nwfree.specdsl import (
     DslSyntaxError,
     UnknownVariable,
     _Token,
+    _read_sum,
     _tokenize,
     format_actions,
     format_spec,
@@ -785,8 +786,11 @@ def test_cli_vir00_data_outside_its_window_names_w(tmp_path, capsys):
          "line 2, col 10: window must be at least 0"),
         ("algebra = Vir00\nwindow =  -3 # none\nk = 0\n",
          "line 2, col 11: window must be at least 0"),
+        # H4 has no loop directions
+        ("algebra = H4\nwindow = 2\np = s\n", "line 2, col 10: window exceeds the limit 0"),
     ],
-    ids=["outside", "outside-before-its-value", "negative-window", "negative-vir00-window"],
+    ids=["outside", "outside-before-its-value", "negative-window", "negative-vir00-window",
+         "h4-window"],
 )
 def test_cli_action_data_window_faults_are_positioned(tmp_path, capsys, doc, where):
     # a loop index outside the window at its key, a negative window at its value
@@ -1119,6 +1123,34 @@ def _grammar_texts():
     return st.recursive(leaves, extend, max_leaves=5)
 
 
+_VARIABLE_SETS = [("s",), SD, ("d", "s"), ("d0", "w0"), ("s", "d", "d0", "w0"), ()]
+# small coefficients, and numerals at and past the digit limit
+_COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.sampled_from([Fraction(10 ** MAX_DIGITS - 1), Fraction(10 ** MAX_DIGITS),
+                     Fraction(-1, N0), Fraction(7, COPRIME[1])]),
+)
+_MUTATIONS = "0123456789+-*^/() sdwx²"
+
+
+@st.composite
+def _canonical_texts(draw):
+    """`format_poly` of a polynomial over one of `_VARIABLE_SETS`, as the
+    one-pass reader takes it, or with one character inserted, dropped or
+    replaced.  Degrees reach past MAX_DEGREE."""
+    variables = draw(st.sampled_from(_VARIABLE_SETS))
+    exponent = st.one_of(st.integers(0, 3), st.sampled_from([32, 33, 63, 64, 65]))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * len(variables)), _COEFFICIENTS,
+                                 max_size=5))
+    text = format_poly(Poly(variables, terms))
+    how = draw(st.sampled_from(["keep", "insert", "drop", "replace"]))
+    if how == "keep":
+        return text
+    at = draw(st.integers(0, len(text) - (how != "insert")))
+    new = "" if how == "drop" else draw(st.sampled_from(_MUTATIONS))
+    return text[:at] + new + text[at + (how != "insert"):]
+
+
 def _parse_outcome(parse, text, variables, line, col):
     """The value `parse` returns, or the (type, message, line, col) of its error."""
     try:
@@ -1129,10 +1161,30 @@ def _parse_outcome(parse, text, variables, line, col):
     return value
 
 
+# canonical-looking texts the one-pass reader leaves to the full reader
+_DECLINED = [
+    "+3", "3-", "s*s", "s^0", "s^65", f"2*s^{MAX_DEGREE}*s", f"0*s^{MAX_DEGREE}*s^{MAX_DEGREE}",
+    "1/0*s", "1" * (MAX_DIGITS + 1) + "*s", "1/" + "1" * (MAX_DIGITS + 1) + "*s", "2 *s", "x",
+    # work past MAX_TERM_WORK, written as repeats of one monomial
+    "+".join([f"s^{MAX_DEGREE}"] * (MAX_TERM_WORK // MAX_DEGREE + 75)),
+    # eleven coprime 1000-digit denominators on distinct monomials, as format_terms writes them
+    "+".join(f"1/{n}" + ("" if i == 0 else "*s" if i == 1 else f"*s^{i}") for i, n in enumerate(COPRIME)),
+    # a merged coefficient past the digit limit
+    "9" * MAX_DIGITS + "*s+s",
+]
+
+
+def _declined_examples(test):
+    """`test` with an example of each text of `_DECLINED`, over s and d."""
+    for text in _DECLINED:
+        test = example(text=text, variables=SD, line=2, col=3)(test)
+    return test
+
+
 @settings(deadline=None)
 @given(
-    text=_grammar_texts(),
-    variables=st.sampled_from([None, ("s",), SD, ("d", "s"), ("d0", "w0"), ("s", "d", "d0", "w0"), ()]),
+    text=st.one_of(_grammar_texts(), _canonical_texts()),
+    variables=st.sampled_from([None, *_VARIABLE_SETS]),
     line=st.integers(min_value=1, max_value=9),
     col=st.integers(min_value=1, max_value=9),
 )
@@ -1142,9 +1194,18 @@ def _parse_outcome(parse, text, variables, line, col):
 @example(text=f"{COPRIME_SUMS[1]}-{COPRIME_SUMS[0]}", variables=None, line=1, col=1)
 @example(text=WIDE_PRODUCT, variables=SD, line=1, col=7)
 @example(text=CANCELLED_PRODUCT, variables=SD, line=1, col=7)
+@example(text="1/2*s-1/3*d+2/3*s-d", variables=SD, line=1, col=1)  # merged coefficients
+@example(text="s*", variables=("s", ""), line=1, col=1)  # names the tokenizer splits
+@example(text="a\u0301", variables=("s", "a\u0301"), line=1, col=1)
+@_declined_examples
 def test_parse_poly_matches_the_reference(text, variables, line, col):
     got = _parse_outcome(parse_poly, text, variables, line, col)
     assert got == _parse_outcome(parse_poly_reference, text, variables, line, col)
+
+
+@pytest.mark.parametrize("text", _DECLINED, ids=range(len(_DECLINED)))
+def test_the_one_pass_reader_leaves_what_it_cannot_prove_to_the_full_reader(text):
+    assert _read_sum(text, SD) is None
 
 
 def test_edge_pieces_reach_the_limits_they_name():
@@ -1188,6 +1249,21 @@ def test_parse_actions_builds_one_poly_per_value_line(monkeypatch):
     assert len(built) == len(lines) + 2  # with k and d
     for key, text in (entry.split(" = ") for entry in lines):
         assert data.value(parse_symbol(key, data.algebra)) == parse_poly_reference(text, SD)
+    # the reader's checked pairs give the data the public constructor gives
+    public = ActionData(data.algebra, data.window, dict(data.assignments))
+    assert data == public and data.assignments == public.assignments
+
+    def on_one(data, symbol):
+        try:
+            return data.on_one(symbol)
+        except InputError as exc:
+            return type(exc), str(exc)
+
+    for symbol in [x for x, _ in public.assignments] + [sym("p", 3), sym("dvir")]:
+        assert data.has(symbol) == public.has(symbol)
+        assert on_one(data, symbol) == on_one(public, symbol)
+        if public.has(symbol):
+            assert data.value(symbol) == public.value(symbol)
 
 
 @pytest.mark.parametrize(
