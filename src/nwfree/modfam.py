@@ -562,11 +562,6 @@ def module_variables(spec: AnySpec) -> Tuple[str, ...]:
     return MODULE_VARIABLES[algebra_of(spec)]
 
 
-def spec_window(spec: AnySpec) -> Optional[int]:
-    """The spec's own largest loop index; None when unbounded (Vir00)."""
-    return spec.window
-
-
 # shift_of's offsets on MODULE_VARIABLES from those of s and the loop variable.
 _SHIFT_LAYOUT = {
     H4: lambda s, loop: (s,),
@@ -623,9 +618,8 @@ class _Forms(dict):
     WindowExceeded outside the window, stores nothing.  The table is the
     spec's own (`spec_forms`) and holds only a weak reference to it, so it
     is dropped with the spec.  Its maps are shared by every request on the
-    spec: readers never modify them.  `verify_module` keeps its
-    generators' forms in a list by position, filled from this table, and
-    looks up only bracket terms outside its window by symbol.
+    spec: readers never modify them.  `verify_module` reads each form it
+    needs from this table once per request, into a list by position.
     """
 
     def __init__(self, spec: AnySpec):

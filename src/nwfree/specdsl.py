@@ -120,7 +120,6 @@ from .modfam import (
     module_variables,
     mtilde,
     mtilde_f,
-    spec_window,
 )
 from .verify import format_report, verify_module
 
@@ -850,7 +849,7 @@ def _cmd_verify(args) -> Tuple[int, str]:
     target = _load(args.path)
     window = args.window
     if window is None:
-        limit = spec_window(target)
+        limit = target.window
         window = 3 if not limit else min(3, limit)
     report = verify_module(target, window=window, test_degree=args.test_degree)
     return (0 if report.passed else 1), format_report(report) + "\n"

@@ -24,28 +24,28 @@ every monomial when R = 0 and fails on every monomial otherwise.
 
 Only the values on 1 depend on the spec.  Everything else is a plan,
 cached by (algebra, window, test degree) in a bounded LRU cache
-(MAX_PLANS): the generators, the zero polynomial, the test monomials,
-and per pair its shift sigma and its bracket terms, so neither `bracket`
-nor a generator symbol is built per request.  A term c*z keeps z's
-position among the generators, or z itself when z lies outside the
-window.  Building a plan checks the grading: a bracket term whose shift
-is not its pair's raises ValueError.
+(MAX_PLANS): the generators, the bracket terms outside the window, the
+zero polynomial, the test monomials, and per pair its shift sigma and
+its bracket terms, so neither `bracket` nor a symbol is built per
+request.  A term c*z keeps z's position in the generators followed by
+the outside terms.  Building a plan checks the grading: a bracket term
+whose shift is not its pair's raises ValueError.
 
 Each request reads its integer forms (shift_x, and x.1's numerators and
-denominator) from the spec's own table, `modfam.spec_forms(spec)`: the
-generators' forms by position, from a list filled as pairs first look
-them up (y, x, then the bracket terms, as evaluating through `act`
-would), and a term outside the window by symbol.  So each x.1 is computed
-once per spec, and the table goes with the spec; a lookup that raises
-WindowExceeded stores nothing and marks the pair as skipped, and a
-missing value raises MalformedData for the first symbol looked up.  A
-pair's R is one integer map: `exactpoly._shift_mul` adds
+denominator) from the spec's own table, `modfam.spec_forms(spec)`, once
+and before its pair loop, into one list by position: the generators in
+canonical order, as `actions_of` and `classify` read them, then the
+outside terms in the order the pairs first meet them.  So each x.1 is
+computed once per spec, and the table goes with the spec; a missing
+value raises MalformedData for the first symbol in that order, and an
+outside term beyond the spec's own window raises WindowExceeded once per
+request, is read as None and marks every pair that needs it as skipped.
+A pair's R is one integer map: `exactpoly._shift_mul` adds
 shift_x(y.1)*x.1 and -shift_y(x.1)*y.1 into it over the denominator of
-x.1 times that of y.1, and
-`exactpoly._combine` adds the terms -c*z.1, raising the map's
-denominator only when a term's does not divide it.  A pair with x.1 = 0
-or y.1 = 0 and no bracket terms passes at once.  R is zero-tested as an
-integer map, so a passing pair builds no polynomial.
+x.1 times that of y.1, and `exactpoly._combine` adds the terms -c*z.1,
+raising the map's denominator only when a term's does not divide it.  A
+pair with x.1 = 0 or y.1 = 0 and no bracket terms passes at once.  R is
+zero-tested as an integer map, so a passing pair builds no polynomial.
 
 The report records the generators, one outcome per pair (positions of x
 and y, status), and a failing pair's (sigma, R's nonzero integer terms,
@@ -198,17 +198,17 @@ MAX_PLANS = 16
 def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     """Everything verify needs that does not depend on the values on 1.
 
-    Returns (gens, zero, monomials, brackets).  `gens` is the tuple of the
-    algebra's generators up to loop index `window`, in canonical order.
-    `brackets` holds, per generator pair (x, y) in report order, that is
-    in the order of itertools.combinations over `gens`, the pair's shift
-    sigma = shift_x∘shift_y and per bracket term c*z the triple (where z
-    is looked up, numerator of -c, denominator of c): z's position in
-    `gens` when z is one of them, z itself when it lies outside the
-    window.  Raises ValueError when a term's shift is not sigma, since
-    verify relies on every bracket being graded.  Equal shifts and
-    entries are stored once, so a pair with a zero bracket costs one
-    reference.
+    Returns (gens, outside, zero, monomials, brackets).  `gens` is the
+    tuple of the algebra's generators up to loop index `window`, in
+    canonical order, and `outside` the bracket terms beyond it, in the
+    order the pairs first meet them.  `brackets` holds, per generator
+    pair (x, y) in report order, that is in the order of
+    itertools.combinations over `gens`, the pair's shift sigma =
+    shift_x∘shift_y and per bracket term c*z the triple (z's position in
+    `gens + outside`, numerator of -c, denominator of c).  Raises
+    ValueError when a term's shift is not sigma, since verify relies on
+    every bracket being graded.  Equal shifts and entries are stored
+    once, so a pair with a zero bracket costs one reference.
     """
     variables = MODULE_VARIABLES[algebra]
     gens = tuple(_symbols(algebra, window))
@@ -227,10 +227,11 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
                 names = (format_symbol(u, algebra) for u in (x, y, z))
                 raise ValueError("bracket [{}, {}] is not graded: its term {} "
                                  "is not on the pair's shift".format(*names))
-            terms.append((position.get(z, z), -c.numerator, c.denominator))
+            terms.append((position.setdefault(z, len(position)), -c.numerator, c.denominator))
         brackets.append(share((sigma, tuple(terms))))
+    outside = tuple(position)[len(gens):]
     monomials = tuple(monomials_upto(variables, test_degree))
-    return gens, Poly.zero(variables), monomials, tuple(brackets)
+    return gens, outside, Poly.zero(variables), monomials, tuple(brackets)
 
 
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
@@ -250,24 +251,21 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
-    gens, zero, monos, brackets = _plan(algebra, window, test_degree)
-    gen_forms = [None] * len(gens)  # the generators' forms by position, filled on first use
-
-    def look(k: int):
-        form = gen_forms[k] = forms[gens[k]]
-        return form
-
+    gens, outside, zero, monos, brackets = _plan(algebra, window, test_degree)
+    read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
+    for z in outside:
+        try:
+            read.append(forms[z])
+        except WindowExceeded:  # beyond the spec's own window: its pairs are skipped
+            read.append(None)
     outcomes, failures = [], {}
     for (i, j), (sigma, terms) in zip(combinations(range(len(gens)), 2), brackets):
-        try:  # y, x, then the bracket terms: the order act would look them up in
-            y_off, y1, ly = gen_forms[j] or look(j)
-            x_off, x1, lx = gen_forms[i] or look(i)
-            if terms:
-                z_forms = [(gen_forms[z] or look(z)) if type(z) is int else forms[z]
-                           for z, _, _ in terms]
-        except WindowExceeded:
-            outcomes.append((i, j, SKIP))
-            continue
+        (y_off, y1, ly), (x_off, x1, lx) = read[j], read[i]
+        if terms:
+            z_forms = [read[z] for z, _, _ in terms]
+            if None in z_forms:
+                outcomes.append((i, j, SKIP))
+                continue
         r = {}  # R times `scale`, on integers
         if x1 and y1:
             _shift_mul(y1, x_off, x1.items(), r)

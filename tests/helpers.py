@@ -552,13 +552,17 @@ def witness_reference(spec):
 def verify_module_reference(spec, window=3, test_degree=3):
     """verify_module pair by pair: brackets, shifts and cached values on 1 per pair.
 
-    The window and test degree are taken as valid.
+    Every generator is looked up first, in canonical order, so data that
+    leaves some unassigned names the first of them.  The window and test
+    degree are taken as valid.
     """
     algebra = algebra_of(spec)
     variables = module_variables(spec)
     gens = generators(spec, window)
     monos = monomials_upto(variables, test_degree)
     zero = Poly.zero(variables)
+    for x in gens:
+        value_on_one(spec, x)
     entries = []
     for i, x in enumerate(gens):
         for y in gens[i + 1:]:

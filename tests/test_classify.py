@@ -13,7 +13,8 @@ from helpers import (
     sample_specs,
     with_assignment,
 )
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nwfree.classify import (
     Classified,
@@ -27,9 +28,10 @@ from nwfree.classify import (
     iso_check,
     twist,
 )
-from nwfree.exactpoly import Poly, monomials_upto, negate_var
+from nwfree.exactpoly import Poly, exponents_upto, monomials_upto, negate_var
 from nwfree.liealg import AFFINE_H4, H4, D, K, P, Q, R, S, VIR00, LieElement, eta, sym
 from nwfree.modfam import (
+    MODULE_VARIABLES,
     ActionData,
     MalformedData,
     Vir00Spec,
@@ -294,3 +296,59 @@ def test_classified_spec_regenerates_data():
 @given(random_specs().filter(lambda spec: algebra_of(spec) in (H4, AFFINE_H4)))
 def test_classify_recovers_every_drawn_h4_and_affine_spec(spec):
     assert classify(actions_of(spec)) == Classified(spec)
+
+
+# ------------------------------------------- the classification, both ways
+
+CARTAN = (S, D)  # s, which is s@0 in AffineH4, and d must act as their variables
+_SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_H4_AND_AFFINE = random_specs().filter(lambda spec: algebra_of(spec) in (H4, AFFINE_H4))
+
+
+def perturbed(data, symbol, delta):
+    """(symbol, delta, data with delta added to the value on 1 of symbol)."""
+    return symbol, delta, with_assignment(data, symbol, data.value(symbol) + delta)
+
+
+@st.composite
+def perturbed_data(draw, cartan):
+    """`perturbed` on the action data of a drawn H4 or AffineH4 spec, with
+    delta a nonempty sum of at most two terms of degree at most 2, on a
+    Cartan element when `cartan` holds and on any other generator
+    otherwise."""
+    data = actions_of(draw(_H4_AND_AFFINE))
+    symbol = draw(st.sampled_from([x for x, _ in data.assignments if (x in CARTAN) == cartan]))
+    variables = MODULE_VARIABLES[data.algebra]
+    exponents = st.sampled_from(exponents_upto(len(variables), 2))
+    terms = draw(st.dictionaries(exponents, _SMALL, min_size=1, max_size=2))
+    return perturbed(data, symbol, Poly(variables, terms.items()))
+
+
+@settings(deadline=None)
+@given(perturbed_data(cartan=False))
+# two cases few draws reach: f_-1 off alpha^-1 alone, which only the
+# alpha-power check refuses, and p.1 = s+1, which is Mhb(1, 1, 1) again
+@example(perturbed(actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, 1)), sym("s", -1), SD_S))
+@example(perturbed(actions_of(mhb(1, 0, 1)), P, ONE))
+def test_classify_accepts_exactly_the_data_that_passes_verify(case):
+    # every family is a module, and every module in the window is a family;
+    # a pair's residual does not depend on v, so test degree 1 decides
+    _, _, data = case
+    passed = verify_module(data, max(data.window, 1), 1).passed
+    assert isinstance(classify(data), Classified) == passed
+
+
+@settings(deadline=None)
+@given(perturbed_data(cartan=True))
+def test_a_cartan_value_off_its_variable_is_refused(case):
+    symbol, delta, data = case
+    assume(not delta.is_zero())
+    if data.algebra == AFFINE_H4 and symbol == S:  # s@0 is f_0, read as an anchor
+        got = classify(data)
+        assert isinstance(got, Rejected)
+        assert got.anchor in ("deg-d-f", "deg-s-f", "f0-side-condition")
+        if delta.is_constant():
+            assert got.anchor == "f0-side-condition"
+        return
+    with pytest.raises(MalformedData, match=f"^{symbol.kind} must act as multiplication by"):
+        classify(data)

@@ -70,7 +70,6 @@ from nwfree.modfam import (
     mtilde_f,
     shift_of,
     spec_forms,
-    spec_window,
     value_on_one,
 )
 from nwfree.specdsl import DslSyntaxError, format_actions, format_spec, parse_actions, parse_spec
@@ -494,7 +493,7 @@ def test_every_spec_states_its_algebra_and_window():
     ]
     for spec, algebra, window in cases:
         assert algebra_of(spec) == spec.algebra == algebra
-        assert spec_window(spec) == spec.window == window
+        assert spec.window == window
     spec_types = get_args(nwfree.modfam.AnySpec)
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in spec_types}
     assert [type(spec) for spec, _, _ in cases] == list(spec_types)
@@ -550,7 +549,7 @@ def test_shift_of_matches_the_ladder_it_replaced(algebra):
 
 @pytest.mark.parametrize("name, spec", sample_specs(), ids=[n for n, _ in sample_specs()])
 def test_action_data_has_the_generators_of_its_spec(name, spec):
-    limit = spec_window(spec)
+    limit = spec.window
     windows = range(1, MAX_WINDOW + 1) if not limit else range(1, limit + 1)
     for w in windows:
         data = actions_of(spec, w)

@@ -805,8 +805,9 @@ def test_cli_action_data_window_faults_are_positioned(tmp_path, capsys, doc, whe
         ("algebra = H4\np = s\n", "q"),
         ("algebra = H4\np = s\nq = 1\nr = -1\n", "s"),
         ("algebra = AffineH4\nwindow = 1\np@-1 = 0\np = 0\np@1 = 0\n", "q@-1"),
+        ("algebra = H4\nr = -1\ns = s\n", "p"),
     ],
-    ids=["h4-only-p", "h4-without-s", "affine-only-p"],
+    ids=["h4-only-p", "h4-without-s", "affine-only-p", "h4-only-r-and-s"],
 )
 def test_cli_classify_and_verify_name_a_missing_generator_alike(tmp_path, capsys, doc, missing):
     path = write(tmp_path, "doc.actions", doc)

@@ -19,6 +19,7 @@ from helpers import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nwfree.modfam
 import nwfree.verify
 from nwfree.exactpoly import Poly
 from nwfree.liealg import (
@@ -44,7 +45,6 @@ from nwfree.modfam import (
     mtilde,
     mtilde_f,
     shift_of,
-    spec_window,
     value_on_one,
 )
 from nwfree.verify import FAIL, PASS, SKIP, format_report, verify_module
@@ -182,7 +182,7 @@ def axiom_residual(spec, algebra, x, y, v):
 )
 def test_factored_residuals_match_act_oracle(named, corrupt, window, test_degree):
     _, spec = named
-    limit = spec_window(spec)
+    limit = spec.window
     window = min(window, limit) if limit else window
     if corrupt:
         spec = corrupted_data(spec, window)
@@ -227,7 +227,7 @@ REFERENCE_SPECS = sample_specs() + window_two_specs()
 def test_verify_matches_reference(name, spec):
     skipped = 0
     for window in (1, 2):
-        limit = spec_window(spec)
+        limit = spec.window
         if limit and window > limit:
             with pytest.raises(WindowExceeded):
                 verify_module_reference(spec, window, 1)
@@ -259,7 +259,7 @@ def test_verify_matches_reference_on_corrupted_fixtures():
 )
 def test_verify_matches_reference_on_random_specs(spec, corrupt, window, test_degree):
     # every family at windows 1-2, and its action data with one slot bumped
-    limit = spec_window(spec)
+    limit = spec.window
     window = min(window, limit) if limit else window
     target = corrupted_data(spec, window) if corrupt else spec
     want = verify_module_reference(target, window, test_degree)
@@ -288,7 +288,7 @@ def rational_action_data(draw, specs=REFERENCE_SPECS, central=None, min_window=1
     k brings its denominator into the common denominator.
     """
     _, spec = draw(st.sampled_from(specs))
-    window = draw(st.integers(min_value=min_window, max_value=spec_window(spec) or 2))
+    window = draw(st.integers(min_value=min_window, max_value=spec.window or 2))
     data = actions_of(spec, window)
     symbols = [x for x, _ in data.assignments]
     if central is None:
@@ -307,7 +307,7 @@ def test_verify_matches_reference_on_rational_values(case, test_degree):
 
 CENTRAL_SPECS = [
     (n, s) for n, s in REFERENCE_SPECS
-    if algebra_of(s) in (VIR00, AFF_VIR) and spec_window(s) in (0, 2)
+    if algebra_of(s) in (VIR00, AFF_VIR) and s.window in (0, 2)
 ]
 
 
@@ -363,19 +363,44 @@ LOOPS = range(-MAX_WINDOW, MAX_WINDOW + 1)
     ids=[H4, AFFINE_H4, VIR00, AFF_VIR],
 )
 def test_every_bracket_is_graded_at_max_window(spec, pairs):
-    gens, _, _, brackets = nwfree.verify._plan.__wrapped__(algebra_of(spec), MAX_WINDOW, 1)
+    gens, outside, _, _, brackets = nwfree.verify._plan.__wrapped__(algebra_of(spec), MAX_WINDOW, 1)
     assert gens == tuple(generators(spec, MAX_WINDOW))
     assert len(brackets) == pairs
+    # every term is a position in gens + outside, and no symbol is in both
+    assert not set(outside) & set(gens)
+    assert all(z < len(gens) + len(outside) for _, terms in brackets for z, _, _ in terms)
+
+
+def test_each_symbol_beyond_the_spec_window_raises_once_per_request():
+    # at window 1 the pairs meet eight terms that a window-1 spec lacks,
+    # p@±2, q@±2, r@±2 and s@±2, on 14 SKIP pairs
+    spec = affvir(mhb(1, 0, 1), 2, 3, 1)
+    value_on_one = nwfree.modfam._value_on_one
+    raised = []
+
+    def counted(owner, symbol):
+        try:
+            return value_on_one(owner, symbol)
+        except WindowExceeded:
+            raised.append(symbol)
+            raise
+
+    with mock.patch.object(nwfree.modfam, "_value_on_one", counted):
+        report = verify_module(spec, 1, 1)
+    assert len(raised) == len(set(raised)) == 8
+    assert report.skipped == 14 * 3  # on the test monomials 1, s and d
 
 
 @pytest.mark.parametrize(
     "spec, dropped, symbol",
     [
         (mhb(1, 0, 1), {R}, "r"),
-        # [p@-1, q@1] = r + k is the first pair to need either; r comes first
+        # r (r@0) comes before k in canonical order
         (mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1), {R, K}, "r"),
+        # p comes before q in canonical order, though the first pair, (p, q), needs q first
+        (mhb(1, 0, 1), {P, Q}, "p"),
     ],
-    ids=["h4", "affine-two-terms"],
+    ids=["h4", "affine-two-terms", "h4-p-and-q"],
 )
 def test_missing_value_raises_as_reference(spec, dropped, symbol):
     data = actions_of(spec)
@@ -401,13 +426,13 @@ def test_data_missing_any_generator_of_the_window_raises(name, spec):
 
 
 def test_data_missing_generators_names_the_first_in_canonical_order():
-    # the first pair, (p, q), looks up q, then (p, r) r and (p, s) s
+    # the generators are read in canonical order, p, q, r, s, before any pair
     prefixes = (({P: S_POLY}, "q"), ({P: S_POLY, Q: 1}, "r"), ({P: S_POLY, Q: 1, R: -1}, "s"))
     for kept, first in prefixes:
         with pytest.raises(MalformedData) as err:
             verify_module(ActionData(H4, 0, kept), window=1, test_degree=1)
         assert str(err.value) == f"no assignment for {first}"
-    # p@-1, p@0, p@1 and q@-1 only: (p@-1, q@0) is the first pair to need q@0
+    # p@-1, p@0, p@1 and q@-1 only: q@0 is the first generator left unassigned
     data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
     with pytest.raises(MalformedData) as err:
         verify_module(ActionData(AFFINE_H4, 1, data.assignments[:4]), window=1, test_degree=1)
