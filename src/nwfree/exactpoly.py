@@ -29,12 +29,16 @@ runs the shift alone, and `+` sums numerators over one common
 denominator with `_combine`, which can also add into a running map over
 its own denominator: `modfam._act_sum` sums generator images with it, and
 `verify_module` adds a pair's bracket terms.  Every action is
-shift-then-multiply, and three callers run `_shift_mul` with a nonzero
+shift-then-multiply, and two callers run `_shift_mul` with a nonzero
 shift: `modfam._image`, which takes every generator image of `act`, the
 chains, the witness and the orbit oracle from a generator's integer form;
-`verify_module`, which adds a pair's two products shift_x(y.1)*x.1 and
--shift_y(x.1)*y.1 into one map from the forms of x and y; and a verify
-report's failing residuals.
+and a verify report's failing residuals.  `verify_module` takes the
+shift difference shift_x(y.1) - y.1 with `_shift_difference`, which is
+{} when no offset applies, and runs `_shift_mul` with zero offsets to
+add its product with x.1 into a pair's map, only for a side whose shift
+moves the value: `_support` gives the bit masks it tests, of the
+variables a value uses (kept in `modfam._Forms`) and of those a shift
+moves (kept in verify's plan).
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else goes through the one
@@ -297,6 +301,35 @@ def _taylor_shift(ints: dict, offsets: Shift) -> dict:
                 if n:
                     ints[rest[:i] + (e,) + rest[i:]] = n
     return ints
+
+
+def _support(vectors: Iterable[Tuple[int, ...]]) -> int:
+    """The bit mask of the positions where some vector is nonzero (bit k for
+    position k): of exponent vectors, the variables a polynomial uses; of
+    one offset vector, the variables a shift moves."""
+    mask = 0
+    for vector in vectors:
+        for k, e in enumerate(vector):
+            if e:
+                mask |= 1 << k
+    return mask
+
+
+def _shift_difference(ints: dict, offsets: Shift) -> dict:
+    """shift(ints) - ints for an integer polynomial {exponents: int}, as a
+    new map with no zero entries.
+
+    It is {} when no offset applies, that is when every nonzero offset
+    falls on a variable that no term uses, and it is never zero otherwise.
+    The input map is never modified.
+    """
+    shifted = _taylor_shift(ints, offsets)
+    if shifted is ints or not ints:
+        return {}
+    get = shifted.get
+    for exps, n in ints.items():
+        shifted[exps] = get(exps, 0) - n
+    return {exps: n for exps, n in shifted.items() if n}
 
 
 def _shift_mul(ints: dict, offsets: Shift, factor,

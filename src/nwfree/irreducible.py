@@ -197,7 +197,7 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
 
 def _constant(form) -> Fraction:
     """x.1 from x's integer form when it is a constant, else 0."""
-    _, numerators, den = form
+    _, numerators, den, _ = form
     if len(numerators) != 1:
         return Fraction(0)
     (exps, n), = numerators.items()

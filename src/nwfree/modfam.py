@@ -31,8 +31,10 @@ generator image on integers from x's form in that table, for `act` (so
 `classify`'s product rule), the chains, the witness and the orbit oracle;
 `_act_sum` sums such images over one common denominator for `act` and
 the chains.  `verify_module` reads its generators' forms by position and
-adds a pair's two products into one map with the kernel `_image` runs,
-`exactpoly._shift_mul`.  The only state kept across requests is each
+adds a pair's shift differences times the values into one map with the
+kernel `_image` runs, `exactpoly._shift_mul`, skipping a side whose
+shift moves no variable of the value (each form keeps a mask of the
+variables its x.1 uses).  The only state kept across requests is each
 spec's form table (`_OwnsForms`), which lives on the spec object and goes
 with it; an MTildeAlphaBeta spec scales the integer forms in its base's
 table by alpha^n.  Besides, the public `value_on_one` keeps a bounded
@@ -55,6 +57,7 @@ from .exactpoly import (
     Shift,
     _combine,
     _shift_mul,
+    _support,
     change_variables,
 )
 from .liealg import (
@@ -360,7 +363,7 @@ class AffineSpec(_OwnsForms):
             return Poly._trusted(_SD, pairs, common)
         if kind not in ("p", "q", "r"):  # k, and any kind outside H4, acts as zero
             return Poly.zero(_SD)
-        _, ints, base_den = spec_forms(self.base)[sym(kind)]
+        _, ints, base_den, _ = spec_forms(self.base)[sym(kind)]
         return Poly._trusted(_SD, [((e, 0), num * c) for (e,), c in ints.items()], den * base_den)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
@@ -611,8 +614,11 @@ _ACT_CACHE: dict = {}
 class _Forms(dict):
     """One spec's integer forms, keyed by symbol.
 
-    A symbol's form is its shift_x, the numerators of x.1 as
-    {exponents: int}, and x.1's denominator.  It is built from
+    A symbol's form is (offsets, numerators, den, used): its shift_x, the
+    numerators of x.1 as {exponents: int}, x.1's denominator, and a bit
+    mask of the variables x.1 uses (bit k for the k-th module variable),
+    which tells a reader that a shift moving only other variables fixes
+    x.1.  It is built from
     `_value_on_one` the first time the symbol is looked up, so each x.1 is
     computed at most once per spec; a lookup that raises, such as
     WindowExceeded outside the window, stores nothing.  The table is the
@@ -629,7 +635,8 @@ class _Forms(dict):
 
     def __missing__(self, x: BasisSymbol):
         value = _value_on_one(self.spec(), x)
-        form = self[x] = shift_of(self.algebra, x), dict(value.numerators), value.den
+        numerators = dict(value.numerators)
+        form = self[x] = shift_of(self.algebra, x), numerators, value.den, _support(numerators)
         return form
 
 
@@ -643,7 +650,7 @@ def _image(form, ints: dict) -> dict:
     """x.v times the denominator of x.1, on integers, from x's `_Forms` form:
     shift_x(v) times the numerators of x.1, and {} when x.1 is zero.  `ints`
     is v as {exponents: int}; entries that cancel stay in the map as 0."""
-    offsets, numerators, _ = form
+    offsets, numerators, _, _ = form
     return _shift_mul(ints, offsets, numerators.items()) if numerators else {}
 
 

@@ -22,7 +22,10 @@ an (integer map, den) pair, nonzero numerators keyed by exponents over a
 positive den reduced as `Poly._trusted` reduces it, and a product is
 `exactpoly._shift_mul` with no shift.  `parse_poly` builds one `Poly` per
 value, from the whole value's pair.  Each check below reads the pairs as
-it would read their `Poly`s.
+it would read their `Poly`s.  `parse_poly` checks its variables for a
+duplicate name; action data checks its tuple once per document, and a
+spec key's polynomial kind once when it is built, and both read values
+through `_parse_poly`, which checks none.
 
 A value in the shape `format_terms` writes, a sum of monomials such as
 `-1/3*s^2*d+9*s-3`, is read first by `_read_sum`, in one pass over the
@@ -439,8 +442,13 @@ def _read_sum(text: str, variables):
 
 def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     """Parse the polynomial grammar; positions offset by (line, col)."""
+    return _parse_poly(text, None if variables is None else _distinct(variables), line, col)
+
+
+def _parse_poly(text: str, variables, line: int, col: int) -> Poly:
+    """`parse_poly` over a variable tuple that `_distinct` has already
+    checked, or None: a document checks its tuple once, not per value."""
     if variables is not None:
-        variables = _distinct(variables)
         value = _read_sum(text, variables)
         if value is not None:
             return value
@@ -550,7 +558,8 @@ _BASE = None  # the kind of an H4 base: `base = <variant>`, then that variant's 
 
 
 def _poly_value(*variables) -> _Kind:
-    return _Kind(lambda e: parse_poly(e.value, variables, e.line, e.value_col), format_poly)
+    variables = _distinct(variables)
+    return _Kind(lambda e: _parse_poly(e.value, variables, e.line, e.value_col), format_poly)
 
 
 class _Key(NamedTuple):
@@ -720,7 +729,7 @@ def _build_actions(entries) -> ActionData:
         window = 0
     else:
         window = _window_value(window_entry, 0, data_window_limit(algebra))
-    variables = MODULE_VARIABLES[algebra]
+    variables = _distinct(MODULE_VARIABLES[algebra])
     assignments = {}
     for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):
         try:
@@ -740,7 +749,7 @@ def _build_actions(entries) -> ActionData:
                 entry.line,
                 entry.key_col,
             )
-        assignments[symbol] = parse_poly(entry.value, variables, entry.line, entry.value_col)
+        assignments[symbol] = _parse_poly(entry.value, variables, entry.line, entry.value_col)
     return ActionData._checked(algebra, window, assignments)
 
 

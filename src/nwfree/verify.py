@@ -20,31 +20,43 @@ factors exactly as sigma(v) * R with
 
 R depends on the pair alone, so it is built once per pair.  Since sigma
 is an automorphism and the polynomial ring is a domain, a pair passes on
-every monomial when R = 0 and fails on every monomial otherwise.
+every monomial when R = 0 and fails on every monomial otherwise.  With
+the shift differences D_x(v) = shift_x(v) - v, the product x.1*y.1 that
+both leading terms hold cancels exactly, so verify builds
+
+    R = D_x(y.1)*x.1 - D_y(x.1)*y.1 - sum over terms c*z of c*z.1,
+
+and D_x(y.1) is zero whenever x's shift moves no variable that y.1
+uses, so its product is never built.
 
 Only the values on 1 depend on the spec.  Everything else is a plan,
 cached by (algebra, window, test degree) in a bounded LRU cache
 (MAX_PLANS): the generators, the bracket terms outside the window, the
-zero polynomial, the test monomials, and per pair its shift sigma and
-its bracket terms, so neither `bracket` nor a symbol is built per
-request.  A term c*z keeps z's position in the generators followed by
-the outside terms.  Building a plan checks the grading: a bracket term
-whose shift is not its pair's raises ValueError.
+zero polynomial, the test monomials, per pair its shift sigma and its
+bracket terms, and per generator a bit mask of the variables its shift
+moves, so neither `bracket` nor a symbol is built per request.  A term
+c*z keeps z's position in the generators followed by the outside terms.
+Building a plan checks the grading: a bracket term whose shift is not
+its pair's raises ValueError.
 
-Each request reads its integer forms (shift_x, and x.1's numerators and
-denominator) from the spec's own table, `modfam.spec_forms(spec)`, once
-and before its pair loop, into one list by position: the generators in
-canonical order, as `actions_of` and `classify` read them, then the
-outside terms in the order the pairs first meet them.  So each x.1 is
-computed once per spec, and the table goes with the spec; a missing
-value raises MalformedData for the first symbol in that order, and an
-outside term beyond the spec's own window raises WindowExceeded once per
-request, is read as None and marks every pair that needs it as skipped.
-A pair's R is one integer map: `exactpoly._shift_mul` adds
-shift_x(y.1)*x.1 and -shift_y(x.1)*y.1 into it over the denominator of
-x.1 times that of y.1, and `exactpoly._combine` adds the terms -c*z.1,
-raising the map's denominator only when a term's does not divide it.  A
-pair with x.1 = 0 or y.1 = 0 and no bracket terms passes at once.  R is
+Each request reads its integer forms (shift_x, x.1's numerators and
+denominator, and the mask of the variables x.1 uses) from the spec's own
+table, `modfam.spec_forms(spec)`, once and before its pair loop, into
+one list by position: the generators in canonical order, as
+`actions_of` and `classify` read them, then the outside terms in the
+order the pairs first meet them.  So each x.1 is computed once per
+spec, and the table goes with the spec; a missing value raises
+MalformedData for the first symbol in that order, and an outside term
+beyond the spec's own window raises WindowExceeded once per request, is
+read as None and marks every pair that needs it as skipped.
+A pair's R is one integer map over the denominator of x.1 times that of
+y.1.  For each side where x.1 is nonzero and x's offset mask meets the
+mask of y.1, `exactpoly._shift_difference` takes D_x(y.1) and
+`exactpoly._shift_mul`, with no shift, adds D_x(y.1)*x.1 into the map
+(and -D_y(x.1)*y.1 the same way); a side whose shift fixes the value
+makes no call.  Then `exactpoly._combine` adds the terms -c*z.1, raising
+the map's denominator only when a term's does not divide it.  A pair
+with neither side acting and no bracket terms passes at once.  R is
 zero-tested as an integer map, so a passing pair builds no polynomial.
 
 The report records the generators, one outcome per pair (positions of x
@@ -71,7 +83,9 @@ from .exactpoly import (
     Poly,
     _Grid,
     _combine,
+    _shift_difference,
     _shift_mul,
+    _support,
     _term_key,
     format_poly,
     format_terms,
@@ -190,7 +204,8 @@ class VerificationReport:
 # the test degree, so the keys are few: perfbench's verify slots use 7.
 # One plan at MAX_WINDOW and MAX_TEST_DEGREE (AffineVirasoroH4: 86
 # generators, 3,655 pairs, 45 monomials) takes 0.24 MB (tracemalloc, with
-# the brackets already computed), so a full cache stays under 4 MB.
+# the brackets already computed), so a full cache stays under 4 MB; the
+# offset masks add one small int per generator, 86 at most.
 MAX_PLANS = 16
 
 
@@ -198,8 +213,8 @@ MAX_PLANS = 16
 def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     """Everything verify needs that does not depend on the values on 1.
 
-    Returns (gens, outside, zero, monomials, brackets).  `gens` is the
-    tuple of the algebra's generators up to loop index `window`, in
+    Returns (gens, outside, zero, monomials, brackets, offmasks).  `gens`
+    is the tuple of the algebra's generators up to loop index `window`, in
     canonical order, and `outside` the bracket terms beyond it, in the
     order the pairs first meet them.  `brackets` holds, per generator
     pair (x, y) in report order, that is in the order of
@@ -208,7 +223,9 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     `gens + outside`, numerator of -c, denominator of c).  Raises
     ValueError when a term's shift is not sigma, since verify relies on
     every bracket being graded.  Equal shifts and entries are stored
-    once, so a pair with a zero bracket costs one reference.
+    once, so a pair with a zero bracket costs one reference.  `offmasks`
+    holds, per generator in `gens`, the bit mask of its nonzero offsets
+    (bit k for the k-th module variable).
     """
     variables = MODULE_VARIABLES[algebra]
     gens = tuple(_symbols(algebra, window))
@@ -231,17 +248,19 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
         brackets.append(share((sigma, tuple(terms))))
     outside = tuple(position)[len(gens):]
     monomials = tuple(monomials_upto(variables, test_degree))
-    return gens, outside, Poly.zero(variables), monomials, tuple(brackets)
+    offmasks = tuple(_support([shift_of(algebra, x)]) for x in gens)
+    return gens, outside, Poly.zero(variables), monomials, tuple(brackets), offmasks
 
 
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
     """Check the axiom over pairs within `window` and monomials up to `test_degree`.
 
-    Each pair's residual on v is sigma(v) * R, one R per pair (see the
-    module docstring).  This is exact because every action is
-    shift-then-multiply, shifts are additive substitutions, and every
-    bracket is graded.  A pair whose values on 1 reach outside the spec's
-    window is skipped on every monomial.
+    Each pair's residual on v is sigma(v) * R, one R per pair, built from
+    the shift differences of its values (see the module docstring).  This
+    is exact because every action is shift-then-multiply, shifts are
+    additive substitutions, and every bracket is graded.  A pair whose
+    values on 1 reach outside the spec's window is skipped on every
+    monomial.
 
     Raises WindowExceeded only when the spec's own window is smaller
     than the requested one, and SpecInvalid for a window or test degree
@@ -251,7 +270,8 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
-    gens, outside, zero, monos, brackets = _plan(algebra, window, test_degree)
+    gens, outside, zero, monos, brackets, offmasks = _plan(algebra, window, test_degree)
+    zeros = (0,) * len(zero.variables)
     read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
     for z in outside:
         try:
@@ -260,22 +280,23 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
             read.append(None)
     outcomes, failures = [], {}
     for (i, j), (sigma, terms) in zip(combinations(range(len(gens)), 2), brackets):
-        (y_off, y1, ly), (x_off, x1, lx) = read[j], read[i]
+        (x_off, x1, lx, x_used), (y_off, y1, ly, y_used) = read[i], read[j]
         if terms:
             z_forms = [read[z] for z, _, _ in terms]
             if None in z_forms:
                 outcomes.append((i, j, SKIP))
                 continue
         r = {}  # R times `scale`, on integers
-        if x1 and y1:
-            _shift_mul(y1, x_off, x1.items(), r)
-            _shift_mul(x1, y_off, y1.items(), r, -1)
-        elif not terms:  # both products vanish and there is nothing to subtract
+        if x1 and offmasks[i] & y_used:  # shift_x moves y.1
+            _shift_mul(_shift_difference(y1, x_off), zeros, x1.items(), r)
+        if y1 and offmasks[j] & x_used:  # shift_y moves x.1
+            _shift_mul(_shift_difference(x1, y_off), zeros, y1.items(), r, -1)
+        if not r and not terms:  # no side acts and there is nothing to subtract
             outcomes.append((i, j, PASS))
             continue
         scale = lx * ly
         if terms:
-            parts = [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
+            parts = [(num, den * lz, z1) for (_, z1, lz, _), (_, num, den) in zip(z_forms, terms)]
             r, scale = _combine(parts, r, scale)
         if any(r.values()):
             failures[len(outcomes)] = (sigma, tuple((e, n) for e, n in r.items() if n), scale)

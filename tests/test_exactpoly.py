@@ -22,6 +22,7 @@ from nwfree.exactpoly import (
     MAX_MONOMIAL_TEXTS,
     _combine,
     _monomial_text,
+    _shift_difference,
     _shift_mul,
     _taylor_shift,
 )
@@ -388,6 +389,22 @@ def test_taylor_shift_skips_unused_variables_as_reference(case):
     assert Poly(variables, shifted) == apply_shift_reference(offs, Poly(variables, ints))
     if not ints:
         assert shifted == {} and shifted is not ints
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(
+    lambda v: st.one_of(_integer_shift_case(v), _unused_variable_shift_case(v))))
+def test_shift_difference_is_the_shift_minus_its_input(case):
+    # verify's kernel: shift(x) - x, empty exactly when no offset moves a variable of x
+    variables, ints, offs = case
+    before = dict(ints)
+    diff = _shift_difference(ints, offs)
+    assert ints == before and diff is not ints
+    assert all(type(n) is int and n for n in diff.values())
+    x = Poly(variables, ints)
+    assert Poly(variables, diff) == apply_shift_reference(offs, x) - x
+    moved = any(off and degree_in(x, v) > 0 for v, off in zip(variables, offs))
+    assert (diff != {}) == moved
 
 
 @settings(max_examples=60, deadline=None)

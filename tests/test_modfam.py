@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import nwfree.modfam
 from nwfree import InputError
-from nwfree.exactpoly import Poly, VariableMismatch, change_variables
+from nwfree.exactpoly import Poly, VariableMismatch, change_variables, degree_in
 from nwfree.classify import classify
 from nwfree.irreducible import (
     apply_chain_op,
@@ -142,7 +142,9 @@ def test_base_values_are_kept_beside_the_fields():
         # k, and d from outside H4, read zero: no variant falls through to a parameter
         assert fam.on_one(K).is_zero() and fam.on_one(D).is_zero()
         forms = spec_forms(fam)
-        assert [forms[x][1:] for x in (P, Q, R)] == [(dict(v.numerators), v.den) for v in values]
+        # (numerators, den, mask of the used variables): bit 0 for s
+        assert [forms[x][1:] for x in (P, Q, R)] == [
+            (dict(v.numerators), v.den, int(degree_in(v, "s") > 0)) for v in values]
         assert forms[P] is spec_forms(fam)[P]  # built once per object
         assert fam == twin and hash(fam) == hash(twin)  # one table filled
         assert repr(fam) == repr(twin) == text

@@ -1267,6 +1267,24 @@ def test_parse_actions_builds_one_poly_per_value_line(monkeypatch):
             assert data.value(symbol) == public.value(symbol)
 
 
+def test_documents_check_their_variables_once(monkeypatch):
+    lines = [f"{c}@{k} = {k}*s+d" for k in range(-2, 3) for c in "pqrs"]
+    doc = "\n".join(["algebra = AffineH4", "window = 2", *lines, "k = 0", "d = d"]) + "\n"
+    spec_doc = "algebra = AffineH4\nfamily = MTildeF\nwindow = 2\n" + "".join(
+        f"f.{k} = {k}*s^2+s\n" for k in range(-2, 3))
+    want = parse_actions(doc), parse_spec(spec_doc)
+    checked = []
+    distinct = nwfree.specdsl._distinct
+    monkeypatch.setattr(nwfree.specdsl, "_distinct", lambda v: checked.append(v) or distinct(v))
+    assert (parse_actions(doc), parse_spec(spec_doc)) == want
+    # once for the 22 value lines of the action data, none for the f.<k> lines,
+    # whose kind checked its tuple when it was built
+    assert checked == [("s", "d")]
+    with pytest.raises(VariableMismatch, match="duplicate variable"):
+        parse_poly("s", ("s", "d", "s"))  # the public parser still checks
+    assert len(checked) == 2
+
+
 @pytest.mark.parametrize(
     "doc, line, col, message",
     [

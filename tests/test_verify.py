@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pickle
 import re
 from contextlib import contextmanager
@@ -19,9 +20,10 @@ from helpers import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nwfree.exactpoly
 import nwfree.modfam
 import nwfree.verify
-from nwfree.exactpoly import Poly
+from nwfree.exactpoly import Poly, degree_in
 from nwfree.liealg import (
     AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, S, bracket, format_symbol, sym,
 )
@@ -363,9 +365,13 @@ LOOPS = range(-MAX_WINDOW, MAX_WINDOW + 1)
     ids=[H4, AFFINE_H4, VIR00, AFF_VIR],
 )
 def test_every_bracket_is_graded_at_max_window(spec, pairs):
-    gens, outside, _, _, brackets = nwfree.verify._plan.__wrapped__(algebra_of(spec), MAX_WINDOW, 1)
+    algebra = algebra_of(spec)
+    gens, outside, _, _, brackets, offmasks = nwfree.verify._plan.__wrapped__(algebra, MAX_WINDOW, 1)
     assert gens == tuple(generators(spec, MAX_WINDOW))
     assert len(brackets) == pairs
+    # bit k of a generator's mask is set exactly when its shift moves variable k
+    assert offmasks == tuple(sum(1 << k for k, off in enumerate(shift_of(algebra, x)) if off)
+                             for x in gens)
     # every term is a position in gens + outside, and no symbol is in both
     assert not set(outside) & set(gens)
     assert all(z < len(gens) + len(outside) for _, terms in brackets for z, _, _ in terms)
@@ -389,6 +395,64 @@ def test_each_symbol_beyond_the_spec_window_raises_once_per_request():
         report = verify_module(spec, 1, 1)
     assert len(raised) == len(set(raised)) == 8
     assert report.skipped == 14 * 3  # on the test monomials 1, s and d
+
+
+def _affine_with_q1_on_d():
+    # MTildeAlphaBeta data with q@1 = 2d: its FAIL pairs have one or both shifts acting
+    data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0, 2: 1, -2: 3}, window=2))
+    return with_assignment(data, sym("q", 1), 2 * Poly.var(("s", "d"), "d"))
+
+
+@pytest.mark.parametrize(
+    "spec, window",
+    [
+        (mhb(2, -1, 3), 1),
+        (mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0, 2: 1, -2: 3}, window=2), 2),
+        (_affine_with_q1_on_d(), 2),
+        (affvir(mhb(1, 0, 1), 2, 3, 1), 1),
+    ],
+    ids=["h4", "affine", "affine-failing", "affvir"],
+)
+def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
+    verify_module(spec, window, 1)  # fill the spec's forms first
+    taylor_shift = nwfree.exactpoly._taylor_shift
+    calls = []  # per call: did it shift something?
+
+    def counted(ints, offsets):
+        out = taylor_shift(ints, offsets)
+        calls.append(bool(ints) and out is not ints)
+        return out
+
+    with mock.patch.object(nwfree.exactpoly, "_taylor_shift", counted):
+        verify_module(spec, window, 1)
+    # counted from the values alone: per pair with no term beyond the spec's
+    # window and two nonzero values, each side whose shift moves a variable
+    # the other value uses
+    algebra = algebra_of(spec)
+    variables = MODULE_VARIABLES[algebra]
+    one = Poly.one(variables)
+
+    def value(x):
+        try:
+            return act(spec, x, one)
+        except WindowExceeded:
+            return None
+
+    sides = full_pairs = 0
+    for x, y in itertools.combinations(generators(spec, window), 2):
+        if None in [value(z) for z, _ in bracket(algebra, x, y).terms]:
+            continue
+        vx, vy = value(x), value(y)
+        if vx.is_zero() or vy.is_zero():
+            continue
+        full_pairs += 1
+        for a, v in ((x, vy), (y, vx)):
+            sides += any(off and degree_in(v, name) > 0
+                         for name, off in zip(variables, shift_of(algebra, a)))
+    assert sum(calls) == sides
+    # each such side is one shift and one product with no shift, against two
+    # shifted products per pair with two nonzero values when R was built whole
+    assert len(calls) == 2 * sides < 2 * full_pairs
 
 
 @pytest.mark.parametrize(
