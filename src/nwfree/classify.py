@@ -220,7 +220,7 @@ def classify_affine(data: ActionData) -> ClassificationResult:
 def twist(spec: H4Family) -> H4Family:
     """Image family under the order-four automorphism, for Mg0 and Mhb."""
     if not isinstance(spec, H4Family):
-        raise UnsupportedTwist(f"no twist image recorded for a {type(spec).__name__}")
+        raise UnsupportedTwist(f"no twist image recorded for {type(spec).__name__}")
     if spec.variant == "Mg0":
         return m0g(negate_var(spec.g, "s"))
     if spec.variant == "Mhb":

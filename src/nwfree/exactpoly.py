@@ -17,28 +17,23 @@ variable, so it is an offset vector of integers, one per variable in the
 polynomial's variable order, and shifts compose by adding their vectors;
 `negate_var` substitutes v -> -v.
 
-One kernel shifts and multiplies on integers: `_shift_mul(ints, offsets,
-factor, out, scale)` shifts an integer polynomial {exponents: int} with
-`_taylor_shift` (a Horner-type recurrence along dense coefficient rows,
-which skips an offset on a variable that no term uses) and adds scale
-times its product with the integer factor into the map `out`; a
-constant factor, as a chain step's q.1 = c, scales the shifted map and
-builds no exponent vector.
-`Poly.__mul__` runs it on the numerators with zero offsets, `apply_shift`
-runs the shift alone, and `+` sums numerators over one common
-denominator with `_combine`, which can also add into a running map over
-its own denominator: `modfam._act_sum` sums generator images with it, and
-`verify_module` adds a pair's bracket terms.  Every action is
-shift-then-multiply, and two callers run `_shift_mul` with a nonzero
-shift: `modfam._image`, which takes every generator image of `act`, the
-chains, the witness and the orbit oracle from a generator's integer form;
-and a verify report's failing residuals.  `verify_module` takes the
-shift difference shift_x(y.1) - y.1 with `_shift_difference`, which is
-{} when no offset applies, and runs `_shift_mul` with zero offsets to
-add its product with x.1 into a pair's map, only for a side whose shift
-moves the value: `_support` gives the bit masks it tests, of the
-variables a value uses (kept in `modfam._Forms`) and of those a shift
-moves (kept in verify's plan).
+Four kernels work on integer polynomials {exponents: int}.
+`_taylor_shift` shifts (a Horner-type recurrence along dense coefficient
+rows, which skips an offset on a variable that no term uses);
+`_shift_difference` takes shift - id, {} when no offset applies;
+`_mul` multiplies by a collection of (exponents, int) pairs, adding scale
+times the product into a map `out`, and a constant factor, as a chain
+step's q.1 = c, scales the map and builds no exponent vector; `_combine`
+sums numerators over one common denominator, also into a running map
+over its own denominator.  `Poly.__mul__` is `_mul` on the numerators,
+`apply_shift` the shift alone and `+` one `_combine`.  Every action is
+shift-then-multiply, and one function does both: `modfam._image`, which
+takes every generator image of `act`, the chains, the witness, the orbit
+oracle and a verify report's failing residuals from an integer form.
+`verify_module` adds a pair's shift differences times the values with
+`_mul`, only for a side whose shift moves the value: `_support` gives
+the bit masks it tests, of the variables a value uses (kept in
+`modfam._Forms`) and of those a shift moves (kept in verify's plan).
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Everything else goes through the one
@@ -247,8 +242,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same(other)
-        zeros = (0,) * len(self.variables)
-        product = _shift_mul(dict(self.numerators), zeros, other.numerators)
+        product = _mul(dict(self.numerators), other.numerators)
         return Poly._trusted(self.variables, product.items(), self.den * other.den)
 
     __rmul__ = __mul__
@@ -332,32 +326,29 @@ def _shift_difference(ints: dict, offsets: Shift) -> dict:
     return {exps: n for exps, n in shifted.items() if n}
 
 
-def _shift_mul(ints: dict, offsets: Shift, factor,
-               out: Optional[dict] = None, scale: int = 1) -> dict:
-    """out + scale * shift(ints) * factor on integers, as {exponents: int}.
+def _mul(ints: dict, factor, out: Optional[dict] = None, scale: int = 1) -> dict:
+    """out + scale * ints * factor on integers, as {exponents: int}.
 
-    `ints` is an integer polynomial {exponents: int}, `offsets` a shift
-    for `_taylor_shift`, and `factor` a sized collection of (exponents,
-    int) pairs.  The products are added into `out`, a new map when it is
-    None, which is returned.  Entries that cancel stay in the result as 0.
-    A constant factor, one term with a zero exponent vector, scales the
-    shifted map and builds no exponent vector.
+    `ints` is an integer polynomial {exponents: int} and `factor` a sized
+    collection of (exponents, int) pairs.  The products are added into
+    `out`, a new map when it is None, which is returned.  Entries that
+    cancel stay in the result as 0.  A constant factor, one term with a
+    zero exponent vector, scales `ints` and builds no exponent vector.
     """
-    shifted = _taylor_shift(ints, offsets)
     if len(factor) == 1:
         (e2, c2), = factor
         if not any(e2):
             c2 *= scale
             if out is None:
-                return {e1: c1 * c2 for e1, c1 in shifted.items()}
+                return {e1: c1 * c2 for e1, c1 in ints.items()}
             get = out.get
-            for e1, c1 in shifted.items():
+            for e1, c1 in ints.items():
                 out[e1] = get(e1, 0) + c1 * c2
             return out
     if out is None:
         out = {}
     get = out.get
-    for e1, c1 in shifted.items():
+    for e1, c1 in ints.items():
         c1 *= scale
         for e2, c2 in factor:
             key = tuple(map(add, e1, e2))

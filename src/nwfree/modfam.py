@@ -30,15 +30,15 @@ each x.1 is computed once per spec.  One function, `_image`, takes every
 generator image on integers from x's form in that table, for `act` (so
 `classify`'s product rule), the chains, the witness and the orbit oracle;
 `_act_sum` sums such images over one common denominator for `act` and
-the chains.  `verify_module` reads its generators' forms by position and
-adds a pair's shift differences times the values into one map with the
-kernel `_image` runs, `exactpoly._shift_mul`, skipping a side whose
-shift moves no variable of the value (each form keeps a mask of the
-variables its x.1 uses).  The only state kept across requests is each
-spec's form table (`_OwnsForms`), which lives on the spec object and goes
-with it; an MTildeAlphaBeta spec scales the integer forms in its base's
-table by alpha^n.  Besides, the public `value_on_one` keeps a bounded
-cache (MAX_CACHED_VALUES entries), which no request path calls.
+the chains.  `_image` is the one shift-then-multiply: `exactpoly._mul`
+on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
+forms by position and takes a failing pair's residuals through `_image`;
+each form keeps a mask of the variables its x.1 uses.  The only state
+kept across requests is each spec's form table (`_OwnsForms`), which
+lives on the spec object and goes with it; an MTildeAlphaBeta spec
+scales the integer forms in its base's table by alpha^n.  Besides, the
+public `value_on_one` keeps a bounded cache (MAX_CACHED_VALUES entries),
+which no request path calls.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .exactpoly import (
     Poly,
     Shift,
     _combine,
-    _shift_mul,
+    _mul,
     _support,
+    _taylor_shift,
     change_variables,
 )
 from .liealg import (
@@ -647,11 +648,12 @@ def spec_forms(spec: AnySpec) -> _Forms:
 
 
 def _image(form, ints: dict) -> dict:
-    """x.v times the denominator of x.1, on integers, from x's `_Forms` form:
-    shift_x(v) times the numerators of x.1, and {} when x.1 is zero.  `ints`
-    is v as {exponents: int}; entries that cancel stay in the map as 0."""
+    """x.v times the denominator of x.1, on integers, from x's `_Forms` form
+    (or a verify FAIL pair's, with sigma and R): shift_x(v) times the
+    numerators of x.1, and {} when x.1 is zero.  `ints` is v as
+    {exponents: int}; entries that cancel stay in the map as 0."""
     offsets, numerators, _, _ = form
-    return _shift_mul(ints, offsets, numerators.items()) if numerators else {}
+    return _mul(_taylor_shift(ints, offsets), numerators.items()) if numerators else {}
 
 
 def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:

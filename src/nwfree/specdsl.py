@@ -20,7 +20,7 @@ a missing token (`unexpected end of polynomial`, `expected ')'`) point there.
 The reader works on integer maps: every atom, sum, product and power is
 an (integer map, den) pair, nonzero numerators keyed by exponents over a
 positive den reduced as `Poly._trusted` reduces it, and a product is
-`exactpoly._shift_mul` with no shift.  `parse_poly` builds one `Poly` per
+`exactpoly._mul`.  `parse_poly` builds one `Poly` per
 value, from the whole value's pair.  Each check below reads the pairs as
 it would read their `Poly`s.  `parse_poly` checks its variables for a
 duplicate name; action data checks its tuple once per document, and a
@@ -88,7 +88,7 @@ from typing import Callable, NamedTuple, Tuple
 
 from . import InputError
 from .classify import Classified, classify, iso_check, twist
-from .exactpoly import NEG_INF, Poly, _distinct, _shift_mul, format_poly, format_rational
+from .exactpoly import NEG_INF, Poly, _distinct, _mul, format_poly, format_rational
 from .irreducible import (
     decide,
     format_certificate,
@@ -270,7 +270,7 @@ class _PolyParser:
         self.work += len(x) * len(y)
         if self.work > MAX_TERM_WORK:
             self.fail(f"polynomial exceeds the term-work limit {MAX_TERM_WORK}", tok)
-        ints, den = _reduced(_shift_mul(x, self.zeros, y.items()), xden * yden)
+        ints, den = _reduced(_mul(x, y.items()), xden * yden)
         self.bounded(((n, den) for n in ints.values()), den, what, tok)
         return ints, den
 

@@ -52,18 +52,19 @@ read as None and marks every pair that needs it as skipped.
 A pair's R is one integer map over the denominator of x.1 times that of
 y.1.  For each side where x.1 is nonzero and x's offset mask meets the
 mask of y.1, `exactpoly._shift_difference` takes D_x(y.1) and
-`exactpoly._shift_mul`, with no shift, adds D_x(y.1)*x.1 into the map
-(and -D_y(x.1)*y.1 the same way); a side whose shift fixes the value
-makes no call.  Then `exactpoly._combine` adds the terms -c*z.1, raising
-the map's denominator only when a term's does not divide it.  A pair
-with neither side acting and no bracket terms passes at once.  R is
-zero-tested as an integer map, so a passing pair builds no polynomial.
+`exactpoly._mul` adds D_x(y.1)*x.1 into the map (and -D_y(x.1)*y.1 the
+same way); a side whose shift fixes the value makes no call.  Then
+`exactpoly._combine` adds the terms -c*z.1, raising the map's
+denominator only when a term's does not divide it.  A pair with neither
+side acting and no bracket terms passes at once.  R is zero-tested as an
+integer map, so a passing pair builds no polynomial.
 
 The report records the generators, one outcome per pair (positions of x
-and y, status), and a failing pair's (sigma, R's nonzero integer terms,
-denominator).  Its `entries` is an `exactpoly._Grid`, which builds each
-`ReportEntry` only when it is read; a failing pair's residual on v,
-sigma(v) * R, is one `exactpoly._shift_mul` then.
+and y, status), and a failing pair's form (sigma, R's nonzero numerators,
+denominator, used variables), as `modfam._Forms` holds x.1.  Its
+`entries` is an `exactpoly._Grid`, which builds each `ReportEntry` only
+when it is read; a failing pair's residual on v, sigma(v) * R, is
+`modfam._image` of that form then.
 The counts come from the pairs.  `format_report` formats each generator,
 test monomial and PASS or SKIP line tail once per report, writes a PASS
 or SKIP pair as one joined block, and writes a FAIL line from the
@@ -83,8 +84,8 @@ from .exactpoly import (
     Poly,
     _Grid,
     _combine,
+    _mul,
     _shift_difference,
-    _shift_mul,
     _support,
     _term_key,
     format_poly,
@@ -96,6 +97,7 @@ from .modfam import (
     MODULE_VARIABLES,
     AnySpec,
     WindowExceeded,
+    _image,
     integer_argument,
     shift_of,
     spec_forms,
@@ -133,8 +135,8 @@ class _Entries(_Grid):
     row per generator pair in report order.
 
     Holds the generators and one outcome per pair, (position of x,
-    position of y, status), and for a FAIL pair its (sigma, R's nonzero
-    terms as (exponents, int), denominator of R).
+    position of y, status), and for a FAIL pair its form (sigma, R's
+    nonzero numerators as {exponents: int}, denominator of R, used mask).
     """
 
     __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero")
@@ -142,7 +144,7 @@ class _Entries(_Grid):
     def __init__(self, gens, outcomes, failures, monos, zero):
         self._gens = gens
         self._outcomes = outcomes  # [(i, j, status)] per pair (gens[i], gens[j])
-        self._failures = failures  # {pair index: (sigma, R terms, denominator)} for FAIL pairs
+        self._failures = failures  # {pair index: form of sigma and R} for FAIL pairs
         self._monos = monos
         self._zero = zero
 
@@ -152,9 +154,8 @@ class _Entries(_Grid):
     def _residual_map(self, pair: int, j: int) -> Tuple[dict, int]:
         """sigma(v) * R for FAIL pair `pair` on monomial j, never zero, as its
         integer map (zeros included) and denominator."""
-        sigma, r, scale = self._failures[pair]
-        v = dict(self._monos[j].numerators)  # a monic monomial
-        return _shift_mul(v, sigma, r), scale
+        form = self._failures[pair]
+        return _image(form, dict(self._monos[j].numerators)), form[2]
 
     def _item(self, pair: int, j: int) -> ReportEntry:
         xi, yi, status = self._outcomes[pair]
@@ -271,7 +272,6 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
     gens, outside, zero, monos, brackets, offmasks = _plan(algebra, window, test_degree)
-    zeros = (0,) * len(zero.variables)
     read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
     for z in outside:
         try:
@@ -288,9 +288,9 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
                 continue
         r = {}  # R times `scale`, on integers
         if x1 and offmasks[i] & y_used:  # shift_x moves y.1
-            _shift_mul(_shift_difference(y1, x_off), zeros, x1.items(), r)
+            _mul(_shift_difference(y1, x_off), x1.items(), r)
         if y1 and offmasks[j] & x_used:  # shift_y moves x.1
-            _shift_mul(_shift_difference(x1, y_off), zeros, y1.items(), r, -1)
+            _mul(_shift_difference(x1, y_off), y1.items(), r, -1)
         if not r and not terms:  # no side acts and there is nothing to subtract
             outcomes.append((i, j, PASS))
             continue
@@ -299,7 +299,8 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
             parts = [(num, den * lz, z1) for (_, z1, lz, _), (_, num, den) in zip(z_forms, terms)]
             r, scale = _combine(parts, r, scale)
         if any(r.values()):
-            failures[len(outcomes)] = (sigma, tuple((e, n) for e, n in r.items() if n), scale)
+            r = {e: n for e, n in r.items() if n}
+            failures[len(outcomes)] = (sigma, r, scale, _support(r))
             outcomes.append((i, j, FAIL))
         else:
             outcomes.append((i, j, PASS))

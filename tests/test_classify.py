@@ -221,6 +221,16 @@ def test_twist_images():
             twist(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1),
+    Vir00Spec(Fraction(3), Poly.one(("w0",))),
+], ids=["affine", "vir00"])
+def test_twist_refusal_names_the_spec_class(spec):
+    name = type(spec).__name__
+    with pytest.raises(UnsupportedTwist, match=f"^no twist image recorded for {name}$"):
+        twist(spec)
+
+
 def assert_twist_intertwines(fam):
     """y acts on twist(x) as eta(y) acts on x, through s -> -s."""
     target = twist(fam)

@@ -2,10 +2,12 @@ import pickle
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nwfree.exactpoly
 from nwfree.exactpoly import (
     NEG_INF,
     Poly,
@@ -22,10 +24,11 @@ from nwfree.exactpoly import (
     MAX_MONOMIAL_TEXTS,
     _combine,
     _monomial_text,
+    _mul,
     _shift_difference,
-    _shift_mul,
     _taylor_shift,
 )
+from nwfree.specdsl import parse_poly
 
 from helpers import (
     apply_shift_reference,
@@ -530,11 +533,33 @@ def test_mul_matches_double_loop_reference(case):
 @given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_product_case))
 def test_shift_mul_matches_shift_then_reference_product(case):
     x, w, sh = case
-    product = _shift_mul(dict(x.numerators), sh, w.numerators)
+    product = _mul(_taylor_shift(dict(x.numerators), sh), w.numerators)
     assert all(type(n) is int for n in product.values())
     product = Poly._trusted(x.variables, product.items(), x.den * w.den)
     assert product == poly_mul_reference(apply_shift(sh, x), w)
     _assert_canonical(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(_product_case))
+def test_products_take_no_shift(case):
+    # a product, a power and the reader's products and powers multiply
+    # without calling the shift kernel, not even with zero offsets
+    x, w, _ = case
+    calls = []
+    real = nwfree.exactpoly._taylor_shift
+
+    def recording(ints, offsets):
+        calls.append(offsets)
+        return real(ints, offsets)
+
+    with mock.patch.object(nwfree.exactpoly, "_taylor_shift", recording):
+        assert x * w == poly_mul_reference(x, w)
+        assert x ** 3 == poly_mul_reference(poly_mul_reference(x, x), x)
+        value = parse_poly("(s+d+1)^3*(s-1)", SD)
+    s, d = Poly.var(SD, "s"), Poly.var(SD, "d")
+    assert value == (s + d + Poly.one(SD)) ** 3 * (s - Poly.one(SD))
+    assert calls == []
 
 
 def test_products_reject_mismatched_variables():
@@ -608,7 +633,7 @@ def test_shift_mul_adds_scaled_product_into_a_map(case, scale):
     variables, ints, factor = x.variables, dict(x.numerators), w.numerators
     out = {e: 7 * n for e, n in factor}
     before = Poly(variables, out)
-    assert _shift_mul(ints, sh, factor, out, scale) is out
+    assert _mul(_taylor_shift(ints, sh), factor, out, scale) is out
     assert ints == dict(x.numerators)
     product = poly_mul_reference(apply_shift(sh, Poly(variables, ints)), Poly(variables, factor))
     assert Poly(variables, out) == before + scale * product
@@ -644,13 +669,13 @@ def test_shift_mul_one_term_factors_match_the_general_product(case):
         cancelling = dict(product.numerators)
         for out in (running, cancelling):
             start = Poly(variables, out)
-            assert _shift_mul(ints, sh, factor, out, -1) is out
+            assert _mul(_taylor_shift(ints, sh), factor, out, -1) is out
             assert ints == before
             assert all(type(n) is int for n in out.values())
             assert Poly(variables, out) == start - product
         assert set(cancelling) == set(dict(product.numerators)) and not any(cancelling.values())
-        assert _shift_mul(ints, sh, factor) == {e: -n for e, n in
-                                                _shift_mul(ints, sh, factor, {}, -1).items()}
+        shifted = _taylor_shift(ints, sh)
+        assert _mul(shifted, factor) == {e: -n for e, n in _mul(shifted, factor, {}, -1).items()}
 
 
 def _division_case(variables):

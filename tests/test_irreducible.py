@@ -632,16 +632,17 @@ def test_witness_matches_reference(spec):
 def test_witness_shifts_no_test_monomial(monkeypatch):
     # each closure image is the previous one times (v + offset): the only
     # polynomial shifted is the ideal generator, at most once per generator
-    # (products, as in modfam._value_on_one, call the kernel with no shift)
     shifted = []
-    real = nwfree.exactpoly._taylor_shift
+    real = nwfree.modfam._taylor_shift
 
     def recording(ints, offsets):
         if any(offsets):
             shifted.append(dict(ints))
         return real(ints, offsets)
 
-    monkeypatch.setattr(nwfree.exactpoly, "_taylor_shift", recording)
+    # the binding `modfam._image` calls, and the one of `exactpoly`'s own shifts
+    for module in (nwfree.modfam, nwfree.exactpoly):
+        monkeypatch.setattr(module, "_taylor_shift", recording)
     for spec in _WIDE_WITNESS_SPECS + (mg0(S ** 2 - S), Vir00Spec(Fraction(2), W0)):
         shifted.clear()
         wit = witness(spec)

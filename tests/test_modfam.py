@@ -822,14 +822,14 @@ def test_a_used_spec_is_freed_with_its_last_reference():
 
 def test_a_zero_value_on_one_multiplies_nothing(monkeypatch):
     factors = []
-    real = nwfree.modfam._shift_mul
+    real = nwfree.modfam._mul
 
-    def recording(ints, offsets, factor):
+    def recording(ints, factor):
         factor = list(factor)
         factors.append(len(factor))
-        return real(ints, offsets, factor)
+        return real(ints, factor)
 
-    monkeypatch.setattr(nwfree.modfam, "_shift_mul", recording)
+    monkeypatch.setattr(nwfree.modfam, "_mul", recording)
     fseq = {1: S_POLY ** 2, -1: S_POLY + 2 * ONE_S}
     for spec in (mg0(S_POLY ** 2 - S_POLY), m0g(5), m0(), mtilde_f(fseq, window=1)):
         data = actions_of(spec)
