@@ -6,29 +6,59 @@ the data or reject it, naming the violated constraint through a stable
 anchor token.  Rejections are decisions, not exceptions; structurally
 unusable data (missing generators, wrong ring, denormalized s or d slot)
 raises MalformedData instead.
+
+The checks run in this order, and the first that fails names the anchor.
+On H4 data, with p.1, q.1 and r.1 the values of p, q and r:
+
+    r1-constant                 r.1 is not a constant
+    r1-zero-when-pq-degenerate  p.1 or q.1 is zero and r.1 is not
+    degree-dichotomy            the s-degrees of (p.1, q.1) are not
+                                (0,0), (1,0) or (0,1)
+    r1-product-rule             r.1 differs from p.(q.1) - q.(p.1), the
+                                module axiom for [p, q], through `act`
+
+On AffineH4 data, with f_k the value of s at loop k and alpha the
+s-coefficient of f_1:
+
+    deg-d-f            some f_k depends on d
+    deg-s-f            some f_k has s-degree above 1, unless p, q and r
+                       all act as zero (then the data is M~_F)
+    f0-side-condition  f_0 is not s
+    central-k          k.1 is not 0, on the M~_F path
+    alpha-nonzero      alpha is 0
+    alpha-power        the s-coefficient of some f_k is not alpha^k
+    deg-d-base         p, q or r at loop 0 depends on d
+    loop-scaling       p, q or r at some loop k is not alpha^k times its
+                       loop-0 value
+    central-k          k.1 is not 0
+
+and then the H4 checks on the loop-0 values, the base of M~(alpha, beta).
+
+Every check reads the canonical integer numerators and the denominator of
+the values (`Poly.numerators`, `Poly.den`): degrees from the exponent keys,
+alpha^k once per loop index as a pair of integers, and loop scaling as
+integer cross-multiplication.  A `Fraction` or a new `Poly` is built only
+for the text of a rejection, for the parameters of the classified spec,
+and for the product rule: the H4 base data and the images `act` gives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from fractions import Fraction
+from typing import Tuple, Union
 
 from . import InputError
-from .exactpoly import (
-    Poly,
-    change_variables,
-    coefficient_in,
-    degree_in,
-    format_poly,
-    format_rational,
-    negate_var,
-)
+from .exactpoly import Poly, change_variables, format_poly, format_rational, negate_var
 from .liealg import AFFINE_H4, H4, D, K, P, Q, R, S, sym
 from .modfam import (
+    MAX_WINDOW,
     ActionData,
     AffineSpec,
     H4Family,
     MalformedData,
+    _rational_power,
     act,
     actions_of,
     m0,
@@ -83,6 +113,26 @@ class WindowMismatch(InputError, ValueError):
     """The two specs live on different loop windows."""
 
 
+_S = Poly.var(("s",), "s")
+_SD_S = Poly.var(("s", "d"), "s")
+_SD_D = Poly.var(("s", "d"), "d")
+
+# One entry per window that affine data may carry, so the table stays bounded.
+@functools.lru_cache(maxsize=MAX_WINDOW + 1)
+def _affine_symbols(w: int) -> tuple:
+    """The symbols of p, q, r and s at loops -w..w, kind by kind, then k and d."""
+    return tuple(sym(kind, k) for kind in "pqrs" for k in range(-w, w + 1)) + (K, D)
+
+
+def _values(data: ActionData, symbols) -> list:
+    """The values on 1 of `symbols`; MalformedData from `on_one` for the
+    first that the data leaves unassigned."""
+    try:
+        return list(map(data.value, symbols))
+    except KeyError:
+        return [data.on_one(x) for x in symbols]  # raises at the first one missing
+
+
 def classify(data: ActionData) -> ClassificationResult:
     if not isinstance(data, ActionData):
         raise TypeError(f"data must be ActionData, got {type(data).__name__}")
@@ -96,28 +146,25 @@ def classify(data: ActionData) -> ClassificationResult:
 def classify_h4(data: ActionData) -> ClassificationResult:
     if data.algebra != H4:
         raise MalformedData("classify_h4 needs H4 data")
-    p1 = data.on_one(P)
-    q1 = data.on_one(Q)
-    r1_poly = data.on_one(R)
-    s1 = data.on_one(S)
-    if s1 != Poly.var(("s",), "s"):
+    p1, q1, r1, s1 = _values(data, (P, Q, R, S))
+    if s1 != _S:
         raise MalformedData("s must act as multiplication by s")
 
-    if not r1_poly.is_constant():
-        return Rejected("r1-constant", f"r.1 = {format_poly(r1_poly)} is not a constant")
-    r1 = r1_poly.constant_value()
+    if not r1.is_constant():
+        return Rejected("r1-constant", f"r.1 = {format_poly(r1)} is not a constant")
 
     if p1.is_zero() or q1.is_zero():
-        if r1 != 0:
+        if not r1.is_zero():
             return Rejected(
                 "r1-zero-when-pq-degenerate",
-                f"r.1 = {format_poly(r1_poly)} must vanish when p.1 or q.1 is zero",
+                f"r.1 = {format_poly(r1)} must vanish when p.1 or q.1 is zero",
             )
         if p1.is_zero() and q1.is_zero():
             return Classified(m0())
         return Classified(mg0(p1) if q1.is_zero() else m0g(q1))
 
-    dp, dq = degree_in(p1, "s"), degree_in(q1, "s")
+    # the leading term of a nonzero value carries its s-degree
+    dp, dq = p1.numerators[0][0][0], q1.numerators[0][0][0]
     if (dp, dq) not in ((0, 0), (1, 0), (0, 1)):
         return Rejected(
             "degree-dichotomy",
@@ -125,22 +172,40 @@ def classify_h4(data: ActionData) -> ClassificationResult:
         )
     # [p, q].1 = p.(q.1) - q.(p.1), the module axiom on the data itself
     forced = act(data, P, q1) - act(data, Q, p1)
-    if forced != Poly.const(("s",), r1):
+    if forced != r1:
         return Rejected(
             "r1-product-rule",
-            f"r.1 = {format_poly(r1_poly)} but [p,q] forces {format_poly(forced)}",
+            f"r.1 = {format_poly(r1)} but [p,q] forces {format_poly(forced)}",
         )
     if (dp, dq) == (0, 0):
-        return Classified(mab(p1.constant_value(), q1.constant_value()))
-    if (dp, dq) == (1, 0):
-        h, b = p1, q1.constant_value()
-        builder = mhb
-    else:
-        h, b = q1, p1.constant_value()
-        builder = mbh
-    a1 = h.coefficient((1,))
-    a2 = h.coefficient((0,))
-    return Classified(builder(a1, a2, b))
+        return Classified(mab(p1.coefficient((0,)), q1.coefficient((0,))))
+    h, b = (p1, q1) if dp else (q1, p1)
+    builder = mhb if dp else mbh
+    return Classified(builder(h.coefficient((1,)), h.coefficient((0,)), b.coefficient((0,))))
+
+
+def _linear(f: Poly) -> Tuple[int, int]:
+    """(a, b) with f = (a s + b) / f.den, for f in s and d of s-degree at
+    most 1 that does not depend on d."""
+    a = b = 0
+    for (i, _), n in f.numerators:
+        if i:
+            a = n
+        else:
+            b = n
+    return a, b
+
+
+def _scaled(x: Poly, x0: Poly, num: int, den: int) -> bool:
+    """x == num / den * x0 for num != 0: both sides are canonical, so the
+    exponents agree term by term and each numerator pair cross-multiplies."""
+    if len(x.numerators) != len(x0.numerators):
+        return False
+    left, right = den * x0.den, num * x.den
+    return all(
+        e == e0 and n * left == n0 * right
+        for (e, n), (e0, n0) in zip(x.numerators, x0.numerators)
+    )
 
 
 def classify_affine(data: ActionData) -> ClassificationResult:
@@ -148,51 +213,45 @@ def classify_affine(data: ActionData) -> ClassificationResult:
         raise MalformedData("classify_affine needs affine data")
     w = data.window
     loops = range(-w, w + 1)
-    table = {
-        kind: {k: data.on_one(sym(kind, k)) for k in loops}
-        for kind in ("p", "q", "r", "s")
-    }
-    k_val = data.on_one(K)
-    d_val = data.on_one(D)
-    if d_val != Poly.var(("s", "d"), "d"):
+    n = 2 * w + 1
+    *values, k_val, d_val = _values(data, _affine_symbols(w))
+    p, q, r, fseq = (values[i:i + n] for i in range(0, 4 * n, n))
+    if d_val != _SD_D:
         raise MalformedData("d must act as multiplication by d")
-    fseq = table["s"]
-    s_var = Poly.var(("s", "d"), "s")
 
     # p, q and r all zero is M~_F, whose f_k may take any s-degree
-    pqr_zero = all(table[kind][k].is_zero() for kind in ("p", "q", "r") for k in loops)
-    for k in loops:
-        fk = fseq[k]
-        if degree_in(fk, "d") > 0:
+    pqr_zero = not any(x.numerators for row in (p, q, r) for x in row)
+    for k, fk in zip(loops, fseq):
+        if any(e[1] for e, _ in fk.numerators):
             return Rejected("deg-d-f", f"f_{k} = {format_poly(fk)} depends on d")
-        if not pqr_zero and degree_in(fk, "s") > 1:
+        if not pqr_zero and any(e[0] > 1 for e, _ in fk.numerators):
             return Rejected("deg-s-f", f"f_{k} = {format_poly(fk)} has s-degree above 1")
-    if fseq[0] != s_var:
-        return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[0])} must equal s")
+    if fseq[w] != _SD_S:
+        return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[w])} must equal s")
     if pqr_zero:
         if not k_val.is_zero():
             return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
-        return Classified(mtilde_f({k: change_variables(fseq[k], ("s",)) for k in loops}, w))
+        return Classified(mtilde_f({k: change_variables(fk, ("s",)) for k, fk in zip(loops, fseq)}, w))
     if w < 1:  # alpha is read from f_1
         raise MalformedData("window must be a positive integer")
-    alpha = coefficient_in(fseq[1], "s", 1).constant_value()
-    if alpha == 0:
+    lines = [_linear(fk) for fk in fseq]
+    if lines[w + 1][0] == 0:
         return Rejected("alpha-nonzero", "the s-coefficient of f_1 must be invertible")
-    for k in loops:
-        scale = coefficient_in(fseq[k], "s", 1).constant_value()
-        if scale != alpha ** k:
+    alpha = Fraction(lines[w + 1][0], fseq[w + 1].den)
+    powers = [_rational_power(alpha.numerator, alpha.denominator, k) for k in loops]
+    for k, fk, (scale, _), (num, den) in zip(loops, fseq, lines, powers):
+        if scale * den != num * fk.den:
             return Rejected(
                 "alpha-power",
-                f"s-coefficient of f_{k} is {format_rational(scale)}, "
-                f"expected alpha^{k} = {format_rational(alpha ** k)}",
+                f"s-coefficient of f_{k} is {format_rational(Fraction(scale, fk.den))}, "
+                f"expected alpha^{k} = {format_rational(Fraction(num, den))}",
             )
-    for kind in ("p", "q", "r"):
-        if degree_in(table[kind][0], "d") > 0:
-            return Rejected(
-                "deg-d-base", f"{kind}.1 = {format_poly(table[kind][0])} depends on d"
-            )
-        for k in loops:
-            if table[kind][k] != alpha ** k * table[kind][0]:
+    for kind, row in zip("pqr", (p, q, r)):
+        x0 = row[w]
+        if any(e[1] for e, _ in x0.numerators):
+            return Rejected("deg-d-base", f"{kind}.1 = {format_poly(x0)} depends on d")
+        for k, x, (num, den) in zip(loops, row, powers):
+            if not _scaled(x, x0, num, den):
                 return Rejected(
                     "loop-scaling",
                     f"{kind} at loop {k} is not alpha^{k} times its loop-0 value",
@@ -200,20 +259,16 @@ def classify_affine(data: ActionData) -> ClassificationResult:
     if not k_val.is_zero():
         return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
 
-    base_data = ActionData(
-        H4,
-        0,
-        {
-            P: change_variables(table["p"][0], ("s",)),
-            Q: change_variables(table["q"][0], ("s",)),
-            R: change_variables(table["r"][0], ("s",)),
-            S: Poly.var(("s",), "s"),
-        },
-    )
+    base_data = ActionData._checked(H4, 0, {
+        P: change_variables(p[w], ("s",)),
+        Q: change_variables(q[w], ("s",)),
+        R: change_variables(r[w], ("s",)),
+        S: _S,
+    })
     base = classify_h4(base_data)
     if isinstance(base, Rejected):
         return base
-    beta = {k: coefficient_in(fseq[k], "s", 0).constant_value() for k in loops}
+    beta = {k: Fraction(c, fk.den) for k, fk, (_, c) in zip(loops, fseq, lines)}
     return Classified(mtilde(base.spec, alpha, beta, w))
 
 

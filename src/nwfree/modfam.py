@@ -305,6 +305,13 @@ def m0() -> H4Family:
     return H4Family("M0")
 
 
+def _rational_power(a: int, b: int, n: int) -> Tuple[int, int]:
+    """(num, den) with (a / b)^n = num / den and den > 0, for coprime a != 0
+    and b > 0, so num / den is in lowest terms too."""
+    num, den = (a ** n, b ** n) if n >= 0 else (b ** -n, a ** -n)
+    return (-num, -den) if den < 0 else (num, den)
+
+
 @dataclass(frozen=True)
 class AffineSpec(_OwnsForms):
     """Affinized module: MTildeAlphaBeta over a base family, or MTildeF."""
@@ -352,10 +359,7 @@ class AffineSpec(_OwnsForms):
         if self.variant == "MTildeF":
             f = self.fseq[n + self.window][1] if kind == "s" else Poly.zero(("s",))
             return change_variables(f, _SD)
-        a, b = self.alpha.numerator, self.alpha.denominator
-        num, den = (a ** n, b ** n) if n >= 0 else (b ** -n, a ** -n)
-        if den < 0:
-            num, den = -num, -den
+        num, den = _rational_power(self.alpha.numerator, self.alpha.denominator, n)
         if kind == "s":
             beta = self.beta[n + self.window][1]
             common = math.lcm(den, beta.denominator)

@@ -20,8 +20,10 @@ from nwfree.exactpoly import (
     degree_in,
     exponents_upto,
     format_poly,
+    format_rational,
     monomials_upto,
 )
+from nwfree.classify import Classified, Rejected
 from nwfree.irreducible import (
     ClosureCheck,
     NotReducible,
@@ -51,6 +53,7 @@ from nwfree.modfam import (
     ActionData,
     AffVirSpec,
     H4Family,
+    MalformedData,
     SpecInvalid,
     Vir00Spec,
     WindowExceeded,
@@ -178,6 +181,25 @@ def random_specs(draw):
     if family == "Vir00":
         return Vir00Spec(draw(_NONZERO), draw(_polys("w0")))
     return affvir(draw(h4_specs()), draw(_NONZERO), draw(_RATIONALS), window)
+
+
+# n/m in lowest terms with |n| > 1 and m > 1, negative ones included
+_ALPHAS = st.sampled_from([
+    Fraction(sign * n, m) for n in range(2, 13) for m in range(2, 13) if gcd(n, m) == 1
+    for sign in (1, -1)
+])
+
+
+@st.composite
+def loop_specs(draw):
+    """MTildeAlphaBeta over any of the six bases, with alpha = n/m, |n| > 1
+    and m > 1, negative ones included, or MTildeF, at window 1, 2 or 3."""
+    window = draw(st.integers(1, 3))
+    loops = [k for k in range(-window, window + 1) if k]
+    if draw(st.booleans()):
+        return mtilde_f({k: draw(_polys("s")) for k in loops}, window)
+    beta = {k: draw(_RATIONALS) for k in loops}
+    return mtilde(draw(h4_specs()), draw(_ALPHAS), beta, window)
 
 
 def h4_data(p, q, r):
@@ -334,6 +356,136 @@ def poly_mul_reference(a, b):
             key = tuple(x + y for x, y in zip(e1, e2))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
     return Poly(a.variables, acc)
+
+
+def classify_h4_reference(data):
+    """classify_h4 as it stood on Poly and Fraction arithmetic: degree_in,
+    constant_value and a Poly compare for the product rule."""
+    if data.algebra != H4:
+        raise MalformedData("classify_h4 needs H4 data")
+    p1 = data.on_one(P)
+    q1 = data.on_one(Q)
+    r1_poly = data.on_one(R)
+    s1 = data.on_one(S_SYM)
+    if s1 != Poly.var(("s",), "s"):
+        raise MalformedData("s must act as multiplication by s")
+
+    if not r1_poly.is_constant():
+        return Rejected("r1-constant", f"r.1 = {format_poly(r1_poly)} is not a constant")
+    r1 = r1_poly.constant_value()
+
+    if p1.is_zero() or q1.is_zero():
+        if r1 != 0:
+            return Rejected(
+                "r1-zero-when-pq-degenerate",
+                f"r.1 = {format_poly(r1_poly)} must vanish when p.1 or q.1 is zero",
+            )
+        if p1.is_zero() and q1.is_zero():
+            return Classified(m0())
+        return Classified(mg0(p1) if q1.is_zero() else m0g(q1))
+
+    dp, dq = degree_in(p1, "s"), degree_in(q1, "s")
+    if (dp, dq) not in ((0, 0), (1, 0), (0, 1)):
+        return Rejected(
+            "degree-dichotomy",
+            f"degree pair ({dp}, {dq}) is not (0,0), (1,0) or (0,1)",
+        )
+    # [p, q].1 = p.(q.1) - q.(p.1), the module axiom on the data itself
+    forced = act(data, P, q1) - act(data, Q, p1)
+    if forced != Poly.const(("s",), r1):
+        return Rejected(
+            "r1-product-rule",
+            f"r.1 = {format_poly(r1_poly)} but [p,q] forces {format_poly(forced)}",
+        )
+    if (dp, dq) == (0, 0):
+        return Classified(mab(p1.constant_value(), q1.constant_value()))
+    if (dp, dq) == (1, 0):
+        h, b = p1, q1.constant_value()
+        builder = mhb
+    else:
+        h, b = q1, p1.constant_value()
+        builder = mbh
+    a1 = h.coefficient((1,))
+    a2 = h.coefficient((0,))
+    return Classified(builder(a1, a2, b))
+
+
+def classify_affine_reference(data):
+    """classify_affine as it stood on Poly and Fraction arithmetic: a Poly
+    product and a Fraction power per loop-scaling check, and degree_in,
+    coefficient_in and constant_value reads; its base goes to
+    classify_h4_reference."""
+    if data.algebra != AFFINE_H4:
+        raise MalformedData("classify_affine needs affine data")
+    w = data.window
+    loops = range(-w, w + 1)
+    table = {
+        kind: {k: data.on_one(sym(kind, k)) for k in loops}
+        for kind in ("p", "q", "r", "s")
+    }
+    k_val = data.on_one(K)
+    d_val = data.on_one(D)
+    if d_val != Poly.var(("s", "d"), "d"):
+        raise MalformedData("d must act as multiplication by d")
+    fseq = table["s"]
+    s_var = Poly.var(("s", "d"), "s")
+
+    # p, q and r all zero is M~_F, whose f_k may take any s-degree
+    pqr_zero = all(table[kind][k].is_zero() for kind in ("p", "q", "r") for k in loops)
+    for k in loops:
+        fk = fseq[k]
+        if degree_in(fk, "d") > 0:
+            return Rejected("deg-d-f", f"f_{k} = {format_poly(fk)} depends on d")
+        if not pqr_zero and degree_in(fk, "s") > 1:
+            return Rejected("deg-s-f", f"f_{k} = {format_poly(fk)} has s-degree above 1")
+    if fseq[0] != s_var:
+        return Rejected("f0-side-condition", f"f_0 = {format_poly(fseq[0])} must equal s")
+    if pqr_zero:
+        if not k_val.is_zero():
+            return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
+        return Classified(mtilde_f({k: change_variables(fseq[k], ("s",)) for k in loops}, w))
+    if w < 1:  # alpha is read from f_1
+        raise MalformedData("window must be a positive integer")
+    alpha = coefficient_in(fseq[1], "s", 1).constant_value()
+    if alpha == 0:
+        return Rejected("alpha-nonzero", "the s-coefficient of f_1 must be invertible")
+    for k in loops:
+        scale = coefficient_in(fseq[k], "s", 1).constant_value()
+        if scale != alpha ** k:
+            return Rejected(
+                "alpha-power",
+                f"s-coefficient of f_{k} is {format_rational(scale)}, "
+                f"expected alpha^{k} = {format_rational(alpha ** k)}",
+            )
+    for kind in ("p", "q", "r"):
+        if degree_in(table[kind][0], "d") > 0:
+            return Rejected(
+                "deg-d-base", f"{kind}.1 = {format_poly(table[kind][0])} depends on d"
+            )
+        for k in loops:
+            if table[kind][k] != alpha ** k * table[kind][0]:
+                return Rejected(
+                    "loop-scaling",
+                    f"{kind} at loop {k} is not alpha^{k} times its loop-0 value",
+                )
+    if not k_val.is_zero():
+        return Rejected("central-k", f"k.1 = {format_poly(k_val)} must be 0")
+
+    base_data = ActionData(
+        H4,
+        0,
+        {
+            P: change_variables(table["p"][0], ("s",)),
+            Q: change_variables(table["q"][0], ("s",)),
+            R: change_variables(table["r"][0], ("s",)),
+            S_SYM: Poly.var(("s",), "s"),
+        },
+    )
+    base = classify_h4_reference(base_data)
+    if isinstance(base, Rejected):
+        return base
+    beta = {k: coefficient_in(fseq[k], "s", 0).constant_value() for k in loops}
+    return Classified(mtilde(base.spec, alpha, beta, w))
 
 
 def act_reference(spec, x, v):

@@ -6,9 +6,12 @@ from helpers import (
     SD_D,
     SD_S,
     affine_data,
+    classify_affine_reference,
+    classify_h4_reference,
     corrupted_fixtures,
     h4_data,
     h4_specs,
+    loop_specs,
     random_specs,
     sample_specs,
     with_assignment,
@@ -173,11 +176,15 @@ def test_classify_affine_f0_side_condition():
 
 def more_rejections():
     """(anchor, data) pairs past corrupted_fixtures(), which the verify goldens
-    digest: the p = q = r = 0 path's checks, a zero alpha and a base
-    rejection passed on as it is.  Each also fails verify."""
+    digest: the p = q = r = 0 path's checks, a zero alpha, a base rejection
+    passed on as it is, and alpha-power and loop-scaling at loop -1 for
+    alpha = -7/3.  Each also fails verify."""
     mtf_data = actions_of(MTF)
     demo_data = actions_of(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))
     half = Fraction(1, 2)
+    # alpha^-1 = -3/7, so p@-1 = -3*s+3 and f_-1 = -3/7*s-2
+    seven_data = actions_of(mtilde(mhb(7, -7, 3), Fraction(-7, 3), {1: half, -1: -2}, window=1))
+    sd_one = Poly.one(("s", "d"))
     return [
         ("deg-d-f", with_assignment(mtf_data, sym("s", 1), SD_S * SD_D)),
         ("central-k", with_assignment(mtf_data, K, 1)),
@@ -191,17 +198,44 @@ def more_rejections():
                 f={-1: half * SD_S, 0: SD_S, 1: 2 * SD_S},
             ),
         ),
+        ("alpha-power", with_assignment(seven_data, sym("s", -1), Fraction(3, 7) * SD_S - 2 * sd_one)),
+        # the numerators of alpha^-1 * p.1 over another denominator
+        ("loop-scaling", with_assignment(seven_data, sym("p", -1), Fraction(1, 5) * (3 * sd_one - 3 * SD_S))),
     ]
 
 
-@pytest.mark.parametrize("anchor,data", corrupted_fixtures() + more_rejections())
-def test_rejection_anchors(anchor, data):
-    got = classify(data)
-    assert isinstance(got, Rejected)
-    assert got.anchor == anchor
+REJECTIONS = corrupted_fixtures() + more_rejections()
+# The reason of each rejection, in the order of REJECTIONS, as the checks
+# on Poly and Fraction arithmetic wrote it
+REJECTION_REASONS = [
+    "r.1 = s is not a constant",
+    "r.1 = 1 must vanish when p.1 or q.1 is zero",
+    "degree pair (2, 0) is not (0,0), (1,0) or (0,1)",
+    "r.1 = 3 but [p,q] forces -3",
+    "f_1 = s*d depends on d",
+    "f_1 = s^2 has s-degree above 1",
+    "s-coefficient of f_-1 is 3, expected alpha^-1 = 1/2",
+    "p at loop 1 is not alpha^1 times its loop-0 value",
+    "k.1 = 1 must be 0",
+    "p.1 = d depends on d",
+    "f_1 = s*d depends on d",
+    "k.1 = 1 must be 0",
+    "the s-coefficient of f_1 must be invertible",
+    "degree pair (2, 0) is not (0,0), (1,0) or (0,1)",
+    "s-coefficient of f_-1 is 3/7, expected alpha^-1 = -3/7",
+    "p at loop -1 is not alpha^-1 times its loop-0 value",
+]
 
 
-@pytest.mark.parametrize("anchor,data", corrupted_fixtures() + more_rejections())
+@pytest.mark.parametrize("anchor,data,reason", [
+    pytest.param(anchor, data, reason, id=f"{anchor}-data{i}")
+    for i, ((anchor, data), reason) in enumerate(zip(REJECTIONS, REJECTION_REASONS, strict=True))
+])
+def test_rejection_anchors(anchor, data, reason):
+    assert classify(data) == Rejected(anchor, reason)
+
+
+@pytest.mark.parametrize("anchor,data", REJECTIONS)
 def test_rejection_soundness(anchor, data):
     # every rejected datum really does break the module axiom somewhere
     report = verify_module(data, window=1, test_degree=2)
@@ -362,3 +396,48 @@ def test_a_cartan_value_off_its_variable_is_refused(case):
         return
     with pytest.raises(MalformedData, match=f"^{symbol.kind} must act as multiplication by"):
         classify(data)
+
+
+# ------------------------------------------- against the Poly and Fraction checks
+
+@st.composite
+def perturbed_loop_data(draw):
+    """The action data of a drawn `loop_specs` spec with one value changed
+    in one of three ways: a coefficient changed on the same exponents, an
+    extra term added to the correctly scaled value, or an f_k's
+    s-coefficient or constant changed."""
+    data = actions_of(draw(loop_specs()))
+    w = data.window
+    way = draw(st.sampled_from(("coefficient", "extra-term", "f")))
+    variables = MODULE_VARIABLES[AFFINE_H4]
+    if way == "f":
+        symbol = sym("s", draw(st.integers(-w, w)))
+        exps = draw(st.sampled_from([(1, 0), (0, 0)]))
+        delta = Poly.monomial(variables, exps, draw(_SMALL.filter(bool)))
+        return with_assignment(data, symbol, data.value(symbol) + delta)
+    symbols = [sym(kind, k) for kind in "pqrs" for k in range(-w, w + 1)]
+    if way == "coefficient":
+        symbol = draw(st.sampled_from([x for x in symbols if not data.value(x).is_zero()]))
+        terms = dict(data.value(symbol).terms)
+        exps = draw(st.sampled_from(sorted(terms)))
+        terms[exps] = draw(_SMALL.filter(lambda c: c and c != terms[exps]))
+        return with_assignment(data, symbol, Poly(variables, terms))
+    symbol = draw(st.sampled_from(symbols))
+    value = data.value(symbol)
+    used = {e for e, _ in value.numerators}
+    exps = draw(st.sampled_from([e for e in exponents_upto(2, 2) if e not in used]))
+    delta = Poly.monomial(variables, exps, draw(_SMALL.filter(bool)))
+    return with_assignment(data, symbol, value + delta)
+
+
+@settings(deadline=None)
+@given(perturbed_loop_data())
+def test_classify_affine_matches_the_reference(data):
+    assert classify(data) == classify_affine_reference(data)
+
+
+@settings(deadline=None)
+@given(perturbed_data(cartan=False).filter(lambda case: case[2].algebra == H4))
+def test_classify_h4_matches_the_reference(case):
+    _, _, data = case
+    assert classify(data) == classify_h4_reference(data)
