@@ -40,8 +40,12 @@ mapping or sequence of terms.  Everything else goes through the one
 canonicalizer, `Poly._trusted(variables, pairs, den)`, which drops zero
 numerators, divides by their gcd with den and sorts; the one-term
 builders `zero`, `one`, `const` and `var` and the test monomials of
-`monomials_upto` check their own arguments first.  `reduce_mod_univariate`
-eliminates fraction-free on numerators and builds one `Poly`, its result.
+`monomials_upto` check their own arguments first.  An integer map that
+is not yet a `Poly`, the polynomial reader's values and every spec's
+integer form of x.1 (`int_form`), is reduced the same way, unsorted, by
+the one canonicalizer for integer maps, `_reduced(ints, den)`.
+`reduce_mod_univariate` eliminates fraction-free on numerators and builds
+one `Poly`, its result.
 A verify report's entries and a witness's closure checks are one lazy
 `_Grid` each, one item per (row, test monomial), built when read.
 
@@ -257,6 +261,20 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _reduced(ints: dict, den: int):
+    """(ints, den) reduced as `Poly._trusted` reduces them, unsorted: zero
+    numerators dropped and den > 0 divided by its gcd with the rest (1 if
+    none), so zero is ({}, 1)."""
+    if 0 in ints.values():
+        ints = {exps: n for exps, n in ints.items() if n}
+    if den != 1:
+        g = gcd(den, *ints.values())
+        if g != 1:
+            den //= g
+            ints = {exps: n // g for exps, n in ints.items()}
+    return ints, den
 
 
 def _taylor_shift(ints: dict, offsets: Shift) -> dict:

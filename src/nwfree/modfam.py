@@ -6,15 +6,15 @@ and the affine-Virasoro family acts on Q[s,d] again.  Each spec class
 states its own family, algebra and loop window (`variant`, `algebra`,
 `window`), coerces its own parameters (the constructor functions `mhb`,
 `mtilde`, `affvir`, ... pass theirs through), and gives its own values on
-1 (`on_one`, as raw `ActionData` does), irreducibility verdict (`verdict`)
-and witness ideal (`witness_ideal`), which affine and affine-Virasoro
-specs take from their base.  Every parameter takes one coercion step,
-`_store`, which coerces a field, refuses a zero where the family does and
-stores it; the loop sequences beta and f are read by `_sequence`, and
-every loop window (a spec's, action data's, a document's, or one asked of
-`generators`, `actions_of` or `verify_module`) by one rule,
-`integer_argument`: operator.index, one message per fault, and the
-caller's error class.
+1 as integer forms (`int_form`, as raw `ActionData` does), irreducibility
+verdict (`verdict`) and witness ideal (`witness_ideal`), which affine and
+affine-Virasoro specs take from their base.  Every parameter takes one
+coercion step, `_store`, which coerces a field, refuses a zero where the
+family does and stores it; the loop sequences beta and f are read by
+`_sequence`, and every loop window (a spec's, action data's, a
+document's, or one asked of `generators`, `actions_of` or
+`verify_module`) by one rule, `integer_argument`: operator.index, one
+message per fault, and the caller's error class.
 
 Every action here has the same shape: a generator x sends v to
 shift_x(v) * (x.1), where shift_x is a variable shift forced by the
@@ -22,13 +22,19 @@ brackets with the Cartan part and x.1 is the value of x on the constant
 polynomial 1.  The generators and their shifts are facts of the algebra:
 `generators` lists the kinds of `liealg.ALGEBRA_KINDS` within a window,
 and `shift_of` is one grading rule, x's weight under the Cartan part.
-`_value_on_one` checks x against the algebra and asks the spec for x.1
-afresh; every request path reads it through the spec's own table,
-`spec_forms(spec)`, a `_Forms` that keeps each x.1's numerators and
-denominator beside shift_x the first time its symbol is looked up, so
-each x.1 is computed once per spec.  One function, `_image`, takes every
-generator image on integers from x's form in that table, for `act` (so
-`classify`'s product rule), the chains, the witness and the orbit oracle;
+x.1 is an integer form at its source: a spec's `int_form(x)` gives its
+numerators {exponents: int} over a denominator, reduced by
+`exactpoly._reduced` and computed on integers (alpha^n and lambda^n by
+`_rational_power`).  `_int_form` checks x against the algebra and asks
+the spec for that form afresh; every request path reads it through the
+spec's own table, `spec_forms(spec)`, a `_Forms` that stores each form
+beside shift_x the first time its symbol is looked up, so each x.1 is
+computed once per spec.  A `Poly` of x.1 is built only at the public
+edge, by `on_one`: one `Poly._trusted` over the form, which
+`_value_on_one` calls after the same check.  One function, `_image`,
+takes every generator image on integers from x's form in that table, for
+`act` (so `classify`'s product rule), the chains, the witness and the
+orbit oracle;
 `_act_sum` sums such images over one common denominator for `act` and
 the chains.  `_image` is the one shift-then-multiply: `exactpoly._mul`
 on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
@@ -44,7 +50,6 @@ which no request path calls.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import weakref
 from dataclasses import dataclass
@@ -57,6 +62,7 @@ from .exactpoly import (
     Shift,
     _combine,
     _mul,
+    _reduced,
     _support,
     _taylor_shift,
     change_variables,
@@ -204,11 +210,21 @@ class _OwnsForms:
     kept beside the fields, as a cached property, so equality, hashing,
     repr and `dataclasses.replace` see the fields alone.  The table holds
     only a weak reference to its spec, so it goes with the spec, and
-    pickles and copies leave it out, so a copy builds its own."""
+    pickles and copies leave it out, so a copy builds its own.
+
+    Each spec class gives x.1 as an integer form, `int_form(symbol)`:
+    (numerators as {exponents: int}, den), reduced as `exactpoly._reduced`
+    leaves it.  `on_one` is the one adapter that makes it a `Poly`."""
 
     @functools.cached_property
     def _forms(self) -> "_Forms":
         return _Forms(self)
+
+    def on_one(self, symbol: BasisSymbol) -> Poly:
+        """x.1 as a polynomial in the module variables: one `Poly._trusted`
+        over `int_form(symbol)`.  Request paths read the form table instead."""
+        ints, den = self.int_form(symbol)
+        return Poly._trusted(MODULE_VARIABLES[self.algebra], ints.items(), den)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -220,7 +236,7 @@ class _OwnsForms:
 class H4Family(_OwnsForms):
     """One of the six families: Mg0, M0g, Mhb, Mbh, Mab, M0.
 
-    It keeps no values on 1 of its own: `on_one` computes the one asked
+    It keeps no values on 1 of its own: `int_form` computes the one asked
     for, and its form table (`spec_forms`) keeps each, for this spec and
     for every affine spec built over it.
     """
@@ -252,19 +268,20 @@ class H4Family(_OwnsForms):
             coerce, nonzero = _H4_RULES[name]
             _store(self, name, coerce, name, nonzero)
 
-    def on_one(self, symbol: BasisSymbol) -> Poly:
+    def int_form(self, symbol: BasisSymbol):
         """x.1 for a generator x of H4, computed from the parameters alone: p
         and q as `_H4_PQ` names them, r by -a1 b (Mhb, Mbh) or 0, s by s,
         and k by zero."""
-        kind, s = symbol.kind, Poly.var(("s",), "s")
-        if kind == "s":
-            return s
-        if kind == "r":
-            return Poly.const(("s",), 0 if self.a1 is None else -self.a1 * self.b)
-        name = _H4_PQ[self.variant].get(kind)
-        if name in ("g", "h"):
-            return self.g if name == "g" else self.a1 * s + Poly.const(("s",), self.a2)
-        return Poly.zero(("s",)) if name is None else Poly.const(("s",), getattr(self, name))
+        name = _H4_PQ[self.variant].get(symbol.kind, symbol.kind)  # s, r, k: their own kind
+        if name == "g":
+            return dict(self.g.numerators), self.g.den
+        a1, b = self.a1, self.b
+        if name == "r" and a1 is not None:
+            return _reduced({(0,): -a1.numerator * b.numerator}, a1.denominator * b.denominator)
+        # every other value is c1 s + c0, and a p or q left out of `_H4_PQ` is zero
+        c1, c0 = {"s": (1, 0), "h": (a1, self.a2), "a": (0, self.a), "b": (0, b)}.get(name, (0, 0))
+        ints = {(1,): c1.numerator * c0.denominator, (0,): c0.numerator * c1.denominator}
+        return _reduced(ints, c1.denominator * c0.denominator)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         """(irreducible, family, note, derived), which `irreducible.decide` wraps."""
@@ -345,31 +362,30 @@ class AffineSpec(_OwnsForms):
             fseq = _sequence(self.fseq, _poly_in, "f", Poly.var(("s",), "s"), "s", window)
             object.__setattr__(self, "fseq", fseq)
 
-    def on_one(self, symbol: BasisSymbol) -> Poly:
+    def int_form(self, symbol: BasisSymbol):
         """x.1 for a generator x of AffineH4: at loop n, s acts by f_n in MTildeF
         else by alpha^n s + beta_n, and p, q and r by alpha^n times their base
         value; beta and fseq hold every index of the window, in order.
-        MTildeAlphaBeta's values are built on integers, alpha^n = num / den,
-        from the base's integer forms in its own table (`spec_forms`)."""
+        MTildeAlphaBeta's values take alpha^n = num / den from
+        `_rational_power` and the base's integer forms from its own table
+        (`spec_forms`)."""
         kind, n = symbol.kind, symbol.loop_index
         if kind == "d":
-            return Poly.var(_SD, "d")
+            return {(0, 1): 1}, 1
         if abs(n) > self.window:
             raise WindowExceeded(f"{format_symbol(symbol)} outside window {self.window}")
+        if kind not in ("s", "p", "q", "r") or (kind != "s" and self.variant == "MTildeF"):
+            return {}, 1  # k, any kind outside H4, and MTildeF's p, q and r act as zero
         if self.variant == "MTildeF":
-            f = self.fseq[n + self.window][1] if kind == "s" else Poly.zero(("s",))
-            return change_variables(f, _SD)
+            f = self.fseq[n + self.window][1]
+            return {(e, 0): c for (e,), c in f.numerators}, f.den
         num, den = _rational_power(self.alpha.numerator, self.alpha.denominator, n)
         if kind == "s":
             beta = self.beta[n + self.window][1]
-            common = math.lcm(den, beta.denominator)
-            pairs = (((1, 0), num * (common // den)),
-                     ((0, 0), beta.numerator * (common // beta.denominator)))
-            return Poly._trusted(_SD, pairs, common)
-        if kind not in ("p", "q", "r"):  # k, and any kind outside H4, acts as zero
-            return Poly.zero(_SD)
+            pairs = {(1, 0): num * beta.denominator, (0, 0): beta.numerator * den}
+            return _reduced(pairs, den * beta.denominator)
         _, ints, base_den, _ = spec_forms(self.base)[sym(kind)]
-        return Poly._trusted(_SD, [((e, 0), num * c) for (e,), c in ints.items()], den * base_den)
+        return _reduced({(e, 0): num * c for (e,), c in ints.items()}, den * base_den)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         if self.variant == "MTildeF":
@@ -404,16 +420,18 @@ class Vir00Spec(_OwnsForms):
         _store(self, "lam", _fraction, "lambda", "lambda must be non-zero")
         _store(self, "fpoly", functools.partial(_poly_in, variables=("w0",)), "fpoly")
 
-    def on_one(self, symbol: BasisSymbol) -> Poly:
+    def int_form(self, symbol: BasisSymbol):
         """x.1 for a generator x of Vir00: w_n acts by lambda^n w0 and
-        dvir_n by lambda^n (d0 + n f)."""
-        variables, n = ("d0", "w0"), symbol.loop_index
+        dvir_n by lambda^n (d0 + n f), with lambda^n = num / den."""
+        n = symbol.loop_index
         if symbol.kind == "k":
-            return Poly.zero(variables)
+            return {}, 1
+        num, den = _rational_power(self.lam.numerator, self.lam.denominator, n)
         if symbol.kind == "s":
-            return self.lam ** n * Poly.var(variables, "w0")
-        f = change_variables(self.fpoly, variables)
-        return self.lam ** n * (Poly.var(variables, "d0") + n * f)
+            return {(0, 1): num}, den
+        ints = {(0, e): n * num * c for (e,), c in self.fpoly.numerators}
+        ints[1, 0] = num * self.fpoly.den
+        return _reduced(ints, den * self.fpoly.den)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         note = "the principal ideal (w0) is invariant: generators scale w0 and shift only d0"
@@ -444,14 +462,16 @@ class AffVirSpec(_OwnsForms):
     def window(self) -> int:
         return self.base.window
 
-    def on_one(self, symbol: BasisSymbol) -> Poly:
+    def int_form(self, symbol: BasisSymbol):
         """x.1 for a generator x of AffineVirasoroH4: the base's value, and
-        alpha^n (d + n lambda) for dvir at loop n, inside the window or not."""
+        alpha^n (d + n lambda) for dvir at loop n, inside the window or not,
+        with alpha^n = num / den."""
         if symbol.kind != "dvir":
-            return self.base.on_one(symbol)
-        n = symbol.loop_index
-        mu = Poly.const(_SD, n * self.lambda_shift)
-        return self.base.alpha ** n * (Poly.var(_SD, "d") + mu)
+            return self.base.int_form(symbol)
+        n, alpha, lam = symbol.loop_index, self.base.alpha, self.lambda_shift
+        num, den = _rational_power(alpha.numerator, alpha.denominator, n)
+        pairs = {(0, 1): num * lam.denominator, (0, 0): num * n * lam.numerator}
+        return _reduced(pairs, den * lam.denominator)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
         irreducible, family, note, _ = self.base.verdict()
@@ -478,8 +498,8 @@ class ActionData(_OwnsForms):
     """Raw generator values on 1, detached from any family.
 
     `assignments` holds (symbol, value) pairs sorted by symbol.  A dict
-    from symbol to value, built beside it once, answers `value` and `has`;
-    it is not a field, so equality, hashing, repr and
+    from symbol to value, built beside it once, answers `value`, `has` and
+    `int_form`; it is not a field, so equality, hashing, repr and
     `dataclasses.replace` see the assignments alone.  The window runs up
     to `data_window_limit(algebra)`, so H4 data, with no loop directions,
     has window 0.
@@ -545,11 +565,13 @@ class ActionData(_OwnsForms):
     def has(self, symbol: BasisSymbol) -> bool:
         return symbol in self._index
 
-    def on_one(self, symbol: BasisSymbol) -> Poly:
-        """x.1; for an unassigned x, WindowExceeded outside the window, else
-        MalformedData naming x as the algebra writes it."""
-        if symbol in self._index:
-            return self._index[symbol]
+    def int_form(self, symbol: BasisSymbol):
+        """x.1's numerators and denominator, from one lookup; for an
+        unassigned x, WindowExceeded outside the window, else MalformedData
+        naming x as the algebra writes it."""
+        value = self._index.get(symbol)
+        if value is not None:
+            return dict(value.numerators), value.den
         name = format_symbol(symbol, self.algebra)
         if abs(symbol.loop_index) > self.window:
             raise WindowExceeded(f"{name} outside window {self.window}")
@@ -589,6 +611,13 @@ def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
     return _SHIFT_LAYOUT[algebra]({"p": -1, "q": 1}.get(symbol.kind, 0), -symbol.loop_index)
 
 
+def _int_form(spec: AnySpec, symbol: BasisSymbol):
+    """x.1 as the spec's integer form (numerators, den), computed afresh
+    after the algebra check: every `_Forms` entry is built here."""
+    check_in_algebra(algebra_of(spec), symbol)
+    return spec.int_form(symbol)
+
+
 def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     """x.1 as a polynomial in the module variables, computed afresh."""
     check_in_algebra(algebra_of(spec), symbol)
@@ -623,9 +652,9 @@ class _Forms(dict):
     numerators of x.1 as {exponents: int}, x.1's denominator, and a bit
     mask of the variables x.1 uses (bit k for the k-th module variable),
     which tells a reader that a shift moving only other variables fixes
-    x.1.  It is built from
-    `_value_on_one` the first time the symbol is looked up, so each x.1 is
-    computed at most once per spec; a lookup that raises, such as
+    x.1.  It stores the spec's integer form as `_int_form` returns it, the
+    first time the symbol is looked up, so each x.1 is computed at most
+    once per spec; a lookup that raises, such as
     WindowExceeded outside the window, stores nothing.  The table is the
     spec's own (`spec_forms`) and holds only a weak reference to it, so it
     is dropped with the spec.  Its maps are shared by every request on the
@@ -639,9 +668,8 @@ class _Forms(dict):
         self.algebra = algebra_of(spec)
 
     def __missing__(self, x: BasisSymbol):
-        value = _value_on_one(self.spec(), x)
-        numerators = dict(value.numerators)
-        form = self[x] = shift_of(self.algebra, x), numerators, value.den, _support(numerators)
+        numerators, den = _int_form(self.spec(), x)
+        form = self[x] = shift_of(self.algebra, x), numerators, den, _support(numerators)
         return form
 
 

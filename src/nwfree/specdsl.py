@@ -88,7 +88,7 @@ from typing import Callable, NamedTuple, Tuple
 
 from . import InputError
 from .classify import Classified, classify, iso_check, twist
-from .exactpoly import NEG_INF, Poly, _distinct, _mul, format_poly, format_rational
+from .exactpoly import NEG_INF, Poly, _distinct, _mul, _reduced, format_poly, format_rational
 from .irreducible import (
     decide,
     format_certificate,
@@ -208,19 +208,6 @@ def _tokenize(text: str, line: int, col: int):
         col += len(piece)
     tokens.append(_Token("end", "", line, col))
     return tokens
-
-
-def _reduced(ints: dict, den: int):
-    """(ints, den) reduced as `Poly._trusted` reduces them, unsorted: zero
-    numerators dropped and den divided by its gcd with the rest (1 if none)."""
-    if 0 in ints.values():
-        ints = {exps: n for exps, n in ints.items() if n}
-    if den != 1:
-        g = gcd(den, *ints.values())
-        if g != 1:
-            den //= g
-            ints = {exps: n // g for exps, n in ints.items()}
-    return ints, den
 
 
 def _degree(ints: dict):
@@ -345,9 +332,7 @@ class _PolyParser:
                 den = int(denominator.text)
                 if den == 0:
                     self.fail("zero denominator", denominator)
-                g = gcd(n, den)
-                n, den = n // g, den // g
-            return ({self.zeros: n} if n else {}), den
+            return _reduced({self.zeros: n}, den)
         if tok.kind == "ident":
             if tok.text not in self.variables:
                 raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)

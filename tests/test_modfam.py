@@ -4,6 +4,7 @@ import gc
 import pickle
 import weakref
 from fractions import Fraction
+from math import gcd
 from typing import get_args
 
 import pytest
@@ -75,7 +76,14 @@ from nwfree.modfam import (
 from nwfree.specdsl import DslSyntaxError, format_actions, format_spec, parse_actions, parse_spec
 from nwfree.verify import format_report, verify_module
 
-from helpers import act_reference, h4_specs, sample_specs, shift_of_reference, with_assignment
+from helpers import (
+    act_reference,
+    h4_specs,
+    random_specs,
+    sample_specs,
+    shift_of_reference,
+    with_assignment,
+)
 
 S_POLY = Poly.var(("s",), "s")
 ONE_S = Poly.one(("s",))
@@ -202,16 +210,48 @@ def test_affine_window_rejected(affine_demo):
     assert act(affine_demo, sym("p", 2), Poly.zero(("s",))) == Poly.zero(("s", "d"))
 
 
-def _alpha_beta_on_one_reference(spec, symbol):
-    """x.1 of an MTildeAlphaBeta spec by Poly arithmetic: alpha^n s + beta_n
-    for s at loop n, d for d, and alpha^n times the base's value otherwise."""
-    variables, kind, n = ("s", "d"), symbol.kind, symbol.loop_index
+def _on_one_reference(spec, symbol):
+    """x.1 by Poly arithmetic, written from the formulas of the `int_form`
+    docstrings; WindowExceeded for a loop index past an affine window."""
+    kind, n = symbol.kind, symbol.loop_index
+    if isinstance(spec, H4Family):
+        s, zero = Poly.var(("s",), "s"), Poly.zero(("s",))
+        values = {"s": s, "p": zero, "q": zero, "r": zero}
+        if spec.variant in ("Mg0", "M0g"):  # g for p or q
+            values["p" if spec.variant == "Mg0" else "q"] = spec.g
+        elif spec.variant in ("Mhb", "Mbh"):  # h = a1 s + a2 and b, and r by -a1 b
+            h, b = spec.a1 * s + Poly.const(("s",), spec.a2), Poly.const(("s",), spec.b)
+            values["p"], values["q"] = (h, b) if spec.variant == "Mhb" else (b, h)
+            values["r"] = Poly.const(("s",), -spec.a1 * spec.b)
+        elif spec.variant == "Mab":
+            values["p"], values["q"] = Poly.const(("s",), spec.a), Poly.const(("s",), spec.b)
+        return values[kind]
+    if isinstance(spec, AffVirSpec):
+        if kind != "dvir":
+            return _on_one_reference(spec.base, symbol)
+        sd_vars = ("s", "d")  # alpha^n (d + n lambda), inside the window or not
+        mu = Poly.const(sd_vars, n * spec.lambda_shift)
+        return spec.base.alpha ** n * (Poly.var(sd_vars, "d") + mu)
+    if isinstance(spec, Vir00Spec):
+        variables = ("d0", "w0")
+        if kind == "k":
+            return Poly.zero(variables)
+        if kind == "s":  # w_n: lambda^n w0
+            return spec.lam ** n * Poly.var(variables, "w0")
+        f = change_variables(spec.fpoly, variables)  # dvir_n: lambda^n (d0 + n f)
+        return spec.lam ** n * (Poly.var(variables, "d0") + n * f)
+    sd_vars = ("s", "d")
     if kind == "d":
-        return Poly.var(variables, "d")
-    scale = spec.alpha ** n
-    if kind == "s":
-        return scale * Poly.var(variables, "s") + Poly.const(variables, dict(spec.beta)[n])
-    return scale * change_variables(spec.base.on_one(sym(kind)), variables)
+        return Poly.var(sd_vars, "d")
+    if abs(n) > spec.window:
+        raise WindowExceeded(f"{kind}@{n} outside window {spec.window}")
+    if kind == "k" or (spec.variant == "MTildeF" and kind != "s"):
+        return Poly.zero(sd_vars)
+    if spec.variant == "MTildeF":  # s at loop n acts by f_n
+        return change_variables(dict(spec.fseq)[n], sd_vars)
+    if kind == "s":  # alpha^n s + beta_n
+        return spec.alpha ** n * Poly.var(sd_vars, "s") + Poly.const(sd_vars, dict(spec.beta)[n])
+    return spec.alpha ** n * change_variables(_on_one_reference(spec.base, sym(kind)), sd_vars)
 
 
 @settings(deadline=None)
@@ -228,11 +268,114 @@ def test_alpha_beta_values_on_one_match_the_poly_formula(base, alpha, window, da
     spec = mtilde(base, alpha, beta, window)
     for x in generators(spec):
         got = spec.on_one(x)
-        assert got == _alpha_beta_on_one_reference(spec, x)
+        assert got == _on_one_reference(spec, x)
         assert Poly(got.variables, got.numerators, got.den) == got  # canonical
     assert set(spec_forms(base)) == {P, Q, R}  # p, q and r read the base's table
     with pytest.raises(WindowExceeded, match=f"^p@{window + 1} outside window {window}$"):
         spec.on_one(sym("p", window + 1))
+
+
+def _assert_reduced(form):
+    """An integer form in canonical reduced form: no zero numerator, den > 0
+    and gcd(den, *numerators) == 1, so zero is ({}, 1)."""
+    ints, den = form
+    assert type(ints) is dict and type(den) is int and den > 0
+    assert 0 not in ints.values()
+    assert gcd(den, *ints.values()) == 1
+
+
+def _assert_forms_match(spec, symbols):
+    for x in symbols:
+        expected = _on_one_reference(spec, x)
+        form = spec.int_form(x)
+        _assert_reduced(form)
+        assert form == (dict(expected.numerators), expected.den), (spec, x)
+        assert spec_forms(spec)[x][1:3] == form  # the table stores the form itself
+        assert spec.on_one(x) == expected
+
+
+@settings(deadline=None)
+@given(random_specs())
+def test_each_int_form_is_the_reduced_form_of_its_value(spec):
+    """Every spec's integer form of x.1, for every generator in its window,
+    is the numerators and denominator of the value the formulas give."""
+    _assert_forms_match(spec, generators(spec))
+    data = actions_of(spec)
+    for x in generators(data):  # action data gives its values' forms
+        assert data.int_form(x) == spec.int_form(x)
+
+
+def test_vir00_forms_at_negative_loops_with_negative_lambda():
+    spec = Vir00Spec(Fraction(-3, 2), Poly(("w0",), {(2,): Fraction(1, 3), (0,): -2}))
+    loops = range(-5, 6)
+    _assert_forms_match(spec, [sym(kind, n) for kind in ("s", "dvir") for n in loops])
+    # dvir_-3 = (-3/2)^-3 (d0 - 3 f) = -8/27 d0 + 8/27 w0^2 - 16/9
+    assert spec.int_form(sym("dvir", -3)) == ({(1, 0): -8, (0, 2): 8, (0, 0): -48}, 27)
+
+
+def test_affvir_dvir_forms_reach_outside_the_window():
+    spec = affvir(mhb(2, -1, 3), Fraction(-7, 3), Fraction(5, 4), 1)
+    outside = [sym("dvir", n) for n in (-5, -2, 2, 5)]
+    _assert_forms_match(spec, outside)
+    assert spec.int_form(sym("dvir", 0)) == ({(0, 1): 1}, 1)  # d, and no zero entry
+    with pytest.raises(WindowExceeded, match="^p@2 outside window 1$"):
+        spec.int_form(sym("p", 2))
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_int_form_beyond_an_affine_window_raises(window):
+    loops = range(-window, window + 1)
+    specs = [
+        mtilde(mhb(2, -1, 3), Fraction(-7, 3), {k: Fraction(k, 5) for k in loops}, window),
+        mtilde_f({k: k * S_POLY for k in loops if k}, window),
+    ]
+    for spec in specs:
+        for data in (spec, actions_of(spec)):
+            forms = spec_forms(data)
+            for kind in ("p", "q", "r", "s"):
+                x = sym(kind, window + 1)
+                message = f"^{kind}@{window + 1} outside window {window}$"
+                with pytest.raises(WindowExceeded, match=message):
+                    data.int_form(x)
+                with pytest.raises(WindowExceeded, match=message):
+                    forms[x]
+                assert x not in forms  # a lookup that raises stores nothing
+
+
+def test_action_data_forms_look_each_symbol_up_once():
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            Counting.lookups += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            Counting.lookups += 1
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            Counting.lookups += 1
+            return super().__contains__(key)
+
+    data = actions_of(mtilde(mab(1, 1), 2, {1: 0, -1: 0}, window=1))
+    object.__setattr__(data, "_index", Counting(data._index))
+    incomplete = ActionData(data.algebra, data.window, data.assignments[1:])
+    object.__setattr__(incomplete, "_index", Counting(incomplete._index))
+    missing = data.assignments[0][0]
+    for d, symbol, error in [
+        (data, P, None),
+        (incomplete, missing, MalformedData),
+        (data, sym("p", 2), WindowExceeded),
+    ]:
+        for read in (d.int_form, d.on_one):
+            before = Counting.lookups
+            if error is None:
+                read(symbol)
+            else:
+                with pytest.raises(error):
+                    read(symbol)
+            assert Counting.lookups - before == 1
 
 
 def test_mtilde_f_values():
@@ -696,14 +839,14 @@ def test_each_value_on_one_is_computed_once_per_spec(monkeypatch):
     # (spec, symbol) pair is computed twice, and each request returns what
     # it returns on a freshly built equal spec, whose table starts empty.
     calls = []  # (spec, symbol) per value computed, lookups that raise left out
-    real = nwfree.modfam._value_on_one
+    real = nwfree.modfam._int_form  # the one entry every form table builds through
 
     def counting(spec, x):
         value = real(spec, x)
         calls.append((spec, x))
         return value
 
-    monkeypatch.setattr(nwfree.modfam, "_value_on_one", counting)
+    monkeypatch.setattr(nwfree.modfam, "_int_form", counting)
     h4 = mbh(2, -1, 3)  # q.1 is not constant, so the chain acts with p
     affine = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
     virasoro = affvir(mab(2, 3), 2, 3, window=1)

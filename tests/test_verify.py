@@ -381,17 +381,17 @@ def test_each_symbol_beyond_the_spec_window_raises_once_per_request():
     # at window 1 the pairs meet eight terms that a window-1 spec lacks,
     # p@±2, q@±2, r@±2 and s@±2, on 14 SKIP pairs
     spec = affvir(mhb(1, 0, 1), 2, 3, 1)
-    value_on_one = nwfree.modfam._value_on_one
+    int_form = nwfree.modfam._int_form  # the one entry every form table builds through
     raised = []
 
     def counted(owner, symbol):
         try:
-            return value_on_one(owner, symbol)
+            return int_form(owner, symbol)
         except WindowExceeded:
             raised.append(symbol)
             raise
 
-    with mock.patch.object(nwfree.modfam, "_value_on_one", counted):
+    with mock.patch.object(nwfree.modfam, "_int_form", counted):
         report = verify_module(spec, 1, 1)
     assert len(raised) == len(set(raised)) == 8
     assert report.skipped == 14 * 3  # on the test monomials 1, s and d
