@@ -30,11 +30,10 @@ the spec for that form afresh; every request path reads it through the
 spec's own table, `spec_forms(spec)`, a `_Forms` that stores each form
 beside shift_x the first time its symbol is looked up, so each x.1 is
 computed once per spec.  A `Poly` of x.1 is built only at the public
-edge, by `on_one`: one `Poly._trusted` over the form, which
-`_value_on_one` calls after the same check.  One function, `_image`,
-takes every generator image on integers from x's form in that table, for
-`act` (so `classify`'s product rule), the chains, the witness and the
-orbit oracle;
+edge, by `on_one`: one `Poly._trusted` over the form `_int_form` gives,
+after the same check.  One function, `_image`, takes every generator
+image on integers from x's form in that table, for `act` (so
+`classify`'s product rule), the chains, the witness and the orbit oracle;
 `_act_sum` sums such images over one common denominator for `act` and
 the chains.  `_image` is the one shift-then-multiply: `exactpoly._mul`
 on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
@@ -222,8 +221,9 @@ class _OwnsForms:
 
     def on_one(self, symbol: BasisSymbol) -> Poly:
         """x.1 as a polynomial in the module variables: one `Poly._trusted`
-        over `int_form(symbol)`.  Request paths read the form table instead."""
-        ints, den = self.int_form(symbol)
+        over `_int_form`, so SymbolNotInAlgebra for a symbol outside the
+        algebra.  Request paths read the form table instead."""
+        ints, den = _int_form(self, symbol)
         return Poly._trusted(MODULE_VARIABLES[self.algebra], ints.items(), den)
 
     def __getstate__(self):
@@ -613,15 +613,10 @@ def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
 
 def _int_form(spec: AnySpec, symbol: BasisSymbol):
     """x.1 as the spec's integer form (numerators, den), computed afresh
-    after the algebra check: every `_Forms` entry is built here."""
+    after the algebra check: every `_Forms` entry and every `on_one` is
+    built here."""
     check_in_algebra(algebra_of(spec), symbol)
     return spec.int_form(symbol)
-
-
-def _value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
-    """x.1 as a polynomial in the module variables, computed afresh."""
-    check_in_algebra(algebra_of(spec), symbol)
-    return spec.on_one(symbol)
 
 
 # Entries kept by value_on_one's cache, so a long-running process that
@@ -637,7 +632,7 @@ def value_on_one(spec: AnySpec, symbol: BasisSymbol) -> Poly:
     through the spec's own `_Forms` table.  It stays public, and
     perfbench/tracing.py reads its cache_info().
     """
-    return _value_on_one(spec, symbol)
+    return _OwnsForms.on_one(spec, symbol)  # whose `algebra_of` refuses a non-spec
 
 
 # act keeps no cache of its own, each spec keeps its own form table, so this
@@ -763,5 +758,5 @@ def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:
     """Freeze the spec's generator values on 1 within the window into raw
     data; action data gives an equal copy, restricted to a smaller window."""
     w = _resolve_window(spec, window)
-    table = {x: _value_on_one(spec, x) for x in _symbols(spec.algebra, w)}
+    table = {x: spec.on_one(x) for x in _symbols(spec.algebra, w)}
     return ActionData(spec.algebra, w, tuple(table.items()))

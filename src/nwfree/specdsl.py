@@ -42,7 +42,11 @@ of degree at most MAX_DEGREE; at most MAX_TERM_WORK work, counted as
 merged coefficient and the common denominator within the limits `expr`
 checks.  It declines everything else, parentheses, powers of sums and
 every error among them, to `_tokenize` and `_PolyParser`, so each error
-comes from one reader.
+comes from one reader.  A monomial's exponents and work come from one
+table, `_monomial`, keyed by (variables, monomial text), the inverse of
+`exactpoly._monomial_text` with its bound, MAX_MONOMIAL_TEXTS: its
+per-factor checks run only the first time a text is met, and a text it
+declines is not kept.
 
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.
@@ -72,10 +76,17 @@ parameters; beta and f sequences use explicit integer suffixes
 forced entries beta.0 and f.0 which may be omitted.  Each family's keys,
 in written order, are one entry of `_SCHEMAS`, which both `parse_spec`
 and `format_spec` walk.  Action documents list generator values
-directly (`p@1 = 2*s`) under `algebra` and `window` headers.
+directly (`p@1 = 2*s`) under `algebra` and `window` headers.  The reader
+splits each line once, at its `#` and then its first `=`, and keeps the
+entries in line order.  An action key's symbol comes from one table,
+`_symbol`, keyed by (key text, algebra), of at most MAX_SYMBOL_TEXTS
+entries, which `liealg.parse_symbol` fills only when it succeeds, so a
+bad key raises at its own line and column every time.  Both tables hold
+strings, tuples and symbols, never a spec, and keep no error.
 """
 
 import argparse
+import functools
 import re
 import sys
 from collections import namedtuple
@@ -88,7 +99,16 @@ from typing import Callable, NamedTuple, Tuple
 
 from . import InputError
 from .classify import Classified, classify, iso_check, twist
-from .exactpoly import NEG_INF, Poly, _distinct, _mul, _reduced, format_poly, format_rational
+from .exactpoly import (
+    MAX_MONOMIAL_TEXTS,
+    NEG_INF,
+    Poly,
+    _distinct,
+    _mul,
+    _reduced,
+    format_poly,
+    format_rational,
+)
 from .irreducible import (
     decide,
     format_certificate,
@@ -355,6 +375,30 @@ class _PolyParser:
 _EXPONENT_TEXTS = {str(e): e for e in range(1, MAX_DEGREE + 1)}
 
 
+@functools.lru_cache(maxsize=MAX_MONOMIAL_TEXTS)
+def _monomial(variables, text: str):
+    """(exponents, work) of a monic monomial such as `s^2*d`, the inverse of
+    `exactpoly._monomial_text`; ValueError, which the table does not keep,
+    for a text `_read_sum` declines.  Work is charged as
+    `_PolyParser.multiply` charges the monomial: its `^` exponents and its `*`s."""
+    exps = [0] * len(variables)
+    work = text.count("*")
+    for factor in text.split("*"):
+        name, caret, e = factor.partition("^")
+        if not (name in variables and name.isascii() and name.isidentifier()):
+            raise ValueError(text)
+        e = _EXPONENT_TEXTS.get(e) if caret else 1
+        i = variables.index(name)
+        if e is None or exps[i]:
+            raise ValueError(text)
+        exps[i] = e
+        if caret:
+            work += e
+    if sum(exps) > MAX_DEGREE:
+        raise ValueError(text)
+    return tuple(exps), work
+
+
 def _read_sum(text: str, variables):
     """The `Poly` of a sum of monomials, read in one pass, or None.
 
@@ -373,9 +417,10 @@ def _read_sum(text: str, variables):
         del pieces[0]
     for piece in pieces:
         negative = piece.startswith("-")
-        factors = (piece[1:] if negative else piece).split("*")
-        work += len(factors) - 1
-        num, slash, low = factors[0].partition("/")
+        if negative:
+            piece = piece[1:]
+        coefficient, star, monomial = piece.partition("*")
+        num, slash, low = coefficient.partition("/")
         n = b = 1
         if num.isdigit() and num.isascii():
             if len(num) > MAX_DIGITS:
@@ -389,24 +434,19 @@ def _read_sum(text: str, variables):
                     return None
                 g = gcd(n, b)
                 n, b = n // g, b // g
-            del factors[0]
+            if star:
+                work += 1  # the `*` that takes the monomial
+            else:  # a constant term
+                monomial = None
+        else:  # no coefficient: the whole piece is the monomial
+            monomial = piece
         exps = zeros
-        if factors:
-            exps = list(zeros)
-            for factor in factors:
-                name, caret, e = factor.partition("^")
-                if not (name in variables and name.isascii() and name.isidentifier()):
-                    return None
-                e = _EXPONENT_TEXTS.get(e) if caret else 1
-                i = variables.index(name)
-                if e is None or exps[i]:
-                    return None
-                exps[i] = e
-                if caret:
-                    work += e
-            if sum(exps) > MAX_DEGREE:
+        if monomial is not None:
+            try:
+                exps, cost = _monomial(variables, monomial)
+            except ValueError:
                 return None
-            exps = tuple(exps)
+            work += cost
         if negative:
             n = -n
         if b != 1:
@@ -480,26 +520,27 @@ class _Entry:
 
 
 def _read_document(text: str):
+    """The entries of a document in line order, each line split once: its
+    text before any `#`, at its first `=`."""
     if not isinstance(text, str):
         raise TypeError(f"text must be a str, got {type(text).__name__}")
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        meat = raw.split("#", 1)[0]
-        if not meat.strip():
+        key_part, eq, value_part = raw.partition("#")[0].partition("=")
+        if not eq:
+            if key_part.strip():
+                col = len(raw) - len(raw.lstrip()) + 1
+                raise DslSyntaxError("expected `key = value`", lineno, col)
             continue
-        if "=" not in meat:
-            col = len(raw) - len(raw.lstrip()) + 1
-            raise DslSyntaxError("expected `key = value`", lineno, col)
-        key_part, value_part = meat.split("=", 1)
         key = key_part.strip()
         value = value_part.strip()
         if not key:
             raise DslSyntaxError("missing key before '='", lineno, 1)
         if not value:
-            raise DslSyntaxError(f"missing value for {key}", lineno, meat.index("=") + 2)
-        key_col = raw.index(key) + 1
-        value_col = raw.index(value, raw.index("=")) + 1
-        entries.append(_Entry(key, value, lineno, key_col, value_col))
+            raise DslSyntaxError(f"missing value for {key}", lineno, len(key_part) + 2)
+        # the value's first occurrence from the `=` on: the `=` itself for a value such as `=`
+        value_col = raw.index(value, len(key_part)) + 1
+        entries.append(_Entry(key, value, lineno, key_part.index(key) + 1, value_col))
     return entries
 
 
@@ -693,6 +734,13 @@ def parse_spec(text: str):
     return _build_spec(_read_document(text))
 
 
+# Distinct (key text, algebra) pairs whose symbol the action reader keeps;
+# a bound, not a tuning knob.  `lru_cache` keeps only what `parse_symbol`
+# returns, so a key it refuses raises afresh, at its own line and column.
+MAX_SYMBOL_TEXTS = 1024
+_symbol = functools.lru_cache(maxsize=MAX_SYMBOL_TEXTS)(parse_symbol)
+
+
 def _build_actions(entries) -> ActionData:
     emap = _entry_map(entries)
     algebra_entry = emap.pop("algebra", None)
@@ -716,9 +764,9 @@ def _build_actions(entries) -> ActionData:
         window = _window_value(window_entry, 0, data_window_limit(algebra))
     variables = _distinct(MODULE_VARIABLES[algebra])
     assignments = {}
-    for entry in sorted(emap.values(), key=lambda e: (e.line, e.key_col)):
+    for entry in emap.values():  # in line order
         try:
-            symbol = parse_symbol(entry.key, algebra)
+            symbol = _symbol(entry.key, algebra)
         except SymbolNotInAlgebra as exc:
             raise DslSyntaxError(str(exc), entry.line, entry.key_col) from exc
         if symbol in assignments:

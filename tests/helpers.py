@@ -86,6 +86,7 @@ from nwfree.specdsl import (
     MAX_TERM_WORK,
     DslSyntaxError,
     UnknownVariable,
+    _Entry,
     _Token,
     _tokenize,
 )
@@ -784,6 +785,33 @@ def assert_reads_as_tuple(view, items):
 
 
 _DIGITS = "0123456789"
+
+
+# The document line reader as it was before it split each line once: it
+# splits at `#` and at `=` separately and finds both columns by searching
+# the whole line.  `_read_document` must give the same entries and errors.
+def read_document_reference(text: str):
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        meat = raw.split("#", 1)[0]
+        if not meat.strip():
+            continue
+        if "=" not in meat:
+            col = len(raw) - len(raw.lstrip()) + 1
+            raise DslSyntaxError("expected `key = value`", lineno, col)
+        key_part, value_part = meat.split("=", 1)
+        key = key_part.strip()
+        value = value_part.strip()
+        if not key:
+            raise DslSyntaxError("missing key before '='", lineno, 1)
+        if not value:
+            raise DslSyntaxError(f"missing value for {key}", lineno, meat.index("=") + 2)
+        key_col = raw.index(key) + 1
+        value_col = raw.index(value, raw.index("=")) + 1
+        entries.append(_Entry(key, value, lineno, key_col, value_col))
+    return entries
 
 
 # The polynomial scanner as it was before one pattern read the tokens: one

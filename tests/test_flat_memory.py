@@ -2,16 +2,16 @@
 
 Every public entry point runs over many distinct specs of every family;
 afterwards no spec and no `ActionData` may survive a garbage collection,
-and the two bounded caches stay within their bounds.
+and the bounded caches and tables stay within their bounds.
 """
 
 import gc
 import weakref
 from fractions import Fraction
 
-from nwfree import modfam, verify
+from nwfree import modfam, specdsl, verify
 from nwfree.classify import Classified, UnsupportedTwist, classify, twist
-from nwfree.exactpoly import Poly
+from nwfree.exactpoly import MAX_MONOMIAL_TEXTS, Poly
 from nwfree.irreducible import (
     apply_chain_op,
     decide,
@@ -114,3 +114,6 @@ def test_no_entry_point_keeps_a_spec_alive():
     assert alive == []
     assert verify._plan.cache_info().currsize <= MAX_PLANS
     assert modfam.value_on_one.cache_info().currsize == 0
+    # the document reader's symbol and monomial tables
+    assert 0 < specdsl._symbol.cache_info().currsize <= specdsl.MAX_SYMBOL_TEXTS
+    assert 0 < specdsl._monomial.cache_info().currsize <= MAX_MONOMIAL_TEXTS

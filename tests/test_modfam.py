@@ -41,6 +41,7 @@ from nwfree.liealg import (
     SymbolNotInAlgebra,
     bracket,
     check_in_algebra,
+    format_symbol,
     sym,
 )
 from nwfree.modfam import (
@@ -147,8 +148,11 @@ def test_base_values_are_kept_beside_the_fields():
         text = repr(fam)
         assert fam == twin and hash(fam) == hash(twin)  # neither evaluated
         assert _pqr(fam) == values
-        # k, and d from outside H4, read zero: no variant falls through to a parameter
-        assert fam.on_one(K).is_zero() and fam.on_one(D).is_zero()
+        # k and d lie outside H4: no variant falls through to a parameter, and
+        # on_one refuses both as every request path does
+        for x in (K, D):
+            with pytest.raises(SymbolNotInAlgebra, match=f"^{x.kind} is not a basis symbol of H4$"):
+                fam.on_one(x)
         forms = spec_forms(fam)
         # (numerators, den, mask of the used variables): bit 0 for s
         assert [forms[x][1:] for x in (P, Q, R)] == [
@@ -595,9 +599,9 @@ def test_every_window_reader_applies_one_rule(read, error, low, window):
 def test_a_window_above_the_limit_builds_no_value(monkeypatch):
     """generators and actions_of read a Vir00 window before any x.1."""
     calls = []
-    value_on_one = nwfree.modfam._value_on_one
-    monkeypatch.setattr(nwfree.modfam, "_value_on_one",
-                        lambda spec, x: calls.append(x) or value_on_one(spec, x))
+    int_form = nwfree.modfam._int_form
+    monkeypatch.setattr(nwfree.modfam, "_int_form",
+                        lambda spec, x: calls.append(x) or int_form(spec, x))
     for read in (generators, actions_of):
         with pytest.raises(SpecInvalid, match=f"^window exceeds the limit {MAX_WINDOW}$"):
             read(VIR, 4000)
@@ -658,6 +662,24 @@ def test_membership_errors():
         act(mg0(1), K, ONE_S)
     with pytest.raises(SymbolNotInAlgebra):
         act(Vir00Spec(Fraction(1), Poly.zero(("w0",))), P, Poly.one(("d0", "w0")))
+
+
+@pytest.mark.parametrize("spec, symbol", [
+    (Vir00Spec(Fraction(-3, 2), Poly.var(("w0",), "w0")), P),  # no longer read as dvir
+    (Vir00Spec(Fraction(-3, 2), Poly.var(("w0",), "w0")), sym("q", 3)),
+    (affvir(mhb(1, 0, 1), 2, 3, 1), D),  # AffineVirasoroH4 has no d
+    (mhb(1, 0, 1), K),
+    (mtilde(mab(1, 1), 2, {1: 0, -1: 0}, 1), sym("dvir")),
+    (actions_of(mab(1, 1)), D),
+])
+def test_on_one_refuses_a_symbol_outside_the_algebra(spec, symbol):
+    message = f"^{format_symbol(symbol)} is not a basis symbol of {spec.algebra}$"
+    with pytest.raises(SymbolNotInAlgebra, match=message):
+        spec.on_one(symbol)
+    with pytest.raises(SymbolNotInAlgebra, match=message):
+        value_on_one(spec, symbol)
+    with pytest.raises(SymbolNotInAlgebra, match=message):
+        act(spec, symbol, Poly.one(module_variables(spec)))
 
 
 def test_generators_ordering_and_window():

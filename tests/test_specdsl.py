@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nwfree
 from nwfree import InputError
 from nwfree.classify import classify
-from nwfree.exactpoly import Poly, VariableMismatch, format_poly
+from nwfree.exactpoly import MAX_MONOMIAL_TEXTS, Poly, VariableMismatch, format_poly
 from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
 from nwfree.modfam import (
     MAX_WINDOW,
@@ -44,11 +44,15 @@ from nwfree.specdsl import (
     MAX_DENOMINATOR_DIGITS,
     MAX_DIGITS,
     MAX_NESTING,
+    MAX_SYMBOL_TEXTS,
     MAX_TERM_WORK,
     DslSyntaxError,
     UnknownVariable,
+    _monomial,
     _Token,
+    _read_document,
     _read_sum,
+    _symbol,
     _tokenize,
     format_actions,
     format_spec,
@@ -70,6 +74,7 @@ from helpers import (
     int_digit_limit_lifted,
     parse_poly_reference,
     random_specs,
+    read_document_reference,
     sample_specs,
     tokenize_reference,
 )
@@ -329,6 +334,58 @@ def test_duplicate_generator_is_reported_at_the_later_key(doc, line, col, messag
     with pytest.raises(DslSyntaxError) as err:
         parse_actions(doc)
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+def _document_outcome(read, text):
+    """The entries `read` gives, or the (type, message, line, col) of its error."""
+    try:
+        return read(text)
+    except DslSyntaxError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+
+
+# pieces of document lines: keys and values, `=`s, `#` comments, and
+# ASCII and Unicode whitespace, which `str.strip` and `splitlines` both read
+_LINE_PIECES = st.sampled_from(
+    ["p", "q@1", "algebra", "2*s", "x y", "=", "==", "#", "# a = b", " ", "\t",
+     "\u3000", "\u00a0", "\u2003", "\x0b", "\u2028"]
+)
+
+
+@settings(deadline=None)
+@given(lines=st.lists(st.lists(_LINE_PIECES, max_size=7).map("".join), max_size=6),
+       newline=st.sampled_from(["\n", "\r\n", "\u2029"]))
+@example(lines=["a ==", "b = 1"], newline="\n")  # the value `=` starts at the `=` itself
+@example(lines=["a = = =", "b = 1"], newline="\n")
+@example(lines=["p = s", "\u3000q\u3000=\u3000=s # c"], newline="\n")
+@example(lines=["# only a comment", "  ", "\u3000", "p = s"], newline="\r\n")
+@example(lines=["p = s", "  = 1"], newline="\n")  # an empty key
+@example(lines=["p = s", " q = # 1"], newline="\n")  # an empty value
+@example(lines=["p = s", "\u2003q"], newline="\n")  # no `=`
+def test_read_document_matches_the_reference(lines, newline):
+    text = newline.join(lines)
+    got = _document_outcome(_read_document, text)
+    assert got == _document_outcome(read_document_reference, text)
+
+
+def test_a_bad_key_fails_at_its_own_position_in_every_document():
+    """The symbol table keeps no error: the same bad key raises in each
+    document at that document's line and column, and a key one algebra
+    takes is refused in another."""
+    body = "p = s\nq = 1\nr = -1\ns = s\n"
+    cases = [
+        ("algebra = H4\n" + body + "p@x = 1\n", "bad loop index in 'p@x'", 6, 1),
+        ("algebra = H4\n\n  p@x = 1 # again\n" + body, "bad loop index in 'p@x'", 3, 3),
+        ("algebra = H4\n" + body.replace("s = s", "w = s"), "unknown basis symbol 'w'", 5, 1),
+        ("algebra = H4\n" + body + " w\t= s\n", "unknown basis symbol 'w'", 6, 2),
+    ]
+    vir = "algebra = Vir00\nwindow = 0\nw = w0\ndvir = d0\nk = 0\n"
+    for _ in range(2):
+        assert parse_actions(vir).has(sym("s"))  # `w` is s in Vir00
+        for doc, message, line, col in cases:
+            with pytest.raises(DslSyntaxError) as err:
+                parse_actions(doc)
+            assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
 
 
 def test_f0_side_condition_in_document():
@@ -1172,12 +1229,30 @@ _DECLINED = [
     "+".join(f"1/{n}" + ("" if i == 0 else "*s" if i == 1 else f"*s^{i}") for i, n in enumerate(COPRIME)),
     # a merged coefficient past the digit limit
     "9" * MAX_DIGITS + "*s+s",
+    # work past MAX_TERM_WORK only once every `*` counts, the coefficient's too:
+    # 3,076 terms of 64 in `^` exponents and 2 in `*`s
+    "+".join(["2*s^32*d^32"] * 3076),
 ]
 
 
 def _declined_examples(test):
     """`test` with an example of each text of `_DECLINED`, over s and d."""
     for text in _DECLINED:
+        test = example(text=text, variables=SD, line=2, col=3)(test)
+    return test
+
+
+# monomial spellings, each with whether the one-pass reader takes it: the
+# monomial table must decline what the per-factor loop declines
+_MONOMIAL_SPELLINGS = [
+    ("s^01", False), ("s^1", True), ("s*s", False), ("d*s", True), ("s^65", False),
+    ("2*", False), ("*s", False), ("s**d", False),
+]
+
+
+def _monomial_examples(test):
+    """`test` with an example of each text of `_MONOMIAL_SPELLINGS`, over s and d."""
+    for text, _ in _MONOMIAL_SPELLINGS:
         test = example(text=text, variables=SD, line=2, col=3)(test)
     return test
 
@@ -1199,6 +1274,7 @@ def _declined_examples(test):
 @example(text="s*", variables=("s", ""), line=1, col=1)  # names the tokenizer splits
 @example(text="a\u0301", variables=("s", "a\u0301"), line=1, col=1)
 @_declined_examples
+@_monomial_examples
 def test_parse_poly_matches_the_reference(text, variables, line, col):
     got = _parse_outcome(parse_poly, text, variables, line, col)
     assert got == _parse_outcome(parse_poly_reference, text, variables, line, col)
@@ -1207,6 +1283,29 @@ def test_parse_poly_matches_the_reference(text, variables, line, col):
 @pytest.mark.parametrize("text", _DECLINED, ids=range(len(_DECLINED)))
 def test_the_one_pass_reader_leaves_what_it_cannot_prove_to_the_full_reader(text):
     assert _read_sum(text, SD) is None
+
+
+@pytest.mark.parametrize("text, taken", _MONOMIAL_SPELLINGS, ids=range(len(_MONOMIAL_SPELLINGS)))
+def test_the_monomial_table_reads_as_the_per_factor_loop(text, taken):
+    for _ in range(2):  # the second read finds the first's monomials in the table
+        for spelling in (text, f"3/2*{text}", f"1-{text}"):
+            value = _read_sum(spelling, SD)
+            assert (value is not None) == taken
+            if taken:
+                assert value == parse_poly_reference(spelling, SD)
+
+
+def test_the_reader_tables_stay_within_their_bounds():
+    for k in range(MAX_SYMBOL_TEXTS + 10):  # each key a distinct text, read and then refused
+        with pytest.raises(ConstraintViolation, match=f"^q@{k + 2} lies outside window 1$"):
+            parse_actions(f"algebra = AffineH4\nwindow = 1\nq@{k + 2} = 1\n")
+    texts = [text for a in range(1, 33) for b in range(1, 33)
+             for text in (f"s^{a}*d^{b}", f"d^{b}*s^{a}")]
+    assert len(texts) > MAX_MONOMIAL_TEXTS
+    for text in texts:
+        assert _read_sum(text, SD) == parse_poly_reference(text, SD)
+    assert _symbol.cache_info().currsize == MAX_SYMBOL_TEXTS
+    assert _monomial.cache_info().currsize == MAX_MONOMIAL_TEXTS
 
 
 def test_edge_pieces_reach_the_limits_they_name():
