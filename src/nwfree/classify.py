@@ -34,6 +34,10 @@ s-coefficient of f_1:
 
 and then the H4 checks on the loop-0 values, the base of M~(alpha, beta).
 
+The generators are read in `modfam._symbols` order, the one generator
+list, so the first one the data leaves unassigned is named as `verify`
+names it; `specdsl` reads the action document in line order.
+
 Every check reads the canonical integer numerators and the denominator of
 the values (`Poly.numerators`, `Poly.den`): degrees from the exponent keys,
 alpha^k once per loop index as a pair of integers, and loop scaling as
@@ -44,21 +48,20 @@ and for the product rule: the H4 base data and the images `act` gives.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
 from . import InputError
 from .exactpoly import Poly, change_variables, format_poly, format_rational, negate_var
-from .liealg import AFFINE_H4, H4, D, K, P, Q, R, S, sym
+from .liealg import AFFINE_H4, H4, P, Q, R, S
 from .modfam import (
-    MAX_WINDOW,
     ActionData,
     AffineSpec,
     H4Family,
     MalformedData,
     _rational_power,
+    _symbols,
     act,
     actions_of,
     m0,
@@ -116,13 +119,6 @@ class WindowMismatch(InputError, ValueError):
 _S = Poly.var(("s",), "s")
 _SD_S = Poly.var(("s", "d"), "s")
 _SD_D = Poly.var(("s", "d"), "d")
-
-# One entry per window that affine data may carry, so the table stays bounded.
-@functools.lru_cache(maxsize=MAX_WINDOW + 1)
-def _affine_symbols(w: int) -> tuple:
-    """The symbols of p, q, r and s at loops -w..w, kind by kind, then k and d."""
-    return tuple(sym(kind, k) for kind in "pqrs" for k in range(-w, w + 1)) + (K, D)
-
 
 def _values(data: ActionData, symbols) -> list:
     """The values on 1 of `symbols`; MalformedData from `on_one` for the
@@ -214,7 +210,7 @@ def classify_affine(data: ActionData) -> ClassificationResult:
     w = data.window
     loops = range(-w, w + 1)
     n = 2 * w + 1
-    *values, k_val, d_val = _values(data, _affine_symbols(w))
+    *values, k_val, d_val = _values(data, _symbols(AFFINE_H4, w))  # p, q, r, s, k, d
     p, q, r, fseq = (values[i:i + n] for i in range(0, 4 * n, n))
     if d_val != _SD_D:
         raise MalformedData("d must act as multiplication by d")

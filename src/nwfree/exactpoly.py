@@ -601,9 +601,8 @@ def _int_text(n: int) -> str:
 
 
 def format_rational(c: Fraction) -> str:
-    """str(c) for numerators and denominators of any length."""
-    text = ("-" if c < 0 else "") + _int_text(abs(c.numerator))
-    return text if c.denominator == 1 else f"{text}/{_int_text(c.denominator)}"
+    """str(c) for numerators and denominators of any length, as `format_terms` writes a constant."""
+    return format_terms((), [((), c.numerator)] if c else [], c.denominator)
 
 
 def format_terms(variables: Tuple[str, ...], pairs, den: int = 1) -> str:

@@ -736,22 +736,25 @@ def _resolve_window(spec: AnySpec, window: Optional[int], low: int = 0) -> int:
     return window
 
 
-def _symbols(algebra: str, window: int) -> list:
+# The one generator list, which `generators`, `actions_of`, verify's plans and
+# `classify` read: one tuple per algebra and window, so the table stays bounded.
+@functools.lru_cache(maxsize=len(ALGEBRA_KINDS) * (MAX_WINDOW + 1))
+def _symbols(algebra: str, window: int) -> tuple:
     """The algebra's basis symbols up to loop index `window`, in canonical order."""
     looped, fixed = ALGEBRA_KINDS[algebra]
     loops = range(-window, window + 1)
     out = [sym(kind, i) for kind in looped for i in loops] + [sym(kind) for kind in fixed]
-    return sorted(out, key=sort_key)
+    return tuple(sorted(out, key=sort_key))
 
 
-def generators(spec: AnySpec, window: Optional[int] = None):
-    """The algebra's basis symbols within the window, in canonical order.
+def generators(spec: AnySpec, window: Optional[int] = None) -> list:
+    """The algebra's basis symbols within the window, in canonical order, in a new list.
 
     They come from `ALGEBRA_KINDS`, for action data too, so data that
     leaves one of them unassigned raises MalformedData when it is looked up.
     """
     window = _resolve_window(spec, window)
-    return _symbols(spec.algebra, window)
+    return list(_symbols(spec.algebra, window))
 
 
 def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:

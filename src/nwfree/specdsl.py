@@ -37,12 +37,14 @@ term and no space; a coefficient only as the first factor, its numerals
 of at most MAX_DIGITS ASCII digits and its denominator nonzero; each
 variable one of the given ASCII names, at most once per monomial, with an
 exponent of 1 to MAX_DEGREE written without a leading zero; each monomial
-of degree at most MAX_DEGREE; at most MAX_TERM_WORK work, counted as
-`multiply` charges a monomial (its `^` exponents and its `*`s); and each
-merged coefficient and the common denominator within the limits `expr`
-checks.  It declines everything else, parentheses, powers of sums and
-every error among them, to `_tokenize` and `_PolyParser`, so each error
-comes from one reader.  A monomial's exponents and work come from one
+of degree at most MAX_DEGREE, and the monomials distinct, as
+`format_terms` writes them; at most MAX_TERM_WORK work, counted as
+`multiply` charges a monomial (its `^` exponents and its `*`s); and the
+common denominator within the limit `expr` checks.  It declines
+everything else, parentheses, powers of sums and every error among them,
+to `_tokenize` and `_PolyParser`, so each error comes from one reader; a
+repeated monomial goes there too, and `expr` merges it, the one code
+that merges terms.  A monomial's exponents and work come from one
 table, `_monomial`, keyed by (variables, monomial text), the inverse of
 `exactpoly._monomial_text` with its bound, MAX_MONOMIAL_TEXTS: its
 per-factor checks run only the first time a text is met, and a text it
@@ -407,7 +409,7 @@ def _read_sum(text: str, variables):
     would accept `text` with the same value: see the module docstring.
     """
     zeros = (0,) * len(variables)
-    table = {}  # exponents -> the merged coefficient (numerator, denominator), in lowest terms
+    table = {}  # exponents -> the coefficient (numerator, denominator), in lowest terms
     den = 1  # the lcm of the terms' denominators, as `_PolyParser.expr` takes it
     work = 0  # as `_PolyParser.multiply` charges a monomial: its `^` exponents and its `*`s
     pieces = text.replace("-", "+-").split("+")
@@ -449,16 +451,10 @@ def _read_sum(text: str, variables):
             work += cost
         if negative:
             n = -n
+        if exps in table:  # a repeated monomial, which the full reader merges
+            return None
         if b != 1:
             den = lcm(den, b)
-        if exps in table:  # the full reader's sum check on the merged coefficient
-            p, q = table[exps]
-            p, q = p * b + n * q, q * b
-            g = gcd(p, q)
-            p, q = p // g, q // g
-            if abs(p) >= _DIGIT_BOUND or q >= _DIGIT_BOUND:
-                return None
-            n, b = p, q
         table[exps] = n, b
     if work > MAX_TERM_WORK or den >= _DENOMINATOR_BOUND:
         return None
@@ -655,8 +651,9 @@ class _SpecBuilder:
         return entry
 
     def indexed(self, prefix):
+        """The `prefix.k` entries by index k, in line order; a malformed index fails first."""
         found = []
-        for key in sorted(self.emap):
+        for key in list(self.emap):
             if not key.startswith(prefix + "."):
                 continue
             entry = self.emap.pop(key)
@@ -667,12 +664,14 @@ class _SpecBuilder:
                 raise DslSyntaxError(
                     f"{key} needs an integer index", entry.line, entry.key_col
                 ) from None
-            found.append((entry.line, entry.key_col, index, entry))
+            found.append((index, entry))
         out = {}
         # `beta.1` and `beta.01` name one index: the later line repeats it
-        for line, col, index, entry in sorted(found, key=lambda item: item[:2]):
+        for index, entry in found:
             if index in out:
-                raise DslSyntaxError(f"duplicate loop index {prefix}.{index}", line, col)
+                raise DslSyntaxError(
+                    f"duplicate loop index {prefix}.{index}", entry.line, entry.key_col
+                )
             out[index] = entry
             # constructor messages name the index as `beta.2`, whatever the key wrote
             self.taken[f"{prefix}.{index}"] = entry
@@ -720,7 +719,7 @@ def _build_spec(entries):
     builder = _SpecBuilder(emap, family_entry)
     spec = builder.build(schema)
     if builder.emap:
-        leftover = min(builder.emap.values(), key=lambda e: (e.line, e.key_col))
+        leftover = next(iter(builder.emap.values()))  # the first in line order
         raise ConstraintViolation(
             f"key {leftover.key} is not used by family {family}",
             leftover.line,

@@ -61,7 +61,7 @@ integer map, so a passing pair builds no polynomial.
 
 The report records the generators, one outcome per pair (positions of x
 and y, status), and a failing pair's form (sigma, R's nonzero numerators,
-denominator, used variables), as `modfam._Forms` holds x.1.  Its
+denominator, None), in the shape of a `modfam._Forms` entry.  Its
 `entries` is an `exactpoly._Grid`, which builds each `ReportEntry` only
 when it is read; a failing pair's residual on v, sigma(v) * R, is
 `modfam._image` of that form then.
@@ -136,7 +136,7 @@ class _Entries(_Grid):
 
     Holds the generators and one outcome per pair, (position of x,
     position of y, status), and for a FAIL pair its form (sigma, R's
-    nonzero numerators as {exponents: int}, denominator of R, used mask).
+    nonzero numerators as {exponents: int}, denominator of R, None).
     """
 
     __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero")
@@ -229,7 +229,7 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     (bit k for the k-th module variable).
     """
     variables = MODULE_VARIABLES[algebra]
-    gens = tuple(_symbols(algebra, window))
+    gens = _symbols(algebra, window)
     position = {x: k for k, x in enumerate(gens)}
     shared: dict = {}
 
@@ -300,7 +300,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
             r, scale = _combine(parts, r, scale)
         if any(r.values()):
             r = {e: n for e, n in r.items() if n}
-            failures[len(outcomes)] = (sigma, r, scale, _support(r))
+            failures[len(outcomes)] = (sigma, r, scale, None)  # as `_image` unpacks a form
             outcomes.append((i, j, FAIL))
         else:
             outcomes.append((i, j, PASS))

@@ -20,8 +20,8 @@ from nwfree.exactpoly import (
     degree_in,
     exponents_upto,
     format_poly,
-    format_rational,
     monomials_upto,
+    _int_text,
 )
 from nwfree.classify import Classified, Rejected
 from nwfree.irreducible import (
@@ -323,6 +323,13 @@ def int_digit_limit_lifted():
         setter(before)
 
 
+def format_rational_reference(c: Fraction) -> str:
+    """format_rational as it stood before it wrote through `format_terms`:
+    a sign, then the numerator and denominator in 640-digit pieces."""
+    text = ("-" if c < 0 else "") + _int_text(abs(c.numerator))
+    return text if c.denominator == 1 else f"{text}/{_int_text(c.denominator)}"
+
+
 def format_poly_reference(x):
     """format_poly as it first stood: abs, < and str on each Fraction, and the
     monomial text joined anew for every term."""
@@ -455,8 +462,8 @@ def classify_affine_reference(data):
         if scale != alpha ** k:
             return Rejected(
                 "alpha-power",
-                f"s-coefficient of f_{k} is {format_rational(scale)}, "
-                f"expected alpha^{k} = {format_rational(alpha ** k)}",
+                f"s-coefficient of f_{k} is {format_rational_reference(scale)}, "
+                f"expected alpha^{k} = {format_rational_reference(alpha ** k)}",
             )
     for kind in ("p", "q", "r"):
         if degree_in(table[kind][0], "d") > 0:

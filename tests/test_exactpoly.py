@@ -5,7 +5,7 @@ from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import nwfree.exactpoly
 from nwfree.exactpoly import (
@@ -33,6 +33,7 @@ from nwfree.specdsl import parse_poly
 from helpers import (
     apply_shift_reference,
     format_poly_reference,
+    format_rational_reference,
     int_digit_limit_lifted,
     poly_mul_reference,
     reduce_mod_univariate_reference,
@@ -479,6 +480,28 @@ def test_long_coefficients_format_as_with_the_limit_lifted():
 @given(text_coefficients_st)
 def test_format_rational_is_str(c):
     assert format_rational(c) == str(c)
+
+
+# (k, offset) reads as 10^k + offset, or as offset alone for k = 0: small
+# ints, and ints on both sides of the 640-digit pieces and of the
+# interpreter's 4,300-digit str() limit.  Drawn as pairs, since hypothesis
+# cannot repr an int past that limit.
+_SIZES = st.tuples(st.sampled_from([0, 640, 1280, 4300, 4301]), st.integers(-3, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=_SIZES, den=_SIZES, sign=st.sampled_from([1, -1]))
+@example(num=(0, 0), den=(0, 1), sign=1)
+@example(num=(0, 1), den=(0, 1), sign=1)
+@example(num=(0, 1), den=(0, 1), sign=-1)
+@example(num=(4300, 1), den=(640, 7), sign=-1)
+@example(num=(640, -1), den=(4301, 3), sign=1)
+def test_format_rational_writes_as_the_reference(num, den, sign):
+    (k, a), (m, b) = num, den
+    n, d = (10 ** k + a if k else a), (10 ** m + b if m else b)
+    assume(d != 0)
+    c = Fraction(sign * n, d)
+    assert format_rational(c) == format_rational_reference(c)
 
 
 def test_monomial_text_table_stays_bounded():

@@ -21,6 +21,7 @@ from nwfree.irreducible import (
     reduction_chain,
     witness,
 )
+from nwfree.liealg import ALGEBRA_KINDS
 from nwfree.modfam import (
     MalformedData,
     Vir00Spec,
@@ -114,6 +115,10 @@ def test_no_entry_point_keeps_a_spec_alive():
     assert alive == []
     assert verify._plan.cache_info().currsize <= MAX_PLANS
     assert modfam.value_on_one.cache_info().currsize == 0
+    # the generator lists, one per algebra and window
+    bound = len(ALGEBRA_KINDS) * (modfam.MAX_WINDOW + 1)
+    assert modfam._symbols.cache_info().maxsize == bound
+    assert 0 < modfam._symbols.cache_info().currsize <= bound
     # the document reader's symbol and monomial tables
     assert 0 < specdsl._symbol.cache_info().currsize <= specdsl.MAX_SYMBOL_TEXTS
     assert 0 < specdsl._monomial.cache_info().currsize <= MAX_MONOMIAL_TEXTS

@@ -694,6 +694,20 @@ def test_generators_ordering_and_window():
     assert generators(mg0(1), window=3) == [P, Q, R, S]
 
 
+@pytest.mark.parametrize("name, spec", sample_specs(), ids=[n for n, _ in sample_specs()])
+def test_generators_gives_a_new_list_of_the_one_generator_list(name, spec):
+    window = nwfree.modfam._resolve_window(spec, None)
+    table = nwfree.modfam._symbols(spec.algebra, window)
+    assert type(table) is tuple and nwfree.modfam._symbols(spec.algebra, window) is table
+    first = generators(spec)
+    assert first == list(table)
+    first.reverse()
+    first.append(None)
+    second = generators(spec)
+    assert type(second) is list and second is not first
+    assert second == list(table) == list(nwfree.modfam._symbols(spec.algebra, window))
+
+
 # bracket terms reach loop index 2 * MAX_WINDOW
 TERM_LOOPS = range(-2 * MAX_WINDOW, 2 * MAX_WINDOW + 1)
 

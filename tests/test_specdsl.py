@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import inspect
+import itertools
 import math
 import pkgutil
 import random
@@ -316,6 +317,14 @@ def test_duplicate_loop_index_is_reported_at_the_later_key(doc, line, col, messa
     with pytest.raises(DslSyntaxError) as err:
         parse_spec(doc)
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+def test_the_earlier_of_two_malformed_loop_indices_is_reported():
+    # keys are walked in line order, not in sorted order, which puts beta.a first
+    doc = MTAB_DOC.replace("beta.1 = 5\nbeta.-1 = 0", "beta.z = 5\nbeta.a = 0")
+    with pytest.raises(DslSyntaxError) as err:
+        parse_spec(doc)
+    assert (err.value.line, err.value.col, err.value.message) == (8, 1, "beta.z needs an integer index")
 
 
 @pytest.mark.parametrize(
@@ -1223,15 +1232,18 @@ def _parse_outcome(parse, text, variables, line, col):
 _DECLINED = [
     "+3", "3-", "s*s", "s^0", "s^65", f"2*s^{MAX_DEGREE}*s", f"0*s^{MAX_DEGREE}*s^{MAX_DEGREE}",
     "1/0*s", "1" * (MAX_DIGITS + 1) + "*s", "1/" + "1" * (MAX_DIGITS + 1) + "*s", "2 *s", "x",
-    # work past MAX_TERM_WORK, written as repeats of one monomial
+    # repeats of one monomial, whose work passes MAX_TERM_WORK in the full reader
     "+".join([f"s^{MAX_DEGREE}"] * (MAX_TERM_WORK // MAX_DEGREE + 75)),
     # eleven coprime 1000-digit denominators on distinct monomials, as format_terms writes them
     "+".join(f"1/{n}" + ("" if i == 0 else "*s" if i == 1 else f"*s^{i}") for i, n in enumerate(COPRIME)),
-    # a merged coefficient past the digit limit
+    # a merged coefficient past the digit limit, which the full reader refuses
     "9" * MAX_DIGITS + "*s+s",
-    # work past MAX_TERM_WORK only once every `*` counts, the coefficient's too:
-    # 3,076 terms of 64 in `^` exponents and 2 in `*`s
+    # 3,076 repeats of a term of 64 work in `^` exponents and 2 in `*`s, past
+    # MAX_TERM_WORK only once every `*` counts (over distinct monomials, see
+    # test_the_one_pass_reader_charges_distinct_monomials_as_the_full_reader)
     "+".join(["2*s^32*d^32"] * 3076),
+    # a repeated monomial, which the full reader merges
+    "s+s", "1/2*s^2-1/3*s^2+d", "-d+s+d",
 ]
 
 
@@ -1283,6 +1295,25 @@ def test_parse_poly_matches_the_reference(text, variables, line, col):
 @pytest.mark.parametrize("text", _DECLINED, ids=range(len(_DECLINED)))
 def test_the_one_pass_reader_leaves_what_it_cannot_prove_to_the_full_reader(text):
     assert _read_sum(text, SD) is None
+
+
+def _distinct_monomials(count):
+    """`count` distinct monomials 2*s^a*d^b*d0^c*w0^e of degree 64, each
+    exponent at least 2, so each charges 68 work: 64 for its `^` exponents,
+    three for the `*`s between its factors and one for its coefficient's."""
+    exps = ((a, b, c, MAX_DEGREE - a - b - c) for a in range(2, 59)
+            for b in range(2, 61 - a) for c in range(2, 63 - a - b))
+    return "+".join(f"2*s^{a}*d^{b}*d0^{c}*w0^{e}" for a, b, c, e in itertools.islice(exps, count))
+
+
+@pytest.mark.parametrize("count", [MAX_TERM_WORK // 68, MAX_TERM_WORK // 68 + 1])
+def test_the_one_pass_reader_charges_distinct_monomials_as_the_full_reader(count):
+    # over two variables, distinct monomials never reach MAX_TERM_WORK
+    variables = ("s", "d", "d0", "w0")
+    text = _distinct_monomials(count)
+    assert (_read_sum(text, variables) is not None) == (68 * count <= MAX_TERM_WORK)
+    got = _parse_outcome(parse_poly, text, variables, 1, 1)
+    assert got == _parse_outcome(parse_poly_reference, text, variables, 1, 1)
 
 
 @pytest.mark.parametrize("text, taken", _MONOMIAL_SPELLINGS, ids=range(len(_MONOMIAL_SPELLINGS)))
