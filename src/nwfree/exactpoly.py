@@ -32,15 +32,15 @@ takes every generator image of `act`, the chains, the witness, the orbit
 oracle and a verify report's failing residuals from an integer form.
 `verify_module` adds a pair's shift differences times the values with
 `_mul`, only for a side whose shift moves the value: `_support` gives
-the bit masks it tests, of the variables a value uses (kept in
-`modfam._Forms`) and of those a shift moves (kept in verify's plan).
+the bit masks it tests, of the variables a value uses (taken per request
+from x.1's form) and of those a shift moves (kept in verify's plan).
 
 The public `Poly(...)` constructor validates and canonicalizes any
-mapping or sequence of terms.  Everything else goes through the one
-canonicalizer, `Poly._trusted(variables, pairs, den)`, which drops zero
-numerators, divides by their gcd with den and sorts; the one-term
-builders `zero`, `one`, `const` and `var` and the test monomials of
-`monomials_upto` check their own arguments first.  An integer map that
+mapping or sequence of terms.  Every other `Poly` goes through the one
+canonicalizer of `Poly`s, `Poly._trusted(variables, pairs, den)`,
+which drops zero numerators, divides by their gcd with den and sorts;
+the one-term builders `zero`, `one`, `const` and `var` and the test
+monomials of `monomials_upto` check their own arguments first.  An integer map that
 is not yet a `Poly`, the polynomial reader's values and every spec's
 integer form of x.1 (`int_form`), is reduced the same way, unsorted, by
 the one canonicalizer for integer maps, `_reduced(ints, den)`.

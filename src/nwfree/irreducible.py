@@ -17,7 +17,8 @@ fraction-free on integer vectors, taking each image only when it pops it
 and stopping at the first constant pivot.  Every call reads each x.1, the
 chain's constants c and c1 included, from the spec's own table,
 `modfam.spec_forms(spec)`, so a chain and its replay compute each x.1
-once between them, and the table goes with the spec.
+once between them, and the table goes with the spec; the witness and the
+oracle walk the one cached generator list, `modfam._symbols`.
 The witness's closure images stay integer maps up to the text, and a
 generator with x.1 = 0 shares one empty image across its checks: its
 `closure_checks` is an `exactpoly._Grid`, which builds a `ClosureCheck`,
@@ -54,7 +55,8 @@ from .modfam import (
     SpecInvalid,
     _act_sum,
     _image,
-    generators,
+    _resolve_window,
+    _symbols,
     integer_argument,
     module_variables,
     spec_forms,
@@ -197,7 +199,7 @@ def apply_chain_op(spec, op: ChainOp, v: Poly) -> Poly:
 
 def _constant(form) -> Fraction:
     """x.1 from x's integer form when it is a constant, else 0."""
-    _, numerators, den, _ = form
+    _, numerators, den = form
     if len(numerators) != 1:
         return Fraction(0)
     (exps, n), = numerators.items()
@@ -418,7 +420,7 @@ def witness(spec) -> ReducibilityWitness:
         lower = None if i is None else position[exps[:i] + (exps[i] - 1,) + exps[i + 1:]]
         position[exps] = len(steps)
         steps.append((i, lower))
-    gens = tuple(generators(spec))
+    gens = _symbols(spec.algebra, _resolve_window(spec, None))
     scales, images, contained = [], [], []
     for x in gens:
         form = forms[x]
@@ -494,7 +496,8 @@ def orbit_oracle(spec, seed: Poly, max_degree: int, cap_degree: int) -> bool:
     forms = spec_forms(spec)
     # (form, total degree) of each nonzero x.1; a shift keeps the total
     # degree, so on a vector of degree d, x.v has degree d + deg x.1
-    acting = [(f, max(map(sum, f[1]))) for f in map(forms.__getitem__, generators(spec)) if f[1]]
+    gens = _symbols(spec.algebra, _resolve_window(spec, None))
+    acting = [(f, max(map(sum, f[1]))) for f in map(forms.__getitem__, gens) if f[1]]
     columns = exponents_upto(len(variables), cap_degree)[::-1]
     column_of = {exps: j for j, exps in enumerate(columns)}
     width = len(columns)

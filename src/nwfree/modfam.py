@@ -26,24 +26,23 @@ x.1 is an integer form at its source: a spec's `int_form(x)` gives its
 numerators {exponents: int} over a denominator, reduced by
 `exactpoly._reduced` and computed on integers (alpha^n and lambda^n by
 `_rational_power`).  `_int_form` checks x against the algebra and asks
-the spec for that form afresh; every request path reads it through the
-spec's own table, `spec_forms(spec)`, a `_Forms` that stores each form
-beside shift_x the first time its symbol is looked up, so each x.1 is
-computed once per spec.  A `Poly` of x.1 is built only at the public
-edge, by `on_one`: one `Poly._trusted` over the form `_int_form` gives,
-after the same check.  One function, `_image`, takes every generator
-image on integers from x's form in that table, for `act` (so
-`classify`'s product rule), the chains, the witness and the orbit oracle;
-`_act_sum` sums such images over one common denominator for `act` and
-the chains.  `_image` is the one shift-then-multiply: `exactpoly._mul`
+the spec for that form afresh, for the spec's own table alone,
+`spec_forms(spec)`, a `_Forms` that stores each form as (shift_x,
+numerators, den) the first time its symbol is looked up, so each x.1 is
+computed once per spec.  Every reader of x.1 reads that table: the
+request paths, and `on_one`, the public edge that builds x.1's `Poly`.
+One function, `_image`, takes every generator image on integers from x's
+form, for `act` (so `classify`'s product rule), the chains, the witness
+and the orbit oracle; `_act_sum` sums such images over one common
+denominator.  `_image` is the one shift-then-multiply: `exactpoly._mul`
 on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
-forms by position and takes a failing pair's residuals through `_image`;
-each form keeps a mask of the variables its x.1 uses.  The only state
-kept across requests is each spec's form table (`_OwnsForms`), which
-lives on the spec object and goes with it; an MTildeAlphaBeta spec
-scales the integer forms in its base's table by alpha^n.  Besides, the
-public `value_on_one` keeps a bounded cache (MAX_CACHED_VALUES entries),
-which no request path calls.
+forms by position, with the masks of the variables each x.1 uses beside
+its plan's, and takes a failing pair's residuals through `_image`.  The
+only state kept across requests is each spec's form table
+(`_OwnsForms`), which lives on the spec object and goes with it; an
+MTildeAlphaBeta spec scales the integer forms in its base's table by
+alpha^n.  Besides, the public `value_on_one` keeps a bounded cache
+(MAX_CACHED_VALUES entries), which no request path calls.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .exactpoly import (
     _combine,
     _mul,
     _reduced,
-    _support,
     _taylor_shift,
     change_variables,
 )
@@ -125,11 +123,11 @@ _ZERO_IDEAL_NOTE = "p, q and r act as zero, so every proper ideal is invariant"
 Scalar = Union[int, Fraction, str]
 
 
-def _fraction(value: Scalar, what: str) -> Fraction:
+def _fraction(value: Scalar, what: str, error=SpecInvalid) -> Fraction:
     try:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecInvalid(f"{what} must be rational, got {value!r}") from exc
+        raise error(f"{what} must be rational, got {value!r}") from exc
 
 
 def integer_argument(value, name: str, low=None, high=None, error=SpecInvalid) -> int:
@@ -146,13 +144,15 @@ def integer_argument(value, name: str, low=None, high=None, error=SpecInvalid) -
     return value
 
 
-def _poly_in(value, what: str, variables: Tuple[str, ...] = ("s",)) -> Poly:
+def _poly_in(value, what: str, variables: Tuple[str, ...] = ("s",), error=SpecInvalid) -> Poly:
+    """`value` in Q[variables], else `error` naming `what`: the one coercion
+    of polynomial parameters and action-data values."""
     if isinstance(value, Poly):
         try:
             return change_variables(value, variables)
         except Exception as exc:
-            raise SpecInvalid(f"{what} must be a polynomial in {variables}") from exc
-    return Poly.const(variables, _fraction(value, what))
+            raise error(f"{what} must be a polynomial in {variables}") from exc
+    return Poly.const(variables, _fraction(value, what, error))
 
 
 def _store(spec, attr: str, coerce, what: str, nonzero: Optional[str] = None):
@@ -221,9 +221,9 @@ class _OwnsForms:
 
     def on_one(self, symbol: BasisSymbol) -> Poly:
         """x.1 as a polynomial in the module variables: one `Poly._trusted`
-        over `_int_form`, so SymbolNotInAlgebra for a symbol outside the
-        algebra.  Request paths read the form table instead."""
-        ints, den = _int_form(self, symbol)
+        over the spec's form in its table (`spec_forms`), which request paths
+        read too, so SymbolNotInAlgebra for a symbol outside the algebra."""
+        _, ints, den = spec_forms(self)[symbol]
         return Poly._trusted(MODULE_VARIABLES[self.algebra], ints.items(), den)
 
     def __getstate__(self):
@@ -384,7 +384,7 @@ class AffineSpec(_OwnsForms):
             beta = self.beta[n + self.window][1]
             pairs = {(1, 0): num * beta.denominator, (0, 0): beta.numerator * den}
             return _reduced(pairs, den * beta.denominator)
-        _, ints, base_den, _ = spec_forms(self.base)[sym(kind)]
+        _, ints, base_den = spec_forms(self.base)[sym(kind)]
         return _reduced({(e, 0): num * c for (e,), c in ints.items()}, den * base_den)
 
     def verdict(self) -> Tuple[bool, str, str, bool]:
@@ -530,15 +530,8 @@ class ActionData(_OwnsForms):
                 raise MalformedData(
                     f"duplicate assignment for {format_symbol(symbol, self.algebra)}"
                 )
-            try:
-                if isinstance(value, Poly):
-                    value = change_variables(value, variables)
-                else:
-                    value = Poly.const(variables, Fraction(value))
-            except (TypeError, ValueError, OverflowError) as exc:
-                name = format_symbol(symbol, self.algebra)
-                raise MalformedData(f"{name} value must live in Q{list(variables)}") from exc
-            seen[symbol] = value
+            name = format_symbol(symbol, self.algebra)
+            seen[symbol] = _poly_in(value, name, variables, MalformedData)
         self._settle(seen)
 
     @classmethod
@@ -613,8 +606,7 @@ def shift_of(algebra: str, symbol: BasisSymbol) -> Shift:
 
 def _int_form(spec: AnySpec, symbol: BasisSymbol):
     """x.1 as the spec's integer form (numerators, den), computed afresh
-    after the algebra check: every `_Forms` entry and every `on_one` is
-    built here."""
+    after the algebra check: every `_Forms` entry is built here."""
     check_in_algebra(algebra_of(spec), symbol)
     return spec.int_form(symbol)
 
@@ -643,13 +635,11 @@ _ACT_CACHE: dict = {}
 class _Forms(dict):
     """One spec's integer forms, keyed by symbol.
 
-    A symbol's form is (offsets, numerators, den, used): its shift_x, the
-    numerators of x.1 as {exponents: int}, x.1's denominator, and a bit
-    mask of the variables x.1 uses (bit k for the k-th module variable),
-    which tells a reader that a shift moving only other variables fixes
-    x.1.  It stores the spec's integer form as `_int_form` returns it, the
-    first time the symbol is looked up, so each x.1 is computed at most
-    once per spec; a lookup that raises, such as
+    A symbol's form is (offsets, numerators, den): its shift_x, the
+    numerators of x.1 as {exponents: int} and x.1's denominator, as
+    `_int_form` returns them, stored the first time the symbol is looked
+    up, so each x.1 is computed at most once per spec, for request paths
+    and `on_one` alike; a lookup that raises, such as
     WindowExceeded outside the window, stores nothing.  The table is the
     spec's own (`spec_forms`) and holds only a weak reference to it, so it
     is dropped with the spec.  Its maps are shared by every request on the
@@ -663,8 +653,7 @@ class _Forms(dict):
         self.algebra = algebra_of(spec)
 
     def __missing__(self, x: BasisSymbol):
-        numerators, den = _int_form(self.spec(), x)
-        form = self[x] = shift_of(self.algebra, x), numerators, den, _support(numerators)
+        form = self[x] = (shift_of(self.algebra, x), *_int_form(self.spec(), x))
         return form
 
 
@@ -679,7 +668,7 @@ def _image(form, ints: dict) -> dict:
     (or a verify FAIL pair's, with sigma and R): shift_x(v) times the
     numerators of x.1, and {} when x.1 is zero.  `ints` is v as
     {exponents: int}; entries that cancel stay in the map as 0."""
-    offsets, numerators, _, _ = form
+    offsets, numerators, _ = form
     return _mul(_taylor_shift(ints, offsets), numerators.items()) if numerators else {}
 
 
@@ -736,8 +725,9 @@ def _resolve_window(spec: AnySpec, window: Optional[int], low: int = 0) -> int:
     return window
 
 
-# The one generator list, which `generators`, `actions_of`, verify's plans and
-# `classify` read: one tuple per algebra and window, so the table stays bounded.
+# The one generator list, which `generators`, `actions_of`, verify's plans,
+# `classify`, the witness and the orbit oracle read: one tuple per algebra and
+# window, so the table stays bounded.
 @functools.lru_cache(maxsize=len(ALGEBRA_KINDS) * (MAX_WINDOW + 1))
 def _symbols(algebra: str, window: int) -> tuple:
     """The algebra's basis symbols up to loop index `window`, in canonical order."""

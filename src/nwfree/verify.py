@@ -40,12 +40,12 @@ Building a plan checks the grading: a bracket term whose shift is not
 its pair's raises ValueError.
 
 Each request reads its integer forms (shift_x, x.1's numerators and
-denominator, and the mask of the variables x.1 uses) from the spec's own
-table, `modfam.spec_forms(spec)`, once and before its pair loop, into
-one list by position: the generators in canonical order, as
-`actions_of` and `classify` read them, then the outside terms in the
-order the pairs first meet them.  So each x.1 is computed once per
-spec, and the table goes with the spec; a missing value raises
+denominator) from the spec's own table, `modfam.spec_forms(spec)`, once
+and before its pair loop, into one list by position: the generators in
+canonical order, as `actions_of` and `classify` read them, then the
+outside terms in the order the pairs first meet them, with the mask of
+the variables each generator's x.1 uses.  So each x.1 is computed once
+per spec, and the table goes with the spec; a missing value raises
 MalformedData for the first symbol in that order, and an outside term
 beyond the spec's own window raises WindowExceeded once per request, is
 read as None and marks every pair that needs it as skipped.
@@ -61,7 +61,7 @@ integer map, so a passing pair builds no polynomial.
 
 The report records the generators, one outcome per pair (positions of x
 and y, status), and a failing pair's form (sigma, R's nonzero numerators,
-denominator, None), in the shape of a `modfam._Forms` entry.  Its
+denominator), in the shape of a `modfam._Forms` entry.  Its
 `entries` is an `exactpoly._Grid`, which builds each `ReportEntry` only
 when it is read; a failing pair's residual on v, sigma(v) * R, is
 `modfam._image` of that form then.
@@ -136,7 +136,7 @@ class _Entries(_Grid):
 
     Holds the generators and one outcome per pair, (position of x,
     position of y, status), and for a FAIL pair its form (sigma, R's
-    nonzero numerators as {exponents: int}, denominator of R, None).
+    nonzero numerators as {exponents: int}, denominator of R).
     """
 
     __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero")
@@ -273,6 +273,7 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     algebra = forms.algebra
     gens, outside, zero, monos, brackets, offmasks = _plan(algebra, window, test_degree)
     read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
+    used = [_support(numerators) for _, numerators, _ in read]  # the variables each x.1 uses
     for z in outside:
         try:
             read.append(forms[z])
@@ -280,27 +281,27 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
             read.append(None)
     outcomes, failures = [], {}
     for (i, j), (sigma, terms) in zip(combinations(range(len(gens)), 2), brackets):
-        (x_off, x1, lx, x_used), (y_off, y1, ly, y_used) = read[i], read[j]
+        (x_off, x1, lx), (y_off, y1, ly) = read[i], read[j]
         if terms:
             z_forms = [read[z] for z, _, _ in terms]
             if None in z_forms:
                 outcomes.append((i, j, SKIP))
                 continue
         r = {}  # R times `scale`, on integers
-        if x1 and offmasks[i] & y_used:  # shift_x moves y.1
+        if x1 and offmasks[i] & used[j]:  # shift_x moves y.1
             _mul(_shift_difference(y1, x_off), x1.items(), r)
-        if y1 and offmasks[j] & x_used:  # shift_y moves x.1
+        if y1 and offmasks[j] & used[i]:  # shift_y moves x.1
             _mul(_shift_difference(x1, y_off), y1.items(), r, -1)
         if not r and not terms:  # no side acts and there is nothing to subtract
             outcomes.append((i, j, PASS))
             continue
         scale = lx * ly
         if terms:
-            parts = [(num, den * lz, z1) for (_, z1, lz, _), (_, num, den) in zip(z_forms, terms)]
+            parts = [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
             r, scale = _combine(parts, r, scale)
         if any(r.values()):
             r = {e: n for e, n in r.items() if n}
-            failures[len(outcomes)] = (sigma, r, scale, None)  # as `_image` unpacks a form
+            failures[len(outcomes)] = (sigma, r, scale)  # a form, as `_image` unpacks it
             outcomes.append((i, j, FAIL))
         else:
             outcomes.append((i, j, PASS))

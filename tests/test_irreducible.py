@@ -428,6 +428,23 @@ def test_witness_for_mtilde_f():
     assert wit.all_contained
 
 
+@pytest.mark.parametrize("spec", [
+    mg0(S ** 2 - S),
+    m0(),
+    Vir00Spec(2, W0),
+    mtilde(mg0(S ** 2 - S), 2, {1: 5, -1: 0, 0: 0}, window=1),
+    affvir(mg0(S ** 2 + Poly.one(("s",))), alpha=2, lam=3, window=2),
+    mtilde_f({1: S ** 2, -1: S + Poly.const(("s",), 2)}, window=1),
+], ids=["mg0", "m0", "vir00", "affine", "affvir", "mtilde-f"])
+def test_witness_reads_the_one_generator_list(spec):
+    """The witness keeps the cached generator tuple itself, as verify's
+    plans do, with no list or tuple copied per request."""
+    gens = nwfree.modfam._symbols(spec.algebra, nwfree.modfam._resolve_window(spec, None))
+    assert witness(spec).closure_checks._generators is gens
+    assert gens == tuple(generators(spec))
+    assert not hasattr(nwfree.irreducible, "generators")  # nor the evidence paths a copy
+
+
 def test_irreducible_spec_has_no_witness():
     with pytest.raises(NotReducible):
         witness(mab(2, 3))

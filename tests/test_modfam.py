@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from math import gcd
 from typing import get_args
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import nwfree.modfam
 from nwfree import InputError
-from nwfree.exactpoly import Poly, VariableMismatch, change_variables, degree_in
+from nwfree.exactpoly import Poly, VariableMismatch, change_variables
 from nwfree.classify import classify
 from nwfree.irreducible import (
     apply_chain_op,
@@ -154,9 +155,9 @@ def test_base_values_are_kept_beside_the_fields():
             with pytest.raises(SymbolNotInAlgebra, match=f"^{x.kind} is not a basis symbol of H4$"):
                 fam.on_one(x)
         forms = spec_forms(fam)
-        # (numerators, den, mask of the used variables): bit 0 for s
-        assert [forms[x][1:] for x in (P, Q, R)] == [
-            (dict(v.numerators), v.den, int(degree_in(v, "s") > 0)) for v in values]
+        # (shift, numerators, den): three fields, the value's own after the shift
+        assert [forms[x] for x in (P, Q, R)] == [
+            (shift_of(H4, x), dict(v.numerators), v.den) for x, v in zip((P, Q, R), values)]
         assert forms[P] is spec_forms(fam)[P]  # built once per object
         assert fam == twin and hash(fam) == hash(twin)  # one table filled
         assert repr(fam) == repr(twin) == text
@@ -307,6 +308,27 @@ def test_each_int_form_is_the_reduced_form_of_its_value(spec):
     data = actions_of(spec)
     for x in generators(data):  # action data gives its values' forms
         assert data.int_form(x) == spec.int_form(x)
+
+
+@settings(deadline=None)
+@given(random_specs())
+def test_every_value_on_one_reads_the_spec_table(spec):
+    """actions_of fills the spec's form table with three-field entries,
+    (shift, numerators, den), and a second actions_of and every on_one
+    read the table without computing x.1 again."""
+    data = actions_of(spec)
+    forms = spec_forms(spec)
+    for x in generators(spec):
+        assert len(forms[x]) == 3
+        assert forms[x] == (shift_of(spec.algebra, x), *spec.int_form(x))
+    calls = []
+    int_form = nwfree.modfam._int_form
+    with mock.patch.object(nwfree.modfam, "_int_form",
+                           lambda owner, x: calls.append(x) or int_form(owner, x)):
+        assert actions_of(spec) == data
+        for x in generators(spec):
+            assert spec.on_one(x) == data.value(x)
+    assert calls == []
 
 
 def test_vir00_forms_at_negative_loops_with_negative_lambda():
@@ -496,12 +518,13 @@ CONSTRUCTOR_FAULTS = [  # (case, build, exception class, message)
      "window exceeds the limit 0"),
     ("data-key-not-a-symbol", lambda: ActionData(H4, 0, {"p": 1}), MalformedData,
      "assignment key 'p' is not a generator"),
+    # action-data values take the one coercion of spec parameters, `_poly_in`
     ("data-value-in-wrong-ring", lambda: ActionData(H4, 0, {P: Poly.var(("d",), "d")}),
-     MalformedData, "p value must live in Q['s']"),
+     MalformedData, "p must be a polynomial in ('s',)"),
     ("data-value-not-rational", lambda: ActionData(H4, 0, {P: "x"}), MalformedData,
-     "p value must live in Q['s']"),
+     "p must be rational, got 'x'"),
     ("data-value-none", lambda: ActionData(H4, 0, {P: None}), MalformedData,
-     "p value must live in Q['s']"),
+     "p must be rational, got None"),
     ("algebra-of-non-spec", lambda: algebra_of(NOT_A_SPEC), SpecInvalid,
      f"not a module spec: {NOT_A_SPEC!r}"),
     ("mhb-a1", lambda: mhb("x", 0, 1), SpecInvalid, "a1 must be rational, got 'x'"),
@@ -597,16 +620,20 @@ def test_every_window_reader_applies_one_rule(read, error, low, window):
 
 
 def test_a_window_above_the_limit_builds_no_value(monkeypatch):
-    """generators and actions_of read a Vir00 window before any x.1."""
+    """generators and actions_of read a Vir00 window before any x.1, and
+    actions_of reads each x.1 through the spec's form table, once."""
     calls = []
     int_form = nwfree.modfam._int_form
     monkeypatch.setattr(nwfree.modfam, "_int_form",
                         lambda spec, x: calls.append(x) or int_form(spec, x))
+    spec = Vir00Spec(Fraction(2), Poly.var(("w0",), "w0"))  # its table starts empty
     for read in (generators, actions_of):
         with pytest.raises(SpecInvalid, match=f"^window exceeds the limit {MAX_WINDOW}$"):
-            read(VIR, 4000)
+            read(spec, 4000)
     assert calls == []
-    assert actions_of(VIR, 1).window == 1 and len(calls) == 7  # w, dvir at -1..1, and k
+    first = actions_of(spec, 1)
+    assert first.window == 1 and len(calls) == 7  # w, dvir at -1..1, and k
+    assert actions_of(spec, 1) == first and len(calls) == 7  # the table answers
 
 
 def test_constructor_functions_build_what_the_classes_build():
