@@ -38,7 +38,8 @@ from x.1's form) and of those a shift moves (kept in verify's plan).
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Every other `Poly` goes through the one
 canonicalizer of `Poly`s, `Poly._trusted(variables, pairs, den)`,
-which drops zero numerators, divides by their gcd with den and sorts;
+which drops zero numerators, divides by their gcd with den and sorts,
+unless its caller saw the terms arrive in order (`specdsl._read_sum`);
 the one-term builders `zero`, `one`, `const` and `var` and the test
 monomials of `monomials_upto` check their own arguments first.  An integer map that
 is not yet a `Poly`, the polynomial reader's values and every spec's
@@ -138,17 +139,18 @@ class Poly:
             object.__setattr__(self, name, getattr(canon, name))
 
     @classmethod
-    def _trusted(cls, variables: Tuple[str, ...], pairs, den: int = 1) -> "Poly":
+    def _trusted(cls, variables: Tuple[str, ...], pairs, den: int = 1, ordered: bool = False) -> "Poly":
         """sum(n * x^e) / den over (e, n) pairs whose distinct exponents fit
         `variables`, den > 0, as the caller guarantees: drops zeros, divides
-        by one gcd with den (none when den is 1), sorts two or more."""
+        by one gcd with den (none when den is 1), sorts two or more unless
+        the caller has seen them arrive `ordered`, in descending graded-lex order."""
         pairs = [(e, n) for e, n in pairs if n]
         if den != 1:  # with no pairs left, g is den and den becomes 1
             g = gcd(den, *[n for _, n in pairs])
             if g != 1:
                 den //= g
                 pairs = [(e, n // g) for e, n in pairs]
-        if len(pairs) > 1:
+        if len(pairs) > 1 and not ordered:
             pairs.sort(key=_term_key, reverse=True)
         out = object.__new__(cls)
         object.__setattr__(out, "variables", variables)

@@ -749,7 +749,10 @@ def generators(spec: AnySpec, window: Optional[int] = None) -> list:
 
 def actions_of(spec: AnySpec, window: Optional[int] = None) -> ActionData:
     """Freeze the spec's generator values on 1 within the window into raw
-    data; action data gives an equal copy, restricted to a smaller window."""
+    data; action data gives an equal copy, restricted to a smaller window.
+    The values are the spec's own forms over its module variables, at the
+    generators of a window `_resolve_window` has checked, so they skip the
+    checks of `ActionData.__post_init__`."""
     w = _resolve_window(spec, window)
     table = {x: spec.on_one(x) for x in _symbols(spec.algebra, w)}
-    return ActionData(spec.algebra, w, tuple(table.items()))
+    return ActionData._checked(spec.algebra, w, table)

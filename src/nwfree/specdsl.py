@@ -44,11 +44,13 @@ common denominator within the limit `expr` checks.  It declines
 everything else, parentheses, powers of sums and every error among them,
 to `_tokenize` and `_PolyParser`, so each error comes from one reader; a
 repeated monomial goes there too, and `expr` merges it, the one code
-that merges terms.  A monomial's exponents and work come from one
+that merges terms.  A monomial's graded-lex key and work come from one
 table, `_monomial`, keyed by (variables, monomial text), the inverse of
 `exactpoly._monomial_text` with its bound, MAX_MONOMIAL_TEXTS: its
 per-factor checks run only the first time a text is met, and a text it
-declines is not kept.
+declines is not kept.  Each term's key is compared with the one before,
+so terms that arrive in the descending order `format_terms` writes are
+not sorted again, and any other order is.
 
 A power whose degree would pass MAX_DEGREE is a syntax error at its
 exponent, and a product whose degree would pass it is one at its `*`.
@@ -80,11 +82,22 @@ in written order, are one entry of `_SCHEMAS`, which both `parse_spec`
 and `format_spec` walk.  Action documents list generator values
 directly (`p@1 = 2*s`) under `algebra` and `window` headers.  The reader
 splits each line once, at its `#` and then its first `=`, and keeps the
-entries in line order.  An action key's symbol comes from one table,
-`_symbol`, keyed by (key text, algebra), of at most MAX_SYMBOL_TEXTS
-entries, which `liealg.parse_symbol` fills only when it succeeds, so a
-bad key raises at its own line and column every time.  Both tables hold
-strings, tuples and symbols, never a spec, and keep no error.
+entries in line order.  An action key's symbol, with the name
+`format_symbol` writes for it, comes from one table, `_symbol`, keyed by
+(key text, algebra), of at most MAX_SYMBOL_TEXTS entries, which
+`liealg.parse_symbol` fills only when it succeeds, so a bad key raises at
+its own line and column every time; a repeated generator is found by its
+name, so each symbol is hashed once, when its value is stored.
+
+A value of at most MAX_VALUE_TEXT_LENGTH characters is read once per
+process: the value table, `_value`, keyed by (value text, variables), of
+at most MAX_VALUE_TEXTS entries, keeps the `Poly` that `_read_sum` reads
+and nothing it declines.  A hit returns that one `Poly`, so documents may
+share their values; a declined text goes to the full reader every time,
+which raises at the value's own line and column.  The symbol and
+monomial tables hold strings, tuples and symbols, and the value table
+values, which are immutable `Poly`s; none holds a spec, and none keeps
+an error.
 """
 
 import argparse
@@ -379,9 +392,10 @@ _EXPONENT_TEXTS = {str(e): e for e in range(1, MAX_DEGREE + 1)}
 
 @functools.lru_cache(maxsize=MAX_MONOMIAL_TEXTS)
 def _monomial(variables, text: str):
-    """(exponents, work) of a monic monomial such as `s^2*d`, the inverse of
+    """(key, work) of a monic monomial such as `s^2*d`, the inverse of
     `exactpoly._monomial_text`; ValueError, which the table does not keep,
-    for a text `_read_sum` declines.  Work is charged as
+    for a text `_read_sum` declines.  The key is the monomial's graded-lex
+    sort key, (degree, exponents), and work is charged as
     `_PolyParser.multiply` charges the monomial: its `^` exponents and its `*`s."""
     exps = [0] * len(variables)
     work = text.count("*")
@@ -396,9 +410,10 @@ def _monomial(variables, text: str):
         exps[i] = e
         if caret:
             work += e
-    if sum(exps) > MAX_DEGREE:
+    degree = sum(exps)
+    if degree > MAX_DEGREE:
         raise ValueError(text)
-    return tuple(exps), work
+    return (degree, tuple(exps)), work
 
 
 def _read_sum(text: str, variables):
@@ -408,7 +423,9 @@ def _read_sum(text: str, variables):
     and returns None, for the full reader to take, unless that reader
     would accept `text` with the same value: see the module docstring.
     """
-    zeros = (0,) * len(variables)
+    constant = 0, (0,) * len(variables)  # the graded-lex key of a constant term
+    last = (MAX_DEGREE + 1,)  # the key of the term before, above every monomial's
+    ordered = True  # whether each term's key is below the one before, as `format_terms` writes them
     table = {}  # exponents -> the coefficient (numerator, denominator), in lowest terms
     den = 1  # the lcm of the terms' denominators, as `_PolyParser.expr` takes it
     work = 0  # as `_PolyParser.multiply` charges a monomial: its `^` exponents and its `*`s
@@ -442,13 +459,17 @@ def _read_sum(text: str, variables):
                 monomial = None
         else:  # no coefficient: the whole piece is the monomial
             monomial = piece
-        exps = zeros
+        key = constant
         if monomial is not None:
             try:
-                exps, cost = _monomial(variables, monomial)
+                key, cost = _monomial(variables, monomial)
             except ValueError:
                 return None
             work += cost
+        if key >= last:
+            ordered = False
+        last = key
+        exps = key[1]
         if negative:
             n = -n
         if exps in table:  # a repeated monomial, which the full reader merges
@@ -458,7 +479,8 @@ def _read_sum(text: str, variables):
         table[exps] = n, b
     if work > MAX_TERM_WORK or den >= _DENOMINATOR_BOUND:
         return None
-    return Poly._trusted(variables, [(exps, n * (den // b)) for exps, (n, b) in table.items()], den)
+    pairs = [(exps, n * (den // b)) for exps, (n, b) in table.items()]
+    return Poly._trusted(variables, pairs, den, ordered)
 
 
 def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
@@ -466,13 +488,34 @@ def parse_poly(text: str, variables=None, line: int = 1, col: int = 1) -> Poly:
     return _parse_poly(text, None if variables is None else _distinct(variables), line, col)
 
 
+# Distinct (value text, variables) pairs whose `Poly` the value table keeps,
+# and the longest text it keeps; bounds, not tuning knobs.  It keeps only
+# what `_read_sum` reads, whose size grows with its text, never what the
+# full reader makes: a text as short as `(s+d+1)^64` has 2,145 terms.
+MAX_VALUE_TEXTS = 256
+MAX_VALUE_TEXT_LENGTH = 64
+
+
+@functools.lru_cache(maxsize=MAX_VALUE_TEXTS)
+def _value(text: str, variables) -> Poly:
+    """The `Poly` that `_read_sum` reads from `text`; ValueError, which the
+    table does not keep, where it declines."""
+    value = _read_sum(text, variables)
+    if value is None:
+        raise ValueError(text)
+    return value
+
+
 def _parse_poly(text: str, variables, line: int, col: int) -> Poly:
     """`parse_poly` over a variable tuple that `_distinct` has already
     checked, or None: a document checks its tuple once, not per value."""
     if variables is not None:
-        value = _read_sum(text, variables)
-        if value is not None:
-            return value
+        # a longer text is read by the same function, and not kept
+        read = _value if len(text) <= MAX_VALUE_TEXT_LENGTH else _value.__wrapped__
+        try:
+            return read(text, variables)
+        except ValueError:  # declined: the full reader reads it, at its own position
+            pass
     tokens = _tokenize(text, line, col)
     if len(tokens) == 1:
         raise DslSyntaxError("empty polynomial", line, col)
@@ -734,10 +777,18 @@ def parse_spec(text: str):
 
 
 # Distinct (key text, algebra) pairs whose symbol the action reader keeps;
-# a bound, not a tuning knob.  `lru_cache` keeps only what `parse_symbol`
-# returns, so a key it refuses raises afresh, at its own line and column.
+# a bound, not a tuning knob.
 MAX_SYMBOL_TEXTS = 1024
-_symbol = functools.lru_cache(maxsize=MAX_SYMBOL_TEXTS)(parse_symbol)
+
+
+@functools.lru_cache(maxsize=MAX_SYMBOL_TEXTS)
+def _symbol(text: str, algebra: str):
+    """(symbol, name) of an action key: the symbol `parse_symbol` reads and
+    the name `format_symbol` writes for it, a str, which keeps its hash once
+    taken.  `lru_cache` keeps only what returns, so a key `parse_symbol`
+    refuses raises afresh, at its own line and column."""
+    symbol = parse_symbol(text, algebra)
+    return symbol, format_symbol(symbol, algebra)
 
 
 def _build_actions(entries) -> ActionData:
@@ -763,23 +814,19 @@ def _build_actions(entries) -> ActionData:
         window = _window_value(window_entry, 0, data_window_limit(algebra))
     variables = _distinct(MODULE_VARIABLES[algebra])
     assignments = {}
+    names = set()  # of the generators assigned so far, so each symbol is hashed once, by its store
     for entry in emap.values():  # in line order
         try:
-            symbol = _symbol(entry.key, algebra)
+            symbol, name = _symbol(entry.key, algebra)
         except SymbolNotInAlgebra as exc:
             raise DslSyntaxError(str(exc), entry.line, entry.key_col) from exc
-        if symbol in assignments:
+        if name in names:
             # `p` and `p@0` name one generator: the later line repeats it
-            raise DslSyntaxError(
-                f"duplicate assignment for {format_symbol(symbol, algebra)}",
-                entry.line,
-                entry.key_col,
-            )
+            raise DslSyntaxError(f"duplicate assignment for {name}", entry.line, entry.key_col)
+        names.add(name)
         if abs(symbol.loop_index) > window:
             raise ConstraintViolation(
-                f"{format_symbol(symbol, algebra)} lies outside window {window}",
-                entry.line,
-                entry.key_col,
+                f"{name} lies outside window {window}", entry.line, entry.key_col
             )
         assignments[symbol] = _parse_poly(entry.value, variables, entry.line, entry.value_col)
     return ActionData._checked(algebra, window, assignments)

@@ -119,6 +119,7 @@ def test_no_entry_point_keeps_a_spec_alive():
     bound = len(ALGEBRA_KINDS) * (modfam.MAX_WINDOW + 1)
     assert modfam._symbols.cache_info().maxsize == bound
     assert 0 < modfam._symbols.cache_info().currsize <= bound
-    # the document reader's symbol and monomial tables
+    # the document reader's symbol, monomial and value tables
     assert 0 < specdsl._symbol.cache_info().currsize <= specdsl.MAX_SYMBOL_TEXTS
     assert 0 < specdsl._monomial.cache_info().currsize <= MAX_MONOMIAL_TEXTS
+    assert 0 < specdsl._value.cache_info().currsize <= specdsl.MAX_VALUE_TEXTS

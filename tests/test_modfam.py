@@ -778,6 +778,28 @@ def test_actions_of_round_trip_evaluation():
         assert act(data, x, v) == act(spec, x, v)
 
 
+# every family at window 2, so windows 0-2 each hold a loop family's generators
+_WINDOW_2_SPECS = [
+    *(spec for name, spec in sample_specs() if name in ("Mg0", "M0g", "Mhb", "Mbh", "Mab", "M0", "Vir00")),
+    mtilde(mhb(1, 0, 1), Fraction(-7, 3), {-2: 1, -1: Fraction(1, 2), 1: 5, 2: 0}, window=2),
+    mtilde_f({-2: S_POLY, -1: S_POLY + Poly.const(("s",), 2), 1: S_POLY ** 2, 2: S_POLY * 3}, window=2),
+    affvir(mhb(1, 0, 1), alpha=2, lam=3, window=2),
+]
+
+
+@pytest.mark.parametrize("spec, window", [
+    *((spec, w) for spec in _WINDOW_2_SPECS for w in range(3)),
+    (affvir(mab(2, 3), alpha=Fraction(-1, 2), lam=Fraction(5, 3), window=8), 8),
+])
+def test_actions_of_gives_the_data_of_the_checking_constructor(spec, window):
+    data = actions_of(spec, window)
+    items = tuple((x, spec.on_one(x)) for x in generators(spec, window))
+    checked = ActionData(spec.algebra, window if spec.algebra != H4 else 0, items)
+    assert data == checked
+    assert data.assignments == checked.assignments
+    assert data._index == checked._index and type(data.window) is int
+
+
 @pytest.mark.parametrize("name, spec", sample_specs(), ids=[n for n, _ in sample_specs()])
 def test_actions_of_reads_the_window_of_action_data(name, spec):
     # action data goes through the one window rule like every other spec

@@ -19,7 +19,7 @@ import nwfree
 from nwfree import InputError
 from nwfree.classify import classify
 from nwfree.exactpoly import MAX_MONOMIAL_TEXTS, Poly, VariableMismatch, format_poly
-from nwfree.liealg import H4, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
+from nwfree.liealg import H4, BasisSymbol, SymbolNotInAlgebra, format_symbol, parse_symbol, sym
 from nwfree.modfam import (
     MAX_WINDOW,
     ActionData,
@@ -47,6 +47,8 @@ from nwfree.specdsl import (
     MAX_NESTING,
     MAX_SYMBOL_TEXTS,
     MAX_TERM_WORK,
+    MAX_VALUE_TEXT_LENGTH,
+    MAX_VALUE_TEXTS,
     DslSyntaxError,
     UnknownVariable,
     _monomial,
@@ -55,6 +57,8 @@ from nwfree.specdsl import (
     _read_sum,
     _symbol,
     _tokenize,
+    _load,
+    _value,
     format_actions,
     format_spec,
     main,
@@ -1067,8 +1071,8 @@ def _count_trusted(monkeypatch):
     trusted = Poly._trusted
     built = []
 
-    def counted(variables, pairs, den=1):
-        built.append(trusted(variables, pairs, den))
+    def counted(*args):
+        built.append(trusted(*args))
         return built[-1]
 
     monkeypatch.setattr(Poly, "_trusted", staticmethod(counted))
@@ -1289,7 +1293,29 @@ def _monomial_examples(test):
 @_monomial_examples
 def test_parse_poly_matches_the_reference(text, variables, line, col):
     got = _parse_outcome(parse_poly, text, variables, line, col)
-    assert got == _parse_outcome(parse_poly_reference, text, variables, line, col)
+    want = _parse_outcome(parse_poly_reference, text, variables, line, col)
+    assert got == want and repr(got) == repr(want)  # terms in one order, sorted or not
+
+
+@pytest.mark.parametrize("text, ordered", [
+    ("-1/3*s^2*d+9*s-3", True), ("s^2+s*d+d^2+s+d+1", True), ("2*s", True), ("0", True),
+    ("1+s", False), ("d+s", False), ("s*d+s^2", False), ("s-s^2+1", False), ("3-1/2*d*s^2", False),
+])
+def test_the_sum_reader_sorts_only_terms_out_of_order(monkeypatch, text, ordered):
+    """Terms read in descending graded-lex order skip the sort, and any
+    other order comes out sorted, as the full reader sorts it."""
+    trusted = Poly._trusted
+    seen = []
+
+    def watched(variables, pairs, den=1, ordered=False):
+        seen.append(ordered)
+        return trusted(variables, pairs, den, ordered)
+
+    monkeypatch.setattr(Poly, "_trusted", staticmethod(watched))
+    value = _read_sum(text, SD)
+    assert seen == [ordered]
+    want = parse_poly_reference(text, SD)
+    assert value == want and repr(value) == repr(want)
 
 
 @pytest.mark.parametrize("text", _DECLINED, ids=range(len(_DECLINED)))
@@ -1337,6 +1363,153 @@ def test_the_reader_tables_stay_within_their_bounds():
         assert _read_sum(text, SD) == parse_poly_reference(text, SD)
     assert _symbol.cache_info().currsize == MAX_SYMBOL_TEXTS
     assert _monomial.cache_info().currsize == MAX_MONOMIAL_TEXTS
+    values = [f"{k}*s+1" for k in range(MAX_VALUE_TEXTS + 10)]
+    for text in values:
+        assert parse_poly(text, SD) == parse_poly_reference(text, SD)
+    assert _value.cache_info().currsize == MAX_VALUE_TEXTS
+
+
+def test_the_value_table_shares_each_poly_and_keeps_no_error():
+    """A value text read twice gives the one `Poly`; a text the sum reader
+    declines, or a longer one, is not kept, and a bad text raises at its
+    own line and column in every document."""
+    _value.cache_clear()
+    first = parse_actions("algebra = H4\np = 2*s-1\nq = 1\nr = -1\ns = s\n")
+    again = parse_actions("algebra = AffineH4\nwindow = 0\np@0 = 2*s-1\nq = 1\nr = -1\ns = s\nk = 0\nd = d\n")
+    assert again.value(sym("p")).variables == SD  # one text over other variables: another Poly
+    assert first.value(sym("p")).variables == ("s",)
+    twin = parse_actions("algebra = H4\nq = 1\np = 2*s-1\nr = -1\n s = s\n")
+    assert twin == first
+    assert all(twin.value(x) is first.value(x) for x, _ in first.assignments)
+    kept = _value.cache_info().currsize
+    assert kept == 10  # 2*s-1, 1, -1 and s over (s,), and over (s, d) with 0 and d
+    long = "+".join(f"{k}*s^{k}" for k in range(1, 12))
+    assert len(long) > MAX_VALUE_TEXT_LENGTH
+    assert parse_poly(long, ("s",)) == parse_poly_reference(long, ("s",))
+    for bad, at in (("1/0*s", 2), ("s^65", 2), ("+3", 0), ("2*s^64*s", 6)):
+        for lead, line in (("", 2), ("\n\n", 4)):
+            doc = f"algebra = H4\n{lead}q = 1\np =  {bad}\nr = -1\ns = s\n"
+            with pytest.raises(DslSyntaxError) as err:
+                parse_actions(doc)
+            assert (err.value.line, err.value.col) == (line + 1, 6 + at)
+    assert _value.cache_info().currsize == kept
+
+
+def _first_primes(count):
+    primes, n = [], 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _ci_diagnostic_documents():
+    """(name, document bytes, whether it reads) of every document a CI step
+    runs for its diagnostic, as that step writes it."""
+    c15 = "123456789012345"
+    factor = f"({c15}*s+{c15}*d+{c15})^32"
+    monomials = [(a, t - a) for t in range(65) for a in range(t + 1)]
+    primes = " + ".join(f"1/{p}*s^{a}*d^{b}" if a and b else f"1/{p}"
+                        for p, (a, b) in zip(_first_primes(3000), monomials * 2))
+    spelled = [
+        "algebra = AffineH4   # each spelling below reads as format_actions writes it",
+        "window=1", "p@-1 = 1/2*s", "p@0 =s", "p@01= 2*s^1  # p@1", "q@-1 = 1/2", "q = 1",
+        " q@l = 2", "r@-1 = -1/2", "r@-0 = -1", "r@1 = -2", "s@-01 = 1/2*s^1", "s = s",
+        "  s@1  =  2*s^1+5+d*s-s*d  # d*s and s*d cancel", "k = 0", "d = 1*d",
+    ]
+    ab = "algebra = AffineH4\nfamily = MTildeAlphaBeta\nbase = Mab\na = 1\nb = 1\n"
+    docs = [
+        ("mab", "algebra = H4\nfamily = Mab\na = 2\nb = 3\n", True),
+        ("w-key", "algebra = H4\np = 1\nq = 1\nr = 0\nw = s\n", False),
+        ("s-key", "algebra = Vir00\nwindow = 1\ns@-1 = w0\nw = w0\nw@1 = w0\n"
+                  "dvir@-1 = d0\ndvir = d0\ndvir@1 = d0\nk = 0\n", False),
+        ("outside", "algebra = AffineH4\nwindow = 1\np@2 = s\n", False),
+        ("window0", "algebra = AffineH4\nwindow = 0\np = 1\nq = 1\nr = 0\ns = s\nk = 0\nd = d\n", True),
+        ("twist-mtf", "algebra = AffineH4\nfamily = MTildeF\nf.-1 = s+2\nf.0 = s\nf.1 = s^2\nwindow = 1\n", True),
+        ("latin1", b"algebra = H4\nfamily = Mab\na = \xff\nb = 3\n", False),
+        ("nested", "algebra = H4\nfamily = Mg0\ng = " + "(" * 600 + "s" + ")" * 600 + "\n", False),
+        ("product", "algebra = H4\nfamily = Mg0\ng = " + "(s+1)*" * 1599 + "(s+1)\n", False),
+        ("p-at", "algebra = H4\nq = 1\np@ = s\nr = -1\ns = s\n", False),
+        ("coprime", "algebra = H4\nfamily = Mg0\ng = "
+                    + "+".join(f"1/{10 ** 999 + k}" for k in (1, 3, 5, 7, 9, 13)) + "\n", False),
+        ("wide", f"algebra = AffineH4\nwindow = 0\np@0 = {factor}*{factor}\n", False),
+        ("long", "algebra = AffineH4\nwindow = 0\np@0 = (s+d+1)^64" + "*1" * 1000 + "\n", False),
+        ("slow", f"algebra = AffineH4\nwindow = 0\np@0 = ({c15}*s+1/{c15}*d+1/13)^32" + "*1" * 1000 + "\n", False),
+        ("primes", f"algebra = AffineH4\nwindow = 0\np@0 = {primes}\n", False),
+        *((f"refuse-{i}", f"algebra = H4\np = {value}\nq = 1\nr = -1\ns = s\n", False)
+          for i, value in enumerate(["+3", "s^65", "2*s^64*s", "1/0*s", "1" * 1001 + "*s",
+                                     "+".join(["s^64"] * 3200)])),
+        ("misspelled", "\n".join(spelled) + "\n", False),
+        ("exponent", "algebra = H4\nfamily = Mhb\na1 = 1e9999999\na2 = 0\nb = 1\n", False),
+        ("p-only", "algebra = H4\np = s\n", True),
+        ("r-s", "algebra = H4\nr = -1\ns = s\n", True),
+        *((f"rule-{i}", doc, False) for i, doc in enumerate([
+            "algebra = H4\nfamily = Mhb\na1 = 0\na2 = 0\nb = 1\n",
+            "algebra = H4\nfamily = Mab\na = 0\nb = 0\n",
+            "algebra = H4\nfamily = Mab\na = 3\nb = 0\n",
+            "algebra = H4\nfamily = Mg0\ng = 0\n",
+            "algebra = Vir00\nfamily = MLambdaF\nlambda = 0\nfpoly = w0\n",
+            ab + "alpha = 0\nbeta.-1 = 0\nbeta.0 = 0\nbeta.1 = 0\nwindow = 1\n",
+            ab + "alpha = 2\nbeta.-1 = 0\nbeta.0 = 1\nbeta.1 = 0\nwindow = 1\n",
+            ab + "alpha = 2\nbeta.-1 = 0\nwindow = 1\n",
+            ab + "alpha = 2\nbeta.-1 = 0\nbeta.1 = 0\nbeta.2 = 0\nwindow = 1\n",
+            "algebra = AffineH4\nfamily = MTildeF\nf.-1 = s\nf.0 = s+1\nf.1 = s\nwindow = 1\n",
+        ])),
+        ("indices", "algebra = AffineH4\nfamily = MTildeAlphaBeta\nbase = Mhb\na1 = 1\na2 = 0\n"
+                    "b = 1\nalpha = 2\nbeta.z = 5\nbeta.a = 0\nwindow = 1\n", False),
+    ]
+    return [(name, doc if isinstance(doc, bytes) else doc.encode(), reads) for name, doc, reads in docs]
+
+
+def _load_outcome(path):
+    """What the CLI reads from `path`: its spec or data, or its error's (class, message, line, col)."""
+    try:
+        return _load(path)
+    except InputError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+
+
+def test_every_ci_diagnostic_document_reads_alike_twice(tmp_path):
+    """The reader's tables keep no error: each document of the CI diagnostic
+    steps, read twice in one process, fails the second time with the same
+    class, message, line and column, or reads to an equal value (which may
+    share its `Poly`s with the first read)."""
+    documents = _ci_diagnostic_documents()
+    assert len(documents) == 36
+    for name, doc, reads in documents:
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(doc)
+        first, second = _load_outcome(path), _load_outcome(path)
+        assert second == first, name
+        assert isinstance(first, tuple) != reads, (name, first)
+    for _ in range(2):  # the --seed-poly step: a value outside the document
+        with pytest.raises(UnknownVariable) as err:
+            parse_poly("d", ("s",))
+        assert (err.value.message, err.value.line, err.value.col) == ("unknown variable 'd'", 1, 1)
+
+
+def test_each_action_key_is_hashed_once(monkeypatch):
+    """Each line's symbol is hashed once, by its store; a repeated generator
+    is still refused before its window and before its value are read."""
+    doc = "algebra = AffineH4\nwindow = 1\n" + "".join(
+        f"{c}@{k} = {k}*s\n" for c in "pqrs" for k in (-1, 0, 1)) + "k = 0\nd = d\n"
+    want = parse_actions(doc)  # the symbol and value tables now hold every line
+    calls = []
+    hashed = BasisSymbol.__hash__
+    monkeypatch.setattr(BasisSymbol, "__hash__", lambda x: calls.append(x) or hashed(x))
+    assert parse_actions(doc) == want
+    assert len(calls) == 14
+    for extra, message, col in [
+        ("p@00 = 1/0", "duplicate assignment for p", 1),  # also a bad value
+        ("p = 1/0", "duplicate assignment for p", 1),
+        ("p@2 = 1/0", "p@2 lies outside window 1", 1),  # also a bad value
+        ("p@2 = s\np@02 = s", "p@2 lies outside window 1", 1),
+        ("  q@-01 = (", "duplicate assignment for q@-1", 3),
+    ]:
+        with pytest.raises(InputError) as err:
+            parse_actions(doc + extra + "\n")
+        assert (err.value.message, err.value.line, err.value.col) == (message, 17, col)
 
 
 def test_edge_pieces_reach_the_limits_they_name():
@@ -1366,6 +1539,7 @@ def test_duplicate_variables_raise_for_every_text(text):
 )
 def test_parse_poly_builds_one_poly_per_value(monkeypatch, text):
     want = parse_poly_reference(text, SD)
+    _value.cache_clear()  # a text the value table holds builds no Poly
     built = _count_trusted(monkeypatch)
     assert parse_poly(text, SD) == want
     assert built == [want]
@@ -1375,9 +1549,13 @@ def test_parse_actions_builds_one_poly_per_value_line(monkeypatch):
     lines = [f"{c}@{k} = {value}" for k in range(-2, 3)
              for c, value in (("p", f"({k}*s+1)^2-1/3*d"), ("q", "0"), ("r", f"-{k}/2*s*d"), ("s", "s"))]
     doc = "\n".join(["algebra = AffineH4", "window = 2", *lines, "k = 0", "d = d"]) + "\n"
+    _value.cache_clear()
     built = _count_trusted(monkeypatch)
     data = parse_actions(doc)
-    assert len(built) == len(lines) + 2  # with k and d
+    # one per distinct text, with k and d: the five `q` lines and `k` share
+    # the Poly of `0`, and the five `s` lines that of `s`, from the value table
+    texts = {entry.split(" = ")[1] for entry in lines} | {"0", "d"}
+    assert len(built) == len(texts) == len(lines) + 2 - 9
     for key, text in (entry.split(" = ") for entry in lines):
         assert data.value(parse_symbol(key, data.algebra)) == parse_poly_reference(text, SD)
     # the reader's checked pairs give the data the public constructor gives
