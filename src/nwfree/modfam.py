@@ -39,7 +39,8 @@ on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
 forms by position, with the masks of the variables each x.1 uses beside
 its plan's, and takes a failing pair's residuals through `_image`.  The
 only state kept across requests is each spec's form table
-(`_OwnsForms`), which lives on the spec object and goes with it; an
+(`_OwnsForms`), which lives on the spec object and goes with it (the
+specs `specdsl`'s bounded document table keeps, with theirs); an
 MTildeAlphaBeta spec scales the integer forms in its base's table by
 alpha^n.  Besides, the public `value_on_one` keeps a bounded cache
 (MAX_CACHED_VALUES entries), which no request path calls.
@@ -667,9 +668,12 @@ def _image(form, ints: dict) -> dict:
     """x.v times the denominator of x.1, on integers, from x's `_Forms` form
     (or a verify FAIL pair's, with sigma and R): shift_x(v) times the
     numerators of x.1, and {} when x.1 is zero.  `ints` is v as
-    {exponents: int}; entries that cancel stay in the map as 0."""
+    {exponents: int}; entries that cancel stay in the map as 0.  Where every
+    offset is zero, `ints` is multiplied as it is: `_mul` never modifies it."""
     offsets, numerators, _ = form
-    return _mul(_taylor_shift(ints, offsets), numerators.items()) if numerators else {}
+    if not numerators:
+        return {}
+    return _mul(_taylor_shift(ints, offsets) if any(offsets) else ints, numerators.items())
 
 
 def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:

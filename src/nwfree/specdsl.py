@@ -94,10 +94,21 @@ process: the value table, `_value`, keyed by (value text, variables), of
 at most MAX_VALUE_TEXTS entries, keeps the `Poly` that `_read_sum` reads
 and nothing it declines.  A hit returns that one `Poly`, so documents may
 share their values; a declined text goes to the full reader every time,
-which raises at the value's own line and column.  The symbol and
-monomial tables hold strings, tuples and symbols, and the value table
-values, which are immutable `Poly`s; none holds a spec, and none keeps
-an error.
+which raises at the value's own line and column.
+
+A document of at most MAX_DOCUMENT_TEXT_LENGTH characters with no `(`
+is read once per process too: the document table, `_document`, keyed by
+document text, of at most MAX_DOCUMENT_TEXTS entries, is `parse_input`'s
+reader.  A hit returns the one spec or `ActionData` read before, with
+the form table that earlier requests filled, so a repeated document costs
+neither parsing nor any x.1.  Without a `(` every value is a sum of
+monomials, so what a kept document makes grows with its text.
+`parse_spec` and `parse_actions` do not read through it.
+
+The symbol and monomial tables hold strings, tuples and symbols, the
+value table immutable `Poly`s, and the document table immutable specs and
+`ActionData` with their form tables, which readers never modify.  None
+keeps an error: a bad text raises at its own line and column every time.
 """
 
 import argparse
@@ -837,12 +848,32 @@ def parse_actions(text: str) -> ActionData:
     return _build_actions(_read_document(text))
 
 
-def parse_input(text: str):
+# Distinct document texts whose spec or `ActionData` the document table
+# keeps, and the longest text it keeps; bounds, not tuning knobs.  It keeps
+# no text with a `(`: without one every value is a sum of monomials, so
+# what a document makes, forms included, grows with its text, while
+# `(s+d+1)^64` is ten characters and 2,145 terms.
+MAX_DOCUMENT_TEXTS = 32
+MAX_DOCUMENT_TEXT_LENGTH = 1024
+
+
+@functools.lru_cache(maxsize=MAX_DOCUMENT_TEXTS)
+def _document(text: str):
     """Spec documents carry a `family` key; anything else is action data."""
     entries = _read_document(text)
     if any(entry.key == "family" for entry in entries):
         return _build_spec(entries)
     return _build_actions(entries)
+
+
+def parse_input(text: str):
+    """The spec or `ActionData` of a document, read once per process when
+    the document table takes its text: a later read returns the same
+    object, with the form table earlier requests filled, so
+    `parse_input(t) is parse_input(t)`."""
+    if isinstance(text, str) and len(text) <= MAX_DOCUMENT_TEXT_LENGTH and "(" not in text:
+        return _document(text)
+    return _document.__wrapped__(text)  # TypeError for a text that is no str
 
 
 # -------------------------------------------------------------- formatting

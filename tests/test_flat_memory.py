@@ -1,8 +1,10 @@
-"""Flat memory: no entry point keeps a spec or its action data alive.
+"""Flat memory: entry points keep at most a bounded number of specs alive.
 
 Every public entry point runs over many distinct specs of every family;
-afterwards no spec and no `ActionData` may survive a garbage collection,
-and the bounded caches and tables stay within their bounds.
+afterwards the only specs and `ActionData` that survive a garbage
+collection are those the document table (`specdsl._document`) holds, at
+most MAX_DOCUMENT_TEXTS of them, none survives once that table is
+cleared, and the bounded caches and tables stay within their bounds.
 """
 
 import gc
@@ -38,7 +40,7 @@ from nwfree.modfam import (
     mtilde,
     mtilde_f,
 )
-from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_spec
+from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_input, parse_spec
 from nwfree.verify import MAX_PLANS, format_report, verify_module
 
 SPECS_PER_FAMILY = 300
@@ -75,8 +77,10 @@ def _exercise(spec, refs):
     data = actions_of(spec)
     parsed = parse_spec(format_spec(spec))
     parsed_data = parse_actions(format_actions(data))
-    assert parsed == spec and parsed_data == data
-    refs += [weakref.ref(x) for x in (spec, data, parsed, parsed_data)]
+    read = parse_input(format_spec(spec))
+    read_data = parse_input(format_actions(data))
+    assert parsed == spec == read and parsed_data == data == read_data
+    refs += [weakref.ref(x) for x in (spec, data, parsed, parsed_data, read, read_data)]
 
     format_report(verify_module(spec, window=1, test_degree=1))
     seed = Poly.var(module_variables(spec), module_variables(spec)[0])
@@ -110,9 +114,21 @@ def test_no_entry_point_keeps_a_spec_alive():
         for i in range(SPECS_PER_FAMILY):
             _exercise(build(i), refs)
     gc.collect()
-    alive = [ref() for ref in refs if ref() is not None]
-    assert len(refs) >= 4 * SPECS_PER_FAMILY * len(FAMILIES)
-    assert alive == []
+    alive = list({id(x): x for x in (ref() for ref in refs) if x is not None}.values())
+    assert len(refs) >= 6 * SPECS_PER_FAMILY * len(FAMILIES)
+    # the document table keeps the specs and data of its last texts, and nothing else does
+    assert 0 < specdsl._document.cache_info().currsize <= specdsl.MAX_DOCUMENT_TEXTS
+    assert 0 < len(alive) <= specdsl.MAX_DOCUMENT_TEXTS
+    hits = specdsl._document.cache_info().hits
+    for x in alive:  # a hit returns the object the table holds; a miss would build a new one
+        write = format_actions if isinstance(x, modfam.ActionData) else format_spec
+        assert specdsl._document(write(x)) is x
+    assert specdsl._document.cache_info().hits == hits + len(alive)
+    del x
+    alive.clear()
+    specdsl._document.cache_clear()
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
     assert verify._plan.cache_info().currsize <= MAX_PLANS
     assert modfam.value_on_one.cache_info().currsize == 0
     # the generator lists, one per algebra and window

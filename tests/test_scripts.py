@@ -7,7 +7,18 @@ from helpers import corrupted_data, corrupted_fixtures, sample_specs, with_assig
 
 from nwfree.exactpoly import Poly
 from nwfree.liealg import R, sym
-from nwfree.modfam import MAX_WINDOW, MODULE_VARIABLES, actions_of, affvir, mhb
+from nwfree.modfam import (
+    MAX_WINDOW,
+    MODULE_VARIABLES,
+    ActionData,
+    act,
+    actions_of,
+    affvir,
+    generators,
+    mhb,
+    module_variables,
+)
+from nwfree.specdsl import _document, format_actions, format_spec
 from nwfree.verify import MAX_TEST_DEGREE, format_report, verify_module
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -72,8 +83,8 @@ def test_verify_reports_match_golden_digests():
 GOLDEN_FAIL_REPORTS = Path(__file__).resolve().parent / "golden" / "verify_fail_report_digests.txt"
 
 
-def fail_and_skip_reports():
-    """(name, report) for reports with FAIL or SKIP lines.
+def fail_and_skip_cases():
+    """(name, spec or data, window, test degree) of the reports with FAIL or SKIP lines.
 
     The corrupted fixtures, each sample spec with its algebra's scalar slot
     bumped (r on H4, k on AffineH4, dvir@1 on Vir00 and AffineVirasoroH4,
@@ -84,12 +95,18 @@ def fail_and_skip_reports():
     dvir@1 and r each raised by 1 (140,355 checked entries, 54 FAIL pairs).
     """
     for anchor, data in corrupted_fixtures():
-        yield f"fixture {anchor}", verify_module(data, max(data.window, 1), 2)
+        yield f"fixture {anchor}", data, max(data.window, 1), 2
     for name, spec in sample_specs():
-        yield f"corrupted {name}", verify_module(corrupted_data(spec), 1, 3)
+        yield f"corrupted {name}", corrupted_data(spec), 1, 3
     for name, spec in sample_specs()[6:]:
-        yield f"{name} w1", verify_module(spec, 1, 2)
-    yield "corrupted AffVir w8 d8", verify_module(largest_fail_data(), MAX_WINDOW, MAX_TEST_DEGREE)
+        yield f"{name} w1", spec, 1, 2
+    yield "corrupted AffVir w8 d8", largest_fail_data(), MAX_WINDOW, MAX_TEST_DEGREE
+
+
+def fail_and_skip_reports():
+    """(name, report) for the cases of fail_and_skip_cases()."""
+    for name, target, window, test_degree in fail_and_skip_cases():
+        yield name, verify_module(target, window, test_degree)
 
 
 def largest_fail_data():
@@ -121,6 +138,43 @@ def test_fail_and_skip_reports_match_golden_digests():
     assert any(r.skipped and not r.passed for r in reports)
     assert any(r.skipped and r.passed for r in reports)
     assert verify_fail_report_digests() == GOLDEN_FAIL_REPORTS.read_text(encoding="utf-8")
+
+
+def _report_bytes(target, window, test_degree):
+    report = verify_module(target, window, test_degree)
+    return format_report(report), "\n".join(map(repr, report.entries))
+
+
+def test_a_shared_spec_verifies_byte_for_byte():
+    """The golden verify cases, each read from its document through the
+    document table: a table hit gives the report text and entry reprs of a
+    fresh read, also once `on_one`, `act` and a verify at another window
+    (at test degree 1 only, where the spec's window is 1) have filled the
+    shared spec's form table.  `_document` is called
+    directly, so documents past the table's length bound are shared too."""
+    run_families = load_script("run_families")
+    cases = [(name, spec, 2, 3) for name, spec in run_families.standard_grid(2)]
+    cases += list(fail_and_skip_cases())
+    assert len(cases) == 14 + 25
+    for name, target, window, test_degree in cases:
+        write = format_actions if isinstance(target, ActionData) else format_spec
+        text = write(target)
+        _document.cache_clear()
+        fresh = _document(text)
+        want = _report_bytes(fresh, window, test_degree)
+        shared = _document(text)
+        assert shared is fresh, name
+        assert _report_bytes(shared, window, test_degree) == want, name
+        one = Poly.one(module_variables(shared))
+        for x in generators(shared):
+            shared.on_one(x)
+            act(shared, x, one)
+        limit = shared.window  # 0 on H4 and None on Vir00, which take any window
+        _report_bytes(shared, window - 1 if window > 1 else 2 if not limit or limit > 1 else 1, 1)
+        again = _document(text)
+        assert again is fresh, name
+        assert _report_bytes(again, window, test_degree) == want, name
+    _document.cache_clear()
 
 
 if __name__ == "__main__":

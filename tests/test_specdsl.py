@@ -44,6 +44,8 @@ from nwfree.specdsl import (
     MAX_DEGREE,
     MAX_DENOMINATOR_DIGITS,
     MAX_DIGITS,
+    MAX_DOCUMENT_TEXT_LENGTH,
+    MAX_DOCUMENT_TEXTS,
     MAX_NESTING,
     MAX_SYMBOL_TEXTS,
     MAX_TERM_WORK,
@@ -53,6 +55,7 @@ from nwfree.specdsl import (
     UnknownVariable,
     _monomial,
     _Token,
+    _document,
     _read_document,
     _read_sum,
     _symbol,
@@ -1462,10 +1465,10 @@ def _ci_diagnostic_documents():
     return [(name, doc if isinstance(doc, bytes) else doc.encode(), reads) for name, doc, reads in docs]
 
 
-def _load_outcome(path):
-    """What the CLI reads from `path`: its spec or data, or its error's (class, message, line, col)."""
+def _read_outcome(read, source):
+    """What `read` makes of `source`: its spec or data, or its error's (class, message, line, col)."""
     try:
-        return _load(path)
+        return read(source)
     except InputError as exc:
         return type(exc), exc.message, exc.line, exc.col
 
@@ -1480,13 +1483,76 @@ def test_every_ci_diagnostic_document_reads_alike_twice(tmp_path):
     for name, doc, reads in documents:
         path = tmp_path / f"{name}.txt"
         path.write_bytes(doc)
-        first, second = _load_outcome(path), _load_outcome(path)
+        first, second = _read_outcome(_load, path), _read_outcome(_load, path)
         assert second == first, name
         assert isinstance(first, tuple) != reads, (name, first)
     for _ in range(2):  # the --seed-poly step: a value outside the document
         with pytest.raises(UnknownVariable) as err:
             parse_poly("d", ("s",))
         assert (err.value.message, err.value.line, err.value.col) == ("unknown variable 'd'", 1, 1)
+
+
+def test_every_ci_diagnostic_document_reads_alike_twice_through_the_document_table():
+    """The document table keeps no error: each CI diagnostic document that
+    decodes, read twice by `parse_input`, fails the second time with the same
+    class, message, line and column, or returns the same object (every one
+    that reads is short and has no `(`)."""
+    read = 0
+    for name, doc, reads in _ci_diagnostic_documents():
+        try:
+            text = doc.decode("utf-8")
+        except UnicodeDecodeError:  # `_load` refuses it before any parsing
+            continue
+        first, second = _read_outcome(parse_input, text), _read_outcome(parse_input, text)
+        assert isinstance(first, tuple) != reads, (name, first)
+        assert second is first if reads else second == first, name
+        read += 1
+    assert read == 35
+
+
+def test_parse_input_returns_the_one_object_for_a_repeated_document():
+    """`parse_input(t) is parse_input(t)` for a text the document table
+    takes, and the second read is a table hit."""
+    _document.cache_clear()
+    spec_doc = format_spec(mtilde(mhb(1, 2, 3), 2, {1: 5, -1: 0}, window=1))
+    data_doc = format_actions(actions_of(mab(2, 3)))
+    for text in (spec_doc, data_doc):
+        first = parse_input(text)
+        hits = _document.cache_info().hits
+        assert parse_input(text) is first
+        assert parse_input((text + " ")[:-1]) is first  # an equal text, not the same str object
+        assert _document.cache_info().hits == hits + 2
+    assert parse_input(spec_doc) == parse_spec(spec_doc)
+    assert parse_spec(spec_doc) is not parse_spec(spec_doc)  # parse_spec keeps nothing
+    assert parse_actions(data_doc) is not parse_actions(data_doc)
+    assert _document.cache_info().currsize == 2
+
+
+def test_the_document_table_keeps_no_long_text_and_no_parenthesis():
+    _document.cache_clear()
+    for k in range(1, MAX_DOCUMENT_TEXTS + 11):  # distinct texts: the table stays at its bound
+        parse_input(f"algebra = H4\nfamily = Mab\na = {k}\nb = 3\n")
+    assert _document.cache_info().currsize == MAX_DOCUMENT_TEXTS
+    _document.cache_clear()
+    padded = "algebra = H4\nfamily = Mab\na = 2\nb = 3\n"
+    padded += "#" * (MAX_DOCUMENT_TEXT_LENGTH - len(padded)) + "\n"
+    assert len(padded) == MAX_DOCUMENT_TEXT_LENGTH + 1
+    power = "algebra = H4\nfamily = Mg0\ng = (s+1)^64\n"
+    for text in (padded, power):
+        first = parse_input(text)
+        assert parse_input(text) == first and parse_input(text) is not first
+        assert _document.cache_info().currsize == 0
+    at_bound = padded[:MAX_DOCUMENT_TEXT_LENGTH - 1] + "\n"
+    assert parse_input(at_bound) is parse_input(at_bound)
+    assert _document.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("text", [None, b"algebra = H4\n", ["algebra = H4"], 1024])
+def test_parse_input_refuses_a_text_that_is_no_str_before_the_table(text):
+    with pytest.raises(TypeError) as err:
+        parse_input(text)
+    assert str(err.value) == f"text must be a str, got {type(text).__name__}"
+    assert not isinstance(err.value, InputError)
 
 
 def test_each_action_key_is_hashed_once(monkeypatch):
