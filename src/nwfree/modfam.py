@@ -37,13 +37,14 @@ and the orbit oracle; `_act_sum` sums such images over one common
 denominator.  `_image` is the one shift-then-multiply: `exactpoly._mul`
 on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
 forms by position, with the masks of the variables each x.1 uses beside
-its plan's, and takes a failing pair's residuals through `_image`.  The
-only state kept across requests is each spec's form table
-(`_OwnsForms`), which lives on the spec object and goes with it (the
-specs `specdsl`'s bounded document table keeps, with theirs); an
-MTildeAlphaBeta spec scales the integer forms in its base's table by
-alpha^n.  Besides, the public `value_on_one` keeps a bounded cache
-(MAX_CACHED_VALUES entries), which no request path calls.
+its plan's, takes a failing pair's residuals through `_image`, and
+stores each window's pair outcomes in the same table.  The only state
+kept across requests is each spec's form table (`_OwnsForms`), with its
+forms and verify's outcomes by window, which lives on the spec object
+and goes with it (the specs `specdsl`'s bounded document table keeps,
+with theirs); an MTildeAlphaBeta spec scales the integer forms in its
+base's table by alpha^n.  Besides, the public `value_on_one` keeps a
+bounded cache (MAX_CACHED_VALUES entries), which no request path calls.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ class _OwnsForms:
     kept beside the fields, as a cached property, so equality, hashing,
     repr and `dataclasses.replace` see the fields alone.  The table holds
     only a weak reference to its spec, so it goes with the spec, and
-    pickles and copies leave it out, so a copy builds its own.
+    pickles and copies leave it out, so a copy builds its own, with no
+    forms and no verify outcomes.
 
     Each spec class gives x.1 as an integer form, `int_form(symbol)`:
     (numerators as {exponents: int}, den), reduced as `exactpoly._reduced`
@@ -645,13 +647,22 @@ class _Forms(dict):
     spec's own (`spec_forms`) and holds only a weak reference to it, so it
     is dropped with the spec.  Its maps are shared by every request on the
     spec: readers never modify them.  `verify_module` reads each form it
-    needs from this table once per request, into a list by position.
+    needs from this table once per run at a new window, into a list by
+    position.
+
+    Beside the forms, `outcomes` is verify's outcome table: per resolved
+    window, at most MAX_WINDOW of them, the (outcomes, failures) that
+    `verify_module` found for the window's pairs, the first time it ran
+    there without raising.  They do not depend on the test degree, so a
+    later verify at that window reads neither a form nor a pair; their
+    maps are shared and only read too.
     """
 
     def __init__(self, spec: AnySpec):
         super().__init__()
         self.spec = weakref.ref(spec)
         self.algebra = algebra_of(spec)
+        self.outcomes: dict = {}  # verify's (outcomes, failures) by window
 
     def __missing__(self, x: BasisSymbol):
         form = self[x] = (shift_of(self.algebra, x), *_int_form(self.spec(), x))

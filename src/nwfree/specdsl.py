@@ -101,8 +101,9 @@ is read once per process too: the document table, `_document`, keyed by
 document text, of at most MAX_DOCUMENT_TEXTS entries, is `parse_input`'s
 reader.  A hit returns the one spec or `ActionData` read before, with
 the form table that earlier requests filled, so a repeated document costs
-neither parsing nor any x.1.  Without a `(` every value is a sum of
-monomials, so what a kept document makes grows with its text.
+neither parsing nor any x.1, nor, at a window verified before, any pair.
+Without a `(` every value is a sum of monomials, so what a kept document
+makes grows with its text.
 `parse_spec` and `parse_actions` do not read through it.
 
 The symbol and monomial tables hold strings, tuples and symbols, the
@@ -111,7 +112,6 @@ value table immutable `Poly`s, and the document table immutable specs and
 keeps an error: a bad text raises at its own line and column every time.
 """
 
-import argparse
 import functools
 import re
 import sys
@@ -914,7 +914,9 @@ def format_actions(data: ActionData) -> str:
 # --------------------------------------------------------------------- CLI
 
 
-def _build_argparser() -> argparse.ArgumentParser:
+def _build_argparser() -> "argparse.ArgumentParser":
+    import argparse  # here, so importing the package does not pay for it
+
     parser = argparse.ArgumentParser(
         prog="nwfree",
         description="Exact checks for rank one Cartan-free modules: "

@@ -29,26 +29,28 @@ both leading terms hold cancels exactly, so verify builds
 and D_x(y.1) is zero whenever x's shift moves no variable that y.1
 uses, so its product is never built.
 
-Only the values on 1 depend on the spec.  Everything else is a plan,
-cached by (algebra, window, test degree) in a bounded LRU cache
-(MAX_PLANS): the generators, the bracket terms outside the window, the
-zero polynomial, the test monomials, per pair its shift sigma and its
-bracket terms, and per generator a bit mask of the variables its shift
-moves, so neither `bracket` nor a symbol is built per request.  A term
-c*z keeps z's position in the generators followed by the outside terms.
-Building a plan checks the grading: a bracket term whose shift is not
-its pair's raises ValueError.
+Only the values on 1 depend on the spec, and with them each pair's
+outcome, which the spec's own per-window outcome table keeps (below).
+Everything else is a plan, cached by (algebra, window, test degree) in a
+bounded LRU cache (MAX_PLANS): the generators, the bracket terms outside
+the window, the zero polynomial, the test monomials, per pair its shift
+sigma and its bracket terms, and per generator a bit mask of the
+variables its shift moves, so neither `bracket` nor a symbol is built
+per request.  A term c*z keeps z's position in the generators followed by
+the outside terms.  Building a plan checks the grading: a bracket term
+whose shift is not its pair's raises ValueError.
 
-Each request reads its integer forms (shift_x, x.1's numerators and
-denominator) from the spec's own table, `modfam.spec_forms(spec)`, once
-and before its pair loop, into one list by position: the generators in
-canonical order, as `actions_of` and `classify` read them, then the
-outside terms in the order the pairs first meet them, with the mask of
-the variables each generator's x.1 uses.  So each x.1 is computed once
-per spec, and the table goes with the spec; a missing value raises
-MalformedData for the first symbol in that order, and an outside term
-beyond the spec's own window raises WindowExceeded once per request, is
-read as None and marks every pair that needs it as skipped.
+A run that finds no stored outcomes for its window (below) reads its
+integer forms (shift_x, x.1's numerators and denominator) from the
+spec's own table, `modfam.spec_forms(spec)`, once and before its pair
+loop, into one list by position: the generators in canonical order, as
+`actions_of` and `classify` read them, then the outside terms in the
+order the pairs first meet them, with the mask of the variables each
+generator's x.1 uses.  So each x.1 is computed once per spec, and the
+table goes with the spec; a missing value raises MalformedData for the
+first symbol in that order, and an outside term beyond the spec's own
+window raises WindowExceeded once per such run, is read as None and
+marks every pair that needs it as skipped.
 A pair's R is one integer map over the denominator of x.1 times that of
 y.1.  For each side where x.1 is nonzero and x's offset mask meets the
 mask of y.1, `exactpoly._shift_difference` takes D_x(y.1) and
@@ -59,12 +61,21 @@ denominator only when a term's does not divide it.  A pair with neither
 side acting and no bracket terms passes at once.  R is zero-tested as an
 integer map, so a passing pair builds no polynomial.
 
-The report records the generators, one outcome per pair (positions of x
-and y, status), and a failing pair's form (sigma, R's nonzero numerators,
-denominator), in the shape of a `modfam._Forms` entry.  Its
-`entries` is an `exactpoly._Grid`, which builds each `ReportEntry` only
-when it is read; a failing pair's residual on v, sigma(v) * R, is
-`modfam._image` of that form then.
+A pair's outcome depends on the spec and the window alone, not on the
+test degree.  So the first run at a window that does not raise stores
+the outcomes in the spec's form table, `modfam._Forms.outcomes`, keyed
+by the resolved window: one letter per pair (P, F or S) in the order of
+`combinations(range(len(gens)), 2)`, and a failing pair's form (sigma,
+R's nonzero numerators, denominator), in the shape of a `modfam._Forms`
+entry.  A later run at that window, at any test degree, checks its
+arguments, takes its plan and builds a new report over them, with no
+form read and no pair loop; the table holds at most MAX_WINDOW entries
+and goes with the spec.  Nothing modifies the stored maps.
+
+The report records the generators and those outcomes; a pair index
+gives the positions of x and y.  Its `entries` is an `exactpoly._Grid`,
+which builds each `ReportEntry` only when it is read; a failing pair's
+residual on v, sigma(v) * R, is `modfam._image` of that form then.
 The counts come from the pairs.  `format_report` formats each generator,
 test monomial and PASS or SKIP line tail once per report, writes a PASS
 or SKIP pair as one joined block, and writes a FAIL line from the
@@ -77,6 +88,7 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 from operator import add
 from typing import Tuple
 
@@ -112,6 +124,17 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 
+# A pair's outcome as one letter in the outcome string a spec stores.
+_PASS, _FAIL, _SKIP = "P", "F", "S"
+_STATUS = {_PASS: PASS, _FAIL: FAIL, _SKIP: SKIP}
+
+
+def _positions(pair: int, n: int) -> Tuple[int, int]:
+    """(i, j), the `pair`-th item of `combinations(range(n), 2)`."""
+    k = n * (n - 1) // 2 - 1 - pair  # the pair's index counted from the last
+    i = n - 2 - (isqrt(8 * k + 1) - 1) // 2
+    return i, pair - i * (2 * n - i - 1) // 2 + i + 1
+
 
 @dataclass(frozen=True, slots=True)
 class ReportEntry:
@@ -134,16 +157,19 @@ class _Entries(_Grid):
     """The report entries of one verify run, an `exactpoly._Grid` with one
     row per generator pair in report order.
 
-    Holds the generators and one outcome per pair, (position of x,
-    position of y, status), and for a FAIL pair its form (sigma, R's
-    nonzero numerators as {exponents: int}, denominator of R).
+    Holds the generators and the spec's stored outcomes for the window: one
+    letter per pair in the order of `combinations(range(len(gens)), 2)`,
+    whose pair index gives the positions of x and y, and for a FAIL pair
+    its form (sigma, R's nonzero numerators as {exponents: int},
+    denominator of R).  Both are shared with the spec's form table, so
+    they are only read.
     """
 
     __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero")
 
     def __init__(self, gens, outcomes, failures, monos, zero):
         self._gens = gens
-        self._outcomes = outcomes  # [(i, j, status)] per pair (gens[i], gens[j])
+        self._outcomes = outcomes  # a str: _PASS, _FAIL or _SKIP per pair (gens[i], gens[j])
         self._failures = failures  # {pair index: form of sigma and R} for FAIL pairs
         self._monos = monos
         self._zero = zero
@@ -158,7 +184,8 @@ class _Entries(_Grid):
         return _image(form, dict(self._monos[j].numerators)), form[2]
 
     def _item(self, pair: int, j: int) -> ReportEntry:
-        xi, yi, status = self._outcomes[pair]
+        xi, yi = _positions(pair, len(self._gens))
+        status = _STATUS[self._outcomes[pair]]
         residual = self._zero
         if status == FAIL:
             ints, scale = self._residual_map(pair, j)
@@ -167,7 +194,7 @@ class _Entries(_Grid):
 
     def _counts(self) -> Tuple[int, int, int]:
         n = len(self._monos)
-        skipped = n * sum(status == SKIP for _, _, status in self._outcomes)
+        skipped = n * self._outcomes.count(_SKIP)
         return n * len(self._failures), len(self) - skipped, skipped
 
 
@@ -253,6 +280,47 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     return gens, outside, Poly.zero(variables), monomials, tuple(brackets), offmasks
 
 
+def _pair_outcomes(forms, gens, outside, brackets, offmasks) -> tuple:
+    """(outcomes, failures) of every pair of a plan's generators on the spec
+    whose `_Forms` table is `forms`: one letter per pair in plan order, and
+    per FAIL pair index its form (sigma, R's nonzero numerators, den)."""
+    read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
+    used = [_support(numerators) for _, numerators, _ in read]  # the variables each x.1 uses
+    for z in outside:
+        try:
+            read.append(forms[z])
+        except WindowExceeded:  # beyond the spec's own window: its pairs are skipped
+            read.append(None)
+    outcomes, failures = [], {}
+    exponents: dict = {}  # each stored exponent tuple once, as FAIL forms share them
+    for (i, j), (sigma, terms) in zip(combinations(range(len(gens)), 2), brackets):
+        (x_off, x1, lx), (y_off, y1, ly) = read[i], read[j]
+        if terms:
+            z_forms = [read[z] for z, _, _ in terms]
+            if None in z_forms:
+                outcomes.append(_SKIP)
+                continue
+        r = {}  # R times `scale`, on integers
+        if x1 and offmasks[i] & used[j]:  # shift_x moves y.1
+            _mul(_shift_difference(y1, x_off), x1.items(), r)
+        if y1 and offmasks[j] & used[i]:  # shift_y moves x.1
+            _mul(_shift_difference(x1, y_off), y1.items(), r, -1)
+        if not r and not terms:  # no side acts and there is nothing to subtract
+            outcomes.append(_PASS)
+            continue
+        scale = lx * ly
+        if terms:
+            parts = [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
+            r, scale = _combine(parts, r, scale)
+        if any(r.values()):
+            r = {exponents.setdefault(e, e): n for e, n in r.items() if n}
+            failures[len(outcomes)] = (sigma, r, scale)  # a form, as `_image` unpacks it
+            outcomes.append(_FAIL)
+        else:
+            outcomes.append(_PASS)
+    return "".join(outcomes), failures
+
+
 def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> VerificationReport:
     """Check the axiom over pairs within `window` and monomials up to `test_degree`.
 
@@ -261,7 +329,8 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     is exact because every action is shift-then-multiply, shifts are
     additive substitutions, and every bracket is graded.  A pair whose
     values on 1 reach outside the spec's window is skipped on every
-    monomial.
+    monomial.  The pair outcomes are stored in the spec's form table by
+    window, so a later run at that window, at any test degree, reads them.
 
     Raises WindowExceeded only when the spec's own window is smaller
     than the requested one, and SpecInvalid for a window or test degree
@@ -272,41 +341,10 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
     gens, outside, zero, monos, brackets, offmasks = _plan(algebra, window, test_degree)
-    read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
-    used = [_support(numerators) for _, numerators, _ in read]  # the variables each x.1 uses
-    for z in outside:
-        try:
-            read.append(forms[z])
-        except WindowExceeded:  # beyond the spec's own window: its pairs are skipped
-            read.append(None)
-    outcomes, failures = [], {}
-    for (i, j), (sigma, terms) in zip(combinations(range(len(gens)), 2), brackets):
-        (x_off, x1, lx), (y_off, y1, ly) = read[i], read[j]
-        if terms:
-            z_forms = [read[z] for z, _, _ in terms]
-            if None in z_forms:
-                outcomes.append((i, j, SKIP))
-                continue
-        r = {}  # R times `scale`, on integers
-        if x1 and offmasks[i] & used[j]:  # shift_x moves y.1
-            _mul(_shift_difference(y1, x_off), x1.items(), r)
-        if y1 and offmasks[j] & used[i]:  # shift_y moves x.1
-            _mul(_shift_difference(x1, y_off), y1.items(), r, -1)
-        if not r and not terms:  # no side acts and there is nothing to subtract
-            outcomes.append((i, j, PASS))
-            continue
-        scale = lx * ly
-        if terms:
-            parts = [(num, den * lz, z1) for (_, z1, lz), (_, num, den) in zip(z_forms, terms)]
-            r, scale = _combine(parts, r, scale)
-        if any(r.values()):
-            r = {e: n for e, n in r.items() if n}
-            failures[len(outcomes)] = (sigma, r, scale)  # a form, as `_image` unpacks it
-            outcomes.append((i, j, FAIL))
-        else:
-            outcomes.append((i, j, PASS))
-    entries = _Entries(gens, outcomes, failures, monos, zero)
-    return VerificationReport(algebra, window, test_degree, entries)
+    known = forms.outcomes.get(window)
+    if known is None:  # a run that raises stores nothing
+        known = forms.outcomes[window] = _pair_outcomes(forms, gens, outside, brackets, offmasks)
+    return VerificationReport(algebra, window, test_degree, _Entries(gens, *known, monos, zero))
 
 
 def format_report(report: VerificationReport) -> str:
@@ -325,12 +363,13 @@ def format_report(report: VerificationReport) -> str:
         variables = entries._zero.variables
         names = [format_symbol(x, report.algebra) for x in entries._gens]
         mono_text = [format_poly(v) for v in entries._monos]
-        after = {status: [f"{m} RESIDUAL 0 {status}" for m in mono_text] for status in (PASS, SKIP)}
+        after = {c: [f"{m} RESIDUAL 0 {_STATUS[c]}" for m in mono_text] for c in (_PASS, _SKIP)}
         lines = []
-        for pair, (i, j, status) in enumerate(entries._outcomes):
+        pairs = combinations(range(len(names)), 2)  # the pair order of the outcomes
+        for pair, ((i, j), outcome) in enumerate(zip(pairs, entries._outcomes)):
             head = f"PAIR {names[i]} {names[j]} POLY "
-            if status != FAIL:
-                lines.append(head + ("\n" + head).join(after[status]))
+            if outcome != _FAIL:
+                lines.append(head + ("\n" + head).join(after[outcome]))
                 continue
             for k, m in enumerate(mono_text):
                 ints, scale = entries._residual_map(pair, k)

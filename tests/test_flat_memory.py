@@ -3,8 +3,10 @@
 Every public entry point runs over many distinct specs of every family;
 afterwards the only specs and `ActionData` that survive a garbage
 collection are those the document table (`specdsl._document`) holds, at
-most MAX_DOCUMENT_TEXTS of them, none survives once that table is
-cleared, and the bounded caches and tables stay within their bounds.
+most MAX_DOCUMENT_TEXTS of them, each with verify's outcome table of at
+most MAX_WINDOW entries; none survives once that table is cleared, nor
+does its form table, and the bounded caches and tables stay within their
+bounds.
 """
 
 import gc
@@ -82,7 +84,8 @@ def _exercise(spec, refs):
     assert parsed == spec == read and parsed_data == data == read_data
     refs += [weakref.ref(x) for x in (spec, data, parsed, parsed_data, read, read_data)]
 
-    format_report(verify_module(spec, window=1, test_degree=1))
+    for target in (spec, read, read_data):
+        format_report(verify_module(target, window=1, test_degree=1))
     seed = Poly.var(module_variables(spec), module_variables(spec)[0])
     if decide(spec).irreducible:
         cert = reduction_chain(spec, seed)
@@ -124,11 +127,17 @@ def test_no_entry_point_keeps_a_spec_alive():
         write = format_actions if isinstance(x, modfam.ActionData) else format_spec
         assert specdsl._document(write(x)) is x
     assert specdsl._document.cache_info().hits == hits + len(alive)
-    del x
+    # verify's outcomes live in each survivor's form table, one entry per window
+    tables = [modfam.spec_forms(x) for x in alive]
+    assert all(len(t.outcomes) <= modfam.MAX_WINDOW for t in tables)
+    assert any(t.outcomes for t in tables)
+    table_refs = [weakref.ref(t) for t in tables]
+    del x, tables
     alive.clear()
     specdsl._document.cache_clear()
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
+    assert [ref for ref in table_refs if ref() is not None] == []
     assert verify._plan.cache_info().currsize <= MAX_PLANS
     assert modfam.value_on_one.cache_info().currsize == 0
     # the generator lists, one per algebra and window

@@ -7,6 +7,7 @@ import itertools
 import math
 import pkgutil
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -630,6 +631,17 @@ def test_parse_input_dispatch():
 
 
 # --------------------------------------------------------------------- CLI
+
+
+def test_importing_the_modules_leaves_argparse_to_the_cli():
+    # only `main` builds a parser, so an import that serves no command skips argparse
+    src = Path(nwfree.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import nwfree.irreducible, nwfree.specdsl, nwfree.verify; "
+            "print('argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_cli_verify_spec_passes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import pickle
@@ -19,6 +20,7 @@ from helpers import (
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_scripts import _report_bytes, fail_and_skip_cases, load_script
 
 import nwfree.exactpoly
 import nwfree.modfam
@@ -47,9 +49,10 @@ from nwfree.modfam import (
     mtilde,
     mtilde_f,
     shift_of,
+    spec_forms,
     value_on_one,
 )
-from nwfree.verify import FAIL, PASS, SKIP, format_report, verify_module
+from nwfree.verify import FAIL, MAX_TEST_DEGREE, PASS, SKIP, format_report, verify_module
 
 S_POLY = Poly.var(("s",), "s")
 
@@ -414,7 +417,8 @@ def _affine_with_q1_on_d():
     ids=["h4", "affine", "affine-failing", "affvir"],
 )
 def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
-    verify_module(spec, window, 1)  # fill the spec's forms first
+    for x in generators(spec):  # fill the spec's forms first, with no verify outcome stored
+        spec.on_one(x)
     taylor_shift = nwfree.exactpoly._taylor_shift
     calls = []  # per call: did it shift something?
 
@@ -578,3 +582,98 @@ def test_replaced_entries_are_counted_by_reading_them():
         assert planted.passed != report.passed
         assert planted.checked == len(entries) and planted.skipped == 0
         assert format_report(planted) == format_report_reference(planted)
+
+
+# ------------------------------------------------------ the outcome table
+
+
+def test_an_outcome_table_hit_reads_as_a_fresh_spec():
+    """The golden grid specs and the FAIL and SKIP cases behind
+    verify_fail_report_digests.txt: once a run at another test degree has
+    stored the window's outcomes, each hit gives the report text and entry
+    reprs of a fresh copy, also after every entry has been read and
+    formatted, runs no pair loop and leaves the stored outcomes as they were."""
+    cases = [(name, spec, 2, 3) for name, spec in load_script("run_families").standard_grid(2)]
+    cases += list(fail_and_skip_cases())
+    assert len(cases) == 14 + 25
+    for name, target, window, test_degree in cases:
+        other = 1 if test_degree > 1 else 2
+        want = _report_bytes(copy.copy(target), window, test_degree)
+        want_other = _report_bytes(copy.copy(target), window, other)
+        table = spec_forms(target).outcomes
+        assert table == {}, name
+        assert _report_bytes(target, window, other) == want_other, name
+        assert len(table) == 1, name
+        (stored,) = table.values()
+        frozen = pickle.dumps(stored)
+        with mock.patch.object(nwfree.verify, "_pair_outcomes", side_effect=AssertionError):
+            for degree, expected in ((test_degree, want), (test_degree, want), (other, want_other)):
+                assert _report_bytes(target, window, degree) == expected, name
+        assert list(table.values()) == [stored] and pickle.dumps(stored) == frozen, name
+
+
+def _raises_twice_storing_nothing(target, window, test_degree, error):
+    table = dict(spec_forms(target).outcomes)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            verify_module(target, window, test_degree)
+        messages.append(str(err.value))
+        assert spec_forms(target).outcomes == table
+    assert messages[0] == messages[1]
+
+
+def test_a_run_that_raises_stores_no_outcome():
+    spec = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
+    data = actions_of(spec)
+    partial = ActionData(AFFINE_H4, 1, data.assignments[:4])
+    _raises_twice_storing_nothing(partial, 1, 1, MalformedData)  # after some forms are read
+    assert spec_forms(partial).outcomes == {}
+    faults = [
+        (2, 1, WindowExceeded),
+        (1, 0, SpecInvalid),
+        (1, MAX_TEST_DEGREE + 1, SpecInvalid),
+        (MAX_WINDOW + 1, 1, SpecInvalid),
+        (1.5, 1, SpecInvalid),
+    ]
+    for target in (spec, data):
+        for stored in (False, True):
+            if stored:
+                verify_module(target, 1, 2)
+            for fault in faults:
+                _raises_twice_storing_nothing(target, *fault)
+            assert list(spec_forms(target).outcomes) == ([1] if stored else [])
+
+
+@pytest.mark.parametrize(
+    "spec, keys",
+    [
+        (mhb(1, 0, 1), [0]),  # H4 has no loop directions: every window resolves to 0
+        (Vir00Spec(Fraction(2), Poly.var(("d0", "w0"), "w0")), list(range(1, MAX_WINDOW + 1))),
+        (affvir(mhb(1, 0, 1), 2, 3, 3), [1, 2, 3]),
+    ],
+    ids=["h4", "vir00", "affvir"],
+)
+def test_the_outcome_table_keeps_one_entry_per_window(spec, keys):
+    limit = spec.window or MAX_WINDOW  # 0 on H4 and None on Vir00, which take any window
+    for _ in range(2):
+        for window in range(1, limit + 1):
+            for test_degree in (1, 2):
+                verify_module(spec, window, test_degree)
+    assert sorted(spec_forms(spec).outcomes) == keys
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_start_with_an_empty_outcome_table(duplicate):
+    data, window, test_degree = mixed_report()
+    for target in (data, mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)):
+        want = _report_bytes(target, window, test_degree)
+        assert list(spec_forms(target).outcomes) == [window]
+        twin = duplicate(target)
+        assert twin == target and spec_forms(twin).outcomes == {}
+        assert _report_bytes(twin, window, test_degree) == want
+        assert list(spec_forms(twin).outcomes) == [window]
