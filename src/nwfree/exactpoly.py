@@ -17,23 +17,26 @@ variable, so it is an offset vector of integers, one per variable in the
 polynomial's variable order, and shifts compose by adding their vectors;
 `negate_var` substitutes v -> -v.
 
-Four kernels work on integer polynomials {exponents: int}.
+Five kernels work on integer polynomials {exponents: int}.
 `_taylor_shift` shifts (a Horner-type recurrence along dense coefficient
 rows, which skips an offset on a variable that no term uses);
-`_shift_difference` takes shift - id, {} when no offset applies;
-`_mul` multiplies by a collection of (exponents, int) pairs, adding scale
-times the product into a map `out`, and a constant factor, as a chain
-step's q.1 = c, scales the map and builds no exponent vector; `_combine`
-sums numerators over one common denominator, also into a running map
-over its own denominator.  `Poly.__mul__` is `_mul` on the numerators,
+`_taylor_terms` keeps a value's Taylor terms of order one, its partial
+derivatives, once, and `_taylor_sum` takes shift - id from them for any
+offsets as the finite Taylor series, {} when no offset applies, with no
+shift; `_mul` multiplies by a collection of (exponents, int) pairs,
+adding scale times the product into a map `out`, and a constant factor,
+as a chain step's q.1 = c, scales the map and builds no exponent vector;
+`_combine` sums numerators over one common denominator, also into a
+running map over its own denominator.  `Poly.__mul__` is `_mul` on the numerators,
 `apply_shift` the shift alone and `+` one `_combine`.  Every action is
 shift-then-multiply, and one function does both: `modfam._image`, which
 takes every generator image of `act`, the chains, the witness, the orbit
 oracle and a verify report's failing residuals from an integer form.
-`verify_module` adds a pair's shift differences times the values with
-`_mul`, only for a side whose shift moves the value: `_support` gives
-the bit masks it tests, of the variables a value uses (taken per request
-from x.1's form) and of those a shift moves (kept in verify's plan).
+`verify_module` adds the values times a pair's shift differences, each
+a `_taylor_sum` of the other value's Taylor terms (taken once per run),
+with `_mul`, only for a side whose shift moves the value: `_support`
+gives the bit masks it tests, of the variables a value uses (taken per
+run from x.1's form) and of those a shift moves (kept in verify's plan).
 
 The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Every other `Poly` goes through the one
@@ -329,21 +332,74 @@ def _support(vectors: Iterable[Tuple[int, ...]]) -> int:
     return mask
 
 
-def _shift_difference(ints: dict, offsets: Shift) -> dict:
-    """shift(ints) - ints for an integer polynomial {exponents: int}, as a
-    new map with no zero entries.
-
-    It is {} when no offset applies, that is when every nonzero offset
-    falls on a variable that no term uses, and it is never zero otherwise.
+def _taylor_terms(ints: dict) -> tuple:
+    """The Taylor terms of order one of an integer polynomial v
+    {exponents: int}, for `_taylor_sum`: (deg v, ((k, T_k), ...)) with
+    T_k = dv/dx_k as a map {exponents: int} with no zero entry, one for each
+    variable x_k that v uses.  A constant, zero included, has none: (0, ()).
     The input map is never modified.
     """
-    shifted = _taylor_shift(ints, offsets)
-    if shifted is ints or not ints:
-        return {}
-    get = shifted.get
+    firsts: dict = {}
+    degree = 0
     for exps, n in ints.items():
-        shifted[exps] = get(exps, 0) - n
-    return {exps: n for exps, n in shifted.items() if n}
+        if n and any(exps):
+            degree = max(degree, sum(exps))
+            for k, e in enumerate(exps):
+                if e:
+                    term = firsts.get(k)
+                    if term is None:
+                        term = firsts[k] = {}
+                    term[exps[:k] + (e - 1,) + exps[k + 1:]] = n * e
+    return degree, tuple(firsts.items())
+
+
+def _taylor_sum(terms: tuple, offsets: Shift) -> dict:
+    """shift(v) - v from v's `_taylor_terms`, as a new map {exponents: int}
+    with no zero entries, for `offsets` given one integer per exponent
+    position.
+
+    A shift is a finite Taylor series: v(x + off) - v(x) is the sum over
+    multi-indices a != 0 of off^a * T_a(v), T_a(v) = (d/dx)^a v / a!.  Its
+    part of order j, the sum over |a| = j, is L^j v / j! for the derivation
+    L = sum_k off_k d/dx_k.  Order one is the stored T_k weighted by the
+    offsets, a T_k on a zero offset skipped, and order j is L of order j - 1
+    over j, exactly, until an order is empty or j passes the degree of v:
+    so a value of degree one reads its stored terms alone.  Storing every
+    T_a instead would keep one entry per term x^e and multi-index a <= e,
+    812,240 of them (87 MB under tracemalloc) for (s+d+1)^64, where these
+    keep at most one per term and variable.  The sum is {} when no offset
+    moves a variable that v uses, and can be {} when the moves cancel, as
+    for s - d under (1, 1).
+    """
+    degree, firsts = terms
+    out: dict = {}
+    get = out.get
+    for k, term in firsts:
+        off = offsets[k]
+        if off:
+            for exps, c in term.items():
+                out[exps] = get(exps, 0) + off * c
+    if degree > 1:
+        moved = [(k, off) for k, off in enumerate(offsets) if off]
+        layer = out  # order one, read whole before order two adds to `out`
+        for j in range(2, degree + 1):
+            if not layer:
+                break
+            image: dict = {}  # L(layer), then divided by j
+            put = image.get
+            for exps, n in layer.items():
+                for k, off in moved:
+                    e = exps[k]
+                    if e:
+                        key = exps[:k] + (e - 1,) + exps[k + 1:]
+                        image[key] = put(key, 0) + off * e * n
+            for exps, n in image.items():
+                n = image[exps] = n // j
+                out[exps] = get(exps, 0) + n
+            layer = image
+    if 0 in out.values():
+        out = {exps: n for exps, n in out.items() if n}
+    return out
 
 
 def _mul(ints: dict, factor, out: Optional[dict] = None, scale: int = 1) -> dict:

@@ -27,7 +27,10 @@ both leading terms hold cancels exactly, so verify builds
     R = D_x(y.1)*x.1 - D_y(x.1)*y.1 - sum over terms c*z of c*z.1,
 
 and D_x(y.1) is zero whenever x's shift moves no variable that y.1
-uses, so its product is never built.
+uses, so its product is never built.  D_x(y.1) is the finite Taylor
+series of y.1 at x's offsets, the sum over a != 0 of off^a * T_a(y.1),
+so it needs no shift: where every term of y.1 that x's shift moves
+has degree one, it is one constant.
 
 Only the values on 1 depend on the spec, and with them each pair's
 outcome, which the spec's own per-window outcome table keeps (below).
@@ -50,13 +53,15 @@ generator's x.1 uses.  So each x.1 is computed once per spec, and the
 table goes with the spec; a missing value raises MalformedData for the
 first symbol in that order, and an outside term beyond the spec's own
 window raises WindowExceeded once per such run, is read as None and
-marks every pair that needs it as skipped.
+marks every pair that needs it as skipped.  Beside those masks the run
+takes each generator's Taylor terms of x.1 once, `exactpoly._taylor_terms`.
 A pair's R is one integer map over the denominator of x.1 times that of
 y.1.  For each side where x.1 is nonzero and x's offset mask meets the
-mask of y.1, `exactpoly._shift_difference` takes D_x(y.1) and
-`exactpoly._mul` adds D_x(y.1)*x.1 into the map (and -D_y(x.1)*y.1 the
-same way); a side whose shift fixes the value makes no call.  Then
-`exactpoly._combine` adds the terms -c*z.1, raising the map's
+mask of y.1, `exactpoly._taylor_sum` takes D_x(y.1) from y.1's terms and
+`exactpoly._mul` adds x.1*D_x(y.1) into the map (and -y.1*D_y(x.1) the
+same way), a scaled add when D_x(y.1) is constant; a side whose shift
+fixes the value makes no call, and the pair loop takes no Taylor shift.
+Then `exactpoly._combine` adds the terms -c*z.1, raising the map's
 denominator only when a term's does not divide it.  A pair with neither
 side acting and no bracket terms passes at once.  R is zero-tested as an
 integer map, so a passing pair builds no polynomial.
@@ -97,8 +102,9 @@ from .exactpoly import (
     _Grid,
     _combine,
     _mul,
-    _shift_difference,
     _support,
+    _taylor_sum,
+    _taylor_terms,
     _term_key,
     format_poly,
     format_terms,
@@ -286,6 +292,7 @@ def _pair_outcomes(forms, gens, outside, brackets, offmasks) -> tuple:
     per FAIL pair index its form (sigma, R's nonzero numerators, den)."""
     read = [forms[x] for x in gens]  # every form by position, in `gens + outside`
     used = [_support(numerators) for _, numerators, _ in read]  # the variables each x.1 uses
+    taylor = [_taylor_terms(numerators) for _, numerators, _ in read]  # each x.1's Taylor terms
     for z in outside:
         try:
             read.append(forms[z])
@@ -302,9 +309,9 @@ def _pair_outcomes(forms, gens, outside, brackets, offmasks) -> tuple:
                 continue
         r = {}  # R times `scale`, on integers
         if x1 and offmasks[i] & used[j]:  # shift_x moves y.1
-            _mul(_shift_difference(y1, x_off), x1.items(), r)
+            _mul(x1, _taylor_sum(taylor[j], x_off).items(), r)
         if y1 and offmasks[j] & used[i]:  # shift_y moves x.1
-            _mul(_shift_difference(x1, y_off), y1.items(), r, -1)
+            _mul(y1, _taylor_sum(taylor[i], y_off).items(), r, -1)
         if not r and not terms:  # no side acts and there is nothing to subtract
             outcomes.append(_PASS)
             continue

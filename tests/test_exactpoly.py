@@ -25,8 +25,9 @@ from nwfree.exactpoly import (
     _combine,
     _monomial_text,
     _mul,
-    _shift_difference,
     _taylor_shift,
+    _taylor_sum,
+    _taylor_terms,
 )
 from nwfree.specdsl import parse_poly
 
@@ -398,17 +399,29 @@ def test_taylor_shift_skips_unused_variables_as_reference(case):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(
     lambda v: st.one_of(_integer_shift_case(v), _unused_variable_shift_case(v))))
+@example((SD, {(1, 0): 3, (0, 0): -2}, (0, 4)))  # the offset falls only on d, which is unused
+@example((SD, {(0, 0): 7}, (-1, 3)))  # a constant has no Taylor terms
+@example((SD, {}, (2, -1)))  # nor has zero
+@example((SD, {(1, 0): 1, (0, 1): -1}, (1, 1)))  # s - d: the moves cancel
 def test_shift_difference_is_the_shift_minus_its_input(case):
-    # verify's kernel: shift(x) - x, empty exactly when no offset moves a variable of x
+    # verify's kernels: shift(x) - x from x's Taylor terms, built once and
+    # summed for any offsets; empty when no offset moves a variable of x
     variables, ints, offs = case
     before = dict(ints)
-    diff = _shift_difference(ints, offs)
-    assert ints == before and diff is not ints
+    terms = _taylor_terms(ints)
+    assert ints == before
+    diff = _taylor_sum(terms, offs)
     assert all(type(n) is int and n for n in diff.values())
     x = Poly(variables, ints)
     assert Poly(variables, diff) == apply_shift_reference(offs, x) - x
-    moved = any(off and degree_in(x, v) > 0 for v, off in zip(variables, offs))
-    assert (diff != {}) == moved
+    if x.is_constant():
+        assert terms[1] == () and diff == {}
+    if not any(off and degree_in(x, v) > 0 for v, off in zip(variables, offs)):
+        assert diff == {}
+    # the terms are only read: a second sum, at the negated offsets, is the
+    # difference of the inverse shift
+    back = _taylor_sum(terms, tuple(-off for off in offs))
+    assert Poly(variables, back) == apply_shift_reference(tuple(-off for off in offs), x) - x
 
 
 @settings(max_examples=60, deadline=None)

@@ -310,6 +310,39 @@ def test_verify_matches_reference_on_rational_values(case, test_degree):
     assert_matches_reference(data, window, test_degree)
 
 
+def nonlinear_polys(variables):
+    """Polynomials in s and d of degree up to 4, of up to four terms."""
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * len(variables)).filter(
+        lambda e: sum(e) <= 4)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    return st.lists(st.tuples(exps, coeff), min_size=1, max_size=4).map(
+        lambda ts: Poly(variables, ts))
+
+
+LOOP_SPECS = [(n, s) for n, s in REFERENCE_SPECS if algebra_of(s) in (AFFINE_H4, AFF_VIR)]
+
+
+@st.composite
+def nonlinear_pair_data(draw):
+    """(window, action data of an AffineH4 or AffineVirasoroH4 reference spec
+    at window 1 or 2 with p@1 and q@-1 made nonlinear): the shift of each,
+    (-1, -1) and (1, 1), moves both variables of the other's value."""
+    _, spec = draw(st.sampled_from(LOOP_SPECS))
+    window = draw(st.integers(min_value=1, max_value=spec.window or 2))
+    data = actions_of(spec, window)
+    for symbol in (sym("p", 1), sym("q", -1)):
+        data = with_assignment(data, symbol, draw(nonlinear_polys(MODULE_VARIABLES[data.algebra])))
+    return window, data
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonlinear_pair_data(), st.integers(min_value=1, max_value=2))
+def test_nonlinear_values_on_both_sides_of_a_pair_verify_as_reference(case, test_degree):
+    # the Taylor terms of order two and up, which no linear value reaches
+    window, data = case
+    assert_matches_reference(data, window, test_degree)
+
+
 CENTRAL_SPECS = [
     (n, s) for n, s in REFERENCE_SPECS
     if algebra_of(s) in (VIR00, AFF_VIR) and s.window in (0, 2)
@@ -419,16 +452,28 @@ def _affine_with_q1_on_d():
 def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
     for x in generators(spec):  # fill the spec's forms first, with no verify outcome stored
         spec.on_one(x)
-    taylor_shift = nwfree.exactpoly._taylor_shift
-    calls = []  # per call: did it shift something?
+    taylor_sum, taylor_shift = nwfree.verify._taylor_sum, nwfree.exactpoly._taylor_shift
+    calls = []  # per shift difference evaluated: is it nonzero?
+    shifts = []  # every Taylor shift, of verify or of its report's lines
 
-    def counted(ints, offsets):
-        out = taylor_shift(ints, offsets)
-        calls.append(bool(ints) and out is not ints)
+    def counted(terms, offsets):
+        out = taylor_sum(terms, offsets)
+        calls.append(out != {})
         return out
 
-    with mock.patch.object(nwfree.exactpoly, "_taylor_shift", counted):
-        verify_module(spec, window, 1)
+    def shifted(ints, offsets):
+        shifts.append(offsets)
+        return taylor_shift(ints, offsets)
+
+    with mock.patch.object(nwfree.verify, "_taylor_sum", counted), \
+            mock.patch.object(nwfree.modfam, "_taylor_shift", shifted), \
+            mock.patch.object(nwfree.exactpoly, "_taylor_shift", shifted):
+        report = verify_module(spec, window, 1)
+        in_verify = len(shifts)
+        format_report(report)
+    # the pair loop takes no Taylor shift: only a FAIL line's residual does
+    assert in_verify == 0
+    assert (shifts == []) == report.passed
     # counted from the values alone: per pair with no term beyond the spec's
     # window and two nonzero values, each side whose shift moves a variable
     # the other value uses
@@ -453,8 +498,8 @@ def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
         for a, v in ((x, vy), (y, vx)):
             sides += any(off and degree_in(v, name) > 0
                          for name, off in zip(variables, shift_of(algebra, a)))
-    # each such side is one shift, and every shift moves a value: no product
-    # takes a shift, and fewer sides act than pairs have two nonzero values
+    # each such side is one difference, and every difference is nonzero: no
+    # product takes one, and fewer sides act than pairs have two nonzero values
     assert sum(calls) == len(calls) == sides < full_pairs
 
 
