@@ -22,8 +22,10 @@ Five kernels work on integer polynomials {exponents: int}.
 rows, which skips an offset on a variable that no term uses);
 `_taylor_terms` keeps a value's Taylor terms of order one, its partial
 derivatives, once, and `_taylor_sum` takes shift - id from them for any
-offsets as the finite Taylor series, {} when no offset applies, with no
-shift; `_mul` multiplies by a collection of (exponents, int) pairs,
+offsets as the finite Taylor series, {} when no offset applies: with no
+shift when the part of order one is the whole difference, and through
+`_taylor_shift` on dense rows when it is not; `_mul` multiplies by a
+collection of (exponents, int) pairs,
 adding scale times the product into a map `out`, and a constant factor,
 as a chain step's q.1 = c, scales the map and builds no exponent vector;
 `_combine` sums numerators over one common denominator, also into a
@@ -334,10 +336,11 @@ def _support(vectors: Iterable[Tuple[int, ...]]) -> int:
 
 def _taylor_terms(ints: dict) -> tuple:
     """The Taylor terms of order one of an integer polynomial v
-    {exponents: int}, for `_taylor_sum`: (deg v, ((k, T_k), ...)) with
+    {exponents: int}, for `_taylor_sum`: (deg v, ((k, T_k), ...), v) with
     T_k = dv/dx_k as a map {exponents: int} with no zero entry, one for each
-    variable x_k that v uses.  A constant, zero included, has none: (0, ()).
-    The input map is never modified.
+    variable x_k that v uses, and v's own map, kept by reference, not
+    copied.  A constant, zero included, has none: (0, (), v).  The input
+    map is never modified.
     """
     firsts: dict = {}
     degree = 0
@@ -350,7 +353,7 @@ def _taylor_terms(ints: dict) -> tuple:
                     if term is None:
                         term = firsts[k] = {}
                     term[exps[:k] + (e - 1,) + exps[k + 1:]] = n * e
-    return degree, tuple(firsts.items())
+    return degree, tuple(firsts.items()), ints
 
 
 def _taylor_sum(terms: tuple, offsets: Shift) -> dict:
@@ -360,18 +363,20 @@ def _taylor_sum(terms: tuple, offsets: Shift) -> dict:
 
     A shift is a finite Taylor series: v(x + off) - v(x) is the sum over
     multi-indices a != 0 of off^a * T_a(v), T_a(v) = (d/dx)^a v / a!.  Its
-    part of order j, the sum over |a| = j, is L^j v / j! for the derivation
-    L = sum_k off_k d/dx_k.  Order one is the stored T_k weighted by the
-    offsets, a T_k on a zero offset skipped, and order j is L of order j - 1
-    over j, exactly, until an order is empty or j passes the degree of v:
-    so a value of degree one reads its stored terms alone.  Storing every
-    T_a instead would keep one entry per term x^e and multi-index a <= e,
+    part of order one is the stored T_k weighted by the offsets, a T_k on a
+    zero offset skipped.  When that part uses no variable the shift moves,
+    every higher part is zero and it is the whole difference: so a value
+    with no term of degree two or more in the moved variables reads its
+    stored terms alone and takes no shift.  Otherwise the part of order
+    two can be nonzero, and the difference is taken whole as
+    `_taylor_shift(v, offsets) - v`, on dense rows.  Storing every T_a
+    instead would keep one entry per term x^e and multi-index a <= e,
     812,240 of them (87 MB under tracemalloc) for (s+d+1)^64, where these
     keep at most one per term and variable.  The sum is {} when no offset
     moves a variable that v uses, and can be {} when the moves cancel, as
     for s - d under (1, 1).
     """
-    degree, firsts = terms
+    degree, firsts, ints = terms
     out: dict = {}
     get = out.get
     for k, term in firsts:
@@ -379,24 +384,11 @@ def _taylor_sum(terms: tuple, offsets: Shift) -> dict:
         if off:
             for exps, c in term.items():
                 out[exps] = get(exps, 0) + off * c
-    if degree > 1:
-        moved = [(k, off) for k, off in enumerate(offsets) if off]
-        layer = out  # order one, read whole before order two adds to `out`
-        for j in range(2, degree + 1):
-            if not layer:
-                break
-            image: dict = {}  # L(layer), then divided by j
-            put = image.get
-            for exps, n in layer.items():
-                for k, off in moved:
-                    e = exps[k]
-                    if e:
-                        key = exps[:k] + (e - 1,) + exps[k + 1:]
-                        image[key] = put(key, 0) + off * e * n
-            for exps, n in image.items():
-                n = image[exps] = n // j
-                out[exps] = get(exps, 0) + n
-            layer = image
+    if degree > 1 and _support(exps for exps, n in out.items() if n) & _support([offsets]):
+        out = _taylor_shift(ints, offsets)  # a new map: some offset moves a variable v uses
+        get = out.get
+        for exps, n in ints.items():
+            out[exps] = get(exps, 0) - n
     if 0 in out.values():
         out = {exps: n for exps, n in out.items() if n}
     return out

@@ -28,9 +28,10 @@ both leading terms hold cancels exactly, so verify builds
 
 and D_x(y.1) is zero whenever x's shift moves no variable that y.1
 uses, so its product is never built.  D_x(y.1) is the finite Taylor
-series of y.1 at x's offsets, the sum over a != 0 of off^a * T_a(y.1),
-so it needs no shift: where every term of y.1 that x's shift moves
-has degree one, it is one constant.
+series of y.1 at x's offsets, the sum over a != 0 of off^a * T_a(y.1):
+where y.1 has no term of degree two or more in the variables x's shift
+moves, it is its part of order one and needs no shift, and where every
+term of y.1 that the shift moves has degree one, it is one constant.
 
 Only the values on 1 depend on the spec, and with them each pair's
 outcome, which the spec's own per-window outcome table keeps (below).
@@ -60,7 +61,10 @@ y.1.  For each side where x.1 is nonzero and x's offset mask meets the
 mask of y.1, `exactpoly._taylor_sum` takes D_x(y.1) from y.1's terms and
 `exactpoly._mul` adds x.1*D_x(y.1) into the map (and -y.1*D_y(x.1) the
 same way), a scaled add when D_x(y.1) is constant; a side whose shift
-fixes the value makes no call, and the pair loop takes no Taylor shift.
+fixes the value makes no call.  The pair loop takes a Taylor shift only
+for a difference whose part of order one still uses a moved variable,
+whole, on dense rows (`exactpoly._taylor_sum`); no benchmark request
+makes one.
 Then `exactpoly._combine` adds the terms -c*z.1, raising the map's
 denominator only when a term's does not divide it.  A pair with neither
 side acting and no bracket terms passes at once.  R is zero-tested as an
@@ -81,10 +85,17 @@ The report records the generators and those outcomes; a pair index
 gives the positions of x and y.  Its `entries` is an `exactpoly._Grid`,
 which builds each `ReportEntry` only when it is read; a failing pair's
 residual on v, sigma(v) * R, is `modfam._image` of that form then.
-The counts come from the pairs.  `format_report` formats each generator,
-test monomial and PASS or SKIP line tail once per report, writes a PASS
-or SKIP pair as one joined block, and writes a FAIL line from the
-integer map of sigma(v) * R through `exactpoly.format_terms`.
+The counts come from the pairs.  `format_report` writes a PASS or SKIP
+pair as one joined block, `PAIR x y POLY v RESIDUAL 0 STATUS` per test
+monomial, and a FAIL line from the integer map of sigma(v) * R through
+`exactpoly.format_terms`.  A PASS or SKIP block depends on the plan, the
+pair and its letter alone, so it is written once per plan and kept in the
+plan's `_PlanText`, by pair index and letter, beside the generator names
+and monomial texts.  A report finds that table through its entries, not
+through its fields, and uses it only when its algebra is the plan's.  The
+table keeps at most MAX_PLAN_TEXT characters and is dropped with its
+plan, so the plan cache holds at most MAX_PLANS of them.  FAIL lines
+depend on the spec and are written per report.
 """
 
 from __future__ import annotations
@@ -168,17 +179,19 @@ class _Entries(_Grid):
     whose pair index gives the positions of x and y, and for a FAIL pair
     its form (sigma, R's nonzero numerators as {exponents: int},
     denominator of R).  Both are shared with the spec's form table, so
-    they are only read.
+    they are only read.  `_text` is the `_PlanText` of the plan the
+    entries were built from, which `format_report` reads and fills.
     """
 
-    __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero")
+    __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero", "_text")
 
-    def __init__(self, gens, outcomes, failures, monos, zero):
+    def __init__(self, gens, outcomes, failures, monos, zero, text):
         self._gens = gens
         self._outcomes = outcomes  # a str: _PASS, _FAIL or _SKIP per pair (gens[i], gens[j])
         self._failures = failures  # {pair index: form of sigma and R} for FAIL pairs
         self._monos = monos
         self._zero = zero
+        self._text = text
 
     def _row_count(self) -> int:
         return len(self._outcomes)
@@ -234,6 +247,61 @@ class VerificationReport:
         return _tally(self.entries)[2]
 
 
+# Characters of report text kept per plan: 16 plans keep at most 4 Mi of
+# them, beside the plans' own 4 MB.  A bound, not a tuning knob: one plan
+# at MAX_WINDOW and MAX_TEST_DEGREE would keep 6.8 M characters per letter.
+MAX_PLAN_TEXT = 1 << 18
+
+
+class _PlanText:
+    """The text `format_report` keeps for one plan, so that a report on the
+    plan writes each PASS or SKIP pair block once.
+
+    It holds the generator names and test monomial texts, the tail
+    `v RESIDUAL 0 STATUS` per monomial for PASS and for SKIP, and per pair
+    index and letter the pair's whole block, one `PAIR x y POLY ...` line
+    per monomial joined by newlines.  None of these depends on the values
+    on 1: only on the algebra, which names the symbols, and on the plan's
+    generators and test monomials, which the entries that read the table
+    carry.  The names, monomials and tails are written by the first report
+    formatted; a block, by the first report that meets its pair and letter.
+    `size` counts every character kept, and a block that would take it past
+    MAX_PLAN_TEXT is written and not kept.  A pickle or copy starts empty.
+    """
+
+    __slots__ = ("algebra", "names", "monos", "tails", "blocks", "size")
+
+    def __init__(self, algebra: str):
+        self.algebra = algebra
+        self.names = None  # with the rest, set by `_fill`
+
+    def __reduce__(self):
+        return type(self), (self.algebra,)
+
+    def _fill(self, gens, monos) -> None:
+        self.names = [format_symbol(x, self.algebra) for x in gens]
+        self.monos = [format_poly(v) for v in monos]
+        self.tails = {c: [f"{m} RESIDUAL 0 {_STATUS[c]}" for m in self.monos] for c in (_PASS, _SKIP)}
+        pairs = len(gens) * (len(gens) - 1) // 2
+        self.blocks = {c: [None] * pairs for c in (_PASS, _SKIP)}
+        self.size = sum(map(len, self.names)) + sum(map(len, self.monos))
+        self.size += sum(len(t) for tails in self.tails.values() for t in tails)
+
+    def _head(self, pair: int) -> str:
+        names = self.names
+        i, j = _positions(pair, len(names))
+        return f"PAIR {names[i]} {names[j]} POLY "
+
+    def _block(self, pair: int, letter: str) -> str:
+        """PASS or SKIP pair `pair`'s block, kept while the bound allows."""
+        head = self._head(pair)
+        block = head + ("\n" + head).join(self.tails[letter])
+        if self.size + len(block) <= MAX_PLAN_TEXT:
+            self.blocks[letter][pair] = block
+            self.size += len(block)
+        return block
+
+
 # Plans kept at once.  A plan depends only on the algebra, the window and
 # the test degree, so the keys are few: perfbench's verify slots use 7.
 # One plan at MAX_WINDOW and MAX_TEST_DEGREE (AffineVirasoroH4: 86
@@ -247,7 +315,7 @@ MAX_PLANS = 16
 def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     """Everything verify needs that does not depend on the values on 1.
 
-    Returns (gens, outside, zero, monomials, brackets, offmasks).  `gens`
+    Returns (gens, outside, zero, monomials, brackets, offmasks, text).  `gens`
     is the tuple of the algebra's generators up to loop index `window`, in
     canonical order, and `outside` the bracket terms beyond it, in the
     order the pairs first meet them.  `brackets` holds, per generator
@@ -259,7 +327,9 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     every bracket being graded.  Equal shifts and entries are stored
     once, so a pair with a zero bracket costs one reference.  `offmasks`
     holds, per generator in `gens`, the bit mask of its nonzero offsets
-    (bit k for the k-th module variable).
+    (bit k for the k-th module variable).  `text` is the plan's
+    `_PlanText`, empty until a report on the plan is formatted, and
+    dropped with the plan.
     """
     variables = MODULE_VARIABLES[algebra]
     gens = _symbols(algebra, window)
@@ -283,7 +353,8 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     outside = tuple(position)[len(gens):]
     monomials = tuple(monomials_upto(variables, test_degree))
     offmasks = tuple(_support([shift_of(algebra, x)]) for x in gens)
-    return gens, outside, Poly.zero(variables), monomials, tuple(brackets), offmasks
+    text = _PlanText(algebra)
+    return gens, outside, Poly.zero(variables), monomials, tuple(brackets), offmasks, text
 
 
 def _pair_outcomes(forms, gens, outside, brackets, offmasks) -> tuple:
@@ -347,38 +418,47 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     test_degree = integer_argument(test_degree, "test degree", 1, MAX_TEST_DEGREE)
     forms = spec_forms(spec)  # the spec's integer forms, filled on first use
     algebra = forms.algebra
-    gens, outside, zero, monos, brackets, offmasks = _plan(algebra, window, test_degree)
+    gens, outside, zero, monos, brackets, offmasks, text = _plan(algebra, window, test_degree)
     known = forms.outcomes.get(window)
     if known is None:  # a run that raises stores nothing
         known = forms.outcomes[window] = _pair_outcomes(forms, gens, outside, brackets, offmasks)
-    return VerificationReport(algebra, window, test_degree, _Entries(gens, *known, monos, zero))
+    return VerificationReport(algebra, window, test_degree, _Entries(gens, *known, monos, zero, text))
 
 
 def format_report(report: VerificationReport) -> str:
     """One `PAIR x y POLY v RESIDUAL r STATUS` line per entry, then a summary.
 
-    For a verify run's own entries, each symbol and test monomial is
-    formatted once per report, and so is the text after the head,
-    `v RESIDUAL 0 STATUS` per monomial, for each of PASS and SKIP: such a
-    pair is one joined block.  A FAIL pair's lines are written from the
-    integer maps of its residuals sigma(v) * R through
-    `exactpoly.format_terms`, with no polynomial built.  Any other
-    sequence of entries is formatted entry by entry.
+    For a verify run's own entries, a PASS or SKIP pair is one block of
+    lines, `PAIR x y POLY v RESIDUAL 0 STATUS` per test monomial, which
+    depends on the plan, the pair and its letter alone.  So it is kept in
+    the `_PlanText` of the plan the entries were built from, keyed by pair
+    index and letter, with the generator names and monomial texts, at most
+    MAX_PLAN_TEXT characters per plan; a later report on the plan joins the
+    kept blocks.  The table lives in the plan, so at most MAX_PLANS of them
+    are reachable from the plan cache.  A report whose algebra is not the
+    plan's, as `dataclasses.replace` can make one, names its symbols by
+    its own algebra in a table of its own, dropped after the call.  A FAIL
+    pair's lines are written per report from the integer maps of its
+    residuals sigma(v) * R through `exactpoly.format_terms`, with no
+    polynomial built.  Any other sequence of entries is formatted entry by
+    entry.
     """
     entries = report.entries
     if type(entries) is _Entries:
+        text = entries._text
+        if text.algebra != report.algebra:
+            text = _PlanText(report.algebra)
+        if text.names is None:
+            text._fill(entries._gens, entries._monos)
+        blocks, monos = text.blocks, text.monos
         variables = entries._zero.variables
-        names = [format_symbol(x, report.algebra) for x in entries._gens]
-        mono_text = [format_poly(v) for v in entries._monos]
-        after = {c: [f"{m} RESIDUAL 0 {_STATUS[c]}" for m in mono_text] for c in (_PASS, _SKIP)}
         lines = []
-        pairs = combinations(range(len(names)), 2)  # the pair order of the outcomes
-        for pair, ((i, j), outcome) in enumerate(zip(pairs, entries._outcomes)):
-            head = f"PAIR {names[i]} {names[j]} POLY "
+        for pair, outcome in enumerate(entries._outcomes):
             if outcome != _FAIL:
-                lines.append(head + ("\n" + head).join(after[outcome]))
+                lines.append(blocks[outcome][pair] or text._block(pair, outcome))
                 continue
-            for k, m in enumerate(mono_text):
+            head = text._head(pair)
+            for k, m in enumerate(monos):
                 ints, scale = entries._residual_map(pair, k)
                 terms = sorted(((e, n) for e, n in ints.items() if n), key=_term_key, reverse=True)
                 lines.append(f"{head}{m} RESIDUAL {format_terms(variables, terms, scale)} {FAIL}")

@@ -769,6 +769,13 @@ def format_report_reference(report):
     return "\n".join(lines)
 
 
+def kept_characters(text):
+    """The characters a `verify._PlanText` keeps, counted from its strings."""
+    strings = [*text.names, *text.monos, *(t for tails in text.tails.values() for t in tails)]
+    strings += [b for blocks in text.blocks.values() for b in blocks if b is not None]
+    return sum(map(len, strings))
+
+
 def assert_reads_as_tuple(view, items):
     """A lazy view (a report's entries, a witness's closure checks) reads,
     indexes, slices, compares, hashes, reprs and pickles as the tuple `items`."""

@@ -396,6 +396,10 @@ def test_taylor_shift_skips_unused_variables_as_reference(case):
         assert shifted == {} and shifted is not ints
 
 
+# (s+d+1)^12 as an integer map: dense, with 91 terms
+_DENSE = dict(((Poly.var(SD, "s") + Poly.var(SD, "d") + Poly.one(SD)) ** 12).numerators)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([S, SD, ("d0", "w0")]).flatmap(
     lambda v: st.one_of(_integer_shift_case(v), _unused_variable_shift_case(v))))
@@ -403,13 +407,15 @@ def test_taylor_shift_skips_unused_variables_as_reference(case):
 @example((SD, {(0, 0): 7}, (-1, 3)))  # a constant has no Taylor terms
 @example((SD, {}, (2, -1)))  # nor has zero
 @example((SD, {(1, 0): 1, (0, 1): -1}, (1, 1)))  # s - d: the moves cancel
+@example((SD, _DENSE, (1, -1)))  # (s+d+1)^12 under (1, -1): s + d is fixed, so is the value
+@example((SD, _DENSE, (-1, 0)))  # a nonzero part of order two: the difference is shifted whole
 def test_shift_difference_is_the_shift_minus_its_input(case):
     # verify's kernels: shift(x) - x from x's Taylor terms, built once and
     # summed for any offsets; empty when no offset moves a variable of x
     variables, ints, offs = case
     before = dict(ints)
     terms = _taylor_terms(ints)
-    assert ints == before
+    assert ints == before and terms[2] is ints  # kept by reference, not copied
     diff = _taylor_sum(terms, offs)
     assert all(type(n) is int and n for n in diff.values())
     x = Poly(variables, ints)

@@ -6,16 +6,18 @@ collection are those the document table (`specdsl._document`) holds, at
 most MAX_DOCUMENT_TEXTS of them, each with verify's outcome table of at
 most MAX_WINDOW entries; none survives once that table is cleared, nor
 does its form table, and the bounded caches and tables stay within their
-bounds.
+bounds.  Verify's report text lives in its plans, at most MAX_PLANS of
+them, each with at most MAX_PLAN_TEXT characters.
 """
 
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 
 from nwfree import modfam, specdsl, verify
 from nwfree.classify import Classified, UnsupportedTwist, classify, twist
-from nwfree.exactpoly import MAX_MONOMIAL_TEXTS, Poly
+from nwfree.exactpoly import MAX_MONOMIAL_TEXTS, Poly, format_poly
 from nwfree.irreducible import (
     apply_chain_op,
     decide,
@@ -43,7 +45,9 @@ from nwfree.modfam import (
     mtilde_f,
 )
 from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_input, parse_spec
-from nwfree.verify import MAX_PLANS, format_report, verify_module
+from nwfree.verify import MAX_PLAN_TEXT, MAX_PLANS, format_report, verify_module
+
+from helpers import kept_characters
 
 SPECS_PER_FAMILY = 300
 
@@ -110,8 +114,15 @@ def _exercise(spec, refs):
         pass
 
 
+def _plan_texts():
+    return [x for x in gc.get_objects() if type(x) is verify._PlanText]
+
+
 def test_no_entry_point_keeps_a_spec_alive():
     modfam.value_on_one.cache_clear()
+    verify._plan.cache_clear()
+    gc.collect()
+    earlier = _plan_texts()  # held by what earlier tests keep, if anything
     refs = []
     for build in FAMILIES.values():
         for i in range(SPECS_PER_FAMILY):
@@ -139,6 +150,11 @@ def test_no_entry_point_keeps_a_spec_alive():
     assert [ref for ref in refs if ref() is not None] == []
     assert [ref for ref in table_refs if ref() is not None] == []
     assert verify._plan.cache_info().currsize <= MAX_PLANS
+    # verify's report text: one table per plan, none outliving its plan
+    texts = [t for t in _plan_texts() if not any(t is e for e in earlier)]
+    assert 0 < len(texts) <= MAX_PLANS
+    assert any(t.names is not None for t in texts)
+    assert all(t.names is None or t.size == kept_characters(t) <= MAX_PLAN_TEXT for t in texts)
     assert modfam.value_on_one.cache_info().currsize == 0
     # the generator lists, one per algebra and window
     bound = len(ALGEBRA_KINDS) * (modfam.MAX_WINDOW + 1)
@@ -148,3 +164,39 @@ def test_no_entry_point_keeps_a_spec_alive():
     assert 0 < specdsl._symbol.cache_info().currsize <= specdsl.MAX_SYMBOL_TEXTS
     assert 0 < specdsl._monomial.cache_info().currsize <= MAX_MONOMIAL_TEXTS
     assert 0 < specdsl._value.cache_info().currsize <= specdsl.MAX_VALUE_TEXTS
+
+
+# Bytes the kept text may take beyond its characters (one byte each, all
+# ASCII): a slot per pair for each of the two letters, a str header of at
+# most 64 bytes per kept string, and the table's own lists and dicts.
+def _text_overhead(pairs, strings):
+    return 16 * pairs + 64 * strings + 16 * 1024
+
+
+def test_the_largest_plan_keeps_text_within_its_bound():
+    """AffineVirasoroH4 at window 8 and test degree 8, whose report runs to
+    6.8 M characters: a passing spec and its action data, both with SKIP
+    pairs, fill one table, which keeps at most MAX_PLAN_TEXT characters."""
+    verify._plan.cache_clear()
+    spec = affvir(mhb(1, 0, 1), 3, 2, 8)
+    reports = [verify_module(target, 8, 8) for target in (spec, actions_of(spec))]
+    (text,) = {id(r.entries._text): r.entries._text for r in reports}.values()
+    assert all(set(r.entries._outcomes) == {"P", "S"} for r in reports)
+    for v in reports[0].entries._monos:  # the monomial texts exactpoly keeps, before tracing
+        format_poly(v)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lengths = {len(format_report(r)) for r in reports * 2}
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert min(lengths) > 25 * MAX_PLAN_TEXT
+    assert text.size == kept_characters(text) <= MAX_PLAN_TEXT
+    pairs = len(reports[0].entries._outcomes)
+    strings = len(text.names) + len(text.monos) + 2 * len(text.monos)
+    strings += sum(b is not None for blocks in text.blocks.values() for b in blocks)
+    assert text.size <= retained <= MAX_PLAN_TEXT + _text_overhead(pairs, strings)
+    verify._plan.cache_clear()

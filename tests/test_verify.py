@@ -9,10 +9,12 @@ from unittest import mock
 
 import pytest
 from helpers import (
+    apply_shift_reference,
     assert_reads_as_tuple,
     corrupted_data,
     corrupted_fixtures,
     format_report_reference,
+    kept_characters,
     random_specs,
     sample_specs,
     verify_module_reference,
@@ -52,7 +54,15 @@ from nwfree.modfam import (
     spec_forms,
     value_on_one,
 )
-from nwfree.verify import FAIL, MAX_TEST_DEGREE, PASS, SKIP, format_report, verify_module
+from nwfree.verify import (
+    FAIL,
+    MAX_PLAN_TEXT,
+    MAX_TEST_DEGREE,
+    PASS,
+    SKIP,
+    format_report,
+    verify_module,
+)
 
 S_POLY = Poly.var(("s",), "s")
 
@@ -402,7 +412,7 @@ LOOPS = range(-MAX_WINDOW, MAX_WINDOW + 1)
 )
 def test_every_bracket_is_graded_at_max_window(spec, pairs):
     algebra = algebra_of(spec)
-    gens, outside, _, _, brackets, offmasks = nwfree.verify._plan.__wrapped__(algebra, MAX_WINDOW, 1)
+    gens, outside, _, _, brackets, offmasks, _ = nwfree.verify._plan.__wrapped__(algebra, MAX_WINDOW, 1)
     assert gens == tuple(generators(spec, MAX_WINDOW))
     assert len(brackets) == pairs
     # bit k of a generator's mask is set exactly when its shift moves variable k
@@ -439,17 +449,33 @@ def _affine_with_q1_on_d():
     return with_assignment(data, sym("q", 1), 2 * Poly.var(("s", "d"), "d"))
 
 
+def _affine_with_dense_p():
+    # window-1 AffineH4 data with p = (s+d+1)^12, every other value s, k = 0 and d = d
+    sd = ("s", "d")
+    s_var, d_var = Poly.var(sd, "s"), Poly.var(sd, "d")
+    values = {x: s_var for x in generators(mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1))}
+    values.update({P: (s_var + d_var + Poly.one(sd)) ** 12, K: Poly.zero(sd), D: d_var})
+    return ActionData(AFFINE_H4, 1, tuple(values.items()))
+
+
+# The shifts of the dense case: p.1 has terms of degree two and more in s and d,
+# so each side that moves them takes one `_taylor_shift`, at its offsets, except
+# p@-1 (-1, 1) and q@1 (1, -1), which fix s + d and so p.1; k.1 = 0 takes none.
+_DENSE_SHIFTS = [(-1, -1), (1, 1), (1, 0), (0, 1), (0, -1), (0, 1), (0, -1)]
+
+
 @pytest.mark.parametrize(
-    "spec, window",
+    "spec, window, in_verify",
     [
-        (mhb(2, -1, 3), 1),
-        (mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0, 2: 1, -2: 3}, window=2), 2),
-        (_affine_with_q1_on_d(), 2),
-        (affvir(mhb(1, 0, 1), 2, 3, 1), 1),
+        (mhb(2, -1, 3), 1, []),
+        (mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0, 2: 1, -2: 3}, window=2), 2, []),
+        (_affine_with_q1_on_d(), 2, []),
+        (affvir(mhb(1, 0, 1), 2, 3, 1), 1, []),
+        (_affine_with_dense_p(), 1, _DENSE_SHIFTS),
     ],
-    ids=["h4", "affine", "affine-failing", "affvir"],
+    ids=["h4", "affine", "affine-failing", "affvir", "affine-dense"],
 )
-def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
+def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window, in_verify):
     for x in generators(spec):  # fill the spec's forms first, with no verify outcome stored
         spec.on_one(x)
     taylor_sum, taylor_shift = nwfree.verify._taylor_sum, nwfree.exactpoly._taylor_shift
@@ -469,11 +495,12 @@ def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
             mock.patch.object(nwfree.modfam, "_taylor_shift", shifted), \
             mock.patch.object(nwfree.exactpoly, "_taylor_shift", shifted):
         report = verify_module(spec, window, 1)
-        in_verify = len(shifts)
+        verify_shifts = list(shifts)
         format_report(report)
-    # the pair loop takes no Taylor shift: only a FAIL line's residual does
-    assert in_verify == 0
-    assert (shifts == []) == report.passed
+    # the pair loop takes a Taylor shift only for a difference whose part of
+    # order one uses a moved variable; the report takes one per FAIL line
+    assert verify_shifts == in_verify
+    assert (shifts[len(in_verify):] == []) == report.passed
     # counted from the values alone: per pair with no term beyond the spec's
     # window and two nonzero values, each side whose shift moves a variable
     # the other value uses
@@ -487,7 +514,7 @@ def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
         except WindowExceeded:
             return None
 
-    sides = full_pairs = 0
+    moved, full_pairs = [], 0  # per acting side: does its shift move the value?
     for x, y in itertools.combinations(generators(spec, window), 2):
         if None in [value(z) for z, _ in bracket(algebra, x, y).terms]:
             continue
@@ -496,11 +523,14 @@ def test_shifts_run_only_where_an_offset_meets_a_used_variable(spec, window):
             continue
         full_pairs += 1
         for a, v in ((x, vy), (y, vx)):
-            sides += any(off and degree_in(v, name) > 0
-                         for name, off in zip(variables, shift_of(algebra, a)))
-    # each such side is one difference, and every difference is nonzero: no
-    # product takes one, and fewer sides act than pairs have two nonzero values
-    assert sum(calls) == len(calls) == sides < full_pairs
+            offsets = shift_of(algebra, a)
+            if any(off and degree_in(v, name) > 0 for name, off in zip(variables, offsets)):
+                moved.append(apply_shift_reference(offsets, v) != v)
+    # each such side is one difference, nonzero where the shift moves the value:
+    # no product takes one, and fewer sides act than pairs have two nonzero values
+    assert calls == moved and len(moved) < full_pairs
+    # only in the dense case does a shift that moves the value's variables fix it
+    assert all(moved) == (in_verify == [])
 
 
 @pytest.mark.parametrize(
@@ -722,3 +752,88 @@ def test_copies_and_pickles_start_with_an_empty_outcome_table(duplicate):
         assert twin == target and spec_forms(twin).outcomes == {}
         assert _report_bytes(twin, window, test_degree) == want
         assert list(spec_forms(twin).outcomes) == [window]
+
+
+# ------------------------------------------------------ the plan's text table
+
+
+def _one_plan_specs():
+    """Three targets on the (AffineH4, 1, 2) plan, and a pair index whose
+    letter is SKIP in the first (its bracket lands beyond window 1), PASS in
+    the second (window 2) and FAIL in the third (q@1 = 2d)."""
+    narrow = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0}, window=1)
+    wide = mtilde(mhb(1, 0, 1), 2, {1: 5, -1: 0, 2: 1, -2: 3}, window=2)
+    broken = with_assignment(actions_of(wide), sym("q", 1), 2 * Poly.var(("s", "d"), "d"))
+    return (narrow, wide, broken), 27
+
+
+def test_specs_on_one_plan_read_and_fill_its_blocks_as_reference():
+    nwfree.verify._plan.cache_clear()
+    specs, pair = _one_plan_specs()
+    texts = set()
+    for k in (0, 1, 2, 0, 2, 1, 0, 1):
+        report = assert_matches_reference(specs[k], 1, 2)
+        assert report.entries._outcomes[pair] == "SPF"[k]
+        texts.add(id(report.entries._text))
+    assert len(texts) == 1 and nwfree.verify._plan.cache_info().misses == 1
+    text = report.entries._text
+    i, j = nwfree.verify._positions(pair, len(text.names))
+    head = f"PAIR {text.names[i]} {text.names[j]} POLY "
+    # both letters the pair met are kept, each as its own block; FAIL is written per report
+    for letter, status in (("P", PASS), ("S", SKIP)):
+        lines = text.blocks[letter][pair].split("\n")
+        assert lines == [f"{head}{m} RESIDUAL 0 {status}" for m in text.monos]
+    assert text.size == kept_characters(text) <= MAX_PLAN_TEXT
+
+
+def test_a_pickled_report_formats_from_a_table_of_its_own():
+    nwfree.verify._plan.cache_clear()
+    specs, _ = _one_plan_specs()
+    report = verify_module(specs[2], 1, 2)
+    want = format_report_reference(verify_module_reference(specs[2], 1, 2))
+    assert format_report(report) == want
+    kept = report.entries._text.size
+    again = pickle.loads(pickle.dumps(report))
+    text = again.entries._text
+    assert text is not report.entries._text and text.names is None  # nothing kept was pickled
+    assert format_report(again) == format_report(again) == want
+    assert text.size == kept_characters(text) and report.entries._text.size == kept
+    for spec in specs:  # the live plan's table is as it was
+        assert_matches_reference(spec, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("algebra", VIR00), ("algebra", AFF_VIR), ("window", 2), ("test_degree", 3)],
+)
+def test_a_replaced_report_leaves_the_plan_table_true(field, value):
+    # the replaced report is formatted first, on a new plan, then true reports
+    # on the plan it came from and on the plan its new fields name
+    nwfree.verify._plan.cache_clear()
+    target = mhb(2, -1, 3) if field == "algebra" else _one_plan_specs()[0][1]
+    window, test_degree = 1, 2
+    replaced = dataclasses.replace(verify_module(target, window, test_degree), **{field: value})
+    assert format_report(replaced) == format_report_reference(replaced)
+    if field == "algebra":  # a symbol prints by the report's algebra: s is w on Vir00
+        assert (" w " in format_report(replaced)) == (value == VIR00)
+    assert_matches_reference(target, window, test_degree)
+    if field == "window":
+        assert_matches_reference(target, value, test_degree)
+    elif field == "test_degree":
+        assert_matches_reference(target, window, value)
+
+
+def test_a_plan_past_its_bound_writes_blocks_it_does_not_keep():
+    nwfree.verify._plan.cache_clear()
+    bound = 400
+    specs = [mhb(1, 0, 1), mhb(2, -1, 3), corrupted_data(mhb(1, 0, 1))]
+    try:
+        with mock.patch.object(nwfree.verify, "MAX_PLAN_TEXT", bound):
+            for spec in specs * 2:
+                report = assert_matches_reference(spec, 1, 2)
+                text = report.entries._text
+                assert text.size == kept_characters(text) <= bound
+    finally:
+        nwfree.verify._plan.cache_clear()
+    kept = [b is not None for b in text.blocks["P"]]
+    assert any(kept) and not all(kept)
