@@ -79,23 +79,30 @@ R's nonzero numerators, denominator), in the shape of a `modfam._Forms`
 entry.  A later run at that window, at any test degree, checks its
 arguments, takes its plan and builds a new report over them, with no
 form read and no pair loop; the table holds at most MAX_WINDOW entries
-and goes with the spec.  Nothing modifies the stored maps.
+and goes with the spec.  A window whose FAIL forms hold more than
+MAX_OUTCOME_TERMS terms of R in all stores nothing, so each run there
+runs its pair loop.  Nothing modifies the stored maps.
 
 The report records the generators and those outcomes; a pair index
 gives the positions of x and y.  Its `entries` is an `exactpoly._Grid`,
 which builds each `ReportEntry` only when it is read; a failing pair's
 residual on v, sigma(v) * R, is `modfam._image` of that form then.
 The counts come from the pairs.  `format_report` writes a PASS or SKIP
-pair as one joined block, `PAIR x y POLY v RESIDUAL 0 STATUS` per test
-monomial, and a FAIL line from the integer map of sigma(v) * R through
-`exactpoly.format_terms`.  A PASS or SKIP block depends on the plan, the
-pair and its letter alone, so it is written once per plan and kept in the
-plan's `_PlanText`, by pair index and letter, beside the generator names
-and monomial texts.  A report finds that table through its entries, not
-through its fields, and uses it only when its algebra is the plan's.  The
-table keeps at most MAX_PLAN_TEXT characters and is dropped with its
-plan, so the plan cache holds at most MAX_PLANS of them.  FAIL lines
-depend on the spec and are written per report.
+pair as `PAIR x y POLY v RESIDUAL 0 STATUS` per test monomial, and a FAIL
+line from the integer map of sigma(v) * R through `exactpoly.format_terms`.
+All but the FAIL lines, the SUMMARY line included, depend on the plan and
+the report's string of pair letters alone.  So the plan's `_PlanText`
+keeps, per letter string, the text around its FAIL pairs, beside the
+generator names and monomial texts written with the plan, and a report
+whose letters the plan has met writes only its FAIL lines between the
+kept pieces, looping over its FAIL pairs only.  A report finds that
+table through its entries, not through its fields, and uses it only when
+its algebra is the plan's.  The table keeps at most MAX_PLAN_TEXT
+characters, counting each letter string and its pieces; a string whose
+pieces would pass that is written and not kept.  It is dropped with its
+plan, so the plan cache holds at most MAX_PLANS of them, and a pickle or
+copy of a report carries the names and monomial texts and no pieces.
+FAIL lines depend on the spec and are written per report.
 """
 
 from __future__ import annotations
@@ -178,9 +185,10 @@ class _Entries(_Grid):
     letter per pair in the order of `combinations(range(len(gens)), 2)`,
     whose pair index gives the positions of x and y, and for a FAIL pair
     its form (sigma, R's nonzero numerators as {exponents: int},
-    denominator of R).  Both are shared with the spec's form table, so
-    they are only read.  `_text` is the `_PlanText` of the plan the
-    entries were built from, which `format_report` reads and fills.
+    denominator of R), in pair order.  Both are shared with the spec's
+    form table, so they are only read.  `_text` is the `_PlanText` of the
+    plan the entries were built from, whose pieces `format_report` reads
+    and adds to.
     """
 
     __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero", "_text")
@@ -227,6 +235,12 @@ def _tally(entries) -> Tuple[int, int, int]:
     return statuses.count(FAIL), len(statuses) - skipped, skipped
 
 
+def _summary(counts: Tuple[int, int, int]) -> str:
+    """A report's last line, from its `_tally` counts."""
+    failed, checked, skipped = counts
+    return f"SUMMARY pass={'false' if failed else 'true'} checked={checked} skipped={skipped}"
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     algebra: str
@@ -249,57 +263,57 @@ class VerificationReport:
 
 # Characters of report text kept per plan: 16 plans keep at most 4 Mi of
 # them, beside the plans' own 4 MB.  A bound, not a tuning knob: one plan
-# at MAX_WINDOW and MAX_TEST_DEGREE would keep 6.8 M characters per letter.
+# at MAX_WINDOW and MAX_TEST_DEGREE would keep 6.8 M characters per string
+# of pair letters.
 MAX_PLAN_TEXT = 1 << 18
 
 
 class _PlanText:
     """The text `format_report` keeps for one plan, so that a report on the
-    plan writes each PASS or SKIP pair block once.
+    plan writes only its FAIL lines once its string of pair letters is met.
 
-    It holds the generator names and test monomial texts, the tail
-    `v RESIDUAL 0 STATUS` per monomial for PASS and for SKIP, and per pair
-    index and letter the pair's whole block, one `PAIR x y POLY ...` line
-    per monomial joined by newlines.  None of these depends on the values
-    on 1: only on the algebra, which names the symbols, and on the plan's
-    generators and test monomials, which the entries that read the table
-    carry.  The names, monomials and tails are written by the first report
-    formatted; a block, by the first report that meets its pair and letter.
-    `size` counts every character kept, and a block that would take it past
-    MAX_PLAN_TEXT is written and not kept.  A pickle or copy starts empty.
+    It holds the generator names and test monomial texts, written when
+    `_plan` builds the plan, and per string of pair letters the plan has
+    met, that report's text around its FAIL pairs: one piece before each
+    FAIL pair and one after the last.  A piece is the `PAIR x y POLY v
+    RESIDUAL 0 STATUS` lines of the PASS and SKIP pairs between two FAIL
+    pairs, joined by newlines, and may be empty; the last piece ends with
+    the SUMMARY line, which the letters fix too.  None of this depends on
+    the values on 1: only on the algebra, which names the symbols, on the
+    plan's generators and test monomials, and on the letters.  `size`
+    counts the kept pieces and their keys, and a string whose pieces would
+    take it past MAX_PLAN_TEXT is written and not kept.  A pickle or copy
+    keeps the names and monomial texts and no pieces.
     """
 
-    __slots__ = ("algebra", "names", "monos", "tails", "blocks", "size")
+    __slots__ = ("algebra", "names", "monos", "pieces", "size")
 
-    def __init__(self, algebra: str):
-        self.algebra = algebra
-        self.names = None  # with the rest, set by `_fill`
+    def __init__(self, algebra: str, names, monos):
+        self.algebra, self.names, self.monos = algebra, names, monos
+        self.pieces, self.size = {}, 0  # letters -> their pieces; characters kept in all
 
     def __reduce__(self):
-        return type(self), (self.algebra,)
+        return type(self), (self.algebra, self.names, self.monos)
 
-    def _fill(self, gens, monos) -> None:
-        self.names = [format_symbol(x, self.algebra) for x in gens]
-        self.monos = [format_poly(v) for v in monos]
-        self.tails = {c: [f"{m} RESIDUAL 0 {_STATUS[c]}" for m in self.monos] for c in (_PASS, _SKIP)}
-        pairs = len(gens) * (len(gens) - 1) // 2
-        self.blocks = {c: [None] * pairs for c in (_PASS, _SKIP)}
-        self.size = sum(map(len, self.names)) + sum(map(len, self.monos))
-        self.size += sum(len(t) for tails in self.tails.values() for t in tails)
-
-    def _head(self, pair: int) -> str:
-        names = self.names
-        i, j = _positions(pair, len(names))
-        return f"PAIR {names[i]} {names[j]} POLY "
-
-    def _block(self, pair: int, letter: str) -> str:
-        """PASS or SKIP pair `pair`'s block, kept while the bound allows."""
-        head = self._head(pair)
-        block = head + ("\n" + head).join(self.tails[letter])
-        if self.size + len(block) <= MAX_PLAN_TEXT:
-            self.blocks[letter][pair] = block
-            self.size += len(block)
-        return block
+    def _write(self, entries: _Entries) -> list:
+        """The pieces of the entries' letters, kept while the bound allows."""
+        letters = entries._outcomes
+        tails = {c: [f"{m} RESIDUAL 0 {_STATUS[c]}" for m in self.monos] for c in (_PASS, _SKIP)}
+        pieces, blocks = [], []  # blocks: one per PASS or SKIP pair since the last FAIL pair
+        for (x, y), letter in zip(combinations(self.names, 2), letters):
+            if letter == _FAIL:
+                pieces.append("\n".join(blocks))
+                blocks = []
+            else:
+                head = f"PAIR {x} {y} POLY "
+                blocks.append(head + ("\n" + head).join(tails[letter]))
+        blocks.append(_summary(entries._counts()))
+        pieces.append("\n".join(blocks))
+        size = len(letters) + sum(map(len, pieces))
+        if self.size + size <= MAX_PLAN_TEXT:
+            self.pieces[letters] = pieces
+            self.size += size
+        return pieces
 
 
 # Plans kept at once.  A plan depends only on the algebra, the window and
@@ -328,8 +342,9 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     once, so a pair with a zero bracket costs one reference.  `offmasks`
     holds, per generator in `gens`, the bit mask of its nonzero offsets
     (bit k for the k-th module variable).  `text` is the plan's
-    `_PlanText`, empty until a report on the plan is formatted, and
-    dropped with the plan.
+    `_PlanText`, with the generator names and test monomial texts written
+    here, at little cost beside the brackets, and no pieces until a report
+    on the plan is formatted; it is dropped with the plan.
     """
     variables = MODULE_VARIABLES[algebra]
     gens = _symbols(algebra, window)
@@ -353,8 +368,17 @@ def _plan(algebra: str, window: int, test_degree: int) -> tuple:
     outside = tuple(position)[len(gens):]
     monomials = tuple(monomials_upto(variables, test_degree))
     offmasks = tuple(_support([shift_of(algebra, x)]) for x in gens)
-    text = _PlanText(algebra)
+    names = [format_symbol(x, algebra) for x in gens]
+    text = _PlanText(algebra, names, [format_poly(v) for v in monomials])
     return gens, outside, Poly.zero(variables), monomials, tuple(brackets), offmasks, text
+
+
+# R terms, over all its FAIL pairs, that the outcome table keeps for one
+# window; a window whose FAIL forms hold more stores nothing and runs its
+# pair loop on every request.  A bound, not a tuning knob: the FAIL and SKIP
+# test reports hold at most 54 terms and the benchmark's at most 4, while
+# FAIL-heavy action data can hold tens of thousands.
+MAX_OUTCOME_TERMS = 256
 
 
 def _pair_outcomes(forms, gens, outside, brackets, offmasks) -> tuple:
@@ -421,57 +445,50 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
     gens, outside, zero, monos, brackets, offmasks, text = _plan(algebra, window, test_degree)
     known = forms.outcomes.get(window)
     if known is None:  # a run that raises stores nothing
-        known = forms.outcomes[window] = _pair_outcomes(forms, gens, outside, brackets, offmasks)
+        known = _pair_outcomes(forms, gens, outside, brackets, offmasks)
+        if sum(len(form[1]) for form in known[1].values()) <= MAX_OUTCOME_TERMS:
+            forms.outcomes[window] = known
     return VerificationReport(algebra, window, test_degree, _Entries(gens, *known, monos, zero, text))
 
 
 def format_report(report: VerificationReport) -> str:
     """One `PAIR x y POLY v RESIDUAL r STATUS` line per entry, then a summary.
 
-    For a verify run's own entries, a PASS or SKIP pair is one block of
-    lines, `PAIR x y POLY v RESIDUAL 0 STATUS` per test monomial, which
-    depends on the plan, the pair and its letter alone.  So it is kept in
-    the `_PlanText` of the plan the entries were built from, keyed by pair
-    index and letter, with the generator names and monomial texts, at most
-    MAX_PLAN_TEXT characters per plan; a later report on the plan joins the
-    kept blocks.  The table lives in the plan, so at most MAX_PLANS of them
-    are reachable from the plan cache.  A report whose algebra is not the
-    plan's, as `dataclasses.replace` can make one, names its symbols by
-    its own algebra in a table of its own, dropped after the call.  A FAIL
+    For a verify run's own entries, every line but a FAIL pair's, the
+    summary included, depends on the plan and the string of pair letters
+    alone.  So the `_PlanText` of the plan the entries were built from
+    keeps, keyed by that string, the pieces of text around its FAIL pairs,
+    at most MAX_PLAN_TEXT characters per plan; a report whose letters the
+    plan has met looks them up and loops over its FAIL pairs only, writing
+    their lines between the pieces, and an empty piece leaves no blank
+    line.  The table lives in the plan, so at most MAX_PLANS of them are
+    reachable from the plan cache.  A report whose algebra is not the
+    plan's, as `dataclasses.replace` can make one, names its symbols by its
+    own algebra in a table of its own, dropped after the call.  A FAIL
     pair's lines are written per report from the integer maps of its
     residuals sigma(v) * R through `exactpoly.format_terms`, with no
     polynomial built.  Any other sequence of entries is formatted entry by
     entry.
     """
     entries = report.entries
-    if type(entries) is _Entries:
-        text = entries._text
-        if text.algebra != report.algebra:
-            text = _PlanText(report.algebra)
-        if text.names is None:
-            text._fill(entries._gens, entries._monos)
-        blocks, monos = text.blocks, text.monos
-        variables = entries._zero.variables
-        lines = []
-        for pair, outcome in enumerate(entries._outcomes):
-            if outcome != _FAIL:
-                lines.append(blocks[outcome][pair] or text._block(pair, outcome))
-                continue
-            head = text._head(pair)
-            for k, m in enumerate(monos):
-                ints, scale = entries._residual_map(pair, k)
-                terms = sorted(((e, n) for e, n in ints.items() if n), key=_term_key, reverse=True)
-                lines.append(f"{head}{m} RESIDUAL {format_terms(variables, terms, scale)} {FAIL}")
-    else:
-        lines = [
-            f"PAIR {format_symbol(e.x, report.algebra)} {format_symbol(e.y, report.algebra)} "
-            f"POLY {format_poly(e.test_poly)} RESIDUAL {format_poly(e.residual)} {e.status}"
-            for e in entries
-        ]
-    failed, checked, skipped = _tally(entries)
-    lines.append(
-        "SUMMARY pass={} checked={} skipped={}".format(
-            "false" if failed else "true", checked, skipped
-        )
-    )
-    return "\n".join(lines)
+    algebra = report.algebra
+    if type(entries) is not _Entries:
+        lines = [f"PAIR {format_symbol(e.x, algebra)} {format_symbol(e.y, algebra)} "
+                 f"POLY {format_poly(e.test_poly)} RESIDUAL {format_poly(e.residual)} {e.status}"
+                 for e in entries]
+        return "\n".join([*lines, _summary(_tally(entries))])
+    text = entries._text
+    if text.algebra != algebra:
+        text = _PlanText(algebra, [format_symbol(x, algebra) for x in entries._gens], text.monos)
+    pieces = text.pieces.get(entries._outcomes) or text._write(entries)
+    names, variables = text.names, entries._zero.variables
+    lines = [pieces[0]]
+    for pair, piece in zip(entries._failures, pieces[1:]):  # FAIL pairs, in pair order
+        i, j = _positions(pair, len(names))
+        head = f"PAIR {names[i]} {names[j]} POLY "
+        for k, m in enumerate(text.monos):
+            ints, scale = entries._residual_map(pair, k)
+            terms = sorted(((e, n) for e, n in ints.items() if n), key=_term_key, reverse=True)
+            lines.append(f"{head}{m} RESIDUAL {format_terms(variables, terms, scale)} {FAIL}")
+        lines.append(piece)
+    return "\n".join(filter(None, lines))  # an empty piece leaves no blank line

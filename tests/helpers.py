@@ -72,6 +72,7 @@ from nwfree.modfam import (
     mtilde,
     mtilde_f,
     _resolve_window,
+    _symbols,
     shift_of,
     value_on_one,
 )
@@ -770,10 +771,34 @@ def format_report_reference(report):
 
 
 def kept_characters(text):
-    """The characters a `verify._PlanText` keeps, counted from its strings."""
-    strings = [*text.names, *text.monos, *(t for tails in text.tails.values() for t in tails)]
-    strings += [b for blocks in text.blocks.values() for b in blocks if b is not None]
-    return sum(map(len, strings))
+    """The characters a `verify._PlanText` counts: each kept string of pair
+    letters and the pieces of report text kept for it."""
+    return sum(len(letters) + sum(map(len, pieces)) for letters, pieces in text.pieces.items())
+
+
+def pieces_reference(text, monomials):
+    """A report text cut around its FAIL pairs, each `monomials` FAIL lines:
+    the text before each FAIL pair and after the last, as `verify._PlanText`
+    keeps it for the report's string of pair letters."""
+    pieces, lines, failed = [], [], 0
+    for line in text.split("\n"):
+        if not line.endswith(" FAIL"):
+            lines.append(line)
+            continue
+        if failed % monomials == 0:
+            pieces.append("\n".join(lines))
+            lines = []
+        failed += 1
+    return [*pieces, "\n".join(lines)]
+
+
+def fail_heavy_document():
+    """AffineVirasoroH4 action data at window 8 with every generator s+d and
+    k = d: 10,158 FAIL pairs over windows 1-8 at test degree 1, 173 terms of
+    R at window 1 and 530 at window 2."""
+    names = [format_symbol(x, AFF_VIR) for x in _symbols(AFF_VIR, 8)]
+    values = "".join(f"{n} = {'d' if n == 'k' else 's+d'}\n" for n in names)
+    return f"algebra = {AFF_VIR}\nwindow = 8\n" + values
 
 
 def assert_reads_as_tuple(view, items):

@@ -4,12 +4,14 @@ Every public entry point runs over many distinct specs of every family;
 afterwards the only specs and `ActionData` that survive a garbage
 collection are those the document table (`specdsl._document`) holds, at
 most MAX_DOCUMENT_TEXTS of them, each with verify's outcome table of at
-most MAX_WINDOW entries; none survives once that table is cleared, nor
+most MAX_WINDOW entries, each holding at most MAX_OUTCOME_TERMS terms of
+R in its FAIL forms; none survives once that table is cleared, nor
 does its form table, and the bounded caches and tables stay within their
 bounds.  Verify's report text lives in its plans, at most MAX_PLANS of
 them, each with at most MAX_PLAN_TEXT characters.
 """
 
+import copy
 import gc
 import tracemalloc
 import weakref
@@ -47,7 +49,7 @@ from nwfree.modfam import (
 from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_input, parse_spec
 from nwfree.verify import MAX_PLAN_TEXT, MAX_PLANS, format_report, verify_module
 
-from helpers import kept_characters
+from helpers import fail_heavy_document, kept_characters
 
 SPECS_PER_FAMILY = 300
 
@@ -153,8 +155,8 @@ def test_no_entry_point_keeps_a_spec_alive():
     # verify's report text: one table per plan, none outliving its plan
     texts = [t for t in _plan_texts() if not any(t is e for e in earlier)]
     assert 0 < len(texts) <= MAX_PLANS
-    assert any(t.names is not None for t in texts)
-    assert all(t.names is None or t.size == kept_characters(t) <= MAX_PLAN_TEXT for t in texts)
+    assert any(t.pieces for t in texts)
+    assert all(t.size == kept_characters(t) <= MAX_PLAN_TEXT for t in texts)
     assert modfam.value_on_one.cache_info().currsize == 0
     # the generator lists, one per algebra and window
     bound = len(ALGEBRA_KINDS) * (modfam.MAX_WINDOW + 1)
@@ -167,16 +169,30 @@ def test_no_entry_point_keeps_a_spec_alive():
 
 
 # Bytes the kept text may take beyond its characters (one byte each, all
-# ASCII): a slot per pair for each of the two letters, a str header of at
-# most 64 bytes per kept string, and the table's own lists and dicts.
-def _text_overhead(pairs, strings):
-    return 16 * pairs + 64 * strings + 16 * 1024
+# ASCII): a str header of at most 64 bytes per kept string, letters or
+# piece, and the table's own lists and dicts.
+def _text_overhead(strings):
+    return 64 * strings + 16 * 1024
+
+
+def _traced_growth(run):
+    """Bytes still allocated after `run()` and a collection, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_the_largest_plan_keeps_text_within_its_bound():
     """AffineVirasoroH4 at window 8 and test degree 8, whose report runs to
     6.8 M characters: a passing spec and its action data, both with SKIP
-    pairs, fill one table, which keeps at most MAX_PLAN_TEXT characters."""
+    pairs, share one table, which keeps at most MAX_PLAN_TEXT characters:
+    a report this long is written and not kept."""
     verify._plan.cache_clear()
     spec = affvir(mhb(1, 0, 1), 3, 2, 8)
     reports = [verify_module(target, 8, 8) for target in (spec, actions_of(spec))]
@@ -184,19 +200,26 @@ def test_the_largest_plan_keeps_text_within_its_bound():
     assert all(set(r.entries._outcomes) == {"P", "S"} for r in reports)
     for v in reports[0].entries._monos:  # the monomial texts exactpoly keeps, before tracing
         format_poly(v)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        lengths = {len(format_report(r)) for r in reports * 2}
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    lengths = set()
+    retained = _traced_growth(lambda: lengths.update(len(format_report(r)) for r in reports * 2))
     assert min(lengths) > 25 * MAX_PLAN_TEXT
-    assert text.size == kept_characters(text) <= MAX_PLAN_TEXT
-    pairs = len(reports[0].entries._outcomes)
-    strings = len(text.names) + len(text.monos) + 2 * len(text.monos)
-    strings += sum(b is not None for blocks in text.blocks.values() for b in blocks)
-    assert text.size <= retained <= MAX_PLAN_TEXT + _text_overhead(pairs, strings)
+    assert text.pieces == {} and text.size == kept_characters(text) == 0
+    assert retained <= _text_overhead(0)
+    verify._plan.cache_clear()
+
+
+def test_fail_heavy_data_keeps_only_outcomes_within_their_bound():
+    """AffineVirasoroH4 action data with 10,158 FAIL pairs over windows 1-8
+    at test degree 1: only window 1, whose FAIL forms hold 173 terms of R,
+    stores its outcomes; the other windows, whose forms would keep 3.7 MB,
+    store nothing."""
+    verify._plan.cache_clear()
+    document = fail_heavy_document()
+    data = parse_input(document)
+    warm = copy.copy(data)  # builds the plans outside the trace
+    for window in range(1, 9):
+        verify_module(warm, window, 1)
+    retained = _traced_growth(lambda: [verify_module(data, w, 1) for w in range(1, 9)])
+    assert list(modfam.spec_forms(data).outcomes) == [1]
+    assert retained < 256 * 1024
     verify._plan.cache_clear()

@@ -14,7 +14,9 @@ from helpers import (
     corrupted_data,
     corrupted_fixtures,
     format_report_reference,
+    fail_heavy_document,
     kept_characters,
+    pieces_reference,
     random_specs,
     sample_specs,
     verify_module_reference,
@@ -54,8 +56,10 @@ from nwfree.modfam import (
     spec_forms,
     value_on_one,
 )
+from nwfree.specdsl import parse_input
 from nwfree.verify import (
     FAIL,
+    MAX_OUTCOME_TERMS,
     MAX_PLAN_TEXT,
     MAX_TEST_DEGREE,
     PASS,
@@ -738,6 +742,24 @@ def test_the_outcome_table_keeps_one_entry_per_window(spec, keys):
     assert sorted(spec_forms(spec).outcomes) == keys
 
 
+def test_a_window_past_the_outcome_bound_stores_nothing_and_verifies_twice():
+    # at window 1 the FAIL forms hold 173 terms of R, at window 2 they hold 530
+    data = parse_input(fail_heavy_document())
+    table = spec_forms(data).outcomes
+    for window, stored in ((1, True), (2, False)):
+        want = format_report_reference(verify_module_reference(data, window, 1))
+        loop = mock.patch.object(
+            nwfree.verify, "_pair_outcomes", wraps=nwfree.verify._pair_outcomes
+        )
+        with loop as pairs:
+            reports = [verify_module(data, window, 1) for _ in range(2)]
+            assert [format_report(r) for r in reports] == [want, want]
+        assert pairs.call_count == (1 if stored else 2)
+        terms = sum(len(form[1]) for form in reports[0].entries._failures.values())
+        assert (terms <= MAX_OUTCOME_TERMS) == stored and (window in table) == stored
+    assert list(table) == [1]
+
+
 @pytest.mark.parametrize(
     "duplicate",
     [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
@@ -767,39 +789,104 @@ def _one_plan_specs():
     return (narrow, wide, broken), 27
 
 
+def _first_pair_fail_data():
+    """Action data on the (AffineH4, 1, 2) plan whose letters start FFS:
+    FAIL pairs at pair 0 and side by side, so its first pieces are empty."""
+    return parse_input(
+        "algebra = AffineH4\nwindow = 1\np@-1 = 1/2*s+1\np = s\np@1 = 2*s\nq@-1 = 1/2\n"
+        "q = 1\nq@1 = 2\nr@-1 = -1/2\nr = -1\nr@1 = -2\ns@-1 = 1/2*s+3\ns = s\n"
+        "s@1 = 2*s+5\nk = 0\nd = d\n"
+    )
+
+
+def assert_kept_as_reference(report):
+    """The report's plan keeps, for its letters, the reference text's pieces."""
+    text = report.entries._text
+    want = pieces_reference(format_report_reference(report), len(text.monos))
+    assert text.pieces[report.entries._outcomes] == want
+
+
 def test_specs_on_one_plan_read_and_fill_its_blocks_as_reference():
     nwfree.verify._plan.cache_clear()
     specs, pair = _one_plan_specs()
+    specs += (_first_pair_fail_data(),)
     texts = set()
-    for k in (0, 1, 2, 0, 2, 1, 0, 1):
+    for k in (0, 1, 2, 0, 3, 2, 1, 3, 0, 1):
         report = assert_matches_reference(specs[k], 1, 2)
-        assert report.entries._outcomes[pair] == "SPF"[k]
+        assert report.entries._outcomes[pair] == "SPFS"[k]
         texts.add(id(report.entries._text))
     assert len(texts) == 1 and nwfree.verify._plan.cache_info().misses == 1
     text = report.entries._text
-    i, j = nwfree.verify._positions(pair, len(text.names))
-    head = f"PAIR {text.names[i]} {text.names[j]} POLY "
-    # both letters the pair met are kept, each as its own block; FAIL is written per report
-    for letter, status in (("P", PASS), ("S", SKIP)):
-        lines = text.blocks[letter][pair].split("\n")
-        assert lines == [f"{head}{m} RESIDUAL 0 {status}" for m in text.monos]
+    # one entry per string of letters met, holding the reference text around its FAIL pairs
+    reports = [verify_module(spec, 1, 2) for spec in specs]
+    assert sorted(text.pieces) == sorted({r.entries._outcomes for r in reports})
+    assert len(text.pieces) == len(specs)
+    for r in reports:
+        assert_kept_as_reference(r)
     assert text.size == kept_characters(text) <= MAX_PLAN_TEXT
+    # the names and monomial texts were written with the plan
+    assert text.names == [format_symbol(x, AFFINE_H4) for x in report.entries._gens]
+    # a string met before is read, not written again
+    with mock.patch.object(nwfree.verify._PlanText, "_write", side_effect=AssertionError):
+        for r in reports:
+            assert format_report(r) == format_report_reference(r)
+
+
+def test_fail_pairs_first_and_side_by_side_leave_no_blank_line():
+    nwfree.verify._plan.cache_clear()
+    cases = [
+        (_first_pair_fail_data(), 1, 2, "FFS"),
+        (parse_input("algebra = H4\np = s^2+1\nq = s+2\nr = s^3\ns = 2*s+3\n"), 1, 3, "FFFFFP"),
+    ]
+    for target, window, test_degree, start in cases:
+        for _ in range(2):
+            report = assert_matches_reference(target, window, test_degree)
+            assert report.entries._outcomes.startswith(start)
+            assert_kept_as_reference(report)
+        pieces = report.entries._text.pieces[report.entries._outcomes]
+        assert pieces[0] == pieces[1] == ""
+        assert "\n\n" not in format_report(report)
+
+
+def test_a_report_with_every_pair_failing_formats_as_reference():
+    # no verify run fails every pair (two generators of shift 0 that commute
+    # always pass), so the last H4 pair borrows the first pair's FAIL form
+    nwfree.verify._plan.cache_clear()
+    data = parse_input("algebra = H4\np = s^2+1\nq = s+2\nr = s^3\ns = 2*s+3\n")
+    entries = verify_module(data, 1, 3).entries
+    assert entries._outcomes == "FFFFFP"
+    failures = {**entries._failures, 5: entries._failures[0]}
+    every = nwfree.verify._Entries(
+        entries._gens, "FFFFFF", failures, entries._monos, entries._zero, entries._text
+    )
+    report = nwfree.verify.VerificationReport(H4, 1, 3, every)
+    for _ in range(2):
+        assert format_report(report) == format_report_reference(report)
+    assert entries._text.pieces["FFFFFF"] == [""] * 6 + [
+        f"SUMMARY pass=false checked={len(every)} skipped=0"
+    ]
+    nwfree.verify._plan.cache_clear()
 
 
 def test_a_pickled_report_formats_from_a_table_of_its_own():
-    nwfree.verify._plan.cache_clear()
-    specs, _ = _one_plan_specs()
-    report = verify_module(specs[2], 1, 2)
-    want = format_report_reference(verify_module_reference(specs[2], 1, 2))
-    assert format_report(report) == want
-    kept = report.entries._text.size
-    again = pickle.loads(pickle.dumps(report))
-    text = again.entries._text
-    assert text is not report.entries._text and text.names is None  # nothing kept was pickled
-    assert format_report(again) == format_report(again) == want
-    assert text.size == kept_characters(text) and report.entries._text.size == kept
-    for spec in specs:  # the live plan's table is as it was
-        assert_matches_reference(spec, 1, 2)
+    for duplicate in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        nwfree.verify._plan.cache_clear()
+        specs, _ = _one_plan_specs()
+        report = verify_module(specs[2], 1, 2)
+        want = format_report_reference(verify_module_reference(specs[2], 1, 2))
+        assert format_report(report) == want
+        live = report.entries._text
+        kept = live.size
+        again = duplicate(report)
+        text = again.entries._text
+        # the names and monomial texts come along; no piece does
+        assert text is not live and (text.names, text.monos) == (live.names, live.monos)
+        assert text.pieces == {} and text.size == 0
+        assert format_report(again) == format_report(again) == want
+        assert list(text.pieces) == [report.entries._outcomes]
+        assert text.size == kept_characters(text) == kept and live.size == kept
+        for spec in specs:  # the live plan's table is as it was
+            assert_matches_reference(spec, 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -824,9 +911,18 @@ def test_a_replaced_report_leaves_the_plan_table_true(field, value):
 
 
 def test_a_plan_past_its_bound_writes_blocks_it_does_not_keep():
+    # the bound is patched to the size of the first and third strings met, so
+    # the second, which would pass it, is written and not kept, and the
+    # third fills the table to its bound exactly
+    specs, _ = _one_plan_specs()
+    sizes = []
+    for spec in specs:
+        nwfree.verify._plan.cache_clear()
+        format_report(verify_module(spec, 1, 2))
+        sizes.append(kept_characters(verify_module(spec, 1, 2).entries._text))
+    bound = sizes[0] + sizes[2]
+    assert sizes[0] + sizes[1] > bound
     nwfree.verify._plan.cache_clear()
-    bound = 400
-    specs = [mhb(1, 0, 1), mhb(2, -1, 3), corrupted_data(mhb(1, 0, 1))]
     try:
         with mock.patch.object(nwfree.verify, "MAX_PLAN_TEXT", bound):
             for spec in specs * 2:
@@ -835,5 +931,5 @@ def test_a_plan_past_its_bound_writes_blocks_it_does_not_keep():
                 assert text.size == kept_characters(text) <= bound
     finally:
         nwfree.verify._plan.cache_clear()
-    kept = [b is not None for b in text.blocks["P"]]
-    assert any(kept) and not all(kept)
+    letters = [verify_module(spec, 1, 2).entries._outcomes for spec in specs]
+    assert list(text.pieces) == [letters[0], letters[2]] and text.size == bound
