@@ -17,9 +17,11 @@ variable, so it is an offset vector of integers, one per variable in the
 polynomial's variable order, and shifts compose by adding their vectors;
 `negate_var` substitutes v -> -v.
 
-Five kernels work on integer polynomials {exponents: int}.
+Six kernels work on integer polynomials {exponents: int}.
 `_taylor_shift` shifts (a Horner-type recurrence along dense coefficient
 rows, which skips an offset on a variable that no term uses);
+`_difference_in` takes the finite difference v(x_i + off) - v in one
+variable by the same recurrence on a copy of each row, minus the row;
 `_taylor_terms` keeps a value's Taylor terms of order one, its partial
 derivatives, once, and `_taylor_sum` takes shift - id from them for any
 offsets as the finite Taylor series, {} when no offset applies: with no
@@ -27,13 +29,15 @@ shift when the part of order one is the whole difference, and through
 `_taylor_shift` on dense rows when it is not; `_mul` multiplies by a
 collection of (exponents, int) pairs,
 adding scale times the product into a map `out`, and a constant factor,
-as a chain step's q.1 = c, scales the map and builds no exponent vector;
+as a constant x.1, scales the map and builds no exponent vector;
 `_combine` sums numerators over one common denominator, also into a
 running map over its own denominator.  `Poly.__mul__` is `_mul` on the numerators,
 `apply_shift` the shift alone and `+` one `_combine`.  Every action is
 shift-then-multiply, and one function does both: `modfam._image`, which
-takes every generator image of `act`, the chains, the witness, the orbit
-oracle and a verify report's failing residuals from an integer form.
+takes every generator image of `act`, the witness, the orbit oracle and
+a verify report's failing residuals from an integer form.  A chain step
+is a difference of two shifts with its constants folded into the
+weights, which `modfam._act_sum` takes through `_difference_in`.
 `verify_module` adds the values times a pair's shift differences, each
 a `_taylor_sum` of the other value's Taylor terms (taken once per run),
 with `_mul`, only for a side whose shift moves the value: `_support`
@@ -44,7 +48,8 @@ The public `Poly(...)` constructor validates and canonicalizes any
 mapping or sequence of terms.  Every other `Poly` goes through the one
 canonicalizer of `Poly`s, `Poly._trusted(variables, pairs, den)`,
 which drops zero numerators, divides by their gcd with den and sorts,
-unless its caller saw the terms arrive in order (`specdsl._read_sum`);
+unless its caller saw the terms arrive in order (`specdsl._read_sum`,
+and a chain step's difference in one variable, `modfam._act_sum`);
 the one-term builders `zero`, `one`, `const` and `var` and the test
 monomials of `monomials_upto` check their own arguments first.  An integer map that
 is not yet a `Poly`, the polynomial reader's values and every spec's
@@ -284,42 +289,81 @@ def _reduced(ints: dict, den: int):
     return ints, den
 
 
+def _rows(ints: dict, i: int) -> dict:
+    """The terms of an integer polynomial {exponents: int} gathered into
+    dense rows in the variable at exponent position i: {the other
+    exponents: [coefficient of x_i^e for e = 0, 1, ...]}."""
+    rows: dict[Exponents, list] = {}
+    for exps, n in ints.items():
+        e = exps[i]
+        rest = exps[:i] + exps[i + 1:]
+        row = rows.get(rest)
+        if row is None:
+            row = rows[rest] = []
+        if len(row) <= e:
+            row.extend([0] * (e + 1 - len(row)))
+        row[e] = n
+    return rows
+
+
+def _shift_row(a: list, off: int) -> None:
+    """a(v) -> a(v + off) in place, a[j] the coefficient of v^j, by the
+    Horner-type recurrence (von zur Gathen & Gerhard, ISSAC 1997)."""
+    deg = len(a) - 1
+    for k in range(deg):
+        for j in range(deg - 1, k - 1, -1):
+            a[j] += off * a[j + 1]
+
+
 def _taylor_shift(ints: dict, offsets: Shift) -> dict:
     """Substitute v -> v + offset in an integer polynomial {exponents: int}.
 
     `offsets` holds one integer per exponent position.  For each nonzero
     one on a variable that some term uses, the terms are gathered into
-    dense rows, one per exponent vector of the other variables, and each
-    row a(v) becomes a(v + offset) by the Horner-type recurrence (von zur
-    Gathen & Gerhard, ISSAC 1997).  The input map is never modified: an
-    empty one gives a new empty map at once, and any other is returned as
-    is when no offset applies; a shifted result has no zero entries.
+    dense rows (`_rows`), one per exponent vector of the other variables,
+    and each row a(v) becomes a(v + offset) (`_shift_row`).  The input map
+    is never modified: an empty one gives a new empty map at once, and any
+    other is returned as is when no offset applies; a shifted result has
+    no zero entries.
     """
     if not ints:
         return {}
     for i, off in enumerate(offsets):
         if not off or not any(map(itemgetter(i), ints)):
             continue
-        rows: dict[Exponents, list] = {}
-        for exps, n in ints.items():
-            rest = exps[:i] + exps[i + 1:]
-            row = rows.get(rest)
-            if row is None:
-                row = rows[rest] = []
-            if len(row) <= exps[i]:
-                row.extend([0] * (exps[i] + 1 - len(row)))
-            row[exps[i]] = n
+        rows = _rows(ints, i)
         ints = {}
         for rest, a in rows.items():
-            deg = len(a) - 1
-            # a(v) -> a(v + off) in place, a[j] the coefficient of v^j
-            for k in range(deg):
-                for j in range(deg - 1, k - 1, -1):
-                    a[j] += off * a[j + 1]
+            _shift_row(a, off)
             for e, n in enumerate(a):
                 if n:
                     ints[rest[:i] + (e,) + rest[i:]] = n
     return ints
+
+
+def _difference_in(ints: dict, i: int, off: int) -> dict:
+    """v(x_i + off) - v(x_i) for an integer polynomial v {exponents: int}, a
+    finite difference in the variable at exponent position i, as a new map
+    with no zero entries, {} when off is 0 or v does not use that variable.
+
+    Each of v's dense rows in x_i (`_rows`) is shifted on a copy
+    (`_shift_row`) and the row itself subtracted, so its top entry, which
+    cancels, is never written.  Each row's entries come out from the
+    highest power of x_i down: a map in one variable is in descending
+    order.  The input map is never modified.
+    """
+    out: dict = {}
+    if not off:
+        return out
+    for rest, a in _rows(ints, i).items():
+        b = a.copy()
+        _shift_row(b, off)
+        head, tail = rest[:i], rest[i:]
+        for e in range(len(a) - 2, -1, -1):
+            n = b[e] - a[e]
+            if n:
+                out[head + (e,) + tail] = n
+    return out
 
 
 def _support(vectors: Iterable[Tuple[int, ...]]) -> int:

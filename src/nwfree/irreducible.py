@@ -8,17 +8,20 @@ factor at its least rational root, else of g, shown invariant under every
 generator on a test basis.  An orbit oracle gives a brute-force cross-check.
 
 The chain operators, the witness and the oracle all use that every action
-is shift-then-multiply, x.v = shift_x(v) * x.1, taking each generator
-image from `modfam._image`: a chain operator sums its parts' images over
-one common denominator (`modfam._act_sum`), the witness acts once per
-generator, on the ideal generator, and takes each closure image from a
-lower one times a two-term factor, and the oracle eliminates
-fraction-free on integer vectors, taking each image only when it pops it
-and stopping at the first constant pivot.  Every call reads each x.1, the
-chain's constants c and c1 included, from the spec's own table,
-`modfam.spec_forms(spec)`, so a chain and its replay compute each x.1
-once between them, and the table goes with the spec; the witness and the
-oracle walk the one cached generator list, `modfam._symbols`.
+is shift-then-multiply, x.v = shift_x(v) * x.1.  Every chain step is a
+difference of two shifts: its constant x.1 fold into opposite weights,
+and `modfam._act_sum` takes it as one finite difference in one variable,
+shifted once (a d-stage step by its generator's shift in s, an s-stage
+step not at all).  The witness and the oracle take each generator image
+from `modfam._image`: the witness acts once per generator, on the ideal
+generator, and takes each closure image from a lower one times a
+two-term factor, and the oracle eliminates fraction-free on integer
+vectors, taking each image only when it pops it and stopping at the
+first constant pivot.  Every call reads each x.1, the chain's constants
+c and c1 included, from the spec's own table, `modfam.spec_forms(spec)`,
+so a chain and its replay compute each x.1 once between them, and the
+table goes with the spec; the witness and the oracle walk the one cached
+generator list, `modfam._symbols`.
 The witness's closure images stay integer maps up to the text, and a
 generator with x.1 = 0 shares one empty image across its checks: its
 `closure_checks` is an `exactpoly._Grid`, which builds a `ClosureCheck`,
@@ -239,12 +242,16 @@ def reduction_chain(spec, seed: Poly) -> IrreducibilityCertificate:
     steps = []
     current = seed
     for op, degree, failure in stages:
-        while degree(current) > 0:
-            before = degree(current)
+        before = degree(current)  # each degree is read once: a step's is the next step's before
+        while before > 0:
             current = _act_sum(forms, op.parts, current)
             steps.append((op, current))
-            if current.is_zero() or degree(current) >= before:
+            if current.is_zero():
                 raise RuntimeError(failure)
+            after = degree(current)
+            if after >= before:
+                raise RuntimeError(failure)
+            before = after
     return IrreducibilityCertificate(seed, tuple(steps))
 
 

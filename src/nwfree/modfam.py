@@ -32,10 +32,14 @@ numerators, den) the first time its symbol is looked up, so each x.1 is
 computed once per spec.  Every reader of x.1 reads that table: the
 request paths, and `on_one`, the public edge that builds x.1's `Poly`.
 One function, `_image`, takes every generator image on integers from x's
-form, for `act` (so `classify`'s product rule), the chains, the witness
-and the orbit oracle; `_act_sum` sums such images over one common
-denominator.  `_image` is the one shift-then-multiply: `exactpoly._mul`
-on `exactpoly._taylor_shift`.  `verify_module` reads its generators'
+form, for `act` (so `classify`'s product rule), the witness and the orbit
+oracle; `_act_sum` sums such images over one common denominator, but for
+two parts whose constant x.1 fold into opposite weights on shifts that
+differ in one variable, as every reduction-chain step's do: that sum is
+one finite difference in the variable (`exactpoly._difference_in`),
+shifted once by the second part's shift, and takes no image.  `_image` is
+the one shift-then-multiply: `exactpoly._mul` on
+`exactpoly._taylor_shift`.  `verify_module` reads its generators'
 forms by position, with the masks of the variables each x.1 uses beside
 its plan's, takes a failing pair's residuals through `_image`, and
 stores each window's pair outcomes in the same table.  The only state
@@ -54,6 +58,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import ClassVar, Mapping, Optional, Tuple, Union, get_args
 
 from . import InputError
@@ -61,6 +66,7 @@ from .exactpoly import (
     Poly,
     Shift,
     _combine,
+    _difference_in,
     _mul,
     _reduced,
     _taylor_shift,
@@ -687,20 +693,77 @@ def _image(form, ints: dict) -> dict:
     return _mul(_taylor_shift(ints, offsets) if any(offsets) else ints, numerators.items())
 
 
+def _weight(coeff, form, width: int):
+    """(numerator, denominator, shift) of a part c * x whose x.1 is a
+    constant: c * x.1 = numerator / denominator, the denominator positive,
+    on x's shift; the identity (form None) has x.1 = 1 and no shift.  None
+    when x.1 is not a constant."""
+    if form is None:
+        return coeff.numerator, coeff.denominator, (0,) * width
+    offsets, numerators, den = form
+    if len(numerators) != 1:
+        return None if numerators else (0, 1, offsets)
+    (exps, n), = numerators.items()
+    return None if any(exps) else (coeff.numerator * n, coeff.denominator * den, offsets)
+
+
+def _two_shift_difference(looked, ints: dict, v: Poly) -> Optional[Poly]:
+    """w * (shift_o1(v) - shift_o2(v)), `ints` being v's numerators, for two
+    (coefficient, form) parts whose constant x.1 fold into opposite weights
+    w and -w on shifts o1 and o2 that differ in one variable i; None for
+    any other two parts.  shift_o1(v) is shift_o2 of v shifted by
+    o1[i] - o2[i] in i, so the difference in i is taken once, on dense rows
+    (`exactpoly._difference_in`), then shifted by o2 only where o2 moves a
+    variable it uses.  In one variable, unshifted, it is already ordered."""
+    variables = v.variables
+    first, second = (_weight(coeff, form, len(variables)) for coeff, form in looked)
+    if first is None or second is None:
+        return None
+    (n1, d1, o1), (n2, d2, o2) = first, second
+    if not n1 or n1 * d2 != -n2 * d1:
+        return None
+    moved = [k for k, (a, b) in enumerate(zip(o1, o2)) if a != b]
+    if len(moved) != 1:
+        return None
+    i = moved[0]
+    diff = _difference_in(ints, i, o1[i] - o2[i])
+    shifted = any(off and any(map(operator.itemgetter(k), diff)) for k, off in enumerate(o2))
+    if shifted:
+        diff = _taylor_shift(diff, o2)
+    g = gcd(n1, d1)
+    num = n1 // g
+    pairs = diff.items() if num == 1 else [(exps, num * n) for exps, n in diff.items()]
+    ordered = len(variables) == 1 and not shifted
+    return Poly._trusted(variables, pairs, v.den * (d1 // g), ordered=ordered)
+
+
 def _act_sum(forms: _Forms, parts, v: Poly) -> Poly:
     """sum(c * x.v) over the (c, x) parts, x a basis symbol or None for the
-    identity, with v in the module variables: the images are summed on
-    integers over one common denominator.  Each symbol is checked in turn,
-    even on v = 0; x.1 is looked up only when v is nonzero."""
+    identity, with v in the module variables.  Each symbol is checked in
+    turn, even on v = 0; x.1 is looked up only when v is nonzero.  Two
+    parts whose constant x.1 fold into opposite weights on shifts that
+    differ in one variable, as every reduction-chain step's do, are one
+    difference of two shifts (`_two_shift_difference`); any other sum adds
+    its parts' images (`_image`) on integers over one common denominator."""
     ints = dict(v.numerators)
-    images = []  # (numerator, denominator, integer image) per part
+    looked = []  # (coefficient, form) per part, the form None for the identity
     for coeff, x in parts:
-        if x is None:
+        if x is not None:
+            check_in_algebra(forms.algebra, x)
+            if not ints:
+                continue
+            looked.append((coeff, forms[x]))
+        elif ints:
+            looked.append((coeff, None))
+    if len(looked) == 2:
+        difference = _two_shift_difference(looked, ints, v)
+        if difference is not None:
+            return difference
+    images = []  # (numerator, denominator, integer image) per part
+    for coeff, form in looked:
+        if form is None:
             images.append((coeff.numerator, coeff.denominator, ints))
-            continue
-        check_in_algebra(forms.algebra, x)
-        if ints:
-            form = forms[x]
+        else:
             images.append((coeff.numerator, coeff.denominator * form[2], _image(form, ints)))
     total, common = _combine(images)
     return Poly._trusted(v.variables, total.items(), v.den * common)

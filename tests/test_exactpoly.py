@@ -23,6 +23,7 @@ from nwfree.exactpoly import (
     reduce_mod_univariate,
     MAX_MONOMIAL_TEXTS,
     _combine,
+    _difference_in,
     _monomial_text,
     _mul,
     _taylor_shift,
@@ -428,6 +429,38 @@ def test_shift_difference_is_the_shift_minus_its_input(case):
     # difference of the inverse shift
     back = _taylor_sum(terms, tuple(-off for off in offs))
     assert Poly(variables, back) == apply_shift_reference(tuple(-off for off in offs), x) - x
+
+
+@st.composite
+def _difference_case(draw):
+    # maps in 1-3 variables, some terms without the differenced variable, so
+    # rows of degree 0 and constants come up, and an offset from -8 to 8
+    n = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=6)] * n)
+    ints = draw(st.dictionaries(exps, st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=7))
+    return n, ints, draw(st.integers(min_value=0, max_value=n - 1)), draw(st.integers(-8, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_difference_case())
+@example((2, {}, 0, 3))  # the empty map
+@example((2, {(0, 0): 7}, 1, -2))  # a constant
+@example((2, {(0, 2): 5, (0, 0): -1, (3, 0): 4}, 0, 2))  # two rows of degree 0 in s, one of 3
+@example((3, {(1, 0, 2): 3, (0, 4, 1): -2}, 2, 5))  # the middle of three variables
+@example((1, {(2,): 3, (1,): 0}, 0, 0))  # no offset, and a zero entry in the input
+@example((1, {(4,): 1}, 0, -8))  # s^4 under s -> s - 8: every lower power comes up
+def test_difference_in_one_variable_is_the_shift_minus_its_input(case):
+    # a reduction-chain step's kernel: shift(v) - v in one variable, on dense rows
+    n, ints, i, off = case
+    before = dict(ints)
+    diff = _difference_in(ints, i, off)
+    assert ints == before
+    shifted = _taylor_shift(ints, tuple(off if k == i else 0 for k in range(n)))
+    want = {exps: shifted.get(exps, 0) - ints.get(exps, 0) for exps in {*shifted, *ints}}
+    assert diff == {exps: m for exps, m in want.items() if m}
+    assert all(type(m) is int for m in diff.values())
+    if n == 1:  # one variable: in descending order, as a Poly keeps its terms
+        assert list(diff) == sorted(diff, reverse=True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -58,6 +58,7 @@ from nwfree.modfam import (
     module_variables,
     mtilde,
     mtilde_f,
+    shift_of,
 )
 
 from helpers import (
@@ -304,6 +305,31 @@ def _chain_ops(spec):
 _fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
+def _constant_parts(spec):
+    """(symbol, x.1) for the identity, None with 1, and for each generator
+    of the spec whose x.1 is a nonzero constant."""
+    parts = [(None, Fraction(1))]
+    for x in generators(spec):
+        value = spec.on_one(x)
+        if value.is_constant() and not value.is_zero():
+            parts.append((x, value.constant_value()))
+    return parts
+
+
+def _two_constant_parts(spec):
+    """Two-part ops over constant-valued generators: weights c * x.1 that are
+    opposite, a difference of two shifts, or unequal, which any sum takes."""
+    constants = st.sampled_from(_constant_parts(spec))
+    nonzero = _fractions.filter(bool)
+
+    def op(drawn):
+        (x, a), (y, b), w, gap = drawn
+        second = -w if gap is None else gap - w  # the second part's weight c * y.1
+        return ChainOp(((w / a, x), (second / b, y)))
+
+    return st.tuples(constants, constants, nonzero, st.none() | nonzero).map(op)
+
+
 @st.composite
 def chain_cases(draw):
     spec = draw(st.sampled_from(CHAIN_SPECS))
@@ -318,7 +344,7 @@ def chain_cases(draw):
     # in-window generators, one outside every window, and one outside every algebra
     symbols = st.sampled_from(generators(spec) + [None, sym("p", 9), sym("dvir", 0)])
     ops = [st.lists(st.tuples(_fractions, symbols), min_size=1, max_size=4)
-           .map(lambda parts: ChainOp(tuple(parts)))]
+           .map(lambda parts: ChainOp(tuple(parts))), _two_constant_parts(spec)]
     chain_ops = _chain_ops(spec)
     if chain_ops:
         ops.append(st.sampled_from(chain_ops))
@@ -332,14 +358,65 @@ def _outcome(fn, *args):
         return type(err)
 
 
+# a symbol in the algebra but outside the window, and one outside the algebra:
+# each symbol is checked in turn, and x.1 looked up only on a nonzero v
+_WINDOW_1 = mtilde(mab(2, 3), 2, {1: 0, -1: 0, 0: 0}, window=1)
+_OUTSIDE_PARTS = ((Fraction(1), sym("q", 9)), (Fraction(1), sym("dvir", 0)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(chain_cases())
+@example((_WINDOW_1, ChainOp(_OUTSIDE_PARTS), Poly.var(SD, "s")))  # WindowExceeded
+@example((_WINDOW_1, ChainOp(_OUTSIDE_PARTS), Poly.zero(SD)))  # SymbolNotInAlgebra
+@example((_WINDOW_1, ChainOp(_OUTSIDE_PARTS[::-1]), Poly.var(SD, "s")))  # SymbolNotInAlgebra
+@example((_WINDOW_1, ChainOp(_OUTSIDE_PARTS[::-1]), Poly.zero(SD)))  # SymbolNotInAlgebra
 def test_apply_chain_op_matches_act_reference(case):
     spec, op, v = case
     got = _outcome(apply_chain_op, spec, op, v)
     assert got == _outcome(apply_chain_op_reference, spec, op, v)
     if isinstance(got, Poly):
         assert got == Poly(got.variables, got.terms)
+
+
+def test_chain_steps_are_one_shift_difference(monkeypatch):
+    # every step folds its constants into the weights and takes one difference:
+    # an s-stage step takes no image and no shift, a d-stage step one shift,
+    # at its loop-0 generator's (sigma, 0), on a difference that uses s
+    shifts, images = [], []
+    real_shift, real_image = nwfree.modfam._taylor_shift, nwfree.modfam._image
+
+    def shift(ints, offsets):
+        shifts.append(offsets)
+        return real_shift(ints, offsets)
+
+    def image(form, ints):
+        images.append(form)
+        return real_image(form, ints)
+
+    for module in (nwfree.modfam, nwfree.exactpoly):
+        monkeypatch.setattr(module, "_taylor_shift", shift)
+    monkeypatch.setattr(nwfree.modfam, "_image", image)
+    s, d, one = Poly.var(SD, "s"), Poly.var(SD, "d"), Poly.one(SD)
+    cases = [(mhb(2, -1, 3), S ** 4 - S), (mab(Fraction(2, 3), -5), S ** 3)] + [
+        (spec, (s ** 2 + s) * d ** 3 - d + one) for spec in CHAIN_SPECS
+        if algebra_of(spec) in (AFFINE_H4, AFF_VIR) and decide(spec).irreducible]
+    stages = set()
+    for spec, seed in cases:
+        cert = reduction_chain(spec, seed)
+        value = cert.seed
+        for op, recorded in cert.chain:
+            shifts.clear()
+            images.clear()
+            value = apply_chain_op(spec, op, value)
+            assert value == recorded and images == []
+            (_, first), (_, second) = op.parts
+            if second is None:  # s-stage: shift_x(v) - v
+                assert shifts == []
+            else:  # d-stage: shift_(sigma, -1)(v) - shift_(sigma, 0)(v)
+                assert shifts == [shift_of(algebra_of(spec), second)]
+                assert shift_of(algebra_of(spec), second)[1] == 0
+            stages.add(second is None)
+    assert stages == {True, False}
 
 
 def test_chain_ops_cover_the_d_stage():
