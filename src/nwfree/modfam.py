@@ -661,7 +661,10 @@ class _Forms(dict):
     `verify_module` found for the window's pairs, the first time it ran
     there without raising.  They do not depend on the test degree, so a
     later verify at that window reads neither a form nor a pair; their
-    maps are shared and only read too.
+    maps are shared and only read too.  Beside it, `fail_text` keeps per
+    stored window the residual texts `verify.format_report` has written for
+    its FAIL pairs, a `verify._FailText`, at most `verify.MAX_FAIL_TEXT`
+    characters in all, which `fail_size` counts for every window at once.
     """
 
     def __init__(self, spec: AnySpec):
@@ -669,6 +672,8 @@ class _Forms(dict):
         self.spec = weakref.ref(spec)
         self.algebra = algebra_of(spec)
         self.outcomes: dict = {}  # verify's (outcomes, failures) by window
+        self.fail_text: dict = {}  # verify's kept FAIL residual texts by stored window
+        self.fail_size = [0]  # characters in fail_text: one list its windows share
 
     def __missing__(self, x: BasisSymbol):
         form = self[x] = (shift_of(self.algebra, x), *_int_form(self.spec(), x))

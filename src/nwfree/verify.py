@@ -81,7 +81,9 @@ arguments, takes its plan and builds a new report over them, with no
 form read and no pair loop; the table holds at most MAX_WINDOW entries
 and goes with the spec.  A window whose FAIL forms hold more than
 MAX_OUTCOME_TERMS terms of R in all stores nothing, so each run there
-runs its pair loop.  Nothing modifies the stored maps.
+runs its pair loop.  Nothing modifies the stored maps.  Beside each
+stored window the table keeps a `_FailText`, empty until a report at the
+window is formatted (below).
 
 The report records the generators and those outcomes; a pair index
 gives the positions of x and y.  Its `entries` is an `exactpoly._Grid`,
@@ -102,7 +104,18 @@ characters, counting each letter string and its pieces; a string whose
 pieces would pass that is written and not kept.  It is dropped with its
 plan, so the plan cache holds at most MAX_PLANS of them, and a pickle or
 copy of a report carries the names and monomial texts and no pieces.
-FAIL lines depend on the spec and are written per report.
+
+A FAIL line's residual text depends on the spec, but only through the
+pair's form, and on the test monomial and the plan's variables: not on
+the report's algebra, which names x and y.  So the spec's `_FailText` for
+the window keeps, per FAIL pair, the residual texts written so far, one
+per test monomial in `monomials_upto` order, ascending graded-lex: the
+monomials up to a degree are a prefix of those up to the next, so a
+higher test degree writes only its new monomials' residuals, and a
+degree met before writes none.  The texts go with the spec, at most
+MAX_FAIL_TEXT characters per spec; a pair's texts that would pass that
+are written and not kept, and a window the outcome table does not store,
+as a pickle or copy of a report, keeps none.
 """
 
 from __future__ import annotations
@@ -177,6 +190,36 @@ class ReportEntry:
         return self.status == SKIP
 
 
+# Characters of FAIL residual text kept per spec, over all its windows.  A
+# bound, not a tuning knob: the document table's 32 specs keep at most 2 Mi
+# of them.  The largest FAIL and SKIP test report (AffineVirasoroH4 at
+# MAX_WINDOW and MAX_TEST_DEGREE, 54 FAIL pairs) keeps 39,699, while
+# FAIL-heavy action data at window 1 and test degree 8 would keep 297k.
+MAX_FAIL_TEXT = 1 << 16
+
+
+class _FailText(dict):
+    """The residual texts one spec keeps for its FAIL pairs at one stored
+    window, in its form table (`modfam._Forms.fail_text`), so that a
+    repeated report writes no residual.
+
+    Per FAIL pair index it holds the text of sigma(v) * R on each test
+    monomial v written so far, in `monomials_upto` order.  That order is
+    ascending graded-lex, so the monomials up to one degree are a prefix of
+    those up to the next, and one list, grown when a higher test degree
+    asks for more, serves every degree.  A text depends on the pair's form
+    and the plan's variables alone, not on the report's algebra.  `spent`
+    is the spec's `_Forms.fail_size`, a one-item list shared by all its
+    windows: the characters they keep in all, at most MAX_FAIL_TEXT.
+    """
+
+    __slots__ = ("spent",)
+
+    def __init__(self, spent: list):
+        super().__init__()
+        self.spent = spent
+
+
 class _Entries(_Grid):
     """The report entries of one verify run, an `exactpoly._Grid` with one
     row per generator pair in report order.
@@ -188,18 +231,26 @@ class _Entries(_Grid):
     denominator of R), in pair order.  Both are shared with the spec's
     form table, so they are only read.  `_text` is the `_PlanText` of the
     plan the entries were built from, whose pieces `format_report` reads
-    and adds to.
+    and adds to.  `_kept` is the spec's `_FailText` for the window, whose
+    residual texts `format_report` reads and adds to, or None to keep
+    nothing, as for a window the outcome table does not store; a pickle or
+    copy keeps nothing.
     """
 
-    __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero", "_text")
+    __slots__ = ("_gens", "_outcomes", "_failures", "_monos", "_zero", "_text", "_kept")
 
-    def __init__(self, gens, outcomes, failures, monos, zero, text):
+    def __init__(self, gens, outcomes, failures, monos, zero, text, kept=None):
         self._gens = gens
         self._outcomes = outcomes  # a str: _PASS, _FAIL or _SKIP per pair (gens[i], gens[j])
         self._failures = failures  # {pair index: form of sigma and R} for FAIL pairs
         self._monos = monos
         self._zero = zero
         self._text = text
+        self._kept = kept
+
+    def __reduce__(self):
+        return type(self), (self._gens, self._outcomes, self._failures, self._monos, self._zero,
+                            self._text)
 
     def _row_count(self) -> int:
         return len(self._outcomes)
@@ -209,6 +260,28 @@ class _Entries(_Grid):
         integer map (zeros included) and denominator."""
         form = self._failures[pair]
         return _image(form, dict(self._monos[j].numerators)), form[2]
+
+    def _residual_texts(self, pair: int) -> list:
+        """The text of sigma(v) * R for FAIL pair `pair` on each test monomial,
+        maybe followed by more: those `_kept` holds, then the rest written
+        from `_residual_map` through `exactpoly.format_terms` and kept while
+        the spec's texts stay within MAX_FAIL_TEXT characters."""
+        kept = self._kept
+        texts = [] if kept is None else kept.get(pair, [])
+        if len(texts) >= len(self._monos):
+            return texts
+        variables = self._zero.variables
+        new = []
+        for j in range(len(texts), len(self._monos)):
+            ints, scale = self._residual_map(pair, j)
+            terms = sorted(((e, n) for e, n in ints.items() if n), key=_term_key, reverse=True)
+            new.append(format_terms(variables, terms, scale))
+        texts = texts + new
+        size = sum(map(len, new))
+        if kept is not None and kept.spent[0] + size <= MAX_FAIL_TEXT:
+            kept[pair] = texts
+            kept.spent[0] += size
+        return texts
 
     def _item(self, pair: int, j: int) -> ReportEntry:
         xi, yi = _positions(pair, len(self._gens))
@@ -448,7 +521,9 @@ def verify_module(spec: AnySpec, window: int = 3, test_degree: int = 3) -> Verif
         known = _pair_outcomes(forms, gens, outside, brackets, offmasks)
         if sum(len(form[1]) for form in known[1].values()) <= MAX_OUTCOME_TERMS:
             forms.outcomes[window] = known
-    return VerificationReport(algebra, window, test_degree, _Entries(gens, *known, monos, zero, text))
+            forms.fail_text[window] = _FailText(forms.fail_size)
+    entries = _Entries(gens, *known, monos, zero, text, forms.fail_text.get(window))
+    return VerificationReport(algebra, window, test_degree, entries)
 
 
 def format_report(report: VerificationReport) -> str:
@@ -465,10 +540,13 @@ def format_report(report: VerificationReport) -> str:
     reachable from the plan cache.  A report whose algebra is not the
     plan's, as `dataclasses.replace` can make one, names its symbols by its
     own algebra in a table of its own, dropped after the call.  A FAIL
-    pair's lines are written per report from the integer maps of its
-    residuals sigma(v) * R through `exactpoly.format_terms`, with no
-    polynomial built.  Any other sequence of entries is formatted entry by
-    entry.
+    pair's residual texts are read from the spec's `_FailText` for the
+    window, and those it does not hold yet are written from the integer
+    maps of sigma(v) * R through `exactpoly.format_terms`, with no
+    polynomial built, and kept there while MAX_FAIL_TEXT allows; since a
+    text does not depend on the algebra, a replaced report reads them too,
+    under its own names.  Any other sequence of entries is formatted entry
+    by entry.
     """
     entries = report.entries
     algebra = report.algebra
@@ -481,14 +559,12 @@ def format_report(report: VerificationReport) -> str:
     if text.algebra != algebra:
         text = _PlanText(algebra, [format_symbol(x, algebra) for x in entries._gens], text.monos)
     pieces = text.pieces.get(entries._outcomes) or text._write(entries)
-    names, variables = text.names, entries._zero.variables
+    names = text.names
     lines = [pieces[0]]
     for pair, piece in zip(entries._failures, pieces[1:]):  # FAIL pairs, in pair order
         i, j = _positions(pair, len(names))
         head = f"PAIR {names[i]} {names[j]} POLY "
-        for k, m in enumerate(text.monos):
-            ints, scale = entries._residual_map(pair, k)
-            terms = sorted(((e, n) for e, n in ints.items() if n), key=_term_key, reverse=True)
-            lines.append(f"{head}{m} RESIDUAL {format_terms(variables, terms, scale)} {FAIL}")
+        residuals = entries._residual_texts(pair)
+        lines += [f"{head}{m} RESIDUAL {r} {FAIL}" for m, r in zip(text.monos, residuals)]
         lines.append(piece)
     return "\n".join(filter(None, lines))  # an empty piece leaves no blank line

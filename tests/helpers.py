@@ -776,6 +776,12 @@ def kept_characters(text):
     return sum(len(letters) + sum(map(len, pieces)) for letters, pieces in text.pieces.items())
 
 
+def kept_residual_characters(forms):
+    """The characters a spec's form table counts in `fail_size`: every
+    residual text kept in its `fail_text`, at every window."""
+    return sum(len(t) for kept in forms.fail_text.values() for texts in kept.values() for t in texts)
+
+
 def pieces_reference(text, monomials):
     """A report text cut around its FAIL pairs, each `monomials` FAIL lines:
     the text before each FAIL pair and after the last, as `verify._PlanText`

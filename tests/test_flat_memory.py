@@ -8,7 +8,8 @@ most MAX_WINDOW entries, each holding at most MAX_OUTCOME_TERMS terms of
 R in its FAIL forms; none survives once that table is cleared, nor
 does its form table, and the bounded caches and tables stay within their
 bounds.  Verify's report text lives in its plans, at most MAX_PLANS of
-them, each with at most MAX_PLAN_TEXT characters.
+them, each with at most MAX_PLAN_TEXT characters, and the residual texts
+of FAIL pairs in each spec's form table, at most MAX_FAIL_TEXT characters.
 """
 
 import copy
@@ -16,6 +17,7 @@ import gc
 import tracemalloc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 from nwfree import modfam, specdsl, verify
 from nwfree.classify import Classified, UnsupportedTwist, classify, twist
@@ -47,9 +49,10 @@ from nwfree.modfam import (
     mtilde_f,
 )
 from nwfree.specdsl import format_actions, format_spec, parse_actions, parse_input, parse_spec
-from nwfree.verify import MAX_PLAN_TEXT, MAX_PLANS, format_report, verify_module
+from nwfree.verify import MAX_FAIL_TEXT, MAX_PLAN_TEXT, MAX_PLANS, format_report, verify_module
 
-from helpers import fail_heavy_document, kept_characters
+from helpers import fail_heavy_document, kept_characters, kept_residual_characters
+from test_scripts import largest_fail_data
 
 SPECS_PER_FAMILY = 300
 
@@ -143,6 +146,7 @@ def test_no_entry_point_keeps_a_spec_alive():
     # verify's outcomes live in each survivor's form table, one entry per window
     tables = [modfam.spec_forms(x) for x in alive]
     assert all(len(t.outcomes) <= modfam.MAX_WINDOW for t in tables)
+    assert all(t.fail_size[0] == kept_residual_characters(t) <= MAX_FAIL_TEXT for t in tables)
     assert any(t.outcomes for t in tables)
     table_refs = [weakref.ref(t) for t in tables]
     del x, tables
@@ -222,4 +226,41 @@ def test_fail_heavy_data_keeps_only_outcomes_within_their_bound():
     retained = _traced_growth(lambda: [verify_module(data, w, 1) for w in range(1, 9)])
     assert list(modfam.spec_forms(data).outcomes) == [1]
     assert retained < 256 * 1024
+    verify._plan.cache_clear()
+
+
+def test_fail_heavy_data_keeps_fail_text_within_its_bound():
+    """The FAIL-heavy action data verified at windows 1-8 and test degrees
+    1-8: window 1, the only one that stores its outcomes, keeps residual
+    texts up to MAX_FAIL_TEXT characters, where it would keep 297k, and the
+    other windows keep none.  The largest FAIL and SKIP test report keeps
+    all of its 39,699, so its repeat writes no residual."""
+    verify._plan.cache_clear()
+    data = copy.copy(parse_input(fail_heavy_document()))  # not the document table's
+
+    def run(target):
+        for test_degree in range(1, 9):
+            format_report(verify_module(target, 1, test_degree))
+
+    run(copy.copy(data))  # builds the plans and their text outside the trace
+    retained = _traced_growth(lambda: run(data))
+    forms = modfam.spec_forms(data)
+    strings = sum(map(len, forms.fail_text[1].values()))
+    assert forms.fail_size[0] == kept_residual_characters(forms) <= MAX_FAIL_TEXT
+    assert min(map(len, forms.fail_text[1].values())) < 45  # degree 8 has 45 monomials
+    # beside the text, window 1's forms and stored outcomes take about 95 KB
+    assert retained <= MAX_FAIL_TEXT + _text_overhead(strings) + 128 * 1024
+    for window in range(2, 9):
+        for test_degree in range(1, 9):
+            report = verify_module(data, window, test_degree)
+            if test_degree == 1:
+                format_report(report)
+    assert list(forms.fail_text) == list(forms.outcomes) == [1]
+    assert forms.fail_size[0] == kept_residual_characters(forms) <= MAX_FAIL_TEXT
+    largest = largest_fail_data()
+    text = format_report(verify_module(largest, 8, 8))
+    assert modfam.spec_forms(largest).fail_size == [39_699]
+    hit = verify_module(largest, 8, 8)
+    with mock.patch.object(verify._Entries, "_residual_map", side_effect=AssertionError):
+        assert format_report(hit) == text
     verify._plan.cache_clear()

@@ -16,6 +16,7 @@ from helpers import (
     format_report_reference,
     fail_heavy_document,
     kept_characters,
+    kept_residual_characters,
     pieces_reference,
     random_specs,
     sample_specs,
@@ -29,7 +30,7 @@ from test_scripts import _report_bytes, fail_and_skip_cases, load_script
 import nwfree.exactpoly
 import nwfree.modfam
 import nwfree.verify
-from nwfree.exactpoly import Poly, degree_in
+from nwfree.exactpoly import Poly, degree_in, monomials_upto
 from nwfree.liealg import (
     AFF_VIR, AFFINE_H4, H4, VIR00, D, K, P, Q, R, S, bracket, format_symbol, sym,
 )
@@ -744,7 +745,7 @@ def test_the_outcome_table_keeps_one_entry_per_window(spec, keys):
 
 def test_a_window_past_the_outcome_bound_stores_nothing_and_verifies_twice():
     # at window 1 the FAIL forms hold 173 terms of R, at window 2 they hold 530
-    data = parse_input(fail_heavy_document())
+    data = copy.copy(parse_input(fail_heavy_document()))  # not the document table's
     table = spec_forms(data).outcomes
     for window, stored in ((1, True), (2, False)):
         want = format_report_reference(verify_module_reference(data, window, 1))
@@ -933,3 +934,129 @@ def test_a_plan_past_its_bound_writes_blocks_it_does_not_keep():
         nwfree.verify._plan.cache_clear()
     letters = [verify_module(spec, 1, 2).entries._outcomes for spec in specs]
     assert list(text.pieces) == [letters[0], letters[2]] and text.size == bound
+
+
+# ------------------------------------------------------ the kept FAIL text
+
+
+@contextmanager
+def residual_maps_counted():
+    """Count the residual maps `format_report` takes, as a list of their pairs."""
+    calls = []
+    original = nwfree.verify._Entries._residual_map
+
+    def counted(self, pair, j):
+        calls.append(pair)
+        return original(self, pair, j)
+
+    with mock.patch.object(nwfree.verify._Entries, "_residual_map", counted):
+        yield calls
+
+
+def no_residual_map():
+    return mock.patch.object(
+        nwfree.verify._Entries, "_residual_map", side_effect=AssertionError("a residual was written")
+    )
+
+
+def test_a_kept_fail_text_hit_reads_as_a_cold_spec():
+    """Each FAIL and SKIP case, on one spec at a sequence of test degrees:
+    every text is that of a copy formatted cold and of the reference, a
+    degree met before writes no residual, and a higher one writes exactly
+    its new monomials' residuals of each FAIL pair."""
+    for name, target, window, test_degree in fail_and_skip_cases():
+        variables = MODULE_VARIABLES[algebra_of(target)]
+        want = {}
+        for degree in {test_degree, MAX_TEST_DEGREE, 1}:
+            cold = verify_module(copy.copy(target), window, degree)
+            want[degree] = format_report_reference(cold)
+            assert format_report(cold) == want[degree], name
+        fails = len(cold.entries._failures)
+        orders = [(test_degree, test_degree), (test_degree, MAX_TEST_DEGREE, test_degree, 1),
+                  (1, MAX_TEST_DEGREE)]
+        for order in orders:
+            spec, met = copy.copy(target), 0
+            for degree in order:
+                report = verify_module(spec, window, degree)
+                if degree <= met:
+                    with no_residual_map():
+                        assert format_report(report) == want[degree], (name, order)
+                    continue
+                with residual_maps_counted() as calls:
+                    assert format_report(report) == want[degree], (name, order)
+                known = len(monomials_upto(variables, met)) if met else 0
+                new = len(monomials_upto(variables, degree)) - known
+                assert len(calls) == new * fails, (name, order)
+                met = degree
+            forms = spec_forms(spec)
+            assert forms.fail_size == [kept_residual_characters(forms)]
+            assert len(forms.fail_text) == 1 and forms.fail_text.keys() == forms.outcomes.keys()
+
+
+def test_a_replaced_report_prints_its_own_names_over_kept_residuals():
+    # H4 action data whose FAIL pairs name every symbol; s prints as w on Vir00
+    data = parse_input("algebra = H4\np = s^2+1\nq = s+2\nr = s^3\ns = 2*s+3\n")
+    report = verify_module(data, 1, 3)
+    own = format_report(report)
+    for algebra in (VIR00, AFF_VIR):
+        replaced = dataclasses.replace(report, algebra=algebra)
+        want = format_report_reference(replaced)
+        with no_residual_map():
+            got = format_report(replaced)
+        assert got == want
+        residuals = [line.split(" RESIDUAL ")[1] for line in got.split("\n")[:-1]]
+        assert residuals == [line.split(" RESIDUAL ")[1] for line in own.split("\n")[:-1]]
+    assert " w " in format_report(dataclasses.replace(report, algebra=VIR00))
+    assert format_report(report) == own
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_report_formats_alike_and_adds_no_kept_text(duplicate):
+    data, window, test_degree = mixed_report()
+    report = verify_module(data, window, test_degree)
+    forms = spec_forms(data)
+    want = format_report_reference(report)
+
+    def kept():
+        return {w: {pair: list(texts) for pair, texts in t.items()} for w, t in forms.fail_text.items()}
+
+    if duplicate is not copy.copy:  # a copy.copy shares the report's entries
+        early = duplicate(report)
+        assert early.entries._kept is None
+        assert format_report(early) == want and kept() == {window: {}} and forms.fail_size == [0]
+    assert format_report(report) == want
+    live = kept()
+    assert live[window] and forms.fail_size == [kept_residual_characters(forms)]
+    again = duplicate(report)
+    assert format_report(again) == format_report(again) == want
+    assert kept() == live and forms.fail_size == [kept_residual_characters(forms)]
+
+
+def test_fail_text_past_its_bound_is_written_and_not_kept():
+    # the bound is patched to the size of the first FAIL pair's texts at test
+    # degree 2, so the later pairs' texts, and the first pair's at degree 3,
+    # would pass it: they are written and not kept
+    data, window, _ = mixed_report()
+    cold = copy.copy(data)
+    format_report(verify_module(cold, window, 2))
+    (first, texts), *others = spec_forms(cold).fail_text[window].items()
+    assert others
+    bound = sum(map(len, texts))
+    spec = copy.copy(data)
+    with mock.patch.object(nwfree.verify, "MAX_FAIL_TEXT", bound):
+        for degree in (2, 3, 2):
+            report = verify_module(spec, window, degree)
+            assert format_report(report) == format_report_reference(report)
+    forms = spec_forms(spec)
+    assert forms.fail_text == {window: {first: texts}} and forms.fail_size == [bound]
+    # a window past MAX_OUTCOME_TERMS stores no outcomes and keeps no text
+    heavy = copy.copy(parse_input(fail_heavy_document()))  # not the document table's
+    for _ in range(2):
+        report = verify_module(heavy, 2, 1)
+        assert report.entries._kept is None
+        format_report(report)
+    assert spec_forms(heavy).fail_text == {} and spec_forms(heavy).fail_size == [0]
